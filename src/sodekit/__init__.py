@@ -18,8 +18,7 @@ from .analysis import (  # noqa: F401
     AnalysisReport, Connections, Options, SecondOrderProblem,
     adapt_commuting_basis, apply_tangent_structure, bracket_coefficients,
     build_extended_frame, check_regularity, check_w_involutive, classify,
-    mixed_curvature, nijenhuis_check, quadratic_force_test,
-    verify_bracket_integrability,
+    mixed_curvature, nijenhuis_check, verify_bracket_integrability,
 )
 from .straighten import (  # noqa: F401
     CoordinateTransform, FlowMap, IntegratorSettings, NumericFailure,

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .expressions import (
-    Expr, Num, ZERO, compile_exprs, differentiate, normalize, to_str,
+    EvalDomainError, Expr, Num, ZERO, compile_exprs, differentiate, normalize,
+    to_str,
 )
 from .geometry import (
     Chart, Decomposition, Frame, FrameRankError, GeometryError,
@@ -105,10 +106,6 @@ class SecondOrderProblem:
             )
 
 
-def _verdict_dict(v: ZeroVerdict) -> dict:
-    return v.as_dict()
-
-
 @dataclass
 class IdentitySuite:
     """Aggregated zero-verdicts for one named identity family."""
@@ -154,7 +151,7 @@ class IdentitySuite:
         failure = self.first_failure()
         if failure:
             out["failed_check"] = failure[0]
-            out["witness"] = failure[1].witness
+            out["witness"] = dict(failure[1].witness)
             out["value"] = failure[1].value
         return out
 
@@ -174,19 +171,13 @@ class ExtendedFrame:
             seed=problem.options.seed,
         )
         self.probe = problem.probe
-        self._dec_cache: dict = {}
 
     @property
     def n(self) -> int:
         return len(self.vbasis)
 
     def decompose(self, X: VectorField) -> Decomposition:
-        key = tuple(c.key for c in X.components)
-        hit = self._dec_cache.get(key)
-        if hit is None:
-            hit = decompose_in_frame(X, self.combined, self.probe)
-            self._dec_cache[key] = hit
-        return hit
+        return decompose_in_frame(X, self.combined, self.probe)
 
     def decompose_split(self, X: VectorField):
         """Coefficients of X split as (along V, along W); error if outside."""
@@ -209,12 +200,6 @@ class ExtendedFrame:
 
     def zero_field(self) -> VectorField:
         return VectorField(self.chart, [ZERO] * self.chart.dim)
-
-    def from_v_coefficients(self, coeffs) -> VectorField:
-        out = self.zero_field()
-        for c, v in zip(coeffs, self.vbasis):
-            out = out + v.scaled(c)
-        return out
 
 
 def check_regularity(problem: SecondOrderProblem) -> dict:
@@ -528,12 +513,14 @@ def adapt_commuting_basis(ef: ExtendedFrame, bc: BracketCoefficients):
                 verification=_verify_adapted(adapted),
             )
             return adapted, info
-    from .straighten import solve_basis_ode, default_cross_section
+    from .straighten import (
+        NumericFailure, default_cross_section, solve_basis_ode,
+    )
     try:
         evaluator = solve_basis_ode(
             bc, default_cross_section(ef), ef.vbasis
         )
-    except Exception as err:
+    except (NumericFailure, AnalysisError, EvalDomainError) as err:
         info = AdaptationInfo(
             mode="numeric", diagnostic=f"numeric transport failed: {err}"
         )
@@ -619,7 +606,10 @@ class Connections:
                     f"{dec.failure}"
                 )
             self.fw_dec.append(dec)
-        self._lift_cache: Optional[list] = None
+        # h(V_i) = -P_H(W_i): the unique horizontal field with S-image V_i
+        self.horizontal_lifts = [
+            self.horizontal(w).scaled(Num(-1)) for w in ef.wfields
+        ]
 
     def lie_derivative_s(self, X: VectorField) -> VectorField:
         """(L_F S)(X) = [F, S(X)] - S([F, X])."""
@@ -638,17 +628,12 @@ class Connections:
         return (X + self.lie_derivative_s(X)).scaled(half)
 
     def lifts(self) -> list:
-        """h(V_i) = -P_H(W_i): the unique horizontal field with S-image V_i."""
-        if self._lift_cache is None:
-            self._lift_cache = [
-                self.horizontal(w).scaled(Num(-1)) for w in self.ef.wfields
-            ]
-        return self._lift_cache
+        return list(self.horizontal_lifts)
 
     def lift_of(self, V: VectorField) -> VectorField:
         coeffs = self.ef.decompose_vertical(V)
         out = self.ef.zero_field()
-        for c, h in zip(coeffs, self.lifts()):
+        for c, h in zip(coeffs, self.horizontal_lifts):
             out = out + h.scaled(c)
         return out
 
@@ -697,7 +682,7 @@ class Connections:
         for idx, v in enumerate(ef.vbasis):
             suite.add_field(ef.probe, self.vertical(v) - v, f"P_V(V{idx})-V{idx}")
             suite.add_field(ef.probe, self.horizontal(v), f"P_H(V{idx})")
-        for idx, (h, v) in enumerate(zip(self.lifts(), ef.vbasis)):
+        for idx, (h, v) in enumerate(zip(self.horizontal_lifts, ef.vbasis)):
             suite.add_field(ef.probe, apply_tangent_structure(ef, h) - v,
                             f"S(h{idx})-V{idx}")
             suite.add_field(ef.probe, self.vertical(h), f"P_V(h{idx})")
@@ -756,7 +741,7 @@ def connection_tables(conn: Connections) -> ConnectionTables:
     vanishes (which it must)."""
     ef = conn.ef
     n = ef.n
-    lifts = conn.lifts()
+    lifts = conn.horizontal_lifts
     gamma1 = [[None] * n for _ in range(n)]
     for j, h in enumerate(lifts):
         a, _ = ef.decompose_split(h)
@@ -790,7 +775,7 @@ def connection_tables(conn: Connections) -> ConnectionTables:
 class MixedCurvature:
     components: list      # components[i][j][k][l] Expressions
     verdict: str          # "quadratic" | "not_quadratic" | "inconclusive"
-    witness: Optional[dict] = None
+    witness: Optional[Mapping[str, float]] = None
     witness_component: Optional[str] = None
     witness_value: Optional[float] = None
     max_residual: float = 0.0
@@ -805,7 +790,7 @@ class MixedCurvature:
             ],
         }
         if self.witness is not None:
-            out["witness"] = self.witness
+            out["witness"] = dict(self.witness)
             out["witness_component"] = self.witness_component
             out["witness_value"] = self.witness_value
         return out
@@ -817,7 +802,7 @@ def mixed_curvature(conn: Connections) -> MixedCurvature:
     fibre coordinates."""
     ef = conn.ef
     n = ef.n
-    lifts = conn.lifts()
+    lifts = conn.horizontal_lifts
     comps = [[[None] * n for _ in range(n)] for _ in range(n)]
     verdicts = []
     for i in range(n):
@@ -858,13 +843,6 @@ def mixed_curvature(conn: Connections) -> MixedCurvature:
                           max_residual=max_res)
 
 
-def quadratic_force_test(conn: Connections) -> MixedCurvature:
-    """Verdict form of the quadratic-type criterion: the force admits
-    coordinates making it quadratic in the fibre variables iff every mixed
-    curvature component vanishes."""
-    return mixed_curvature(conn)
-
-
 # --------------------------------------------------------------------------
 # Classification
 # --------------------------------------------------------------------------
@@ -894,14 +872,14 @@ def find_zero_section_points(ef: ExtendedFrame, b_coeffs) -> list:
         for _ in range(opts.newton_max_iter):
             try:
                 bv = np.array(b_fn(tuple(z)), dtype=float)
-            except Exception:
+            except EvalDomainError:
                 break
             if np.max(np.abs(bv)) < opts.newton_tol:
                 ok = True
                 break
             try:
                 jflat = jac_fn(tuple(z))
-            except Exception:
+            except EvalDomainError:
                 break
             J = np.array(jflat, dtype=float).reshape(len(b_exprs), len(names))
             step, *_ = np.linalg.lstsq(J, -bv, rcond=None)

@@ -17,7 +17,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
+
+from . import memo
 
 Number = Union[int, Fraction]
 
@@ -57,9 +60,11 @@ def _as_fraction(value) -> Fraction:
 
 
 class Expr:
-    """Immutable expression node; arithmetic operators build raw trees."""
+    """Immutable expression node; arithmetic operators build raw trees.
+    A node caches its key and hash; a normal form carries its rational form
+    (read-only) in `_rf`."""
 
-    __slots__ = ("_key",)
+    __slots__ = ("_key", "_hash", "_rf")
 
     def _struct_key(self):
         raise NotImplementedError
@@ -67,17 +72,23 @@ class Expr:
     @property
     def key(self):
         """Structural sort key; total order on all nodes."""
-        k = getattr(self, "_key", None)
-        if k is None:
+        try:
+            return self._key
+        except AttributeError:
             k = self._struct_key()
             object.__setattr__(self, "_key", k)
-        return k
+            return k
 
     def __eq__(self, other):
         return isinstance(other, Expr) and self.key == other.key
 
     def __hash__(self):
-        return hash(self.key)
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash(self.key)
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __add__(self, other):
         return Add((self, _coerce(other)))
@@ -514,6 +525,9 @@ def _atom_rf(atom: Expr):
 
 
 def _to_rf(e: Expr):
+    rf = getattr(e, "_rf", None)
+    if rf is not None:
+        return rf
     if isinstance(e, Num):
         if e.value == 0:
             return {}, dict(_P_ONE)
@@ -592,19 +606,21 @@ def _rf_to_tree(rf) -> Expr:
 
 
 def normalize(e: Expr) -> Expr:
-    """Canonical form; idempotent, and zero iff the result is the literal 0."""
-    return _rf_to_tree(_to_rf(e))
+    """Canonical form; idempotent, and zero iff the result is the literal 0.
+    Memoized; a normal tree is returned as is."""
+    if getattr(e, "_rf", None) is not None:
+        return e
+    key = ("normalize", e)
+    hit = memo.get(key)
+    return hit if hit is not None else memo.put(key, _normal_tree(e))
 
 
-def is_structurally_zero(e: Expr) -> bool:
-    p, _ = _to_rf(e)
-    return not p
-
-
-def numerator_form(e: Expr) -> Expr:
-    """Canonical numerator polynomial of e (zero-equivalent to e)."""
-    p, _ = _to_rf(e)
-    return _poly_tree(p)
+def _normal_tree(e: Expr) -> Expr:
+    p, q = _to_rf(e)
+    out = _rf_to_tree((p, q))
+    object.__setattr__(out, "_rf", (MappingProxyType(dict(p)),
+                                    MappingProxyType(dict(q))))
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -648,7 +664,9 @@ def _diff(e: Expr, name: str) -> Expr:
 def differentiate(e: Expr, symbol) -> Expr:
     """Exact partial derivative with respect to `symbol`, normalized."""
     name = symbol.name if isinstance(symbol, Sym) else symbol
-    return normalize(_diff(e, name))
+    key = ("differentiate", e, name)
+    hit = memo.get(key)
+    return hit if hit is not None else memo.put(key, normalize(_diff(e, name)))
 
 
 # --------------------------------------------------------------------------
@@ -664,7 +682,10 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
     negative values and overflow, naming the offending subtree.
     """
     if isinstance(e, Num):
-        return float(e.value)
+        try:
+            return float(e.value)
+        except OverflowError:
+            raise EvalDomainError(e, "overflow") from None
     if isinstance(e, Sym):
         try:
             return float(assignment[e.name])
@@ -716,6 +737,8 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
                 return math.cos(val)
         except OverflowError:
             raise EvalDomainError(e, "overflow") from None
+        except ValueError as err:  # sin or cos of an infinite value
+            raise EvalDomainError(e, str(err)) from None
     raise TypeError(f"unknown node {e!r}")
 
 
@@ -725,7 +748,7 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
 # `evaluate`, so both paths agree bitwise.
 # --------------------------------------------------------------------------
 
-def _emit(e: Expr, names: Mapping[str, str], out: list) -> str:
+def _emit(e: Expr, names: Mapping[str, str]) -> str:
     if isinstance(e, Num):
         v = e.value
         if v.denominator == 1:
@@ -737,30 +760,39 @@ def _emit(e: Expr, names: Mapping[str, str], out: list) -> str:
         except KeyError:
             raise MissingSymbolError(e.name) from None
     if isinstance(e, Add):
-        return "(" + " + ".join(_emit(t, names, out) for t in e.terms) + ")"
+        return "(" + " + ".join(_emit(t, names) for t in e.terms) + ")"
     if isinstance(e, Mul):
-        return "(" + "*".join(_emit(f, names, out) for f in e.factors) + ")"
+        return "(" + "*".join(_emit(f, names) for f in e.factors) + ")"
     if isinstance(e, Div):
-        return f"({_emit(e.num, names, out)}/{_emit(e.den, names, out)})"
+        return f"({_emit(e.num, names)}/{_emit(e.den, names)})"
     if isinstance(e, Pow):
         q = e.exponent
-        b = _emit(e.base, names, out)
+        b = _emit(e.base, names)
         if q.denominator == 1:
             return f"({b}**{q.numerator})"
         return f"_pow({b}, {float(q)!r})"
     if isinstance(e, Fn):
-        return f"_{e.name}({_emit(e.arg, names, out)})"
+        return f"_{e.name}({_emit(e.arg, names)})"
     raise TypeError(f"unknown node {e!r}")
 
 
 def compile_exprs(exprs: Sequence[Expr], coord_names: Sequence[str]) -> Callable:
     """Compile expressions into one function point-tuple -> tuple of floats.
 
-    Domain failures surface as EvalDomainError, as in `evaluate`.
+    Domain failures surface as EvalDomainError naming the failing
+    subexpression, as in `evaluate`.  Memoized; callers share the function.
     """
+    exprs = tuple(exprs)
+    coord_names = tuple(coord_names)
+    key = ("compile_exprs", exprs, coord_names)
+    hit = memo.get(key)
+    return hit if hit is not None else memo.put(
+        key, _compile(exprs, coord_names))
+
+
+def _compile(exprs: tuple, coord_names: tuple) -> Callable:
     names = {n: f"_z[{i}]" for i, n in enumerate(coord_names)}
-    out: list = []
-    body = ", ".join(_emit(e, names, out) for e in exprs)
+    body = ", ".join(_emit(e, names) for e in exprs)
     if len(exprs) == 1:
         body += ","
     src = f"def _compiled(_z):\n    return ({body})\n"
@@ -773,15 +805,18 @@ def compile_exprs(exprs: Sequence[Expr], coord_names: Sequence[str]) -> Callable
     }
     exec(src, scope)
     fn = scope["_compiled"]
-    exprs = tuple(exprs)
 
     def run(point):
         try:
             return fn(point)
-        except ZeroDivisionError:
-            raise EvalDomainError(exprs[0], "division by zero") from None
-        except (ValueError, OverflowError) as err:
-            raise EvalDomainError(exprs[0], str(err) or "domain error") from None
+        except (ZeroDivisionError, ValueError, OverflowError) as err:
+            # evaluate repeats the operations node by node and raises the
+            # EvalDomainError that names the failing subtree
+            assignment = dict(zip(coord_names, point))
+            for e in exprs:
+                evaluate(e, assignment)
+            raise EvalDomainError(exprs[0], str(err) or "domain error") \
+                from None
 
     return run
 

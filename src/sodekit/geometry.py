@@ -9,7 +9,7 @@ zero pivot tests), and the involutivity test that combines them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -17,6 +17,7 @@ from .expressions import (
     Expr, EvalDomainError, Num, ZERO, compile_exprs, differentiate,
     free_symbols, normalize, to_str,
 )
+from . import memo
 from .sampling import ZeroProbe, box_points
 
 RANK_TOL = 1e-9  # singular values below RANK_TOL * s_max count as zero
@@ -107,7 +108,6 @@ class VectorField:
             )
         self.chart = chart
         self.components = components
-        self._evaluator = None
 
     def normalized(self) -> "VectorField":
         return VectorField(self.chart, [normalize(c) for c in self.components])
@@ -120,9 +120,7 @@ class VectorField:
         return normalize(sum(terms[1:], terms[0]))
 
     def evaluator(self):
-        if self._evaluator is None:
-            self._evaluator = compile_exprs(self.components, self.chart.names)
-        return self._evaluator
+        return compile_exprs(self.components, self.chart.names)
 
     def at(self, point) -> np.ndarray:
         return np.array(self.evaluator()(tuple(point)), dtype=float)
@@ -151,17 +149,6 @@ class VectorField:
     def __neg__(self):
         return self.scaled(Num(-1))
 
-    def is_zero_field(self, probe: ZeroProbe):
-        """Worst verdict over components: nonzero > unknown > zero."""
-        worst = None
-        for comp in self.components:
-            v = probe(comp)
-            if v.is_nonzero:
-                return v
-            if worst is None or (v.kind == "unknown" and worst.kind == "zero"):
-                worst = v
-        return worst
-
     def __repr__(self):
         comps = ", ".join(to_str(c) for c in self.components)
         return f"VectorField[{comps}]"
@@ -178,6 +165,15 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     if X.chart != Y.chart:
         raise ChartMismatchError("lie_bracket requires a common chart")
     chart = X.chart
+    key = ("lie_bracket", chart.names, chart.box, X.components, Y.components)
+    comps = memo.get(key)
+    if comps is None:
+        comps = memo.put(key, _bracket_components(X, Y))
+    return VectorField(chart, comps)
+
+
+def _bracket_components(X: VectorField, Y: VectorField) -> tuple:
+    chart = X.chart
     comps = []
     for k in range(chart.dim):
         terms = []
@@ -185,7 +181,7 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
             terms.append(X.components[j] * differentiate(Y.components[k], name))
             terms.append(-(Y.components[j] * differentiate(X.components[k], name)))
         comps.append(normalize(sum(terms[1:], terms[0])))
-    return VectorField(chart, comps)
+    return tuple(comps)
 
 
 @dataclass
@@ -302,24 +298,19 @@ class Frame:
         return self.fields[i]
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
     ok: bool
     coefficients: Optional[tuple] = None
-    residual_verdicts: Optional[list] = None
+    residual_verdicts: Optional[tuple] = None
     failure: Optional[str] = None  # "not_in_span" | "pivot_ambiguous" | "rank_deficient"
-    witness: Optional[dict] = None
+    witness: Optional[Mapping[str, float]] = None  # read-only
     diagnostic: Optional[str] = None
 
     @property
     def exact(self) -> bool:
         return bool(self.ok and self.residual_verdicts is not None and
                     all(v.is_zero for v in self.residual_verdicts))
-
-    def max_residual(self) -> float:
-        if not self.residual_verdicts:
-            return 0.0
-        return max(v.max_residual for v in self.residual_verdicts)
 
 
 def decompose_in_frame(X: VectorField, frame, probe: ZeroProbe) -> Decomposition:
@@ -333,7 +324,15 @@ def decompose_in_frame(X: VectorField, frame, probe: ZeroProbe) -> Decomposition
     """
     fields = list(frame.fields if isinstance(frame, Frame) else frame)
     chart = X.chart
-    m = chart.dim
+    key = ("decompose_in_frame", chart.names, chart.box, X.components,
+           tuple(f.components for f in fields), probe.key)
+    hit = memo.get(key)
+    return hit if hit is not None else memo.put(
+        key, _decompose(X, fields, probe))
+
+
+def _decompose(X: VectorField, fields: list, probe: ZeroProbe):
+    m = X.chart.dim
     k = len(fields)
     rows = [
         [fields[j].components[i] for j in range(k)] + [X.components[i]]
@@ -390,7 +389,7 @@ def decompose_in_frame(X: VectorField, frame, probe: ZeroProbe) -> Decomposition
             normalize(r - c * comp)
             for r, comp in zip(residual, f.components)
         ]
-    verdicts = [probe(r) for r in residual]
+    verdicts = tuple(probe(r) for r in residual)
     for v in verdicts:
         if v.is_nonzero:
             return Decomposition(
@@ -406,7 +405,7 @@ def decompose_in_frame(X: VectorField, frame, probe: ZeroProbe) -> Decomposition
 class InvolutivityResult:
     ok: bool
     failing_pair: Optional[tuple] = None
-    witness: Optional[dict] = None
+    witness: Optional[Mapping[str, float]] = None
     diagnostic: Optional[str] = None
     unknown_pairs: list = field(default_factory=list)
 

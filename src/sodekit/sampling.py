@@ -13,11 +13,13 @@ how severe an Unknown is.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 from .expressions import (
     Add, EvalDomainError, Expr, compile_exprs, _to_rf, _poly_tree,
 )
+from . import memo
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 
@@ -64,18 +66,21 @@ def unit_points(count: int, dims: int, seed: int):
 
 def box_points(box: Sequence, count: int, seed: int):
     """Sample points inside a box given as a sequence of (lo, hi) pairs."""
-    dims = len(box)
-    pts = unit_points(count, dims, seed)
-    return [
-        tuple(lo + u * (hi - lo) for u, (lo, hi) in zip(pt, box))
-        for pt in pts
-    ]
+    box = tuple((lo, hi) for lo, hi in box)
+    key = ("box_points", box, count, seed)
+    points = memo.get(key)
+    if points is None:
+        points = memo.put(key, tuple(
+            tuple(lo + u * (hi - lo) for u, (lo, hi) in zip(pt, box))
+            for pt in unit_points(count, len(box), seed)
+        ))
+    return list(points)
 
 
 @dataclass(frozen=True)
 class ZeroVerdict:
     kind: str  # "zero" | "nonzero" | "unknown"
-    witness: Optional[dict] = None
+    witness: Optional[Mapping[str, float]] = None  # read-only
     value: Optional[float] = None
     max_residual: float = 0.0
     trials: int = 0
@@ -124,6 +129,19 @@ def is_zero(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    key = ("is_zero", e, _probe_key(box, trials, seed, tol))
+    hit = memo.get(key)
+    return hit if hit is not None else memo.put(
+        key, _decide_zero(e, box, trials, seed, tol))
+
+
+def _probe_key(box: Mapping[str, Sequence[float]], trials: int, seed: int,
+               tol: float) -> tuple:
+    return (tuple((n, tuple(iv)) for n, iv in box.items()), trials, seed, tol)
+
+
+def _decide_zero(e: Expr, box: Mapping[str, Sequence[float]], trials: int,
+                 seed: int, tol: float) -> ZeroVerdict:
     p, _ = _to_rf(e)
     if not p:
         return ZeroVerdict("zero")
@@ -155,7 +173,7 @@ def is_zero(
         if abs(total) > tol * scale:
             return ZeroVerdict(
                 "nonzero",
-                witness=dict(zip(names, point)),
+                witness=MappingProxyType(dict(zip(names, point))),
                 value=total,
                 max_residual=abs(total),
                 trials=trials,
@@ -186,5 +204,7 @@ class ZeroProbe:
     def __call__(self, e: Expr) -> ZeroVerdict:
         return is_zero(e, self.box, self.trials, self.seed, self.tol)
 
-    def with_seed(self, seed: int) -> "ZeroProbe":
-        return ZeroProbe(self.box, self.trials, seed, self.tol)
+    @property
+    def key(self) -> tuple:
+        """Hashable form of the box, trials, seed and tolerance."""
+        return _probe_key(self.box, self.trials, self.seed, self.tol)

@@ -27,6 +27,7 @@ from .expressions import (
     normalize,
 )
 from .geometry import Chart, VectorField
+from . import memo
 from .analysis import (
     AnalysisError, AnalysisReport, CASE1, CASE2, ExtendedFrame,
 )
@@ -59,15 +60,18 @@ def _component_evaluator(fld) -> Callable:
 
 
 def _jacobian_evaluator(fld: VectorField):
-    cache = getattr(fld, "_jacobian_eval", None)
-    if cache is None:
-        names = fld.chart.names
-        entries = [
-            differentiate(c, n) for c in fld.components for n in names
-        ]
-        cache = compile_exprs(entries, names)
-        fld._jacobian_eval = cache
-    return cache
+    """Compiled Jacobian of the field, row-major."""
+    names = fld.chart.names
+    key = ("jacobian", fld.components, names)
+    hit = memo.get(key)
+    return hit if hit is not None else memo.put(
+        key, _compile_jacobian(fld.components, names))
+
+
+def _compile_jacobian(components: tuple, names: tuple):
+    return compile_exprs(
+        [differentiate(c, n) for c in components for n in names], names
+    )
 
 
 def _is_constant_field(fld) -> Optional[np.ndarray]:
@@ -188,9 +192,6 @@ class FlowMap:
     def __call__(self, z, s: float) -> np.ndarray:
         return integrate_flow(self.field, z, s, self.settings, self.chart)
 
-    def with_jacobian(self, z, s: float):
-        return integrate_flow_with_jacobian(self.field, z, s, self.settings)
-
 
 # --------------------------------------------------------------------------
 # Numeric basis transport (the linear system of the commuting-basis change)
@@ -243,7 +244,6 @@ def solve_basis_ode(bc, section: CrossSection, vbasis: Sequence[VectorField],
         for l in range(n)
     ]
     v_evals = [v.evaluator() for v in vbasis]
-    v_jacs = [_jacobian_evaluator(v) for v in vbasis]
 
     def fibre_map(params, order):
         s = params[: m - n]

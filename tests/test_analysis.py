@@ -160,6 +160,45 @@ def test_adaptation_numeric_fallback_for_transcendental_rescaling(plane):
     assert rep.identity_suites_ok()
 
 
+class Injected(Exception):
+    """An error no stage handles; it must reach the caller."""
+
+
+def test_newton_search_lets_unrelated_evaluator_errors_through(
+        natural, monkeypatch):
+    import sodekit.analysis as analysis
+    rep = classify(natural)
+    assert rep.zero_section_points
+
+    def failing(exprs, names):
+        def run(point):
+            raise Injected("compiled evaluator")
+        return run
+
+    monkeypatch.setattr(analysis, "compile_exprs", failing)
+    with pytest.raises(Injected):
+        analysis.find_zero_section_points(rep.extended, rep.f_w_coefficients)
+
+
+def test_adaptation_lets_unrelated_transport_errors_through(
+        plane, monkeypatch):
+    import sodekit.straighten as straighten
+    from sodekit.expressions import exp as exp_
+    prob = SecondOrderProblem(
+        plane, VectorField(plane, [y, ZERO]),
+        Frame(plane, [VectorField(plane, [ZERO, exp_(y)])]),
+    )
+    ef = build_extended_frame(prob)
+    bc = bracket_coefficients(ef)
+
+    def failing(*args, **kwargs):
+        raise Injected("basis transport")
+
+    monkeypatch.setattr(straighten, "solve_basis_ode", failing)
+    with pytest.raises(Injected):
+        adapt_commuting_basis(ef, bc)
+
+
 def test_adaptation_identity_routh():
     m = corpus_get("routh-abelian")
     prob = SecondOrderProblem(m.chart, m.vector_field(),

@@ -5,7 +5,7 @@ import pytest
 
 from sodekit.expressions import (
     EvalDomainError, Fn, MissingSymbolError, Num, Pow,
-    ZERO, compile_exprs, cos, differentiate, evaluate, exp,
+    ZERO, compile_exprs, cos, differentiate, evaluate, exp, log,
     normalize, sin, syms, to_str,
 )
 from sodekit.parser import parse
@@ -134,6 +134,18 @@ def test_compiled_matches_tree_eval():
     fn = compile_exprs([e], ["x", "y"])
     for pt in [(0.1, 0.2), (-0.7, 0.4), (0.55, -0.91)]:
         assert fn(pt)[0] == evaluate(e, dict(zip(("x", "y"), pt)))
+
+
+def test_compiled_domain_error_names_the_failing_component():
+    fn = compile_exprs([x, log(y)], ["x", "y"])
+    with pytest.raises(EvalDomainError) as info:
+        fn((1.0, -1.0))
+    assert info.value.subtree == log(y)
+    assert "in 'log(y)'" in str(info.value)
+    huge = normalize(y * 10 ** 400)
+    with pytest.raises(EvalDomainError) as info:
+        compile_exprs([x, huge], ["x", "y"])((1.0, 1.0))
+    assert info.value.subtree == Num(10 ** 400)
 
 
 # -- is_zero -----------------------------------------------------------------
