@@ -21,7 +21,7 @@ from .analysis import (  # noqa: F401
     mixed_curvature, nijenhuis_check, verify_bracket_integrability,
 )
 from .straighten import (  # noqa: F401
-    CoordinateTransform, FlowMap, IntegratorSettings, NumericFailure,
+    CoordinateTransform, IntegratorSettings, NumericFailure,
     build_normal_coordinates, integrate_flow, pushforward_residuals,
     solve_basis_ode,
 )

@@ -266,7 +266,12 @@ def cos(arg) -> Fn:
     return Fn("cos", _coerce(arg))
 
 
-def free_symbols(e: Expr) -> set:
+def free_symbols(e: Expr) -> frozenset:
+    """Names of the symbols in e.  Memoized."""
+    key = ("free_symbols", e)
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
     out: set = set()
     stack = [e]
     while stack:
@@ -284,7 +289,7 @@ def free_symbols(e: Expr) -> set:
         elif isinstance(node, Div):
             stack.append(node.num)
             stack.append(node.den)
-    return out
+    return memo.put(key, frozenset(out))
 
 
 # --------------------------------------------------------------------------

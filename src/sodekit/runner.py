@@ -10,6 +10,7 @@ nondeterministic entries.
 from __future__ import annotations
 
 import json
+import numbers
 import time
 from typing import Optional
 
@@ -33,6 +34,7 @@ EXIT_NUMERIC = 3
 
 STRUCTURAL_TOL_DEFAULT = 1e-5
 QUADRATIC_EXTRACTION_MAX_DIM = 4
+MAX_GRID_NODES = 100_000
 
 
 class _Timer:
@@ -73,6 +75,27 @@ def _problem(manifest: Manifest, overrides: dict):
                   samples=opts.samples, seed=opts.seed)
     return SecondOrderProblem(manifest.chart, manifest.vector_field(), frame,
                               opts, strict=False)
+
+
+def _grid_options(manifest: Manifest, overrides: dict) -> tuple:
+    """(tolerance, grid, extent) of the residual grid, None for a default
+    grid or extent.  ManifestError on a value that is not a number, or on a
+    grid that is not an integer >= 1 with at most MAX_GRID_NODES nodes."""
+    opts = {**manifest.options, **overrides}
+    grid = opts.get("grid")
+    if grid is not None and not (
+            isinstance(grid, numbers.Integral) and not isinstance(grid, bool)
+            and 1 <= grid and int(grid) ** manifest.dim <= MAX_GRID_NODES):
+        raise ManifestError(
+            f"grid must be an integer >= 1 with grid^{manifest.dim} <= "
+            f"{MAX_GRID_NODES}, got {grid!r}")
+    extent = opts.get("extent")
+    try:
+        return (float(opts.get("tolerance", STRUCTURAL_TOL_DEFAULT)), grid,
+                None if extent is None else float(extent))
+    except (TypeError, ValueError) as err:
+        raise ManifestError(f"tolerance and extent must be numbers: {err}") \
+            from None
 
 
 def run_check(manifest: Manifest, overrides: Optional[dict] = None) -> tuple:
@@ -174,74 +197,58 @@ def run_quadratic(manifest: Manifest, overrides: Optional[dict] = None) -> tuple
             f"dimension {QUADRATIC_EXTRACTION_MAX_DIM}"
         ]
     report["timings"] = timer.marks
-    if verdict == "quadratic":
-        return report, EXIT_OK
-    if verdict == "not_quadratic":
-        return report, EXIT_MATH_FAIL
-    return report, EXIT_MATH_FAIL
+    return report, EXIT_OK if verdict == "quadratic" else EXIT_MATH_FAIL
+
+
+def _residual_stage(analysis, report: dict, timer: _Timer,
+                    grid_options: tuple) -> tuple:
+    """Build the transform, certify it on the residual grid and add both to
+    the report; returns (transform, whether the residuals pass)."""
+    tol, grid, extent = grid_options
+    transform = build_normal_coordinates(analysis)
+    timer.lap("build_transform")
+    residuals = pushforward_residuals(transform, grid_points=grid,
+                                      extent=extent)
+    timer.lap("residuals")
+    ok = residuals.max_structural_residual < tol
+    report["transform"] = transform.metadata()
+    report["residuals"] = {**residuals.as_dict(), "tolerance": tol,
+                           "status": "pass" if ok else "fail"}
+    return transform, ok
 
 
 def run_straighten(manifest: Manifest, overrides: Optional[dict] = None) -> tuple:
     overrides = overrides or {}
+    grid_options = _grid_options(manifest, overrides)
     report = _base_report(manifest, "straighten")
     timer = _Timer()
     problem, analysis = _run_classify_stage(manifest, overrides, report, timer)
-    if not analysis.ok:
-        report["timings"] = timer.marks
-        return report, EXIT_MATH_FAIL
-    tol = float(overrides.get("tolerance",
-                              manifest.options.get("tolerance",
-                                                   STRUCTURAL_TOL_DEFAULT)))
-    grid = overrides.get("grid", manifest.options.get("grid"))
-    grid = int(grid) if grid is not None else None
-    extent = overrides.get("extent", manifest.options.get("extent"))
-    extent = float(extent) if extent is not None else None
-    try:
-        transform = build_normal_coordinates(analysis)
-        timer.lap("build_transform")
-        residuals = pushforward_residuals(transform, grid_points=grid,
-                                          extent=extent)
-        timer.lap("residuals")
-    except NumericFailure as err:
-        report["error"] = str(err)
-        report["timings"] = timer.marks
-        return report, EXIT_NUMERIC
-    report["transform"] = transform.metadata()
-    report["residuals"] = residuals.as_dict()
+    exit_code = EXIT_MATH_FAIL
+    if analysis.ok:
+        try:
+            _, ok = _residual_stage(analysis, report, timer, grid_options)
+            exit_code = EXIT_OK if ok else EXIT_MATH_FAIL
+        except NumericFailure as err:
+            report["error"] = str(err)
+            exit_code = EXIT_NUMERIC
     report["timings"] = timer.marks
-    ok = residuals.max_structural_residual < tol
-    report["residuals"]["tolerance"] = tol
-    report["residuals"]["status"] = "pass" if ok else "fail"
-    return report, EXIT_OK if ok else EXIT_MATH_FAIL
+    return report, exit_code
 
 
 def run_report(manifest: Manifest, overrides: Optional[dict] = None) -> tuple:
     """Union of every applicable stage in one document."""
     overrides = overrides or {}
+    grid_options = _grid_options(manifest, overrides)
     report = _base_report(manifest, "report")
     timer = _Timer()
     problem, analysis = _run_classify_stage(manifest, overrides, report, timer)
     exit_code = EXIT_OK if analysis.ok else EXIT_MATH_FAIL
     if analysis.ok:
-        tol = float(overrides.get("tolerance",
-                                  manifest.options.get(
-                                      "tolerance", STRUCTURAL_TOL_DEFAULT)))
-        grid = overrides.get("grid", manifest.options.get("grid"))
-        grid = int(grid) if grid is not None else None
-        extent = overrides.get("extent", manifest.options.get("extent"))
-        extent = float(extent) if extent is not None else None
         try:
-            transform = build_normal_coordinates(analysis)
-            residuals = pushforward_residuals(transform, grid_points=grid,
-                                              extent=extent)
-            report["transform"] = transform.metadata()
-            report["residuals"] = residuals.as_dict()
-            report["residuals"]["tolerance"] = tol
-            ok = residuals.max_structural_residual < tol
-            report["residuals"]["status"] = "pass" if ok else "fail"
+            transform, ok = _residual_stage(analysis, report, timer,
+                                            grid_options)
             if not ok:
                 exit_code = EXIT_MATH_FAIL
-            timer.lap("straighten")
         except NumericFailure as err:
             report["straighten_error"] = str(err)
             exit_code = EXIT_NUMERIC

@@ -91,29 +91,23 @@ def integrate_flow(fld, z, s: float,
     const = _is_constant_field(fld)
     if const is not None:
         end = z + s * const
-        if chart is not None and not _within_slack(end, chart,
-                                                   settings.box_slack):
-            raise NumericFailure(
-                "flow left the sampling box (beyond the allowed slack)",
-                last_point=tuple(end),
-            )
-        return end
-    ev = _component_evaluator(fld)
+    else:
+        ev = _component_evaluator(fld)
 
-    def rhs(_t, state):
-        return ev(tuple(state))
+        def rhs(_t, state):
+            return ev(tuple(state))
 
-    try:
-        sol = solve_ivp(rhs, (0.0, s), z, method=settings.method,
-                        rtol=settings.rtol, atol=settings.atol,
-                        max_step=settings.max_step, dense_output=False)
-    except EvalDomainError as err:
-        raise NumericFailure(f"flow hit a domain error: {err}",
-                             last_point=tuple(z)) from err
-    if not sol.success:
-        raise NumericFailure(f"flow integration failed: {sol.message}",
-                             last_point=tuple(sol.y[:, -1]))
-    end = sol.y[:, -1]
+        try:
+            sol = solve_ivp(rhs, (0.0, s), z, method=settings.method,
+                            rtol=settings.rtol, atol=settings.atol,
+                            max_step=settings.max_step, dense_output=False)
+        except EvalDomainError as err:
+            raise NumericFailure(f"flow hit a domain error: {err}",
+                                 last_point=tuple(z)) from err
+        if not sol.success:
+            raise NumericFailure(f"flow integration failed: {sol.message}",
+                                 last_point=tuple(sol.y[:, -1]))
+        end = sol.y[:, -1]
     if chart is not None and not _within_slack(end, chart, settings.box_slack):
         raise NumericFailure(
             "flow left the sampling box (beyond the allowed slack)",
@@ -180,19 +174,6 @@ def integrate_flow_with_jacobian(fld, z, s: float,
     return end, J
 
 
-class FlowMap:
-    """Flow of one generating field with fixed integrator settings."""
-
-    def __init__(self, fld, settings: IntegratorSettings = DEFAULT_SETTINGS,
-                 chart: Optional[Chart] = None):
-        self.field = fld
-        self.settings = settings
-        self.chart = chart
-
-    def __call__(self, z, s: float) -> np.ndarray:
-        return integrate_flow(self.field, z, s, self.settings, self.chart)
-
-
 # --------------------------------------------------------------------------
 # Numeric basis transport (the linear system of the commuting-basis change)
 # --------------------------------------------------------------------------
@@ -203,20 +184,25 @@ class CrossSection:
     directions: np.ndarray  # m x (m - n), transversal to the V-span
 
 
-def default_cross_section(ef: ExtendedFrame) -> CrossSection:
-    """Complete the V-span at the box center by singular-vector directions."""
-    chart = ef.chart
-    z0 = chart.center()
-    cols = np.array([v.at(z0) for v in ef.vbasis], dtype=float).T
+def _completion_directions(fields, z0) -> np.ndarray:
+    """Singular vectors completing the span of the fields at z0, each signed
+    so that its largest entry is positive."""
+    cols = np.array([f.at(z0) for f in fields], dtype=float).T
     u, sv, _ = np.linalg.svd(cols, full_matrices=True)
-    extra = u[:, len(ef.vbasis):]
-    # fix signs deterministically
+    extra = u[:, len(fields):]
     for j in range(extra.shape[1]):
         col = extra[:, j]
         idx = int(np.argmax(np.abs(col)))
         if col[idx] < 0:
             extra[:, j] = -col
-    return CrossSection(base_point=tuple(z0), directions=extra)
+    return extra
+
+
+def default_cross_section(ef: ExtendedFrame) -> CrossSection:
+    """Complete the V-span at the box center by singular-vector directions."""
+    z0 = ef.chart.center()
+    return CrossSection(base_point=tuple(z0),
+                        directions=_completion_directions(ef.vbasis, z0))
 
 
 def solve_basis_ode(bc, section: CrossSection, vbasis: Sequence[VectorField],
@@ -351,7 +337,12 @@ class CoordinateTransform:
     Parameters are applied innermost first in the stored stage order;
     the Jacobian is propagated by variational equations alongside each flow.
     After the forward map, fibre coordinates are redefined as the
-    x-components of the pushed-forward field (`final_coords`)."""
+    x-components of the pushed-forward field (`final_coords`).
+
+    `map_with_jacobian` keeps the state (s_k, z_k, J_k) after each stage of
+    its last evaluation and resumes after the longest leading run of equal
+    parameters, so grid nodes in C order share their inner flows; results
+    are the same in any order.  Not safe to share between threads."""
 
     def __init__(self, report: AnalysisReport, ef: ExtendedFrame,
                  z0, stages: Sequence[Stage],
@@ -370,6 +361,7 @@ class CoordinateTransform:
             raise AnalysisError("need exactly one stage per coordinate")
         self.param_names = [st.label for st in self.stages]
         self.t_count = self.m - 2 * self.n
+        self._stage_state: list = []
         _, J0 = self.map_with_jacobian(np.zeros(self.m))
         self.base_condition = float(np.linalg.cond(J0))
         if not np.isfinite(self.base_condition) or self.base_condition > 1e8:
@@ -398,16 +390,21 @@ class CoordinateTransform:
         return z
 
     def map_with_jacobian(self, params):
-        z = self.z0.copy()
-        J = np.zeros((self.m, 0))
-        for st, s in zip(self.stages, params):
-            z, Jf = integrate_flow_with_jacobian(st.fld, z, float(s),
-                                                 self.settings)
+        params = [float(s) for s in params]
+        state = self._stage_state
+        k = 0
+        while k < len(state) and state[k][0] == params[k]:
+            k += 1
+        del state[k:]
+        z, J = state[-1][1:] if state else (self.z0, np.zeros((self.m, 0)))
+        for st, s in zip(self.stages[k:], params[k:]):
+            z, Jf = integrate_flow_with_jacobian(st.fld, z, s, self.settings)
             J = Jf @ J if J.size else J
             ev = _component_evaluator(st.fld)
             col = np.array(ev(tuple(z)), dtype=float).reshape(self.m, 1)
             J = np.hstack([J, col]) if J.size else col
-        return z, J
+            state.append((s, z, J))
+        return z.copy(), J.copy()
 
     def invert(self, z_target, guess=None, tol: float = 1e-10,
                max_iter: int = 50) -> np.ndarray:
@@ -469,11 +466,10 @@ class CoordinateTransform:
         params = np.asarray(params, dtype=float)
         z = self.map_params(params)
         v_pred, _ = self.pushforward_components(params)
-        fmap = FlowMap(self.F, self.settings)
         samples = {}
         for k in (-2, -1, 1, 2):
             s = k * step
-            zs = fmap(z, s)
+            zs = integrate_flow(self.F, z, s, self.settings)
             guess = params + s * v_pred
             ps = self.invert(zs, guess=guess)
             samples[k] = self.final_coords(ps)
@@ -500,21 +496,6 @@ def _tilt_to_locus(fld: VectorField, b_exprs, vbasis) -> VectorField:
         if corr != ZERO:
             out = out + v.scaled(corr)
     return out
-
-
-def _completion_directions(ef: ExtendedFrame, z0) -> np.ndarray:
-    """Directions completing the combined span at z0 (singular vectors)."""
-    cols = np.array(
-        [f.at(z0) for f in ef.combined.fields], dtype=float
-    ).T
-    u, sv, _ = np.linalg.svd(cols, full_matrices=True)
-    extra = u[:, len(ef.combined.fields):]
-    for j in range(extra.shape[1]):
-        col = extra[:, j]
-        idx = int(np.argmax(np.abs(col)))
-        if col[idx] < 0:
-            extra[:, j] = -col
-    return extra
 
 
 def _constant_direction_field(chart: Chart, direction) -> VectorField:
@@ -544,7 +525,7 @@ def build_normal_coordinates(report: AnalysisReport,
         z0 = np.asarray(report.zero_section_points[0], dtype=float)
         b_exprs = [normalize(b) for b in report.f_w_coefficients]
         if m > 2 * n:
-            extra = _completion_directions(ef, tuple(z0))
+            extra = _completion_directions(ef.combined.fields, tuple(z0))
             for p in range(extra.shape[1]):
                 direction = _constant_direction_field(chart, extra[:, p])
                 tilted = _tilt_to_locus(direction, b_exprs, ef.vbasis)
@@ -558,7 +539,7 @@ def build_normal_coordinates(report: AnalysisReport,
             # extra slice directions are innermost so that the F-flow and the
             # leaf flows come after them; F(z0) spans one completion
             # direction, keep the remainder
-            extra = _completion_directions(ef, tuple(z0))
+            extra = _completion_directions(ef.combined.fields, tuple(z0))
             f0 = ef.problem.F.at(tuple(z0))
             f0 = f0 / np.linalg.norm(f0)
             kept = []
@@ -671,13 +652,20 @@ def pushforward_residuals(transform: CoordinateTransform,
         1.0 if name == "t1" and transform.case == CASE2 else 0.0
         for name in transform.param_names[:tc]
     ])
+    # the cross-check reuses the condition numbers of its strided nodes
+    stride = max(1, len(nodes) // crosscheck_cap)
+    strided_conds = []
     t_residuals = []
     flagged = 0
-    for node in nodes:
+    for i, node in enumerate(nodes):
         try:
             v, cond = transform.pushforward_components(node)
         except NumericFailure:
             flagged += 1
+            cond = None
+        if i % stride == 0:
+            strided_conds.append(cond)
+        if cond is None:
             continue
         if cond > cond_limit:
             flagged += 1
@@ -689,15 +677,13 @@ def pushforward_residuals(transform: CoordinateTransform,
     if not t_residuals:
         raise NumericFailure("every grid node was flagged or failed")
     # independent cross-check on a subsample
-    stride = max(1, len(nodes) // crosscheck_cap)
     max_cross = 0.0
     max_jgap = 0.0
     checked = 0
-    for node in nodes[::stride]:
+    for node, cond in zip(nodes[::stride], strided_conds):
+        if cond is None or cond > cond_limit:
+            continue
         try:
-            v, cond = transform.pushforward_components(node)
-            if cond > cond_limit:
-                continue
             fin = transform.field_in_final_chart(node)
             ytilde = transform.final_coords(node)[tc + n:]
             gap_x = float(np.max(np.abs(fin[tc: tc + n] - ytilde)))

@@ -204,3 +204,18 @@ def test_cli_seed_override_changes_samples(tmp_path):
     p1 = d1["analysis"]["zero_section_points"]
     p2 = d2["analysis"]["zero_section_points"]
     assert p1 != p2  # different starts, different located points
+
+
+@pytest.mark.parametrize("grid", ["-1", "0", "1000"])
+def test_cli_bad_grid_is_input_error(grid, capsys):
+    # 1000 on the five-dimensional routh chart would be 10^15 nodes
+    code = main(["straighten", "--corpus", "routh-abelian", "--grid", grid])
+    assert code == EXIT_INPUT
+    assert "grid must be an integer >= 1" in capsys.readouterr().err
+
+
+def test_cli_non_numeric_tolerance_is_input_error(tmp_path, capsys):
+    bad = tmp_path / "tol.json"
+    bad.write_text(json.dumps(inline_manifest(options={"tolerance": "abc"})))
+    assert main(["report", str(bad)]) == EXIT_INPUT
+    assert "must be numbers" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from sodekit.analysis import (
     build_extended_frame, classify,
 )
 from sodekit.parser import parse
+from sodekit import straighten
 from sodekit.corpus import corpus_get
 from sodekit.straighten import (
     CrossSection, NumericFailure, build_normal_coordinates,
@@ -316,3 +318,76 @@ def test_straighten_requires_locus_point():
     assert "cross-section not found in box" in rep.warnings
     with pytest.raises(NumericFailure, match="cross-section"):
         build_normal_coordinates(rep)
+
+
+# -- stage state of the transform ----------------------------------------------
+
+def timedep_transform():
+    return build_normal_coordinates(classify_corpus("timedep-scrambled"))
+
+
+def assert_same_maps(got, want):
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_stage_state_gives_the_same_maps_in_any_order():
+    axis = np.linspace(-0.3, 0.3, 3)
+    nodes = [np.array(p) for p in itertools.product(axis, repeat=3)]
+    in_c_order = timedep_transform()
+    want = [in_c_order.map_with_jacobian(node) for node in nodes]
+    shuffled = timedep_transform()
+    for i in np.random.default_rng(0).permutation(len(nodes)):
+        assert_same_maps(shuffled.map_with_jacobian(nodes[i]), want[i])
+
+
+def test_changing_a_returned_map_leaves_the_stage_state_alone():
+    tr, fresh = timedep_transform(), timedep_transform()
+    node = np.array([0.1, -0.2, 0.15])
+    z, J = tr.map_with_jacobian(node)
+    z[:] = 7.0
+    J[:] = 7.0
+    for params in (node, node + [0, 0, 0.1], node + [0, 0.1, 0]):
+        assert_same_maps(tr.map_with_jacobian(params),
+                         fresh.map_with_jacobian(params))
+
+
+def test_a_failing_stage_leaves_no_stale_state(monkeypatch):
+    tr, fresh = timedep_transform(), timedep_transform()
+    bad = 0.25
+    real = straighten.integrate_flow_with_jacobian
+
+    def flaky(fld, z, s, settings=straighten.DEFAULT_SETTINGS):
+        if fld is tr.stages[1].fld and s == bad:
+            raise NumericFailure("injected")
+        return real(fld, z, s, settings)
+
+    monkeypatch.setattr(straighten, "integrate_flow_with_jacobian", flaky)
+    tr.map_with_jacobian([0.1, 0.2, 0.3])
+    for params in ([0.1, bad, 0.3], [0.1, bad, -0.3]):
+        with pytest.raises(NumericFailure, match="injected"):
+            tr.map_with_jacobian(params)
+    for params in ([0.1, 0.2, 0.3], [0.1, 0.2, -0.1], [0.1, -0.2, 0.3],
+                   [-0.1, 0.2, 0.3]):
+        assert_same_maps(tr.map_with_jacobian(params),
+                         fresh.map_with_jacobian(params))
+
+
+def test_grid_loop_integrates_each_stage_once_per_prefix(monkeypatch):
+    tr = timedep_transform()
+    m = tr.m
+    sizes = []
+    real = straighten.solve_ivp
+
+    def counting(fun, t_span, y0, **kwargs):
+        sizes.append(len(y0))
+        return real(fun, t_span, y0, **kwargs)
+
+    def skip_crosscheck(params):
+        raise NumericFailure("cross-check left out")
+
+    monkeypatch.setattr(straighten, "solve_ivp", counting)
+    monkeypatch.setattr(tr, "field_in_final_chart", skip_crosscheck)
+    monkeypatch.setattr(tr, "fibre_jacobian_min_sv", lambda params: 1.0)
+    res = pushforward_residuals(tr, grid_points=6)
+    assert res.node_count == 6 ** 3 and res.crosscheck_nodes == 0
+    assert sizes.count(m + m * m) <= 6 + 6 ** 2
