@@ -20,7 +20,9 @@ the horizontal lifts, matching -1/2 d(force)/dy in natural coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import numbers
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
@@ -55,6 +57,14 @@ class AnalysisError(RuntimeError):
     pass
 
 
+class OptionsError(ValueError):
+    """A manifest option that is unknown or has a bad value (exit code 2)."""
+
+
+# options read by the runner for the residual grid rather than by Options
+GRID_OPTION_KEYS = ("grid", "tolerance", "extent")
+
+
 class InternalInconsistencyError(AnalysisError):
     """An identity that involutivity forces has failed; this flags an
     upstream inconsistency or sampling artifact, not a property of the
@@ -73,10 +83,30 @@ class Options:
 
     @classmethod
     def from_mapping(cls, data: Optional[dict]) -> "Options":
+        """Options from a manifest's `options` object.  OptionsError names an
+        unknown key or a value of the wrong type or range; the residual-grid
+        keys (GRID_OPTION_KEYS) pass through to the runner, which checks
+        them."""
         opts = cls()
-        for key in data or {}:
-            if hasattr(opts, key):
-                setattr(opts, key, type(getattr(opts, key))(data[key]))
+        types = {f.name: f.type for f in fields(cls)}
+        for key, value in (data or {}).items():
+            if key in GRID_OPTION_KEYS:
+                continue
+            if key not in types:
+                raise OptionsError(
+                    f"unknown option '{key}'; known options are "
+                    f"{sorted([*types, *GRID_OPTION_KEYS])}")
+            if types[key] == "int":
+                low = 0 if key == "seed" else 1
+                want = f"an integer >= {low}"
+                ok = isinstance(value, numbers.Integral) and value >= low
+            else:
+                want = "a positive number"
+                ok = isinstance(value, numbers.Real) and 0 < value < math.inf
+            if not ok or isinstance(value, bool):
+                raise OptionsError(
+                    f"option '{key}' must be {want}, got {value!r}")
+            setattr(opts, key, type(getattr(opts, key))(value))
         return opts
 
 

@@ -20,6 +20,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
+import numpy as np
+
 from . import memo
 
 Number = Union[int, Fraction]
@@ -750,7 +752,8 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
 # --------------------------------------------------------------------------
 # Compilation: fast evaluators for sampling loops and ODE right-hand sides.
 # The generated code performs the same operations in the same order as
-# `evaluate`, so both paths agree bitwise.
+# `evaluate`, so both paths agree bitwise.  The vectorized variant runs the
+# same code on numpy ufuncs, which may differ from `math` in the last bit.
 # --------------------------------------------------------------------------
 
 def _emit(e: Expr, names: Mapping[str, str]) -> str:
@@ -781,35 +784,51 @@ def _emit(e: Expr, names: Mapping[str, str]) -> str:
     raise TypeError(f"unknown node {e!r}")
 
 
-def compile_exprs(exprs: Sequence[Expr], coord_names: Sequence[str]) -> Callable:
+def compile_exprs(exprs: Sequence[Expr], coord_names: Sequence[str],
+                  vectorized: bool = False) -> Callable:
     """Compile expressions into one function point-tuple -> tuple of floats.
 
     Domain failures surface as EvalDomainError naming the failing
-    subexpression, as in `evaluate`.  Memoized; callers share the function.
+    subexpression, as in `evaluate`.  With `vectorized` the same emitted code
+    runs on numpy ufuncs: the function takes K points as the columns of a
+    (len(coord_names), K) array and returns `(values, errors)`, a
+    (len(exprs), K) array and a dict from each column holding a non-finite
+    value to its EvalDomainError.  Memoized; callers share the function.
     """
     exprs = tuple(exprs)
     coord_names = tuple(coord_names)
-    key = ("compile_exprs", exprs, coord_names)
+    key = ("compile_exprs", exprs, coord_names, vectorized)
     hit = memo.get(key)
     return hit if hit is not None else memo.put(
-        key, _compile(exprs, coord_names))
+        key, _compile(exprs, coord_names, vectorized))
 
 
-def _compile(exprs: tuple, coord_names: tuple) -> Callable:
+def _compile(exprs: tuple, coord_names: tuple, vectorized: bool) -> Callable:
     names = {n: f"_z[{i}]" for i, n in enumerate(coord_names)}
     body = ", ".join(_emit(e, names) for e in exprs)
     if len(exprs) == 1:
         body += ","
     src = f"def _compiled(_z):\n    return ({body})\n"
-    scope = {
-        "_pow": math.pow,
-        "_exp": math.exp,
-        "_log": _checked_log,
-        "_sin": math.sin,
-        "_cos": math.cos,
-    }
+    scope = dict(_NUMPY_SCOPE if vectorized else _MATH_SCOPE)
     exec(src, scope)
     fn = scope["_compiled"]
+
+    if vectorized:
+        def run_columns(points):
+            points = np.asarray(points, dtype=float)
+            out = np.empty((len(exprs), points.shape[1]))
+            try:
+                with np.errstate(all="ignore"):
+                    for i, value in enumerate(fn(points)):
+                        out[i] = value
+            except (ZeroDivisionError, ValueError, OverflowError):
+                out[:] = np.nan  # a constant subexpression failed
+            bad = np.flatnonzero(~np.isfinite(out).all(axis=0))
+            return out, {int(k): _domain_error(exprs, coord_names,
+                                               points[:, k], out[:, k])
+                         for k in bad}
+
+        return run_columns
 
     def run(point):
         try:
@@ -826,10 +845,28 @@ def _compile(exprs: tuple, coord_names: tuple) -> Callable:
     return run
 
 
+def _domain_error(exprs: tuple, coord_names: tuple, point,
+                  values) -> EvalDomainError:
+    """The error the scalar evaluator raises at a point where the vectorized
+    one gave a non-finite value, or one naming the first such component."""
+    try:
+        compile_exprs(exprs, coord_names)(tuple(point))
+    except EvalDomainError as err:
+        return err
+    j = int(np.flatnonzero(~np.isfinite(values))[0])
+    return EvalDomainError(exprs[j], "non-finite value")
+
+
 def _checked_log(x: float) -> float:
     if x <= 0.0:
         raise ValueError("log of a nonpositive value")
     return math.log(x)
+
+
+_MATH_SCOPE = {"_pow": math.pow, "_exp": math.exp, "_log": _checked_log,
+               "_sin": math.sin, "_cos": math.cos}
+_NUMPY_SCOPE = {"_pow": np.power, "_exp": np.exp, "_log": np.log,
+                "_sin": np.sin, "_cos": np.cos}
 
 
 # --------------------------------------------------------------------------

@@ -9,11 +9,14 @@ ManifestError and map to exit code 2.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
+from .analysis import Options, OptionsError
 from .expressions import Expr, free_symbols
 from .geometry import Chart, GeometryError, VectorField
 from .parser import ParseError, parse
+from .sampling import MAX_DIMS
 
 
 class ManifestError(ValueError):
@@ -59,6 +62,12 @@ def _parse_expr(text, where: str) -> Expr:
         raise ManifestError(f"{where}: {err}") from err
 
 
+def _is_interval(entry) -> bool:
+    return (isinstance(entry, list) and len(entry) == 2
+            and all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                    and abs(v) <= sys.float_info.max for v in entry))
+
+
 def load_manifest(data: dict) -> Manifest:
     if not isinstance(data, dict):
         raise ManifestError("manifest must be a JSON object")
@@ -67,20 +76,36 @@ def load_manifest(data: dict) -> Manifest:
         raise ManifestError("manifest needs a 'chart' object")
     names = chart_spec.get("coordinates")
     box = chart_spec.get("box")
-    if not isinstance(names, list) or not names:
-        raise ManifestError("chart.coordinates must be a nonempty list")
-    if not isinstance(box, list) or len(box) != len(names):
-        raise ManifestError("chart.box must list one [lo, hi] per coordinate")
+    if (not isinstance(names, list) or not names
+            or not all(isinstance(n, str) for n in names)):
+        raise ManifestError("chart.coordinates must be a nonempty list of "
+                            "names")
+    if len(names) > MAX_DIMS:
+        raise ManifestError(f"chart has {len(names)} coordinates; at most "
+                            f"{MAX_DIMS} are supported")
+    if (not isinstance(box, list) or len(box) != len(names)
+            or not all(_is_interval(entry) for entry in box)):
+        raise ManifestError("chart.box must list one [lo, hi] pair of "
+                            "numbers per coordinate")
+    options = data.get("options", {})
+    if not isinstance(options, dict):
+        raise ManifestError("options must be an object")
     try:
-        chart = Chart(names, box, seed=int(data.get("options", {}).get("seed", 0)))
-    except (GeometryError, TypeError, ValueError) as err:
+        seed = Options.from_mapping(options).seed
+    except OptionsError as err:
+        raise ManifestError(str(err)) from None
+    try:
+        chart = Chart(names, box, seed=seed)
+    except GeometryError as err:
         raise ManifestError(f"invalid chart: {err}") from err
 
-    field_spec = data.get("field", {})
-    comps = field_spec.get("components")
+    field_spec = data.get("field")
+    comps = field_spec.get("components") if isinstance(field_spec, dict) \
+        else None
     if not isinstance(comps, list) or len(comps) != chart.dim:
         raise ManifestError(
-            f"field.components must list {chart.dim} expressions"
+            f"manifest needs a 'field' object: field.components must list "
+            f"{chart.dim} expressions"
         )
     field_exprs = [
         _parse_expr(c, f"field.components[{i}]") for i, c in enumerate(comps)
@@ -121,9 +146,6 @@ def load_manifest(data: dict) -> Manifest:
                     f"{sorted(extra)}"
                 )
 
-    options = data.get("options", {})
-    if not isinstance(options, dict):
-        raise ManifestError("options must be an object")
     metadata = data.get("metadata", {})
     return Manifest(
         name=str(data.get("name", "unnamed")),

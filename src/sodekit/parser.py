@@ -27,6 +27,10 @@ class ParseError(ValueError):
 
 
 _OPERATORS = "+-*/^()"
+# Nesting bound: parentheses, calls, signs and exponents each open a level,
+# and so does each * or / of a chain (it nests binary nodes).  It keeps the
+# recursive parser and the tree walkers far from Python's recursion limit.
+MAX_DEPTH = 100
 
 
 class _Token:
@@ -92,6 +96,7 @@ class _Parser:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -100,6 +105,12 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def nest(self, tok: _Token):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} "
+                             "levels", tok.line, tok.column)
 
     def expect(self, kind: str) -> _Token:
         tok = self.peek()
@@ -121,22 +132,29 @@ class _Parser:
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def parse_product(self) -> Expr:
+        outer = self.depth
         expr = self.parse_unary()
         while self.peek().kind in ("*", "/"):
             op = self.advance()
+            self.nest(op)
             rhs = self.parse_unary()
             expr = Mul((expr, rhs)) if op.kind == "*" else Div(expr, rhs)
+        self.depth = outer
         return expr
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
+        self.nest(tok)
         if tok.kind == "-":
             self.advance()
-            return Mul((Num(-1), self.parse_unary()))
-        if tok.kind == "+":
+            expr = Mul((Num(-1), self.parse_unary()))
+        elif tok.kind == "+":
             self.advance()
-            return self.parse_unary()
-        return self.parse_power()
+            expr = self.parse_unary()
+        else:
+            expr = self.parse_power()
+        self.depth -= 1
+        return expr
 
     def parse_power(self) -> Expr:
         base = self.parse_atom()

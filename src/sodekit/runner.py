@@ -16,7 +16,7 @@ from typing import Optional
 
 from . import __version__
 from .analysis import (
-    AnalysisError, CASE2, InternalInconsistencyError, Options,
+    AnalysisError, CASE2, InternalInconsistencyError, Options, OptionsError,
     SecondOrderProblem, SIGN_CONVENTIONS, classify,
 )
 from .geometry import Frame, FrameRankError
@@ -70,7 +70,10 @@ def _base_report(manifest: Manifest, command: str) -> dict:
 
 
 def _problem(manifest: Manifest, overrides: dict):
-    opts = Options.from_mapping({**manifest.options, **overrides})
+    try:
+        opts = Options.from_mapping({**manifest.options, **overrides})
+    except OptionsError as err:
+        raise ManifestError(str(err)) from None
     frame = Frame(manifest.chart, manifest.frame_fields(),
                   samples=opts.samples, seed=opts.seed)
     return SecondOrderProblem(manifest.chart, manifest.vector_field(), frame,

@@ -22,6 +22,7 @@ from .expressions import (
 from . import memo
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
+MAX_DIMS = len(_PRIMES)  # one Halton base per coordinate
 
 ZERO_TOL = 1e-10
 JITTER = 1e-3
@@ -48,8 +49,8 @@ def _halton(index: int, base: int) -> float:
 
 def unit_points(count: int, dims: int, seed: int):
     """`count` low-discrepancy points in [0,1)^dims, deterministic in seed."""
-    if dims > len(_PRIMES):
-        raise ValueError(f"at most {len(_PRIMES)} dimensions supported")
+    if dims > MAX_DIMS:
+        raise ValueError(f"at most {MAX_DIMS} dimensions supported")
     state = (seed * 0x9E3779B97F4A7C15 + 0x1234567) & 0xFFFFFFFFFFFFFFFF
     shifts = []
     for _ in range(dims):

@@ -17,7 +17,7 @@ central finite differences serve as a cross-check only.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -59,19 +59,14 @@ def _component_evaluator(fld) -> Callable:
     return fld  # already a callable point -> components
 
 
-def _jacobian_evaluator(fld: VectorField):
+def _jacobian_evaluator(fld: VectorField, vectorized: bool = False):
     """Compiled Jacobian of the field, row-major."""
     names = fld.chart.names
-    key = ("jacobian", fld.components, names)
+    key = ("jacobian", fld.components, names, vectorized)
     hit = memo.get(key)
-    return hit if hit is not None else memo.put(
-        key, _compile_jacobian(fld.components, names))
-
-
-def _compile_jacobian(components: tuple, names: tuple):
-    return compile_exprs(
-        [differentiate(c, n) for c in components for n in names], names
-    )
+    return hit if hit is not None else memo.put(key, compile_exprs(
+        [differentiate(c, n) for c in fld.components for n in names], names,
+        vectorized))
 
 
 def _is_constant_field(fld) -> Optional[np.ndarray]:
@@ -172,6 +167,179 @@ def integrate_flow_with_jacobian(fld, z, s: float,
         J[:, a] = (integrate_flow(fld, zp, s, settings)
                    - integrate_flow(fld, zm, s, settings)) / (2 * h)
     return end, J
+
+
+# --------------------------------------------------------------------------
+# Batched flows: many members of one stage in a single solve_ivp call
+# --------------------------------------------------------------------------
+
+class _MemberErrors(Exception):
+    """Raised inside a batched right-hand side: member index -> domain error."""
+
+    def __init__(self, errors: dict):
+        super().__init__(f"{len(errors)} members hit a domain error")
+        self.errors = errors
+
+
+def integrate_flows(fld, z, s, settings: IntegratorSettings = DEFAULT_SETTINGS,
+                    with_jacobian: bool = False,
+                    chart: Optional[Chart] = None) -> tuple:
+    """`integrate_flow` (or, `with_jacobian`, `integrate_flow_with_jacobian`)
+    from each row of z over its own time s[k], all members in one solve_ivp
+    call: the flow of X for time s is the flow of sX for time 1.
+
+    Returns (ends (K, m), Jacobians (K, m, m) or None, failures), failures
+    mapping each failed member to its NumericFailure; a failed member's rows
+    are NaN and do not spoil the others.  rtol and atol are scaled by
+    1/sqrt(K): scipy's error norm is an RMS over all components, so each
+    member's own norm stays within the per-member tolerance.  `chart` adds
+    the box-slack check of `integrate_flow`."""
+    z = np.array(z, dtype=float)
+    s = np.asarray(s, dtype=float)
+    m = z.shape[1]
+    jac = np.tile(np.eye(m), (len(z), 1, 1)) if with_jacobian else None
+    failures: dict = {}
+    moving = np.flatnonzero(s != 0.0)
+    const = _is_constant_field(fld)
+    if const is not None:
+        z[moving] = z[moving] + s[moving, None] * const
+    elif isinstance(fld, VectorField):
+        _solve_members(fld, z, jac, s, moving, settings, failures)
+    else:  # a callable field has no vectorized evaluator
+        for k in moving:
+            try:
+                if with_jacobian:
+                    z[k], jac[k] = integrate_flow_with_jacobian(
+                        fld, z[k], s[k], settings)
+                else:
+                    z[k] = integrate_flow(fld, z[k], s[k], settings)
+            except NumericFailure as err:
+                failures[int(k)] = err
+    if chart is not None:
+        for k in moving:
+            if k not in failures and not _within_slack(z[k], chart,
+                                                       settings.box_slack):
+                failures[int(k)] = NumericFailure(
+                    "flow left the sampling box (beyond the allowed slack)",
+                    last_point=tuple(z[k]))
+    for k in failures:
+        z[k] = np.nan
+        if jac is not None:
+            jac[k] = np.nan
+    return z, jac, failures
+
+
+def _solve_members(fld: VectorField, z, jac, s, members, settings,
+                   failures: dict):
+    """Integrate the given members of z (and jac) in place, together."""
+    m = z.shape[1]
+    ev = compile_exprs(fld.components, fld.chart.names, vectorized=True)
+    dev = _jacobian_evaluator(fld, vectorized=True) if jac is not None \
+        else None
+    what = "flow" if jac is None else "variational flow"
+    while members.size:
+        K = members.size
+        scale = s[members]
+
+        def rhs(_t, y):
+            state = y.reshape(K, -1)
+            points = state[:, :m].T
+            f, errors = ev(points)
+            if dev is not None:
+                D, d_errors = dev(points)
+                errors = {**d_errors, **errors}
+            if errors:
+                raise _MemberErrors(errors)
+            out = np.empty_like(state)
+            out[:, :m] = scale[:, None] * f.T
+            if dev is not None:
+                D = D.reshape(m, m, K).transpose(2, 0, 1)
+                out[:, m:] = (scale[:, None, None] * (
+                    D @ state[:, m:].reshape(K, m, m))).reshape(K, -1)
+            return out.ravel()
+
+        y0 = z[members] if jac is None else np.hstack(
+            [z[members], jac[members].reshape(K, m * m)])
+        shrink = np.sqrt(K)
+        try:
+            sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method=settings.method,
+                            rtol=settings.rtol / shrink,
+                            atol=settings.atol / shrink,
+                            max_step=settings.max_step / np.max(np.abs(scale)))
+        except _MemberErrors as err:
+            for i, e in err.errors.items():
+                k = int(members[i])
+                failures[k] = NumericFailure(f"{what} hit a domain error: {e}",
+                                             last_point=tuple(z[k]))
+            members = np.delete(members, list(err.errors))
+            continue
+        if not sol.success and K > 1:
+            # the batch cannot tell which member failed: solve each alone
+            for k in members:
+                _solve_members(fld, z, jac, s, np.array([k]), settings,
+                               failures)
+            return
+        end = sol.y[:, -1].reshape(K, -1)
+        if not sol.success:
+            k = int(members[0])
+            failures[k] = NumericFailure(
+                ("flow integration failed: " if jac is None
+                 else "variational flow failed: ") + sol.message,
+                last_point=tuple(end[0, :m]))
+            return
+        z[members] = end[:, :m]
+        if jac is not None:
+            jac[members] = end[:, m:].reshape(K, m, m)
+        return
+
+
+def _field_values(fld, z) -> tuple:
+    """Values of a stage field at each row of z: (values (K, m), failures)."""
+    if isinstance(fld, VectorField):
+        values, errors = compile_exprs(fld.components, fld.chart.names,
+                                       vectorized=True)(z.T)
+        return values.T, {
+            k: NumericFailure(f"field hit a domain error: {e}",
+                              last_point=tuple(z[k]))
+            for k, e in errors.items()}
+    values = np.full_like(z, np.nan)
+    failures = {}
+    for k, point in enumerate(z):
+        try:
+            values[k] = fld(tuple(point))
+        except NumericFailure as err:
+            failures[k] = err
+        except EvalDomainError as err:
+            failures[k] = NumericFailure(f"field hit a domain error: {err}",
+                                         last_point=tuple(point))
+    return values, failures
+
+
+def _solve_each(A, b, message: str, points) -> tuple:
+    """np.linalg.solve(A[k], b[k]) for each member: (x, failures), a singular
+    member flagged with `message`."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0], {}
+    except np.linalg.LinAlgError:
+        x = np.full_like(b, np.nan)
+        failures = {}
+        for k in range(len(b)):
+            try:
+                x[k] = np.linalg.solve(A[k], b[k])
+            except np.linalg.LinAlgError:
+                failures[k] = NumericFailure(message,
+                                             last_point=tuple(points[k]))
+        return x, failures
+
+
+def _keep_live(failures: dict, owners, recorded: dict, *arrays) -> tuple:
+    """Record each failed member's failure under its owner (the first one
+    recorded wins) and return the owners and rows of the other members."""
+    for i, err in failures.items():
+        recorded.setdefault(int(owners[i]), err)
+    live = np.ones(len(owners), dtype=bool)
+    live[list(failures)] = False
+    return (owners[live],) + tuple(a[live] for a in arrays)
 
 
 # --------------------------------------------------------------------------
@@ -324,6 +492,13 @@ def solve_basis_ode(bc, section: CrossSection, vbasis: Sequence[VectorField],
 # The coordinate transform
 # --------------------------------------------------------------------------
 
+class StencilBatch(NamedTuple):
+    """`CoordinateTransform.field_in_final_chart` on a stack of K nodes."""
+    values: np.ndarray   # K x m, F in the final chart
+    final: np.ndarray    # K x m, final coordinates of each node
+    failures: list       # per node its first NumericFailure, or None
+
+
 @dataclass
 class Stage:
     kind: str      # "t", "x", "y"
@@ -342,7 +517,11 @@ class CoordinateTransform:
     `map_with_jacobian` keeps the state (s_k, z_k, J_k) after each stage of
     its last evaluation and resumes after the longest leading run of equal
     parameters, so grid nodes in C order share their inner flows; results
-    are the same in any order.  Not safe to share between threads."""
+    are the same in any order.  Not safe to share between threads.
+
+    `map_batch`, `invert` and `field_in_final_chart` work on stacks of
+    parameter rows, every flow stage of all rows in one solve_ivp call; a
+    row that fails is flagged alone and leaves the others as they are."""
 
     def __init__(self, report: AnalysisReport, ef: ExtendedFrame,
                  z0, stages: Sequence[Stage],
@@ -406,23 +585,80 @@ class CoordinateTransform:
             state.append((s, z, J))
         return z.copy(), J.copy()
 
-    def invert(self, z_target, guess=None, tol: float = 1e-10,
-               max_iter: int = 50) -> np.ndarray:
-        params = np.zeros(self.m) if guess is None else np.array(guess, float)
-        target = np.asarray(z_target, dtype=float)
+    def map_batch(self, params, guard: bool = False) -> tuple:
+        """`map_with_jacobian` of each row of params, every stage integrated
+        for all rows together: (z (K, m), J (K, m, m), failures).  `guard`
+        adds the box-slack check of `map_params` after each stage."""
+        params = np.asarray(params, dtype=float)
+        K, m = params.shape
+        z = np.tile(self.z0, (K, 1))
+        J = np.zeros((K, m, 0))
+        failures: dict = {}
+        live = np.arange(K)
+        for k, st in enumerate(self.stages):
+            zk, Jf, errs = integrate_flows(
+                st.fld, z[live], params[live, k], self.settings,
+                with_jacobian=True, chart=self.chart if guard else None)
+            col, col_errs = _field_values(st.fld, zk)
+            grown = np.full((K, m, k + 1), np.nan)
+            grown[live, :, :k] = Jf @ J[live]
+            grown[live, :, k] = col
+            z[live] = zk
+            J = grown
+            live, = _keep_live({**col_errs, **errs}, live, failures)
+        dead = list(failures)
+        z[dead] = np.nan
+        J[dead] = np.nan
+        return z, J, failures
+
+    def invert(self, z_targets, guesses, tol: float = 1e-10,
+               max_iter: int = 50) -> tuple:
+        """Newton inversion of the map for each row of z_targets, all members
+        stepping together and converged members dropping out:
+        (params, z, J, failures) with z, J the map at the returned params."""
+        targets = np.asarray(z_targets, dtype=float)
+        params = np.array(guesses, dtype=float)
+        z = np.full_like(params, np.nan)
+        J = np.full((len(params), self.m, self.m), np.nan)
+        failures: dict = {}
+        live = np.arange(len(params))
         for _ in range(max_iter):
-            z, J = self.map_with_jacobian(params)
-            r = z - target
-            if np.max(np.abs(r)) < tol:
-                return params
-            try:
-                step = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
-                raise NumericFailure("singular Jacobian during inversion",
-                                     last_point=tuple(z)) from None
-            params = params + step
-        raise NumericFailure("transform inversion did not converge",
-                             last_point=tuple(z_target))
+            if not live.size:
+                break
+            zl, Jl, errs = self.map_batch(params[live])
+            live, zl, Jl = _keep_live(errs, live, failures, zl, Jl)
+            r = zl - targets[live]
+            done = np.max(np.abs(r), axis=1) < tol
+            z[live[done]] = zl[done]
+            J[live[done]] = Jl[done]
+            live, zl, Jl, r = (a[~done] for a in (live, zl, Jl, r))
+            step, errs = _solve_each(Jl, -r, "singular Jacobian during "
+                                     "inversion", zl)
+            live, step = _keep_live(errs, live, failures, step)
+            params[live] = params[live] + step
+        for k in live:
+            failures[int(k)] = NumericFailure(
+                "transform inversion did not converge",
+                last_point=tuple(targets[k]))
+        params[list(failures)] = np.nan
+        return params, z, J, failures
+
+    def _pushforward_batch(self, z, J) -> tuple:
+        """Components of F in the raw parameter chart at each row:
+        (v (K, m), failures)."""
+        f, failures = _field_values(self.F, z)
+        v, singular = _solve_each(J, f, "singular Jacobian in pushforward", z)
+        for k, err in singular.items():
+            failures.setdefault(k, err)
+        return v, failures
+
+    def _with_fibre(self, params, v) -> np.ndarray:
+        """params (one node or a stack) with the y-block replaced by the
+        x-components of the pushed field v."""
+        out = np.array(params, dtype=float)
+        tc, n = self.t_count, self.n
+        out[..., tc + n:] = v[..., tc: tc + n]
+        return out
 
     def pushforward_components(self, params):
         """(components of F in the raw parameter chart, condition number)."""
@@ -439,10 +675,7 @@ class CoordinateTransform:
     def final_coords(self, params) -> np.ndarray:
         """(t, x, ytilde) with ytilde = x-components of the pushed field."""
         v, _ = self.pushforward_components(params)
-        out = np.array(params, dtype=float)
-        tc, n = self.t_count, self.n
-        out[tc + n:] = v[tc: tc + n]
-        return out
+        return self._with_fibre(params, v)
 
     def fibre_jacobian_min_sv(self, params, h: float = 1e-5) -> float:
         """Smallest singular value of d(ytilde)/d(y_raw): the fibre
@@ -459,22 +692,55 @@ class CoordinateTransform:
                        - self.final_coords(dn)[tc + n:]) / (2 * h)
         return float(np.linalg.svd(G, compute_uv=False)[-1])
 
-    def field_in_final_chart(self, params, step: float = 1e-2) -> np.ndarray:
-        """All components of F in the final chart at a node, by a five-point
-        stencil along the F-flow through the node (independent of the
-        variational route)."""
-        params = np.asarray(params, dtype=float)
-        z = self.map_params(params)
-        v_pred, _ = self.pushforward_components(params)
-        samples = {}
-        for k in (-2, -1, 1, 2):
-            s = k * step
-            zs = integrate_flow(self.F, z, s, self.settings)
-            guess = params + s * v_pred
-            ps = self.invert(zs, guess=guess)
-            samples[k] = self.final_coords(ps)
-        return (samples[-2] - 8 * samples[-1] + 8 * samples[1]
-                - samples[2]) / (12 * step)
+    def field_in_final_chart(self, params, step: float = 1e-2):
+        """All components of F in the final chart by a five-point stencil
+        along the F-flow through each node (independent of the variational
+        route).  The stencil points of all nodes are solved together.
+
+        `params` is one node or a (K, m) stack of nodes.  For one node the
+        result is the components, or its NumericFailure is raised.  For a
+        stack it is a StencilBatch: per node the components, the node's final
+        coordinates, and its first failure (rows of a failed node are NaN)."""
+        nodes = np.asarray(params, dtype=float)
+        if nodes.ndim == 1:
+            batch = self.field_in_final_chart(nodes[None, :], step)
+            if batch.failures[0] is not None:
+                raise batch.failures[0]
+            return batch.values[0]
+        K, m = nodes.shape
+        failures: dict = {}
+        z, J, errs = self.map_batch(nodes, guard=True)
+        live, z, J, live_nodes = _keep_live(errs, np.arange(K), failures,
+                                            z, J, nodes)
+        v, errs = self._pushforward_batch(z, J)
+        live, z, v, live_nodes = _keep_live(errs, live, failures,
+                                            z, v, live_nodes)
+        final = np.full((K, m), np.nan)
+        final[live] = self._with_fibre(live_nodes, v)
+        # the four stencil points of each live node, consecutive
+        owner = np.repeat(np.arange(len(live)), 4)
+        shift = np.tile(step * np.array([-2.0, -1.0, 1.0, 2.0]), len(live))
+        point_failures: dict = {}
+        zs, _, errs = integrate_flows(self.F, z[owner], shift, self.settings)
+        points, zs, guesses = _keep_live(
+            errs, np.arange(len(owner)), point_failures,
+            zs, live_nodes[owner] + shift[:, None] * v[owner])
+        ps, zp, Jp, errs = self.invert(zs, guesses)
+        points, ps, zp, Jp = _keep_live(errs, points, point_failures,
+                                        ps, zp, Jp)
+        vp, errs = self._pushforward_batch(zp, Jp)
+        points, ps, vp = _keep_live(errs, points, point_failures, ps, vp)
+        samples = np.full((len(owner), m), np.nan)
+        samples[points] = self._with_fibre(ps, vp)
+        for p in sorted(point_failures):
+            failures.setdefault(int(live[owner[p]]), point_failures[p])
+        s4 = samples.reshape(len(live), 4, m)
+        values = np.full((K, m), np.nan)
+        values[live] = (s4[:, 0] - 8 * s4[:, 1] + 8 * s4[:, 2]
+                        - s4[:, 3]) / (12 * step)
+        final[list(failures)] = np.nan
+        return StencilBatch(values, final,
+                            [failures.get(k) for k in range(K)])
 
     def jacobian_fd(self, params, h: float = 1e-5) -> np.ndarray:
         J = np.empty((self.m, self.m))
@@ -676,27 +942,33 @@ def pushforward_residuals(transform: CoordinateTransform,
             t_residuals.append(0.0)
     if not t_residuals:
         raise NumericFailure("every grid node was flagged or failed")
-    # independent cross-check on a subsample
+    # independent cross-check on a subsample, its stencils solved together
+    checked_nodes = [node for node, cond in zip(nodes[::stride], strided_conds)
+                     if cond is not None and cond <= cond_limit]
     max_cross = 0.0
     max_jgap = 0.0
     checked = 0
-    for node, cond in zip(nodes[::stride], strided_conds):
-        if cond is None or cond > cond_limit:
+    try:
+        batch = transform.field_in_final_chart(np.array(checked_nodes)) \
+            if checked_nodes else None
+    except NumericFailure:
+        batch = None
+    for k, node in enumerate(checked_nodes if batch is not None else ()):
+        if batch.failures[k] is not None:
             continue
+        fin = batch.values[k]
+        ytilde = batch.final[k, tc + n:]
+        gap_x = float(np.max(np.abs(fin[tc: tc + n] - ytilde)))
+        gap_t = float(np.max(np.abs(fin[:tc] - expected_t))) if tc else 0.0
+        max_cross = max(max_cross, gap_x, gap_t)
         try:
-            fin = transform.field_in_final_chart(node)
-            ytilde = transform.final_coords(node)[tc + n:]
-            gap_x = float(np.max(np.abs(fin[tc: tc + n] - ytilde)))
-            gap_t = float(np.max(np.abs(fin[:tc] - expected_t))) if tc else 0.0
-            max_cross = max(max_cross, gap_x, gap_t)
             _, Jv = transform.map_with_jacobian(node)
             Jf = transform.jacobian_fd(node)
-            scale = max(1.0, float(np.max(np.abs(Jv))))
-            max_jgap = max(max_jgap,
-                           float(np.max(np.abs(Jv - Jf))) / scale)
-            checked += 1
         except NumericFailure:
             continue
+        scale = max(1.0, float(np.max(np.abs(Jv))))
+        max_jgap = max(max_jgap, float(np.max(np.abs(Jv - Jf))) / scale)
+        checked += 1
     fibre_sv = transform.fibre_jacobian_min_sv(np.zeros(m))
     t_arr = np.array(t_residuals)
     # for m = 2n there is no t-block; the stencil cross-check is then the
@@ -734,19 +1006,22 @@ def extract_quadratic_coefficients(transform: CoordinateTransform,
     y_mesh = np.meshgrid(*y_axes, indexing="ij")
     y_nodes = np.stack([ax.ravel() for ax in y_mesh], axis=1)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    batch = transform.field_in_final_chart(np.array(
+        [np.concatenate([base, ypt]) for base in base_nodes for ypt in y_nodes]))
+    first = next((err for err in batch.failures if err is not None), None)
+    if first is not None:
+        raise first
     results = []
     max_fit_residual = 0.0
-    for base in base_nodes:
+    for b, base in enumerate(base_nodes):
         rows = []
         rhs = []
-        for ypt in y_nodes:
-            params = np.concatenate([base, ypt])
-            fin = transform.field_in_final_chart(params)
-            ytilde = transform.final_coords(params)[tc + n:]
+        for k in range(b * len(y_nodes), (b + 1) * len(y_nodes)):
+            ytilde = batch.final[k, tc + n:]
             row = [ytilde[i] * ytilde[j] for i, j in pairs]
             row += list(ytilde) + [1.0]
             rows.append(row)
-            rhs.append(fin[tc + n:])
+            rhs.append(batch.values[k, tc + n:])
         A = np.array(rows)
         B = np.array(rhs)
         sol, *_ = np.linalg.lstsq(A, B, rcond=None)

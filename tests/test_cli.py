@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -219,3 +220,67 @@ def test_cli_non_numeric_tolerance_is_input_error(tmp_path, capsys):
     bad.write_text(json.dumps(inline_manifest(options={"tolerance": "abc"})))
     assert main(["report", str(bad)]) == EXIT_INPUT
     assert "must be numbers" in capsys.readouterr().err
+
+
+def write_manifest(tmp_path, **kw):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(inline_manifest(**kw)))
+    return str(path)
+
+
+@pytest.mark.parametrize("shape,message", [
+    ({"field": ["y", "0"]}, "'field' object"),
+    ({"field": {"components": "y"}}, "'field' object"),
+    ({"frame": {"components": ["0", "1"]}}, "nonempty 'frame' list"),
+    ({"frame": ["0", "1"]}, "frame\\[0\\] must list 2"),
+    ({"chart": ["x", "y"]}, "'chart' object"),
+    ({"chart": {"coordinates": ["x", 2], "box": [[-1, 1], [-1, 1]]}},
+     "list of names"),
+    ({"chart": {"coordinates": ["x", "y"], "box": [[-1, 1], [-1, "1"]]}},
+     "pair of numbers"),
+    ({"chart": {"coordinates": ["x", "y"], "box": [[-1, 1], [-1, 10**400]]}},
+     "pair of numbers"),
+])
+def test_cli_wrong_manifest_shape_is_input_error(tmp_path, capsys, shape,
+                                                 message):
+    assert main(["check", write_manifest(tmp_path, **shape)]) == EXIT_INPUT
+    assert re.search(message, capsys.readouterr().err)
+
+
+def test_cli_too_many_coordinates_is_input_error(tmp_path, capsys):
+    names = [f"z{i}" for i in range(17)]
+    path = write_manifest(
+        tmp_path,
+        chart={"coordinates": names, "box": [[-1, 1]] * 17},
+        field={"components": ["0"] * 17},
+        frame=[{"components": ["0"] * 16 + ["1"]}],
+    )
+    assert main(["classify", path]) == EXIT_INPUT
+    assert "17 coordinates; at most 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("options,message", [
+    ({"colour": "red"}, "unknown option 'colour'"),
+    ({"samples": 2.5}, "option 'samples' must be an integer >= 1, got 2.5"),
+    ({"samples": True}, "option 'samples' must be an integer"),
+    ({"seed": "abc"}, "option 'seed' must be an integer >= 0, got 'abc'"),
+    ({"seed": -1}, "option 'seed' must be an integer >= 0"),
+    ({"zero_tol": 0}, "option 'zero_tol' must be a positive number"),
+])
+def test_cli_bad_option_is_input_error(tmp_path, capsys, options, message):
+    path = write_manifest(tmp_path, options=options)
+    assert main(["classify", path]) == EXIT_INPUT
+    assert message in capsys.readouterr().err
+
+
+def test_cli_bad_override_is_input_error(capsys):
+    assert main(["classify", "--corpus", "cubic-demo",
+                 "--samples", "0"]) == EXIT_INPUT
+    assert "option 'samples'" in capsys.readouterr().err
+
+
+def test_cli_deeply_nested_expression_is_input_error(tmp_path, capsys):
+    deep = "(" * 3000 + "x" + ")" * 3000
+    path = write_manifest(tmp_path, field={"components": ["y", deep]})
+    assert main(["straighten", path]) == EXIT_INPUT
+    assert "nested deeper than 100 levels" in capsys.readouterr().err

@@ -58,6 +58,23 @@ def test_error_carries_location():
     assert err.value.column == 1
 
 
+@pytest.mark.parametrize("text", [
+    "(" * 3000 + "x" + ")" * 3000,
+    "-" * 3000 + "x",
+    "2^" * 3000 + "2",
+    "*".join(["x"] * 3000),
+    "exp(" * 101 + "x" + ")" * 101,
+])
+def test_nesting_beyond_the_limit_rejected(text):
+    with pytest.raises(ParseError, match="nested deeper than 100 levels"):
+        parse(text)
+
+
+def test_nesting_up_to_the_limit_parses():
+    text = "sin(" * 99 + "x" + ")" * 99
+    assert to_str(normalize(parse(text))) == text
+
+
 def test_leftover_tokens_rejected():
     with pytest.raises(ParseError):
         parse("x y")

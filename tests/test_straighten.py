@@ -391,3 +391,103 @@ def test_grid_loop_integrates_each_stage_once_per_prefix(monkeypatch):
     res = pushforward_residuals(tr, grid_points=6)
     assert res.node_count == 6 ** 3 and res.crosscheck_nodes == 0
     assert sizes.count(m + m * m) <= 6 + 6 ** 2
+
+
+# -- batched stencil -------------------------------------------------------------
+
+def log_force_transform():
+    # F = (y, log(x + 2)) is defined only for x > -2; the transform is a
+    # translation of the plane, so a node's point is z0 + params
+    plane = Chart(["x", "y"], [(-1.2, 1.2), (-1.2, 1.2)])
+    prob = SecondOrderProblem(
+        plane, VectorField(plane, [y, parse("log(x + 2)")]),
+        Frame(plane, [coordinate_field(plane, "y")]),
+    )
+    return build_normal_coordinates(classify(prob))
+
+
+def test_one_node_stencil_agrees_with_the_node_inside_a_batch():
+    tr = timedep_transform()
+    nodes = np.array([[0.15, -0.2, 0.1], [-0.1, 0.25, -0.2], [0.0, 0.1, 0.3]])
+    batch = tr.field_in_final_chart(nodes)
+    assert batch.failures == [None] * len(nodes)
+    for k, node in enumerate(nodes):
+        assert np.max(np.abs(tr.field_in_final_chart(node)
+                             - batch.values[k])) < 1e-9
+        assert np.max(np.abs(tr.final_coords(node) - batch.final[k])) < 1e-9
+
+
+def test_failing_members_are_flagged_and_spoil_no_other_member():
+    tr = log_force_transform()
+    x0 = tr.z0[0]
+    good = np.array([[0.1, 0.2], [-0.3, 0.1], [0.2, -0.3]])
+    nodes = np.array([
+        good[0],
+        [6.0, 0.0],                # leaves the box in the node's own map
+        good[1],
+        [-2.5 - x0, 0.3],          # log of a negative value at the node
+        good[2],
+        [-1.999 - x0, -0.3],       # crosses x = -2 along the stencil flow
+    ])
+    batch = tr.field_in_final_chart(nodes)
+    assert [str(err) if err else None for err in batch.failures] == [
+        None,
+        "flow left the sampling box (beyond the allowed slack)",
+        None,
+        "field hit a domain error: log of a nonpositive value in "
+        "'log(x + 2)'",
+        None,
+        "flow hit a domain error: log of a nonpositive value in "
+        "'log(x + 2)'",
+    ]
+    assert np.isnan(batch.values[1::2]).all()
+    alone = tr.field_in_final_chart(good)
+    assert np.max(np.abs(batch.values[::2] - alone.values)) < 1e-12
+    assert np.array_equal(batch.final[::2], alone.final)
+    with pytest.raises(NumericFailure, match="log of a nonpositive value"):
+        tr.field_in_final_chart(nodes[3])
+
+
+def test_extraction_reports_the_first_failing_node(monkeypatch):
+    tr = timedep_transform()
+    real = tr.map_batch
+    injected = {"done": False}
+
+    def flaky(params, guard=False):
+        z, J, failures = real(params, guard)
+        if guard:      # the nodes' own maps: node 7 fails here
+            failures[7] = NumericFailure("node 7 failed first in time")
+        elif not injected["done"]:   # the first Newton step: node 3 fails
+            injected["done"] = True
+            failures[4 * 3] = NumericFailure("node 3 failed in its stencil")
+        for k in failures:
+            z[k] = np.nan
+            J[k] = np.nan
+        return z, J, failures
+
+    monkeypatch.setattr(tr, "map_batch", flaky)
+    with pytest.raises(NumericFailure, match="node 3 failed in its stencil"):
+        straighten.extract_quadratic_coefficients(tr)
+
+
+def test_extraction_integrates_each_stage_once_per_newton_step(monkeypatch):
+    tr = timedep_transform()
+    solves = []
+    maps = []
+    real_solve = straighten.solve_ivp
+    real_map = tr.map_batch
+
+    def counting_solve(*args, **kwargs):
+        solves.append(1)
+        return real_solve(*args, **kwargs)
+
+    def counting_map(*args, **kwargs):
+        maps.append(1)
+        return real_map(*args, **kwargs)
+
+    monkeypatch.setattr(straighten, "solve_ivp", counting_solve)
+    monkeypatch.setattr(tr, "map_batch", counting_map)
+    out = straighten.extract_quadratic_coefficients(tr)
+    assert len(out["per_base_node"]) == 9
+    newton_iterations = len(maps) - 1     # the first map is the nodes' own
+    assert 0 < len(solves) <= (newton_iterations + 2) * len(tr.stages)
