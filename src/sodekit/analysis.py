@@ -22,18 +22,19 @@ from __future__ import annotations
 
 import math
 import numbers
+import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .expressions import (
-    EvalDomainError, Expr, Num, ZERO, compile_exprs, differentiate, normalize,
-    to_str,
+    Add, Div, EvalDomainError, Expr, Mul, Num, Pow, Sym, ZERO, _to_rf,
+    compile_exprs, differentiate, normalize, to_str,
 )
 from .geometry import (
-    Chart, Decomposition, Frame, FrameRankError, GeometryError,
+    Chart, Decomposition, Frame, GeometryError,
     InvolutivityResult, VectorField, decompose_in_frame,
     frame_rank, is_involutive, lie_bracket,
 )
@@ -61,10 +62,6 @@ class OptionsError(ValueError):
     """A manifest option that is unknown or has a bad value (exit code 2)."""
 
 
-# options read by the runner for the residual grid rather than by Options
-GRID_OPTION_KEYS = ("grid", "tolerance", "extent")
-
-
 class InternalInconsistencyError(AnalysisError):
     """An identity that involutivity forces has failed; this flags an
     upstream inconsistency or sampling artifact, not a property of the
@@ -80,23 +77,25 @@ class Options:
     newton_starts: int = 16
     newton_tol: float = 1e-10
     newton_max_iter: int = 50
+    # the residual grid: nodes per axis and half-width (None: the defaults of
+    # straighten.pushforward_residuals) and the structural tolerance
+    grid: Optional[int] = None
+    extent: Optional[float] = None
+    tolerance: float = 1e-5
 
     @classmethod
     def from_mapping(cls, data: Optional[dict]) -> "Options":
         """Options from a manifest's `options` object.  OptionsError names an
-        unknown key or a value of the wrong type or range; the residual-grid
-        keys (GRID_OPTION_KEYS) pass through to the runner, which checks
-        them."""
+        unknown key or a value of the wrong type or range."""
         opts = cls()
         types = {f.name: f.type for f in fields(cls)}
         for key, value in (data or {}).items():
-            if key in GRID_OPTION_KEYS:
-                continue
             if key not in types:
                 raise OptionsError(
                     f"unknown option '{key}'; known options are "
-                    f"{sorted([*types, *GRID_OPTION_KEYS])}")
-            if types[key] == "int":
+                    f"{sorted(types)}")
+            integral = "int" in types[key]
+            if integral:
                 low = 0 if key == "seed" else 1
                 want = f"an integer >= {low}"
                 ok = isinstance(value, numbers.Integral) and value >= low
@@ -106,7 +105,7 @@ class Options:
             if not ok or isinstance(value, bool):
                 raise OptionsError(
                     f"option '{key}' must be {want}, got {value!r}")
-            setattr(opts, key, type(getattr(opts, key))(value))
+            setattr(opts, key, (int if integral else float)(value))
         return opts
 
 
@@ -164,12 +163,6 @@ class IdentitySuite:
         return (not any(v.is_nonzero for _, v in self.verdicts)
                 and self.max_residual < 1e-9)
 
-    def first_failure(self):
-        for label, v in self.verdicts:
-            if v.is_nonzero:
-                return label, v
-        return None
-
     def as_dict(self) -> dict:
         out = {
             "identity": self.name,
@@ -178,11 +171,12 @@ class IdentitySuite:
             "max_residual": self.max_residual,
             "checks": len(self.verdicts),
         }
-        failure = self.first_failure()
-        if failure:
-            out["failed_check"] = failure[0]
-            out["witness"] = dict(failure[1].witness)
-            out["value"] = failure[1].value
+        for label, v in self.verdicts:
+            if v.is_nonzero:
+                out["failed_check"] = label
+                out["witness"] = dict(v.witness)
+                out["value"] = v.value
+                break
         return out
 
 
@@ -233,7 +227,10 @@ class ExtendedFrame:
 
 
 def check_regularity(problem: SecondOrderProblem) -> dict:
-    """Span of {V_i} with {[F, V_i]} must reach rank 2n at every sample."""
+    """Span of {V_i} with {[F, V_i]} must reach rank 2n at every sample.
+
+    This is the one rank computation of that span: build_extended_frame
+    does not rank it again."""
     wfields = [lie_bracket(problem.F, v) for v in problem.V]
     fields = list(problem.V.fields) + wfields
     report = frame_rank(fields, problem.chart,
@@ -253,13 +250,8 @@ def check_regularity(problem: SecondOrderProblem) -> dict:
 
 
 def build_extended_frame(problem: SecondOrderProblem) -> ExtendedFrame:
-    try:
-        return ExtendedFrame(problem, list(problem.V.fields))
-    except FrameRankError as err:
-        raise AnalysisError(
-            "combined frame lost rank after the regularity check passed; "
-            f"inconsistent sampling: {err}"
-        ) from err
+    """The V-basis with W = [F, V]; its rank is check_regularity's."""
+    return ExtendedFrame(problem, list(problem.V.fields), validate=False)
 
 
 def check_w_involutive(ef: ExtendedFrame) -> InvolutivityResult:
@@ -351,9 +343,7 @@ def verify_bracket_integrability(ef: ExtendedFrame,
 class AdaptationInfo:
     mode: str                       # "identity" | "symbolic" | "numeric"
     matrix: Optional[list] = None   # A[i][j] Expressions (mode != numeric)
-    evaluator: Optional[Callable] = None  # z -> np matrix (mode == numeric)
     verification: Optional[IdentitySuite] = None
-    diagnostic: Optional[str] = None
 
     def as_dict(self) -> dict:
         out = {"mode": self.mode}
@@ -361,8 +351,6 @@ class AdaptationInfo:
             out["matrix"] = [[to_str(c) for c in row] for row in self.matrix]
         if self.verification is not None:
             out["verification"] = self.verification.as_dict()
-        if self.diagnostic:
-            out["diagnostic"] = self.diagnostic
         return out
 
 
@@ -376,21 +364,15 @@ def _monomials_upto(names, degree):
             for e in range(degree - used + 1):
                 new.append(mono + ((name, e),) if e else mono)
         out = new
-    seen = []
-    for mono in out:
-        if mono not in seen:
-            seen.append(mono)
-    return seen
+    return out
 
 
 def _poly_ansatz_solve(vfield: VectorField, target: Expr, chart: Chart,
                        degree: int = 4):
     """Find a polynomial h with vfield(h) = target * h, h not identically 0.
 
-    Bounded-degree linear ansatz solved exactly over rationals; returns the
-    expression h or None."""
-    from .expressions import Sym, _to_rf
-
+    Bounded-degree linear ansatz solved exactly over rationals; returns h
+    with its value at the box center (nonzero), or None."""
     monos = _monomials_upto(chart.names, degree)
     if len(monos) > 220:
         return None
@@ -440,16 +422,15 @@ def _poly_ansatz_solve(vfield: VectorField, target: Expr, chart: Chart,
             h_expr = h_expr + term
         h_expr = normalize(h_expr)
         # the rescaling divides by h, so h must not vanish at the base point
-        if eval_exact(h_expr, center) != 0:
-            return h_expr
+        value = eval_exact(h_expr, center)
+        if value != 0:
+            return h_expr, value
     return None
 
 
 def eval_exact(e: Expr, assignment: dict) -> Fraction:
     """Exact rational evaluation; polynomial/rational trees only."""
-    from .expressions import Add, Div, Mul, Num as NumNode, Pow, Sym
-
-    if isinstance(e, NumNode):
+    if isinstance(e, Num):
         return e.value
     if isinstance(e, Sym):
         return Fraction(assignment[e.name])
@@ -473,7 +454,6 @@ def eval_exact(e: Expr, assignment: dict) -> Fraction:
 
 
 def Pow_(base, e):
-    from .expressions import Pow
     return Pow(base, e) if e != 1 else base
 
 
@@ -515,8 +495,9 @@ def adapt_commuting_basis(ef: ExtendedFrame, bc: BracketCoefficients):
 
     Identity when the w-mixing coefficients vanish; for n = 1 a bounded
     polynomial ansatz for the scalar transport equation is attempted; any
-    remaining case falls back to numeric transport along the V-flows
-    (straighten.solve_basis_ode).  Returns (adapted frame, AdaptationInfo)."""
+    remaining case is decided "numeric", and the chart transports the basis
+    along the V-flows (straighten.build_normal_coordinates).  Returns
+    (adapted frame, AdaptationInfo)."""
     n = ef.n
     if bc.w_all_zero():
         info = AdaptationInfo(
@@ -528,13 +509,9 @@ def adapt_commuting_basis(ef: ExtendedFrame, bc: BracketCoefficients):
         return ef, info
     if n == 1:
         beta = bc.w[0][0][0]
-        h = _poly_ansatz_solve(ef.vbasis[0], beta, ef.chart)
-        if h is not None:
-            center = {
-                name: Fraction(val)
-                for name, val in ef.chart.assignment(ef.chart.center()).items()
-            }
-            scale = eval_exact(h, center)
+        found = _poly_ansatz_solve(ef.vbasis[0], beta, ef.chart)
+        if found is not None:
+            h, scale = found
             a_expr = normalize(Num(scale) / h)
             new_v = ef.vbasis[0].scaled(a_expr)
             adapted = ExtendedFrame(ef.problem, [new_v])
@@ -543,20 +520,7 @@ def adapt_commuting_basis(ef: ExtendedFrame, bc: BracketCoefficients):
                 verification=_verify_adapted(adapted),
             )
             return adapted, info
-    from .straighten import (
-        NumericFailure, default_cross_section, solve_basis_ode,
-    )
-    try:
-        evaluator = solve_basis_ode(
-            bc, default_cross_section(ef), ef.vbasis
-        )
-    except (NumericFailure, AnalysisError, EvalDomainError) as err:
-        info = AdaptationInfo(
-            mode="numeric", diagnostic=f"numeric transport failed: {err}"
-        )
-        return ef, info
-    info = AdaptationInfo(mode="numeric", evaluator=evaluator)
-    return ef, info
+    return ef, AdaptationInfo(mode="numeric")
 
 
 def _verify_adapted(ef: ExtendedFrame) -> IdentitySuite:
@@ -606,7 +570,6 @@ def nijenhuis_check(ef: ExtendedFrame) -> IdentitySuite:
 
 @dataclass
 class ProjectorData:
-    fw_split: list        # decomposition coefficients of [F, W_i]
     lfs_table: list       # (L_F S) applied to each combined-frame element
     identities: IdentitySuite
 
@@ -624,10 +587,8 @@ class Connections:
 
     def __init__(self, ef: ExtendedFrame):
         self.ef = ef
-        self.chart = ef.chart
         self.F = ef.problem.F
-        # [F, W] c W is a precondition: decompose each [F, W_i]
-        self.fw_dec = []
+        # [F, W] c W is a precondition
         for w in ef.wfields:
             dec = ef.decompose(lie_bracket(self.F, w))
             if not dec.ok:
@@ -635,7 +596,6 @@ class Connections:
                     "[F, W] leaves the span of the combined frame: "
                     f"{dec.failure}"
                 )
-            self.fw_dec.append(dec)
         # h(V_i) = -P_H(W_i): the unique horizontal field with S-image V_i
         self.horizontal_lifts = [
             self.horizontal(w).scaled(Num(-1)) for w in ef.wfields
@@ -716,8 +676,7 @@ class Connections:
             suite.add_field(ef.probe, apply_tangent_structure(ef, h) - v,
                             f"S(h{idx})-V{idx}")
             suite.add_field(ef.probe, self.vertical(h), f"P_V(h{idx})")
-        return ProjectorData(fw_split=[d.coefficients for d in self.fw_dec],
-                             lfs_table=lfs_table, identities=suite)
+        return ProjectorData(lfs_table=lfs_table, identities=suite)
 
     def vertical_flatness(self) -> IdentitySuite:
         """Curvature of the vertical derivative in vertical directions."""
@@ -929,14 +888,12 @@ def find_zero_section_points(ef: ExtendedFrame, b_coeffs) -> list:
 
 @dataclass
 class AnalysisReport:
-    chart: Chart
     classification: str
     reason: Optional[str] = None
     verdicts: dict = field(default_factory=dict)
     identity_suites: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
     extended: Optional[ExtendedFrame] = None
-    connections: Optional[Connections] = None
     bracket_coeffs: Optional[BracketCoefficients] = None
     adaptation: Optional[AdaptationInfo] = None
     f_v_coefficients: Optional[tuple] = None
@@ -988,29 +945,49 @@ class AnalysisReport:
         return out
 
 
-def classify(problem: SecondOrderProblem) -> AnalysisReport:
-    """Run the full pipeline and decide the normal-form case."""
-    report = AnalysisReport(chart=problem.chart, classification=NOT_SODE)
+# --------------------------------------------------------------------------
+# The stage list
+# --------------------------------------------------------------------------
+
+class PipelineState:
+    """What one walk of the stage list hands from stage to stage."""
+
+    def __init__(self, problem: SecondOrderProblem):
+        self.problem = problem
+        self.analysis = AnalysisReport(classification=NOT_SODE)
+        self.connections: Optional[Connections] = None
+
+    @property
+    def stopped(self) -> bool:
+        """A stage has found that the problem is not of second order."""
+        return self.analysis.reason is not None
+
+
+def _regularity(state: PipelineState):
+    problem, report = state.problem, state.analysis
     report.verdicts["v_involutive"] = problem.v_involutivity.as_dict()
     if not problem.v_involutivity.ok:
         report.reason = "V is not involutive"
-        return report
-
+        return
     regularity = check_regularity(problem)
     report.verdicts["regularity"] = regularity
     if regularity["status"] != "pass":
         report.reason = "regularity failed: [F,V] does not complement V"
-        return report
+        return
+    report.extended = build_extended_frame(problem)
 
-    ef = build_extended_frame(problem)
-    report.extended = ef
 
-    w_inv = check_w_involutive(ef)
+def _w_involutivity(state: PipelineState):
+    report = state.analysis
+    w_inv = check_w_involutive(report.extended)
     report.verdicts["w_involutive"] = w_inv.as_dict()
     if not w_inv.ok:
         report.reason = "the span W of V and [F,V] is not involutive"
-        return report
 
+
+def _brackets(state: PipelineState):
+    report = state.analysis
+    ef = report.extended
     commuting = check_commuting(ef)
     report.identity_suites.append(commuting)
     report.verdicts["v_basis_commutes"] = commuting.as_dict()
@@ -1019,12 +996,10 @@ def classify(problem: SecondOrderProblem) -> AnalysisReport:
             "the given V-basis does not commute; supply a coordinate-aligned "
             "basis of V (the connection pipeline requires one)"
         )
-        return report
-
+        return
     bc = bracket_coefficients(ef)
     report.bracket_coeffs = bc
     report.identity_suites.append(bc.symmetry)
-
     integrability = verify_bracket_integrability(ef, bc)
     report.identity_suites.append(integrability)
     if any(v.is_nonzero for _, v in integrability.verdicts):
@@ -1033,55 +1008,60 @@ def classify(problem: SecondOrderProblem) -> AnalysisReport:
             "this indicates an upstream inconsistency or sampling artifact"
         )
 
-    ef, adaptation = adapt_commuting_basis(ef, bc)
-    report.extended = ef
-    report.adaptation = adaptation
-    if adaptation.verification is not None:
-        report.identity_suites.append(adaptation.verification)
 
-    # Decide F in W / independent of W
+def _adaptation(state: PipelineState):
+    report = state.analysis
+    report.extended, report.adaptation = adapt_commuting_basis(
+        report.extended, report.bracket_coeffs)
+    if report.adaptation.verification is not None:
+        report.identity_suites.append(report.adaptation.verification)
+
+
+def _placement(state: PipelineState):
+    """F in W (case 1, with its coefficients) or independent of W (case 2)."""
+    problem, report = state.problem, state.analysis
+    ef = report.extended
     f_dec = ef.decompose(problem.F)
     if f_dec.ok:
-        n = ef.n
         report.f_v_coefficients = tuple(
-            normalize(c) for c in f_dec.coefficients[:n]
+            normalize(c) for c in f_dec.coefficients[:ef.n]
         )
         report.f_w_coefficients = tuple(
-            normalize(c) for c in f_dec.coefficients[n:]
+            normalize(c) for c in f_dec.coefficients[ef.n:]
         )
-        case = CASE1
-    else:
-        if f_dec.failure != "not_in_span":
-            report.reason = f"cannot place F relative to W: {f_dec.diagnostic}"
-            return report
-        full = frame_rank(
-            list(ef.combined.fields) + [problem.F], problem.chart,
-            problem.options.samples, problem.options.seed,
+        return
+    if f_dec.failure != "not_in_span":
+        report.reason = f"cannot place F relative to W: {f_dec.diagnostic}"
+        return
+    full = frame_rank(
+        list(ef.combined.fields) + [problem.F], problem.chart,
+        problem.options.samples, problem.options.seed,
+    )
+    report.verdicts["f_independent_of_w"] = {
+        "status": "pass" if (full.claimed_rank == 2 * ef.n + 1
+                             and full.constant_rank) else "fail",
+        "rank": full.as_dict(),
+        "note": "certified on the sampled box only",
+    }
+    if report.verdicts["f_independent_of_w"]["status"] != "pass":
+        report.reason = (
+            "F is neither in W nor everywhere independent of W on the "
+            "sampled box (mixed case)"
         )
-        report.verdicts["f_independent_of_w"] = {
-            "status": "pass" if (full.claimed_rank == 2 * ef.n + 1
-                                 and full.constant_rank) else "fail",
-            "rank": full.as_dict(),
-            "note": "certified on the sampled box only",
-        }
-        if report.verdicts["f_independent_of_w"]["status"] != "pass":
-            report.reason = (
-                "F is neither in W nor everywhere independent of W on the "
-                "sampled box (mixed case)"
-            )
-            return report
-        case = CASE2
 
+
+def _connections(state: PipelineState):
+    report = state.analysis
+    ef = report.extended
     try:
         conn = Connections(ef)
     except AnalysisError as err:
         report.verdicts["f_preserves_w"] = {"status": "fail",
                                             "detail": str(err)}
         report.reason = "[F, W] is not contained in W"
-        return report
+        return
     report.verdicts["f_preserves_w"] = {"status": "pass"}
-    report.connections = conn
-
+    state.connections = conn
     report.identity_suites.append(nijenhuis_check(ef))
     proj = conn.projector_identities()
     report.projector_data = proj
@@ -1091,15 +1071,57 @@ def classify(problem: SecondOrderProblem) -> AnalysisReport:
     report.connection_data = tables
     report.identity_suites.append(tables.torsion)
     report.identity_suites.append(tables.gamma_symmetry)
-    report.curvature = mixed_curvature(conn)
-    report.s_of_f = (apply_tangent_structure(ef, problem.F)
-                     if case == CASE1 else None)
 
+
+def _curvature(state: PipelineState):
+    state.analysis.curvature = mixed_curvature(state.connections)
+
+
+def _zero_section(state: PipelineState):
+    """Classify; in case 1 also S(F) and the Newton search for a point
+    where F is vertical."""
+    problem, report = state.problem, state.analysis
+    ef = report.extended
     report.parameter_count = problem.m - 2 * ef.n
-    if case == CASE1:
-        points = find_zero_section_points(ef, report.f_w_coefficients)
-        report.zero_section_points = points
-        if not points:
-            report.warnings.append("cross-section not found in box")
-    report.classification = case
-    return report
+    if report.f_w_coefficients is None:
+        report.classification = CASE2
+        return
+    report.s_of_f = apply_tangent_structure(ef, problem.F)
+    report.zero_section_points = find_zero_section_points(
+        ef, report.f_w_coefficients)
+    if not report.zero_section_points:
+        report.warnings.append("cross-section not found in box")
+    report.classification = CASE1
+
+
+# The recognition stages in pipeline order; the runner appends the
+# straightening stages.  A stage calls the pipeline functions through this
+# module's names, so wrapping a module attribute reaches the calls.
+STAGES = (
+    ("regularity", _regularity),
+    ("w_involutivity", _w_involutivity),
+    ("brackets", _brackets),
+    ("adaptation", _adaptation),
+    ("placement", _placement),
+    ("connections", _connections),
+    ("curvature", _curvature),
+    ("zero_section", _zero_section),
+)
+
+
+def walk(state: PipelineState, stages, timings: dict):
+    """Run (name, stage) pairs in order until the state is stopped, and
+    record each finished stage's wall time in seconds under its name."""
+    for name, stage in stages:
+        start = time.perf_counter()
+        stage(state)
+        timings[name] = round(time.perf_counter() - start, 6)
+        if state.stopped:
+            return
+
+
+def classify(problem: SecondOrderProblem) -> AnalysisReport:
+    """Run the recognition stages and decide the normal-form case."""
+    state = PipelineState(problem)
+    walk(state, STAGES, {})
+    return state.analysis

@@ -20,7 +20,7 @@ from .expressions import ExpressionError
 from .geometry import GeometryError
 from .manifest import ManifestError
 from .runner import (
-    EXIT_INPUT, RUNNERS, report_to_json, resolve_manifest, run_command,
+    EXIT_INPUT, COMMANDS, report_to_json, resolve_manifest, run_command,
 )
 
 
@@ -32,7 +32,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "the normalizing coordinates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in RUNNERS:
+    for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("manifest", nargs="?", default=None,
                        help="path to a manifest JSON file")
@@ -41,7 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--samples", type=int, default=None)
         p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", dest="tolerance", type=float, default=None)
         p.add_argument("--extent", type=float, default=None)
         p.add_argument("--json", default=None, metavar="OUT",
                        help="write the machine-readable report here")
@@ -52,18 +52,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides(args) -> dict:
-    out = {}
-    if args.seed is not None:
-        out["seed"] = args.seed
-    if args.samples is not None:
-        out["samples"] = args.samples
-    if args.grid is not None:
-        out["grid"] = args.grid
-    if args.tol is not None:
-        out["tolerance"] = args.tol
-    if args.extent is not None:
-        out["extent"] = args.extent
-    return out
+    """The option flags given, under their manifest option names."""
+    keys = ("seed", "samples", "grid", "tolerance", "extent")
+    return {key: getattr(args, key) for key in keys
+            if getattr(args, key) is not None}
 
 
 def _summarize(report: dict, exit_code: int):

@@ -277,10 +277,8 @@ class Frame:
                 raise ChartMismatchError("all frame fields must share the chart")
         self.chart = chart
         self.fields = fields
-        self.rank_report: Optional[RankReport] = None
         if validate:
             report = frame_rank(list(fields), chart, samples, seed)
-            self.rank_report = report
             if report.claimed_rank != len(fields) or not report.constant_rank:
                 raise FrameRankError(
                     f"frame rank {report.claimed_rank} of {len(fields)} "

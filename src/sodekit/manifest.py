@@ -26,7 +26,6 @@ class ManifestError(ValueError):
 @dataclass
 class Manifest:
     name: str
-    description: str
     chart: Chart
     field_components: list        # list[Expr]
     frame_components: list        # list[list[Expr]]
@@ -53,13 +52,18 @@ class Manifest:
         return json.loads(json.dumps(self.raw, sort_keys=True))
 
 
-def _parse_expr(text, where: str) -> Expr:
+def _parse_expr(text, where: str, chart: Chart) -> Expr:
+    """The expression `text` over the chart coordinates."""
     if not isinstance(text, str):
         raise ManifestError(f"{where}: expression must be a string")
     try:
-        return parse(text)
+        expr = parse(text)
     except ParseError as err:
         raise ManifestError(f"{where}: {err}") from err
+    extra = free_symbols(expr) - set(chart.names)
+    if extra:
+        raise ManifestError(f"{where} uses unknown symbols {sorted(extra)}")
+    return expr
 
 
 def _is_interval(entry) -> bool:
@@ -108,7 +112,8 @@ def load_manifest(data: dict) -> Manifest:
             f"{chart.dim} expressions"
         )
     field_exprs = [
-        _parse_expr(c, f"field.components[{i}]") for i, c in enumerate(comps)
+        _parse_expr(c, f"field.components[{i}]", chart)
+        for i, c in enumerate(comps)
     ]
 
     frame_spec = data.get("frame")
@@ -122,7 +127,7 @@ def load_manifest(data: dict) -> Manifest:
                 f"frame[{k}] must list {chart.dim} component expressions"
             )
         frame_exprs.append([
-            _parse_expr(c, f"frame[{k}].components[{i}]")
+            _parse_expr(c, f"frame[{k}].components[{i}]", chart)
             for i, c in enumerate(fcomps)
         ])
     if 2 * len(frame_exprs) > chart.dim:
@@ -130,26 +135,10 @@ def load_manifest(data: dict) -> Manifest:
             f"need 2 * frame size <= chart dimension: "
             f"{2 * len(frame_exprs)} > {chart.dim}"
         )
-    known = set(chart.names)
-    for i, e in enumerate(field_exprs):
-        extra = free_symbols(e) - known
-        if extra:
-            raise ManifestError(
-                f"field.components[{i}] uses unknown symbols {sorted(extra)}"
-            )
-    for k, comps_k in enumerate(frame_exprs):
-        for i, e in enumerate(comps_k):
-            extra = free_symbols(e) - known
-            if extra:
-                raise ManifestError(
-                    f"frame[{k}].components[{i}] uses unknown symbols "
-                    f"{sorted(extra)}"
-                )
 
     metadata = data.get("metadata", {})
     return Manifest(
         name=str(data.get("name", "unnamed")),
-        description=str(data.get("description", "")),
         chart=chart,
         field_components=field_exprs,
         frame_components=frame_exprs,

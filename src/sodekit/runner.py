@@ -1,29 +1,33 @@
-"""Command pipelines: load a manifest, run the requested stages, assemble a
-report dictionary and an exit code.
+"""Command pipelines: load a manifest, walk the stages of the requested
+command, assemble a report dictionary and an exit code.
+
+The pipeline is one ordered stage list, STAGES: the recognition stages of
+`analysis.STAGES`, then building the chart, certifying it on the residual
+grid and extracting the quadratic force.  A command (COMMANDS) names the
+stages it runs, in list order, and its exit rule.
 
 Exit codes: 0 all checks pass, 1 a mathematical condition failed, 2 input
 error, 3 numeric failure.  Reports are deterministic for a fixed manifest
-and seed; wall-clock timings live in their own section and are the only
-nondeterministic entries.
+and seed; wall-clock timings live in their own section, one entry per stage
+run, and are the only nondeterministic entries.
 """
 
 from __future__ import annotations
 
 import json
-import numbers
-import time
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import __version__
+from . import analysis
 from .analysis import (
     AnalysisError, CASE2, InternalInconsistencyError, Options, OptionsError,
-    SecondOrderProblem, SIGN_CONVENTIONS, classify,
+    PipelineState, SecondOrderProblem, SIGN_CONVENTIONS, walk,
 )
 from .geometry import Frame, FrameRankError
 from .manifest import Manifest, ManifestError, load_manifest_file
 from .corpus import corpus_get
 from .straighten import (
-    NumericFailure, build_normal_coordinates,
+    NumericFailure, build_normal_coordinates, default_grid_points,
     extract_quadratic_coefficients, pushforward_residuals,
 )
 
@@ -32,20 +36,8 @@ EXIT_MATH_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
-STRUCTURAL_TOL_DEFAULT = 1e-5
 QUADRATIC_EXTRACTION_MAX_DIM = 4
 MAX_GRID_NODES = 100_000
-
-
-class _Timer:
-    def __init__(self):
-        self.marks = {}
-        self._last = time.perf_counter()
-
-    def lap(self, label: str):
-        now = time.perf_counter()
-        self.marks[label] = round(now - self._last, 6)
-        self._last = now
 
 
 def resolve_manifest(path: Optional[str], corpus_name: Optional[str]) -> Manifest:
@@ -69,247 +61,171 @@ def _base_report(manifest: Manifest, command: str) -> dict:
     }
 
 
-def _problem(manifest: Manifest, overrides: dict):
-    try:
-        opts = Options.from_mapping({**manifest.options, **overrides})
-    except OptionsError as err:
-        raise ManifestError(str(err)) from None
-    frame = Frame(manifest.chart, manifest.frame_fields(),
-                  samples=opts.samples, seed=opts.seed)
-    return SecondOrderProblem(manifest.chart, manifest.vector_field(), frame,
-                              opts, strict=False)
+class _Run(PipelineState):
+    """The pipeline state of one command, with its report and the chart."""
+
+    def __init__(self, command: str, problem: SecondOrderProblem,
+                 report: dict):
+        super().__init__(problem)
+        self.command = command
+        self.report = report
+        self.transform = None
+        self.residuals_ok = False
+        self.numeric_failed = False
+
+    def warn(self, message: str):
+        self.report.setdefault("warnings", []).append(message)
+
+    def chart_failed(self, err: NumericFailure):
+        """A NumericFailure building or certifying the chart: exit 3, except
+        for `quadratic`, which builds the chart only to fit the force."""
+        self.transform = None
+        if self.command == "quadratic":
+            self.warn(f"coefficient extraction failed: {err}")
+            return
+        key = "straighten_error" if self.command == "report" else "error"
+        self.report[key] = str(err)
+        self.numeric_failed = True
 
 
-def _grid_options(manifest: Manifest, overrides: dict) -> tuple:
-    """(tolerance, grid, extent) of the residual grid, None for a default
-    grid or extent.  ManifestError on a value that is not a number, or on a
-    grid that is not an integer >= 1 with at most MAX_GRID_NODES nodes."""
-    opts = {**manifest.options, **overrides}
-    grid = opts.get("grid")
-    if grid is not None and not (
-            isinstance(grid, numbers.Integral) and not isinstance(grid, bool)
-            and 1 <= grid and int(grid) ** manifest.dim <= MAX_GRID_NODES):
-        raise ManifestError(
-            f"grid must be an integer >= 1 with grid^{manifest.dim} <= "
-            f"{MAX_GRID_NODES}, got {grid!r}")
-    extent = opts.get("extent")
-    try:
-        return (float(opts.get("tolerance", STRUCTURAL_TOL_DEFAULT)), grid,
-                None if extent is None else float(extent))
-    except (TypeError, ValueError) as err:
-        raise ManifestError(f"tolerance and extent must be numbers: {err}") \
-            from None
+def _extractable(run: _Run) -> bool:
+    a = run.analysis
+    return (a.curvature.verdict == "quadratic"
+            and run.problem.m <= QUADRATIC_EXTRACTION_MAX_DIM
+            and (a.classification == CASE2 or bool(a.zero_section_points)))
 
 
-def run_check(manifest: Manifest, overrides: Optional[dict] = None) -> tuple:
-    """Regularity, V-involutivity and W-involutivity verdicts."""
-    overrides = overrides or {}
-    report = _base_report(manifest, "check")
-    timer = _Timer()
-    try:
-        problem = _problem(manifest, overrides)
-    except FrameRankError as err:
-        report["verdicts"] = {
-            "v_frame_rank": {"status": "fail", "detail": str(err),
-                             "rank": err.report.as_dict()},
-        }
-        report["timings"] = timer.marks
-        return report, EXIT_MATH_FAIL
-    from .analysis import (
-        build_extended_frame, check_regularity, check_w_involutive,
-    )
-
-    verdicts = {"v_involutive": problem.v_involutivity.as_dict()}
-    regularity = check_regularity(problem)
-    verdicts["regularity"] = regularity
-    timer.lap("regularity")
-    if regularity["status"] == "pass" and problem.v_involutivity.ok:
-        ef = build_extended_frame(problem)
-        w_inv = check_w_involutive(ef)
-        verdicts["w_involutive"] = w_inv.as_dict()
-        timer.lap("w_involutivity")
-    report["verdicts"] = verdicts
-    report["timings"] = timer.marks
-    ok = (problem.v_involutivity.ok
-          and regularity["status"] == "pass"
-          and verdicts.get("w_involutive", {}).get("involutive", False))
-    return report, EXIT_OK if ok else EXIT_MATH_FAIL
-
-
-class _FrameRankFailure(Exception):
-    """Internal signal: the V frame is not constant full rank (exit 1)."""
-
-
-def _run_classify_stage(manifest: Manifest, overrides: dict, report: dict,
-                        timer: _Timer):
-    try:
-        problem = _problem(manifest, overrides)
-    except FrameRankError as err:
-        report["error"] = f"V frame is not constant full rank: {err}"
-        raise _FrameRankFailure() from err
-    analysis = classify(problem)
-    timer.lap("classify")
-    report["analysis"] = analysis.as_dict()
-    return problem, analysis
-
-
-def run_classify(manifest: Manifest, overrides: Optional[dict] = None) -> tuple:
-    overrides = overrides or {}
-    report = _base_report(manifest, "classify")
-    timer = _Timer()
-    problem, analysis = _run_classify_stage(manifest, overrides, report, timer)
-    report["timings"] = timer.marks
-    return report, EXIT_OK if analysis.ok else EXIT_MATH_FAIL
-
-
-def run_connection(manifest: Manifest, overrides: Optional[dict] = None) -> tuple:
-    overrides = overrides or {}
-    report = _base_report(manifest, "connection")
-    timer = _Timer()
-    problem, analysis = _run_classify_stage(manifest, overrides, report, timer)
-    report["timings"] = timer.marks
-    if analysis.connection_data is None:
-        return report, EXIT_MATH_FAIL
-    ok = analysis.ok and analysis.identity_suites_ok()
-    return report, EXIT_OK if ok else EXIT_MATH_FAIL
-
-
-def run_quadratic(manifest: Manifest, overrides: Optional[dict] = None) -> tuple:
-    overrides = overrides or {}
-    report = _base_report(manifest, "quadratic")
-    timer = _Timer()
-    problem, analysis = _run_classify_stage(manifest, overrides, report, timer)
-    if analysis.curvature is None:
-        report["timings"] = timer.marks
-        return report, EXIT_MATH_FAIL
-    verdict = analysis.curvature.verdict
-    if (verdict == "quadratic" and analysis.ok
-            and manifest.dim <= QUADRATIC_EXTRACTION_MAX_DIM
-            and (analysis.classification == CASE2
-                 or analysis.zero_section_points)):
+def _build_transform(run: _Run):
+    if "residuals" in COMMANDS[run.command].stages or _extractable(run):
         try:
-            transform = build_normal_coordinates(analysis)
-            extraction = extract_quadratic_coefficients(transform)
-            report["quadratic_coefficients"] = extraction
-            timer.lap("extraction")
+            run.transform = build_normal_coordinates(run.analysis)
         except NumericFailure as err:
-            report["warnings"] = [f"coefficient extraction failed: {err}"]
-    elif verdict == "quadratic" and manifest.dim > QUADRATIC_EXTRACTION_MAX_DIM:
-        report["warnings"] = [
-            "coefficient extraction skipped: grid cost grows too fast above "
-            f"dimension {QUADRATIC_EXTRACTION_MAX_DIM}"
-        ]
-    report["timings"] = timer.marks
-    return report, EXIT_OK if verdict == "quadratic" else EXIT_MATH_FAIL
+            run.chart_failed(err)
 
 
-def _residual_stage(analysis, report: dict, timer: _Timer,
-                    grid_options: tuple) -> tuple:
-    """Build the transform, certify it on the residual grid and add both to
-    the report; returns (transform, whether the residuals pass)."""
-    tol, grid, extent = grid_options
-    transform = build_normal_coordinates(analysis)
-    timer.lap("build_transform")
-    residuals = pushforward_residuals(transform, grid_points=grid,
-                                      extent=extent)
-    timer.lap("residuals")
-    ok = residuals.max_structural_residual < tol
-    report["transform"] = transform.metadata()
-    report["residuals"] = {**residuals.as_dict(), "tolerance": tol,
-                           "status": "pass" if ok else "fail"}
-    return transform, ok
+def _residuals(run: _Run):
+    if run.transform is None:
+        return
+    opts = run.problem.options
+    try:
+        residuals = pushforward_residuals(run.transform, grid_points=opts.grid,
+                                          extent=opts.extent)
+    except NumericFailure as err:
+        run.chart_failed(err)
+        return
+    run.residuals_ok = residuals.max_structural_residual < opts.tolerance
+    run.report["transform"] = run.transform.metadata()
+    run.report["residuals"] = {
+        **residuals.as_dict(), "tolerance": opts.tolerance,
+        "status": "pass" if run.residuals_ok else "fail",
+    }
 
 
-def run_straighten(manifest: Manifest, overrides: Optional[dict] = None) -> tuple:
-    overrides = overrides or {}
-    grid_options = _grid_options(manifest, overrides)
-    report = _base_report(manifest, "straighten")
-    timer = _Timer()
-    problem, analysis = _run_classify_stage(manifest, overrides, report, timer)
-    exit_code = EXIT_MATH_FAIL
-    if analysis.ok:
-        try:
-            _, ok = _residual_stage(analysis, report, timer, grid_options)
-            exit_code = EXIT_OK if ok else EXIT_MATH_FAIL
-        except NumericFailure as err:
-            report["error"] = str(err)
-            exit_code = EXIT_NUMERIC
-    report["timings"] = timer.marks
-    return report, exit_code
+def _extraction(run: _Run):
+    if (run.command == "quadratic"
+            and run.analysis.curvature.verdict == "quadratic"
+            and run.problem.m > QUADRATIC_EXTRACTION_MAX_DIM):
+        run.warn("coefficient extraction skipped: grid cost grows too fast "
+                 f"above dimension {QUADRATIC_EXTRACTION_MAX_DIM}")
+    if run.transform is None or not _extractable(run):
+        return
+    try:
+        run.report["quadratic_coefficients"] = \
+            extract_quadratic_coefficients(run.transform)
+    except NumericFailure as err:
+        run.warn(f"coefficient extraction failed: {err}")
 
 
-def run_report(manifest: Manifest, overrides: Optional[dict] = None) -> tuple:
-    """Union of every applicable stage in one document."""
-    overrides = overrides or {}
-    grid_options = _grid_options(manifest, overrides)
-    report = _base_report(manifest, "report")
-    timer = _Timer()
-    problem, analysis = _run_classify_stage(manifest, overrides, report, timer)
-    exit_code = EXIT_OK if analysis.ok else EXIT_MATH_FAIL
-    if analysis.ok:
-        try:
-            transform, ok = _residual_stage(analysis, report, timer,
-                                            grid_options)
-            if not ok:
-                exit_code = EXIT_MATH_FAIL
-        except NumericFailure as err:
-            report["straighten_error"] = str(err)
-            exit_code = EXIT_NUMERIC
-        if (analysis.curvature is not None
-                and analysis.curvature.verdict == "quadratic"
-                and manifest.dim <= QUADRATIC_EXTRACTION_MAX_DIM
-                and "transform" in report):
-            try:
-                extraction = extract_quadratic_coefficients(transform)
-                report["quadratic_coefficients"] = extraction
-                timer.lap("extraction")
-            except NumericFailure as err:
-                report.setdefault("warnings", []).append(
-                    f"coefficient extraction failed: {err}"
-                )
-        if not analysis.identity_suites_ok() and exit_code == EXIT_OK:
-            exit_code = EXIT_MATH_FAIL
-    report["timings"] = timer.marks
-    return report, exit_code
+STAGES = analysis.STAGES + (
+    ("build_transform", _build_transform),
+    ("residuals", _residuals),
+    ("extraction", _extraction),
+)
 
 
-RUNNERS = {
-    "check": run_check,
-    "classify": run_classify,
-    "connection": run_connection,
-    "quadratic": run_quadratic,
-    "straighten": run_straighten,
-    "report": run_report,
+class Command(NamedTuple):
+    stages: tuple                     # stage names, in STAGES order
+    passes: Callable[[_Run], bool]    # exit rule: 0 if true, else 1
+
+
+_RECOGNITION = tuple(name for name, _ in analysis.STAGES)
+COMMANDS = {
+    "check": Command(_RECOGNITION[:2],
+                     lambda run: run.analysis.reason is None),
+    "classify": Command(_RECOGNITION, lambda run: run.analysis.ok),
+    "connection": Command(_RECOGNITION, lambda run: (
+        run.analysis.ok and run.analysis.identity_suites_ok())),
+    "quadratic": Command(_RECOGNITION + ("build_transform", "extraction"),
+                         lambda run: (run.analysis.curvature is not None
+                                      and run.analysis.curvature.verdict
+                                      == "quadratic")),
+    "straighten": Command(_RECOGNITION + ("build_transform", "residuals"),
+                          lambda run: run.analysis.ok and run.residuals_ok),
+    "report": Command(tuple(name for name, _ in STAGES), lambda run: (
+        run.analysis.ok and run.residuals_ok
+        and run.analysis.identity_suites_ok())),
 }
 
 
-def _error_report(command: str, message: str) -> dict:
-    return {
-        "tool": {"name": "sodekit", "version": __version__,
-                 "report_schema": 1},
-        "command": command, "error": message, "timings": {},
-    }
+def _options(manifest: Manifest, overrides: Optional[dict],
+             stages: tuple) -> Options:
+    """The manifest's options under the overrides.  ManifestError on a bad
+    value and, for a command that certifies the chart, on a residual grid of
+    more than MAX_GRID_NODES nodes or a chart too large for a default grid."""
+    try:
+        opts = Options.from_mapping({**manifest.options, **(overrides or {})})
+    except OptionsError as err:
+        raise ManifestError(str(err)) from None
+    if "residuals" in stages:
+        try:
+            grid = opts.grid or default_grid_points(manifest.dim)
+        except AnalysisError as err:
+            raise ManifestError(f"{err}; give a grid (--grid)") from None
+        if grid ** manifest.dim > MAX_GRID_NODES:
+            raise ManifestError(
+                f"option 'grid' must be an integer >= 1 with "
+                f"grid^{manifest.dim} <= {MAX_GRID_NODES}, got {grid!r}")
+    return opts
 
 
 def run_command(command: str, manifest: Manifest,
                 overrides: Optional[dict] = None) -> tuple:
+    """Walk the command's stages: (report, exit code).  Options are checked
+    before any work; ManifestError on a bad one."""
+    stages = COMMANDS[command].stages
+    opts = _options(manifest, overrides, stages)
+    report = _base_report(manifest, command)
     try:
-        return RUNNERS[command](manifest, overrides)
-    except _FrameRankFailure as err:
-        return (
-            _error_report(command,
-                          f"V frame is not constant full rank: "
-                          f"{err.__cause__}"),
-            EXIT_MATH_FAIL,
-        )
+        frame = Frame(manifest.chart, manifest.frame_fields(),
+                      samples=opts.samples, seed=opts.seed)
+    except FrameRankError as err:
+        if command == "check":
+            report["verdicts"] = {"v_frame_rank": {
+                "status": "fail", "detail": str(err),
+                "rank": err.report.as_dict()}}
+        else:
+            report["error"] = f"V frame is not constant full rank: {err}"
+        return report, EXIT_MATH_FAIL
+    problem = SecondOrderProblem(manifest.chart, manifest.vector_field(),
+                                 frame, opts, strict=False)
+    run = _Run(command, problem, report)
+    try:
+        walk(run, [stage for stage in STAGES if stage[0] in stages],
+             report["timings"])
     except InternalInconsistencyError as err:
-        return (_error_report(command, f"internal inconsistency: {err}"),
-                EXIT_NUMERIC)
-    except NumericFailure as err:
-        return (_error_report(command, str(err)), EXIT_NUMERIC)
+        report["error"] = f"internal inconsistency: {err}"
+        return report, EXIT_NUMERIC
     except AnalysisError as err:
-        return (_error_report(command, f"analysis failed: {err}"),
-                EXIT_NUMERIC)
+        report["error"] = f"analysis failed: {err}"
+        return report, EXIT_NUMERIC
+    if command == "check":
+        report["verdicts"] = run.analysis.verdicts
+    else:
+        report["analysis"] = run.analysis.as_dict()
+    if run.numeric_failed:
+        return report, EXIT_NUMERIC
+    return report, EXIT_OK if COMMANDS[command].passes(run) else \
+        EXIT_MATH_FAIL
 
 
 def report_to_json(report: dict) -> str:

@@ -501,7 +501,6 @@ class StencilBatch(NamedTuple):
 
 @dataclass
 class Stage:
-    kind: str      # "t", "x", "y"
     fld: object    # VectorField or callable
     label: str
 
@@ -526,8 +525,6 @@ class CoordinateTransform:
     def __init__(self, report: AnalysisReport, ef: ExtendedFrame,
                  z0, stages: Sequence[Stage],
                  settings: IntegratorSettings = DEFAULT_SETTINGS):
-        self.report = report
-        self.ef = ef
         self.chart = ef.chart
         self.F = ef.problem.F
         self.case = report.classification
@@ -782,7 +779,6 @@ def build_normal_coordinates(report: AnalysisReport,
     chart = ef.chart
     n = ef.n
     m = chart.dim
-    adaptation = report.adaptation
     stages: list = []
 
     if report.classification == CASE1:
@@ -795,10 +791,10 @@ def build_normal_coordinates(report: AnalysisReport,
             for p in range(extra.shape[1]):
                 direction = _constant_direction_field(chart, extra[:, p])
                 tilted = _tilt_to_locus(direction, b_exprs, ef.vbasis)
-                stages.append(Stage("t", tilted, f"t{p + 1}"))
+                stages.append(Stage(tilted, f"t{p + 1}"))
         for i, w in enumerate(ef.wfields):
             tangent = _tilt_to_locus(w, b_exprs, ef.vbasis)
-            stages.append(Stage("x", tangent.scaled(Num(-1)), f"x{i + 1}"))
+            stages.append(Stage(tangent.scaled(Num(-1)), f"x{i + 1}"))
     else:
         z0 = np.asarray(chart.center(), dtype=float)
         if m > 2 * n + 1:
@@ -822,28 +818,32 @@ def build_normal_coordinates(report: AnalysisReport,
                 )
             for p, col in enumerate(kept):
                 stages.append(Stage(
-                    "t", _constant_direction_field(chart, col), f"t{p + 2}"
+                    _constant_direction_field(chart, col), f"t{p + 2}"
                 ))
-        stages.append(Stage("t", ef.problem.F, "t1"))
+        stages.append(Stage(ef.problem.F, "t1"))
         for i, w in enumerate(ef.wfields):
-            stages.append(Stage("x", w.scaled(Num(-1)), f"x{i + 1}"))
+            stages.append(Stage(w.scaled(Num(-1)), f"x{i + 1}"))
 
-    if adaptation is not None and adaptation.mode == "numeric" \
-            and adaptation.evaluator is not None:
+    if report.adaptation.mode == "numeric":
+        try:
+            transport = solve_basis_ode(report.bracket_coeffs,
+                                        default_cross_section(ef), ef.vbasis)
+        except (AnalysisError, EvalDomainError) as err:
+            raise NumericFailure(f"numeric transport failed: {err}") from err
         v_evals = [v.evaluator() for v in ef.vbasis]
 
         def make_field(index):
             def call(point):
-                A = adaptation.evaluator(point)
+                A = transport(point)
                 cols = np.array([ev(point) for ev in v_evals], dtype=float)
                 return tuple(A[:, index] @ cols)
             return call
 
         for i in range(n):
-            stages.append(Stage("y", make_field(i), f"y{i + 1}"))
+            stages.append(Stage(make_field(i), f"y{i + 1}"))
     else:
         for i, v in enumerate(ef.vbasis):
-            stages.append(Stage("y", v, f"y{i + 1}"))
+            stages.append(Stage(v, f"y{i + 1}"))
 
     return CoordinateTransform(report, ef, z0, stages, settings)
 

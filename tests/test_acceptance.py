@@ -16,7 +16,7 @@ from sodekit.analysis import (
 )
 from sodekit.parser import parse
 from sodekit.corpus import corpus_get, corpus_list
-from sodekit.runner import run_report, report_to_json
+from sodekit.runner import report_to_json, run_command
 from sodekit.sampling import box_points
 from sodekit.straighten import (
     CrossSection, build_normal_coordinates, pushforward_residuals,
@@ -259,8 +259,8 @@ def test_criterion_9_deterministic_reports():
     failures = []
     for name in ("oscillator-scrambled", "routh-abelian"):
         manifest = corpus_get(name)
-        r1, c1 = run_report(manifest)
-        r2, c2 = run_report(manifest)
+        r1, c1 = run_command("report", manifest)
+        r2, c2 = run_command("report", manifest)
         del r1["timings"], r2["timings"]
         if report_to_json(r1).encode() != report_to_json(r2).encode():
             failures.append(f"{name}: reports differ byte-wise")

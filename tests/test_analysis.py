@@ -141,9 +141,11 @@ def test_adaptation_identity_when_mixing_vanishes(natural):
 
 def test_adaptation_numeric_fallback_for_transcendental_rescaling(plane):
     # V = exp(y) dy admits no polynomial transport solution, so the
-    # adaptation goes numeric; the transported scalar is exp(-y)
+    # adaptation goes numeric; the chart's y-flow is A(z) V with the
+    # transported scalar A = exp(-y)
     import numpy as np
     from sodekit.expressions import exp as exp_
+    from sodekit.straighten import build_normal_coordinates
     prob = SecondOrderProblem(
         plane, VectorField(plane, [y, ZERO]),
         Frame(plane, [VectorField(plane, [ZERO, exp_(y)])]),
@@ -151,9 +153,9 @@ def test_adaptation_numeric_fallback_for_transcendental_rescaling(plane):
     rep = classify(prob)
     assert rep.classification == CASE1
     assert rep.adaptation.mode == "numeric"
-    assert rep.adaptation.evaluator is not None
+    y_flow = build_normal_coordinates(rep).stages[-1].fld
     for z in [(0.0, 0.5), (0.3, -0.7)]:
-        got = rep.adaptation.evaluator(z)[0, 0]
+        got = y_flow(z)[1] / np.exp(z[1])
         assert abs(got - np.exp(-z[1])) < 1e-8
     # identity suites still hold exactly: the function atoms cancel
     # structurally in the rational-form arithmetic
@@ -188,15 +190,14 @@ def test_adaptation_lets_unrelated_transport_errors_through(
         plane, VectorField(plane, [y, ZERO]),
         Frame(plane, [VectorField(plane, [ZERO, exp_(y)])]),
     )
-    ef = build_extended_frame(prob)
-    bc = bracket_coefficients(ef)
+    rep = classify(prob)
 
     def failing(*args, **kwargs):
         raise Injected("basis transport")
 
     monkeypatch.setattr(straighten, "solve_basis_ode", failing)
     with pytest.raises(Injected):
-        adapt_commuting_basis(ef, bc)
+        straighten.build_normal_coordinates(rep)
 
 
 def test_adaptation_identity_routh():

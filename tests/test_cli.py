@@ -8,7 +8,7 @@ from sodekit.corpus import corpus_get, corpus_list, corpus_raw
 from sodekit.manifest import ManifestError, load_manifest, load_manifest_text
 from sodekit.runner import (
     EXIT_INPUT, EXIT_MATH_FAIL, EXIT_NUMERIC, EXIT_OK, report_to_json,
-    run_check, run_classify, run_command, run_report, run_straighten,
+    run_command,
 )
 
 
@@ -67,7 +67,7 @@ def test_manifest_validation_errors():
 # -- runners -------------------------------------------------------------------
 
 def test_run_check_passes_on_corpus():
-    report, code = run_check(corpus_get("oscillator-scrambled"))
+    report, code = run_command("check", corpus_get("oscillator-scrambled"))
     assert code == EXIT_OK
     assert report["verdicts"]["regularity"]["status"] == "pass"
     assert report["verdicts"]["w_involutive"]["involutive"] is True
@@ -77,22 +77,22 @@ def test_run_check_fails_on_degenerate_field():
     manifest = load_manifest(inline_manifest(
         field={"components": ["x", "0"]}
     ))
-    report, code = run_check(manifest)
+    report, code = run_command("check", manifest)
     assert code == EXIT_MATH_FAIL
     assert report["verdicts"]["regularity"]["status"] == "fail"
 
 
 def test_run_classify_cases():
-    report, code = run_classify(corpus_get("oscillator-scrambled"))
+    report, code = run_command("classify", corpus_get("oscillator-scrambled"))
     assert code == EXIT_OK
     assert report["analysis"]["classification"] == "case1-sode-with-parameters"
     assert report["analysis"]["parameter_count"] == 0
-    report, code = run_classify(corpus_get("timedep-scrambled"))
+    report, code = run_command("classify", corpus_get("timedep-scrambled"))
     assert code == EXIT_OK
     assert report["analysis"]["classification"] == "case2-time-dependent"
     assert report["analysis"]["parameter_count"] == 1
     assert report["analysis"]["extra_parameter_count"] == 0
-    report, code = run_classify(corpus_get("routh-abelian"))
+    report, code = run_command("classify", corpus_get("routh-abelian"))
     assert code == EXIT_OK
     assert report["analysis"]["parameter_count"] == 1
 
@@ -113,7 +113,7 @@ def test_run_straighten_numeric_failure_when_locus_outside_box():
     manifest = load_manifest(inline_manifest(
         chart={"coordinates": ["x", "y"], "box": [[-1, 1], [2.0, 3.0]]},
     ))
-    report, code = run_straighten(manifest)
+    report, code = run_command("straighten", manifest)
     assert code == EXIT_NUMERIC
     assert "cross-section" in report["error"]
 
@@ -135,8 +135,8 @@ def test_run_report_all_corpus_instances_pass():
 
 def test_run_report_deterministic_excluding_timings():
     manifest = corpus_get("quadratic-demo")
-    r1, _ = run_report(manifest)
-    r2, _ = run_report(manifest)
+    r1, _ = run_command("report", manifest)
+    r2, _ = run_command("report", manifest)
     del r1["timings"], r2["timings"]
     assert report_to_json(r1) == report_to_json(r2)
 
@@ -212,14 +212,87 @@ def test_cli_bad_grid_is_input_error(grid, capsys):
     # 1000 on the five-dimensional routh chart would be 10^15 nodes
     code = main(["straighten", "--corpus", "routh-abelian", "--grid", grid])
     assert code == EXIT_INPUT
-    assert "grid must be an integer >= 1" in capsys.readouterr().err
+    assert "option 'grid' must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_cli_non_numeric_tolerance_is_input_error(tmp_path, capsys):
     bad = tmp_path / "tol.json"
     bad.write_text(json.dumps(inline_manifest(options={"tolerance": "abc"})))
     assert main(["report", str(bad)]) == EXIT_INPUT
-    assert "must be numbers" in capsys.readouterr().err
+    assert "option 'tolerance' must be a positive number" \
+        in capsys.readouterr().err
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a command gets as far as building the V frame."""
+    import sodekit.runner as runner
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command started work")
+
+    monkeypatch.setattr(runner, "Frame", refuse)
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--tol", "-1"), ("--tol", "nan"),
+    ("--extent", "nan"), ("--extent", "inf"), ("--extent", "0"),
+])
+def test_cli_bad_tolerance_or_extent_is_input_error(flag, value, capsys,
+                                                    no_work):
+    code = main(["straighten", "--corpus", "oscillator-scrambled",
+                 flag, value])
+    assert code == EXIT_INPUT
+    assert "must be a positive number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["straighten", "report"])
+def test_cli_no_default_grid_above_dimension_six(tmp_path, capsys, no_work,
+                                                 command):
+    names = ["x1", "x2", "x3", "y1", "y2", "y3", "t"]
+    path = write_manifest(
+        tmp_path,
+        chart={"coordinates": names, "box": [[-1, 1]] * 7},
+        field={"components": ["y1", "y2", "y3", "-x1", "-x2", "-x3", "0"]},
+        frame=[{"components": ["1" if j == i else "0" for j in names]}
+               for i in names[3:6]],
+    )
+    assert main([command, path]) == EXIT_INPUT
+    assert "charts up to dimension 6" in capsys.readouterr().err
+
+
+def test_error_report_names_the_manifest():
+    manifest = load_manifest(inline_manifest(
+        frame=[{"components": ["0", "0"]}],
+    ))
+    report, code = run_command("classify", manifest)
+    assert code == EXIT_MATH_FAIL
+    assert "V frame is not constant full rank" in report["error"]
+    assert report["manifest"]["name"] == "inline"
+    assert report["conventions"]["w_basis"] == "W_i = [F, V_i]"
+
+
+def test_cli_error_summary_names_the_manifest(tmp_path, capsys):
+    path = write_manifest(tmp_path, frame=[{"components": ["0", "0"]}])
+    assert main(["classify", path]) == EXIT_MATH_FAIL
+    assert "sodekit classify: inline" in capsys.readouterr().out
+
+
+def test_check_stops_after_a_noninvolutive_frame():
+    # [dy1, dy2 + y1 dx1] = dx1 leaves the span of V
+    manifest = load_manifest(inline_manifest(
+        chart={"coordinates": ["x1", "x2", "y1", "y2"],
+               "box": [[-1, 1]] * 4},
+        field={"components": ["y1", "y2", "0", "0"]},
+        frame=[{"components": ["0", "0", "1", "0"]},
+               {"components": ["y1", "0", "0", "1"]}],
+    ))
+    report, code = run_command("check", manifest)
+    assert code == EXIT_MATH_FAIL
+    assert list(report["verdicts"]) == ["v_involutive"]
+    assert report["verdicts"]["v_involutive"]["involutive"] is False
+    classified, _ = run_command("classify", manifest)
+    assert classified["analysis"]["verdicts"] == report["verdicts"]
 
 
 def write_manifest(tmp_path, **kw):

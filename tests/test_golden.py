@@ -21,13 +21,13 @@ import numpy as np
 import pytest
 
 from sodekit.corpus import corpus_get, corpus_list
-from sodekit.runner import RUNNERS, report_to_json, run_command
+from sodekit.runner import COMMANDS, report_to_json, run_command
 
 GOLDEN = Path(__file__).parent / "golden"
 FLOAT_TOL = 1e-9
 STENCIL_RESIDUALS = ("max_crosscheck_residual", "max_structural_residual")
 EXIT_CODES = GOLDEN / "exit_codes.json"
-CASES = [(name, command) for name in corpus_list() for command in RUNNERS]
+CASES = [(name, command) for name in corpus_list() for command in COMMANDS]
 
 
 def golden_body(name: str, command: str) -> tuple:
