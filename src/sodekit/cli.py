@@ -6,7 +6,8 @@
     sodekit corpus [--show NAME]
 
 Exit codes: 0 pass, 1 mathematical condition failed, 2 input error,
-3 numeric failure.
+3 numeric failure, 4 internal error (any other exception, reported in one
+line without a traceback).
 """
 
 from __future__ import annotations
@@ -20,7 +21,8 @@ from .expressions import ExpressionError
 from .geometry import GeometryError
 from .manifest import ManifestError
 from .runner import (
-    EXIT_INPUT, COMMANDS, report_to_json, resolve_manifest, run_command,
+    EXIT_INPUT, EXIT_INTERNAL, COMMANDS, report_to_json, resolve_manifest,
+    run_command,
 )
 
 
@@ -107,8 +109,16 @@ def _summarize(report: dict, exit_code: int):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    try:
+        return _run(args)
+    except Exception as err:  # the last resort: a documented code, one line
+        print(f"internal error: {type(err).__name__}: "
+              f"{' '.join(str(err).split())}", file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _run(args) -> int:
     if args.command == "corpus":
         if args.show:
             try:

@@ -7,9 +7,10 @@ grid and extracting the quadratic force.  A command (COMMANDS) names the
 stages it runs, in list order, and its exit rule.
 
 Exit codes: 0 all checks pass, 1 a mathematical condition failed, 2 input
-error, 3 numeric failure.  Reports are deterministic for a fixed manifest
-and seed; wall-clock timings live in their own section, one entry per stage
-run, and are the only nondeterministic entries.
+error, 3 numeric failure; the CLI maps any other exception to 4.  Reports
+are deterministic for a fixed manifest and seed; wall-clock timings live in
+their own section, one entry per stage run, and are the only
+nondeterministic entries.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ EXIT_OK = 0
 EXIT_MATH_FAIL = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+EXIT_INTERNAL = 4
 
 QUADRATIC_EXTRACTION_MAX_DIM = 4
 MAX_GRID_NODES = 100_000

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .expressions import (
     EvalDomainError, Num, ZERO, compile_exprs, differentiate, free_symbols,
@@ -28,6 +27,7 @@ from .expressions import (
 )
 from .geometry import Chart, VectorField
 from . import memo
+from .ode import StepFailure, solve_ivp
 from .analysis import (
     AnalysisError, AnalysisReport, CASE1, CASE2, ExtendedFrame,
 )
@@ -45,8 +45,6 @@ class NumericFailure(RuntimeError):
 class IntegratorSettings:
     rtol: float = 1e-10
     atol: float = 1e-12
-    max_step: float = np.inf
-    method: str = "DOP853"
     box_slack: float = 1.0  # fraction of box width the trajectory may leave
 
 
@@ -93,9 +91,8 @@ def integrate_flow(fld, z, s: float,
             return ev(tuple(state))
 
         try:
-            sol = solve_ivp(rhs, (0.0, s), z, method=settings.method,
-                            rtol=settings.rtol, atol=settings.atol,
-                            max_step=settings.max_step, dense_output=False)
+            sol = solve_ivp(rhs, (0.0, s), z, rtol=settings.rtol,
+                            atol=settings.atol)
         except EvalDomainError as err:
             raise NumericFailure(f"flow hit a domain error: {err}",
                                  last_point=tuple(z)) from err
@@ -142,9 +139,8 @@ def integrate_flow_with_jacobian(fld, z, s: float,
 
         y0 = np.concatenate([z, np.eye(m).ravel()])
         try:
-            sol = solve_ivp(rhs, (0.0, s), y0, method=settings.method,
-                            rtol=settings.rtol, atol=settings.atol,
-                            max_step=settings.max_step)
+            sol = solve_ivp(rhs, (0.0, s), y0, rtol=settings.rtol,
+                            atol=settings.atol)
         except EvalDomainError as err:
             raise NumericFailure(f"variational flow hit a domain error: {err}",
                                  last_point=tuple(z)) from err
@@ -173,27 +169,17 @@ def integrate_flow_with_jacobian(fld, z, s: float,
 # Batched flows: many members of one stage in a single solve_ivp call
 # --------------------------------------------------------------------------
 
-class _MemberErrors(Exception):
-    """Raised inside a batched right-hand side: member index -> domain error."""
-
-    def __init__(self, errors: dict):
-        super().__init__(f"{len(errors)} members hit a domain error")
-        self.errors = errors
-
-
 def integrate_flows(fld, z, s, settings: IntegratorSettings = DEFAULT_SETTINGS,
                     with_jacobian: bool = False,
                     chart: Optional[Chart] = None) -> tuple:
     """`integrate_flow` (or, `with_jacobian`, `integrate_flow_with_jacobian`)
     from each row of z over its own time s[k], all members in one solve_ivp
-    call: the flow of X for time s is the flow of sX for time 1.
+    call with a step size and error control per member.
 
     Returns (ends (K, m), Jacobians (K, m, m) or None, failures), failures
     mapping each failed member to its NumericFailure; a failed member's rows
-    are NaN and do not spoil the others.  rtol and atol are scaled by
-    1/sqrt(K): scipy's error norm is an RMS over all components, so each
-    member's own norm stays within the per-member tolerance.  `chart` adds
-    the box-slack check of `integrate_flow`."""
+    are NaN and do not spoil the others.  `chart` adds the box-slack check
+    of `integrate_flow`."""
     z = np.array(z, dtype=float)
     s = np.asarray(s, dtype=float)
     m = z.shape[1]
@@ -204,7 +190,39 @@ def integrate_flows(fld, z, s, settings: IntegratorSettings = DEFAULT_SETTINGS,
     if const is not None:
         z[moving] = z[moving] + s[moving, None] * const
     elif isinstance(fld, VectorField):
-        _solve_members(fld, z, jac, s, moving, settings, failures)
+        ev = compile_exprs(fld.components, fld.chart.names, vectorized=True)
+        dev = _jacobian_evaluator(fld, vectorized=True) \
+            if with_jacobian else None
+        what = "variational flow" if with_jacobian else "flow"
+
+        def rhs(_t, y):
+            points = y[:, :m].T
+            f, errors = ev(points)
+            if dev is not None:
+                D, d_errors = dev(points)
+                errors = {**d_errors, **errors}
+            if errors:  # the integrator drops these members and the values
+                return None, errors
+            out = np.empty_like(y)
+            out[:, :m] = f.T
+            if dev is not None:
+                D = D.reshape(m, m, len(y)).transpose(2, 0, 1)
+                out[:, m:] = (D @ y[:, m:].reshape(-1, m, m)).reshape(
+                    len(y), -1)
+            return out, errors
+
+        y0 = z[moving] if jac is None else np.hstack(
+            [z[moving], jac[moving].reshape(len(moving), m * m)])
+        sol = solve_ivp(rhs, (0.0, s[moving]), y0, rtol=settings.rtol,
+                        atol=settings.atol)
+        z[moving] = sol.y[:, :m]
+        if jac is not None:
+            jac[moving] = sol.y[:, m:].reshape(len(moving), m, m)
+        for i, err in sol.failures.items():
+            failures[int(moving[i])] = NumericFailure(
+                f"{what} failed: {err}" if isinstance(err, StepFailure)
+                else f"{what} hit a domain error: {err}",
+                last_point=tuple(sol.y[i, :m]))
     else:  # a callable field has no vectorized evaluator
         for k in moving:
             try:
@@ -227,70 +245,6 @@ def integrate_flows(fld, z, s, settings: IntegratorSettings = DEFAULT_SETTINGS,
         if jac is not None:
             jac[k] = np.nan
     return z, jac, failures
-
-
-def _solve_members(fld: VectorField, z, jac, s, members, settings,
-                   failures: dict):
-    """Integrate the given members of z (and jac) in place, together."""
-    m = z.shape[1]
-    ev = compile_exprs(fld.components, fld.chart.names, vectorized=True)
-    dev = _jacobian_evaluator(fld, vectorized=True) if jac is not None \
-        else None
-    what = "flow" if jac is None else "variational flow"
-    while members.size:
-        K = members.size
-        scale = s[members]
-
-        def rhs(_t, y):
-            state = y.reshape(K, -1)
-            points = state[:, :m].T
-            f, errors = ev(points)
-            if dev is not None:
-                D, d_errors = dev(points)
-                errors = {**d_errors, **errors}
-            if errors:
-                raise _MemberErrors(errors)
-            out = np.empty_like(state)
-            out[:, :m] = scale[:, None] * f.T
-            if dev is not None:
-                D = D.reshape(m, m, K).transpose(2, 0, 1)
-                out[:, m:] = (scale[:, None, None] * (
-                    D @ state[:, m:].reshape(K, m, m))).reshape(K, -1)
-            return out.ravel()
-
-        y0 = z[members] if jac is None else np.hstack(
-            [z[members], jac[members].reshape(K, m * m)])
-        shrink = np.sqrt(K)
-        try:
-            sol = solve_ivp(rhs, (0.0, 1.0), y0.ravel(), method=settings.method,
-                            rtol=settings.rtol / shrink,
-                            atol=settings.atol / shrink,
-                            max_step=settings.max_step / np.max(np.abs(scale)))
-        except _MemberErrors as err:
-            for i, e in err.errors.items():
-                k = int(members[i])
-                failures[k] = NumericFailure(f"{what} hit a domain error: {e}",
-                                             last_point=tuple(z[k]))
-            members = np.delete(members, list(err.errors))
-            continue
-        if not sol.success and K > 1:
-            # the batch cannot tell which member failed: solve each alone
-            for k in members:
-                _solve_members(fld, z, jac, s, np.array([k]), settings,
-                               failures)
-            return
-        end = sol.y[:, -1].reshape(K, -1)
-        if not sol.success:
-            k = int(members[0])
-            failures[k] = NumericFailure(
-                ("flow integration failed: " if jac is None
-                 else "variational flow failed: ") + sol.message,
-                last_point=tuple(end[0, :m]))
-            return
-        z[members] = end[:, :m]
-        if jac is not None:
-            jac[members] = end[:, m:].reshape(K, m, m)
-        return
 
 
 def _field_values(fld, z) -> tuple:
@@ -454,8 +408,8 @@ def solve_basis_ode(bc, section: CrossSection, vbasis: Sequence[VectorField],
                 return np.concatenate([np.array(f), dA.ravel()])
 
             y0 = np.concatenate([z, A.ravel()])
-            sol = solve_ivp(rhs, (0.0, y[l]), y0, method=settings.method,
-                            rtol=settings.rtol, atol=settings.atol)
+            sol = solve_ivp(rhs, (0.0, y[l]), y0, rtol=settings.rtol,
+                            atol=settings.atol)
             if not sol.success:
                 raise NumericFailure(
                     f"basis transport failed: {sol.message}",
@@ -519,8 +473,8 @@ class CoordinateTransform:
     are the same in any order.  Not safe to share between threads.
 
     `map_batch`, `invert` and `field_in_final_chart` work on stacks of
-    parameter rows, every flow stage of all rows in one solve_ivp call; a
-    row that fails is flagged alone and leaves the others as they are."""
+    parameter rows, every flow stage of all rows in one solve_ivp call; each
+    row steps as it would alone, and a row that fails is flagged alone."""
 
     def __init__(self, report: AnalysisReport, ef: ExtendedFrame,
                  z0, stages: Sequence[Stage],
@@ -740,14 +694,20 @@ class CoordinateTransform:
                             [failures.get(k) for k in range(K)])
 
     def jacobian_fd(self, params, h: float = 1e-5) -> np.ndarray:
-        J = np.empty((self.m, self.m))
-        for a in range(self.m):
-            up = np.array(params, float)
-            dn = np.array(params, float)
-            up[a] += h
-            dn[a] -= h
-            J[:, a] = (self.map_params(up) - self.map_params(dn)) / (2 * h)
-        return J
+        """Central differences of `map_params`, the 2m shifted parameter rows
+        integrated together: one solve_ivp call per flow stage."""
+        params = np.asarray(params, dtype=float)
+        shift = h * np.eye(self.m)
+        rows = np.stack([params + shift, params - shift], axis=1).reshape(
+            2 * self.m, self.m)
+        z = np.tile(self.z0, (len(rows), 1))
+        for k, st in enumerate(self.stages):
+            z, _, failures = integrate_flows(st.fld, z, rows[:, k],
+                                             self.settings, chart=self.chart)
+            if failures:
+                raise failures[min(failures)]
+        z = z.reshape(self.m, 2, self.m)
+        return (z[:, 0] - z[:, 1]).T / (2 * h)
 
 
 def _tilt_to_locus(fld: VectorField, b_exprs, vbasis) -> VectorField:
@@ -918,39 +878,41 @@ def pushforward_residuals(transform: CoordinateTransform,
         1.0 if name == "t1" and transform.case == CASE2 else 0.0
         for name in transform.param_names[:tc]
     ])
-    # the cross-check reuses the condition numbers of its strided nodes
-    stride = max(1, len(nodes) // crosscheck_cap)
-    strided_conds = []
-    t_residuals = []
-    flagged = 0
+    # prefix-shared maps node by node, then the linear algebra of all nodes
+    # at once; a node that fails or is ill-conditioned is flagged
+    live, points, jacobians, values = [], [], [], []
     for i, node in enumerate(nodes):
         try:
-            v, cond = transform.pushforward_components(node)
+            z, J = transform.map_with_jacobian(node)
         except NumericFailure:
-            flagged += 1
-            cond = None
-        if i % stride == 0:
-            strided_conds.append(cond)
-        if cond is None:
             continue
-        if cond > cond_limit:
-            flagged += 1
-            continue
-        if tc:
-            t_residuals.append(float(np.max(np.abs(v[:tc] - expected_t))))
-        else:
-            t_residuals.append(0.0)
-    if not t_residuals:
+        live.append(i)
+        points.append(z)
+        jacobians.append(J)
+        values.append(transform.F.at(z))
+    cond = np.full(len(nodes), np.nan)
+    if live:
+        J = np.array(jacobians)
+        v, singular = _solve_each(J, np.array(values),
+                                  "singular Jacobian in pushforward", points)
+        cond[live] = np.linalg.cond(J)
+        cond[[live[k] for k in singular]] = np.nan
+    ok = cond <= cond_limit
+    if not ok.any():
         raise NumericFailure("every grid node was flagged or failed")
-    # independent cross-check on a subsample, its stencils solved together
-    checked_nodes = [node for node, cond in zip(nodes[::stride], strided_conds)
-                     if cond is not None and cond <= cond_limit]
+    v = v[ok[live]]
+    t_arr = (np.max(np.abs(v[:, :tc] - expected_t), axis=1) if tc
+             else np.zeros(len(v)))
+    # independent cross-check on every stride-th node that is not flagged,
+    # its stencils solved together
+    stride = max(1, len(nodes) // crosscheck_cap)
+    checked_nodes = nodes[::stride][ok[::stride]]
     max_cross = 0.0
     max_jgap = 0.0
     checked = 0
     try:
-        batch = transform.field_in_final_chart(np.array(checked_nodes)) \
-            if checked_nodes else None
+        batch = transform.field_in_final_chart(checked_nodes) \
+            if len(checked_nodes) else None
     except NumericFailure:
         batch = None
     for k, node in enumerate(checked_nodes if batch is not None else ()):
@@ -970,21 +932,20 @@ def pushforward_residuals(transform: CoordinateTransform,
         max_jgap = max(max_jgap, float(np.max(np.abs(Jv - Jf))) / scale)
         checked += 1
     fibre_sv = transform.fibre_jacobian_min_sv(np.zeros(m))
-    t_arr = np.array(t_residuals)
     # for m = 2n there is no t-block; the stencil cross-check is then the
     # substantive structural residual
     structural = max(float(np.max(t_arr)), max_cross)
     return ResidualReport(
         grid_shape=tuple([g] * m),
         extent=[float(ext)] * m,
-        node_count=len(t_residuals),
+        node_count=len(t_arr),
         max_t_residual=float(np.max(t_arr)),
         median_t_residual=float(np.median(t_arr)),
         max_structural_residual=structural,
         crosscheck_nodes=checked,
         max_crosscheck_residual=max_cross,
         max_jacobian_gap=max_jgap,
-        flagged_nodes=flagged,
+        flagged_nodes=len(nodes) - len(t_arr),
         fibre_min_sv=fibre_sv,
     )
 

@@ -357,3 +357,16 @@ def test_cli_deeply_nested_expression_is_input_error(tmp_path, capsys):
     path = write_manifest(tmp_path, field={"components": ["y", deep]})
     assert main(["straighten", path]) == EXIT_INPUT
     assert "nested deeper than 100 levels" in capsys.readouterr().err
+
+
+def test_cli_maps_an_unexpected_exception_to_exit_4(monkeypatch, capsys):
+    import sodekit.runner as runner
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("stage broke\nin two lines")
+
+    monkeypatch.setattr(runner, "pushforward_residuals", broken)
+    assert main(["straighten", "--corpus", "quadratic-demo"]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: stage broke in two lines\n"
+    assert "Traceback" not in err

@@ -491,3 +491,25 @@ def test_extraction_integrates_each_stage_once_per_newton_step(monkeypatch):
     assert len(out["per_base_node"]) == 9
     newton_iterations = len(maps) - 1     # the first map is the nodes' own
     assert 0 < len(solves) <= (newton_iterations + 2) * len(tr.stages)
+
+
+def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
+    tr = timedep_transform()
+    node = np.array([0.15, -0.2, 0.1])
+    h = 1e-5
+    want = np.array([(tr.map_params(node + h * e) - tr.map_params(node - h * e))
+                     / (2 * h) for e in np.eye(tr.m)]).T
+    members = []
+    real = straighten.solve_ivp
+
+    def counting(fun, t_span, y0, **kwargs):
+        members.append(len(y0))
+        return real(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(straighten, "solve_ivp", counting)
+    got = tr.jacobian_fd(node)
+    assert 0 < len(members) <= len(tr.stages)
+    assert members == [2 * tr.m] * len(members)
+    assert np.max(np.abs(got - want)) < 1e-9
+    _, Jv = tr.map_with_jacobian(node)
+    assert np.max(np.abs(got - Jv)) < 1e-8
