@@ -21,9 +21,8 @@ from .analysis import (  # noqa: F401
     mixed_curvature, nijenhuis_check, verify_bracket_integrability,
 )
 from .straighten import (  # noqa: F401
-    CoordinateTransform, IntegratorSettings, NumericFailure,
-    build_normal_coordinates, integrate_flow, pushforward_residuals,
-    solve_basis_ode,
+    CoordinateTransform, NumericFailure, build_normal_coordinates,
+    integrate_flows, pushforward_residuals, solve_basis_ode,
 )
 from .manifest import Manifest, ManifestError, load_manifest  # noqa: F401
 from .corpus import corpus_get, corpus_list  # noqa: F401

@@ -10,13 +10,16 @@ solving for it.  Fibre coordinates are finally redefined as the x-components
 of the pushed-forward field, which forces the xdot = y block by construction
 and leaves the t-block and chart validity as the substantive checks.
 
-Jacobians of flow compositions are propagated by variational equations;
-central finite differences serve as a cross-check only.
+Jacobians of flow compositions are propagated by variational equations
+(a numerically transported fibre field, which has no symbolic Jacobian, is
+differenced instead); central finite differences of the whole map serve as
+a cross-check.  Every flow is integrated by `integrate_flows`, many members
+of one stage per solve_ivp call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -41,30 +44,34 @@ class NumericFailure(RuntimeError):
         self.last_point = last_point
 
 
-@dataclass
-class IntegratorSettings:
-    rtol: float = 1e-10
-    atol: float = 1e-12
-    box_slack: float = 1.0  # fraction of box width the trajectory may leave
+# Integrator tolerances, and the fraction of the box width by which a guarded
+# flow may leave the box.
+RTOL = 1e-10
+ATOL = 1e-12
+BOX_SLACK = 1.0
+# Central-difference steps: of a callable field's flow map, and of the
+# transform (the Jacobian cross-check and the fibre check).
+FLOW_FD_STEP = 1e-6
+FD_STEP = 1e-5
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
+STENCIL_STEP = 1e-2
+COND_LIMIT = 1e8          # a larger condition number flags a grid node
+CROSSCHECK_CAP = 12       # about this many grid nodes are cross-checked
+PATH_CHECK_TOL = 1e-7     # basis transport: gap between the two flow orders
+QUADRATIC_GRID = 5        # fibre nodes per axis of the quadratic fit
 
 
-DEFAULT_SETTINGS = IntegratorSettings()
-
-
-def _component_evaluator(fld) -> Callable:
-    if isinstance(fld, VectorField):
-        return fld.evaluator()
-    return fld  # already a callable point -> components
-
-
-def _jacobian_evaluator(fld: VectorField, vectorized: bool = False):
-    """Compiled Jacobian of the field, row-major."""
+def _variational_evaluator(fld: VectorField):
+    """Compiled vectorized components of the field followed by its Jacobian,
+    row-major: the right-hand side of the variational equations."""
     names = fld.chart.names
-    key = ("jacobian", fld.components, names, vectorized)
+    key = ("variational", fld.components, names)
     hit = memo.get(key)
     return hit if hit is not None else memo.put(key, compile_exprs(
-        [differentiate(c, n) for c in fld.components for n in names], names,
-        vectorized))
+        list(fld.components)
+        + [differentiate(c, n) for c in fld.components for n in names],
+        names, vectorized=True))
 
 
 def _is_constant_field(fld) -> Optional[np.ndarray]:
@@ -74,169 +81,120 @@ def _is_constant_field(fld) -> Optional[np.ndarray]:
     return None
 
 
-def integrate_flow(fld, z, s: float,
-                   settings: IntegratorSettings = DEFAULT_SETTINGS,
-                   chart: Optional[Chart] = None) -> np.ndarray:
-    """Endpoint of the flow of `fld` from z over parameter time s."""
-    z = np.asarray(z, dtype=float)
-    if s == 0.0:
-        return z.copy()
-    const = _is_constant_field(fld)
-    if const is not None:
-        end = z + s * const
-    else:
-        ev = _component_evaluator(fld)
-
-        def rhs(_t, state):
-            return ev(tuple(state))
-
-        try:
-            sol = solve_ivp(rhs, (0.0, s), z, rtol=settings.rtol,
-                            atol=settings.atol)
-        except EvalDomainError as err:
-            raise NumericFailure(f"flow hit a domain error: {err}",
-                                 last_point=tuple(z)) from err
-        if not sol.success:
-            raise NumericFailure(f"flow integration failed: {sol.message}",
-                                 last_point=tuple(sol.y[:, -1]))
-        end = sol.y[:, -1]
-    if chart is not None and not _within_slack(end, chart, settings.box_slack):
-        raise NumericFailure(
-            "flow left the sampling box (beyond the allowed slack)",
-            last_point=tuple(end),
-        )
-    return end
-
-
-def _within_slack(point, chart: Chart, slack_fraction: float) -> bool:
+def _within_slack(point, chart: Chart) -> bool:
     for x, (lo, hi) in zip(point, chart.box):
-        pad = slack_fraction * (hi - lo)
+        pad = BOX_SLACK * (hi - lo)
         if not (lo - pad <= x <= hi + pad):
             return False
     return True
 
 
-def integrate_flow_with_jacobian(fld, z, s: float,
-                                 settings: IntegratorSettings = DEFAULT_SETTINGS):
-    """Endpoint and flow-map Jacobian, via the variational equations."""
-    z = np.asarray(z, dtype=float)
-    m = z.size
-    if s == 0.0:
-        return z.copy(), np.eye(m)
-    const = _is_constant_field(fld)
-    if const is not None:
-        return z + s * const, np.eye(m)
+def _row_evaluator(fld) -> Callable:
+    """The stage field on stacked points: rows (K, m) -> (values (K, m),
+    errors), errors mapping a row to the exception it hit.  A callable field
+    (numeric adaptation) is called row by row."""
     if isinstance(fld, VectorField):
-        ev = fld.evaluator()
-        jac = _jacobian_evaluator(fld)
+        ev = compile_exprs(fld.components, fld.chart.names, vectorized=True)
 
-        def rhs(_t, state):
-            point = tuple(state[:m])
-            f = ev(point)
-            J = np.array(jac(point), dtype=float).reshape(m, m)
-            dJ = J @ state[m:].reshape(m, m)
-            return np.concatenate([np.array(f), dJ.ravel()])
+        def rows(z):
+            values, errors = ev(z.T)
+            return values.T, errors
+        return rows
 
-        y0 = np.concatenate([z, np.eye(m).ravel()])
-        try:
-            sol = solve_ivp(rhs, (0.0, s), y0, rtol=settings.rtol,
-                            atol=settings.atol)
-        except EvalDomainError as err:
-            raise NumericFailure(f"variational flow hit a domain error: {err}",
-                                 last_point=tuple(z)) from err
-        if not sol.success:
-            raise NumericFailure(
-                f"variational flow failed: {sol.message}",
-                last_point=tuple(sol.y[:m, -1]),
-            )
-        end = sol.y[:, -1]
-        return end[:m], end[m:].reshape(m, m)
-    # callable field without symbolic jacobian: difference the flow map
-    end = integrate_flow(fld, z, s, settings)
-    J = np.empty((m, m))
-    h = 1e-6
-    for a in range(m):
-        zp = z.copy()
-        zm = z.copy()
-        zp[a] += h
-        zm[a] -= h
-        J[:, a] = (integrate_flow(fld, zp, s, settings)
-                   - integrate_flow(fld, zm, s, settings)) / (2 * h)
-    return end, J
+    def rows(z):
+        values = np.full_like(z, np.nan)
+        errors = {}
+        for k, point in enumerate(z):
+            try:
+                values[k] = fld(tuple(point))
+            except (NumericFailure, EvalDomainError) as err:
+                errors[k] = err
+        return values, errors
+    return rows
 
 
 # --------------------------------------------------------------------------
-# Batched flows: many members of one stage in a single solve_ivp call
+# Flows: many members of one stage in a single solve_ivp call
 # --------------------------------------------------------------------------
 
-def integrate_flows(fld, z, s, settings: IntegratorSettings = DEFAULT_SETTINGS,
-                    with_jacobian: bool = False,
+def integrate_flows(fld, z, s, with_jacobian: bool = False,
                     chart: Optional[Chart] = None) -> tuple:
-    """`integrate_flow` (or, `with_jacobian`, `integrate_flow_with_jacobian`)
-    from each row of z over its own time s[k], all members in one solve_ivp
-    call with a step size and error control per member.
+    """Endpoint of the flow of `fld` from each row of z over its own time
+    s[k], all members in one solve_ivp call with a step size and error
+    control per member; `with_jacobian` adds the Jacobian of each flow map.
 
-    Returns (ends (K, m), Jacobians (K, m, m) or None, failures), failures
-    mapping each failed member to its NumericFailure; a failed member's rows
-    are NaN and do not spoil the others.  `chart` adds the box-slack check
-    of `integrate_flow`."""
+    A VectorField's Jacobian comes from the variational equations.  A
+    callable field has none: its Jacobian is the central difference of the
+    flow map, the 2m shifted starts of each member integrated in the same
+    batch.  Returns (ends (K, m), Jacobians (K, m, m) or None, failures),
+    failures mapping each failed member to its NumericFailure; a failed
+    member's rows are NaN and do not spoil the others.  `chart` also fails a
+    member whose end leaves the box by more than BOX_SLACK of its width."""
     z = np.array(z, dtype=float)
     s = np.asarray(s, dtype=float)
-    m = z.shape[1]
-    jac = np.tile(np.eye(m), (len(z), 1, 1)) if with_jacobian else None
+    K, m = z.shape
+    jac = np.tile(np.eye(m), (K, 1, 1)) if with_jacobian else None
     failures: dict = {}
     moving = np.flatnonzero(s != 0.0)
     const = _is_constant_field(fld)
     if const is not None:
         z[moving] = z[moving] + s[moving, None] * const
-    elif isinstance(fld, VectorField):
-        ev = compile_exprs(fld.components, fld.chart.names, vectorized=True)
-        dev = _jacobian_evaluator(fld, vectorized=True) \
-            if with_jacobian else None
-        what = "variational flow" if with_jacobian else "flow"
+    elif moving.size:
+        variational = with_jacobian and isinstance(fld, VectorField)
+        differenced = with_jacobian and not variational
+        count = len(moving)
+        y0, times = z[moving], s[moving]
+        if variational:
+            y0 = np.hstack([y0, jac[moving].reshape(count, m * m)])
+        elif differenced:  # member k's shifted starts: +h e_a, -h e_a, ...
+            shifted = np.repeat(y0[:, None], 2 * m, axis=1)
+            axes = np.arange(m)
+            shifted[:, 2 * axes, axes] += FLOW_FD_STEP
+            shifted[:, 2 * axes + 1, axes] -= FLOW_FD_STEP
+            y0 = np.vstack([y0, shifted.reshape(count * 2 * m, m)])
+            times = np.concatenate([times, np.repeat(times, 2 * m)])
 
-        def rhs(_t, y):
-            points = y[:, :m].T
-            f, errors = ev(points)
-            if dev is not None:
-                D, d_errors = dev(points)
-                errors = {**d_errors, **errors}
-            if errors:  # the integrator drops these members and the values
-                return None, errors
-            out = np.empty_like(y)
-            out[:, :m] = f.T
-            if dev is not None:
-                D = D.reshape(m, m, len(y)).transpose(2, 0, 1)
+        if variational:
+            ev = _variational_evaluator(fld)
+
+            def rhs(_t, y):
+                values, errors = ev(y[:, :m].T)
+                if errors:  # the integrator drops these members
+                    return None, errors
+                out = np.empty_like(y)
+                out[:, :m] = values[:m].T
+                D = values[m:].reshape(m, m, len(y)).transpose(2, 0, 1)
                 out[:, m:] = (D @ y[:, m:].reshape(-1, m, m)).reshape(
                     len(y), -1)
-            return out, errors
+                return out, errors
+        else:
+            rows = _row_evaluator(fld)
 
-        y0 = z[moving] if jac is None else np.hstack(
-            [z[moving], jac[moving].reshape(len(moving), m * m)])
-        sol = solve_ivp(rhs, (0.0, s[moving]), y0, rtol=settings.rtol,
-                        atol=settings.atol)
-        z[moving] = sol.y[:, :m]
-        if jac is not None:
-            jac[moving] = sol.y[:, m:].reshape(len(moving), m, m)
-        for i, err in sol.failures.items():
-            failures[int(moving[i])] = NumericFailure(
-                f"{what} failed: {err}" if isinstance(err, StepFailure)
-                else f"{what} hit a domain error: {err}",
-                last_point=tuple(sol.y[i, :m]))
-    else:  # a callable field has no vectorized evaluator
-        for k in moving:
-            try:
-                if with_jacobian:
-                    z[k], jac[k] = integrate_flow_with_jacobian(
-                        fld, z[k], s[k], settings)
-                else:
-                    z[k] = integrate_flow(fld, z[k], s[k], settings)
-            except NumericFailure as err:
-                failures[int(k)] = err
+            def rhs(_t, y):
+                f, errors = rows(y)
+                return (None if errors else f), errors
+
+        sol = solve_ivp(rhs, (0.0, times), y0, rtol=RTOL, atol=ATOL)
+        what = "variational flow" if variational else "flow"
+        for i in sorted(sol.failures):   # a member before its shifted starts
+            err = sol.failures[i]
+            if not isinstance(err, NumericFailure):
+                err = NumericFailure(
+                    f"{what} failed: {err}" if isinstance(err, StepFailure)
+                    else f"{what} hit a domain error: {err}",
+                    last_point=tuple(sol.y[i, :m]))
+            owner = i if i < count else (i - count) // (2 * m)
+            failures.setdefault(int(moving[owner]), err)
+        z[moving] = sol.y[:count, :m]
+        if variational:
+            jac[moving] = sol.y[:, m:].reshape(count, m, m)
+        elif differenced:
+            ends = sol.y[count:].reshape(count, m, 2, m)
+            jac[moving] = (ends[:, :, 0] - ends[:, :, 1]).transpose(
+                0, 2, 1) / (2 * FLOW_FD_STEP)
     if chart is not None:
         for k in moving:
-            if k not in failures and not _within_slack(z[k], chart,
-                                                       settings.box_slack):
+            if k not in failures and not _within_slack(z[k], chart):
                 failures[int(k)] = NumericFailure(
                     "flow left the sampling box (beyond the allowed slack)",
                     last_point=tuple(z[k]))
@@ -249,24 +207,11 @@ def integrate_flows(fld, z, s, settings: IntegratorSettings = DEFAULT_SETTINGS,
 
 def _field_values(fld, z) -> tuple:
     """Values of a stage field at each row of z: (values (K, m), failures)."""
-    if isinstance(fld, VectorField):
-        values, errors = compile_exprs(fld.components, fld.chart.names,
-                                       vectorized=True)(z.T)
-        return values.T, {
-            k: NumericFailure(f"field hit a domain error: {e}",
-                              last_point=tuple(z[k]))
-            for k, e in errors.items()}
-    values = np.full_like(z, np.nan)
-    failures = {}
-    for k, point in enumerate(z):
-        try:
-            values[k] = fld(tuple(point))
-        except NumericFailure as err:
-            failures[k] = err
-        except EvalDomainError as err:
-            failures[k] = NumericFailure(f"field hit a domain error: {err}",
-                                         last_point=tuple(point))
-    return values, failures
+    values, errors = _row_evaluator(fld)(z)
+    return values, {
+        k: err if isinstance(err, NumericFailure) else NumericFailure(
+            f"field hit a domain error: {err}", last_point=tuple(z[k]))
+        for k, err in errors.items()}
 
 
 def _solve_each(A, b, message: str, points) -> tuple:
@@ -327,9 +272,8 @@ def default_cross_section(ef: ExtendedFrame) -> CrossSection:
                         directions=_completion_directions(ef.vbasis, z0))
 
 
-def solve_basis_ode(bc, section: CrossSection, vbasis: Sequence[VectorField],
-                    settings: IntegratorSettings = DEFAULT_SETTINGS,
-                    path_check_tol: float = 1e-7) -> Callable:
+def solve_basis_ode(bc, section: CrossSection,
+                    vbasis: Sequence[VectorField]) -> Callable:
     """Numeric matrix A(z) with V_l(A^k_j) + A^m_j w^k_lm = 0 and A = id on
     the cross-section.
 
@@ -359,10 +303,14 @@ def solve_basis_ode(bc, section: CrossSection, vbasis: Sequence[VectorField],
         z = z0 + dirs @ s
         J = dirs.copy()  # d z / d s
         Jy = np.zeros((m, n))
-        for pos, l in enumerate(order):
-            z, Jf = integrate_flow_with_jacobian(vbasis[l], z, y[l], settings)
-            J = Jf @ J
-            Jy = Jf @ Jy
+        for l in order:
+            ends, Jf, failures = integrate_flows(vbasis[l], z[None], [y[l]],
+                                                 with_jacobian=True)
+            if failures:
+                raise failures[0]
+            z = ends[0]
+            J = Jf[0] @ J
+            Jy = Jf[0] @ Jy
             Jy[:, l] = np.array(v_evals[l](tuple(z)))
         return z, np.hstack([J, Jy])
 
@@ -408,8 +356,7 @@ def solve_basis_ode(bc, section: CrossSection, vbasis: Sequence[VectorField],
                 return np.concatenate([np.array(f), dA.ravel()])
 
             y0 = np.concatenate([z, A.ravel()])
-            sol = solve_ivp(rhs, (0.0, y[l]), y0, rtol=settings.rtol,
-                            atol=settings.atol)
+            sol = solve_ivp(rhs, (0.0, y[l]), y0, rtol=RTOL, atol=ATOL)
             if not sol.success:
                 raise NumericFailure(
                     f"basis transport failed: {sol.message}",
@@ -431,7 +378,7 @@ def solve_basis_ode(bc, section: CrossSection, vbasis: Sequence[VectorField],
         if not checked["done"] and n > 1:
             A_rev = transport(z_target, list(reversed(range(n))))
             gap = float(np.max(np.abs(A - A_rev)))
-            if gap > path_check_tol:
+            if gap > PATH_CHECK_TOL:
                 raise NumericFailure(
                     f"basis transport is path dependent (gap {gap:.2e}); "
                     "integrability identities are not holding numerically"
@@ -467,34 +414,31 @@ class CoordinateTransform:
     After the forward map, fibre coordinates are redefined as the
     x-components of the pushed-forward field (`final_coords`).
 
-    `map_with_jacobian` keeps the state (s_k, z_k, J_k) after each stage of
-    its last evaluation and resumes after the longest leading run of equal
-    parameters, so grid nodes in C order share their inner flows; results
-    are the same in any order.  Not safe to share between threads.
-
-    `map_batch`, `invert` and `field_in_final_chart` work on stacks of
-    parameter rows, every flow stage of all rows in one solve_ivp call; each
-    row steps as it would alone, and a row that fails is flagged alone."""
+    Every map works on stacks of parameter rows, each flow stage of all rows
+    in one solve_ivp call; each row steps as it would alone, and a row that
+    fails is flagged alone.  `map_grid` walks a grid by parameter prefix so
+    that nodes share their inner flows.  A transform keeps no state after
+    construction, so threads may share one."""
 
     def __init__(self, report: AnalysisReport, ef: ExtendedFrame,
-                 z0, stages: Sequence[Stage],
-                 settings: IntegratorSettings = DEFAULT_SETTINGS):
+                 z0, stages: Sequence[Stage]):
         self.chart = ef.chart
         self.F = ef.problem.F
         self.case = report.classification
         self.z0 = np.asarray(z0, dtype=float)
         self.stages = list(stages)
-        self.settings = settings
         self.m = self.chart.dim
         self.n = ef.n
         if len(self.stages) != self.m:
             raise AnalysisError("need exactly one stage per coordinate")
         self.param_names = [st.label for st in self.stages]
         self.t_count = self.m - 2 * self.n
-        self._stage_state: list = []
-        _, J0 = self.map_with_jacobian(np.zeros(self.m))
-        self.base_condition = float(np.linalg.cond(J0))
-        if not np.isfinite(self.base_condition) or self.base_condition > 1e8:
+        _, J0, failures = self.map_batch(np.zeros((1, self.m)))
+        if failures:
+            raise failures[0]
+        self.base_condition = float(np.linalg.cond(J0[0]))
+        if not np.isfinite(self.base_condition) or \
+                self.base_condition > COND_LIMIT:
             raise NumericFailure(
                 f"transform Jacobian is singular at the base point "
                 f"(condition {self.base_condition:.2e})"
@@ -513,57 +457,64 @@ class CoordinateTransform:
             "base_condition_number": self.base_condition,
         }
 
-    def map_params(self, params) -> np.ndarray:
-        z = self.z0.copy()
-        for st, s in zip(self.stages, params):
-            z = integrate_flow(st.fld, z, float(s), self.settings, self.chart)
-        return z
-
-    def map_with_jacobian(self, params):
-        params = [float(s) for s in params]
-        state = self._stage_state
-        k = 0
-        while k < len(state) and state[k][0] == params[k]:
-            k += 1
-        del state[k:]
-        z, J = state[-1][1:] if state else (self.z0, np.zeros((self.m, 0)))
-        for st, s in zip(self.stages[k:], params[k:]):
-            z, Jf = integrate_flow_with_jacobian(st.fld, z, s, self.settings)
-            J = Jf @ J if J.size else J
-            ev = _component_evaluator(st.fld)
-            col = np.array(ev(tuple(z)), dtype=float).reshape(self.m, 1)
-            J = np.hstack([J, col]) if J.size else col
-            state.append((s, z, J))
-        return z.copy(), J.copy()
+    def _stage(self, k: int, z, J, s, guard: bool = False) -> tuple:
+        """Stage k from each row: the flow from z over s, J composed with the
+        flow's Jacobian and the stage field's column appended:
+        (z (K, m), J (K, m, k + 1), failures)."""
+        fld = self.stages[k].fld
+        z, Jf, failures = integrate_flows(
+            fld, z, s, with_jacobian=True, chart=self.chart if guard else None)
+        col, col_failures = _field_values(fld, z)
+        return (z, np.concatenate([Jf @ J, col[:, :, None]], axis=2),
+                {**col_failures, **failures})
 
     def map_batch(self, params, guard: bool = False) -> tuple:
-        """`map_with_jacobian` of each row of params, every stage integrated
-        for all rows together: (z (K, m), J (K, m, m), failures).  `guard`
-        adds the box-slack check of `map_params` after each stage."""
+        """Point and Jacobian of each row of params: (z (K, m), J (K, m, m),
+        failures), the rows of a failed member NaN.  `guard` fails a row whose
+        flow leaves the box by more than BOX_SLACK after any stage."""
         params = np.asarray(params, dtype=float)
         K, m = params.shape
-        z = np.tile(self.z0, (K, 1))
-        J = np.zeros((K, m, 0))
+        z = np.full((K, m), np.nan)
+        J = np.full((K, m, m), np.nan)
         failures: dict = {}
         live = np.arange(K)
-        for k, st in enumerate(self.stages):
-            zk, Jf, errs = integrate_flows(
-                st.fld, z[live], params[live, k], self.settings,
-                with_jacobian=True, chart=self.chart if guard else None)
-            col, col_errs = _field_values(st.fld, zk)
-            grown = np.full((K, m, k + 1), np.nan)
-            grown[live, :, :k] = Jf @ J[live]
-            grown[live, :, k] = col
-            z[live] = zk
-            J = grown
-            live, = _keep_live({**col_errs, **errs}, live, failures)
-        dead = list(failures)
-        z[dead] = np.nan
-        J[dead] = np.nan
+        zl, Jl = np.tile(self.z0, (K, 1)), np.zeros((K, m, 0))
+        for k in range(m):
+            zl, Jl, errs = self._stage(k, zl, Jl, params[live, k], guard)
+            live, zl, Jl = _keep_live(errs, live, failures, zl, Jl)
+        z[live] = zl
+        J[live] = Jl
         return z, J, failures
 
-    def invert(self, z_targets, guesses, tol: float = 1e-10,
-               max_iter: int = 50) -> tuple:
+    def map_grid(self, axis) -> tuple:
+        """`map_batch` of every node of the grid axis^m, in C order, walked by
+        parameter prefix: stage k integrates each distinct prefix of length
+        k + 1 once, one solve_ivp call holding the g = len(axis) children of
+        one prefix.  A prefix that fails flags all its nodes."""
+        axis = np.asarray(axis, dtype=float)
+        g, m = len(axis), self.m
+        z = np.full((g ** m, m), np.nan)
+        J = np.full((g ** m, m, m), np.nan)
+        failures: dict = {}
+
+        def walk(k, prefix, zp, Jp):
+            zk, Jk, errs = self._stage(k, np.repeat(zp[None], g, axis=0),
+                                       np.repeat(Jp[None], g, axis=0), axis)
+            span = g ** (m - 1 - k)
+            for i in range(g):
+                first = (prefix * g + i) * span
+                if i in errs:
+                    failures.update(dict.fromkeys(range(first, first + span),
+                                                  errs[i]))
+                elif k + 1 < m:
+                    walk(k + 1, prefix * g + i, zk[i], Jk[i])
+                else:
+                    z[first], J[first] = zk[i], Jk[i]
+
+        walk(0, 0, self.z0, np.zeros((m, 0)))
+        return z, J, failures
+
+    def invert(self, z_targets, guesses) -> tuple:
         """Newton inversion of the map for each row of z_targets, all members
         stepping together and converged members dropping out:
         (params, z, J, failures) with z, J the map at the returned params."""
@@ -573,13 +524,13 @@ class CoordinateTransform:
         J = np.full((len(params), self.m, self.m), np.nan)
         failures: dict = {}
         live = np.arange(len(params))
-        for _ in range(max_iter):
+        for _ in range(NEWTON_MAX_ITER):
             if not live.size:
                 break
             zl, Jl, errs = self.map_batch(params[live])
             live, zl, Jl = _keep_live(errs, live, failures, zl, Jl)
             r = zl - targets[live]
-            done = np.max(np.abs(r), axis=1) < tol
+            done = np.max(np.abs(r), axis=1) < NEWTON_TOL
             z[live[done]] = zl[done]
             J[live[done]] = Jl[done]
             live, zl, Jl, r = (a[~done] for a in (live, zl, Jl, r))
@@ -604,75 +555,68 @@ class CoordinateTransform:
         return v, failures
 
     def _with_fibre(self, params, v) -> np.ndarray:
-        """params (one node or a stack) with the y-block replaced by the
-        x-components of the pushed field v."""
+        """Each row of params with the y-block replaced by the x-components
+        of the pushed field v."""
         out = np.array(params, dtype=float)
         tc, n = self.t_count, self.n
-        out[..., tc + n:] = v[..., tc: tc + n]
+        out[:, tc + n:] = v[:, tc: tc + n]
         return out
 
-    def pushforward_components(self, params):
-        """(components of F in the raw parameter chart, condition number)."""
-        z, J = self.map_with_jacobian(params)
-        f = self.F.at(z)
-        cond = float(np.linalg.cond(J))
-        try:
-            v = np.linalg.solve(J, f)
-        except np.linalg.LinAlgError:
-            raise NumericFailure("singular Jacobian in pushforward",
-                                 last_point=tuple(z)) from None
-        return v, cond
+    def final_coords(self, params) -> tuple:
+        """Final coordinates (t, x, ytilde) of each row of params, ytilde the
+        x-components of the pushed-forward field: (final (K, m), z (K, m),
+        v (K, m), failures), with z the row's guarded point and v the
+        components of F in the raw parameter chart; the rows of a failed
+        member are NaN."""
+        params = np.asarray(params, dtype=float)
+        z, J, failures = self.map_batch(params, guard=True)
+        live = np.setdiff1d(np.arange(len(params)), list(failures))
+        pushed, errs = self._pushforward_batch(z[live], J[live])
+        v = np.full_like(z, np.nan)
+        v[live] = pushed
+        for i, err in errs.items():
+            failures.setdefault(int(live[i]), err)
+        dead = list(failures)
+        final = self._with_fibre(params, v)
+        for rows in (final, z, v):
+            rows[dead] = np.nan
+        return final, z, v, failures
 
-    def final_coords(self, params) -> np.ndarray:
-        """(t, x, ytilde) with ytilde = x-components of the pushed field."""
-        v, _ = self.pushforward_components(params)
-        return self._with_fibre(params, v)
-
-    def fibre_jacobian_min_sv(self, params, h: float = 1e-5) -> float:
+    def fibre_jacobian_min_sv(self, params) -> float:
         """Smallest singular value of d(ytilde)/d(y_raw): the fibre
         redefinition must be invertible (with an adapted commuting basis it
-        is the identity in exact arithmetic), checked numerically."""
+        is the identity in exact arithmetic), checked numerically.  The 2n
+        shifted rows are mapped together."""
         tc, n = self.t_count, self.n
-        G = np.empty((n, n))
+        rows = np.repeat(np.asarray(params, dtype=float)[None], 2 * n, axis=0)
         for a in range(n):
-            up = np.array(params, float)
-            dn = np.array(params, float)
-            up[tc + n + a] += h
-            dn[tc + n + a] -= h
-            G[:, a] = (self.final_coords(up)[tc + n:]
-                       - self.final_coords(dn)[tc + n:]) / (2 * h)
+            rows[2 * a, tc + n + a] += FD_STEP
+            rows[2 * a + 1, tc + n + a] -= FD_STEP
+        final, _, _, failures = self.final_coords(rows)
+        if failures:
+            raise failures[min(failures)]
+        fibre = final[:, tc + n:].reshape(n, 2, n)
+        G = (fibre[:, 0] - fibre[:, 1]).T / (2 * FD_STEP)
         return float(np.linalg.svd(G, compute_uv=False)[-1])
 
-    def field_in_final_chart(self, params, step: float = 1e-2):
-        """All components of F in the final chart by a five-point stencil
-        along the F-flow through each node (independent of the variational
-        route).  The stencil points of all nodes are solved together.
-
-        `params` is one node or a (K, m) stack of nodes.  For one node the
-        result is the components, or its NumericFailure is raised.  For a
-        stack it is a StencilBatch: per node the components, the node's final
-        coordinates, and its first failure (rows of a failed node are NaN)."""
-        nodes = np.asarray(params, dtype=float)
-        if nodes.ndim == 1:
-            batch = self.field_in_final_chart(nodes[None, :], step)
-            if batch.failures[0] is not None:
-                raise batch.failures[0]
-            return batch.values[0]
+    def field_in_final_chart(self, nodes) -> StencilBatch:
+        """All components of F in the final chart at each row of nodes, by a
+        five-point stencil along the F-flow through the node (independent of
+        the variational route).  The stencil points of all nodes are solved
+        together.  Per node the result holds the components, the node's
+        final coordinates and its first failure (rows of a failed node are
+        NaN)."""
+        nodes = np.asarray(nodes, dtype=float)
         K, m = nodes.shape
-        failures: dict = {}
-        z, J, errs = self.map_batch(nodes, guard=True)
-        live, z, J, live_nodes = _keep_live(errs, np.arange(K), failures,
-                                            z, J, nodes)
-        v, errs = self._pushforward_batch(z, J)
-        live, z, v, live_nodes = _keep_live(errs, live, failures,
-                                            z, v, live_nodes)
-        final = np.full((K, m), np.nan)
-        final[live] = self._with_fibre(live_nodes, v)
+        final, z, v, failures = self.final_coords(nodes)
+        live = np.setdiff1d(np.arange(K), list(failures))
+        z, v, live_nodes = z[live], v[live], nodes[live]
         # the four stencil points of each live node, consecutive
         owner = np.repeat(np.arange(len(live)), 4)
-        shift = np.tile(step * np.array([-2.0, -1.0, 1.0, 2.0]), len(live))
+        shift = np.tile(STENCIL_STEP * np.array([-2.0, -1.0, 1.0, 2.0]),
+                        len(live))
         point_failures: dict = {}
-        zs, _, errs = integrate_flows(self.F, z[owner], shift, self.settings)
+        zs, _, errs = integrate_flows(self.F, z[owner], shift)
         points, zs, guesses = _keep_live(
             errs, np.arange(len(owner)), point_failures,
             zs, live_nodes[owner] + shift[:, None] * v[owner])
@@ -688,26 +632,27 @@ class CoordinateTransform:
         s4 = samples.reshape(len(live), 4, m)
         values = np.full((K, m), np.nan)
         values[live] = (s4[:, 0] - 8 * s4[:, 1] + 8 * s4[:, 2]
-                        - s4[:, 3]) / (12 * step)
+                        - s4[:, 3]) / (12 * STENCIL_STEP)
         final[list(failures)] = np.nan
         return StencilBatch(values, final,
                             [failures.get(k) for k in range(K)])
 
-    def jacobian_fd(self, params, h: float = 1e-5) -> np.ndarray:
-        """Central differences of `map_params`, the 2m shifted parameter rows
-        integrated together: one solve_ivp call per flow stage."""
+    def jacobian_fd(self, params) -> np.ndarray:
+        """Central differences of the guarded flow map (no variational
+        equations), the 2m shifted parameter rows integrated together: one
+        solve_ivp call per flow stage."""
         params = np.asarray(params, dtype=float)
-        shift = h * np.eye(self.m)
+        shift = FD_STEP * np.eye(self.m)
         rows = np.stack([params + shift, params - shift], axis=1).reshape(
             2 * self.m, self.m)
         z = np.tile(self.z0, (len(rows), 1))
         for k, st in enumerate(self.stages):
             z, _, failures = integrate_flows(st.fld, z, rows[:, k],
-                                             self.settings, chart=self.chart)
+                                             chart=self.chart)
             if failures:
                 raise failures[min(failures)]
         z = z.reshape(self.m, 2, self.m)
-        return (z[:, 0] - z[:, 1]).T / (2 * h)
+        return (z[:, 0] - z[:, 1]).T / (2 * FD_STEP)
 
 
 def _tilt_to_locus(fld: VectorField, b_exprs, vbasis) -> VectorField:
@@ -727,9 +672,7 @@ def _constant_direction_field(chart: Chart, direction) -> VectorField:
     return VectorField(chart, comps)
 
 
-def build_normal_coordinates(report: AnalysisReport,
-                             settings: IntegratorSettings = DEFAULT_SETTINGS
-                             ) -> CoordinateTransform:
+def build_normal_coordinates(report: AnalysisReport) -> CoordinateTransform:
     """Assemble the flow-composition chart for a classified problem."""
     if report.classification not in (CASE1, CASE2):
         raise AnalysisError(
@@ -805,7 +748,7 @@ def build_normal_coordinates(report: AnalysisReport,
         for i, v in enumerate(ef.vbasis):
             stages.append(Stage(v, f"y{i + 1}"))
 
-    return CoordinateTransform(report, ef, z0, stages, settings)
+    return CoordinateTransform(report, ef, z0, stages)
 
 
 # --------------------------------------------------------------------------
@@ -856,9 +799,7 @@ def default_extent(chart: Chart) -> float:
 
 def pushforward_residuals(transform: CoordinateTransform,
                           grid_points: Optional[int] = None,
-                          extent: Optional[float] = None,
-                          crosscheck_cap: int = 12,
-                          cond_limit: float = 1e8) -> ResidualReport:
+                          extent: Optional[float] = None) -> ResidualReport:
     """Structural residuals of the pushed-forward field on a parameter grid.
 
     t-components are compared against their target (zero, or one for the
@@ -871,33 +812,23 @@ def pushforward_residuals(transform: CoordinateTransform,
     tc = transform.t_count
     g = grid_points if grid_points is not None else default_grid_points(m)
     ext = extent if extent is not None else default_extent(transform.chart)
-    axes = [np.linspace(-ext, ext, g) for _ in range(m)]
-    mesh = np.meshgrid(*axes, indexing="ij")
+    axis = np.linspace(-ext, ext, g)
+    mesh = np.meshgrid(*[axis] * m, indexing="ij")
     nodes = np.stack([ax.ravel() for ax in mesh], axis=1)
     expected_t = np.array([
         1.0 if name == "t1" and transform.case == CASE2 else 0.0
         for name in transform.param_names[:tc]
     ])
-    # prefix-shared maps node by node, then the linear algebra of all nodes
-    # at once; a node that fails or is ill-conditioned is flagged
-    live, points, jacobians, values = [], [], [], []
-    for i, node in enumerate(nodes):
-        try:
-            z, J = transform.map_with_jacobian(node)
-        except NumericFailure:
-            continue
-        live.append(i)
-        points.append(z)
-        jacobians.append(J)
-        values.append(transform.F.at(z))
+    # the grid walked by prefix, then the linear algebra of all nodes at
+    # once; a node that fails or is ill-conditioned is flagged
+    z, J, failed = transform.map_grid(axis)
+    live = np.setdiff1d(np.arange(len(nodes)), list(failed))
     cond = np.full(len(nodes), np.nan)
-    if live:
-        J = np.array(jacobians)
-        v, singular = _solve_each(J, np.array(values),
-                                  "singular Jacobian in pushforward", points)
-        cond[live] = np.linalg.cond(J)
-        cond[[live[k] for k in singular]] = np.nan
-    ok = cond <= cond_limit
+    if live.size:
+        v, singular = transform._pushforward_batch(z[live], J[live])
+        cond[live] = np.linalg.cond(J[live])
+        cond[live[list(singular)]] = np.nan
+    ok = cond <= COND_LIMIT
     if not ok.any():
         raise NumericFailure("every grid node was flagged or failed")
     v = v[ok[live]]
@@ -905,17 +836,17 @@ def pushforward_residuals(transform: CoordinateTransform,
              else np.zeros(len(v)))
     # independent cross-check on every stride-th node that is not flagged,
     # its stencils solved together
-    stride = max(1, len(nodes) // crosscheck_cap)
-    checked_nodes = nodes[::stride][ok[::stride]]
+    picked = np.arange(0, len(nodes), max(1, len(nodes) // CROSSCHECK_CAP))
+    picked = picked[ok[picked]]
     max_cross = 0.0
     max_jgap = 0.0
     checked = 0
     try:
-        batch = transform.field_in_final_chart(checked_nodes) \
-            if len(checked_nodes) else None
+        batch = transform.field_in_final_chart(nodes[picked]) \
+            if len(picked) else None
     except NumericFailure:
         batch = None
-    for k, node in enumerate(checked_nodes if batch is not None else ()):
+    for k, index in enumerate(picked if batch is not None else ()):
         if batch.failures[k] is not None:
             continue
         fin = batch.values[k]
@@ -924,10 +855,10 @@ def pushforward_residuals(transform: CoordinateTransform,
         gap_t = float(np.max(np.abs(fin[:tc] - expected_t))) if tc else 0.0
         max_cross = max(max_cross, gap_x, gap_t)
         try:
-            _, Jv = transform.map_with_jacobian(node)
-            Jf = transform.jacobian_fd(node)
+            Jf = transform.jacobian_fd(nodes[index])
         except NumericFailure:
             continue
+        Jv = J[index]
         scale = max(1.0, float(np.max(np.abs(Jv))))
         max_jgap = max(max_jgap, float(np.max(np.abs(Jv - Jf))) / scale)
         checked += 1
@@ -950,17 +881,15 @@ def pushforward_residuals(transform: CoordinateTransform,
     )
 
 
-def extract_quadratic_coefficients(transform: CoordinateTransform,
-                                   grid_points: int = 5,
-                                   extent: Optional[float] = None) -> dict:
+def extract_quadratic_coefficients(transform: CoordinateTransform) -> dict:
     """Fit force^k = G^k_ij y^i y^j + P^k_i y^i + Q^k per base node.
 
     Only sensible after a Quadratic verdict; the fit residual reports how
     well the force is represented by the quadratic model on the grid."""
     m, n, tc = transform.m, transform.n, transform.t_count
-    ext = extent if extent is not None else default_extent(transform.chart)
+    ext = default_extent(transform.chart)
     base_axes = [np.linspace(-ext, ext, 3) for _ in range(tc + n)]
-    y_axes = [np.linspace(-ext, ext, grid_points) for _ in range(n)]
+    y_axes = [np.linspace(-ext, ext, QUADRATIC_GRID) for _ in range(n)]
     base_mesh = np.meshgrid(*base_axes, indexing="ij") if base_axes else []
     base_nodes = (np.stack([ax.ravel() for ax in base_mesh], axis=1)
                   if base_axes else np.zeros((1, 0)))

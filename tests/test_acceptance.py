@@ -145,17 +145,17 @@ def test_criterion_4_round_trip_autonomous():
     plain_force = parse(m.metadata["scramble"]["plain_field"][1])
     plain_names = m.metadata["scramble"]["plain_chart"]
     worst = 0.0
-    for xv in np.linspace(-0.5, 0.5, 10):
-        for yv in np.linspace(-0.5, 0.5, 10):
-            node = np.array([xv, yv])
-            z = transform.map_params(node)
-            zmap = dict(zip(m.chart.names, z))
-            plain_point = {
-                n: evaluate(e, zmap) for n, e in zip(plain_names, inverse)
-            }
-            expected = evaluate(plain_force, plain_point)
-            got = transform.field_in_final_chart(node)[1]
-            worst = max(worst, abs(got - expected))
+    axis = np.linspace(-0.5, 0.5, 10)
+    nodes = np.array([[xv, yv] for xv in axis for yv in axis])
+    points, _, _ = transform.map_batch(nodes, guard=True)
+    batch = transform.field_in_final_chart(nodes)
+    for z, fin in zip(points, batch.values):
+        zmap = dict(zip(m.chart.names, z))
+        plain_point = {
+            n: evaluate(e, zmap) for n, e in zip(plain_names, inverse)
+        }
+        expected = evaluate(plain_force, plain_point)
+        worst = max(worst, abs(fin[1] - expected))
     if not worst < 1e-5:
         failures.append(f"force mismatch {worst:.2e} vs the inverse-map oracle")
     _finish(4, "round-trip-autonomous", failures,
@@ -177,10 +177,10 @@ def test_criterion_5_round_trip_time_dependent():
             f"structural residual {residuals.max_structural_residual:.2e}"
         )
     # spot-check the full component pattern (1, y, force) independently
-    for node in ([0.2, 0.1, -0.1], [-0.25, 0.3, 0.2]):
-        fin = transform.field_in_final_chart(np.array(node))
-        ytilde = transform.final_coords(np.array(node))[2]
-        if abs(fin[0] - 1.0) > 1e-6 or abs(fin[1] - ytilde) > 1e-6:
+    nodes = [[0.2, 0.1, -0.1], [-0.25, 0.3, 0.2]]
+    batch = transform.field_in_final_chart(nodes)
+    for node, fin, final in zip(nodes, batch.values, batch.final):
+        if abs(fin[0] - 1.0) > 1e-6 or abs(fin[1] - final[2]) > 1e-6:
             failures.append(f"component pattern broken at {node}")
     _finish(5, "round-trip-time-dependent", failures,
             time.perf_counter() - start, 60.0)

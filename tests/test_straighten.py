@@ -1,5 +1,7 @@
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,8 +17,8 @@ from sodekit import straighten
 from sodekit.corpus import corpus_get
 from sodekit.straighten import (
     CrossSection, NumericFailure, build_normal_coordinates,
-    default_cross_section, integrate_flow, integrate_flow_with_jacobian,
-    pushforward_residuals, solve_basis_ode,
+    default_cross_section, integrate_flows, pushforward_residuals,
+    solve_basis_ode,
 )
 
 x, y = syms("x y")
@@ -31,16 +33,25 @@ def classify_corpus(name):
 
 # -- flows ---------------------------------------------------------------------
 
+def flow(fld, z, s, chart=None, with_jacobian=False):
+    """The flow of fld from one point as a batch of one member: its end (and
+    Jacobian, `with_jacobian`), its failure raised."""
+    ends, jac, failures = integrate_flows(fld, [z], [s], with_jacobian, chart)
+    if failures:
+        raise failures[0]
+    return (ends[0], jac[0]) if with_jacobian else ends[0]
+
+
 def test_translation_flow():
     ch = Chart(["x", "y"], [(-2, 2), (-2, 2)])
-    end = integrate_flow(coordinate_field(ch, "x"), (0.0, 0.0), 1.0)
+    end = flow(coordinate_field(ch, "x"), (0.0, 0.0), 1.0)
     assert np.allclose(end, [1.0, 0.0], atol=1e-12)
 
 
 def test_rotation_quarter_turn():
     ch = Chart(["x", "y"], [(-2, 2), (-2, 2)])
     rot = VectorField(ch, [y, normalize(-x)])
-    end = integrate_flow(rot, (1.0, 0.0), math.pi / 2)
+    end = flow(rot, (1.0, 0.0), math.pi / 2)
     assert np.max(np.abs(end - np.array([0.0, -1.0]))) < 1e-8
 
 
@@ -48,8 +59,8 @@ def test_flow_reversibility():
     ch = Chart(["x", "y"], [(-2, 2), (-2, 2)])
     fld = VectorField(ch, [y, parse("x*y - 1")])
     z = np.array([0.3, 0.7])
-    there = integrate_flow(fld, z, 0.8)
-    back = integrate_flow(fld, there, -0.8)
+    there = flow(fld, z, 0.8)
+    back = flow(fld, there, -0.8)
     assert np.max(np.abs(back - z)) < 1e-8
 
 
@@ -59,19 +70,19 @@ def test_flow_group_law_on_corpus_fields():
         m = corpus_get(name)
         F = m.vector_field()
         z = np.array([lo + 0.55 * (hi - lo) for lo, hi in m.chart.box])
-        base = integrate_flow(F, z, 0.0)
+        base = flow(F, z, 0.0)
         assert np.max(np.abs(base - z)) == 0.0
-        one_hop = integrate_flow(F, z, 0.5)
-        two_hops = integrate_flow(F, integrate_flow(F, z, 0.2), 0.3)
+        one_hop = flow(F, z, 0.5)
+        two_hops = flow(F, flow(F, z, 0.2), 0.3)
         assert np.max(np.abs(one_hop - two_hops)) < 1e-9, name
-        back = integrate_flow(F, one_hop, -0.5)
+        back = flow(F, one_hop, -0.5)
         assert np.max(np.abs(back - z)) < 1e-9, name
 
 
 def test_variational_jacobian_rotation():
     ch = Chart(["x", "y"], [(-2, 2), (-2, 2)])
     rot = VectorField(ch, [y, normalize(-x)])
-    _, J = integrate_flow_with_jacobian(rot, (1.0, 0.0), math.pi / 2)
+    _, J = flow(rot, (1.0, 0.0), math.pi / 2, with_jacobian=True)
     assert np.max(np.abs(J - np.array([[0.0, 1.0], [-1.0, 0.0]]))) < 1e-8
 
 
@@ -79,7 +90,7 @@ def test_flow_domain_error_reports_last_point():
     ch = Chart(["x"], [(0.01, 1.0)])
     fld = VectorField(ch, [normalize(Num(-1) / Sym("x"))])
     with pytest.raises(NumericFailure) as err:
-        integrate_flow(fld, (0.5,), 1.0)
+        flow(fld, (0.5,), 1.0)
     assert err.value.last_point is not None
 
 
@@ -87,7 +98,42 @@ def test_flow_box_exit_rejected_with_chart_guard():
     ch = Chart(["x", "y"], [(-1, 1), (-1, 1)])
     fld = coordinate_field(ch, "x")
     with pytest.raises(NumericFailure):
-        integrate_flow(fld, (0.0, 0.0), 5.0, chart=ch)
+        flow(fld, (0.0, 0.0), 5.0, chart=ch)
+
+
+def test_callable_field_flows_in_one_batch_with_differenced_jacobian(
+        monkeypatch):
+    # a callable field (numeric adaptation) is evaluated row by row; its
+    # Jacobian differences the 2m shifted starts of each member in the batch
+    ch = Chart(["x", "y"], [(-2, 2), (-2, 2)])
+    rot = VectorField(ch, [y, normalize(-x)])
+
+    def rot_call(point):
+        if point[0] > 1.5:
+            raise NumericFailure("left the transport's range")
+        return point[1], -point[0]
+
+    starts = np.array([[1.0, 0.0], [1.6, 0.0], [0.3, -0.4]])
+    times = np.array([math.pi / 2, 0.5, -0.7])
+    members = []
+    real = straighten.solve_ivp
+
+    def counting(fun, t_span, y0, **kwargs):
+        members.append(len(y0))
+        return real(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(straighten, "solve_ivp", counting)
+    ends, jac, failures = integrate_flows(rot_call, starts, times,
+                                          with_jacobian=True)
+    assert members == [3 * (1 + 2 * 2)]
+    assert list(failures) == [1]
+    assert str(failures[1]) == "left the transport's range"
+    assert np.isnan(ends[1]).all() and np.isnan(jac[1]).all()
+    want, _, _ = integrate_flows(rot, starts[[0, 2]], times[[0, 2]])
+    assert np.array_equal(ends[[0, 2]], want)
+    for k in (0, 2):
+        c, s = math.cos(times[k]), math.sin(times[k])
+        assert np.max(np.abs(jac[k] - [[c, s], [-s, c]])) < 1e-6
 
 
 # -- numeric basis transport ----------------------------------------------------
@@ -129,6 +175,23 @@ def test_transport_identity_routh():
 
 # -- transforms -----------------------------------------------------------------
 
+def mapped(tr, params):
+    """The guarded point of one parameter row, its failure raised."""
+    z, _, failures = tr.map_batch([params], guard=True)
+    if failures:
+        raise failures[0]
+    return z[0]
+
+
+def stencil(tr, node):
+    """(F in the final chart, final coordinates) at one node, its failure
+    raised."""
+    batch = tr.field_in_final_chart([node])
+    if batch.failures[0] is not None:
+        raise batch.failures[0]
+    return batch.values[0], batch.final[0]
+
+
 def test_unscrambled_sode_transform_is_translation():
     plane = Chart(["x", "y"], [(-1.2, 1.2), (-1.2, 1.2)])
     prob = SecondOrderProblem(
@@ -139,7 +202,7 @@ def test_unscrambled_sode_transform_is_translation():
     tr = build_normal_coordinates(rep)
     z0 = tr.z0
     for params in [(0.1, 0.2), (-0.3, 0.4), (0.25, -0.45)]:
-        got = tr.map_params(np.array(params))
+        got = mapped(tr, params)
         assert np.max(np.abs(got - (z0 + np.array(params)))) < 1e-9
 
 
@@ -150,12 +213,11 @@ def test_oscillator_transform_against_inverse_scramble():
     # and the constructed fibre coordinate is the plain velocity
     x0 = tr.z0[0]
     for params in [(0.2, 0.3), (-0.4, 0.5), (0.45, -0.35)]:
-        z = tr.map_params(np.array(params))
+        z = mapped(tr, params)
         x_true, u_true = z[0], z[1] - z[0] ** 2
-        fc = tr.final_coords(np.array(params))
+        fin, fc = stencil(tr, params)
         assert abs((x_true - x0) - fc[0]) < 1e-8
         assert abs(u_true - fc[1]) < 1e-8
-        fin = tr.field_in_final_chart(np.array(params))
         assert abs(fin[0] - fc[1]) < 1e-7          # xdot = y
         assert abs(fin[1] - (-x_true)) < 1e-7      # force from the oracle
 
@@ -174,13 +236,13 @@ def test_oscillator_residuals_on_grid():
 def test_jacobian_routes_agree_on_every_grid_node():
     rep = classify_corpus("oscillator-scrambled")
     tr = build_normal_coordinates(rep)
-    for xv in np.linspace(-0.5, 0.5, 10):
-        for yv in np.linspace(-0.5, 0.5, 10):
-            node = np.array([xv, yv])
-            _, Jv = tr.map_with_jacobian(node)
-            Jf = tr.jacobian_fd(node)
-            scale = max(1.0, float(np.max(np.abs(Jv))))
-            assert float(np.max(np.abs(Jv - Jf))) / scale < 1e-5
+    axis = np.linspace(-0.5, 0.5, 10)
+    _, J, failures = tr.map_grid(axis)
+    assert not failures
+    for node, Jv in zip(itertools.product(axis, repeat=2), J):
+        Jf = tr.jacobian_fd(np.array(node))
+        scale = max(1.0, float(np.max(np.abs(Jv))))
+        assert float(np.max(np.abs(Jv - Jf))) / scale < 1e-5
 
 
 def test_timedep_residuals_and_time_row():
@@ -188,10 +250,9 @@ def test_timedep_residuals_and_time_row():
     tr = build_normal_coordinates(rep)
     res = pushforward_residuals(tr, grid_points=6)
     assert res.max_structural_residual < 1e-6
-    node = np.array([0.15, -0.2, 0.1])
-    fin = tr.field_in_final_chart(node)
+    fin, fc = stencil(tr, [0.15, -0.2, 0.1])
     assert abs(fin[0] - 1.0) < 1e-6               # time flows at unit rate
-    assert abs(fin[1] - tr.final_coords(node)[2]) < 1e-6  # xdot = y
+    assert abs(fin[1] - fc[2]) < 1e-6             # xdot = y
 
 
 def test_time_dependent_with_extra_parameter():
@@ -214,11 +275,10 @@ def test_time_dependent_with_extra_parameter():
     assert tr.param_names[:2] == ["t2", "t1"]  # extra slice applied innermost
     res = pushforward_residuals(tr, grid_points=4)
     assert res.max_structural_residual < 1e-6
-    node = np.array([0.2, 0.1, -0.15, 0.25])
-    fin = tr.field_in_final_chart(node)
+    fin, fc = stencil(tr, [0.2, 0.1, -0.15, 0.25])
     assert abs(fin[0]) < 1e-6          # spectator parameter never moves
     assert abs(fin[1] - 1.0) < 1e-6    # time flows at unit rate
-    assert abs(fin[2] - tr.final_coords(node)[3]) < 1e-6
+    assert abs(fin[2] - fc[3]) < 1e-6
 
 
 def test_routh_parameter_row_is_static():
@@ -245,7 +305,7 @@ def test_fibre_coefficients_decrease_linearly_along_fibres():
         b0 = np.array(b_fn(tuple(z)))
         for i, v in enumerate(ef.vbasis):
             for s in (0.2, -0.35):
-                moved = integrate_flow(v, z, s)
+                moved = flow(v, z, s)
                 bs = np.array(b_fn(tuple(moved)))
                 expected = b0.copy()
                 expected[i] -= s
@@ -257,16 +317,13 @@ def test_straighten_then_analyze_idempotence():
     # and classify the surrogate dynamics: the verdict must be reproduced
     rep = classify_corpus("oscillator-scrambled")
     tr = build_normal_coordinates(rep)
-    xs = np.linspace(-0.4, 0.4, 5)
-    ys = np.linspace(-0.4, 0.4, 5)
+    axis = np.linspace(-0.4, 0.4, 5)
+    batch = tr.field_in_final_chart(list(itertools.product(axis, repeat=2)))
+    assert batch.failures == [None] * 25
     rows, rhs = [], []
-    for xv in xs:
-        for yv in ys:
-            fin = tr.field_in_final_chart(np.array([xv, yv]))
-            fc = tr.final_coords(np.array([xv, yv]))
-            xx, yy = fc[0], fc[1]
-            rows.append([1.0, xx, yy, xx * xx, xx * yy, yy * yy])
-            rhs.append(fin[1])
+    for fin, (xx, yy) in zip(batch.values, batch.final):
+        rows.append([1.0, xx, yy, xx * xx, xx * yy, yy * yy])
+        rhs.append(fin[1])
     coeffs, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
     fit_residual = float(np.max(np.abs(np.array(rows) @ coeffs - rhs)))
     assert fit_residual < 1e-6
@@ -298,11 +355,12 @@ def test_straighten_through_numeric_adaptation():
     rep = classify(prob)
     assert rep.adaptation.mode == "numeric"
     tr = build_normal_coordinates(rep)
-    for params in [(0.15, 0.2), (-0.2, -0.3)]:
-        v, cond = tr.pushforward_components(np.array(params))
-        assert cond < 1e3
-        ytilde = tr.final_coords(np.array(params))[1]
-        assert abs(v[0] - ytilde) < 1e-12  # definitionally equal
+    params = [(0.15, 0.2), (-0.2, -0.3)]
+    _, J, _ = tr.map_batch(params)
+    assert (np.linalg.cond(J) < 1e3).all()
+    final, _, v, failures = tr.final_coords(params)
+    assert not failures
+    assert np.max(np.abs(v[:, 0] - final[:, 1])) < 1e-12  # definitionally equal
     assert tr.fibre_jacobian_min_sv(np.zeros(2)) > 1e-6
 
 
@@ -320,77 +378,106 @@ def test_straighten_requires_locus_point():
         build_normal_coordinates(rep)
 
 
-# -- stage state of the transform ----------------------------------------------
+# -- the grid walk ----------------------------------------------------------------
 
 def timedep_transform():
     return build_normal_coordinates(classify_corpus("timedep-scrambled"))
 
 
-def assert_same_maps(got, want):
-    assert all(np.array_equal(a, b) for a, b in zip(got, want))
-
-
-def test_stage_state_gives_the_same_maps_in_any_order():
-    axis = np.linspace(-0.3, 0.3, 3)
-    nodes = [np.array(p) for p in itertools.product(axis, repeat=3)]
-    in_c_order = timedep_transform()
-    want = [in_c_order.map_with_jacobian(node) for node in nodes]
-    shuffled = timedep_transform()
-    for i in np.random.default_rng(0).permutation(len(nodes)):
-        assert_same_maps(shuffled.map_with_jacobian(nodes[i]), want[i])
-
-
-def test_changing_a_returned_map_leaves_the_stage_state_alone():
-    tr, fresh = timedep_transform(), timedep_transform()
-    node = np.array([0.1, -0.2, 0.15])
-    z, J = tr.map_with_jacobian(node)
-    z[:] = 7.0
-    J[:] = 7.0
-    for params in (node, node + [0, 0, 0.1], node + [0, 0.1, 0]):
-        assert_same_maps(tr.map_with_jacobian(params),
-                         fresh.map_with_jacobian(params))
-
-
-def test_a_failing_stage_leaves_no_stale_state(monkeypatch):
-    tr, fresh = timedep_transform(), timedep_transform()
-    bad = 0.25
-    real = straighten.integrate_flow_with_jacobian
-
-    def flaky(fld, z, s, settings=straighten.DEFAULT_SETTINGS):
-        if fld is tr.stages[1].fld and s == bad:
-            raise NumericFailure("injected")
-        return real(fld, z, s, settings)
-
-    monkeypatch.setattr(straighten, "integrate_flow_with_jacobian", flaky)
-    tr.map_with_jacobian([0.1, 0.2, 0.3])
-    for params in ([0.1, bad, 0.3], [0.1, bad, -0.3]):
-        with pytest.raises(NumericFailure, match="injected"):
-            tr.map_with_jacobian(params)
-    for params in ([0.1, 0.2, 0.3], [0.1, 0.2, -0.1], [0.1, -0.2, 0.3],
-                   [-0.1, 0.2, 0.3]):
-        assert_same_maps(tr.map_with_jacobian(params),
-                         fresh.map_with_jacobian(params))
+def skip_crosscheck(nodes):
+    raise NumericFailure("cross-check left out")
 
 
 def test_grid_loop_integrates_each_stage_once_per_prefix(monkeypatch):
     tr = timedep_transform()
-    m = tr.m
+    g, m = 6, tr.m
+    stage_of = {id(st.fld): k for k, st in enumerate(tr.stages)}
+    members = [0] * m
     sizes = []
-    real = straighten.solve_ivp
+    real = straighten.integrate_flows
 
-    def counting(fun, t_span, y0, **kwargs):
-        sizes.append(len(y0))
-        return real(fun, t_span, y0, **kwargs)
+    def counting(fld, z, s, *args, **kwargs):
+        sizes.append(len(z))
+        members[stage_of[id(fld)]] += len(z)
+        return real(fld, z, s, *args, **kwargs)
 
-    def skip_crosscheck(params):
-        raise NumericFailure("cross-check left out")
-
-    monkeypatch.setattr(straighten, "solve_ivp", counting)
+    monkeypatch.setattr(straighten, "integrate_flows", counting)
     monkeypatch.setattr(tr, "field_in_final_chart", skip_crosscheck)
     monkeypatch.setattr(tr, "fibre_jacobian_min_sv", lambda params: 1.0)
-    res = pushforward_residuals(tr, grid_points=6)
-    assert res.node_count == 6 ** 3 and res.crosscheck_nodes == 0
-    assert sizes.count(m + m * m) <= 6 + 6 ** 2
+    res = pushforward_residuals(tr, grid_points=g)
+    assert res.node_count == g ** m and res.crosscheck_nodes == 0
+    assert max(sizes) <= g
+    assert members == [g ** (k + 1) for k in range(m)]
+    monkeypatch.undo()
+    axis = np.linspace(-0.3, 0.3, g)
+    z, J, failures = tr.map_grid(axis)
+    zb, Jb, batch_failures = tr.map_batch(
+        list(itertools.product(axis, repeat=m)))
+    assert failures == batch_failures == {}
+    assert np.array_equal(z, zb) and np.array_equal(J, Jb)
+
+
+def test_a_failing_prefix_flags_exactly_its_nodes(monkeypatch):
+    tr = timedep_transform()
+    g, m = 6, tr.m
+    axis = np.linspace(-0.3, 0.3, g)
+    want_z, want_J, _ = tr.map_grid(axis)
+    prefix, child = 2, 4     # the stage-1 prefix (axis[2], axis[4]) fails
+    stage_1_calls = []
+    real = straighten.integrate_flows
+
+    def flaky(fld, z, s, *args, **kwargs):
+        ends, jac, failures = real(fld, z, s, *args, **kwargs)
+        if fld is tr.stages[1].fld and jac is not None:
+            stage_1_calls.append(len(z))
+            if len(stage_1_calls) == prefix + 1:   # prefixes come in C order
+                failures[child] = NumericFailure("injected")
+                ends[child] = jac[child] = np.nan
+        return ends, jac, failures
+
+    monkeypatch.setattr(straighten, "integrate_flows", flaky)
+    z, J, failures = tr.map_grid(axis)
+    span = g ** (m - 2)
+    first = (prefix * g + child) * span
+    flagged = list(range(first, first + span))
+    assert sorted(failures) == flagged
+    assert {str(err) for err in failures.values()} == {"injected"}
+    assert np.isnan(z[flagged]).all() and np.isnan(J[flagged]).all()
+    kept = np.setdiff1d(np.arange(g ** m), flagged)
+    assert np.array_equal(z[kept], want_z[kept])
+    assert np.array_equal(J[kept], want_J[kept])
+    stage_1_calls.clear()
+    res = pushforward_residuals(tr, grid_points=g, extent=0.3)
+    assert res.flagged_nodes == span
+    assert res.node_count == g ** m - span
+
+
+def test_threads_sharing_a_transform_get_single_threaded_residuals():
+    tr = timedep_transform()
+    expected = pushforward_residuals(tr, grid_points=6).as_dict()
+    results = {}
+    errors = []
+
+    def work(i):
+        try:
+            results[i] = pushforward_residuals(tr, grid_points=6).as_dict()
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(results) == 8
+    assert all(got == expected for got in results.values())
 
 
 # -- batched stencil -------------------------------------------------------------
@@ -412,9 +499,9 @@ def test_one_node_stencil_agrees_with_the_node_inside_a_batch():
     batch = tr.field_in_final_chart(nodes)
     assert batch.failures == [None] * len(nodes)
     for k, node in enumerate(nodes):
-        assert np.max(np.abs(tr.field_in_final_chart(node)
-                             - batch.values[k])) < 1e-9
-        assert np.max(np.abs(tr.final_coords(node) - batch.final[k])) < 1e-9
+        fin, fc = stencil(tr, node)
+        assert np.max(np.abs(fin - batch.values[k])) < 1e-9
+        assert np.max(np.abs(fc - batch.final[k])) < 1e-9
 
 
 def test_failing_members_are_flagged_and_spoil_no_other_member():
@@ -445,7 +532,7 @@ def test_failing_members_are_flagged_and_spoil_no_other_member():
     assert np.max(np.abs(batch.values[::2] - alone.values)) < 1e-12
     assert np.array_equal(batch.final[::2], alone.final)
     with pytest.raises(NumericFailure, match="log of a nonpositive value"):
-        tr.field_in_final_chart(nodes[3])
+        stencil(tr, nodes[3])
 
 
 def test_extraction_reports_the_first_failing_node(monkeypatch):
@@ -496,8 +583,15 @@ def test_extraction_integrates_each_stage_once_per_newton_step(monkeypatch):
 def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
     tr = timedep_transform()
     node = np.array([0.15, -0.2, 0.1])
-    h = 1e-5
-    want = np.array([(tr.map_params(node + h * e) - tr.map_params(node - h * e))
+    h = straighten.FD_STEP
+
+    def flow_map(params):   # states only, each row alone
+        z = tr.z0
+        for st, s in zip(tr.stages, params):
+            z = flow(st.fld, z, s, chart=tr.chart)
+        return z
+
+    want = np.array([(flow_map(node + h * e) - flow_map(node - h * e))
                      / (2 * h) for e in np.eye(tr.m)]).T
     members = []
     real = straighten.solve_ivp
@@ -510,6 +604,6 @@ def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
     got = tr.jacobian_fd(node)
     assert 0 < len(members) <= len(tr.stages)
     assert members == [2 * tr.m] * len(members)
-    assert np.max(np.abs(got - want)) < 1e-9
-    _, Jv = tr.map_with_jacobian(node)
-    assert np.max(np.abs(got - Jv)) < 1e-8
+    assert np.array_equal(got, want)
+    _, Jv, _ = tr.map_batch([node])
+    assert np.max(np.abs(got - Jv[0])) < 1e-8

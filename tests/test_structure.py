@@ -1,4 +1,5 @@
-"""Structure of the package: its import graph and the stage list."""
+"""Structure of the package: its import graph, its one flow path and the
+stage list."""
 
 import ast
 from pathlib import Path
@@ -71,6 +72,44 @@ def test_import_graph_sees_function_level_imports(tmp_path):
 
 def test_import_graph_has_no_cycle():
     assert find_cycle(import_graph()) is None
+
+
+def solve_ivp_callers(package: Path = PACKAGE) -> set:
+    """(module, outermost function or method) of every call to a name or
+    attribute `solve_ivp` in the package; module-level calls have None."""
+    found = set()
+
+    def visit(node, module, owner):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "solve_ivp":
+                found.add((module, owner))
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if owner is None and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            visit(child, module, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return found
+
+
+def test_solve_ivp_caller_scan_sees_methods_and_nested_functions(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "solve_ivp(f)\n"
+        "class T:\n    def m(self):\n        def inner():\n"
+        "            ode.solve_ivp(f)\n")
+    assert solve_ivp_callers(tmp_path) == {("a", None), ("a", "m")}
+
+
+def test_flows_are_integrated_on_one_path():
+    # every flow goes through the batched integrate_flows; solve_basis_ode
+    # transports the basis matrix along a fibre with its own right-hand side
+    assert solve_ivp_callers() == {("straighten", "integrate_flows"),
+                                   ("straighten", "solve_basis_ode")}
 
 
 def test_commands_run_stages_in_list_order():
