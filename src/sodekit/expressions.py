@@ -823,8 +823,6 @@ def _compile(exprs: tuple, coord_names: tuple, vectorized: bool) -> Callable:
                         out[i] = value
             except (ZeroDivisionError, ValueError, OverflowError):
                 out[:] = np.nan  # a constant subexpression failed
-            if np.isfinite(out).all():
-                return out, {}
             bad = np.flatnonzero(~np.isfinite(out).all(axis=0))
             return out, {int(k): _domain_error(exprs, coord_names,
                                                points[:, k], out[:, k])

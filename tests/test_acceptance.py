@@ -147,8 +147,12 @@ def test_criterion_4_round_trip_autonomous():
     worst = 0.0
     axis = np.linspace(-0.5, 0.5, 10)
     nodes = np.array([[xv, yv] for xv in axis for yv in axis])
-    points, _, _ = transform.map_batch(nodes, guard=True)
+    points, _, map_failures = transform.map_batch(nodes, guard=True)
+    if map_failures:
+        failures.append(f"map_batch failed at {sorted(map_failures)}")
     batch = transform.field_in_final_chart(nodes)
+    if batch.failures != [None] * len(nodes):
+        failures.append("stencil failed at a checked node")
     for z, fin in zip(points, batch.values):
         zmap = dict(zip(m.chart.names, z))
         plain_point = {
@@ -179,6 +183,8 @@ def test_criterion_5_round_trip_time_dependent():
     # spot-check the full component pattern (1, y, force) independently
     nodes = [[0.2, 0.1, -0.1], [-0.25, 0.3, 0.2]]
     batch = transform.field_in_final_chart(nodes)
+    if batch.failures != [None] * len(nodes):
+        failures.append("stencil failed at a checked node")
     for node, fin, final in zip(nodes, batch.values, batch.final):
         if abs(fin[0] - 1.0) > 1e-6 or abs(fin[1] - final[2]) > 1e-6:
             failures.append(f"component pattern broken at {node}")
