@@ -30,8 +30,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .expressions import (
-    Add, Div, EvalDomainError, Expr, Mul, Num, Pow, Sym, ZERO, _to_rf,
-    compile_exprs, differentiate, normalize, to_str,
+    Expr, Num, Pow, Sym, ZERO, _to_rf, compile_exprs, differentiate,
+    normalize, to_str,
 )
 from .geometry import (
     Chart, Decomposition, Frame, GeometryError,
@@ -412,45 +412,19 @@ def _poly_ansatz_solve(vfield: VectorField, target: Expr, chart: Chart,
         for name, val in chart.assignment(chart.center()).items()
     }
     for vec in null:
-        h_expr = ZERO
+        h_expr, value = ZERO, Fraction(0)
         for c, mono in zip(vec, monos):
             if c == 0:
                 continue
             term: Expr = Num(c)
             for name, e in mono:
                 term = term * Pow_(Sym(name), e)
-            h_expr = h_expr + term
-        h_expr = normalize(h_expr)
+                c *= center[name] ** e    # c times the monomial at the center
+            h_expr, value = h_expr + term, value + c
         # the rescaling divides by h, so h must not vanish at the base point
-        value = eval_exact(h_expr, center)
         if value != 0:
-            return h_expr, value
+            return normalize(h_expr), value
     return None
-
-
-def eval_exact(e: Expr, assignment: dict) -> Fraction:
-    """Exact rational evaluation; polynomial/rational trees only."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Sym):
-        return Fraction(assignment[e.name])
-    if isinstance(e, Add):
-        total = Fraction(0)
-        for t in e.terms:
-            total += eval_exact(t, assignment)
-        return total
-    if isinstance(e, Mul):
-        total = Fraction(1)
-        for f in e.factors:
-            total *= eval_exact(f, assignment)
-        return total
-    if isinstance(e, Div):
-        return eval_exact(e.num, assignment) / eval_exact(e.den, assignment)
-    if isinstance(e, Pow):
-        if e.exponent.denominator != 1:
-            raise AnalysisError("exact evaluation needs integer exponents")
-        return eval_exact(e.base, assignment) ** e.exponent.numerator
-    raise AnalysisError(f"exact evaluation unsupported for {type(e).__name__}")
 
 
 def Pow_(base, e):
@@ -849,35 +823,34 @@ def find_zero_section_points(ef: ExtendedFrame, b_coeffs) -> list:
     jac_exprs = [
         [differentiate(b, nm) for nm in names] for b in b_exprs
     ]
-    b_fn = compile_exprs(b_exprs, names)
-    jac_fn = compile_exprs([e for row in jac_exprs for e in row], names)
-    starts = box_points(chart.box, opts.newton_starts, opts.seed + 101)
+    nb, d = len(b_exprs), len(names)
+    fn = compile_exprs(b_exprs + [e for row in jac_exprs for e in row], names)
+    z = np.array(box_points(chart.box, opts.newton_starts, opts.seed + 101),
+                 dtype=float)
     lows = np.array([lo for lo, _ in chart.box])
     highs = np.array([hi for _, hi in chart.box])
+    live = np.arange(len(z))
     found = []
-    for start in starts:
-        z = np.array(start, dtype=float)
-        ok = False
-        for _ in range(opts.newton_max_iter):
-            try:
-                bv = np.array(b_fn(tuple(z)), dtype=float)
-            except EvalDomainError:
-                break
-            if np.max(np.abs(bv)) < opts.newton_tol:
-                ok = True
-                break
-            try:
-                jflat = jac_fn(tuple(z))
-            except EvalDomainError:
-                break
-            J = np.array(jflat, dtype=float).reshape(len(b_exprs), len(names))
-            step, *_ = np.linalg.lstsq(J, -bv, rcond=None)
+    for _ in range(opts.newton_max_iter):
+        if not live.size:
+            break
+        values, _ = fn(z[live].T)
+        bv = values[:nb].T
+        J = values[nb:].T.reshape(len(live), nb, d)
+        b_ok = np.isfinite(bv).all(axis=1)
+        done = b_ok & (np.abs(bv).max(axis=1) < opts.newton_tol)
+        found.extend(live[done])
+        # a start whose b or Jacobian fails to evaluate is given up
+        step_ok = b_ok & ~done & np.isfinite(J).all(axis=(1, 2))
+        for i in np.flatnonzero(step_ok):
+            step, *_ = np.linalg.lstsq(J[i], -bv[i], rcond=None)
             norm = float(np.max(np.abs(step)))
             if norm > 1.0:
                 step = step / norm
-            z = np.clip(z + step, lows, highs)
-        if ok and chart.contains(tuple(z), slack=1e-9):
-            found.append(tuple(float(v) for v in z))
+            z[live[i]] = np.clip(z[live[i]] + step, lows, highs)
+        live = live[step_ok]
+    found = [tuple(float(v) for v in z[k]) for k in found]
+    found = [p for p in found if chart.contains(p, slack=1e-9)]
     unique = []
     for p in sorted(found):
         if not any(max(abs(a - b) for a, b in zip(p, q)) < 1e-6

@@ -10,7 +10,9 @@ Transcendental subexpressions are treated as opaque atoms with sorted,
 constant-folded arguments.
 
 Floats never enter a tree: decimal literals are converted to exact rationals
-at construction time and floats only appear when `evaluate` is called.
+at construction time.  Floats appear only when a tree is evaluated: by
+`evaluate`, the reference interpreter on one point, or by the evaluator
+`compile_exprs` builds, which runs on stacked columns of points.
 """
 
 from __future__ import annotations
@@ -750,10 +752,12 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
 
 
 # --------------------------------------------------------------------------
-# Compilation: fast evaluators for sampling loops and ODE right-hand sides.
-# The generated code performs the same operations in the same order as
-# `evaluate`, so both paths agree bitwise.  The vectorized variant runs the
-# same code on numpy ufuncs, which may differ from `math` in the last bit.
+# Compilation: the one compiled evaluator, for sampling loops, rank tests,
+# Newton searches and ODE right-hand sides.  The generated code performs the
+# operations of `evaluate` in the same order, on stacked columns of points
+# with numpy ufuncs.  A ufunc gives the same bits for a column whatever the
+# batch size, but may differ from `math` in the last bit (exp, log and
+# integer powers do on a few percent of arguments; sin and cos rarely).
 # --------------------------------------------------------------------------
 
 def _emit(e: Expr, names: Mapping[str, str]) -> str:
@@ -784,87 +788,65 @@ def _emit(e: Expr, names: Mapping[str, str]) -> str:
     raise TypeError(f"unknown node {e!r}")
 
 
-def compile_exprs(exprs: Sequence[Expr], coord_names: Sequence[str],
-                  vectorized: bool = False) -> Callable:
-    """Compile expressions into one function point-tuple -> tuple of floats.
+def compile_exprs(exprs: Sequence[Expr],
+                  coord_names: Sequence[str]) -> Callable:
+    """Compile expressions into one function on stacked points.
 
-    Domain failures surface as EvalDomainError naming the failing
-    subexpression, as in `evaluate`.  With `vectorized` the same emitted code
-    runs on numpy ufuncs: the function takes K points as the columns of a
-    (len(coord_names), K) array and returns `(values, errors)`, a
-    (len(exprs), K) array and a dict from each column holding a non-finite
-    value to its EvalDomainError.  Memoized; callers share the function.
+    The function takes K points as the columns of a (len(coord_names), K)
+    array and returns `(values, errors)`: a (len(exprs), K) array and a dict
+    from each column holding a non-finite value to its EvalDomainError,
+    which names the failing subexpression as `evaluate` does.  Memoized;
+    callers share the function.
     """
     exprs = tuple(exprs)
     coord_names = tuple(coord_names)
-    key = ("compile_exprs", exprs, coord_names, vectorized)
+    key = ("compile_exprs", exprs, coord_names)
     hit = memo.get(key)
     return hit if hit is not None else memo.put(
-        key, _compile(exprs, coord_names, vectorized))
+        key, _compile(exprs, coord_names))
 
 
-def _compile(exprs: tuple, coord_names: tuple, vectorized: bool) -> Callable:
+def _compile(exprs: tuple, coord_names: tuple) -> Callable:
     names = {n: f"_z[{i}]" for i, n in enumerate(coord_names)}
     body = ", ".join(_emit(e, names) for e in exprs)
     if len(exprs) == 1:
         body += ","
     src = f"def _compiled(_z):\n    return ({body})\n"
-    scope = dict(_NUMPY_SCOPE if vectorized else _MATH_SCOPE)
+    scope = dict(_NUMPY_SCOPE)
     exec(src, scope)
     fn = scope["_compiled"]
 
-    if vectorized:
-        def run_columns(points):
-            points = np.asarray(points, dtype=float)
-            out = np.empty((len(exprs), points.shape[1]))
-            try:
-                with np.errstate(all="ignore"):
-                    for i, value in enumerate(fn(points)):
-                        out[i] = value
-            except (ZeroDivisionError, ValueError, OverflowError):
-                out[:] = np.nan  # a constant subexpression failed
-            bad = np.flatnonzero(~np.isfinite(out).all(axis=0))
-            return out, {int(k): _domain_error(exprs, coord_names,
-                                               points[:, k], out[:, k])
-                         for k in bad}
-
-        return run_columns
-
-    def run(point):
+    def run(points):
+        points = np.asarray(points, dtype=float)
+        out = np.empty((len(exprs), points.shape[1]))
         try:
-            return fn(point)
-        except (ZeroDivisionError, ValueError, OverflowError) as err:
-            # evaluate repeats the operations node by node and raises the
-            # EvalDomainError that names the failing subtree
-            assignment = dict(zip(coord_names, point))
-            for e in exprs:
-                evaluate(e, assignment)
-            raise EvalDomainError(exprs[0], str(err) or "domain error") \
-                from None
+            with np.errstate(all="ignore"):
+                for i, value in enumerate(fn(points)):
+                    out[i] = value
+        except (ZeroDivisionError, ValueError, OverflowError):
+            out[:] = np.nan  # a constant subexpression failed
+        bad = (~np.isfinite(out).all(axis=0)).nonzero()[0]
+        return out, {int(k): _domain_error(exprs, coord_names, points[:, k],
+                                           out[:, k])
+                     for k in bad}
 
     return run
 
 
 def _domain_error(exprs: tuple, coord_names: tuple, point,
                   values) -> EvalDomainError:
-    """The error the scalar evaluator raises at a point where the vectorized
-    one gave a non-finite value, or one naming the first such component."""
+    """The error `evaluate` raises at a point where the compiled evaluator
+    gave a non-finite value, or one naming the first such component."""
+    assignment = dict(zip(coord_names, point.tolist()))
     try:
-        compile_exprs(exprs, coord_names)(tuple(point))
+        for e in exprs:
+            evaluate(e, assignment)
     except EvalDomainError as err:
         return err
     j = int(np.flatnonzero(~np.isfinite(values))[0])
     return EvalDomainError(exprs[j], "non-finite value")
 
 
-def _checked_log(x: float) -> float:
-    if x <= 0.0:
-        raise ValueError("log of a nonpositive value")
-    return math.log(x)
-
-
-_MATH_SCOPE = {"_pow": math.pow, "_exp": math.exp, "_log": _checked_log,
-               "_sin": math.sin, "_cos": math.cos}
 _NUMPY_SCOPE = {"_pow": np.power, "_exp": np.exp, "_log": np.log,
                 "_sin": np.sin, "_cos": np.cos}
 

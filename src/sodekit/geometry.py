@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .expressions import (
-    Expr, EvalDomainError, Num, ZERO, compile_exprs, differentiate,
+    Expr, Num, ZERO, compile_exprs, differentiate,
     free_symbols, normalize, to_str,
 )
 from . import memo
@@ -120,10 +120,16 @@ class VectorField:
         return normalize(sum(terms[1:], terms[0]))
 
     def evaluator(self):
+        """The compiled components on stacked points (see compile_exprs)."""
         return compile_exprs(self.components, self.chart.names)
 
     def at(self, point) -> np.ndarray:
-        return np.array(self.evaluator()(tuple(point)), dtype=float)
+        """The components at one point; raises its EvalDomainError."""
+        values, errors = self.evaluator()(
+            np.asarray(point, dtype=float)[:, None])
+        if errors:
+            raise errors[0]
+        return values[:, 0]
 
     def combine(self, coeff: Expr, other: "VectorField",
                 other_coeff: Expr) -> "VectorField":
@@ -221,42 +227,31 @@ def frame_rank(fields, chart: Optional[Chart] = None, samples: int = 64,
         chart = fields[0].chart
     if samples < 1:
         raise GeometryError("samples must be >= 1")
-    evaluators = [f.evaluator() for f in fields]
     points = chart.sample(samples, seed)
-    ranks = []
-    kept_points = []
-    worst = np.inf
-    skipped = 0
-    for pt in points:
-        try:
-            cols = [ev(pt) for ev in evaluators]
-        except EvalDomainError:
-            skipped += 1
-            continue
-        matrix = np.array(cols, dtype=float).T
-        svals = np.linalg.svd(matrix, compute_uv=False)
-        if svals.size == 0 or svals[0] == 0.0:
-            rank = 0
-        else:
-            significant = svals[svals > RANK_TOL * svals[0]]
-            rank = int(significant.size)
-            if rank == len(fields):
-                worst = min(worst, float(significant[-1]))
-        ranks.append(rank)
-        kept_points.append(pt)
-    if not ranks:
+    values, errors = compile_exprs(
+        [c for f in fields for c in f.components], chart.names)(
+        np.array(points).T)
+    kept = [k for k in range(len(points)) if k not in errors]
+    if not kept:
         raise GeometryError(
             "all sample points hit evaluation domain errors"
         )
+    # one matrix per kept point, with the fields' values as its columns
+    matrices = values[:, kept].T.reshape(len(kept), len(fields), chart.dim)
+    svals = np.linalg.svd(matrices.transpose(0, 2, 1), compute_uv=False)
+    ranks = [int(r) for r in
+             (svals > RANK_TOL * svals[:, :1]).sum(axis=1)]
+    full = [k for k, r in enumerate(ranks) if r == len(fields)]
     claimed = max(ranks)
-    deficient = [p for p, r in zip(kept_points, ranks) if r < claimed]
     return RankReport(
         claimed_rank=claimed,
         sample_count=len(ranks),
         ranks=ranks,
-        worst_conditioning=float(worst) if np.isfinite(worst) else 0.0,
-        deficient_points=deficient,
-        skipped_points=skipped,
+        worst_conditioning=(float(svals[full, len(fields) - 1].min())
+                            if full else 0.0),
+        deficient_points=[points[k] for k, r in zip(kept, ranks)
+                          if r < claimed],
+        skipped_points=len(points) - len(kept),
     )
 
 

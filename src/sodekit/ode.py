@@ -3,12 +3,13 @@ and Wanner (Solving ODEs I, Sec. II.10), stepping a batch of members at once.
 
 Every member has its own time span, step size, error norm and accept/reject
 decision.  The arithmetic of one member never mixes with another's, so a
-member's trajectory is the one it has alone, to the last bit, and a single
-run is a batch of one.  A member whose right-hand side fails leaves the batch
-and the others go on.  The step controller follows scipy's DOP853 operation
-for operation: the initial step of `select_initial_step`, safety 0.9, step
-factors within [0.2, 10], error exponent -1/8 and the combined 5th/3rd-order
-error norm.  There is no dense output.
+member's trajectory is the one it has in a batch of one, to the last bit.
+A member whose right-hand side fails leaves the batch and the others go on.
+The step controller follows scipy's DOP853 operation for operation: the
+initial step of `select_initial_step`, safety 0.9, step factors within
+[0.2, 10], error exponent -1/8 and the combined 5th/3rd-order error norm.
+There is no dense output and no record of the accepted steps: a run gives
+each member's last time and state.
 """
 
 from __future__ import annotations
@@ -138,10 +139,10 @@ class StepFailure(ArithmeticError):
 
 
 class OdeResult(NamedTuple):
-    """A single run gives the accepted times `t` and the states as the
-    columns of `y`, as scipy does; a batch each member's last time (K,) and
-    state (K, d).  `nfev` counts right-hand-side calls; `failures` maps a
-    failed member to its right-hand side's exception or a StepFailure."""
+    """Each member's last time `t` (K,) and state `y` (K, d); for a failed
+    member, the time and state of its last accepted step.  `nfev` counts
+    right-hand-side calls; `failures` maps a failed member to its
+    right-hand side's exception or a StepFailure."""
     t: np.ndarray
     y: np.ndarray
     nfev: int
@@ -152,29 +153,22 @@ class OdeResult(NamedTuple):
 
 def solve_ivp(fun, t_span, y0, rtol: float = 1e-3,
               atol: float = 1e-6) -> OdeResult:
-    """Integrate y' = fun(t, y) from t_span[0] to t_span[1] by DOP853.
+    """Integrate y' = fun(t, y) from t_span[0] to t_span[1] by DOP853 for a
+    batch of K members, the rows of y0 (K, d); either end of t_span may be
+    an array of K times.
 
-    With a 1-D y0 this is one run in scipy's call shape: fun(t, y) returns
-    the derivative and any exception it raises propagates.  With y0 of shape
-    (K, d) it is a batch of K members, and either end of t_span may be an
-    array of K times.  fun(t, y) then takes the (k,) times and (k, d) states
-    of the members still running and returns (derivatives (k, d), errors),
-    errors mapping a row to the exception its member hit.  That member fails
-    and leaves the batch, and the others redo the step attempt, so the
-    derivatives that come with errors are not used."""
+    fun(t, y) takes the (k,) times and (k, d) states of the members still
+    running and returns (derivatives (k, d), errors), errors mapping a row
+    to the exception its member hit.  That member fails and leaves the
+    batch, and the others redo the step attempt, so the derivatives that
+    come with errors are not used.  Any exception fun raises propagates."""
     y0 = np.asarray(y0, dtype=float)
-    if y0.ndim == 2:
-        run = _Batch(fun, t_span, y0, rtol, atol)
-        return OdeResult(run.t_end, run.y_end, run.nfev, not run.failures,
-                         f"{len(run.failures)} members failed"
-                         if run.failures else SUCCESS, run.failures)
-    run = _Batch(lambda t, y: (np.asarray(fun(t[0], y[0]), dtype=float)[None],
-                               None),
-                 t_span, y0[None], rtol, atol, path=([t_span[0]], [y0]))
-    ts, ys = run.path
-    return OdeResult(np.array(ts, dtype=float), np.array(ys).T, run.nfev,
-                     not run.failures, SUCCESS if not run.failures else
-                     str(run.failures[0]), run.failures)
+    if y0.ndim != 2:
+        raise ValueError("y0 must hold one member per row, shape (K, d)")
+    run = _Batch(fun, t_span, y0, rtol, atol)
+    return OdeResult(run.t_end, run.y_end, run.nfev, not run.failures,
+                     f"{len(run.failures)} members failed"
+                     if run.failures else SUCCESS, run.failures)
 
 
 def _norm(x) -> np.ndarray:
@@ -199,10 +193,10 @@ class _Batch:
 
     ROWS = ("who", "t", "t1", "sign", "y", "f", "h_abs", "rejected")
 
-    def __init__(self, fun, t_span, y0, rtol, atol, path=None):
+    def __init__(self, fun, t_span, y0, rtol, atol):
         t0, t1 = (np.broadcast_to(np.asarray(t, dtype=float), len(y0))
                   for t in t_span)
-        self.fun, self.rtol, self.atol, self.path = fun, rtol, atol, path
+        self.fun, self.rtol, self.atol = fun, rtol, atol
         self.t_end, self.y_end = t0.copy(), y0.copy()
         self.failures, self.nfev = {}, 0
         self.who = np.flatnonzero(t1 != t0)
@@ -308,9 +302,6 @@ class _Batch:
             self.y = np.where(accepted[:, None], y_new, y)
             self.f = np.where(accepted[:, None], k, self.f)
         self.rejected = ~accepted
-        if self.path is not None and accepted[0]:
-            self.path[0].append(t_new[0])
-            self.path[1].append(y_new[0])
         done = np.flatnonzero(accepted & (sign * self.t >= sign * self.t1))
         if done.size:
             self._leave(done)

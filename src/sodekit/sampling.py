@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
-from .expressions import (
-    Add, EvalDomainError, Expr, compile_exprs, _to_rf, _poly_tree,
-)
+import numpy as np
+
+from .expressions import Add, Expr, compile_exprs, _to_rf, _poly_tree
 from . import memo
 
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
@@ -152,25 +152,31 @@ def _decide_zero(e: Expr, box: Mapping[str, Sequence[float]], trials: int,
     ranges = [tuple(box[n]) for n in names]
     evaluator = compile_exprs(list(terms), names)
     points = box_points(ranges, trials, seed)
+    values, errors = evaluator(np.array(points).T)
+    skipped = set()
+    if errors:
+        # each failed point is retried once, shifted toward the box interior
+        failed = sorted(errors)
+        shifted = [_jittered(points[k], ranges) for k in failed]
+        again, still = evaluator(np.array(shifted).T)
+        for col, k in enumerate(failed):
+            if col in still:
+                skipped.add(k)
+            else:
+                points[k] = shifted[col]
+                values[:, k] = again[:, col]
+    # the terms are summed in order, as `evaluate` sums an Add
+    totals = np.zeros(len(points))
+    scales = np.zeros(len(points))
+    with np.errstate(all="ignore"):
+        for row in values:
+            totals += row
+            scales += np.abs(row)
     max_residual = 0.0
-    errors = 0
-    for point in points:
-        values = None
-        for pt in (point, _jittered(point, ranges)):
-            try:
-                values = evaluator(pt)
-                point = pt
-                break
-            except EvalDomainError:
-                continue
-        if values is None:
-            errors += 1
+    for k, point in enumerate(points):
+        if k in skipped:
             continue
-        total = 0.0
-        scale = 0.0
-        for v in values:
-            total += v
-            scale += abs(v)
+        total, scale = float(totals[k]), float(scales[k])
         if abs(total) > tol * scale:
             return ZeroVerdict(
                 "nonzero",
@@ -181,14 +187,14 @@ def _decide_zero(e: Expr, box: Mapping[str, Sequence[float]], trials: int,
             )
         residual = abs(total) / scale if scale > 0.0 else 0.0
         max_residual = max(max_residual, residual)
-    if errors == len(points):
+    if len(skipped) == len(points):
         return ZeroVerdict(
             "unknown", trials=trials,
             diagnostic="all trial points hit evaluation domain errors",
         )
     diagnostic = None
-    if errors:
-        diagnostic = f"{errors} of {len(points)} trial points skipped"
+    if skipped:
+        diagnostic = f"{len(skipped)} of {len(points)} trial points skipped"
     return ZeroVerdict("unknown", max_residual=max_residual, trials=trials,
                        diagnostic=diagnostic)
 

@@ -63,15 +63,15 @@ QUADRATIC_GRID = 5        # fibre nodes per axis of the quadratic fit
 
 
 def _variational_evaluator(fld: VectorField):
-    """Compiled vectorized components of the field followed by its Jacobian,
-    row-major: the right-hand side of the variational equations."""
+    """Compiled components of the field followed by its Jacobian, row-major:
+    the right-hand side of the variational equations."""
     names = fld.chart.names
     key = ("variational", fld.components, names)
     hit = memo.get(key)
     return hit if hit is not None else memo.put(key, compile_exprs(
         list(fld.components)
         + [differentiate(c, n) for c in fld.components for n in names],
-        names, vectorized=True))
+        names))
 
 
 def _is_constant_field(fld) -> Optional[np.ndarray]:
@@ -94,7 +94,7 @@ def _row_evaluator(fld) -> Callable:
     errors), errors mapping a row to the exception it hit.  A callable field
     (numeric adaptation) is called row by row."""
     if isinstance(fld, VectorField):
-        ev = compile_exprs(fld.components, fld.chart.names, vectorized=True)
+        ev = fld.evaluator()
 
         def rows(z):
             values, errors = ev(z.T)
@@ -289,13 +289,11 @@ def solve_basis_ode(bc, section: CrossSection,
     dirs = np.asarray(section.directions, dtype=float)
     if dirs.shape != (m, m - n):
         raise AnalysisError("cross-section directions must be m x (m-n)")
-    names = chart.names
-    beta_fns = [
-        [compile_exprs([bc.w[l][j][k] for k in range(n)], names)
-         for j in range(n)]
-        for l in range(n)
-    ]
-    v_evals = [v.evaluator() for v in vbasis]
+    # per flow direction l: V_l's components, then the table w^k_lj, row j
+    rhs_fns = [compile_exprs(
+        list(vbasis[l].components)
+        + [bc.w[l][j][k] for j in range(n) for k in range(n)], chart.names)
+        for l in range(n)]
 
     def fibre_map(params, order):
         s = params[: m - n]
@@ -311,7 +309,7 @@ def solve_basis_ode(bc, section: CrossSection,
             z = ends[0]
             J = Jf[0] @ J
             Jy = Jf[0] @ Jy
-            Jy[:, l] = np.array(v_evals[l](tuple(z)))
+            Jy[:, l] = vbasis[l].at(z)
         return z, np.hstack([J, Jy])
 
     def transport(z_target, order):
@@ -342,28 +340,27 @@ def solve_basis_ode(bc, section: CrossSection,
         for l in order:
             if y[l] == 0.0:
                 continue
-            ev = v_evals[l]
-            beta_row = beta_fns[l]
+            ev = rhs_fns[l]
 
             def rhs(_t, state):
-                point = tuple(state[:m])
-                f = ev(point)
-                A_mat = state[m:].reshape(n, n)
-                B = np.array(
-                    [beta_row[j](point) for j in range(n)], dtype=float
-                ).T  # B[k, j] = w^k_{l j}... built from per-j rows
-                dA = -B @ A_mat
-                return np.concatenate([np.array(f), dA.ravel()])
+                # a batch of one: the state is (z, A) in one row
+                values, errors = ev(state[:, :m].T)
+                if errors:
+                    return None, errors
+                B = values[m:, 0].reshape(n, n).T   # B[k, j] = w^k_lj
+                dA = -B @ state[0, m:].reshape(n, n)
+                return np.concatenate([values[:m, 0], dA.ravel()])[None], {}
 
-            y0 = np.concatenate([z, A.ravel()])
+            y0 = np.concatenate([z, A.ravel()])[None]
             sol = solve_ivp(rhs, (0.0, y[l]), y0, rtol=RTOL, atol=ATOL)
-            if not sol.success:
-                raise NumericFailure(
-                    f"basis transport failed: {sol.message}",
-                    last_point=tuple(sol.y[:m, -1]),
-                )
-            z = sol.y[:m, -1]
-            A = sol.y[m:, -1].reshape(n, n)
+            if sol.failures:
+                err = sol.failures[0]
+                if not isinstance(err, StepFailure):
+                    raise err
+                raise NumericFailure(f"basis transport failed: {err}",
+                                     last_point=tuple(sol.y[0, :m]))
+            z = sol.y[0, :m]
+            A = sol.y[0, m:].reshape(n, n)
             if abs(np.linalg.det(A)) < 1e-10:
                 raise NumericFailure(
                     "transported basis matrix became singular",
@@ -733,12 +730,11 @@ def build_normal_coordinates(report: AnalysisReport) -> CoordinateTransform:
                                         default_cross_section(ef), ef.vbasis)
         except (AnalysisError, EvalDomainError) as err:
             raise NumericFailure(f"numeric transport failed: {err}") from err
-        v_evals = [v.evaluator() for v in ef.vbasis]
 
         def make_field(index):
             def call(point):
                 A = transport(point)
-                cols = np.array([ev(point) for ev in v_evals], dtype=float)
+                cols = np.array([v.at(point) for v in ef.vbasis])
                 return tuple(A[:, index] @ cols)
             return call
 

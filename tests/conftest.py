@@ -3,11 +3,14 @@ generator, and the independent Euler-Lagrange oracle for the reduced
 Lagrangian corpus instance."""
 
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sodekit.expressions import (
-    Expr, Num, Sym, ZERO, differentiate, free_symbols, normalize,
+    Expr, Num, Sym, ZERO, cos, differentiate, exp, free_symbols, log,
+    normalize, sin,
 )
 from sodekit.geometry import Chart, Frame, VectorField, coordinate_field
 from sodekit.parser import parse
@@ -26,6 +29,14 @@ def natural_sode(plane):
     return plane, F, V
 
 
+def values_at(fn, point) -> np.ndarray:
+    """A compiled evaluator's values at one point, its domain error raised."""
+    values, errors = fn(np.asarray(point, dtype=float)[:, None])
+    if errors:
+        raise errors[0]
+    return values[:, 0]
+
+
 def random_polynomial(rng: random.Random, names, degree: int = 3,
                       terms: int = 4) -> Expr:
     """Small random polynomial with integer coefficients in [-4, 4]."""
@@ -41,6 +52,30 @@ def random_polynomial(rng: random.Random, names, degree: int = 3,
                 term = term * Sym(name) ** e
         expr = expr + term
     return expr
+
+
+def random_elementary(rng: random.Random, names, depth: int = 2) -> Expr:
+    """Random expression over `names` mixing exp, log, sin and cos with
+    integer and fractional powers, built on small random polynomials; log
+    and the fractional powers take arguments 1 + a^2."""
+    a = random_polynomial(rng, names, degree=2, terms=3)
+    if depth == 0:
+        return a
+    inner = random_elementary(rng, names, depth - 1)
+    positive = 1 + inner * inner
+    kind = rng.randrange(6)
+    if kind == 0:
+        return exp(inner / 4) * a
+    if kind == 1:
+        return log(positive) + a
+    if kind == 2:
+        return sin(inner) * a
+    if kind == 3:
+        return cos(inner) - a
+    if kind == 4:
+        return positive ** Fraction(rng.choice([1, -1, 5]),
+                                    rng.choice([2, 3])) + a
+    return inner ** rng.randint(2, 4) - a
 
 
 def random_vector_field(rng: random.Random, chart: Chart,

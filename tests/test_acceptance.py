@@ -108,9 +108,13 @@ def test_criterion_3_basis_adaptation_oracle():
     bc = bracket_coefficients(ef)
     adapted, info = adapt_commuting_basis(ef, bc)
     a_fn = compile_exprs([info.matrix[0][0]], plane.names)
-    for pt in box_points(plane.box, 64, seed=11):
+    points = box_points(plane.box, 64, seed=11)
+    values, errors = a_fn(np.array(points).T)
+    if errors:
+        failures.append(f"symbolic rescaling fails at {len(errors)} points")
+    for pt, a in zip(points, values[0]):
         want = 1.0 / (1.0 + pt[1] ** 2)
-        if abs(a_fn(pt)[0] - want) >= 1e-8:
+        if abs(a - want) >= 1e-8:
             failures.append(f"symbolic rescaling off at {pt}")
             break
     numeric = solve_basis_ode(
@@ -230,13 +234,12 @@ def test_criterion_7_reduced_lagrangian_corpus():
         failures.append("quadratic verdict missing")
     oracle = euler_lagrange_reduced_field(m)
     shipped = [normalize(c) for c in m.field_components]
-    oracle_fn = compile_exprs(oracle, m.chart.names)
-    shipped_fn = compile_exprs(shipped, m.chart.names)
-    worst = 0.0
-    for pt in box_points(m.chart.box, 100, seed=17):
-        a = np.array(oracle_fn(pt))
-        b = np.array(shipped_fn(pt))
-        worst = max(worst, float(np.max(np.abs(a - b))))
+    points = np.array(box_points(m.chart.box, 100, seed=17)).T
+    a, a_errors = compile_exprs(oracle, m.chart.names)(points)
+    b, b_errors = compile_exprs(shipped, m.chart.names)(points)
+    if a_errors or b_errors:
+        failures.append("Euler-Lagrange fields fail to evaluate")
+    worst = float(np.max(np.abs(a - b)))
     if not worst < 1e-8:
         failures.append(f"Euler-Lagrange oracle disagrees by {worst:.2e}")
     _finish(7, "reduced-lagrangian-corpus", failures,

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sodekit.expressions import (
@@ -9,8 +10,8 @@ from sodekit.expressions import (
     normalize, sin, syms, to_str,
 )
 from sodekit.parser import parse
-from sodekit.sampling import is_zero
-from tests.conftest import random_polynomial
+from sodekit.sampling import _jittered, box_points, is_zero
+from tests.conftest import random_elementary, random_polynomial
 
 x, y = syms("x y")
 BOX = {"x": (-1.0, 1.0), "y": (-1.0, 1.0)}
@@ -132,20 +133,37 @@ def test_evaluate_deterministic_bitwise():
 def test_compiled_matches_tree_eval():
     e = normalize(parse("(x + y)^3/(1 + x^2) - sin(x*y) + exp(y)^2"))
     fn = compile_exprs([e], ["x", "y"])
-    for pt in [(0.1, 0.2), (-0.7, 0.4), (0.55, -0.91)]:
-        assert fn(pt)[0] == evaluate(e, dict(zip(("x", "y"), pt)))
+    points = [(0.1, 0.2), (-0.7, 0.4), (0.55, -0.91)]
+    values, errors = fn(np.array(points).T)
+    assert not errors
+    for k, pt in enumerate(points):
+        assert values[0, k] == evaluate(e, dict(zip(("x", "y"), pt)))
 
 
 def test_compiled_domain_error_names_the_failing_component():
     fn = compile_exprs([x, log(y)], ["x", "y"])
-    with pytest.raises(EvalDomainError) as info:
-        fn((1.0, -1.0))
-    assert info.value.subtree == log(y)
-    assert "in 'log(y)'" in str(info.value)
+    values, errors = fn(np.array([[1.0, 1.0], [2.0, -1.0]]))
+    assert list(errors) == [1] and values[0, 0] == 1.0
+    assert errors[1].subtree == log(y)
+    assert "in 'log(y)'" in str(errors[1])
     huge = normalize(y * 10 ** 400)
-    with pytest.raises(EvalDomainError) as info:
-        compile_exprs([x, huge], ["x", "y"])((1.0, 1.0))
-    assert info.value.subtree == Num(10 ** 400)
+    _, errors = compile_exprs([x, huge], ["x", "y"])(np.array([[1.0], [1.0]]))
+    assert errors[0].subtree == Num(10 ** 400)
+
+
+@pytest.mark.parametrize("K", [1, 7, 64])
+def test_compiled_columns_do_not_depend_on_the_batch(K):
+    rng = random.Random(2024)
+    exprs = [random_elementary(rng, ["x", "y"]) for _ in range(24)]
+    text = " ".join(to_str(e) for e in exprs)
+    assert all(f in text for f in ("exp(", "log(", "sin(", "cos(", "^("))
+    fn = compile_exprs(exprs, ["x", "y"])
+    points = np.random.default_rng(K).uniform(-1.0, 1.0, size=(2, K))
+    values, errors = fn(points)
+    assert not errors
+    for k in range(K):
+        alone, _ = fn(points[:, k:k + 1])
+        assert values[:, k].tobytes() == alone[:, 0].tobytes()
 
 
 # -- is_zero -----------------------------------------------------------------
@@ -192,6 +210,63 @@ def test_is_zero_all_domain_errors_is_unknown():
     v = is_zero(e, BOX, trials=8, seed=0)
     assert v.kind == "unknown"
     assert "domain errors" in (v.diagnostic or "")
+
+
+def test_is_zero_counts_non_finite_values_as_domain_errors():
+    # exp(700*x)*exp(700*y) overflows to inf where x + y > 1.014, and the
+    # zero factor turns inf into a NaN residual
+    e = normalize(parse(
+        "exp(700*x)*exp(700*y)*(sin(x)^2 + cos(x)^2 - 1)"))
+    v = is_zero(e, BOX)
+    assert v.kind == "unknown"
+    assert v.diagnostic == "10 of 64 trial points skipped"
+    assert v.max_residual < 1e-12
+
+
+def walk_trial_points(e, box, trials=64, seed=0):
+    """The zero test's walk, one point at a time by `evaluate`: the points
+    used (a failed point is retried at its jittered point) and the number of
+    points skipped because both failed."""
+    ranges = list(box.values())
+    used, skipped = [], 0
+    for point in box_points(ranges, trials, seed):
+        for pt in (point, _jittered(point, ranges)):
+            try:
+                used.append((pt, evaluate(e, dict(zip(box, pt)))))
+                break
+            except EvalDomainError:
+                pass
+        else:
+            skipped += 1
+    return used, skipped
+
+
+def edge_of_first_trial_point():
+    """c = x0 - 1/1000 for the x0 of the first trial point: log(c - x) fails
+    at that point and evaluates at its jittered point."""
+    x0 = box_points(list(BOX.values()), 64, 0)[0][0]
+    return Num(Fraction(x0) - Fraction(1, 1000))
+
+
+def test_is_zero_takes_the_witness_from_a_jittered_point():
+    e = log(edge_of_first_trial_point() - x) * y
+    v = is_zero(e, BOX)
+    used, _ = walk_trial_points(e, BOX)
+    first = box_points(list(BOX.values()), 64, 0)[0]
+    assert used[0][0] == _jittered(first, list(BOX.values()))
+    assert v.kind == "nonzero"
+    assert tuple(v.witness.values()) == used[0][0]
+    assert v.value == pytest.approx(used[0][1], rel=1e-12)
+    assert v.diagnostic is None
+
+
+def test_is_zero_counts_the_points_that_fail_after_the_retry():
+    e = log(edge_of_first_trial_point() - x) * (sin(y) ** 2 + cos(y) ** 2 - 1)
+    v = is_zero(e, BOX)
+    used, skipped = walk_trial_points(e, BOX)
+    assert skipped == 17 and len(used) == 64 - 17
+    assert v.kind == "unknown"
+    assert v.diagnostic == "17 of 64 trial points skipped"
 
 
 def test_printing_round_trips_canonical_forms():

@@ -10,7 +10,7 @@ from sodekit.geometry import (
     is_involutive, lie_bracket,
 )
 from sodekit.parser import parse
-from tests.conftest import random_polynomial, random_vector_field
+from tests.conftest import random_polynomial, random_vector_field, values_at
 
 x, y = syms("x y")
 
@@ -96,6 +96,35 @@ def test_frame_rank_degenerate_pair(plane):
     dx = coordinate_field(plane, "x")
     report = frame_rank([dx, dx.scaled(x)], plane, samples=64, seed=1)
     assert report.claimed_rank == 1
+
+
+def test_frame_rank_matches_a_loop_over_the_points(plane):
+    F = VectorField(plane, [y, parse("x*y^2 + y")])
+    dy = coordinate_field(plane, "y")
+    fields = [dy, lie_bracket(F, dy), dy.scaled(parse("x - y"))]
+    for frame in (fields[:2], fields[1:], fields):
+        report = frame_rank(frame, plane, samples=32, seed=4)
+        ranks, worst = [], np.inf
+        for pt in plane.sample(32, 4):
+            svals = np.linalg.svd(np.array([f.at(pt) for f in frame]).T,
+                                  compute_uv=False)
+            ranks.append(int((svals > 1e-9 * svals[0]).sum()))
+            if ranks[-1] == len(frame):
+                worst = min(worst, svals[-1])
+        assert report.ranks == ranks
+        assert report.worst_conditioning == (
+            worst if np.isfinite(worst) else 0.0)
+
+
+def test_frame_rank_skips_points_with_non_finite_values():
+    # exp(700*x)*exp(700*y) overflows to inf where x + y > 1.014
+    square = Chart(["x", "y"], [(-1, 1), (-1, 1)])
+    report = frame_rank([VectorField(square, [parse("exp(700*x)*exp(700*y)"),
+                                              Num(1)]),
+                         VectorField(square, [ZERO, Num(1)])], square)
+    assert report.skipped_points == 10
+    assert report.sample_count == 54
+    assert report.claimed_rank == 2
 
 
 def test_frame_rank_scrambled_oscillator_combined():
@@ -203,7 +232,7 @@ def test_decompose_agrees_with_numeric_least_squares(plane):
         pt = (rng.uniform(-1, 1), rng.uniform(-1, 1))
         A = np.array([fld.at(pt) for fld in frame.fields]).T
         sol, *_ = np.linalg.lstsq(A, X.at(pt), rcond=None)
-        assert np.max(np.abs(np.array(coeff_fn(pt)) - sol)) < 1e-9
+        assert np.max(np.abs(values_at(coeff_fn, pt) - sol)) < 1e-9
 
 
 def test_frame_rank_invariant_under_constant_remix(plane):

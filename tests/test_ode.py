@@ -1,6 +1,7 @@
-"""The in-house DOP853 integrator: its tableau and single runs against scipy's
-DOP853 (a test-only oracle), batches against single runs, and a CLI run that
-never imports scipy."""
+"""The in-house DOP853 integrator: its tableau and batches of one against
+scipy's DOP853 (a test-only oracle), batches against batches of one, and a
+CLI run that never imports scipy.  A run gives each member's last time and
+state only, so scipy's run is compared at its last accepted step."""
 
 import os
 import subprocess
@@ -54,6 +55,12 @@ def test_tableau_equals_scipys():
     assert np.array_equal(ode.E5, coefficients.E5)
 
 
+def one(fun):
+    """A scipy-shaped right-hand side fun(t, y) as the right-hand side of a
+    batch of one member."""
+    return lambda t, y: (np.asarray(fun(t[0], y[0]), dtype=float)[None], {})
+
+
 @pytest.mark.parametrize("fun,span,y0", CASES,
                          ids=["oscillator", "backwards", "planar",
                               "variational"])
@@ -61,14 +68,14 @@ def test_tableau_equals_scipys():
                          ids=["tight", "loose"])
 def test_single_run_agrees_with_scipy(fun, span, y0, tol):
     rtol, atol = tol
-    got = ode.solve_ivp(fun, span, y0, rtol=rtol, atol=atol)
+    got = ode.solve_ivp(one(fun), span, [y0], rtol=rtol, atol=atol)
     want = scipy_integrate.solve_ivp(fun, span, np.array(y0), method="DOP853",
                                      rtol=rtol, atol=atol)
     assert got.success and got.message == want.message
     assert got.nfev == want.nfev
-    assert got.t.shape == want.t.shape and got.y.shape == want.y.shape
-    assert np.max(np.abs(got.t - want.t)) <= 1e-12
-    assert np.max(np.abs(got.y - want.y)) <= 1e-12
+    assert got.t.shape == (1,) and got.y.shape == (1, len(y0))
+    assert abs(got.t[0] - want.t[-1]) <= 1e-12
+    assert np.max(np.abs(got.y[0] - want.y[:, -1])) <= 1e-12
 
 
 def test_single_run_reports_a_step_failure_as_scipy_does():
@@ -76,13 +83,16 @@ def test_single_run_reports_a_step_failure_as_scipy_does():
     def blowup(t, y):
         return y * y
 
-    got = ode.solve_ivp(blowup, (0.0, 2.0), [1.0], rtol=RTOL, atol=ATOL)
+    got = ode.solve_ivp(one(blowup), (0.0, 2.0), [[1.0]], rtol=RTOL,
+                        atol=ATOL)
     want = scipy_integrate.solve_ivp(blowup, (0.0, 2.0), [1.0],
                                      method="DOP853", rtol=RTOL, atol=ATOL)
-    assert not got.success and got.message == want.message
+    assert not got.success and not want.success
+    assert list(got.failures) == [0]
     assert isinstance(got.failures[0], ode.StepFailure)
+    assert str(got.failures[0]) == want.message
     assert got.nfev == want.nfev
-    assert np.array_equal(got.t, want.t) and np.array_equal(got.y, want.y)
+    assert got.t[0] == want.t[-1] and np.array_equal(got.y[0], want.y[:, -1])
 
 
 def test_single_run_lets_the_right_hand_side_raise():
@@ -90,10 +100,10 @@ def test_single_run_lets_the_right_hand_side_raise():
         raise EvalDomainError(parse("log(x)"), "log of a nonpositive value")
 
     with pytest.raises(EvalDomainError):
-        ode.solve_ivp(bad, (0.0, 1.0), [1.0])
+        ode.solve_ivp(bad, (0.0, 1.0), [[1.0]])
 
 
-def log_field(y):
+def log_field(t, y):
     """Rows (x, v) -> (v, log(x + 2) - x); rows with x <= -2 fail."""
     with np.errstate(invalid="ignore", divide="ignore"):
         f = np.stack([y[:, 1], np.log(y[:, 0] + 2.0) - y[:, 0]], axis=1)
@@ -103,30 +113,24 @@ def log_field(y):
     return f, errors
 
 
-def one_member(t, y):
-    f, errors = log_field(y[None])
-    if errors:
-        raise errors[0]
-    return f[0]
-
-
 def test_batch_rows_equal_single_runs_and_a_bad_member_fails_alone():
     y0 = np.array([[0.1, 0.2], [-0.5, 1.0], [-1.5, -1.0], [0.7, -0.3],
                    [1.0, 0.0]])
     ends = np.array([0.4, -1.3, 2.0, 0.0, 3.1])
-    sol = ode.solve_ivp(lambda t, y: log_field(y), (0.0, ends), y0,
-                        rtol=RTOL, atol=ATOL)
+    sol = ode.solve_ivp(log_field, (0.0, ends), y0, rtol=RTOL, atol=ATOL)
     # member 2 moves towards x = -2 and leaves the log's domain
-    with pytest.raises(EvalDomainError):
-        ode.solve_ivp(one_member, (0.0, ends[2]), y0[2], rtol=RTOL,
-                      atol=ATOL)
+    alone = ode.solve_ivp(log_field, (0.0, ends[2]), y0[2:3], rtol=RTOL,
+                          atol=ATOL)
+    assert list(alone.failures) == [0]
+    assert isinstance(alone.failures[0], EvalDomainError)
     assert list(sol.failures) == [2] and not sol.success
     assert isinstance(sol.failures[2], EvalDomainError)
     for k in (0, 1, 3, 4):
-        alone = ode.solve_ivp(one_member, (0.0, ends[k]), y0[k], rtol=RTOL,
-                              atol=ATOL)
-        assert np.array_equal(sol.y[k], alone.y[:, -1])
-        assert sol.t[k] == alone.t[-1] == ends[k]
+        alone = ode.solve_ivp(log_field, (0.0, ends[k]), y0[k:k + 1],
+                              rtol=RTOL, atol=ATOL)
+        assert alone.success
+        assert np.array_equal(sol.y[k], alone.y[0])
+        assert sol.t[k] == alone.t[0] == ends[k]
 
 
 def test_batch_with_a_step_failure_flags_that_member_alone():
@@ -138,9 +142,10 @@ def test_batch_with_a_step_failure_flags_that_member_alone():
     assert list(sol.failures) == [0]
     assert isinstance(sol.failures[0], ode.StepFailure)
     for k in (1, 2):
-        alone = ode.solve_ivp(lambda t, y: y * y, (0.0, 2.0), y0[k],
-                              rtol=RTOL, atol=ATOL)
-        assert np.array_equal(sol.y[k], alone.y[:, -1])
+        alone = ode.solve_ivp(rhs, (0.0, 2.0), y0[k:k + 1], rtol=RTOL,
+                              atol=ATOL)
+        assert alone.success
+        assert np.array_equal(sol.y[k], alone.y[0])
 
 
 def test_a_cli_run_imports_no_scipy():

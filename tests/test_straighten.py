@@ -20,6 +20,7 @@ from sodekit.straighten import (
     default_cross_section, integrate_flows, pushforward_residuals,
     solve_basis_ode,
 )
+from tests.conftest import values_at
 
 x, y = syms("x y")
 
@@ -302,11 +303,11 @@ def test_fibre_coefficients_decrease_linearly_along_fibres():
         z = np.array(chart.center())
         if name == "routh-abelian":
             z = np.array([0.2, -0.1, 0.3, 0.4, 1.0])
-        b0 = np.array(b_fn(tuple(z)))
+        b0 = values_at(b_fn, z)
         for i, v in enumerate(ef.vbasis):
             for s in (0.2, -0.35):
                 moved = flow(v, z, s)
-                bs = np.array(b_fn(tuple(moved)))
+                bs = values_at(b_fn, moved)
                 expected = b0.copy()
                 expected[i] -= s
                 assert np.max(np.abs(bs - expected)) < 1e-6

@@ -1,12 +1,16 @@
-"""Structure of the package: its import graph, its one flow path and the
-stage list."""
+"""Structure of the package: its import graph, its one flow path, its one
+compiled evaluator and the stage list."""
 
 import ast
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from sodekit import analysis, ode
 from sodekit.corpus import corpus_get
+from sodekit.expressions import compile_exprs
 from sodekit.runner import COMMANDS, STAGES, run_command
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sodekit"
@@ -110,6 +114,19 @@ def test_flows_are_integrated_on_one_path():
     # transports the basis matrix along a fibre with its own right-hand side
     assert solve_ivp_callers() == {("straighten", "integrate_flows"),
                                    ("straighten", "solve_basis_ode")}
+
+
+def test_one_compiled_evaluator_on_stacked_points():
+    assert list(inspect.signature(compile_exprs).parameters) == [
+        "exprs", "coord_names"]
+    execs = [path.stem for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "exec"]
+    assert execs == ["expressions"]
+    assert not hasattr(analysis, "eval_exact")
+    with pytest.raises(ValueError):
+        ode.solve_ivp(lambda t, y: (y, {}), (0.0, 1.0), np.array([1.0]))
 
 
 def test_commands_run_stages_in_list_order():
