@@ -22,7 +22,7 @@ from .analysis import (  # noqa: F401
 )
 from .straighten import (  # noqa: F401
     CoordinateTransform, NumericFailure, build_normal_coordinates,
-    integrate_flows, pushforward_residuals, solve_basis_ode,
+    integrate_flows, pushforward_residuals, transported_fibre_fields,
 )
 from .manifest import Manifest, ManifestError, load_manifest  # noqa: F401
 from .corpus import corpus_get, corpus_list  # noqa: F401

@@ -10,23 +10,24 @@ solving for it.  Fibre coordinates are finally redefined as the x-components
 of the pushed-forward field, which forces the xdot = y block by construction
 and leaves the t-block and chart validity as the substantive checks.
 
-Jacobians of flow compositions are propagated by variational equations
-(a numerically transported fibre field, which has no symbolic Jacobian, is
-differenced instead); central finite differences of the whole map serve as
-a cross-check.  Every flow is integrated by `integrate_flows`, many members
-of one stage per solve_ivp call.
+Jacobians of flow compositions are propagated by variational equations;
+central finite differences of the whole map serve as a cross-check.  Where
+the adapted V-basis has no closed form, the matrix A of the basis change is
+carried as n^2 extra coordinates of every stage: the fibre fields transport
+A along their own flows, so they are symbolic fields like all the others.
+Every flow is integrated by `integrate_flows`, many members of one stage per
+solve_ivp call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .expressions import (
-    EvalDomainError, Num, ZERO, compile_exprs, differentiate, free_symbols,
-    normalize,
+    Num, Sym, ZERO, compile_exprs, differentiate, free_symbols, normalize,
 )
 from .geometry import Chart, VectorField
 from . import memo
@@ -49,9 +50,8 @@ class NumericFailure(RuntimeError):
 RTOL = 1e-10
 ATOL = 1e-12
 BOX_SLACK = 1.0
-# Central-difference steps: of a callable field's flow map, and of the
-# transform (the Jacobian cross-check and the fibre check).
-FLOW_FD_STEP = 1e-6
+# Central-difference step of the transform (the Jacobian cross-check and the
+# fibre check).
 FD_STEP = 1e-5
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
@@ -74,10 +74,9 @@ def _variational_evaluator(fld: VectorField):
         names))
 
 
-def _is_constant_field(fld) -> Optional[np.ndarray]:
-    if isinstance(fld, VectorField):
-        if all(not free_symbols(c) for c in fld.components):
-            return fld.at([0.0] * fld.chart.dim)
+def _is_constant_field(fld: VectorField) -> Optional[np.ndarray]:
+    if all(not free_symbols(c) for c in fld.components):
+        return fld.at([0.0] * fld.chart.dim)
     return None
 
 
@@ -89,47 +88,23 @@ def _within_slack(point, chart: Chart) -> bool:
     return True
 
 
-def _row_evaluator(fld) -> Callable:
-    """The stage field on stacked points: rows (K, m) -> (values (K, m),
-    errors), errors mapping a row to the exception it hit.  A callable field
-    (numeric adaptation) is called row by row."""
-    if isinstance(fld, VectorField):
-        ev = fld.evaluator()
-
-        def rows(z):
-            values, errors = ev(z.T)
-            return values.T, errors
-        return rows
-
-    def rows(z):
-        values = np.full_like(z, np.nan)
-        errors = {}
-        for k, point in enumerate(z):
-            try:
-                values[k] = fld(tuple(point))
-            except (NumericFailure, EvalDomainError) as err:
-                errors[k] = err
-        return values, errors
-    return rows
-
-
 # --------------------------------------------------------------------------
 # Flows: many members of one stage in a single solve_ivp call
 # --------------------------------------------------------------------------
 
-def integrate_flows(fld, z, s, with_jacobian: bool = False,
+def integrate_flows(fld: VectorField, z, s, with_jacobian: bool = False,
                     chart: Optional[Chart] = None) -> tuple:
     """Endpoint of the flow of `fld` from each row of z over its own time
     s[k], all members in one solve_ivp call with a step size and error
-    control per member; `with_jacobian` adds the Jacobian of each flow map.
+    control per member; `with_jacobian` adds the Jacobian of each flow map
+    from the variational equations.
 
-    A VectorField's Jacobian comes from the variational equations.  A
-    callable field has none: its Jacobian is the central difference of the
-    flow map, the 2m shifted starts of each member integrated in the same
-    batch.  Returns (ends (K, m), Jacobians (K, m, m) or None, failures),
-    failures mapping each failed member to its NumericFailure; a failed
-    member's rows are NaN and do not spoil the others.  `chart` also fails a
-    member whose end leaves the box by more than BOX_SLACK of its width."""
+    Returns (ends (K, m), Jacobians (K, m, m) or None, failures), failures
+    mapping each failed member to its NumericFailure; a failed member's rows
+    are NaN and do not spoil the others.  `chart` also fails a member whose
+    end leaves the box by more than BOX_SLACK of its width.  Only `chart`'s
+    own coordinates are guarded, so a field on a chart extended by the
+    transport matrix's entries is guarded by the chart it extends."""
     z = np.array(z, dtype=float)
     s = np.asarray(s, dtype=float)
     K, m = z.shape
@@ -140,21 +115,10 @@ def integrate_flows(fld, z, s, with_jacobian: bool = False,
     if const is not None:
         z[moving] = z[moving] + s[moving, None] * const
     elif moving.size:
-        variational = with_jacobian and isinstance(fld, VectorField)
-        differenced = with_jacobian and not variational
         count = len(moving)
-        y0, times = z[moving], s[moving]
-        if variational:
+        y0 = z[moving]
+        if with_jacobian:
             y0 = np.hstack([y0, jac[moving].reshape(count, m * m)])
-        elif differenced:  # member k's shifted starts: +h e_a, -h e_a, ...
-            shifted = np.repeat(y0[:, None], 2 * m, axis=1)
-            axes = np.arange(m)
-            shifted[:, 2 * axes, axes] += FLOW_FD_STEP
-            shifted[:, 2 * axes + 1, axes] -= FLOW_FD_STEP
-            y0 = np.vstack([y0, shifted.reshape(count * 2 * m, m)])
-            times = np.concatenate([times, np.repeat(times, 2 * m)])
-
-        if variational:
             ev = _variational_evaluator(fld)
 
             def rhs(_t, y):
@@ -168,30 +132,23 @@ def integrate_flows(fld, z, s, with_jacobian: bool = False,
                     len(y), -1)
                 return out, errors
         else:
-            rows = _row_evaluator(fld)
+            ev = fld.evaluator()
 
             def rhs(_t, y):
-                f, errors = rows(y)
-                return (None if errors else f), errors
+                values, errors = ev(y.T)
+                return (None if errors else values.T), errors
 
-        sol = solve_ivp(rhs, (0.0, times), y0, rtol=RTOL, atol=ATOL)
-        what = "variational flow" if variational else "flow"
-        for i in sorted(sol.failures):   # a member before its shifted starts
+        sol = solve_ivp(rhs, (0.0, s[moving]), y0, rtol=RTOL, atol=ATOL)
+        what = "variational flow" if with_jacobian else "flow"
+        for i in sorted(sol.failures):
             err = sol.failures[i]
-            if not isinstance(err, NumericFailure):
-                err = NumericFailure(
-                    f"{what} failed: {err}" if isinstance(err, StepFailure)
-                    else f"{what} hit a domain error: {err}",
-                    last_point=tuple(sol.y[i, :m]))
-            owner = i if i < count else (i - count) // (2 * m)
-            failures.setdefault(int(moving[owner]), err)
-        z[moving] = sol.y[:count, :m]
-        if variational:
+            failures[int(moving[i])] = NumericFailure(
+                f"{what} failed: {err}" if isinstance(err, StepFailure)
+                else f"{what} hit a domain error: {err}",
+                last_point=tuple(sol.y[i, :m]))
+        z[moving] = sol.y[:, :m]
+        if with_jacobian:
             jac[moving] = sol.y[:, m:].reshape(count, m, m)
-        elif differenced:
-            ends = sol.y[count:].reshape(count, m, 2, m)
-            jac[moving] = (ends[:, :, 0] - ends[:, :, 1]).transpose(
-                0, 2, 1) / (2 * FLOW_FD_STEP)
     if chart is not None:
         for k in moving:
             if k not in failures and not _within_slack(z[k], chart):
@@ -205,12 +162,12 @@ def integrate_flows(fld, z, s, with_jacobian: bool = False,
     return z, jac, failures
 
 
-def _field_values(fld, z) -> tuple:
+def _field_values(fld: VectorField, z) -> tuple:
     """Values of a stage field at each row of z: (values (K, m), failures)."""
-    values, errors = _row_evaluator(fld)(z)
-    return values, {
-        k: err if isinstance(err, NumericFailure) else NumericFailure(
-            f"field hit a domain error: {err}", last_point=tuple(z[k]))
+    values, errors = fld.evaluator()(z.T)
+    return values.T, {
+        k: NumericFailure(f"field hit a domain error: {err}",
+                          last_point=tuple(z[k]))
         for k, err in errors.items()}
 
 
@@ -245,12 +202,6 @@ def _keep_live(failures: dict, owners, recorded: dict, *arrays) -> tuple:
 # Numeric basis transport (the linear system of the commuting-basis change)
 # --------------------------------------------------------------------------
 
-@dataclass
-class CrossSection:
-    base_point: tuple
-    directions: np.ndarray  # m x (m - n), transversal to the V-span
-
-
 def _completion_directions(fields, z0) -> np.ndarray:
     """Singular vectors completing the span of the fields at z0, each signed
     so that its largest entry is positive."""
@@ -265,125 +216,58 @@ def _completion_directions(fields, z0) -> np.ndarray:
     return extra
 
 
-def default_cross_section(ef: ExtendedFrame) -> CrossSection:
-    """Complete the V-span at the box center by singular-vector directions."""
-    z0 = ef.chart.center()
-    return CrossSection(base_point=tuple(z0),
-                        directions=_completion_directions(ef.vbasis, z0))
+def transported_fibre_fields(ef: ExtendedFrame, w) -> list:
+    """The adapted V-basis with its transport matrix A carried along.
+
+    Field i lives on the chart extended by the n^2 entries a^k_j of A,
+    row-major after the chart's coordinates.  They are named `akj`, the
+    prefix lengthened by underscores until no coordinate starts with it, and
+    their box is nominal: no guard reads it.  The chart block of field i is
+    sum_l a^l_i V_l and its A block is
+    a^k_j -> -sum_{l,p} a^l_i w^k_lp a^p_j, with w[l][p][k] = w^k_lp as in
+    `BracketCoefficients.w`.  Along these flows A solves
+    V_l(A^k_j) + A^p_j w^k_lp = 0, so flowed from A = id on a section
+    transverse to V the chart blocks are a commuting V-basis whose brackets
+    with the W-fields are vertical."""
+    chart, n = ef.chart, ef.n
+    prefix = "a"
+    while any(name.startswith(prefix) for name in chart.names):
+        prefix = "_" + prefix
+    names = [f"{prefix}{k + 1}{j + 1}" for k in range(n) for j in range(n)]
+    extended = Chart(chart.names + tuple(names),
+                     chart.box + ((-1.0, 1.0),) * (n * n), seed=chart.seed)
+    a = [[Sym(names[k * n + j]) for j in range(n)] for k in range(n)]
+    fields = []
+    for i in range(n):
+        block = [normalize(sum((a[l][i] * v.components[c]
+                                for l, v in enumerate(ef.vbasis)), ZERO))
+                 for c in range(chart.dim)]
+        carried = [normalize(-sum((a[l][i] * w[l][p][k] * a[p][j]
+                                   for l in range(n) for p in range(n)
+                                   if w[l][p][k] != ZERO), ZERO))
+                   for k in range(n) for j in range(n)]
+        fields.append(VectorField(extended, block + carried))
+    return fields
 
 
-def solve_basis_ode(bc, section: CrossSection,
-                    vbasis: Sequence[VectorField]) -> Callable:
-    """Numeric matrix A(z) with V_l(A^k_j) + A^m_j w^k_lm = 0 and A = id on
-    the cross-section.
-
-    For a target z the section parameters and fibre times are solved by
-    Newton iteration on the composed V-flows, then A is transported along
-    that fibre path coordinate direction by coordinate direction.  Path
-    independence (guaranteed by the integrability identities) is spot-checked
-    by re-running with the flow order reversed."""
-    n = len(vbasis)
-    chart = vbasis[0].chart
-    m = chart.dim
-    z0 = np.asarray(section.base_point, dtype=float)
-    dirs = np.asarray(section.directions, dtype=float)
-    if dirs.shape != (m, m - n):
-        raise AnalysisError("cross-section directions must be m x (m-n)")
-    # per flow direction l: V_l's components, then the table w^k_lj, row j
-    rhs_fns = [compile_exprs(
-        list(vbasis[l].components)
-        + [bc.w[l][j][k] for j in range(n) for k in range(n)], chart.names)
-        for l in range(n)]
-
-    def fibre_map(params, order):
-        s = params[: m - n]
-        y = params[m - n:]
-        z = z0 + dirs @ s
-        J = dirs.copy()  # d z / d s
-        Jy = np.zeros((m, n))
-        for l in order:
-            ends, Jf, failures = integrate_flows(vbasis[l], z[None], [y[l]],
-                                                 with_jacobian=True)
+def _check_path_independence(fields, start, extent: float):
+    """Flow the fibre fields from start over `extent` each, in ascending and
+    in descending order; the ends differ when the transported basis does not
+    commute, i.e. the integrability identities fail numerically."""
+    ends = []
+    for order in (fields, fields[::-1]):
+        z = np.asarray(start, dtype=float)[None]
+        for fld in order:
+            z, _, failures = integrate_flows(fld, z, [extent])
             if failures:
                 raise failures[0]
-            z = ends[0]
-            J = Jf[0] @ J
-            Jy = Jf[0] @ Jy
-            Jy[:, l] = vbasis[l].at(z)
-        return z, np.hstack([J, Jy])
-
-    def transport(z_target, order):
-        params = np.zeros(m)
-        target = np.asarray(z_target, dtype=float)
-        for it in range(60):
-            z, J = fibre_map(params, order)
-            r = z - target
-            if np.max(np.abs(r)) < 1e-11:
-                break
-            try:
-                step = np.linalg.solve(J, -r)
-            except np.linalg.LinAlgError:
-                raise NumericFailure(
-                    "singular Jacobian while locating the fibre path",
-                    last_point=tuple(z),
-                ) from None
-            params = params + step
-        else:
-            raise NumericFailure(
-                "fibre-path Newton iteration did not converge",
-                last_point=tuple(z_target),
-            )
-        s = params[: m - n]
-        y = params[m - n:]
-        z = z0 + dirs @ s
-        A = np.eye(n)
-        for l in order:
-            if y[l] == 0.0:
-                continue
-            ev = rhs_fns[l]
-
-            def rhs(_t, state):
-                # a batch of one: the state is (z, A) in one row
-                values, errors = ev(state[:, :m].T)
-                if errors:
-                    return None, errors
-                B = values[m:, 0].reshape(n, n).T   # B[k, j] = w^k_lj
-                dA = -B @ state[0, m:].reshape(n, n)
-                return np.concatenate([values[:m, 0], dA.ravel()])[None], {}
-
-            y0 = np.concatenate([z, A.ravel()])[None]
-            sol = solve_ivp(rhs, (0.0, y[l]), y0, rtol=RTOL, atol=ATOL)
-            if sol.failures:
-                err = sol.failures[0]
-                if not isinstance(err, StepFailure):
-                    raise err
-                raise NumericFailure(f"basis transport failed: {err}",
-                                     last_point=tuple(sol.y[0, :m]))
-            z = sol.y[0, :m]
-            A = sol.y[0, m:].reshape(n, n)
-            if abs(np.linalg.det(A)) < 1e-10:
-                raise NumericFailure(
-                    "transported basis matrix became singular",
-                    last_point=tuple(z),
-                )
-        return A
-
-    checked = {"done": False}
-
-    def evaluator(z_target) -> np.ndarray:
-        A = transport(z_target, list(range(n)))
-        if not checked["done"] and n > 1:
-            A_rev = transport(z_target, list(reversed(range(n))))
-            gap = float(np.max(np.abs(A - A_rev)))
-            if gap > PATH_CHECK_TOL:
-                raise NumericFailure(
-                    f"basis transport is path dependent (gap {gap:.2e}); "
-                    "integrability identities are not holding numerically"
-                )
-            checked["done"] = True
-        return A
-
-    return evaluator
+        ends.append(z[0])
+    gap = float(np.max(np.abs(ends[0] - ends[1])))
+    if gap > PATH_CHECK_TOL:
+        raise NumericFailure(
+            f"basis transport is path dependent (gap {gap:.2e}); "
+            "integrability identities are not holding numerically"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -399,7 +283,7 @@ class StencilBatch(NamedTuple):
 
 @dataclass
 class Stage:
-    fld: object    # VectorField or callable
+    fld: VectorField
     label: str
 
 
@@ -415,16 +299,22 @@ class CoordinateTransform:
     in one solve_ivp call; each row steps as it would alone, and a row that
     fails is flagged alone.  `map_grid` walks a grid by parameter prefix so
     that nodes share their inner flows.  A transform keeps no state after
-    construction, so threads may share one."""
+    construction, so threads may share one.
+
+    The flows start from `start`: the base point z0, followed by the entries
+    of the identity matrix when the stages carry a transport matrix along
+    (see `transported_fibre_fields`).  The maps return the chart's own m
+    coordinates only."""
 
     def __init__(self, report: AnalysisReport, ef: ExtendedFrame,
-                 z0, stages: Sequence[Stage]):
+                 start, stages: Sequence[Stage]):
         self.chart = ef.chart
         self.F = ef.problem.F
         self.case = report.classification
-        self.z0 = np.asarray(z0, dtype=float)
-        self.stages = list(stages)
         self.m = self.chart.dim
+        self.start = np.asarray(start, dtype=float)
+        self.z0 = self.start[:self.m]
+        self.stages = list(stages)
         self.n = ef.n
         if len(self.stages) != self.m:
             raise AnalysisError("need exactly one stage per coordinate")
@@ -475,12 +365,13 @@ class CoordinateTransform:
         J = np.full((K, m, m), np.nan)
         failures: dict = {}
         live = np.arange(K)
-        zl, Jl = np.tile(self.z0, (K, 1)), np.zeros((K, m, 0))
+        zl = np.tile(self.start, (K, 1))
+        Jl = np.zeros((K, len(self.start), 0))
         for k in range(m):
             zl, Jl, errs = self._stage(k, zl, Jl, params[live, k], guard)
             live, zl, Jl = _keep_live(errs, live, failures, zl, Jl)
-        z[live] = zl
-        J[live] = Jl
+        z[live] = zl[:, :m]
+        J[live] = Jl[:, :m]
         return z, J, failures
 
     def map_grid(self, axis) -> tuple:
@@ -506,9 +397,9 @@ class CoordinateTransform:
                 elif k + 1 < m:
                     walk(k + 1, prefix * g + i, zk[i], Jk[i])
                 else:
-                    z[first], J[first] = zk[i], Jk[i]
+                    z[first], J[first] = zk[i, :m], Jk[i, :m]
 
-        walk(0, 0, self.z0, np.zeros((m, 0)))
+        walk(0, 0, self.start, np.zeros((len(self.start), 0)))
         return z, J, failures
 
     def invert(self, z_targets, guesses) -> tuple:
@@ -642,13 +533,13 @@ class CoordinateTransform:
         shift = FD_STEP * np.eye(self.m)
         rows = np.stack([params + shift, params - shift], axis=1).reshape(
             2 * self.m, self.m)
-        z = np.tile(self.z0, (len(rows), 1))
+        z = np.tile(self.start, (len(rows), 1))
         for k, st in enumerate(self.stages):
             z, _, failures = integrate_flows(st.fld, z, rows[:, k],
                                              chart=self.chart)
             if failures:
                 raise failures[min(failures)]
-        z = z.reshape(self.m, 2, self.m)
+        z = z[:, :self.m].reshape(self.m, 2, self.m)
         return (z[:, 0] - z[:, 1]).T / (2 * FD_STEP)
 
 
@@ -725,26 +616,17 @@ def build_normal_coordinates(report: AnalysisReport) -> CoordinateTransform:
             stages.append(Stage(w.scaled(Num(-1)), f"x{i + 1}"))
 
     if report.adaptation.mode == "numeric":
-        try:
-            transport = solve_basis_ode(report.bracket_coeffs,
-                                        default_cross_section(ef), ef.vbasis)
-        except (AnalysisError, EvalDomainError) as err:
-            raise NumericFailure(f"numeric transport failed: {err}") from err
-
-        def make_field(index):
-            def call(point):
-                A = transport(point)
-                cols = np.array([v.at(point) for v in ef.vbasis])
-                return tuple(A[:, index] @ cols)
-            return call
-
-        for i in range(n):
-            stages.append(Stage(make_field(i), f"y{i + 1}"))
+        fibre = transported_fibre_fields(ef, report.bracket_coeffs.w)
+        stages = [Stage(VectorField(fibre[0].chart, st.fld.components
+                                    + (ZERO,) * (n * n)), st.label)
+                  for st in stages]
+        start = np.concatenate([z0, np.eye(n).ravel()])
+        if n > 1:
+            _check_path_independence(fibre, start, default_extent(chart))
     else:
-        for i, v in enumerate(ef.vbasis):
-            stages.append(Stage(v, f"y{i + 1}"))
-
-    return CoordinateTransform(report, ef, z0, stages)
+        fibre, start = ef.vbasis, z0
+    stages += [Stage(fld, f"y{i + 1}") for i, fld in enumerate(fibre)]
+    return CoordinateTransform(report, ef, start, stages)
 
 
 # --------------------------------------------------------------------------

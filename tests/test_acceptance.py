@@ -19,8 +19,8 @@ from sodekit.corpus import corpus_get, corpus_list
 from sodekit.runner import report_to_json, run_command
 from sodekit.sampling import box_points
 from sodekit.straighten import (
-    CrossSection, build_normal_coordinates, pushforward_residuals,
-    solve_basis_ode,
+    build_normal_coordinates, integrate_flows, pushforward_residuals,
+    transported_fibre_fields,
 )
 from tests.conftest import euler_lagrange_reduced_field
 
@@ -117,13 +117,18 @@ def test_criterion_3_basis_adaptation_oracle():
         if abs(a - want) >= 1e-8:
             failures.append(f"symbolic rescaling off at {pt}")
             break
-    numeric = solve_basis_ode(
-        bc, CrossSection((0.0, 0.0), np.array([[1.0], [0.0]])), ef.vbasis
-    )
-    for pt in [(0.3, 0.6), (-0.8, -0.9), (1.0, 1.1)]:
-        want = 1.0 / (1.0 + pt[1] ** 2)
-        if abs(numeric(pt)[0, 0] - want) >= 1e-8:
-            failures.append(f"numeric transport off at {pt}")
+    # the numeric transport: the entry a carried along the adapted fibre
+    # flow from (x, 0, 1)
+    carried, = transported_fibre_fields(ef, bc.w)
+    ends, _, errs = integrate_flows(
+        carried, [(0.3, 0.0, 1.0), (-0.8, 0.0, 1.0), (1.0, 0.0, 1.0)],
+        [0.6, -0.9, 1.1])
+    if errs:
+        failures.append(f"numeric transport fails for {len(errs)} flows")
+    for end in ends:
+        want = 1.0 / (1.0 + end[1] ** 2)
+        if abs(end[2] - want) >= 1e-8:
+            failures.append(f"numeric transport off at {end[:2]}")
     if not (info.verification.ok and info.verification.max_residual < 1e-8):
         failures.append("adapted brackets are not vertical")
     _finish(3, "basis-adaptation", failures, time.perf_counter() - start, 5.0)

@@ -141,11 +141,11 @@ def test_adaptation_identity_when_mixing_vanishes(natural):
 
 def test_adaptation_numeric_fallback_for_transcendental_rescaling(plane):
     # V = exp(y) dy admits no polynomial transport solution, so the
-    # adaptation goes numeric; the chart's y-flow is A(z) V with the
-    # transported scalar A = exp(-y)
+    # adaptation goes numeric; the chart's y-flow is A V with the transported
+    # scalar A = exp(-y) carried as a third coordinate, one from y = 0
     import numpy as np
     from sodekit.expressions import exp as exp_
-    from sodekit.straighten import build_normal_coordinates
+    from sodekit.straighten import build_normal_coordinates, integrate_flows
     prob = SecondOrderProblem(
         plane, VectorField(plane, [y, ZERO]),
         Frame(plane, [VectorField(plane, [ZERO, exp_(y)])]),
@@ -154,9 +154,12 @@ def test_adaptation_numeric_fallback_for_transcendental_rescaling(plane):
     assert rep.classification == CASE1
     assert rep.adaptation.mode == "numeric"
     y_flow = build_normal_coordinates(rep).stages[-1].fld
-    for z in [(0.0, 0.5), (0.3, -0.7)]:
-        got = y_flow(z)[1] / np.exp(z[1])
-        assert abs(got - np.exp(-z[1])) < 1e-8
+    ends, _, failures = integrate_flows(
+        y_flow, [(0.0, 0.0, 1.0), (0.3, 0.0, 1.0)], [0.5, -0.7])
+    assert not failures
+    for _, y_end, a in ends:
+        assert abs(a - np.exp(-y_end)) < 1e-8
+        assert abs(y_flow.at((0.0, y_end, a))[1] - 1.0) < 1e-8
     # identity suites still hold exactly: the function atoms cancel
     # structurally in the rational-form arithmetic
     assert rep.identity_suites_ok()
@@ -180,24 +183,6 @@ def test_newton_search_lets_unrelated_evaluator_errors_through(
     monkeypatch.setattr(analysis, "compile_exprs", failing)
     with pytest.raises(Injected):
         analysis.find_zero_section_points(rep.extended, rep.f_w_coefficients)
-
-
-def test_adaptation_lets_unrelated_transport_errors_through(
-        plane, monkeypatch):
-    import sodekit.straighten as straighten
-    from sodekit.expressions import exp as exp_
-    prob = SecondOrderProblem(
-        plane, VectorField(plane, [y, ZERO]),
-        Frame(plane, [VectorField(plane, [ZERO, exp_(y)])]),
-    )
-    rep = classify(prob)
-
-    def failing(*args, **kwargs):
-        raise Injected("basis transport")
-
-    monkeypatch.setattr(straighten, "solve_basis_ode", failing)
-    with pytest.raises(Injected):
-        straighten.build_normal_coordinates(rep)
 
 
 def test_adaptation_identity_routh():

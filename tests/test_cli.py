@@ -1,5 +1,6 @@
 import json
 import re
+import time
 
 import pytest
 
@@ -116,6 +117,20 @@ def test_run_straighten_numeric_failure_when_locus_outside_box():
     report, code = run_command("straighten", manifest)
     assert code == EXIT_NUMERIC
     assert "cross-section" in report["error"]
+
+
+def test_numeric_adaptation_runs_end_to_end():
+    # V = exp(y) dy has no closed-form adaptation: the fibre flows carry the
+    # transported basis matrix
+    manifest = load_manifest(inline_manifest(
+        frame=[{"components": ["0", "exp(y)"]}]))
+    for command in ("straighten", "quadratic"):
+        start = time.perf_counter()
+        report, code = run_command(command, manifest)
+        assert code == EXIT_OK, command
+        assert report["analysis"]["adaptation"]["mode"] == "numeric"
+        assert time.perf_counter() - start < 10.0, command
+    assert report["quadratic_coefficients"]["max_fit_residual"] < 1e-8
 
 
 def test_run_report_all_corpus_instances_pass():

@@ -16,9 +16,8 @@ from sodekit.parser import parse
 from sodekit import straighten
 from sodekit.corpus import corpus_get
 from sodekit.straighten import (
-    CrossSection, NumericFailure, build_normal_coordinates,
-    default_cross_section, integrate_flows, pushforward_residuals,
-    solve_basis_ode,
+    NumericFailure, build_normal_coordinates, integrate_flows,
+    pushforward_residuals, transported_fibre_fields,
 )
 from tests.conftest import values_at
 
@@ -102,50 +101,22 @@ def test_flow_box_exit_rejected_with_chart_guard():
         flow(fld, (0.0, 0.0), 5.0, chart=ch)
 
 
-def test_callable_field_flows_in_one_batch_with_differenced_jacobian(
-        monkeypatch):
-    # a callable field (numeric adaptation) is evaluated row by row; its
-    # Jacobian differences the 2m shifted starts of each member in the batch
-    ch = Chart(["x", "y"], [(-2, 2), (-2, 2)])
-    rot = VectorField(ch, [y, normalize(-x)])
-
-    def rot_call(point):
-        if point[0] > 1.5:
-            raise NumericFailure("left the transport's range")
-        return point[1], -point[0]
-
-    starts = np.array([[1.0, 0.0], [1.6, 0.0], [0.3, -0.4]])
-    times = np.array([math.pi / 2, 0.5, -0.7])
-    members = []
-    real = straighten.solve_ivp
-
-    def counting(fun, t_span, y0, **kwargs):
-        members.append(len(y0))
-        return real(fun, t_span, y0, **kwargs)
-
-    monkeypatch.setattr(straighten, "solve_ivp", counting)
-    ends, jac, failures = integrate_flows(rot_call, starts, times,
-                                          with_jacobian=True)
-    assert members == [3 * (1 + 2 * 2)]
-    assert list(failures) == [1]
-    assert str(failures[1]) == "left the transport's range"
-    assert np.isnan(ends[1]).all() and np.isnan(jac[1]).all()
-    want, _, _ = integrate_flows(rot, starts[[0, 2]], times[[0, 2]])
-    assert np.array_equal(ends[[0, 2]], want)
-    for k in (0, 2):
-        c, s = math.cos(times[k]), math.sin(times[k])
-        assert np.max(np.abs(jac[k] - [[c, s], [-s, c]])) < 1e-6
-
-
 # -- numeric basis transport ----------------------------------------------------
+
+def transported(fld, z, s):
+    """(chart block, transport matrix) at the end of the flow of a
+    transported fibre field from (z, identity) over s."""
+    n = math.isqrt(fld.chart.dim - len(z))
+    end = flow(fld, tuple(z) + tuple(np.eye(n).ravel()), s)
+    return end[:len(z)], end[len(z):].reshape(n, n)
+
 
 def test_transport_identity_when_mixing_vanishes():
     rep = classify_corpus("quadratic-demo")
-    ef = rep.extended
-    bc = rep.bracket_coeffs
-    A = solve_basis_ode(bc, default_cross_section(ef), ef.vbasis)
+    fields = transported_fibre_fields(rep.extended, rep.bracket_coeffs.w)
     for z in [(0.2, 0.4), (-0.5, 0.9), (0.8, -1.0)]:
-        assert np.max(np.abs(A(z) - np.eye(1))) < 1e-10
+        _, A = transported(fields[0], z, 0.3)
+        assert np.max(np.abs(A - np.eye(1))) < 1e-10
 
 
 def test_transport_matches_closed_form():
@@ -156,22 +127,20 @@ def test_transport_matches_closed_form():
         Frame(plane, [VectorField(plane, [ZERO, parse("1 + y^2")])]),
     )
     ef = build_extended_frame(prob)
-    bc = bracket_coefficients(ef)
-    section = CrossSection(base_point=(0.0, 0.0),
-                           directions=np.array([[1.0], [0.0]]))
-    A = solve_basis_ode(bc, section, ef.vbasis)
-    for z in [(0.0, 0.5), (0.7, -0.8), (-0.3, 1.1)]:
+    fld, = transported_fibre_fields(ef, bracket_coefficients(ef).w)
+    for x0, s in [(0.0, 0.5), (0.7, -0.8), (-0.3, 1.1)]:
+        z, A = transported(fld, (x0, 0.0), s)
         want = 1.0 / (1.0 + z[1] ** 2)
-        assert abs(A(z)[0, 0] - want) < 1e-8
+        assert abs(A[0, 0] - want) < 1e-8
 
 
 def test_transport_identity_routh():
     rep = classify_corpus("routh-abelian")
-    ef = rep.extended
-    bc = rep.bracket_coeffs
-    A = solve_basis_ode(bc, default_cross_section(ef), ef.vbasis)
+    fields = transported_fibre_fields(rep.extended, rep.bracket_coeffs.w)
     z = (0.3, -0.2, 0.5, 0.1, 1.0)
-    assert np.max(np.abs(A(z) - np.eye(2))) < 1e-10
+    for fld in fields:
+        _, A = transported(fld, z, 0.2)
+        assert np.max(np.abs(A - np.eye(2))) < 1e-10
 
 
 # -- transforms -----------------------------------------------------------------
@@ -343,19 +312,29 @@ def test_straighten_then_analyze_idempotence():
     assert rep2.classification == rep.classification == CASE1
 
 
-def test_straighten_through_numeric_adaptation():
-    # full pipeline over a transcendental basis rescaling: the fibre flows
-    # use the numerically transported basis (slow per node, so only a few
-    # nodes are checked rather than a grid)
+def exp_rescaled(names=("x", "y")):
+    """V = exp(y) dy, F = y dx on [-1, 1]^2: no closed-form adaptation."""
     from sodekit.expressions import exp as exp_
-    ch = Chart(["x", "y"], [(-1.0, 1.0), (-1.0, 1.0)])
+    ch = Chart(list(names), [(-1.0, 1.0), (-1.0, 1.0)])
+    fibre = Sym(names[1])
     prob = SecondOrderProblem(
-        ch, VectorField(ch, [y, ZERO]),
-        Frame(ch, [VectorField(ch, [ZERO, exp_(y)])]),
+        ch, VectorField(ch, [fibre, ZERO]),
+        Frame(ch, [VectorField(ch, [ZERO, exp_(fibre)])]),
     )
     rep = classify(prob)
     assert rep.adaptation.mode == "numeric"
-    tr = build_normal_coordinates(rep)
+    return rep
+
+
+def test_straighten_through_numeric_adaptation():
+    # full pipeline over a transcendental basis rescaling: the fibre flows
+    # carry the transported basis matrix as extra coordinates
+    tr = build_normal_coordinates(exp_rescaled())
+    assert len(tr.metadata()["base_point"]) == 2
+    residuals = pushforward_residuals(tr)
+    assert residuals.grid_shape == (10, 10)
+    assert residuals.flagged_nodes == 0
+    assert residuals.max_structural_residual < 1e-5   # the default tolerance
     params = [(0.15, 0.2), (-0.2, -0.3)]
     z, J, failures = tr.map_batch(params)
     assert not failures
@@ -367,6 +346,44 @@ def test_straighten_through_numeric_adaptation():
     v = np.linalg.solve(J, f[..., None])[..., 0]
     assert np.max(np.abs(v[:, 0] - final[:, 1])) < 1e-12  # definitionally equal
     assert tr.fibre_jacobian_min_sv(np.zeros(2)) > 1e-6
+
+
+def test_transport_coordinates_never_clash_with_the_chart():
+    # the chart takes the first-choice name of the transport entry a^1_1
+    tr = build_normal_coordinates(exp_rescaled(("x", "a11")))
+    extended = tr.stages[-1].fld.chart.names
+    assert extended[:2] == ("x", "a11") and len(set(extended)) == 3
+    assert pushforward_residuals(tr).max_structural_residual < 1e-5
+
+
+def exp_rescaled_pair():
+    """n = 2: V = (exp(y1) dy1, exp(y2 + x1) dy2), F = (y1, y2, -x1, -x2)."""
+    ch = Chart(["x1", "x2", "y1", "y2"], [(-1.0, 1.0)] * 4)
+
+    def field(*comps):
+        return VectorField(ch, [parse(c) for c in comps])
+
+    rep = classify(SecondOrderProblem(
+        ch, field("y1", "y2", "-x1", "-x2"),
+        Frame(ch, [field("0", "0", "exp(y1)", "0"),
+                   field("0", "0", "0", "exp(y2 + x1)")])))
+    assert rep.adaptation.mode == "numeric"
+    return rep
+
+
+def test_numeric_adaptation_with_two_fibre_directions():
+    tr = build_normal_coordinates(exp_rescaled_pair())
+    residuals = pushforward_residuals(tr, grid_points=3)
+    assert residuals.flagged_nodes == 0
+    assert residuals.max_structural_residual < 1e-5
+
+
+def test_path_dependent_transport_is_a_numeric_failure():
+    # spoiled mixing coefficients: the transported fields no longer commute
+    rep = exp_rescaled_pair()
+    rep.bracket_coeffs.w[0][1][0] = Num(1)
+    with pytest.raises(NumericFailure, match="path dependent"):
+        build_normal_coordinates(rep)
 
 
 def test_straighten_requires_locus_point():

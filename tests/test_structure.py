@@ -9,9 +9,13 @@ import numpy as np
 import pytest
 
 from sodekit import analysis, ode
+from sodekit.analysis import SecondOrderProblem, classify
 from sodekit.corpus import corpus_get
 from sodekit.expressions import compile_exprs
+from sodekit.geometry import Chart, Frame, VectorField
+from sodekit.parser import parse
 from sodekit.runner import COMMANDS, STAGES, run_command
+from sodekit.straighten import build_normal_coordinates
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sodekit"
 
@@ -110,10 +114,18 @@ def test_solve_ivp_caller_scan_sees_methods_and_nested_functions(tmp_path):
 
 
 def test_flows_are_integrated_on_one_path():
-    # every flow goes through the batched integrate_flows; solve_basis_ode
-    # transports the basis matrix along a fibre with its own right-hand side
-    assert solve_ivp_callers() == {("straighten", "integrate_flows"),
-                                   ("straighten", "solve_basis_ode")}
+    # every flow goes through the batched integrate_flows, the numerically
+    # transported fibre fields too: they are symbolic fields on a chart
+    # extended by the transport matrix
+    assert solve_ivp_callers() == {("straighten", "integrate_flows")}
+    chart = Chart(["x", "y"], [(-1.0, 1.0), (-1.0, 1.0)])
+    y = parse("y")
+    rep = classify(SecondOrderProblem(
+        chart, VectorField(chart, [y, parse("0")]),
+        Frame(chart, [VectorField(chart, [parse("0"), parse("exp(y)")])])))
+    assert rep.adaptation.mode == "numeric"
+    transform = build_normal_coordinates(rep)
+    assert all(isinstance(st.fld, VectorField) for st in transform.stages)
 
 
 def test_one_compiled_evaluator_on_stacked_points():
