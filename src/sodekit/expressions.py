@@ -1,13 +1,13 @@
 """Symbolic scalar expressions over chart coordinates.
 
-Self-contained expression engine: immutable trees built from exact rational
-constants, free symbols, sums, products, rational powers, quotients and the
-elementary functions exp/log/sin/cos.  The centrepiece is `normalize`, which
-brings the polynomial/rational part of any expression to a canonical
-expanded-and-collected form (exact Fraction arithmetic throughout), so that
-structural equality of normal forms decides equality of rational functions.
-Transcendental subexpressions are treated as opaque atoms with sorted,
-constant-folded arguments.
+Self-contained expression engine: immutable, hash-consed trees built from
+exact rational constants, free symbols, sums, products, rational powers,
+quotients and the elementary functions exp/log/sin/cos.  The centrepiece is
+`normalize`, which brings the polynomial/rational part of any expression to
+a canonical expanded-and-collected form (exact rational arithmetic
+throughout), so that structural equality of normal forms decides equality of
+rational functions.  Transcendental subexpressions are treated as opaque
+atoms with sorted, constant-folded arguments.
 
 Floats never enter a tree: decimal literals are converted to exact rationals
 at construction time.  Floats appear only when a tree is evaluated: by
@@ -64,11 +64,22 @@ def _as_fraction(value) -> Fraction:
 
 
 class Expr:
-    """Immutable expression node; arithmetic operators build raw trees.
-    A node caches its key and hash; a normal form carries its rational form
-    (read-only) in `_rf`."""
+    """Immutable, hash-consed expression node; arithmetic operators build raw
+    trees.
 
-    __slots__ = ("_key", "_hash", "_rf")
+    Each node class builds itself in `__new__` and interns the node in the
+    memo under its intern key `_ikey`: a type tag and the node's children
+    objects.  So equal trees built apart are the same object while the memo
+    holds them, `hash` is the intern key's hash, computed once, and `==` is
+    identity, with a shallow intern-key comparison for a node the memo's
+    bound has dropped.  `key` is the structural sort key of the canonical
+    term order, built lazily and cached.  A normal form carries its rational
+    form (read-only) in `_rf`."""
+
+    __slots__ = ("_ikey", "_hash", "_key", "_rf")
+
+    def __setattr__(self, *a):
+        raise AttributeError("expressions are immutable")
 
     def _struct_key(self):
         raise NotImplementedError
@@ -84,15 +95,12 @@ class Expr:
             return k
 
     def __eq__(self, other):
-        return isinstance(other, Expr) and self.key == other.key
+        return self is other or (isinstance(other, Expr)
+                                 and self._hash == other._hash
+                                 and self._ikey == other._ikey)
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash(self.key)
-            object.__setattr__(self, "_hash", h)
-            return h
+        return self._hash
 
     def __add__(self, other):
         return Add((self, _coerce(other)))
@@ -131,6 +139,20 @@ class Expr:
         return to_str(self)
 
 
+def _interned(cls, ikey: tuple, *fields) -> Expr:
+    """The node of class cls the memo holds under ikey, or a new one with
+    the given slot values, stored there."""
+    node = memo.get(ikey)
+    if node is None:
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            object.__setattr__(node, name, value)
+        object.__setattr__(node, "_ikey", ikey)
+        object.__setattr__(node, "_hash", hash(ikey))
+        node = memo.put(ikey, node)
+    return node
+
+
 def _coerce(value) -> Expr:
     if isinstance(value, Expr):
         return value
@@ -140,11 +162,9 @@ def _coerce(value) -> Expr:
 class Num(Expr):
     __slots__ = ("value",)
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", _as_fraction(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+    def __new__(cls, value):
+        v = _as_fraction(value)
+        return _interned(cls, (0, v.numerator, v.denominator), v)
 
     def _struct_key(self):
         return (0, (self.value.numerator, self.value.denominator))
@@ -153,11 +173,8 @@ class Num(Expr):
 class Sym(Expr):
     __slots__ = ("name",)
 
-    def __init__(self, name: str):
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+    def __new__(cls, name: str):
+        return _interned(cls, (1, name), name)
 
     def _struct_key(self):
         return (1, self.name)
@@ -166,14 +183,10 @@ class Sym(Expr):
 class Fn(Expr):
     __slots__ = ("name", "arg")
 
-    def __init__(self, name: str, arg: Expr):
+    def __new__(cls, name: str, arg: Expr):
         if name not in FUNCTIONS:
             raise ExpressionError(f"unsupported function '{name}'")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+        return _interned(cls, (2, name, arg), name, arg)
 
     def _struct_key(self):
         return (2, self.name, self.arg.key)
@@ -184,14 +197,11 @@ class Pow(Expr):
 
     __slots__ = ("base", "exponent")
 
-    def __init__(self, base: Expr, exponent):
+    def __new__(cls, base: Expr, exponent):
         if isinstance(exponent, Num):
             exponent = exponent.value
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "exponent", _as_fraction(exponent))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+        e = _as_fraction(exponent)
+        return _interned(cls, (3, base, e.numerator, e.denominator), base, e)
 
     def _struct_key(self):
         e = self.exponent
@@ -201,11 +211,9 @@ class Pow(Expr):
 class Add(Expr):
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[Expr]):
-        object.__setattr__(self, "terms", tuple(terms))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+    def __new__(cls, terms: Iterable[Expr]):
+        terms = tuple(terms)
+        return _interned(cls, (4, terms), terms)
 
     def _struct_key(self):
         return (4,) + tuple(t.key for t in self.terms)
@@ -214,11 +222,9 @@ class Add(Expr):
 class Mul(Expr):
     __slots__ = ("factors",)
 
-    def __init__(self, factors: Iterable[Expr]):
-        object.__setattr__(self, "factors", tuple(factors))
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+    def __new__(cls, factors: Iterable[Expr]):
+        factors = tuple(factors)
+        return _interned(cls, (5, factors), factors)
 
     def _struct_key(self):
         return (5,) + tuple(f.key for f in self.factors)
@@ -227,12 +233,8 @@ class Mul(Expr):
 class Div(Expr):
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Expr, den: Expr):
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, *a):
-        raise AttributeError("expressions are immutable")
+    def __new__(cls, num: Expr, den: Expr):
+        return _interned(cls, (6, num, den), num, den)
 
     def _struct_key(self):
         return (6, self.num.key, self.den.key)
@@ -300,10 +302,11 @@ def free_symbols(e: Expr) -> frozenset:
 # Canonical rational form.
 #
 # A polynomial is a dict {monomial: Fraction}; a monomial is a sorted tuple
-# of (atom, exponent) pairs with nonzero Fraction exponents.  Atoms are
-# symbols, function applications (with normalized arguments) or opaque
-# fractional powers of composite bases.  A rational form is a (num, den)
-# polynomial pair with a canonically normalized denominator.
+# of (atom, exponent) pairs with nonzero exponents, each an int unless it is
+# truly fractional (then a Fraction).  Atoms are symbols, function
+# applications (with normalized arguments) or opaque fractional powers of
+# composite bases.  A rational form is a (num, den) polynomial pair with a
+# canonically normalized denominator.
 # --------------------------------------------------------------------------
 
 Monomial = tuple
@@ -329,7 +332,11 @@ def _mon_mul(m1: Monomial, m2: Monomial) -> Monomial:
         else:
             exps[atom] = e
             order.append(atom)
-    out = [(a, exps[a]) for a in order if exps[a] != 0]
+    out = []
+    for a in order:
+        e = exps[a]
+        if e:
+            out.append((a, e.numerator if e.denominator == 1 else e))
     out.sort(key=lambda p: (p[0].key, p[1]))
     return tuple(out)
 
@@ -530,7 +537,7 @@ _FOLDS = {
 
 
 def _atom_rf(atom: Expr):
-    return {((atom, Fraction(1)),): Fraction(1)}, dict(_P_ONE)
+    return {((atom, 1),): Fraction(1)}, dict(_P_ONE)
 
 
 def _to_rf(e: Expr):

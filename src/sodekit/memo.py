@@ -1,10 +1,14 @@
-"""One process-wide memo for the engine's pure functions.
+"""One process-wide memo for the engine: results and interned nodes.
 
-Each looks its result up with `get` by a structural key (a tuple whose first
-entry names the function) and stores what it computed with `put`.  Stored
-values are immutable or copied on the way out.  At most `MAX_ENTRIES` are
-kept, the oldest dropped first.  Reads take no lock (a dict lookup is
-atomic); writes do, so threads can share the memo.
+A pure function looks its result up with `get` under a key tuple whose first
+entry names the function, and stores what it computed with `put`.  An
+expression node is stored under its intern key, a small integer type tag
+and the node's children (see `expressions.Expr`), so equal trees built apart
+are one object.  Stored values are immutable or copied on the way out.  At
+most `MAX_ENTRIES` are kept, the oldest dropped first; a dropped node stays
+equal to a rebuilt one.  Reads take no lock (a dict lookup is atomic);
+writes do, and `put` returns what is stored, so threads sharing the memo
+agree on one result and one node per key.
 """
 
 from __future__ import annotations

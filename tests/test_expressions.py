@@ -4,8 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from sodekit import memo
 from sodekit.expressions import (
-    EvalDomainError, Fn, MissingSymbolError, Num, Pow,
+    Add, EvalDomainError, Fn, MissingSymbolError, Mul, Num, Pow, Sym,
     ZERO, compile_exprs, cos, differentiate, evaluate, exp, log,
     normalize, sin, syms, to_str,
 )
@@ -74,6 +75,42 @@ def test_fractional_powers_combine_on_bare_symbols():
     # composite bases stay opaque: sqrt(x^2) is not x
     e = normalize(Pow(normalize(x ** 2), Fraction(1, 2)))
     assert e != x
+
+
+def test_integer_exponents_are_ints_and_printed_forms_stay():
+    root_squared = normalize(parse("x^(1/2)*x^(1/2)"))
+    assert str(root_squared) == "x"
+    exps = [e for mon in root_squared._rf[0] for _, e in mon]
+    assert exps == [1] and all(type(e) is int for e in exps)
+    root = normalize(parse("x^(2/4)"))
+    assert str(root) == "x^(1/2)"
+    ((_, half),), = root._rf[0]
+    assert type(half) is Fraction and half == Fraction(1, 2)
+    for text in ("(2^(1/2))^2", "2^(1/2)*2^(1/2)"):
+        assert str(normalize(parse(text))) == "(2^(1/2))^2"
+
+
+# -- interning ---------------------------------------------------------------
+
+def test_equal_trees_built_apart_are_one_object():
+    assert Add((x, y)) is Add((x, y))
+    assert parse("x*y + sin(x)") is parse("x*y + sin(x)")
+    first = (x + y) ** 2 / (1 + x) - Fn("exp", y)
+    second = (x + y) ** 2 / (1 + x) - Fn("exp", y)
+    assert first is second
+    assert normalize(first) is normalize(second)
+
+
+def test_hash_equality_and_memo_lookups_build_no_sort_key():
+    fresh = Sym("sort_key_probe")
+    tree = Add((Mul((fresh, x)), Num(Fraction(1, 7919))))
+    other = Add((Mul((fresh, x)), Num(Fraction(1, 7919))))
+    assert tree == other and hash(tree) == hash(other)
+    memo.get(("normalize", tree))
+    for node in (fresh, tree, tree.terms[0], tree.terms[1]):
+        assert not hasattr(node, "_key")
+    assert tree.key == (4, (5, (1, "sort_key_probe"), (1, "x")),
+                        (0, (1, 7919)))
 
 
 # -- differentiate -----------------------------------------------------------

@@ -1,6 +1,6 @@
 """The memo layer under the engine: its bound, the copies it hands out, its
-chart-aware keys, and reports that do not depend on what it holds, on the
-hash seed or on threads sharing it."""
+chart-aware keys, the nodes it interns, and reports that do not depend on
+what it holds, on its bound, on the hash seed or on threads sharing it."""
 
 import os
 import subprocess
@@ -145,3 +145,54 @@ def test_threads_sharing_a_cold_memo_get_single_threaded_reports():
     assert len(results) == 8 * len(names)
     for (_, name), text in results.items():
         assert text == expected[name], name
+
+
+def test_nodes_built_across_a_clear_are_equal():
+    text = "(x + y)^2/(1 + x^2) - sin(x*y)"
+    before = parse(text)
+    memo.clear()
+    after = parse(text)
+    assert after is not before
+    assert after == before and hash(after) == hash(before)
+    assert normalize(before) == normalize(after)
+
+
+def test_reports_do_not_depend_on_the_memo_bound(monkeypatch):
+    names = corpus_list()
+    expected = {name: report_json("report", name) for name in names}
+    memo.clear()
+    monkeypatch.setattr(memo, "MAX_ENTRIES", 64)
+    for name in names:
+        assert report_json("report", name) == expected[name], name
+        assert len(memo._table) <= 64
+    memo.clear()
+
+
+def test_threads_parsing_on_a_cold_memo_get_one_object():
+    texts = [f"sin(x*{k} + y)^{k}/(1 + x^2*y) - {k}*y" for k in range(40)]
+    memo.clear()
+    results = [None] * 8
+    errors = []
+    start = threading.Barrier(8, timeout=60)
+
+    def work(i):
+        try:
+            start.wait()
+            results[i] = [parse(text) for text in texts]
+        except Exception as err:  # reported by the assertion below
+            errors.append(err)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    for trees in results:
+        assert all(a is b for a, b in zip(trees, results[0]))

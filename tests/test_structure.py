@@ -1,5 +1,5 @@
 """Structure of the package: its import graph, its one flow path, its one
-compiled evaluator and the stage list."""
+compiled evaluator, its one cache and the stage list."""
 
 import ast
 import inspect
@@ -153,3 +153,76 @@ def test_timings_name_exactly_the_commands_stages(command):
     report, code = run_command(command, corpus_get("quadratic-demo"))
     assert code == 0
     assert list(report["timings"]) == list(COMMANDS[command].stages)
+
+
+MUTATORS = {"setdefault", "update", "add", "pop", "popitem", "clear",
+            "discard", "remove", "__setitem__"}
+CACHE_DECORATORS = {"cache", "lru_cache", "cached_property"}
+
+
+def module_caches(package: Path = PACKAGE) -> set:
+    """(module, name) of every module-level dict or set that the package
+    writes to after import, and of every function-level cache decorator."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        containers = set()
+        for node in tree.body:
+            if isinstance(node, ast.Assign):
+                targets, value = node.targets, node.value
+            elif isinstance(node, ast.AnnAssign):
+                targets, value = [node.target], node.value
+            else:
+                continue
+            if isinstance(value, (ast.Dict, ast.Set, ast.DictComp,
+                                  ast.SetComp)) or (
+                    isinstance(value, ast.Call)
+                    and getattr(value.func, "id", None) in ("dict", "set")):
+                containers.update(t.id for t in targets
+                                  if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and isinstance(
+                    node.ctx, (ast.Store, ast.Del)):
+                owner = node.value
+            elif isinstance(node, ast.Call) and isinstance(
+                    node.func, ast.Attribute) and node.func.attr in MUTATORS:
+                owner = node.func.value
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                for deco in node.decorator_list:
+                    target = deco.func if isinstance(deco, ast.Call) else deco
+                    name = getattr(target, "id", None) or getattr(
+                        target, "attr", None)
+                    if name in CACHE_DECORATORS:
+                        found.add((path.stem, node.name))
+                continue
+            else:
+                continue
+            if isinstance(owner, ast.Name) and owner.id in containers:
+                found.add((path.stem, owner.id))
+    return found
+
+
+def test_cache_scan_sees_written_tables_and_cache_decorators(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import functools\nCONST = {1: 2}\n_seen = set()\n_by = dict()\n"
+        "def f(k):\n    _seen.add(k)\n    _by[k] = CONST[k]\n"
+        "@functools.lru_cache(maxsize=None)\ndef g(k):\n    return k\n")
+    assert module_caches(tmp_path) == {("a", "_seen"), ("a", "_by"),
+                                       ("a", "g")}
+
+
+def test_the_memo_table_is_the_only_cache():
+    # interned expression nodes and memoized results share one bounded table
+    assert module_caches() == {("memo", "_table")}
+
+
+def test_node_equality_and_hash_never_build_a_sort_key():
+    tree = ast.parse((PACKAGE / "expressions.py").read_text(encoding="utf-8"))
+    methods = [node for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and node.name in ("__eq__", "__hash__")]
+    assert len(methods) == 2
+    for method in methods:
+        names = {getattr(node, "attr", None) or getattr(node, "id", None)
+                 for node in ast.walk(method)}
+        assert not names & {"key", "_key", "_struct_key"}, method.name
