@@ -1,25 +1,38 @@
 """Recognition pipeline for second-order behaviour of a vector field F
-relative to an involutive distribution V.
-
-Stages: regularity of the span of V together with the brackets [F, V_i];
-involutivity of that span W; the mixing coefficients of [V_i, W_j] in the
-{V, W} basis and their integrability identities; adaptation to a commuting
-basis with [V_i, W_j] vertical; the vertical endomorphism S (S(V) = 0,
-S([F,V]) = -V); horizontal/vertical projectors built from the Lie derivative
-of S along F; horizontal lifts; the induced covariant derivatives; the mixed
-curvature whose vanishing characterizes forces quadratic in the fibre
-coordinates; and the final classification into the autonomous and
-time-dependent normal-form cases.
+relative to an involutive distribution V; STAGES lists its stages.
 
 Sign conventions used throughout (recorded in every report): W_i = [F, V_i];
 S(W_i) = -V_i; the horizontal projector is (id - L_F S)/2; the vertical
 covariant derivative of the basis reproduces the w-mixing coefficients with
 a plus sign; first-order connection coefficients are the vertical parts of
 the horizontal lifts, matching -1/2 d(force)/dy in natural coordinates.
+
+The connection and curvature stages work on scalar tables in the frame
+E = (V_1..V_n, W_1..W_n), with sums over repeated indices.  They bracket
+only frame fields: [F, W_i] = p^k_i V_k + q^k_i W_k, [V_i, W_j] =
+v^k_ij V_k + w^k_ij W_k, and [W_i, W_j] for its W-part omega^m_ij (i < j).
+A commutator [V_i, V_j] = c^k_ij V_k that is not structurally zero is kept.
+    L_F S(aV + bW) = (a + Qb)V - bW with (Qb)^k = q^k_i b^i, so
+    P_H = (-Qb/2, b) and P_V = (a + Qb/2, 0);
+    h_i = 1/2 q^k_i V_k - W_i and Gamma1^k_i = 1/2 q^k_i;
+    Gamma2^k_ij = -1/2 V_j(q^k_i) + v^k_ji + 1/2 q^k_l w^l_ji
+                  + 1/2 q^l_i c^k_lj;
+    theta^m_ijk = h_i(w^m_jk) - V_j(Gamma2^m_ik) + w^l_jk Gamma2^m_il
+                  - Gamma2^l_ik w^m_jl - Gamma2^l_ij w^m_lk + w^l_ji Gamma2^m_lk
+                  with h_i(f) = 1/2 q^k_i V_k(f) - W_i(f);
+    torsion T^m_ij = Gamma2^m_ij - Gamma2^m_ji + omega^m_ij
+                     - 1/2 q^k_i w^m_kj + 1/2 q^k_j w^m_ki;
+    vertical flatness R^l_ijk = V_i(w^l_jk) - V_j(w^l_ik) + w^b_jk w^l_ib
+                                - w^b_ik w^l_jb - c^b_ij w^l_bk;
+    Nijenhuis torsion (c^k_ij + w^k_ji - w^k_ij) V_k on (W_i, W_j), 0 on
+    every other pair.
+A frame-level residual r enters its identity suite through the coordinate
+components of r^a E_a.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import time
@@ -30,7 +43,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .expressions import (
-    Expr, Num, Pow, Sym, ZERO, _to_rf, compile_exprs, differentiate,
+    Add, Expr, Mul, Num, Pow, Sym, ZERO, _to_rf, compile_exprs, differentiate,
     normalize, to_str,
 )
 from .geometry import (
@@ -52,6 +65,23 @@ SIGN_CONVENTIONS = {
 CASE1 = "case1-sode-with-parameters"
 CASE2 = "case2-time-dependent"
 NOT_SODE = "not-second-order"
+
+
+HALF = Num(Fraction(1, 2))
+NEG = Num(-1)
+
+
+def _dot(products) -> Expr:
+    """Normal form of a sum of products, each a tuple of factors; a product
+    with a ZERO factor is skipped."""
+    terms = tuple(f[0] if len(f) == 1 else Mul(f)
+                  for f in products if ZERO not in f)
+    return normalize(Add(terms)) if terms else ZERO
+
+
+def _minus(x: list, y: list) -> list:
+    """x - y for frame vectors (coefficient lists)."""
+    return [_dot(((a,), (NEG, b))) for a, b in zip(x, y)]
 
 
 class AnalysisError(RuntimeError):
@@ -181,7 +211,8 @@ class IdentitySuite:
 
 
 class ExtendedFrame:
-    """The V-basis together with W_i = [F, V_i] and the combined frame."""
+    """The V-basis together with W_i = [F, V_i], the commutators
+    [V_i, V_j] (i < j) and the combined frame E = (V, W)."""
 
     def __init__(self, problem: SecondOrderProblem,
                  vbasis: Sequence[VectorField], validate: bool = True):
@@ -189,6 +220,10 @@ class ExtendedFrame:
         self.chart = problem.chart
         self.vbasis = list(vbasis)
         self.wfields = [lie_bracket(problem.F, v) for v in self.vbasis]
+        self.commutators = {
+            (i, j): lie_bracket(self.vbasis[i], self.vbasis[j])
+            for i in range(self.n) for j in range(i + 1, self.n)
+        }
         self.combined = Frame(
             problem.chart, self.vbasis + self.wfields,
             validate=validate, samples=problem.options.samples,
@@ -222,8 +257,20 @@ class ExtendedFrame:
             )
         return dec.coefficients
 
-    def zero_field(self) -> VectorField:
-        return VectorField(self.chart, [ZERO] * self.chart.dim)
+    def mixing(self):
+        """v[i][j][k], w[i][j][k]: [V_i, W_j] = v^k_ij V_k + w^k_ij W_k."""
+        vw = [[self.decompose_split(lie_bracket(vf, wf))
+               for wf in self.wfields] for vf in self.vbasis]
+        return ([[[normalize(c) for c in a] for a, _ in row] for row in vw],
+                [[[normalize(c) for c in b] for _, b in row] for row in vw])
+
+    def field_of(self, coefficients) -> VectorField:
+        """The field c^a E_a; a shorter list covers the leading elements."""
+        pairs = list(zip(coefficients, self.combined.fields))
+        return VectorField(self.chart, [
+            _dot((c, f.components[idx]) for c, f in pairs)
+            for idx in range(self.chart.dim)
+        ])
 
 
 def check_regularity(problem: SecondOrderProblem) -> dict:
@@ -261,10 +308,8 @@ def check_w_involutive(ef: ExtendedFrame) -> InvolutivityResult:
 
 def check_commuting(ef: ExtendedFrame) -> IdentitySuite:
     suite = IdentitySuite("v_basis_commutes")
-    for i in range(ef.n):
-        for j in range(i + 1, ef.n):
-            suite.add_field(ef.probe, lie_bracket(ef.vbasis[i], ef.vbasis[j]),
-                            f"[V{i},V{j}]")
+    for (i, j), comm in ef.commutators.items():
+        suite.add_field(ef.probe, comm, f"[V{i},V{j}]")
     return suite
 
 
@@ -301,13 +346,7 @@ def bracket_coefficients(ef: ExtendedFrame) -> BracketCoefficients:
     the lower indices; the symmetry residuals are attached as an identity
     suite."""
     n = ef.n
-    v = [[None] * n for _ in range(n)]
-    w = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            a, b = ef.decompose_split(lie_bracket(ef.vbasis[i], ef.wfields[j]))
-            v[i][j] = [normalize(c) for c in a]
-            w[i][j] = [normalize(c) for c in b]
+    v, w = ef.mixing()
     suite = IdentitySuite("mixing_symmetry")
     for i in range(n):
         for j in range(i + 1, n):
@@ -317,25 +356,31 @@ def bracket_coefficients(ef: ExtendedFrame) -> BracketCoefficients:
     return BracketCoefficients(v=v, w=w, symmetry=suite)
 
 
+def _flatness(V, w, c_ij, i, j, k, el) -> Expr:
+    """R^l_ijk, l = el, of nabla_{V_i} V_j = w^k_ij V_k (module docstring)."""
+    return _dot([(V[i].directional(w[j][k][el]),),
+                 (NEG, V[j].directional(w[i][k][el]))]
+                + [f for b in range(len(V)) for f in (
+                    (w[j][k][b], w[i][b][el]),
+                    (NEG, w[i][k][b], w[j][b][el]),
+                    (NEG, c_ij[b], w[b][k][el]))])
+
+
 def verify_bracket_integrability(ef: ExtendedFrame,
                                  bc: BracketCoefficients) -> IdentitySuite:
-    """Flatness identities of the w-mixing system.
+    """Flatness identities of the w-mixing system of the commuting basis.
 
     V_i(w^l_jk) - V_j(w^l_ik) + w^l_im w^m_jk - w^l_jm w^m_ik = 0 whenever V
     and W are involutive; a NonZero here is an internal inconsistency, not a
     property of the input."""
     n = ef.n
     suite = IdentitySuite("w_mix_integrability")
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(n):
-                for el in range(n):
-                    expr = (ef.vbasis[i].directional(bc.w[j][k][el])
-                            - ef.vbasis[j].directional(bc.w[i][k][el]))
-                    for mm in range(n):
-                        expr = expr + bc.w[i][mm][el] * bc.w[j][k][mm] \
-                            - bc.w[j][mm][el] * bc.w[i][k][mm]
-                    suite.add(ef.probe(normalize(expr)), f"[{i}{j}{k}{el}]")
+    for i, j in ef.commutators:
+        for k in range(n):
+            for el in range(n):
+                suite.add(ef.probe(_flatness(ef.vbasis, bc.w, [ZERO] * n,
+                                             i, j, k, el)),
+                          f"[{i}{j}{k}{el}]")
     return suite
 
 
@@ -500,45 +545,136 @@ def adapt_commuting_basis(ef: ExtendedFrame, bc: BracketCoefficients):
 def _verify_adapted(ef: ExtendedFrame) -> IdentitySuite:
     """[V_i, W_j] must have zero W-part in the adapted basis."""
     suite = IdentitySuite("adapted_brackets_vertical")
-    for i in range(ef.n):
-        for j in range(ef.n):
-            _, w = ef.decompose_split(
-                lie_bracket(ef.vbasis[i], ef.wfields[j])
-            )
-            for k, c in enumerate(w):
-                suite.add(ef.probe(c), f"w[{i}{j}{k}]")
+    _, w = ef.mixing()
+    for i, j, k in itertools.product(range(ef.n), repeat=3):
+        suite.add(ef.probe(w[i][j][k]), f"w[{i}{j}{k}]")
     return suite
 
 
 # --------------------------------------------------------------------------
-# Vertical endomorphism, projectors, lifts, covariant derivatives
+# Connections and curvature from coefficient tables in the frame E = (V, W)
 # --------------------------------------------------------------------------
 
-def apply_tangent_structure(ef: ExtendedFrame, X: VectorField) -> VectorField:
-    """S(X) for X = a^i V_i + b^i W_i: kills V, sends W_i to -V_i."""
-    _, b = ef.decompose_split(X)
-    out = ef.zero_field()
-    for bi, v in zip(b, ef.vbasis):
-        out = out + v.scaled(normalize(Num(-1) * bi))
-    return out
+class PreservationError(AnalysisError):
+    """[F, W] leaves the span of the combined frame."""
 
 
-def nijenhuis_check(ef: ExtendedFrame) -> IdentitySuite:
+class Connections:
+    """Projectors, lifts and connection coefficients from the tables q[i][k]
+    = q^k_i, v[i][j][k] = v^k_ij, w[i][j][k], omega[i, j][m] and c[i][j][k]
+    (module docstring).  A frame vector is the list (a_1..a_n, b_1..b_n)."""
+
+    def __init__(self, ef: ExtendedFrame):
+        self.ef = ef
+        n = ef.n
+        self.q = []
+        for wf in ef.wfields:
+            dec = ef.decompose(lie_bracket(ef.problem.F, wf))
+            if not dec.ok:
+                raise PreservationError(
+                    "[F, W] leaves the span of the combined frame: "
+                    f"{dec.failure}"
+                )
+            self.q.append([normalize(c) for c in dec.coefficients[n:]])
+        self.v, self.w = ef.mixing()
+        self.omega = {
+            (i, j): [normalize(c) for c in ef.decompose_split(
+                lie_bracket(ef.wfields[i], ef.wfields[j]))[1]]
+            for i, j in ef.commutators
+        }
+        self.c = [[[ZERO] * n for _ in range(n)] for _ in range(n)]
+        for (i, j), comm in ef.commutators.items():
+            if any(c != ZERO for c in comm.components):
+                for k, c in enumerate(ef.decompose_vertical(comm)):
+                    self.c[i][j][k] = normalize(c)
+                    self.c[j][i][k] = normalize(-c)
+        # h_i = 1/2 q^k_i V_k - W_i, so Gamma1^k_i = 1/2 q^k_i
+        self.lift_vectors = [
+            [_dot(((HALF, c),)) for c in self.q[i]]
+            + [NEG if k == i else ZERO for k in range(n)]
+            for i in range(n)
+        ]
+        self.gamma1 = [[self.lift_vectors[i][k] for i in range(n)]
+                       for k in range(n)]
+        self.gamma2 = [[[self._gamma2(k, i, j) for j in range(n)]
+                        for i in range(n)] for k in range(n)]
+
+    def _gamma2(self, k: int, i: int, j: int) -> Expr:
+        """Gamma2^k_ij, the V_k-part of P_V([h_i, V_j])."""
+        n, q, w = self.ef.n, self.q, self.w
+        return _dot(
+            [(NEG, HALF, self.ef.vbasis[j].directional(q[i][k])),
+             (self.v[j][i][k],)]
+            + [(HALF, q[l][k], w[j][i][l]) for l in range(n)]
+            + [(HALF, q[i][l], self.c[l][j][k]) for l in range(n)]
+        )
+
+    def _lie_derivative_s(self, x: list) -> list:
+        """(L_F S)(aV + bW) = (a + Q b)V - bW with (Q b)^k = q^k_i b^i."""
+        n = self.ef.n
+        return ([_dot([(x[k],)] + [(self.q[i][k], x[n + i])
+                                   for i in range(n)]) for k in range(n)]
+                + [_dot(((NEG, b),)) for b in x[n:]])
+
+    def _projector(self, x: list, sign: int) -> list:
+        """P_H = (id - L_F S)/2 for sign -1, P_V = (id + L_F S)/2 for +1."""
+        return [_dot(((HALF, a), (Num(sign), HALF, lfs)))
+                for a, lfs in zip(x, self._lie_derivative_s(x))]
+
+    def lifts(self) -> list:
+        """The horizontal lifts h_i of the V-basis, as fields."""
+        return [self.ef.field_of(h) for h in self.lift_vectors]
+
+    def projector_identities(self) -> ProjectorData:
+        ef, n = self.ef, self.ef.n
+        lfs, proj = self._lie_derivative_s, self._projector
+        suite = IdentitySuite("projector_identities")
+
+        def check(x, label):
+            suite.add_field(ef.probe, ef.field_of(x), label)
+
+        basis = [[Num(1) if k == a else ZERO for k in range(2 * n)]
+                 for a in range(2 * n)]
+        lfs_table = []
+        for idx, e in enumerate(basis):
+            lfs_table.append(ef.field_of(lfs(e)))
+            check(_minus(lfs(lfs(e)), e), f"(L_F S)^2-id[{idx}]")
+            ph, pv = proj(e, -1), proj(e, 1)
+            check([_dot(((a,), (b,), (NEG, c))) for a, b, c in zip(ph, pv, e)],
+                  f"P_H+P_V-id[{idx}]")
+            check(_minus(proj(ph, -1), ph), f"P_H idempotent[{idx}]")
+            check(_minus(proj(pv, 1), pv), f"P_V idempotent[{idx}]")
+        for idx, v in enumerate(basis[:n]):
+            check(_minus(proj(v, 1), v), f"P_V(V{idx})-V{idx}")
+            check(proj(v, -1), f"P_H(V{idx})")
+        for idx, h in enumerate(self.lift_vectors):
+            s_h = [_dot(((NEG, b),)) for b in h[n:]] + [ZERO] * n  # S = -bV
+            check(_minus(s_h, basis[idx]), f"S(h{idx})-V{idx}")
+            check(proj(h, 1), f"P_V(h{idx})")
+        return ProjectorData(lfs_table=lfs_table, identities=suite)
+
+    def vertical_flatness(self) -> IdentitySuite:
+        """Curvature of the vertical derivative in vertical directions."""
+        ef, n = self.ef, self.ef.n
+        suite = IdentitySuite("vertical_flatness")
+        for i, j in ef.commutators:
+            for k in range(n):
+                r = [_flatness(ef.vbasis, self.w, self.c[i][j], i, j, k, el)
+                     for el in range(n)]
+                suite.add_field(ef.probe, ef.field_of(r), f"R[{i}{j}{k}]")
+        return suite
+
+
+def nijenhuis_check(conn: Connections) -> IdentitySuite:
     """Nijenhuis torsion of S on all combined-frame pairs; must vanish."""
+    ef, n, w = conn.ef, conn.ef.n, conn.w
     suite = IdentitySuite("nijenhuis_torsion")
-    elements = list(ef.combined.fields)
-    s_of = [apply_tangent_structure(ef, e) for e in elements]
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            term1 = lie_bracket(s_of[i], s_of[j])
-            term2 = apply_tangent_structure(
-                ef, lie_bracket(s_of[i], elements[j])
-            )
-            term3 = apply_tangent_structure(
-                ef, lie_bracket(elements[i], s_of[j])
-            )
-            torsion = term1 - term2 - term3
-            suite.add_field(ef.probe, torsion, f"N[{i},{j}]")
+    for i in range(2 * n):
+        for j in range(i + 1, 2 * n):
+            a, b = i - n, j - n
+            r = [_dot(((conn.c[a][b][k],), (w[b][a][k],), (NEG, w[a][b][k])))
+                 if a >= 0 else ZERO for k in range(n)]
+            suite.add_field(ef.probe, ef.field_of(r), f"N[{i},{j}]")
     return suite
 
 
@@ -554,123 +690,6 @@ class ProjectorData:
             ],
             "identities": self.identities.as_dict(),
         }
-
-
-class Connections:
-    """Projectors, horizontal lifts and covariant derivatives on one frame."""
-
-    def __init__(self, ef: ExtendedFrame):
-        self.ef = ef
-        self.F = ef.problem.F
-        # [F, W] c W is a precondition
-        for w in ef.wfields:
-            dec = ef.decompose(lie_bracket(self.F, w))
-            if not dec.ok:
-                raise AnalysisError(
-                    "[F, W] leaves the span of the combined frame: "
-                    f"{dec.failure}"
-                )
-        # h(V_i) = -P_H(W_i): the unique horizontal field with S-image V_i
-        self.horizontal_lifts = [
-            self.horizontal(w).scaled(Num(-1)) for w in ef.wfields
-        ]
-
-    def lie_derivative_s(self, X: VectorField) -> VectorField:
-        """(L_F S)(X) = [F, S(X)] - S([F, X])."""
-        ef = self.ef
-        sx = apply_tangent_structure(ef, X)
-        term1 = lie_bracket(self.F, sx)
-        term2 = apply_tangent_structure(ef, lie_bracket(self.F, X))
-        return term1 - term2
-
-    def horizontal(self, X: VectorField) -> VectorField:
-        half = Num(Fraction(1, 2))
-        return (X - self.lie_derivative_s(X)).scaled(half)
-
-    def vertical(self, X: VectorField) -> VectorField:
-        half = Num(Fraction(1, 2))
-        return (X + self.lie_derivative_s(X)).scaled(half)
-
-    def lifts(self) -> list:
-        return list(self.horizontal_lifts)
-
-    def lift_of(self, V: VectorField) -> VectorField:
-        coeffs = self.ef.decompose_vertical(V)
-        out = self.ef.zero_field()
-        for c, h in zip(coeffs, self.horizontal_lifts):
-            out = out + h.scaled(c)
-        return out
-
-    def vertical_derivative(self, Vdir: VectorField,
-                            Varg: VectorField) -> VectorField:
-        """Covariant derivative of a vertical field along a vertical
-        direction: S([Vdir, -W_b]) on the basis, extended by the Leibniz
-        rule through the vertical decomposition of Varg."""
-        ef = self.ef
-        coeffs = ef.decompose_vertical(Varg)
-        out = ef.zero_field()
-        for c, vb, wb in zip(coeffs, ef.vbasis, ef.wfields):
-            leib = Vdir.directional(c)
-            out = out + vb.scaled(leib)
-            base = apply_tangent_structure(
-                ef, lie_bracket(Vdir, wb.scaled(Num(-1)))
-            )
-            out = out + base.scaled(c)
-        return out
-
-    def covariant_derivative(self, Wdir: VectorField,
-                             Varg: VectorField) -> VectorField:
-        """nabla_W V = P_V([P_H(W), V]) + S([P_V(W), lift(V)])."""
-        ef = self.ef
-        term1 = self.vertical(lie_bracket(self.horizontal(Wdir), Varg))
-        term2 = apply_tangent_structure(
-            ef, lie_bracket(self.vertical(Wdir), self.lift_of(Varg))
-        )
-        return term1 + term2
-
-    def projector_identities(self) -> ProjectorData:
-        ef = self.ef
-        suite = IdentitySuite("projector_identities")
-        elements = list(ef.combined.fields)
-        lfs_table = [self.lie_derivative_s(e) for e in elements]
-        for idx, (e, lfs_e) in enumerate(zip(elements, lfs_table)):
-            twice = self.lie_derivative_s(lfs_e)
-            suite.add_field(ef.probe, twice - e, f"(L_F S)^2-id[{idx}]")
-            ph = self.horizontal(e)
-            pv = self.vertical(e)
-            suite.add_field(ef.probe, ph + pv - e, f"P_H+P_V-id[{idx}]")
-            suite.add_field(ef.probe, self.horizontal(ph) - ph,
-                            f"P_H idempotent[{idx}]")
-            suite.add_field(ef.probe, self.vertical(pv) - pv,
-                            f"P_V idempotent[{idx}]")
-        for idx, v in enumerate(ef.vbasis):
-            suite.add_field(ef.probe, self.vertical(v) - v, f"P_V(V{idx})-V{idx}")
-            suite.add_field(ef.probe, self.horizontal(v), f"P_H(V{idx})")
-        for idx, (h, v) in enumerate(zip(self.horizontal_lifts, ef.vbasis)):
-            suite.add_field(ef.probe, apply_tangent_structure(ef, h) - v,
-                            f"S(h{idx})-V{idx}")
-            suite.add_field(ef.probe, self.vertical(h), f"P_V(h{idx})")
-        return ProjectorData(lfs_table=lfs_table, identities=suite)
-
-    def vertical_flatness(self) -> IdentitySuite:
-        """Curvature of the vertical derivative in vertical directions."""
-        ef = self.ef
-        suite = IdentitySuite("vertical_flatness")
-        for i in range(ef.n):
-            for j in range(i + 1, ef.n):
-                for k in range(ef.n):
-                    r = self.vertical_derivative(
-                        ef.vbasis[i],
-                        self.vertical_derivative(ef.vbasis[j], ef.vbasis[k]),
-                    ) - self.vertical_derivative(
-                        ef.vbasis[j],
-                        self.vertical_derivative(ef.vbasis[i], ef.vbasis[k]),
-                    )
-                    comm = lie_bracket(ef.vbasis[i], ef.vbasis[j])
-                    if not all(c == ZERO for c in comm.components):
-                        r = r - self.vertical_derivative(comm, ef.vbasis[k])
-                    suite.add_field(ef.probe, r, f"R[{i}{j}{k}]")
-        return suite
 
 
 @dataclass
@@ -702,36 +721,22 @@ def connection_tables(conn: Connections) -> ConnectionTables:
     -1/2 d(force^i)/dy^j in natural coordinates.  gamma2[k][i][j]: vertical
     coefficients of nabla_{h(V_i)} V_j; symmetric in i, j when the torsion
     vanishes (which it must)."""
-    ef = conn.ef
-    n = ef.n
-    lifts = conn.horizontal_lifts
-    gamma1 = [[None] * n for _ in range(n)]
-    for j, h in enumerate(lifts):
-        a, _ = ef.decompose_split(h)
-        for i in range(n):
-            gamma1[i][j] = normalize(a[i])
-    gamma2 = [[[None] * n for _ in range(n)] for _ in range(n)]
-    dv_table = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            dv = conn.covariant_derivative(lifts[i], ef.vbasis[j])
-            dv_table[i][j] = dv
-            coeffs = ef.decompose_vertical(dv)
-            for k in range(n):
-                gamma2[k][i][j] = normalize(coeffs[k])
+    ef, n, q, w, g2 = conn.ef, conn.ef.n, conn.q, conn.w, conn.gamma2
     torsion = IdentitySuite("torsion")
     gamma_sym = IdentitySuite("gamma_symmetry")
-    for i in range(n):
-        for j in range(i + 1, n):
-            t = dv_table[i][j] - dv_table[j][i] - apply_tangent_structure(
-                ef, lie_bracket(lifts[i], lifts[j])
-            )
-            torsion.add_field(ef.probe, t, f"T[{i}{j}]")
-            for k in range(n):
-                gamma_sym.add(ef.probe(gamma2[k][i][j] - gamma2[k][j][i]),
-                              f"G[{k}][{i}{j}]")
-    return ConnectionTables(gamma1=gamma1, gamma2=gamma2, lifts=lifts,
-                            torsion=torsion, gamma_symmetry=gamma_sym)
+    for i, j in ef.commutators:
+        t = [_dot([(g2[m][i][j],), (NEG, g2[m][j][i]), (conn.omega[i, j][m],)]
+                  + [f for k in range(n) for f in (
+                      (HALF, q[j][k], w[k][i][m]),
+                      (NEG, HALF, q[i][k], w[k][j][m]))])
+             for m in range(n)]
+        torsion.add_field(ef.probe, ef.field_of(t), f"T[{i}{j}]")
+        for k in range(n):
+            gamma_sym.add(ef.probe(g2[k][i][j] - g2[k][j][i]),
+                          f"G[{k}][{i}{j}]")
+    return ConnectionTables(gamma1=conn.gamma1, gamma2=g2,
+                            lifts=conn.lifts(), torsion=torsion,
+                            gamma_symmetry=gamma_sym)
 
 
 @dataclass
@@ -742,6 +747,21 @@ class MixedCurvature:
     witness_component: Optional[str] = None
     witness_value: Optional[float] = None
     max_residual: float = 0.0
+
+    @classmethod
+    def from_components(cls, comps: list, probe: ZeroProbe):
+        """The verdict on comps[i][j][k][m] = theta^m_ijk: the first
+        certified nonzero component in index order decides not_quadratic."""
+        max_res = 0.0
+        for i, j, k, m in itertools.product(range(len(comps)), repeat=4):
+            v = probe(comps[i][j][k][m])
+            if v.is_nonzero:
+                return cls(comps, "not_quadratic", v.witness,
+                           f"theta^{m}_{i}{j}{k}", v.value, max_res)
+            if not v.is_zero:
+                max_res = max(max_res, v.max_residual)
+        verdict = "quadratic" if max_res < 1e-9 else "inconclusive"
+        return cls(comps, verdict, max_residual=max_res)
 
     def as_dict(self) -> dict:
         out = {
@@ -760,50 +780,22 @@ class MixedCurvature:
 
 
 def mixed_curvature(conn: Connections) -> MixedCurvature:
-    """theta(V_i, V_j)V_k via the invariant definition with lifts and the
-    extended covariant derivative; zero iff the force is quadratic in the
-    fibre coordinates."""
-    ef = conn.ef
-    n = ef.n
-    lifts = conn.horizontal_lifts
-    comps = [[[None] * n for _ in range(n)] for _ in range(n)]
-    verdicts = []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                t1 = conn.covariant_derivative(
-                    lifts[i], conn.covariant_derivative(ef.vbasis[j],
-                                                        ef.vbasis[k])
-                )
-                t2 = conn.covariant_derivative(
-                    ef.vbasis[j],
-                    conn.covariant_derivative(lifts[i], ef.vbasis[k]),
-                )
-                t3 = conn.covariant_derivative(
-                    lie_bracket(lifts[i], ef.vbasis[j]), ef.vbasis[k]
-                )
-                theta_field = t1 - t2 - t3
-                coeffs = ef.decompose_vertical(theta_field)
-                comps[i][j][k] = [normalize(c) for c in coeffs]
-                for el, c in enumerate(comps[i][j][k]):
-                    verdicts.append((f"theta^{el}_{i}{j}{k}", ef.probe(c)))
-    witness = None
-    wc = None
-    wv = None
-    max_res = 0.0
-    verdict = "quadratic"
-    for label, v in verdicts:
-        if v.is_nonzero:
-            verdict = "not_quadratic"
-            witness, wc, wv = v.witness, label, v.value
-            break
-        if not v.is_zero:
-            max_res = max(max_res, v.max_residual)
-    if verdict == "quadratic" and max_res >= 1e-9:
-        verdict = "inconclusive"
-    return MixedCurvature(components=comps, verdict=verdict, witness=witness,
-                          witness_component=wc, witness_value=wv,
-                          max_residual=max_res)
+    """theta(V_i, V_j)V_k = theta^m_ijk V_m, zero iff the force is quadratic
+    in the fibre coordinates."""
+    ef, n, q, w, g2 = conn.ef, conn.ef.n, conn.q, conn.w, conn.gamma2
+    V, W = ef.vbasis, ef.wfields
+    comps = [[[[_dot([(HALF, q[i][el], V[el].directional(w[j][k][m]))
+                      for el in range(n)]
+                     + [(NEG, W[i].directional(w[j][k][m])),
+                        (NEG, V[j].directional(g2[m][i][k]))]
+                     + [f for el in range(n) for f in (
+                         (w[j][k][el], g2[m][i][el]),
+                         (NEG, g2[el][i][k], w[j][el][m]),
+                         (NEG, g2[el][i][j], w[el][k][m]),
+                         (w[j][i][el], g2[m][el][k]))])
+                for m in range(n)] for k in range(n)] for j in range(n)]
+             for i in range(n)]
+    return MixedCurvature.from_components(comps, ef.probe)
 
 
 # --------------------------------------------------------------------------
@@ -1028,14 +1020,14 @@ def _connections(state: PipelineState):
     ef = report.extended
     try:
         conn = Connections(ef)
-    except AnalysisError as err:
+    except PreservationError as err:
         report.verdicts["f_preserves_w"] = {"status": "fail",
                                             "detail": str(err)}
         report.reason = "[F, W] is not contained in W"
         return
     report.verdicts["f_preserves_w"] = {"status": "pass"}
     state.connections = conn
-    report.identity_suites.append(nijenhuis_check(ef))
+    report.identity_suites.append(nijenhuis_check(conn))
     proj = conn.projector_identities()
     report.projector_data = proj
     report.identity_suites.append(proj.identities)
@@ -1059,7 +1051,9 @@ def _zero_section(state: PipelineState):
     if report.f_w_coefficients is None:
         report.classification = CASE2
         return
-    report.s_of_f = apply_tangent_structure(ef, problem.F)
+    # S(F) = -b^i V_i for F = a^i V_i + b^i W_i
+    report.s_of_f = ef.field_of([normalize(-b)
+                                 for b in report.f_w_coefficients])
     report.zero_section_points = find_zero_section_points(
         ef, report.f_w_coefficients)
     if not report.zero_section_points:

@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .expressions import (
-    Expr, Num, ZERO, compile_exprs, differentiate,
+    Add, Expr, Num, ZERO, compile_exprs, differentiate,
     free_symbols, normalize, to_str,
 )
 from . import memo
@@ -51,6 +51,7 @@ class Chart:
             if not hi > lo:
                 raise GeometryError(f"degenerate box interval for '{n}'")
         self.names = names
+        self.name_set = frozenset(names)
         self.box = box
         self.seed = int(seed)
 
@@ -99,12 +100,12 @@ class VectorField:
             raise GeometryError(
                 f"expected {chart.dim} components, got {len(components)}"
             )
-        unknown = set()
-        for c in components:
-            unknown |= free_symbols(c) - set(chart.names)
-        if unknown:
+        names = chart.name_set
+        if not all(free_symbols(c) <= names for c in components):
+            unknown = set().union(*(free_symbols(c) for c in components))
             raise GeometryError(
-                f"components use symbols outside the chart: {sorted(unknown)}"
+                "components use symbols outside the chart: "
+                f"{sorted(unknown - names)}"
             )
         self.chart = chart
         self.components = components
@@ -114,10 +115,10 @@ class VectorField:
 
     def directional(self, f: Expr) -> Expr:
         """Derivative of the scalar f along this field."""
-        terms = []
-        for name, comp in zip(self.chart.names, self.components):
-            terms.append(comp * differentiate(f, name))
-        return normalize(sum(terms[1:], terms[0]))
+        terms = tuple(comp * differentiate(f, name)
+                      for name, comp in zip(self.chart.names, self.components)
+                      if comp != ZERO and f != ZERO)
+        return normalize(Add(terms)) if terms else ZERO
 
     def evaluator(self):
         """The compiled components on stacked points (see compile_exprs)."""

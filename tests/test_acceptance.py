@@ -11,8 +11,7 @@ from sodekit.expressions import (
 from sodekit.geometry import Chart, Frame, VectorField, coordinate_field
 from sodekit.analysis import (
     CASE1, CASE2, SecondOrderProblem, adapt_commuting_basis,
-    apply_tangent_structure, bracket_coefficients, build_extended_frame,
-    check_regularity, classify,
+    bracket_coefficients, build_extended_frame, check_regularity, classify,
 )
 from sodekit.parser import parse
 from sodekit.corpus import corpus_get, corpus_list
@@ -23,6 +22,7 @@ from sodekit.straighten import (
     transported_fibre_fields,
 )
 from tests.conftest import euler_lagrange_reduced_field
+from tests.connection_oracle import apply_tangent_structure
 
 x, y = syms("x y")
 
@@ -259,11 +259,15 @@ def test_criterion_8_tangent_structure_on_the_field():
         plane, VectorField(plane, [y, parse("x*y^2 - y + 1")]),
         Frame(plane, [coordinate_field(plane, "y")]),
     )
-    ef = build_extended_frame(prob)
-    sf = apply_tangent_structure(ef, prob.F)
-    residual = sf - VectorField(plane, [ZERO, y])
-    if not all(normalize(c) == ZERO for c in residual.components):
-        failures.append("S(F) is not the fibre dilation field y d/dy")
+    dilation = VectorField(plane, [ZERO, y])
+    for source, sf in (
+            ("stage", classify(prob).s_of_f),
+            ("field oracle",
+             apply_tangent_structure(build_extended_frame(prob), prob.F))):
+        residual = sf - dilation
+        if not all(normalize(c) == ZERO for c in residual.components):
+            failures.append(
+                f"{source}: S(F) is not the fibre dilation field y d/dy")
     _finish(8, "tangent-structure-action", failures,
             time.perf_counter() - start, 1.0)
 

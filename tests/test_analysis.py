@@ -1,5 +1,7 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,13 +12,16 @@ from sodekit.geometry import (
     Chart, Frame, VectorField, coordinate_field, lie_bracket,
 )
 from sodekit.analysis import (
-    CASE1, CASE2, NOT_SODE, Connections, SecondOrderProblem,
-    adapt_commuting_basis, apply_tangent_structure, bracket_coefficients,
-    build_extended_frame, check_regularity, classify, mixed_curvature,
-    nijenhuis_check, verify_bracket_integrability,
+    CASE1, CASE2, NOT_SODE, Connections, Options, SecondOrderProblem,
+    adapt_commuting_basis, bracket_coefficients, build_extended_frame,
+    check_regularity, classify, mixed_curvature, nijenhuis_check,
+    verify_bracket_integrability,
 )
+from sodekit.manifest import load_manifest, load_manifest_file
 from sodekit.parser import parse
-from sodekit.corpus import corpus_get
+from sodekit.corpus import corpus_get, corpus_list
+from tests import connection_oracle
+from tests.connection_oracle import FieldConnections, apply_tangent_structure
 from tests.conftest import random_polynomial
 
 x, y = syms("x y")
@@ -223,7 +228,7 @@ def test_s_of_f_is_fibre_dilation_field(natural):
 
 def test_nijenhuis_vanishes(natural):
     ef = build_extended_frame(natural)
-    suite = nijenhuis_check(ef)
+    suite = nijenhuis_check(Connections(ef))
     assert suite.ok and suite.exact
 
 
@@ -232,7 +237,7 @@ def test_nijenhuis_vanishes_routh():
     prob = SecondOrderProblem(m.chart, m.vector_field(),
                               Frame(m.chart, m.frame_fields()))
     ef = build_extended_frame(prob)
-    suite = nijenhuis_check(ef)
+    suite = nijenhuis_check(Connections(ef))
     assert suite.ok and suite.exact
 
 
@@ -248,7 +253,7 @@ def test_projector_actions_on_basis(natural):
 def test_horizontal_projection_of_w(natural):
     # hand check: (L_F S)(W_1) = -W_1 - f_y V_1, so P_H(W_1) = W_1 + f_y/2 V_1
     ef = build_extended_frame(natural)
-    conn = Connections(ef)
+    conn = FieldConnections(ef)
     f_y = differentiate(parse("x*y^2 + y"), "y")
     lfs_w = conn.lie_derivative_s(ef.wfields[0])
     expected = ef.wfields[0].scaled(Num(-1)) - ef.vbasis[0].scaled(f_y)
@@ -299,7 +304,7 @@ def test_lift_routh_matches_connection_coefficients():
 
 def test_lie_derivative_s_squares_to_identity(natural):
     ef = build_extended_frame(natural)
-    conn = Connections(ef)
+    conn = FieldConnections(ef)
     for e in ef.combined.fields:
         twice = conn.lie_derivative_s(conn.lie_derivative_s(e))
         assert field_is_zero(ef, twice - e)
@@ -309,7 +314,7 @@ def test_lie_derivative_s_squares_to_identity(natural):
 
 def test_vertical_derivative_vanishes_for_adapted_basis(natural):
     ef = build_extended_frame(natural)
-    conn = Connections(ef)
+    conn = FieldConnections(ef)
     d = conn.vertical_derivative(ef.vbasis[0], ef.vbasis[0])
     assert field_is_zero(ef, d)
 
@@ -319,7 +324,7 @@ def test_vertical_derivative_rescaled_basis_sign_convention(plane):
     # w-mixing coefficient is 2y here)
     prob = make_problem(plane, ["y", "0"], [["0", "1 + y^2"]])
     ef = build_extended_frame(prob)
-    conn = Connections(ef)
+    conn = FieldConnections(ef)
     d = conn.vertical_derivative(ef.vbasis[0], ef.vbasis[0])
     expected = ef.vbasis[0].scaled(normalize(2 * y))
     assert field_is_zero(ef, d - expected)
@@ -328,7 +333,7 @@ def test_vertical_derivative_rescaled_basis_sign_convention(plane):
 def test_vertical_derivative_leibniz(natural):
     rng = random.Random(21)
     ef = build_extended_frame(natural)
-    conn = Connections(ef)
+    conn = FieldConnections(ef)
     for _ in range(4):
         f = random_polynomial(rng, ef.chart.names, degree=2, terms=2)
         V = ef.vbasis[0]
@@ -341,7 +346,7 @@ def test_vertical_derivative_leibniz(natural):
 def test_extended_derivative_tensorial_in_direction(natural):
     rng = random.Random(22)
     ef = build_extended_frame(natural)
-    conn = Connections(ef)
+    conn = FieldConnections(ef)
     W = ef.wfields[0]
     V = ef.vbasis[0]
     for _ in range(3):
@@ -354,7 +359,7 @@ def test_extended_derivative_tensorial_in_direction(natural):
 def test_extended_derivative_leibniz_in_argument(natural):
     rng = random.Random(23)
     ef = build_extended_frame(natural)
-    conn = Connections(ef)
+    conn = FieldConnections(ef)
     W = ef.wfields[0]
     V = ef.vbasis[0]
     for _ in range(3):
@@ -367,7 +372,7 @@ def test_extended_derivative_leibniz_in_argument(natural):
 
 def test_extended_matches_vertical_for_vertical_directions(natural):
     ef = build_extended_frame(natural)
-    conn = Connections(ef)
+    conn = FieldConnections(ef)
     lhs = conn.covariant_derivative(ef.vbasis[0], ef.vbasis[0])
     rhs = conn.vertical_derivative(ef.vbasis[0], ef.vbasis[0])
     assert field_is_zero(ef, lhs - rhs)
@@ -377,7 +382,7 @@ def test_extended_is_bracket_for_projectable_horizontal(natural):
     # the lift h is projectable here ([h, V] stays vertical), so
     # nabla_h V = [h, V]
     ef = build_extended_frame(natural)
-    conn = Connections(ef)
+    conn = FieldConnections(ef)
     h = conn.lifts()[0]
     V = ef.vbasis[0]
     bracket = lie_bracket(h, V)
@@ -585,3 +590,96 @@ def test_identity_suites_exact_on_polynomial_instances():
         assert rep.ok
         assert rep.identity_suites_ok()
         assert all(s.exact for s in rep.identity_suites), name
+
+
+# -- table-based stages against the field-level oracle ------------------------
+
+BENCH_MANIFESTS = Path(__file__).resolve().parent.parent / "bench" / "manifests"
+N3_FORCE = ["y1", "y2", "y3", "x2*y1^2 - y3 + x1", "y1*y2 - x3",
+            "x1*y3^2 + y2*x2"]
+
+
+def _unit(i, m=6):
+    return ["1" if k == i else "0" for k in range(m)]
+
+
+def _manifest(name, coords, field, frame):
+    return load_manifest({
+        "name": name,
+        "chart": {"coordinates": coords, "box": [[-1, 1]] * len(coords)},
+        "field": {"components": field},
+        "frame": [{"components": comps} for comps in frame],
+    })
+
+
+AGREEMENT_INSTANCES = {
+    "n3": lambda: _manifest(
+        "n3", ["x1", "x2", "x3", "y1", "y2", "y3"], N3_FORCE,
+        [_unit(3), _unit(4), _unit(5)]),
+    "n3-sheared": lambda: _manifest(
+        "n3-sheared", ["x1", "x2", "x3", "y1", "y2", "y3"], N3_FORCE,
+        [_unit(3), ["0", "0", "0", "x1", "1", "0"],
+         ["0", "0", "0", "0", "x2", "1"]]),
+    # numeric adaptation, w != 0: the general expansion of every formula
+    "numeric-exp": lambda: _manifest(
+        "numeric-exp", ["x", "y"], ["y", "0"], [["0", "exp(y)"]]),
+    "numeric-exp-xy": lambda: _manifest(
+        "numeric-exp-xy", ["x", "y"], ["y", "x*y^3 + y^2"],
+        [["0", "exp(x*y)"]]),
+    # d/du for the fibre coordinates y = (u1, u2*exp(u1)): n = 2 with
+    # w^k_ij != 0 for i != j, for the Nijenhuis and flatness suites
+    "n2-curved-fibre": lambda: _manifest(
+        "n2-curved-fibre", ["x1", "x2", "y1", "y2"],
+        ["y1", "y2", "x2*y1^2 - x1", "y1*y2 - x2"],
+        [["0", "0", "1", "y2"], ["0", "0", "0", "exp(y1)"]]),
+    **{name: (lambda name=name: corpus_get(name)) for name in corpus_list()},
+    **{path.stem: (lambda path=path: load_manifest_file(str(path)))
+       for path in sorted(BENCH_MANIFESTS.glob("*.json"))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_INSTANCES))
+def test_table_stages_print_what_the_field_oracle_prints(name):
+    manifest = AGREEMENT_INSTANCES[name]()
+    opts = Options.from_mapping(manifest.options)
+    frame = Frame(manifest.chart, manifest.frame_fields(),
+                  samples=opts.samples, seed=opts.seed)
+    rep = classify(SecondOrderProblem(manifest.chart, manifest.vector_field(),
+                                      frame, opts, strict=False))
+    if rep.connection_data is None:
+        # the recognition stopped first: no stage output to compare
+        assert name == "regularity-fail" and rep.reason
+        assert rep.projector_data is None and rep.curvature is None
+        return
+    printed = rep.as_dict()
+    suites = {s["identity"]: s for s in printed["identity_suites"]}
+    stage = {
+        "nijenhuis_torsion": suites["nijenhuis_torsion"],
+        "projectors": printed["projectors"],
+        "vertical_flatness": suites["vertical_flatness"],
+        "connection": printed["connection"],
+        "mixed_curvature": printed["mixed_curvature"],
+    }
+    oracle = connection_oracle.sections(rep.extended)
+    for section in stage:
+        assert (json.dumps(stage[section], sort_keys=True)
+                == json.dumps(oracle[section], sort_keys=True)), section
+
+
+def test_commutator_zero_only_by_sampling_stays_in_the_tables():
+    # [V_1, V_2] vanishes on the box, but only the sampled test says so: its
+    # V-decomposition must enter the tables, not be dropped
+    m = _manifest("sampled-commutator", ["x1", "x2", "y1", "y2"],
+                  ["y1", "y2", "x2*y1^2 - x1", "y1*y2 - x2"],
+                  [["0", "0", "1", "0"],
+                   ["0", "0", "0", "exp(log(1 + y1^2)) - y1^2"]])
+    rep = classify(SecondOrderProblem(m.chart, m.vector_field(),
+                                      Frame(m.chart, m.frame_fields())))
+    commutes = rep.identity_suites[0]
+    assert commutes.name == "v_basis_commutes"
+    assert commutes.ok and not commutes.exact
+    conn = Connections(rep.extended)
+    assert conn.c[0][1][1] != ZERO
+    assert normalize(conn.c[0][1][1] + conn.c[1][0][1]) == ZERO
+    assert rep.identity_suites_ok()
+    assert rep.curvature.verdict == "quadratic"

@@ -226,3 +226,35 @@ def test_node_equality_and_hash_never_build_a_sort_key():
         names = {getattr(node, "attr", None) or getattr(node, "id", None)
                  for node in ast.walk(method)}
         assert not names & {"key", "_key", "_struct_key"}, method.name
+
+
+def test_connection_and_curvature_stages_bracket_only_frame_fields(
+        monkeypatch):
+    # n = 3: [F, W_i], [V_i, W_j] and [W_i, W_j] (i < j) are the only
+    # brackets; everything else is scalar work on their coefficient tables
+    n = 3
+    names = ["x1", "x2", "x3", "y1", "y2", "y3"]
+    chart = Chart(names, [(-1.0, 1.0)] * 6)
+    F = VectorField(chart, [parse(c) for c in (
+        "y1", "y2", "y3", "x2*y1^2 - y3 + x1", "y1*y2 - x3",
+        "x1*y3^2 + y2*x2")])
+    V = Frame(chart, [VectorField(chart, [parse("1" if k == i else "0")
+                                          for k in range(6)])
+                      for i in (3, 4, 5)])
+    state = analysis.PipelineState(SecondOrderProblem(chart, F, V))
+    stages = dict(analysis.STAGES)
+    analysis.walk(state, [s for s in analysis.STAGES
+                          if s[0] not in ("connections", "curvature",
+                                          "zero_section")], {})
+    calls = []
+    bracket = analysis.lie_bracket
+    monkeypatch.setattr(analysis, "lie_bracket",
+                        lambda X, Y: calls.append(1) or bracket(X, Y))
+    analysis.walk(state, [(name, stages[name])
+                          for name in ("connections", "curvature")], {})
+    assert state.analysis.curvature.verdict == "quadratic"
+    assert 0 < len(calls) <= n + n * n + n * (n - 1) // 2
+    defined = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    assert "covariant_derivative" not in defined
