@@ -60,6 +60,7 @@ COND_LIMIT = 1e8          # a larger condition number flags a grid node
 CROSSCHECK_CAP = 12       # about this many grid nodes are cross-checked
 PATH_CHECK_TOL = 1e-7     # basis transport: gap between the two flow orders
 QUADRATIC_GRID = 5        # fibre nodes per axis of the quadratic fit
+FLOW_ROWS = 1024          # members per map_grid flow call, to bound ODE state
 
 
 def _variational_evaluator(fld: VectorField):
@@ -78,14 +79,6 @@ def _is_constant_field(fld: VectorField) -> Optional[np.ndarray]:
     if all(not free_symbols(c) for c in fld.components):
         return fld.at([0.0] * fld.chart.dim)
     return None
-
-
-def _within_slack(point, chart: Chart) -> bool:
-    for x, (lo, hi) in zip(point, chart.box):
-        pad = BOX_SLACK * (hi - lo)
-        if not (lo - pad <= x <= hi + pad):
-            return False
-    return True
 
 
 # --------------------------------------------------------------------------
@@ -150,8 +143,13 @@ def integrate_flows(fld: VectorField, z, s, with_jacobian: bool = False,
         if with_jacobian:
             jac[moving] = sol.y[:, m:].reshape(count, m, m)
     if chart is not None:
-        for k in moving:
-            if k not in failures and not _within_slack(z[k], chart):
+        lo, hi = np.array(chart.box).T
+        pad = BOX_SLACK * (hi - lo)
+        ends = z[moving, :len(lo)]
+        # a NaN end compares false, so it fails too
+        inside = ((lo - pad <= ends) & (ends <= hi + pad)).all(axis=1)
+        for k in moving[~inside]:
+            if k not in failures:
                 failures[int(k)] = NumericFailure(
                     "flow left the sampling box (beyond the allowed slack)",
                     last_point=tuple(z[k]))
@@ -297,8 +295,8 @@ class CoordinateTransform:
 
     Every map works on stacks of parameter rows, each flow stage of all rows
     in one solve_ivp call; each row steps as it would alone, and a row that
-    fails is flagged alone.  `map_grid` walks a grid by parameter prefix so
-    that nodes share their inner flows.  A transform keeps no state after
+    fails is flagged alone.  `map_grid` walks a grid level by level so that
+    nodes share their inner flows.  A transform keeps no state after
     construction, so threads may share one.
 
     The flows start from `start`: the base point z0, followed by the entries
@@ -375,31 +373,37 @@ class CoordinateTransform:
         return z, J, failures
 
     def map_grid(self, axis) -> tuple:
-        """`map_batch` of every node of the grid axis^m, in C order, walked by
-        parameter prefix: stage k integrates each distinct prefix of length
-        k + 1 once, one solve_ivp call holding the g = len(axis) children of
-        one prefix.  A prefix that fails flags all its nodes."""
+        """`map_batch` of every node of the grid axis^m, in C order, walked
+        level by level: stage k integrates each distinct live prefix of
+        length k + 1 once, in consecutive calls of at most FLOW_ROWS members.
+        A prefix that fails flags all its nodes and leaves the walk."""
         axis = np.asarray(axis, dtype=float)
         g, m = len(axis), self.m
         z = np.full((g ** m, m), np.nan)
         J = np.full((g ** m, m, m), np.nan)
         failures: dict = {}
-
-        def walk(k, prefix, zp, Jp):
-            zk, Jk, errs = self._stage(k, np.repeat(zp[None], g, axis=0),
-                                       np.repeat(Jp[None], g, axis=0), axis)
+        # the live prefixes of length k (their C-order indices) and states
+        prefixes = np.zeros(1, dtype=int)
+        zp, Jp = self.start[None], np.zeros((1, len(self.start), 0))
+        for k in range(m):
+            lost: dict = {}
+            level = []
+            rows = len(prefixes) * g
+            for first in range(0, rows, FLOW_ROWS):
+                parent, child = np.divmod(
+                    np.arange(first, min(first + FLOW_ROWS, rows)), g)
+                zc, Jc, errs = self._stage(k, zp[parent], Jp[parent],
+                                           axis[child])
+                level.append(_keep_live(errs, prefixes[parent] * g + child,
+                                        lost, zc, Jc))
             span = g ** (m - 1 - k)
-            for i in range(g):
-                first = (prefix * g + i) * span
-                if i in errs:
-                    failures.update(dict.fromkeys(range(first, first + span),
-                                                  errs[i]))
-                elif k + 1 < m:
-                    walk(k + 1, prefix * g + i, zk[i], Jk[i])
-                else:
-                    z[first], J[first] = zk[i, :m], Jk[i, :m]
-
-        walk(0, 0, self.start, np.zeros((len(self.start), 0)))
+            for prefix, err in lost.items():
+                failures.update(dict.fromkeys(
+                    range(prefix * span, (prefix + 1) * span), err))
+            prefixes, zp, Jp = (np.concatenate(a) for a in zip(*level))
+            del level   # the chunks, before the next level is built
+        z[prefixes] = zp[:, :m]
+        J[prefixes] = Jp[:, :m]
         return z, J, failures
 
     def invert(self, z_targets, guesses) -> tuple:
@@ -525,22 +529,35 @@ class CoordinateTransform:
         return StencilBatch(values, final,
                             [failures.get(k) for k in range(K)])
 
-    def jacobian_fd(self, params) -> np.ndarray:
-        """Central differences of the guarded flow map (no variational
-        equations), the 2m shifted parameter rows integrated together: one
-        solve_ivp call per flow stage."""
-        params = np.asarray(params, dtype=float)
-        shift = FD_STEP * np.eye(self.m)
-        rows = np.stack([params + shift, params - shift], axis=1).reshape(
-            2 * self.m, self.m)
+    def jacobian_fd(self, nodes) -> tuple:
+        """Central differences of the guarded flow map at each row of nodes
+        (no variational equations): (J (K, m, m), failures), a node failing
+        with the first failure of its 2m shifted rows, its rows NaN.  The
+        2mK shifted rows are integrated together, one solve_ivp call per
+        flow stage."""
+        nodes = np.asarray(nodes, dtype=float)
+        K, m = nodes.shape
+        shift = FD_STEP * np.eye(m)
+        rows = np.stack([nodes[:, None] + shift, nodes[:, None] - shift],
+                        axis=2).reshape(2 * m * K, m)
+        owner = np.repeat(np.arange(K), 2 * m)
+        live = np.arange(len(rows))
         z = np.tile(self.start, (len(rows), 1))
+        failures: dict = {}
         for k, st in enumerate(self.stages):
-            z, _, failures = integrate_flows(st.fld, z, rows[:, k],
-                                             chart=self.chart)
-            if failures:
-                raise failures[min(failures)]
-        z = z[:, :self.m].reshape(self.m, 2, self.m)
-        return (z[:, 0] - z[:, 1]).T / (2 * FD_STEP)
+            if not live.size:
+                break
+            z, _, errs = integrate_flows(st.fld, z, rows[live, k],
+                                         chart=self.chart)
+            for i in sorted(errs):
+                failures.setdefault(int(owner[live[i]]), errs[i])
+            keep = ~np.isin(owner[live], list(failures))
+            live, z = live[keep], z[keep]
+        ends = np.full((len(rows), m), np.nan)
+        ends[live] = z[:, :m]
+        ends = ends.reshape(K, m, 2, m)
+        return ((ends[:, :, 0] - ends[:, :, 1]).transpose(0, 2, 1)
+                / (2 * FD_STEP), failures)
 
 
 def _tilt_to_locus(fld: VectorField, b_exprs, vbasis) -> VectorField:
@@ -697,8 +714,8 @@ def pushforward_residuals(transform: CoordinateTransform,
         1.0 if name == "t1" and transform.case == CASE2 else 0.0
         for name in transform.param_names[:tc]
     ])
-    # the grid walked by prefix, then the linear algebra of all nodes at
-    # once; a node that fails or is ill-conditioned is flagged
+    # the grid walked level by level, then the linear algebra of all nodes
+    # at once; a node that fails or is ill-conditioned is flagged
     z, J, failed = transform.map_grid(axis)
     live = np.setdiff1d(np.arange(len(nodes)), list(failed))
     cond = np.full(len(nodes), np.nan)
@@ -724,21 +741,23 @@ def pushforward_residuals(transform: CoordinateTransform,
             if len(picked) else None
     except NumericFailure:
         batch = None
-    for k, index in enumerate(picked if batch is not None else ()):
-        if batch.failures[k] is not None:
-            continue
+    passed = [] if batch is None else [
+        k for k in range(len(picked)) if batch.failures[k] is None]
+    for k in passed:
         fin = batch.values[k]
         ytilde = batch.final[k, tc + n:]
         gap_x = float(np.max(np.abs(fin[tc: tc + n] - ytilde)))
         gap_t = float(np.max(np.abs(fin[:tc] - expected_t))) if tc else 0.0
         max_cross = max(max_cross, gap_x, gap_t)
-        try:
-            Jf = transform.jacobian_fd(nodes[index])
-        except NumericFailure:
+    # the finite-difference Jacobians of every node that passed, in one batch
+    fd_nodes = picked[passed]
+    Jf, fd_failures = transform.jacobian_fd(nodes[fd_nodes])
+    for i, index in enumerate(fd_nodes):
+        if i in fd_failures:
             continue
         Jv = J[index]
         scale = max(1.0, float(np.max(np.abs(Jv))))
-        max_jgap = max(max_jgap, float(np.max(np.abs(Jv - Jf))) / scale)
+        max_jgap = max(max_jgap, float(np.max(np.abs(Jv - Jf[i]))) / scale)
         checked += 1
     fibre_sv = transform.fibre_jacobian_min_sv(np.zeros(m))
     # for m = 2n there is no t-block; the stencil cross-check is then the

@@ -2,6 +2,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from sodekit.straighten import (
     pushforward_residuals, transported_fibre_fields,
 )
 from tests.conftest import values_at
+from tests.test_analysis import AGREEMENT_INSTANCES
 
 x, y = syms("x y")
 
@@ -209,8 +211,9 @@ def test_jacobian_routes_agree_on_every_grid_node():
     axis = np.linspace(-0.5, 0.5, 10)
     _, J, failures = tr.map_grid(axis)
     assert not failures
-    for node, Jv in zip(itertools.product(axis, repeat=2), J):
-        Jf = tr.jacobian_fd(np.array(node))
+    Jfd, fd_failures = tr.jacobian_fd(list(itertools.product(axis, repeat=2)))
+    assert not fd_failures
+    for Jv, Jf in zip(J, Jfd):
         scale = max(1.0, float(np.max(np.abs(Jv))))
         assert float(np.max(np.abs(Jv - Jf))) / scale < 1e-5
 
@@ -415,12 +418,12 @@ def test_grid_loop_integrates_each_stage_once_per_prefix(monkeypatch):
     g, m = 6, tr.m
     stage_of = {id(st.fld): k for k, st in enumerate(tr.stages)}
     members = [0] * m
-    sizes = []
+    calls = [0] * m
     real = straighten.integrate_flows
 
     def counting(fld, z, s, *args, **kwargs):
-        sizes.append(len(z))
         members[stage_of[id(fld)]] += len(z)
+        calls[stage_of[id(fld)]] += 1
         return real(fld, z, s, *args, **kwargs)
 
     monkeypatch.setattr(straighten, "integrate_flows", counting)
@@ -428,8 +431,9 @@ def test_grid_loop_integrates_each_stage_once_per_prefix(monkeypatch):
     monkeypatch.setattr(tr, "fibre_jacobian_min_sv", lambda params: 1.0)
     res = pushforward_residuals(tr, grid_points=g)
     assert res.node_count == g ** m and res.crosscheck_nodes == 0
-    assert max(sizes) <= g
     assert members == [g ** (k + 1) for k in range(m)]
+    assert calls == [-(-g ** (k + 1) // straighten.FLOW_ROWS)
+                     for k in range(m)]
     monkeypatch.undo()
     axis = np.linspace(-0.3, 0.3, g)
     z, J, failures = tr.map_grid(axis)
@@ -439,26 +443,37 @@ def test_grid_loop_integrates_each_stage_once_per_prefix(monkeypatch):
     assert np.array_equal(z, zb) and np.array_equal(J, Jb)
 
 
+def inject_failures(monkeypatch, fld, rows_of_call):
+    """Make the Jacobian-carrying integrate_flows calls of `fld` fail at
+    rows_of_call[c], the rows of the c-th such call; returns the sizes of
+    those calls."""
+    sizes = []
+    real = straighten.integrate_flows
+
+    def flaky(f, z, s, *args, **kwargs):
+        ends, jac, failures = real(f, z, s, *args, **kwargs)
+        if f is fld and jac is not None:
+            for row in rows_of_call.get(len(sizes), ()):
+                failures[row] = NumericFailure("injected")
+                ends[row] = jac[row] = np.nan
+            sizes.append(len(z))
+        return ends, jac, failures
+
+    monkeypatch.setattr(straighten, "integrate_flows", flaky)
+    return sizes
+
+
 def test_a_failing_prefix_flags_exactly_its_nodes(monkeypatch):
     tr = timedep_transform()
     g, m = 6, tr.m
     axis = np.linspace(-0.3, 0.3, g)
     want_z, want_J, _ = tr.map_grid(axis)
     prefix, child = 2, 4     # the stage-1 prefix (axis[2], axis[4]) fails
-    stage_1_calls = []
-    real = straighten.integrate_flows
-
-    def flaky(fld, z, s, *args, **kwargs):
-        ends, jac, failures = real(fld, z, s, *args, **kwargs)
-        if fld is tr.stages[1].fld and jac is not None:
-            stage_1_calls.append(len(z))
-            if len(stage_1_calls) == prefix + 1:   # prefixes come in C order
-                failures[child] = NumericFailure("injected")
-                ends[child] = jac[child] = np.nan
-        return ends, jac, failures
-
-    monkeypatch.setattr(straighten, "integrate_flows", flaky)
+    # stage 1 is one call whose rows are the prefixes in C order
+    stage_1_calls = inject_failures(monkeypatch, tr.stages[1].fld,
+                                    {0: [prefix * g + child]})
     z, J, failures = tr.map_grid(axis)
+    assert stage_1_calls == [g * g]
     span = g ** (m - 2)
     first = (prefix * g + child) * span
     flagged = list(range(first, first + span))
@@ -472,6 +487,50 @@ def test_a_failing_prefix_flags_exactly_its_nodes(monkeypatch):
     res = pushforward_residuals(tr, grid_points=g, extent=0.3)
     assert res.flagged_nodes == span
     assert res.node_count == g ** m - span
+
+
+def test_no_grid_call_holds_more_than_flow_rows(monkeypatch):
+    # g = 11: the last level's 1331 members span two calls, and the two
+    # members either side of the boundary between them fail
+    tr = timedep_transform()
+    g, m, cap = 11, tr.m, straighten.FLOW_ROWS
+    axis = np.linspace(-0.3, 0.3, g)
+    want_z, want_J, _ = tr.map_grid(axis)
+    sizes = []
+    real = straighten.integrate_flows
+
+    def counting(fld, z, s, *args, **kwargs):
+        sizes.append(len(z))
+        return real(fld, z, s, *args, **kwargs)
+
+    monkeypatch.setattr(straighten, "integrate_flows", counting)
+    last_calls = inject_failures(monkeypatch, tr.stages[-1].fld,
+                                 {0: [cap - 1], 1: [0]})
+    z, J, failures = tr.map_grid(axis)
+    assert max(sizes) <= cap
+    assert last_calls == [cap, g ** m - cap]
+    assert sorted(failures) == [cap - 1, cap]
+    kept = np.setdiff1d(np.arange(g ** m), [cap - 1, cap])
+    assert np.isnan(z[[cap - 1, cap]]).all()
+    assert np.array_equal(z[kept], want_z[kept])
+    assert np.array_equal(J[kept], want_J[kept])
+
+
+def test_residual_grid_memory_stays_bounded():
+    # 5^6 nodes of the sheared n = 3 instance: the level walk holds at most
+    # FLOW_ROWS members' integrator state at once
+    manifest = AGREEMENT_INSTANCES["n3-sheared"]()
+    tr = build_normal_coordinates(classify(SecondOrderProblem(
+        manifest.chart, manifest.vector_field(),
+        Frame(manifest.chart, manifest.frame_fields()))))
+    tracemalloc.start()
+    try:
+        res = pushforward_residuals(tr)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.grid_shape == (5,) * 6 and res.flagged_nodes == 0
+    assert peak < 32 * 2 ** 20
 
 
 def test_threads_sharing_a_transform_get_single_threaded_residuals():
@@ -604,7 +663,7 @@ def test_extraction_integrates_each_stage_once_per_newton_step(monkeypatch):
 
 def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
     tr = timedep_transform()
-    node = np.array([0.15, -0.2, 0.1])
+    nodes = np.array([[0.15, -0.2, 0.1], [-0.1, 0.25, -0.2], [0.05, 0.1, 0.3]])
     h = straighten.FD_STEP
 
     def flow_map(params):   # states only, each row alone
@@ -613,8 +672,9 @@ def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
             z = flow(st.fld, z, s, chart=tr.chart)
         return z
 
-    want = np.array([(flow_map(node + h * e) - flow_map(node - h * e))
+    want = np.array([(flow_map(nodes[0] + h * e) - flow_map(nodes[0] - h * e))
                      / (2 * h) for e in np.eye(tr.m)]).T
+    alone = [tr.jacobian_fd(node[None])[0][0] for node in nodes]
     members = []
     real = straighten.solve_ivp
 
@@ -623,9 +683,42 @@ def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
         return real(fun, t_span, y0, **kwargs)
 
     monkeypatch.setattr(straighten, "solve_ivp", counting)
-    got = tr.jacobian_fd(node)
+    got, failures = tr.jacobian_fd(nodes)
+    assert not failures
     assert 0 < len(members) <= len(tr.stages)
-    assert members == [2 * tr.m] * len(members)
-    assert np.array_equal(got, want)
-    _, Jv, _ = tr.map_batch([node])
-    assert np.max(np.abs(got - Jv[0])) < 1e-8
+    assert members == [2 * tr.m * len(nodes)] * len(members)
+    assert all(np.array_equal(got[k], alone[k]) for k in range(len(nodes)))
+    assert np.array_equal(got[0], want)
+    _, Jv, _ = tr.map_batch(nodes)
+    assert np.max(np.abs(got - Jv)) < 1e-8
+
+
+def test_a_failing_shifted_row_drops_only_its_node(monkeypatch):
+    tr = build_normal_coordinates(classify_corpus("oscillator-scrambled"))
+    m = tr.m
+    nodes = np.array([[0.1, 0.2], [-0.3, 0.1], [0.2, -0.3]])
+    want, _ = tr.jacobian_fd(nodes)
+    full = pushforward_residuals(tr, grid_points=10)
+    real = straighten.integrate_flows
+    bad = {"row": None}
+
+    def flaky(fld, z, s, with_jacobian=False, chart=None):
+        ends, jac, failures = real(fld, z, s, with_jacobian, chart)
+        # the shifted rows are the only guarded flows without a Jacobian;
+        # the second shifted row of the second node fails at the first stage
+        if chart is not None and not with_jacobian and bad["row"] is None:
+            bad["row"] = 2 * m + 1
+            failures[bad["row"]] = NumericFailure("injected")
+            ends[bad["row"]] = np.nan
+        return ends, jac, failures
+
+    monkeypatch.setattr(straighten, "integrate_flows", flaky)
+    got, failures = tr.jacobian_fd(nodes)
+    assert list(failures) == [1] and str(failures[1]) == "injected"
+    assert np.isnan(got[1]).all()
+    assert np.array_equal(got[[0, 2]], want[[0, 2]])
+    bad["row"] = None
+    res = pushforward_residuals(tr, grid_points=10)
+    assert full.crosscheck_nodes > 1
+    assert res.crosscheck_nodes == full.crosscheck_nodes - 1
+    assert res.max_jacobian_gap <= full.max_jacobian_gap
