@@ -447,7 +447,7 @@ def _poly_ansatz_solve(vfield: VectorField, target: Expr, chart: Chart,
         return None
     names = [s.name for s in coeff_syms]
     matrix = [
-        [row.get(nm, Fraction(0)) for nm in names] for row in rows.values()
+        [row.get(nm, 0) for nm in names] for row in rows.values()
     ]
     null = _rational_nullspace(matrix, len(names))
     if not null:
@@ -477,8 +477,10 @@ def Pow_(base, e):
 
 
 def _rational_nullspace(matrix, width):
-    """Nullspace basis of an exact rational matrix (Gauss-Jordan)."""
-    rows = [list(r) for r in matrix]
+    """Nullspace basis of an exact rational matrix (Gauss-Jordan).  Entries
+    may be ints (as normal-form coefficients are); they are taken as
+    Fractions, so the pivot divisions stay exact."""
+    rows = [[Fraction(x) for x in r] for r in matrix]
     pivots = {}
     r = 0
     for c in range(width):

@@ -26,6 +26,8 @@ import numpy as np
 
 from . import memo
 
+# An exact rational, an int unless truly fractional: coefficients and
+# exponents of the canonical rational form.
 Number = Union[int, Fraction]
 
 FUNCTIONS = ("cos", "exp", "log", "sin")
@@ -301,18 +303,29 @@ def free_symbols(e: Expr) -> frozenset:
 # --------------------------------------------------------------------------
 # Canonical rational form.
 #
-# A polynomial is a dict {monomial: Fraction}; a monomial is a sorted tuple
-# of (atom, exponent) pairs with nonzero exponents, each an int unless it is
-# truly fractional (then a Fraction).  Atoms are symbols, function
-# applications (with normalized arguments) or opaque fractional powers of
-# composite bases.  A rational form is a (num, den) polynomial pair with a
-# canonically normalized denominator.
+# A polynomial is a dict {monomial: coefficient}; a monomial is a sorted
+# tuple of (atom, exponent) pairs with nonzero exponents.  Coefficients and
+# exponents alike are Numbers: an int unless truly fractional (then a
+# Fraction with denominator > 1), so the common integer case runs on int
+# arithmetic.  Every coefficient division goes through `_qdiv`; a bare `/`
+# on two ints would give a float.  Atoms are symbols, function applications
+# (with normalized arguments) or opaque fractional powers of composite
+# bases.  A rational form is a (num, den) polynomial pair with a canonically
+# normalized denominator.
 # --------------------------------------------------------------------------
 
 Monomial = tuple
 Poly = dict
 
-_P_ONE: Poly = {(): Fraction(1)}
+_P_ONE: Poly = {(): 1}
+
+
+def _qdiv(a: Number, b: Number) -> Number:
+    """Exact quotient a / b of two coefficients, an int when integral."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    q = Fraction(a, b)
+    return q.numerator if q.denominator == 1 else q
 
 
 def _mon_key(mon: Monomial):
@@ -341,17 +354,17 @@ def _mon_mul(m1: Monomial, m2: Monomial) -> Monomial:
     return tuple(out)
 
 
-def _poly_add_term(p: Poly, mon: Monomial, coeff: Fraction):
+def _poly_add_term(p: Poly, mon: Monomial, coeff: Number):
     cur = p.get(mon)
-    if cur is None:
-        if coeff != 0:
-            p[mon] = coeff
-    else:
-        cur += coeff
-        if cur == 0:
+    if cur is not None:
+        coeff += cur
+        if not coeff:
             del p[mon]
-        else:
-            p[mon] = cur
+            return
+    elif not coeff:
+        return
+    p[mon] = (coeff if type(coeff) is int or coeff.denominator != 1
+              else coeff.numerator)
 
 
 def _poly_add(p1: Poly, p2: Poly) -> Poly:
@@ -382,10 +395,13 @@ def _poly_pow(p: Poly, k: int) -> Poly:
     return result
 
 
-def _poly_scale(p: Poly, c: Fraction) -> Poly:
+def _poly_scale(p: Poly, c: Number) -> Poly:
     if c == 1:
         return p
-    return {m: v * c for m, v in p.items()}
+    out: Poly = {}
+    for m, v in p.items():
+        _poly_add_term(out, m, v * c)
+    return out
 
 
 def _leading(p: Poly):
@@ -436,7 +452,7 @@ def _try_exact_division(p: Poly, q: Poly):
         factor_mon = _mon_quotient(rmon, qmon)
         if factor_mon is None:
             return None
-        factor_c = rc / qc
+        factor_c = _qdiv(rc, qc)
         _poly_add_term(quotient, factor_mon, factor_c)
         for m2, c2 in q.items():
             _poly_add_term(rem, _mon_mul(factor_mon, m2), -factor_c * c2)
@@ -447,17 +463,22 @@ def _reduce_rf(p: Poly, q: Poly):
     """Canonicalize a (num, den) pair.  No polynomial gcd is attempted;
     monomial denominators are folded in, the denominator is made content-free
     with a positive leading coefficient, and shared monomial factors with
-    nonnegative joint minimum exponent are stripped."""
+    nonnegative joint minimum exponent are stripped.
+
+    A unit denominator {(): 1} is already canonical: the pair is returned as
+    is, the same dict objects, so no caller may mutate a result."""
     if not q:
         raise ExpressionError("division by an expression that normalizes to zero")
     if not p:
         return {}, dict(_P_ONE)
     if len(q) == 1:
         ((qmon, qc),) = q.items()
+        if not qmon and qc == 1:
+            return p, q
         inv = tuple((a, -e) for a, e in qmon)
         out: Poly = {}
         for mon, c in p.items():
-            _poly_add_term(out, _mon_mul(mon, inv), c / qc)
+            _poly_add_term(out, _mon_mul(mon, inv), _qdiv(c, qc))
         return out, dict(_P_ONE)
     # strip monomial factors common to every term of both polynomials
     shared: dict = None  # type: ignore[assignment]
@@ -492,17 +513,16 @@ def _reduce_rf(p: Poly, q: Poly):
         if exact is not None:
             return _reduce_rf(dict(_P_ONE), exact)
     # content/sign normalization of the denominator
-    content = Fraction(0)
+    content = 0
     for c in q.values():
-        content = Fraction(math.gcd(content.numerator * c.denominator,
-                                    c.numerator * content.denominator),
-                           content.denominator * c.denominator)
+        content = _qdiv(math.gcd(content.numerator * c.denominator,
+                                 c.numerator * content.denominator),
+                        content.denominator * c.denominator)
     lead = _leading(q)[1]
     if lead < 0:
         content = -content
-    p = _poly_scale(p, 1 / content)
-    q = _poly_scale(q, 1 / content)
-    return p, q
+    inv = _qdiv(1, content)
+    return _poly_scale(p, inv), _poly_scale(q, inv)
 
 
 def _rf_add(a, b):
@@ -537,7 +557,7 @@ _FOLDS = {
 
 
 def _atom_rf(atom: Expr):
-    return {((atom, 1),): Fraction(1)}, dict(_P_ONE)
+    return {((atom, 1),): 1}, dict(_P_ONE)
 
 
 def _to_rf(e: Expr):
@@ -545,9 +565,10 @@ def _to_rf(e: Expr):
     if rf is not None:
         return rf
     if isinstance(e, Num):
-        if e.value == 0:
+        v = e.value
+        if v == 0:
             return {}, dict(_P_ONE)
-        return {(): e.value}, dict(_P_ONE)
+        return {(): v.numerator if v.denominator == 1 else v}, dict(_P_ONE)
     if isinstance(e, Sym):
         return _atom_rf(e)
     if isinstance(e, Add):
@@ -586,14 +607,14 @@ def _to_rf(e: Expr):
             if c == 1 and len(mon) == 1 and mon[0][1] == 1:
                 # bare atom: exponents combine exactly
                 atom = mon[0][0]
-                return {((atom, q),): Fraction(1)}, dict(_P_ONE)
+                return {((atom, q),): 1}, dict(_P_ONE)
         # composite base: keep the radical opaque (no exponent laws applied)
         atom = Pow(_rf_to_tree(rb), q)
         return _atom_rf(atom)
     raise TypeError(f"unknown node {e!r}")
 
 
-def _term_tree(mon: Monomial, coeff: Fraction) -> Expr:
+def _term_tree(mon: Monomial, coeff: Number) -> Expr:
     factors = []
     if coeff != 1 or not mon:
         factors.append(Num(coeff))

@@ -186,13 +186,30 @@ def _solve_each(A, b, message: str, points) -> tuple:
         return x, failures
 
 
+def _live_rows(count: int, failures) -> np.ndarray:
+    """The indices 0..count-1 that are not keys of failures, ascending.  (A
+    mask, not np.setdiff1d: that imports numpy.ma on its first call.)"""
+    live = np.ones(count, dtype=bool)
+    live[list(failures)] = False
+    return np.flatnonzero(live)
+
+
+def _median(values) -> float:
+    """np.median of a nonempty 1-d array, bit for bit, without the numpy.ma
+    import np.median makes on its first call."""
+    s = np.sort(values)
+    k = len(s) // 2
+    if np.isnan(s[-1]):
+        return float("nan")
+    return float(s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2)
+
+
 def _keep_live(failures: dict, owners, recorded: dict, *arrays) -> tuple:
     """Record each failed member's failure under its owner (the first one
     recorded wins) and return the owners and rows of the other members."""
     for i, err in failures.items():
         recorded.setdefault(int(owners[i]), err)
-    live = np.ones(len(owners), dtype=bool)
-    live[list(failures)] = False
+    live = _live_rows(len(owners), failures)
     return (owners[live],) + tuple(a[live] for a in arrays)
 
 
@@ -462,7 +479,7 @@ class CoordinateTransform:
         member are NaN."""
         params = np.asarray(params, dtype=float)
         z, J, failures = self.map_batch(params, guard=True)
-        live = np.setdiff1d(np.arange(len(params)), list(failures))
+        live = _live_rows(len(params), failures)
         pushed, errs = self._pushforward_batch(z[live], J[live])
         v = np.full_like(z, np.nan)
         v[live] = pushed
@@ -501,7 +518,7 @@ class CoordinateTransform:
         nodes = np.asarray(nodes, dtype=float)
         K, m = nodes.shape
         final, z, v, failures = self.final_coords(nodes)
-        live = np.setdiff1d(np.arange(K), list(failures))
+        live = _live_rows(K, failures)
         z, v, live_nodes = z[live], v[live], nodes[live]
         # the four stencil points of each live node, consecutive
         owner = np.repeat(np.arange(len(live)), 4)
@@ -572,8 +589,7 @@ def _tilt_to_locus(fld: VectorField, b_exprs, vbasis) -> VectorField:
 
 
 def _constant_direction_field(chart: Chart, direction) -> VectorField:
-    from fractions import Fraction
-    comps = [Num(Fraction(float(d))) for d in direction]
+    comps = [Num(float(d)) for d in direction]
     return VectorField(chart, comps)
 
 
@@ -717,7 +733,7 @@ def pushforward_residuals(transform: CoordinateTransform,
     # the grid walked level by level, then the linear algebra of all nodes
     # at once; a node that fails or is ill-conditioned is flagged
     z, J, failed = transform.map_grid(axis)
-    live = np.setdiff1d(np.arange(len(nodes)), list(failed))
+    live = _live_rows(len(nodes), failed)
     cond = np.full(len(nodes), np.nan)
     if live.size:
         v, singular = transform._pushforward_batch(z[live], J[live])
@@ -768,7 +784,7 @@ def pushforward_residuals(transform: CoordinateTransform,
         extent=[float(ext)] * m,
         node_count=len(t_arr),
         max_t_residual=float(np.max(t_arr)),
-        median_t_residual=float(np.median(t_arr)),
+        median_t_residual=_median(t_arr),
         max_structural_residual=structural,
         crosscheck_nodes=checked,
         max_crosscheck_residual=max_cross,

@@ -1,16 +1,21 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sodekit import memo
+from sodekit.analysis import _rational_nullspace
+from sodekit.corpus import corpus_get, corpus_list
 from sodekit.expressions import (
     Add, EvalDomainError, Fn, MissingSymbolError, Mul, Num, Pow, Sym,
-    ZERO, compile_exprs, cos, differentiate, evaluate, exp, log,
-    normalize, sin, syms, to_str,
+    ZERO, _P_ONE, _qdiv, _reduce_rf, _to_rf, compile_exprs, cos,
+    differentiate, evaluate, exp, log, normalize, sin, syms, to_str,
 )
+from sodekit.manifest import load_manifest_file
 from sodekit.parser import parse
+from sodekit.runner import run_command
 from sodekit.sampling import _jittered, box_points, is_zero
 from tests.conftest import random_elementary, random_polynomial
 
@@ -88,6 +93,62 @@ def test_integer_exponents_are_ints_and_printed_forms_stay():
     assert type(half) is Fraction and half == Fraction(1, 2)
     for text in ("(2^(1/2))^2", "2^(1/2)*2^(1/2)"):
         assert str(normalize(parse(text))) == "(2^(1/2))^2"
+
+
+# -- coefficient type --------------------------------------------------------
+
+def is_canonical_coefficient(c) -> bool:
+    """An int, or a Fraction that is not integral; never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_normal_form_coefficients_are_ints_unless_truly_fractional():
+    bench = Path(__file__).resolve().parent.parent / "bench" / "manifests"
+    manifests = [corpus_get(name) for name in corpus_list()] + [
+        load_manifest_file(str(path)) for path in sorted(bench.glob("*.json"))]
+    assert len(manifests) == 9
+    memo.clear()
+    for manifest in manifests:
+        run_command("classify", manifest)
+    forms = [v for v in list(memo._table.values())
+             if getattr(v, "_rf", None) is not None]
+    assert len(forms) > 100
+    kinds = set()
+    for form in forms:
+        for poly in form._rf:
+            for c in poly.values():
+                assert is_canonical_coefficient(c), (str(form), c)
+                kinds.add(type(c))
+    assert kinds == {int, Fraction}
+
+
+def test_qdiv_is_exact_and_int_when_integral():
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    for a, b, want in ((6, 3, 2), (6, -3, -2), (-6, 3, -2), (0, -5, 0),
+                       (3, 3 * half, 2), (4 * third, 2 * third, 2),
+                       (-3 * half, half, -3)):
+        got = _qdiv(a, b)
+        assert got == want and type(got) is int, (a, b)
+    for a, b, want in ((7, 2, 7 * half), (7, -2, -7 * half),
+                       (-1, 3, -third), (1, 2 * third, 3 * half),
+                       (half, 2, half / 2), (half, -3, -half * third)):
+        got = _qdiv(a, b)
+        assert got == want and is_canonical_coefficient(got), (a, b)
+    with pytest.raises(ZeroDivisionError):
+        _qdiv(1, 0)
+
+
+def test_rational_nullspace_of_an_int_matrix_is_exact():
+    null = _rational_nullspace([[3, 1, 0], [0, 2, 4]], 3)
+    assert null == [[Fraction(2, 3), -2, 1]]
+    assert all(type(c) is Fraction for vec in null for c in vec)
+
+
+def test_unit_denominator_pair_is_returned_as_is():
+    p, q = _to_rf(parse("3*x^2 - x*y/2 + 1"))
+    assert q == _P_ONE
+    out = _reduce_rf(p, q)
+    assert out[0] is p and out[1] is q
 
 
 # -- interning ---------------------------------------------------------------

@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -722,3 +724,25 @@ def test_a_failing_shifted_row_drops_only_its_node(monkeypatch):
     assert full.crosscheck_nodes > 1
     assert res.crosscheck_nodes == full.crosscheck_nodes - 1
     assert res.max_jacobian_gap <= full.max_jacobian_gap
+
+
+def test_median_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for n in range(1, 40):
+        values = np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-12, 3)
+        assert straighten._median(values).hex() == \
+            float(np.median(values)).hex()
+    assert math.isnan(straighten._median(np.array([0.5, np.nan, 0.25])))
+
+
+def test_a_straighten_run_imports_no_numpy_ma():
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    code = ("import sys\n"
+            "from sodekit.cli import main\n"
+            "code = main(['straighten', '--corpus', 'timedep-scrambled'])\n"
+            "print(code, 'numpy.ma' in sys.modules)\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "0 False"

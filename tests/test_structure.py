@@ -258,3 +258,33 @@ def test_connection_and_curvature_stages_bracket_only_frame_fields(
                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     assert "covariant_derivative" not in defined
+
+
+# np.setdiff1d (through np.unique), np.median, np.percentile and np.quantile
+# import numpy.ma on their first call (numpy 2.4): about 10 ms spent inside
+# the first straighten or report request of every process.  src/ keeps to
+# boolean masks and np.sort instead.
+LAZY_MA_CALLS = {"setdiff1d", "unique", "median", "percentile", "quantile"}
+
+
+def numpy_attributes(package: Path = PACKAGE) -> set:
+    """(module, attribute) of every `np.<attribute>` or `numpy.<attribute>`
+    the package names."""
+    found = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(
+                    node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                found.add((path.stem, node.attr))
+    return found
+
+
+def test_numpy_attribute_scan_sees_calls_anywhere(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\nimport numpy\n"
+        "def f(a):\n    return np.median(a) + numpy.unique(a).size\n")
+    assert numpy_attributes(tmp_path) == {("a", "median"), ("a", "unique")}
+
+
+def test_src_calls_no_numpy_function_that_imports_numpy_ma():
+    assert not {attr for _, attr in numpy_attributes()} & LAZY_MA_CALLS
