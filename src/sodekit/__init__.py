@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 
 from .expressions import (  # noqa: F401
     Expr, Num, Sym, Add, Mul, Div, Pow, Fn,
-    differentiate, evaluate, free_symbols, normalize, sym, syms, to_str,
+    differentiate, evaluate, free_symbols, normalize, syms, to_str,
 )
 from .parser import parse, ParseError  # noqa: F401
 from .sampling import ZeroProbe, ZeroVerdict, is_zero  # noqa: F401

@@ -55,14 +55,15 @@ class EvalDomainError(ArithmeticError):
         self.reason = reason
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_number(value) -> Number:
+    """An int, Fraction or float as an exact Number: an int unless truly
+    fractional."""
+    if type(value) is int:
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    raise TypeError(f"not a rational constant: {value!r}")
+    if not isinstance(value, (int, Fraction, float)):
+        raise TypeError(f"not a rational constant: {value!r}")
+    q = Fraction(value)
+    return q.numerator if q.denominator == 1 else q
 
 
 class Expr:
@@ -158,14 +159,14 @@ def _interned(cls, ikey: tuple, *fields) -> Expr:
 def _coerce(value) -> Expr:
     if isinstance(value, Expr):
         return value
-    return Num(_as_fraction(value))
+    return Num(value)
 
 
 class Num(Expr):
     __slots__ = ("value",)
 
     def __new__(cls, value):
-        v = _as_fraction(value)
+        v = _as_number(value)
         return _interned(cls, (0, v.numerator, v.denominator), v)
 
     def _struct_key(self):
@@ -202,7 +203,7 @@ class Pow(Expr):
     def __new__(cls, base: Expr, exponent):
         if isinstance(exponent, Num):
             exponent = exponent.value
-        e = _as_fraction(exponent)
+        e = _as_number(exponent)
         return _interned(cls, (3, base, e.numerator, e.denominator), base, e)
 
     def _struct_key(self):
@@ -244,14 +245,6 @@ class Div(Expr):
 
 ZERO = Num(0)
 ONE = Num(1)
-
-
-def num(value) -> Num:
-    return Num(value)
-
-
-def sym(name: str) -> Sym:
-    return Sym(name)
 
 
 def syms(names: str) -> tuple:
@@ -548,12 +541,7 @@ def _rf_pow_int(a, k: int):
     return _reduce_rf(_poly_pow(qa, -k), _poly_pow(pa, -k))
 
 
-_FOLDS = {
-    ("exp", Fraction(0)): Fraction(1),
-    ("log", Fraction(1)): Fraction(0),
-    ("sin", Fraction(0)): Fraction(0),
-    ("cos", Fraction(0)): Fraction(1),
-}
+_FOLDS = {("exp", 0): 1, ("log", 1): 0, ("sin", 0): 0, ("cos", 0): 1}
 
 
 def _atom_rf(atom: Expr):
@@ -568,7 +556,7 @@ def _to_rf(e: Expr):
         v = e.value
         if v == 0:
             return {}, dict(_P_ONE)
-        return {(): v.numerator if v.denominator == 1 else v}, dict(_P_ONE)
+        return {(): v}, dict(_P_ONE)
     if isinstance(e, Sym):
         return _atom_rf(e)
     if isinstance(e, Add):

@@ -40,7 +40,7 @@ class FrameRankError(GeometryError):
 class Chart:
     """Ordered coordinate names plus the sampling box of the local patch."""
 
-    def __init__(self, names: Sequence[str], box: Sequence, seed: int = 0):
+    def __init__(self, names: Sequence[str], box: Sequence):
         names = tuple(names)
         if len(set(names)) != len(names):
             raise GeometryError("coordinate names must be unique")
@@ -53,7 +53,6 @@ class Chart:
         self.names = names
         self.name_set = frozenset(names)
         self.box = box
-        self.seed = int(seed)
 
     @property
     def dim(self) -> int:
@@ -63,13 +62,12 @@ class Chart:
     def box_map(self) -> dict:
         return {n: iv for n, iv in zip(self.names, self.box)}
 
-    def probe(self, trials: int = 64, seed: Optional[int] = None,
+    def probe(self, trials: int = 64, seed: int = 0,
               tol: float = 1e-10) -> ZeroProbe:
-        return ZeroProbe(self.box_map, trials,
-                         self.seed if seed is None else seed, tol)
+        return ZeroProbe(self.box_map, trials, seed, tol)
 
-    def sample(self, count: int, seed: Optional[int] = None):
-        return box_points(self.box, count, self.seed if seed is None else seed)
+    def sample(self, count: int, seed: int = 0):
+        return box_points(self.box, count, seed)
 
     def assignment(self, point) -> dict:
         return dict(zip(self.names, point))
@@ -109,9 +107,6 @@ class VectorField:
             )
         self.chart = chart
         self.components = components
-
-    def normalized(self) -> "VectorField":
-        return VectorField(self.chart, [normalize(c) for c in self.components])
 
     def directional(self, f: Expr) -> Expr:
         """Derivative of the scalar f along this field."""
@@ -216,7 +211,7 @@ class RankReport:
 
 
 def frame_rank(fields, chart: Optional[Chart] = None, samples: int = 64,
-               seed: Optional[int] = None) -> RankReport:
+               seed: int = 0) -> RankReport:
     """Numeric rank of the span of `fields` at quasi-random sample points."""
     if isinstance(fields, Frame):
         chart = fields.chart
@@ -266,7 +261,7 @@ class Frame:
 
     def __init__(self, chart: Chart, fields: Sequence[VectorField],
                  validate: bool = True, samples: int = 64,
-                 seed: Optional[int] = None):
+                 seed: int = 0):
         fields = tuple(fields)
         for f in fields:
             if f.chart != chart:

@@ -95,11 +95,11 @@ def load_manifest(data: dict) -> Manifest:
     if not isinstance(options, dict):
         raise ManifestError("options must be an object")
     try:
-        seed = Options.from_mapping(options).seed
+        Options.from_mapping(options)
     except OptionsError as err:
         raise ManifestError(str(err)) from None
     try:
-        chart = Chart(names, box, seed=seed)
+        chart = Chart(names, box)
     except GeometryError as err:
         raise ManifestError(f"invalid chart: {err}") from err
 

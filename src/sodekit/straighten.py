@@ -60,7 +60,7 @@ COND_LIMIT = 1e8          # a larger condition number flags a grid node
 CROSSCHECK_CAP = 12       # about this many grid nodes are cross-checked
 PATH_CHECK_TOL = 1e-7     # basis transport: gap between the two flow orders
 QUADRATIC_GRID = 5        # fibre nodes per axis of the quadratic fit
-FLOW_ROWS = 1024          # members per map_grid flow call, to bound ODE state
+FLOW_ROWS = 1024          # members per flow call of a walk, to bound ODE state
 
 
 def _variational_evaluator(fld: VectorField):
@@ -194,6 +194,11 @@ def _live_rows(count: int, failures) -> np.ndarray:
     return np.flatnonzero(live)
 
 
+def _own_rows(count: int, stages: int) -> list:
+    """Walk parents that keep each of `count` rows on its own path."""
+    return [np.zeros(count, dtype=int)] + [np.arange(count)] * (stages - 1)
+
+
 def _median(values) -> float:
     """np.median of a nonempty 1-d array, bit for bit, without the numpy.ma
     import np.median makes on its first call."""
@@ -250,7 +255,7 @@ def transported_fibre_fields(ef: ExtendedFrame, w) -> list:
         prefix = "_" + prefix
     names = [f"{prefix}{k + 1}{j + 1}" for k in range(n) for j in range(n)]
     extended = Chart(chart.names + tuple(names),
-                     chart.box + ((-1.0, 1.0),) * (n * n), seed=chart.seed)
+                     chart.box + ((-1.0, 1.0),) * (n * n))
     a = [[Sym(names[k * n + j]) for j in range(n)] for k in range(n)]
     fields = []
     for i in range(n):
@@ -310,10 +315,11 @@ class CoordinateTransform:
     After the forward map, fibre coordinates are redefined as the
     x-components of the pushed-forward field (`final_coords`).
 
-    Every map works on stacks of parameter rows, each flow stage of all rows
-    in one solve_ivp call; each row steps as it would alone, and a row that
-    fails is flagged alone.  `map_grid` walks a grid level by level so that
-    nodes share their inner flows.  A transform keeps no state after
+    Every map works on stacks of parameter rows through one stage walk
+    (`_walk`), each flow stage of all rows in calls of at most FLOW_ROWS
+    members; each row steps as it would alone, and a row that fails is
+    flagged alone.  `map_grid` walks a grid level by level so that nodes
+    share their inner flows.  A transform keeps no state after
     construction, so threads may share one.
 
     The flows start from `start`: the base point z0, followed by the entries
@@ -359,69 +365,69 @@ class CoordinateTransform:
             "base_condition_number": self.base_condition,
         }
 
-    def _stage(self, k: int, z, J, s, guard: bool = False) -> tuple:
-        """Stage k from each row: the flow from z over s, J composed with the
-        flow's Jacobian and the stage field's column appended:
-        (z (K, m), J (K, m, k + 1), failures)."""
-        fld = self.stages[k].fld
-        z, Jf, failures = integrate_flows(
-            fld, z, s, with_jacobian=True, chart=self.chart if guard else None)
-        col, col_failures = _field_values(fld, z)
-        return (z, np.concatenate([Jf @ J, col[:, :, None]], axis=2),
-                {**col_failures, **failures})
+    def _walk(self, parents, times, jacobian: bool = True,
+              guard: bool = False) -> tuple:
+        """Member i of stage k flows from the end of member parents[k][i] of
+        stage k - 1 (parents[0] is all 0: `start`) over times[k][i], the live
+        members of a stage in integrate_flows calls of at most FLOW_ROWS; a
+        member whose parent failed takes on that failure and is not flowed.
+        `jacobian` composes the Jacobians, appending each stage field's
+        column; `guard` fails a member whose flow leaves the box by more than
+        BOX_SLACK.  Returns (z (K, m), J (K, m, m) or None, failures) of the
+        K members of the last stage, a failed member's rows NaN, its failure
+        listed in the order the failures occurred."""
+        z = self.start[None]
+        J = np.zeros((1, len(self.start), 0)) if jacobian else None
+        # per member: the index of its failure in `errors`, or -1
+        code = np.full(1, -1)
+        errors: list = []
+        for k, (parent, s) in enumerate(zip(parents, times)):
+            fld = self.stages[k].fld
+            code = code[parent]
+            live = np.flatnonzero(code < 0)
+            zk = np.full((len(parent), len(self.start)), np.nan)
+            Jk = np.full(zk.shape + (k + 1,), np.nan) if jacobian else None
+            for first in range(0, len(live), FLOW_ROWS):
+                rows = live[first:first + FLOW_ROWS]
+                at = parent[rows]
+                ends, Jf, errs = integrate_flows(
+                    fld, z[at], s[rows], with_jacobian=jacobian,
+                    chart=self.chart if guard else None)
+                zk[rows] = ends
+                if jacobian:
+                    col, col_errs = _field_values(fld, ends)
+                    Jk[rows] = np.concatenate([Jf @ J[at], col[:, :, None]],
+                                              axis=2)
+                    errs = {**col_errs, **errs}
+                for i in sorted(errs):
+                    code[rows[i]] = len(errors)
+                    errors.append(errs[i])
+            z, J = zk, Jk
+        lost = np.flatnonzero(code >= 0)
+        lost = lost[np.argsort(code[lost], kind="stable")]
+        z[lost] = np.nan
+        if jacobian:
+            J[lost] = np.nan
+            J = J[:, :self.m]
+        return z[:, :self.m], J, {int(i): errors[code[i]] for i in lost}
 
     def map_batch(self, params, guard: bool = False) -> tuple:
         """Point and Jacobian of each row of params: (z (K, m), J (K, m, m),
         failures), the rows of a failed member NaN.  `guard` fails a row whose
         flow leaves the box by more than BOX_SLACK after any stage."""
         params = np.asarray(params, dtype=float)
-        K, m = params.shape
-        z = np.full((K, m), np.nan)
-        J = np.full((K, m, m), np.nan)
-        failures: dict = {}
-        live = np.arange(K)
-        zl = np.tile(self.start, (K, 1))
-        Jl = np.zeros((K, len(self.start), 0))
-        for k in range(m):
-            zl, Jl, errs = self._stage(k, zl, Jl, params[live, k], guard)
-            live, zl, Jl = _keep_live(errs, live, failures, zl, Jl)
-        z[live] = zl[:, :m]
-        J[live] = Jl[:, :m]
-        return z, J, failures
+        return self._walk(_own_rows(len(params), self.m), params.T,
+                          guard=guard)
 
     def map_grid(self, axis) -> tuple:
         """`map_batch` of every node of the grid axis^m, in C order, walked
-        level by level: stage k integrates each distinct live prefix of
-        length k + 1 once, in consecutive calls of at most FLOW_ROWS members.
-        A prefix that fails flags all its nodes and leaves the walk."""
+        level by level: stage k integrates each distinct prefix of length
+        k + 1 once.  A prefix that fails flags all its nodes."""
         axis = np.asarray(axis, dtype=float)
-        g, m = len(axis), self.m
-        z = np.full((g ** m, m), np.nan)
-        J = np.full((g ** m, m, m), np.nan)
-        failures: dict = {}
-        # the live prefixes of length k (their C-order indices) and states
-        prefixes = np.zeros(1, dtype=int)
-        zp, Jp = self.start[None], np.zeros((1, len(self.start), 0))
-        for k in range(m):
-            lost: dict = {}
-            level = []
-            rows = len(prefixes) * g
-            for first in range(0, rows, FLOW_ROWS):
-                parent, child = np.divmod(
-                    np.arange(first, min(first + FLOW_ROWS, rows)), g)
-                zc, Jc, errs = self._stage(k, zp[parent], Jp[parent],
-                                           axis[child])
-                level.append(_keep_live(errs, prefixes[parent] * g + child,
-                                        lost, zc, Jc))
-            span = g ** (m - 1 - k)
-            for prefix, err in lost.items():
-                failures.update(dict.fromkeys(
-                    range(prefix * span, (prefix + 1) * span), err))
-            prefixes, zp, Jp = (np.concatenate(a) for a in zip(*level))
-            del level   # the chunks, before the next level is built
-        z[prefixes] = zp[:, :m]
-        J[prefixes] = Jp[:, :m]
-        return z, J, failures
+        g = len(axis)
+        return self._walk(
+            [np.repeat(np.arange(g ** k), g) for k in range(self.m)],
+            [np.tile(axis, g ** k) for k in range(self.m)])
 
     def invert(self, z_targets, guesses) -> tuple:
         """Newton inversion of the map for each row of z_targets, all members
@@ -550,29 +556,19 @@ class CoordinateTransform:
         """Central differences of the guarded flow map at each row of nodes
         (no variational equations): (J (K, m, m), failures), a node failing
         with the first failure of its 2m shifted rows, its rows NaN.  The
-        2mK shifted rows are integrated together, one solve_ivp call per
-        flow stage."""
+        2mK shifted rows are walked together."""
         nodes = np.asarray(nodes, dtype=float)
         K, m = nodes.shape
         shift = FD_STEP * np.eye(m)
         rows = np.stack([nodes[:, None] + shift, nodes[:, None] - shift],
                         axis=2).reshape(2 * m * K, m)
-        owner = np.repeat(np.arange(K), 2 * m)
-        live = np.arange(len(rows))
-        z = np.tile(self.start, (len(rows), 1))
+        ends, _, errs = self._walk(_own_rows(len(rows), m), rows.T,
+                                   jacobian=False, guard=True)
         failures: dict = {}
-        for k, st in enumerate(self.stages):
-            if not live.size:
-                break
-            z, _, errs = integrate_flows(st.fld, z, rows[live, k],
-                                         chart=self.chart)
-            for i in sorted(errs):
-                failures.setdefault(int(owner[live[i]]), errs[i])
-            keep = ~np.isin(owner[live], list(failures))
-            live, z = live[keep], z[keep]
-        ends = np.full((len(rows), m), np.nan)
-        ends[live] = z[:, :m]
+        for i, err in errs.items():
+            failures.setdefault(i // (2 * m), err)
         ends = ends.reshape(K, m, 2, m)
+        ends[list(failures)] = np.nan
         return ((ends[:, :, 0] - ends[:, :, 1]).transpose(0, 2, 1)
                 / (2 * FD_STEP), failures)
 

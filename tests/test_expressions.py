@@ -138,6 +138,20 @@ def test_qdiv_is_exact_and_int_when_integral():
         _qdiv(1, 0)
 
 
+def test_tree_constants_and_exponents_follow_the_number_policy():
+    assert type(Num(3).value) is int
+    assert Num(Fraction(6, 2)) is Num(3)
+    assert Num(3.0) is Num(3) and type(Num(-2.0).value) is int
+    assert Num(0.5).value == Fraction(1, 2)
+    assert type(Num(0.5).value) is Fraction
+    assert type(Pow(x, 2).exponent) is int
+    assert Pow(x, Fraction(4, 2)) is Pow(x, 2) is Pow(x, Num(2))
+    assert Pow(x, Fraction(1, 2)).exponent == Fraction(1, 2)
+    assert str(Num(Fraction(-3, 4))) == "-3/4" and str(Pow(x, 2)) == "x^2"
+    with pytest.raises(TypeError):
+        Num("1")
+
+
 def test_rational_nullspace_of_an_int_matrix_is_exact():
     null = _rational_nullspace([[3, 1, 0], [0, 2, 4]], 3)
     assert null == [[Fraction(2, 3), -2, 1]]

@@ -27,6 +27,15 @@ def test_chart_validation():
         Chart(["x", "y"], [(-1, 1), (2, 2)])
 
 
+def test_a_chart_carries_no_seed(plane):
+    # the seed reaches sampling only as an argument, 0 when left out
+    assert not hasattr(plane, "seed")
+    with pytest.raises(TypeError):
+        Chart(["x"], [(-1, 1)], seed=1)
+    assert plane.sample(8) == plane.sample(8, 0) != plane.sample(8, 1)
+    assert plane.probe().seed == 0
+
+
 def test_bracket_of_shift_fields(plane):
     dy = coordinate_field(plane, "y")
     b = lie_bracket(dy, VectorField(plane, [y, ZERO]))

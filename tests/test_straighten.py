@@ -18,6 +18,7 @@ from sodekit.analysis import (
 from sodekit.parser import parse
 from sodekit import straighten
 from sodekit.corpus import corpus_get
+from sodekit.runner import EXIT_NUMERIC, run_command
 from sodekit.straighten import (
     NumericFailure, build_normal_coordinates, integrate_flows,
     pushforward_residuals, transported_fibre_fields,
@@ -489,6 +490,37 @@ def test_a_failing_prefix_flags_exactly_its_nodes(monkeypatch):
     res = pushforward_residuals(tr, grid_points=g, extent=0.3)
     assert res.flagged_nodes == span
     assert res.node_count == g ** m - span
+
+
+def test_a_level_that_fails_as_a_whole_is_a_numeric_failure(monkeypatch):
+    # every member of stage 0's Jacobian-carrying calls of more than one
+    # member fails (the transform's own one-row map at its base point does
+    # not); an even g puts no 0 on the axis, so every member moves
+    tr = timedep_transform()
+    g, m = 4, tr.m
+    stage_0 = tr.stages[0].fld.components
+    real = straighten.integrate_flows
+
+    def flaky(fld, z, s, *args, **kwargs):
+        ends, jac, failures = real(fld, z, s, *args, **kwargs)
+        if fld.components == stage_0 and jac is not None and len(z) > 1:
+            for row in range(len(z)):
+                failures[row] = NumericFailure("injected")
+                ends[row] = jac[row] = np.nan
+        return ends, jac, failures
+
+    monkeypatch.setattr(straighten, "integrate_flows", flaky)
+    z, J, failures = tr.map_grid(np.linspace(-0.3, 0.3, g))
+    assert sorted(failures) == list(range(g ** m))
+    assert {str(err) for err in failures.values()} == {"injected"}
+    assert np.isnan(z).all() and np.isnan(J).all()
+    with pytest.raises(NumericFailure,
+                       match="^every grid node was flagged or failed$"):
+        pushforward_residuals(tr, grid_points=g, extent=0.3)
+    report, code = run_command("straighten", corpus_get("timedep-scrambled"),
+                               {"grid": g})
+    assert code == EXIT_NUMERIC
+    assert report["error"] == "every grid node was flagged or failed"
 
 
 def test_no_grid_call_holds_more_than_flow_rows(monkeypatch):

@@ -15,7 +15,7 @@ from sodekit.expressions import compile_exprs
 from sodekit.geometry import Chart, Frame, VectorField
 from sodekit.parser import parse
 from sodekit.runner import COMMANDS, STAGES, run_command
-from sodekit.straighten import build_normal_coordinates
+from sodekit.straighten import CoordinateTransform, build_normal_coordinates
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sodekit"
 
@@ -82,16 +82,16 @@ def test_import_graph_has_no_cycle():
     assert find_cycle(import_graph()) is None
 
 
-def solve_ivp_callers(package: Path = PACKAGE) -> set:
+def callers(callee: str, package: Path = PACKAGE) -> set:
     """(module, outermost function or method) of every call to a name or
-    attribute `solve_ivp` in the package; module-level calls have None."""
+    attribute `callee` in the package; module-level calls have None."""
     found = set()
 
     def visit(node, module, owner):
         if isinstance(node, ast.Call):
             func = node.func
             name = getattr(func, "id", None) or getattr(func, "attr", None)
-            if name == "solve_ivp":
+            if name == callee:
                 found.add((module, owner))
         for child in ast.iter_child_nodes(node):
             inner = owner
@@ -110,14 +110,14 @@ def test_solve_ivp_caller_scan_sees_methods_and_nested_functions(tmp_path):
         "solve_ivp(f)\n"
         "class T:\n    def m(self):\n        def inner():\n"
         "            ode.solve_ivp(f)\n")
-    assert solve_ivp_callers(tmp_path) == {("a", None), ("a", "m")}
+    assert callers("solve_ivp", tmp_path) == {("a", None), ("a", "m")}
 
 
 def test_flows_are_integrated_on_one_path():
     # every flow goes through the batched integrate_flows, the numerically
     # transported fibre fields too: they are symbolic fields on a chart
     # extended by the transport matrix
-    assert solve_ivp_callers() == {("straighten", "integrate_flows")}
+    assert callers("solve_ivp") == {("straighten", "integrate_flows")}
     chart = Chart(["x", "y"], [(-1.0, 1.0), (-1.0, 1.0)])
     y = parse("y")
     rep = classify(SecondOrderProblem(
@@ -126,6 +126,15 @@ def test_flows_are_integrated_on_one_path():
     assert rep.adaptation.mode == "numeric"
     transform = build_normal_coordinates(rep)
     assert all(isinstance(st.fld, VectorField) for st in transform.stages)
+
+
+def test_the_transform_maps_share_one_stage_walk():
+    # map_batch, map_grid and jacobian_fd are callers of the walk; besides
+    # it only the path check and the stencil's F-flow integrate flows
+    assert {owner for module, owner in callers("integrate_flows")
+            if module == "straighten"} == {
+        "_walk", "_check_path_independence", "field_in_final_chart"}
+    assert not hasattr(CoordinateTransform, "_stage")
 
 
 def test_one_compiled_evaluator_on_stacked_points():
