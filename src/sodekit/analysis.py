@@ -140,10 +140,11 @@ class Options:
 
 
 class SecondOrderProblem:
-    """A vector field F and an involutive frame V on a chart, 2|V| <= dim."""
+    """A vector field F and a frame V on a chart, 2|V| <= dim; the
+    regularity stage decides whether V is involutive."""
 
     def __init__(self, chart: Chart, F: VectorField, V: Frame,
-                 options: Optional[Options] = None, strict: bool = True):
+                 options: Optional[Options] = None):
         if F.chart != chart:
             raise GeometryError("F lives on a different chart")
         self.chart = chart
@@ -158,11 +159,6 @@ class SecondOrderProblem:
             )
         self.probe = chart.probe(self.options.trials, self.options.seed,
                                  self.options.zero_tol)
-        self.v_involutivity = is_involutive(V, self.probe)
-        if strict and not self.v_involutivity.ok:
-            raise GeometryError(
-                f"V is not involutive: {self.v_involutivity.diagnostic}"
-            )
 
 
 @dataclass
@@ -932,8 +928,9 @@ class PipelineState:
 
 def _regularity(state: PipelineState):
     problem, report = state.problem, state.analysis
-    report.verdicts["v_involutive"] = problem.v_involutivity.as_dict()
-    if not problem.v_involutivity.ok:
+    v_involutivity = is_involutive(problem.V, problem.probe)
+    report.verdicts["v_involutive"] = v_involutivity.as_dict()
+    if not v_involutivity.ok:
         report.reason = "V is not involutive"
         return
     regularity = check_regularity(problem)

@@ -9,7 +9,8 @@ The step controller follows scipy's DOP853 operation for operation: the
 initial step of `select_initial_step`, safety 0.9, step factors within
 [0.2, 10], error exponent -1/8 and the combined 5th/3rd-order error norm.
 There is no dense output and no record of the accepted steps: a run gives
-each member's last time and state.
+each member's last time and state.  A member that has not reached its end
+after MAX_ATTEMPTS step attempts fails, so every run ends.
 """
 
 from __future__ import annotations
@@ -128,14 +129,17 @@ SAFETY = 0.9
 MIN_FACTOR = 0.2
 MAX_FACTOR = 10.0
 ERROR_EXPONENT = -1 / 8      # -1 / (error estimator order 7 + 1)
+MAX_ATTEMPTS = 1000          # step attempts per member, rejected ones too
 SUCCESS = "The solver successfully reached the end of the integration interval."
 TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+OUT_OF_ATTEMPTS = f"The end was not reached in {MAX_ATTEMPTS} step attempts."
 
 _A_ROWS = tuple(A[s, :s] for s in range(N_STAGES))
 
 
 class StepFailure(ArithmeticError):
-    """The step size of a member fell below the spacing of its time."""
+    """The step size of a member fell below the spacing of its time, or the
+    member ran out of step attempts."""
 
 
 class OdeResult(NamedTuple):
@@ -189,7 +193,8 @@ def _pow(x, p) -> np.ndarray:
 class _Batch:
     """Integrates the members, one row each while they run.  A step attempt
     that meets a failed member is dropped and redone for the others, which
-    gives them the same floats."""
+    gives them the same floats.  Every running member attempts once per
+    loop, so the loop count bounds each member's attempts."""
 
     ROWS = ("who", "t", "t1", "sign", "y", "f", "h_abs", "rejected")
 
@@ -208,8 +213,14 @@ class _Batch:
             self.f = self._evaluate(self.t, self.y)
         while len(self.who) and self.h_abs is None:
             self.h_abs = self._initial_step()
-        while len(self.who):
+        for _ in range(MAX_ATTEMPTS):
+            if not len(self.who):
+                break
             self._attempt()
+        if len(self.who):
+            running = np.arange(len(self.who))
+            self._leave(running, {row: StepFailure(OUT_OF_ATTEMPTS)
+                                  for row in running})
 
     def _leave(self, rows, errors=None):
         """Record the ends of the members in `rows`, failed with errors[row]

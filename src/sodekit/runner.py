@@ -209,7 +209,7 @@ def run_command(command: str, manifest: Manifest,
             report["error"] = f"V frame is not constant full rank: {err}"
         return report, EXIT_MATH_FAIL
     problem = SecondOrderProblem(manifest.chart, manifest.vector_field(),
-                                 frame, opts, strict=False)
+                                 frame, opts)
     run = _Run(command, problem, report)
     try:
         walk(run, [stage for stage in STAGES if stage[0] in stages],

@@ -22,7 +22,7 @@ solve_ivp call.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,8 +45,8 @@ class NumericFailure(RuntimeError):
         self.last_point = last_point
 
 
-# Integrator tolerances, and the fraction of the box width by which a guarded
-# flow may leave the box.
+# Integrator tolerances, and the fraction of the box width by which a flow of
+# the chart may leave the box.
 RTOL = 1e-10
 ATOL = 1e-12
 BOX_SLACK = 1.0
@@ -270,15 +270,17 @@ def transported_fibre_fields(ef: ExtendedFrame, w) -> list:
     return fields
 
 
-def _check_path_independence(fields, start, extent: float):
-    """Flow the fibre fields from start over `extent` each, in ascending and
-    in descending order; the ends differ when the transported basis does not
-    commute, i.e. the integrability identities fail numerically."""
+def _check_path_independence(fields, start, chart: Chart):
+    """Flow the fibre fields from start over `default_extent(chart)` each, in
+    ascending and in descending order, guarded by the base chart; the ends
+    differ when the transported basis does not commute, i.e. the
+    integrability identities fail numerically."""
+    extent = default_extent(chart)
     ends = []
     for order in (fields, fields[::-1]):
         z = np.asarray(start, dtype=float)[None]
         for fld in order:
-            z, _, failures = integrate_flows(fld, z, [extent])
+            z, _, failures = integrate_flows(fld, z, [extent], chart=chart)
             if failures:
                 raise failures[0]
         ends.append(z[0])
@@ -293,13 +295,6 @@ def _check_path_independence(fields, start, extent: float):
 # --------------------------------------------------------------------------
 # The coordinate transform
 # --------------------------------------------------------------------------
-
-class StencilBatch(NamedTuple):
-    """`CoordinateTransform.field_in_final_chart` on a stack of K nodes."""
-    values: np.ndarray   # K x m, F in the final chart
-    final: np.ndarray    # K x m, final coordinates of each node
-    failures: list       # per node its first NumericFailure, or None
-
 
 @dataclass
 class Stage:
@@ -318,9 +313,13 @@ class CoordinateTransform:
     Every map works on stacks of parameter rows through one stage walk
     (`_walk`), each flow stage of all rows in calls of at most FLOW_ROWS
     members; each row steps as it would alone, and a row that fails is
-    flagged alone.  `map_grid` walks a grid level by level so that nodes
-    share their inner flows.  A transform keeps no state after
-    construction, so threads may share one.
+    flagged alone.  Every flow of the chart is guarded: a member whose flow
+    ends outside the box by more than BOX_SLACK of its width fails.  A
+    batched map returns its failures as a {row: NumericFailure} dict, and a
+    caller that reports one failure of a batch reports its lowest row's.
+    `map_grid` walks a grid level by level so that nodes share their inner
+    flows.  A transform keeps no state after construction, so threads may
+    share one.
 
     The flows start from `start`: the base point z0, followed by the entries
     of the identity matrix when the stages carry a transport matrix along
@@ -365,26 +364,22 @@ class CoordinateTransform:
             "base_condition_number": self.base_condition,
         }
 
-    def _walk(self, parents, times, jacobian: bool = True,
-              guard: bool = False) -> tuple:
+    def _walk(self, parents, times, jacobian: bool = True) -> tuple:
         """Member i of stage k flows from the end of member parents[k][i] of
         stage k - 1 (parents[0] is all 0: `start`) over times[k][i], the live
         members of a stage in integrate_flows calls of at most FLOW_ROWS; a
-        member whose parent failed takes on that failure and is not flowed.
-        `jacobian` composes the Jacobians, appending each stage field's
-        column; `guard` fails a member whose flow leaves the box by more than
-        BOX_SLACK.  Returns (z (K, m), J (K, m, m) or None, failures) of the
-        K members of the last stage, a failed member's rows NaN, its failure
-        listed in the order the failures occurred."""
+        member whose parent failed takes on that failure and is not flowed,
+        and every flow is guarded by the chart's box.  `jacobian` composes
+        the Jacobians, appending each stage field's column.  Returns
+        (z (K, m), J (K, m, m) or None, failures) of the K members of the
+        last stage, a failed member's rows NaN."""
         z = self.start[None]
         J = np.zeros((1, len(self.start), 0)) if jacobian else None
-        # per member: the index of its failure in `errors`, or -1
-        code = np.full(1, -1)
-        errors: list = []
+        failed = np.full(1, None, dtype=object)   # per member: its failure
         for k, (parent, s) in enumerate(zip(parents, times)):
             fld = self.stages[k].fld
-            code = code[parent]
-            live = np.flatnonzero(code < 0)
+            failed = failed[parent]
+            live = np.flatnonzero(np.equal(failed, None))
             zk = np.full((len(parent), len(self.start)), np.nan)
             Jk = np.full(zk.shape + (k + 1,), np.nan) if jacobian else None
             for first in range(0, len(live), FLOW_ROWS):
@@ -392,32 +387,28 @@ class CoordinateTransform:
                 at = parent[rows]
                 ends, Jf, errs = integrate_flows(
                     fld, z[at], s[rows], with_jacobian=jacobian,
-                    chart=self.chart if guard else None)
+                    chart=self.chart)
                 zk[rows] = ends
                 if jacobian:
                     col, col_errs = _field_values(fld, ends)
                     Jk[rows] = np.concatenate([Jf @ J[at], col[:, :, None]],
                                               axis=2)
                     errs = {**col_errs, **errs}
-                for i in sorted(errs):
-                    code[rows[i]] = len(errors)
-                    errors.append(errs[i])
+                for i, err in errs.items():
+                    failed[rows[i]] = err
             z, J = zk, Jk
-        lost = np.flatnonzero(code >= 0)
-        lost = lost[np.argsort(code[lost], kind="stable")]
+        lost = np.flatnonzero(np.not_equal(failed, None))
         z[lost] = np.nan
         if jacobian:
             J[lost] = np.nan
             J = J[:, :self.m]
-        return z[:, :self.m], J, {int(i): errors[code[i]] for i in lost}
+        return z[:, :self.m], J, {int(i): failed[i] for i in lost}
 
-    def map_batch(self, params, guard: bool = False) -> tuple:
+    def map_batch(self, params) -> tuple:
         """Point and Jacobian of each row of params: (z (K, m), J (K, m, m),
-        failures), the rows of a failed member NaN.  `guard` fails a row whose
-        flow leaves the box by more than BOX_SLACK after any stage."""
+        failures), the rows of a failed member NaN."""
         params = np.asarray(params, dtype=float)
-        return self._walk(_own_rows(len(params), self.m), params.T,
-                          guard=guard)
+        return self._walk(_own_rows(len(params), self.m), params.T)
 
     def map_grid(self, axis) -> tuple:
         """`map_batch` of every node of the grid axis^m, in C order, walked
@@ -480,11 +471,11 @@ class CoordinateTransform:
     def final_coords(self, params) -> tuple:
         """Final coordinates (t, x, ytilde) of each row of params, ytilde the
         x-components of the pushed-forward field: (final (K, m), z (K, m),
-        v (K, m), failures), with z the row's guarded point and v the
+        v (K, m), failures), with z the row's point and v the
         components of F in the raw parameter chart; the rows of a failed
         member are NaN."""
         params = np.asarray(params, dtype=float)
-        z, J, failures = self.map_batch(params, guard=True)
+        z, J, failures = self.map_batch(params)
         live = _live_rows(len(params), failures)
         pushed, errs = self._pushforward_batch(z[live], J[live])
         v = np.full_like(z, np.nan)
@@ -514,13 +505,13 @@ class CoordinateTransform:
         G = (fibre[:, 0] - fibre[:, 1]).T / (2 * FD_STEP)
         return float(np.linalg.svd(G, compute_uv=False)[-1])
 
-    def field_in_final_chart(self, nodes) -> StencilBatch:
+    def field_in_final_chart(self, nodes) -> tuple:
         """All components of F in the final chart at each row of nodes, by a
         five-point stencil along the F-flow through the node (independent of
         the variational route).  The stencil points of all nodes are solved
-        together.  Per node the result holds the components, the node's
-        final coordinates and its first failure (rows of a failed node are
-        NaN)."""
+        together.  Returns (values (K, m), final (K, m), failures): the
+        components, the node's final coordinates and a failed node's
+        failure, its rows NaN."""
         nodes = np.asarray(nodes, dtype=float)
         K, m = nodes.shape
         final, z, v, failures = self.final_coords(nodes)
@@ -531,7 +522,8 @@ class CoordinateTransform:
         shift = np.tile(STENCIL_STEP * np.array([-2.0, -1.0, 1.0, 2.0]),
                         len(live))
         point_failures: dict = {}
-        zs, _, errs = integrate_flows(self.F, z[owner], shift)
+        zs, _, errs = integrate_flows(self.F, z[owner], shift,
+                                      chart=self.chart)
         points, zs, guesses = _keep_live(
             errs, np.arange(len(owner)), point_failures,
             zs, live_nodes[owner] + shift[:, None] * v[owner])
@@ -549,21 +541,20 @@ class CoordinateTransform:
         values[live] = (s4[:, 0] - 8 * s4[:, 1] + 8 * s4[:, 2]
                         - s4[:, 3]) / (12 * STENCIL_STEP)
         final[list(failures)] = np.nan
-        return StencilBatch(values, final,
-                            [failures.get(k) for k in range(K)])
+        return values, final, failures
 
     def jacobian_fd(self, nodes) -> tuple:
-        """Central differences of the guarded flow map at each row of nodes
-        (no variational equations): (J (K, m, m), failures), a node failing
-        with the first failure of its 2m shifted rows, its rows NaN.  The
-        2mK shifted rows are walked together."""
+        """Central differences of the flow map at each row of nodes (no
+        variational equations): (J (K, m, m), failures), a node failing with
+        the failure of its lowest failing shifted row, its rows NaN.  The 2mK
+        shifted rows are walked together."""
         nodes = np.asarray(nodes, dtype=float)
         K, m = nodes.shape
         shift = FD_STEP * np.eye(m)
         rows = np.stack([nodes[:, None] + shift, nodes[:, None] - shift],
                         axis=2).reshape(2 * m * K, m)
         ends, _, errs = self._walk(_own_rows(len(rows), m), rows.T,
-                                   jacobian=False, guard=True)
+                                   jacobian=False)
         failures: dict = {}
         for i, err in errs.items():
             failures.setdefault(i // (2 * m), err)
@@ -651,7 +642,7 @@ def build_normal_coordinates(report: AnalysisReport) -> CoordinateTransform:
                   for st in stages]
         start = np.concatenate([z0, np.eye(n).ravel()])
         if n > 1:
-            _check_path_independence(fibre, start, default_extent(chart))
+            _check_path_independence(fibre, start, chart)
     else:
         fibre, start = ef.vbasis, z0
     stages += [Stage(fld, f"y{i + 1}") for i, fld in enumerate(fibre)]
@@ -748,16 +739,11 @@ def pushforward_residuals(transform: CoordinateTransform,
     max_cross = 0.0
     max_jgap = 0.0
     checked = 0
-    try:
-        batch = transform.field_in_final_chart(nodes[picked]) \
-            if len(picked) else None
-    except NumericFailure:
-        batch = None
-    passed = [] if batch is None else [
-        k for k in range(len(picked)) if batch.failures[k] is None]
+    values, final, failures = transform.field_in_final_chart(nodes[picked])
+    passed = _live_rows(len(picked), failures)
     for k in passed:
-        fin = batch.values[k]
-        ytilde = batch.final[k, tc + n:]
+        fin = values[k]
+        ytilde = final[k, tc + n:]
         gap_x = float(np.max(np.abs(fin[tc: tc + n] - ytilde)))
         gap_t = float(np.max(np.abs(fin[:tc] - expected_t))) if tc else 0.0
         max_cross = max(max_cross, gap_x, gap_t)
@@ -771,6 +757,8 @@ def pushforward_residuals(transform: CoordinateTransform,
         scale = max(1.0, float(np.max(np.abs(Jv))))
         max_jgap = max(max_jgap, float(np.max(np.abs(Jv - Jf[i]))) / scale)
         checked += 1
+    if not checked:
+        raise NumericFailure("no grid node passed the cross-check")
     fibre_sv = transform.fibre_jacobian_min_sv(np.zeros(m))
     # for m = 2n there is no t-block; the stencil cross-check is then the
     # substantive structural residual
@@ -805,22 +793,21 @@ def extract_quadratic_coefficients(transform: CoordinateTransform) -> dict:
     y_mesh = np.meshgrid(*y_axes, indexing="ij")
     y_nodes = np.stack([ax.ravel() for ax in y_mesh], axis=1)
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    batch = transform.field_in_final_chart(np.array(
+    values, final, failures = transform.field_in_final_chart(np.array(
         [np.concatenate([base, ypt]) for base in base_nodes for ypt in y_nodes]))
-    first = next((err for err in batch.failures if err is not None), None)
-    if first is not None:
-        raise first
+    if failures:
+        raise failures[min(failures)]
     results = []
     max_fit_residual = 0.0
     for b, base in enumerate(base_nodes):
         rows = []
         rhs = []
         for k in range(b * len(y_nodes), (b + 1) * len(y_nodes)):
-            ytilde = batch.final[k, tc + n:]
+            ytilde = final[k, tc + n:]
             row = [ytilde[i] * ytilde[j] for i, j in pairs]
             row += list(ytilde) + [1.0]
             rows.append(row)
-            rhs.append(batch.values[k, tc + n:])
+            rhs.append(values[k, tc + n:])
         A = np.array(rows)
         B = np.array(rhs)
         sol, *_ = np.linalg.lstsq(A, B, rcond=None)

@@ -645,7 +645,7 @@ def test_table_stages_print_what_the_field_oracle_prints(name):
     frame = Frame(manifest.chart, manifest.frame_fields(),
                   samples=opts.samples, seed=opts.seed)
     rep = classify(SecondOrderProblem(manifest.chart, manifest.vector_field(),
-                                      frame, opts, strict=False))
+                                      frame, opts))
     if rep.connection_data is None:
         # the recognition stopped first: no stage output to compare
         assert name == "regularity-fail" and rep.reason

@@ -1,5 +1,8 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
@@ -385,3 +388,39 @@ def test_cli_maps_an_unexpected_exception_to_exit_4(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: stage broke in two lines\n"
     assert "Traceback" not in err
+
+
+# -- charts that cannot be certified -------------------------------------------
+
+def error_lines(out: str) -> list:
+    return [line for line in out.splitlines() if "error" in line]
+
+
+@pytest.mark.parametrize("command,name,extent,message", [
+    # every grid node's flow leaves the box
+    ("straighten", "oscillator-scrambled", "100",
+     "every grid node was flagged or failed"),
+    # one grid node of 243 stays in the box, and it is not cross-checked
+    ("report", "routh-abelian", "1e6", "no grid node passed the cross-check"),
+])
+def test_cli_a_grid_beyond_the_box_is_a_numeric_failure(
+        command, name, extent, message, capsys):
+    assert main([command, "--corpus", name, "--extent", extent]) \
+        == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert error_lines(captured.out) == [
+        f"  {'straighten ' if command == 'report' else ''}error: {message}"]
+    assert "Traceback" not in captured.out + captured.err
+
+
+def test_cli_a_flow_without_end_stops_at_the_attempt_budget():
+    # flows over times of 1e300 end only by the integrator's attempt budget
+    src = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+    out = subprocess.run(
+        [sys.executable, "-m", "sodekit.cli", "straighten", "--corpus",
+         "timedep-scrambled", "--extent", "1e300"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=10)
+    assert out.returncode == EXIT_NUMERIC, out.stderr
+    assert len(error_lines(out.stdout)) == 1
+    assert "Traceback" not in out.stdout + out.stderr

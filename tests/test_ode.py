@@ -160,3 +160,22 @@ def test_a_cli_run_imports_no_scipy():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def test_a_member_without_end_fails_alone_at_the_attempt_budget():
+    def rotation(t, y):
+        return np.stack([y[:, 1], -y[:, 0]], axis=1), {}
+
+    y0 = np.array([[1.0, 0.0], [0.5, 0.5], [-0.2, 0.7]])
+    ends = np.array([3.0, np.inf, -1.5])
+    sol = ode.solve_ivp(rotation, (0.0, ends), y0, rtol=RTOL, atol=ATOL)
+    assert list(sol.failures) == [1]
+    assert isinstance(sol.failures[1], ode.StepFailure)
+    assert f"{ode.MAX_ATTEMPTS} step attempts" in str(sol.failures[1])
+    assert np.isfinite(sol.t[1]) and np.isfinite(sol.y[1]).all()
+    for k in (0, 2):
+        alone = ode.solve_ivp(rotation, (0.0, ends[k]), y0[k:k + 1],
+                              rtol=RTOL, atol=ATOL)
+        assert alone.success
+        assert np.array_equal(sol.y[k], alone.y[0])
+        assert sol.t[k] == alone.t[0] == ends[k]

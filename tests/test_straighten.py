@@ -151,8 +151,8 @@ def test_transport_identity_routh():
 # -- transforms -----------------------------------------------------------------
 
 def mapped(tr, params):
-    """The guarded point of one parameter row, its failure raised."""
-    z, _, failures = tr.map_batch([params], guard=True)
+    """The point of one parameter row, its failure raised."""
+    z, _, failures = tr.map_batch([params])
     if failures:
         raise failures[0]
     return z[0]
@@ -161,10 +161,10 @@ def mapped(tr, params):
 def stencil(tr, node):
     """(F in the final chart, final coordinates) at one node, its failure
     raised."""
-    batch = tr.field_in_final_chart([node])
-    if batch.failures[0] is not None:
-        raise batch.failures[0]
-    return batch.values[0], batch.final[0]
+    values, final, failures = tr.field_in_final_chart([node])
+    if failures:
+        raise failures[0]
+    return values[0], final[0]
 
 
 def test_unscrambled_sode_transform_is_translation():
@@ -294,10 +294,11 @@ def test_straighten_then_analyze_idempotence():
     rep = classify_corpus("oscillator-scrambled")
     tr = build_normal_coordinates(rep)
     axis = np.linspace(-0.4, 0.4, 5)
-    batch = tr.field_in_final_chart(list(itertools.product(axis, repeat=2)))
-    assert batch.failures == [None] * 25
+    values, final, failures = tr.field_in_final_chart(
+        list(itertools.product(axis, repeat=2)))
+    assert len(values) == 25 and failures == {}
     rows, rhs = [], []
-    for fin, (xx, yy) in zip(batch.values, batch.final):
+    for fin, (xx, yy) in zip(values, final):
         rows.append([1.0, xx, yy, xx * xx, xx * yy, yy * yy])
         rhs.append(fin[1])
     coeffs, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
@@ -412,13 +413,10 @@ def timedep_transform():
     return build_normal_coordinates(classify_corpus("timedep-scrambled"))
 
 
-def skip_crosscheck(nodes):
-    raise NumericFailure("cross-check left out")
-
-
 def test_grid_loop_integrates_each_stage_once_per_prefix(monkeypatch):
     tr = timedep_transform()
     g, m = 6, tr.m
+    axis = np.linspace(-0.3, 0.3, g)
     stage_of = {id(st.fld): k for k, st in enumerate(tr.stages)}
     members = [0] * m
     calls = [0] * m
@@ -430,16 +428,12 @@ def test_grid_loop_integrates_each_stage_once_per_prefix(monkeypatch):
         return real(fld, z, s, *args, **kwargs)
 
     monkeypatch.setattr(straighten, "integrate_flows", counting)
-    monkeypatch.setattr(tr, "field_in_final_chart", skip_crosscheck)
-    monkeypatch.setattr(tr, "fibre_jacobian_min_sv", lambda params: 1.0)
-    res = pushforward_residuals(tr, grid_points=g)
-    assert res.node_count == g ** m and res.crosscheck_nodes == 0
+    z, J, failures = tr.map_grid(axis)
+    assert len(z) == g ** m
     assert members == [g ** (k + 1) for k in range(m)]
     assert calls == [-(-g ** (k + 1) // straighten.FLOW_ROWS)
                      for k in range(m)]
     monkeypatch.undo()
-    axis = np.linspace(-0.3, 0.3, g)
-    z, J, failures = tr.map_grid(axis)
     zb, Jb, batch_failures = tr.map_batch(
         list(itertools.product(axis, repeat=m)))
     assert failures == batch_failures == {}
@@ -611,12 +605,12 @@ def log_force_transform():
 def test_one_node_stencil_agrees_with_the_node_inside_a_batch():
     tr = timedep_transform()
     nodes = np.array([[0.15, -0.2, 0.1], [-0.1, 0.25, -0.2], [0.0, 0.1, 0.3]])
-    batch = tr.field_in_final_chart(nodes)
-    assert batch.failures == [None] * len(nodes)
+    values, final, failures = tr.field_in_final_chart(nodes)
+    assert failures == {}
     for k, node in enumerate(nodes):
         fin, fc = stencil(tr, node)
-        assert np.max(np.abs(fin - batch.values[k])) < 1e-9
-        assert np.max(np.abs(fc - batch.final[k])) < 1e-9
+        assert np.max(np.abs(fin - values[k])) < 1e-9
+        assert np.max(np.abs(fc - final[k])) < 1e-9
 
 
 def test_failing_members_are_flagged_and_spoil_no_other_member():
@@ -631,8 +625,9 @@ def test_failing_members_are_flagged_and_spoil_no_other_member():
         good[2],
         [-1.999 - x0, -0.3],       # crosses x = -2 along the stencil flow
     ])
-    batch = tr.field_in_final_chart(nodes)
-    assert [str(err) if err else None for err in batch.failures] == [
+    values, final, failures = tr.field_in_final_chart(nodes)
+    assert [str(failures[k]) if k in failures else None
+            for k in range(len(nodes))] == [
         None,
         "flow left the sampling box (beyond the allowed slack)",
         None,
@@ -642,10 +637,10 @@ def test_failing_members_are_flagged_and_spoil_no_other_member():
         "flow hit a domain error: log of a nonpositive value in "
         "'log(x + 2)'",
     ]
-    assert np.isnan(batch.values[1::2]).all()
-    alone = tr.field_in_final_chart(good)
-    assert np.max(np.abs(batch.values[::2] - alone.values)) < 1e-12
-    assert np.array_equal(batch.final[::2], alone.final)
+    assert np.isnan(values[1::2]).all()
+    alone_values, alone_final, _ = tr.field_in_final_chart(good)
+    assert np.max(np.abs(values[::2] - alone_values)) < 1e-12
+    assert np.array_equal(final[::2], alone_final)
     with pytest.raises(NumericFailure, match="log of a nonpositive value"):
         stencil(tr, nodes[3])
 
@@ -653,14 +648,14 @@ def test_failing_members_are_flagged_and_spoil_no_other_member():
 def test_extraction_reports_the_first_failing_node(monkeypatch):
     tr = timedep_transform()
     real = tr.map_batch
-    injected = {"done": False}
+    calls = []
 
-    def flaky(params, guard=False):
-        z, J, failures = real(params, guard)
-        if guard:      # the nodes' own maps: node 7 fails here
+    def flaky(params):
+        z, J, failures = real(params)
+        calls.append(len(params))
+        if len(calls) == 1:     # the nodes' own maps: node 7 fails here
             failures[7] = NumericFailure("node 7 failed first in time")
-        elif not injected["done"]:   # the first Newton step: node 3 fails
-            injected["done"] = True
+        elif len(calls) == 2:   # the first Newton step: node 3 fails
             failures[4 * 3] = NumericFailure("node 3 failed in its stencil")
         for k in failures:
             z[k] = np.nan
@@ -734,13 +729,16 @@ def test_a_failing_shifted_row_drops_only_its_node(monkeypatch):
     want, _ = tr.jacobian_fd(nodes)
     full = pushforward_residuals(tr, grid_points=10)
     real = straighten.integrate_flows
-    bad = {"row": None}
+    bad = {"row": None, "nodes": len(nodes)}
 
     def flaky(fld, z, s, with_jacobian=False, chart=None):
         ends, jac, failures = real(fld, z, s, with_jacobian, chart)
-        # the shifted rows are the only guarded flows without a Jacobian;
-        # the second shifted row of the second node fails at the first stage
-        if chart is not None and not with_jacobian and bad["row"] is None:
+        # the shifted rows are the walk's flows without a Jacobian, 2 m rows
+        # per node (at m = 2 the stencil's F-flow has as many rows, so it is
+        # told apart by its field); the second shifted row of the second
+        # node fails at the first stage
+        if (len(z) == 2 * m * bad["nodes"] and fld is not tr.F
+                and not with_jacobian and bad["row"] is None):
             bad["row"] = 2 * m + 1
             failures[bad["row"]] = NumericFailure("injected")
             ends[bad["row"]] = np.nan
@@ -751,7 +749,7 @@ def test_a_failing_shifted_row_drops_only_its_node(monkeypatch):
     assert list(failures) == [1] and str(failures[1]) == "injected"
     assert np.isnan(got[1]).all()
     assert np.array_equal(got[[0, 2]], want[[0, 2]])
-    bad["row"] = None
+    bad["row"], bad["nodes"] = None, full.crosscheck_nodes
     res = pushforward_residuals(tr, grid_points=10)
     assert full.crosscheck_nodes > 1
     assert res.crosscheck_nodes == full.crosscheck_nodes - 1

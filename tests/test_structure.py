@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sodekit import analysis, ode
+from sodekit import analysis, ode, straighten
 from sodekit.analysis import SecondOrderProblem, classify
 from sodekit.corpus import corpus_get
 from sodekit.expressions import compile_exprs
@@ -135,6 +135,22 @@ def test_the_transform_maps_share_one_stage_walk():
             if module == "straighten"} == {
         "_walk", "_check_path_independence", "field_in_final_chart"}
     assert not hasattr(CoordinateTransform, "_stage")
+
+
+def test_every_flow_of_the_chart_is_guarded_by_its_box():
+    # one box policy: no map takes a guard switch, every flow is given the
+    # chart; one failure shape: the stencil returns a {row: failure} dict
+    tree = ast.parse((PACKAGE / "straighten.py").read_text(encoding="utf-8"))
+    switches = [node.name for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef)
+                and "guard" in [a.arg for a in node.args.args
+                                + node.args.kwonlyargs]]
+    assert switches == []
+    flows = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", None) == "integrate_flows"]
+    assert len(flows) == 3
+    assert all("chart" in {kw.arg for kw in call.keywords} for call in flows)
+    assert not hasattr(straighten, "StencilBatch")
 
 
 def test_one_compiled_evaluator_on_stacked_points():
