@@ -4,7 +4,9 @@ command, assemble a report dictionary and an exit code.
 The pipeline is one ordered stage list, STAGES: the recognition stages of
 `analysis.STAGES`, then building the chart, certifying it on the residual
 grid and extracting the quadratic force.  A command (COMMANDS) names the
-stages it runs, in list order, and its exit rule.
+stages it runs, in list order, and its exit rule.  A command that runs both
+of the last two stages solves the fit's stencil in `residuals`, beside the
+cross-check's, so it is timed there and `extraction` then only fits.
 
 Exit codes: 0 all checks pass, 1 a mathematical condition failed, 2 input
 error, 3 numeric failure; the CLI maps any other exception to 4.  Reports
@@ -29,7 +31,7 @@ from .manifest import Manifest, ManifestError, load_manifest_file
 from .corpus import corpus_get
 from .straighten import (
     NumericFailure, build_normal_coordinates, default_grid_points,
-    extract_quadratic_coefficients, pushforward_residuals,
+    extract_quadratic_coefficients, pushforward_residuals, quadratic_nodes,
 )
 
 EXIT_OK = 0
@@ -72,6 +74,7 @@ class _Run(PipelineState):
         self.command = command
         self.report = report
         self.transform = None
+        self.fit_stencil = None     # the fit's stencil, solved by `residuals`
         self.residuals_ok = False
         self.numeric_failed = False
 
@@ -109,12 +112,17 @@ def _residuals(run: _Run):
     if run.transform is None:
         return
     opts = run.problem.options
+    fit_nodes = None
+    if "extraction" in COMMANDS[run.command].stages and _extractable(run):
+        fit_nodes = quadratic_nodes(run.transform)
     try:
         residuals = pushforward_residuals(run.transform, grid_points=opts.grid,
-                                          extent=opts.extent)
+                                          extent=opts.extent,
+                                          fit_nodes=fit_nodes)
     except NumericFailure as err:
         run.chart_failed(err)
         return
+    run.fit_stencil = residuals.fit_stencil
     run.residuals_ok = residuals.max_structural_residual < opts.tolerance
     run.report["transform"] = run.transform.metadata()
     run.report["residuals"] = {
@@ -133,7 +141,7 @@ def _extraction(run: _Run):
         return
     try:
         run.report["quadratic_coefficients"] = \
-            extract_quadratic_coefficients(run.transform)
+            extract_quadratic_coefficients(run.transform, run.fit_stencil)
     except NumericFailure as err:
         run.warn(f"coefficient extraction failed: {err}")
 

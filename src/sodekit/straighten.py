@@ -21,7 +21,7 @@ solve_ivp call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -468,14 +468,18 @@ class CoordinateTransform:
         out[:, tc + n:] = v[:, tc: tc + n]
         return out
 
-    def final_coords(self, params) -> tuple:
+    def final_coords(self, params, mapped=None) -> tuple:
         """Final coordinates (t, x, ytilde) of each row of params, ytilde the
         x-components of the pushed-forward field: (final (K, m), z (K, m),
         v (K, m), failures), with z the row's point and v the
         components of F in the raw parameter chart; the rows of a failed
-        member are NaN."""
+        member are NaN.  `mapped` is `map_batch(params)`'s triple when the
+        caller has it already; the rows are then not walked again."""
         params = np.asarray(params, dtype=float)
-        z, J, failures = self.map_batch(params)
+        if mapped is None:
+            z, J, failures = self.map_batch(params)
+        else:
+            z, J, failures = np.array(mapped[0]), mapped[1], dict(mapped[2])
         live = _live_rows(len(params), failures)
         pushed, errs = self._pushforward_batch(z[live], J[live])
         v = np.full_like(z, np.nan)
@@ -505,16 +509,16 @@ class CoordinateTransform:
         G = (fibre[:, 0] - fibre[:, 1]).T / (2 * FD_STEP)
         return float(np.linalg.svd(G, compute_uv=False)[-1])
 
-    def field_in_final_chart(self, nodes) -> tuple:
+    def field_in_final_chart(self, nodes, mapped=None) -> tuple:
         """All components of F in the final chart at each row of nodes, by a
         five-point stencil along the F-flow through the node (independent of
         the variational route).  The stencil points of all nodes are solved
         together.  Returns (values (K, m), final (K, m), failures): the
         components, the node's final coordinates and a failed node's
-        failure, its rows NaN."""
+        failure, its rows NaN.  `mapped` is as in `final_coords`."""
         nodes = np.asarray(nodes, dtype=float)
         K, m = nodes.shape
-        final, z, v, failures = self.final_coords(nodes)
+        final, z, v, failures = self.final_coords(nodes, mapped)
         live = _live_rows(K, failures)
         z, v, live_nodes = z[live], v[live], nodes[live]
         # the four stencil points of each live node, consecutive
@@ -666,6 +670,10 @@ class ResidualReport:
     max_jacobian_gap: float
     flagged_nodes: int
     fibre_min_sv: float
+    # field_in_final_chart's (values, final, failures) of the fit nodes, when
+    # the caller sent some; not part of the report
+    fit_stencil: Optional[tuple] = field(default=None, repr=False,
+                                         compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -695,24 +703,35 @@ def default_extent(chart: Chart) -> float:
     return 0.35 * min(0.5 * (hi - lo) for lo, hi in chart.box)
 
 
+def _mesh(axes) -> np.ndarray:
+    """Every node of the grid with the given axes, one row each, C order."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([ax.ravel() for ax in mesh], axis=1)
+
+
 def pushforward_residuals(transform: CoordinateTransform,
                           grid_points: Optional[int] = None,
-                          extent: Optional[float] = None) -> ResidualReport:
+                          extent: Optional[float] = None,
+                          fit_nodes=None) -> ResidualReport:
     """Structural residuals of the pushed-forward field on a parameter grid.
 
     t-components are compared against their target (zero, or one for the
     flow-time coordinate); x-components equal the redefined fibre coordinates
     by construction, so the independent five-point stencil along the F-flow
     is used as the sanity cross-check on a capped subsample of nodes, along
-    with a finite-difference check of the variational Jacobian."""
+    with a finite-difference check of the variational Jacobian.
+
+    The cross-check's stencils start from the grid walk's rows of their
+    nodes.  `fit_nodes` (`quadratic_nodes`), when given, ride along in the
+    same stencil call, so that both node sets share its walks; their
+    stencil is returned as `fit_stencil` and enters no residual."""
     m = transform.m
     n = transform.n
     tc = transform.t_count
     g = grid_points if grid_points is not None else default_grid_points(m)
     ext = extent if extent is not None else default_extent(transform.chart)
     axis = np.linspace(-ext, ext, g)
-    mesh = np.meshgrid(*[axis] * m, indexing="ij")
-    nodes = np.stack([ax.ravel() for ax in mesh], axis=1)
+    nodes = _mesh([axis] * m)
     expected_t = np.array([
         1.0 if name == "t1" and transform.case == CASE2 else 0.0
         for name in transform.param_names[:tc]
@@ -733,14 +752,24 @@ def pushforward_residuals(transform: CoordinateTransform,
     t_arr = (np.max(np.abs(v[:, :tc] - expected_t), axis=1) if tc
              else np.zeros(len(v)))
     # independent cross-check on every stride-th node that is not flagged,
-    # its stencils solved together
+    # its stencils solved together with those of the fit nodes, which alone
+    # are walked here: a failure flags only its own row
     picked = np.arange(0, len(nodes), max(1, len(nodes) // CROSSCHECK_CAP))
     picked = picked[ok[picked]]
+    c = len(picked)
+    fit = np.zeros((0, m)) if fit_nodes is None else \
+        np.asarray(fit_nodes, dtype=float)
+    fit_z, fit_J, fit_failed = transform.map_batch(fit)
+    mapped = (np.concatenate([z[picked], fit_z]),
+              np.concatenate([J[picked], fit_J]),
+              {c + i: err for i, err in fit_failed.items()})
+    values, final, failures = transform.field_in_final_chart(
+        np.concatenate([nodes[picked], fit]), mapped)
+    fit_failures = {k - c: err for k, err in failures.items() if k >= c}
+    passed = _live_rows(c, [k for k in failures if k < c])
     max_cross = 0.0
     max_jgap = 0.0
     checked = 0
-    values, final, failures = transform.field_in_final_chart(nodes[picked])
-    passed = _live_rows(len(picked), failures)
     for k in passed:
         fin = values[k]
         ytilde = final[k, tc + n:]
@@ -775,34 +804,45 @@ def pushforward_residuals(transform: CoordinateTransform,
         max_jacobian_gap=max_jgap,
         flagged_nodes=len(nodes) - len(t_arr),
         fibre_min_sv=fibre_sv,
+        fit_stencil=None if fit_nodes is None else (
+            values[c:], final[c:], fit_failures),
     )
 
 
-def extract_quadratic_coefficients(transform: CoordinateTransform) -> dict:
+def quadratic_nodes(transform: CoordinateTransform) -> np.ndarray:
+    """The nodes of the quadratic fit: QUADRATIC_GRID^n fibre nodes over
+    each of the 3^(m - n) base nodes, the fibre nodes of one base node
+    consecutive."""
+    n = transform.n
+    ext = default_extent(transform.chart)
+    return _mesh([np.linspace(-ext, ext, 3)] * (transform.m - n)
+                 + [np.linspace(-ext, ext, QUADRATIC_GRID)] * n)
+
+
+def extract_quadratic_coefficients(transform: CoordinateTransform,
+                                   stencil=None) -> dict:
     """Fit force^k = G^k_ij y^i y^j + P^k_i y^i + Q^k per base node.
 
     Only sensible after a Quadratic verdict; the fit residual reports how
-    well the force is represented by the quadratic model on the grid."""
-    m, n, tc = transform.m, transform.n, transform.t_count
-    ext = default_extent(transform.chart)
-    base_axes = [np.linspace(-ext, ext, 3) for _ in range(tc + n)]
-    y_axes = [np.linspace(-ext, ext, QUADRATIC_GRID) for _ in range(n)]
-    base_mesh = np.meshgrid(*base_axes, indexing="ij") if base_axes else []
-    base_nodes = (np.stack([ax.ravel() for ax in base_mesh], axis=1)
-                  if base_axes else np.zeros((1, 0)))
-    y_mesh = np.meshgrid(*y_axes, indexing="ij")
-    y_nodes = np.stack([ax.ravel() for ax in y_mesh], axis=1)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)]
-    values, final, failures = transform.field_in_final_chart(np.array(
-        [np.concatenate([base, ypt]) for base in base_nodes for ypt in y_nodes]))
+    well the force is represented by the quadratic model on the grid.
+    `stencil` is `field_in_final_chart(quadratic_nodes(transform))`'s
+    triple when the caller has it already (`pushforward_residuals`'s
+    `fit_stencil`); the extraction then only fits."""
+    n, tc = transform.n, transform.t_count
+    nodes = quadratic_nodes(transform)
+    values, final, failures = (transform.field_in_final_chart(nodes)
+                               if stencil is None else stencil)
     if failures:
         raise failures[min(failures)]
+    per_base = QUADRATIC_GRID ** n
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
     results = []
     max_fit_residual = 0.0
-    for b, base in enumerate(base_nodes):
+    for first in range(0, len(nodes), per_base):
+        base = nodes[first, :tc + n]
         rows = []
         rhs = []
-        for k in range(b * len(y_nodes), (b + 1) * len(y_nodes)):
+        for k in range(first, first + per_base):
             ytilde = final[k, tc + n:]
             row = [ytilde[i] * ytilde[j] for i, j in pairs]
             row += list(ytilde) + [1.0]

@@ -9,11 +9,14 @@ import pytest
 
 from sodekit.cli import main
 from sodekit.corpus import corpus_get, corpus_list, corpus_raw
-from sodekit.manifest import ManifestError, load_manifest, load_manifest_text
+from sodekit.manifest import (
+    ManifestError, load_manifest, load_manifest_file, load_manifest_text,
+)
 from sodekit.runner import (
     EXIT_INPUT, EXIT_MATH_FAIL, EXIT_NUMERIC, EXIT_OK, report_to_json,
     run_command,
 )
+from tests.test_analysis import BENCH_MANIFESTS
 
 
 def inline_manifest(**kw):
@@ -157,6 +160,34 @@ def test_run_report_deterministic_excluding_timings():
     r2, _ = run_command("report", manifest)
     del r1["timings"], r2["timings"]
     assert report_to_json(r1) == report_to_json(r2)
+
+
+REPORT_INSTANCES = {
+    **{name: (lambda name=name: corpus_get(name)) for name in corpus_list()},
+    **{path.stem: (lambda path=path: load_manifest_file(str(path)))
+       for path in sorted(BENCH_MANIFESTS.glob("*.json"))},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_INSTANCES))
+def test_report_agrees_with_straighten_and_quadratic(name):
+    # report solves the cross-check's and the fit's stencils in one batch;
+    # its sections must be those of the commands that solve them alone.
+    # Only `quadratic` notes that it skips the fit above dimension 4.
+    def sections(command, seed, keys):
+        report, _ = run_command(command, REPORT_INSTANCES[name](),
+                                {"seed": seed})
+        report["warnings"] = [
+            w for w in report.get("warnings", [])
+            if not w.startswith("coefficient extraction skipped")]
+        return [json.dumps(report.get(key), sort_keys=True) for key in keys]
+
+    for seed in (0, 1):
+        chart_keys = ("transform", "residuals")
+        fit_keys = ("quadratic_coefficients", "warnings")
+        report = sections("report", seed, chart_keys + fit_keys)
+        assert report[:2] == sections("straighten", seed, chart_keys)
+        assert report[2:] == sections("quadratic", seed, fit_keys)
 
 
 # -- CLI entry point -------------------------------------------------------------

@@ -611,6 +611,9 @@ def test_one_node_stencil_agrees_with_the_node_inside_a_batch():
         fin, fc = stencil(tr, node)
         assert np.max(np.abs(fin - values[k])) < 1e-9
         assert np.max(np.abs(fc - final[k])) < 1e-9
+        alone_values, alone_final, _ = tr.field_in_final_chart(node[None])
+        assert np.array_equal(alone_values[0], values[k])
+        assert np.array_equal(alone_final[0], final[k])
 
 
 def test_failing_members_are_flagged_and_spoil_no_other_member():
@@ -639,10 +642,122 @@ def test_failing_members_are_flagged_and_spoil_no_other_member():
     ]
     assert np.isnan(values[1::2]).all()
     alone_values, alone_final, _ = tr.field_in_final_chart(good)
-    assert np.max(np.abs(values[::2] - alone_values)) < 1e-12
+    assert np.array_equal(values[::2], alone_values)
     assert np.array_equal(final[::2], alone_final)
     with pytest.raises(NumericFailure, match="log of a nonpositive value"):
         stencil(tr, nodes[3])
+
+
+# -- report's shared stencil ------------------------------------------------------
+
+def stencil_targets(tr, node):
+    """The points of M that Newton's method inverts for the stencil of one
+    node: the ends of the F-flow from the node's point."""
+    z, _, _ = tr.map_batch([node])
+    shifts = straighten.STENCIL_STEP * np.array([-2.0, -1.0, 1.0, 2.0])
+    ends, _, _ = integrate_flows(tr.F, np.repeat(z, 4, axis=0), shifts,
+                                 chart=tr.chart)
+    return ends
+
+
+def fail_inversions(monkeypatch, targets):
+    """Make CoordinateTransform.invert fail each member whose target is one
+    of `targets`; returns the number of such members per call."""
+    hits = []
+    real = straighten.CoordinateTransform.invert
+
+    def flaky(self, z_targets, guesses):
+        params, z, J, failures = real(self, z_targets, guesses)
+        hit = (np.abs(z_targets[:, None] - targets[None]) < 1e-9).all(
+            axis=2).any(axis=1)
+        for k in np.flatnonzero(hit):
+            failures[int(k)] = NumericFailure("injected")
+            params[k] = z[k] = J[k] = np.nan
+        hits.append(int(hit.sum()))
+        return params, z, J, failures
+
+    monkeypatch.setattr(straighten.CoordinateTransform, "invert", flaky)
+    return hits
+
+
+def test_report_inverts_all_its_stencil_points_at_once(monkeypatch):
+    sizes = []
+    real = straighten.CoordinateTransform.invert
+
+    def counting(self, z_targets, guesses):
+        sizes.append(len(z_targets))
+        return real(self, z_targets, guesses)
+
+    monkeypatch.setattr(straighten.CoordinateTransform, "invert", counting)
+    report, code = run_command("report", corpus_get("timedep-scrambled"))
+    assert code == 0 and "quadratic_coefficients" in report
+    fit = straighten.quadratic_nodes(timedep_transform())
+    assert sizes == [4 * (report["residuals"]["crosscheck_nodes"] + len(fit))]
+
+
+def test_the_cross_check_starts_from_the_grid_walk(monkeypatch):
+    # map_batch walks the fit nodes (and the Newton steps, the fibre check
+    # and the base point), never a cross-checked grid node
+    tr = timedep_transform()
+    g, ext = 10, 0.3
+    fit = straighten.quadratic_nodes(tr)
+    calls = []
+    real = straighten.CoordinateTransform.map_batch
+
+    def recording(self, params):
+        calls.append(np.array(params, dtype=float).reshape(-1, self.m))
+        return real(self, params)
+
+    monkeypatch.setattr(straighten.CoordinateTransform, "map_batch",
+                        recording)
+    res = pushforward_residuals(tr, grid_points=g, extent=ext, fit_nodes=fit)
+    nodes = np.array(list(itertools.product(np.linspace(-ext, ext, g),
+                                            repeat=tr.m)))
+    picked = nodes[::len(nodes) // straighten.CROSSCHECK_CAP]
+    assert res.crosscheck_nodes == len(picked)
+    rows = np.concatenate(calls)
+    assert not (rows[:, None] == picked[None]).all(axis=2).any()
+    assert sum(np.array_equal(c, fit) for c in calls) == 1
+    monkeypatch.undo()
+    values, final, failures = res.fit_stencil
+    assert failures == {}
+    alone_values, alone_final, _ = tr.field_in_final_chart(fit)
+    assert np.array_equal(values, alone_values)
+    assert np.array_equal(final, alone_final)
+
+
+def test_a_failing_fit_node_fails_the_fit_alone(monkeypatch):
+    manifest = corpus_get("timedep-scrambled")
+    clean, _ = run_command("report", manifest)
+    tr = timedep_transform()
+    node = straighten.quadratic_nodes(tr)[7]     # (-ext, 0, 0): no grid node
+    hits = fail_inversions(monkeypatch, stencil_targets(tr, node))
+    report, code = run_command("report", manifest)
+    alone, _ = run_command("quadratic", manifest)
+    assert hits == [4, 4]
+    assert report["warnings"] == alone["warnings"] == [
+        "coefficient extraction failed: injected"]
+    assert "quadratic_coefficients" not in report
+    assert report["residuals"] == clean["residuals"]
+    assert code == 0
+
+
+def test_a_failing_cross_check_node_leaves_the_fit_alone(monkeypatch):
+    manifest = corpus_get("timedep-scrambled")
+    clean, _ = run_command("report", manifest)
+    tr = timedep_transform()
+    g, ext = 10, clean["residuals"]["extent"][0]
+    axis = np.linspace(-ext, ext, g)
+    # the second cross-checked node, grid index 1000 // CROSSCHECK_CAP = 83:
+    # no fit node
+    node = axis[[0, 8, 3]]
+    hits = fail_inversions(monkeypatch, stencil_targets(tr, node))
+    report, _ = run_command("report", manifest)
+    assert hits == [4]
+    assert report["quadratic_coefficients"] == clean["quadratic_coefficients"]
+    assert report["residuals"]["crosscheck_nodes"] == \
+        clean["residuals"]["crosscheck_nodes"] - 1
+    assert "warnings" not in report
 
 
 def test_extraction_reports_the_first_failing_node(monkeypatch):
