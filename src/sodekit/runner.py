@@ -132,8 +132,7 @@ def _residuals(run: _Run):
 
 
 def _extraction(run: _Run):
-    if (run.command == "quadratic"
-            and run.analysis.curvature.verdict == "quadratic"
+    if (run.analysis.curvature.verdict == "quadratic"
             and run.problem.m > QUADRATIC_EXTRACTION_MAX_DIM):
         run.warn("coefficient extraction skipped: grid cost grows too fast "
                  f"above dimension {QUADRATIC_EXTRACTION_MAX_DIM}")

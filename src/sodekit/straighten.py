@@ -209,6 +209,13 @@ def _median(values) -> float:
     return float(s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2)
 
 
+def _take(walked: tuple, index) -> tuple:
+    """Rows `index` of a walk's (z, J, failures), failures renumbered."""
+    z, J, failures = walked
+    return z[index], J[index], {i: failures[k] for i, k in enumerate(index)
+                                if k in failures}
+
+
 def _keep_live(failures: dict, owners, recorded: dict, *arrays) -> tuple:
     """Record each failed member's failure under its owner (the first one
     recorded wins) and return the owners and rows of the other members."""
@@ -318,8 +325,8 @@ class CoordinateTransform:
     batched map returns its failures as a {row: NumericFailure} dict, and a
     caller that reports one failure of a batch reports its lowest row's.
     `map_grid` walks a grid level by level so that nodes share their inner
-    flows.  A transform keeps no state after construction, so threads may
-    share one.
+    flows, and extra rows on their own paths in the same calls.  A
+    transform keeps no state after construction, so threads may share one.
 
     The flows start from `start`: the base point z0, followed by the entries
     of the identity matrix when the stages carry a transport matrix along
@@ -410,15 +417,22 @@ class CoordinateTransform:
         params = np.asarray(params, dtype=float)
         return self._walk(_own_rows(len(params), self.m), params.T)
 
-    def map_grid(self, axis) -> tuple:
-        """`map_batch` of every node of the grid axis^m, in C order, walked
-        level by level: stage k integrates each distinct prefix of length
-        k + 1 once.  A prefix that fails flags all its nodes."""
+    def map_grid(self, axis, rows=()) -> tuple:
+        """`map_batch` of every node of the grid axis^m, in C order, then of
+        each of `rows`, in one walk level by level: stage k integrates each
+        distinct prefix of length k + 1 once, and each extra row on its own
+        path after them (its stage-k parent offset by the g^k prefixes).  A
+        prefix that fails flags all its nodes."""
         axis = np.asarray(axis, dtype=float)
+        rows = np.asarray(rows, dtype=float).reshape(-1, self.m)
         g = len(axis)
+        own = _own_rows(len(rows), self.m)
         return self._walk(
-            [np.repeat(np.arange(g ** k), g) for k in range(self.m)],
-            [np.tile(axis, g ** k) for k in range(self.m)])
+            [np.concatenate([np.repeat(np.arange(g ** k), g),
+                             own[k] + (g ** k if k else 0)])
+             for k in range(self.m)],
+            [np.concatenate([np.tile(axis, g ** k), rows[:, k]])
+             for k in range(self.m)])
 
     def invert(self, z_targets, guesses) -> tuple:
         """Newton inversion of the map for each row of z_targets, all members
@@ -492,17 +506,25 @@ class CoordinateTransform:
             rows[dead] = np.nan
         return final, z, v, failures
 
-    def fibre_jacobian_min_sv(self, params) -> float:
-        """Smallest singular value of d(ytilde)/d(y_raw): the fibre
-        redefinition must be invertible (with an adapted commuting basis it
-        is the identity in exact arithmetic), checked numerically.  The 2n
-        shifted rows are mapped together."""
+    def fibre_rows(self, params) -> np.ndarray:
+        """The 2n rows of `fibre_jacobian_min_sv` at params: each fibre
+        coordinate shifted by +FD_STEP and by -FD_STEP in turn."""
         tc, n = self.t_count, self.n
         rows = np.repeat(np.asarray(params, dtype=float)[None], 2 * n, axis=0)
         for a in range(n):
             rows[2 * a, tc + n + a] += FD_STEP
             rows[2 * a + 1, tc + n + a] -= FD_STEP
-        final, _, _, failures = self.final_coords(rows)
+        return rows
+
+    def fibre_jacobian_min_sv(self, params, mapped=None) -> float:
+        """Smallest singular value of d(ytilde)/d(y_raw): the fibre
+        redefinition must be invertible (with an adapted commuting basis it
+        is the identity in exact arithmetic), checked numerically.  The 2n
+        `fibre_rows` are mapped together; `mapped` is as in `final_coords`,
+        of those rows."""
+        tc, n = self.t_count, self.n
+        final, _, _, failures = self.final_coords(self.fibre_rows(params),
+                                                  mapped)
         if failures:
             raise failures[min(failures)]
         fibre = final[:, tc + n:].reshape(n, 2, n)
@@ -721,10 +743,15 @@ def pushforward_residuals(transform: CoordinateTransform,
     is used as the sanity cross-check on a capped subsample of nodes, along
     with a finite-difference check of the variational Jacobian.
 
-    The cross-check's stencils start from the grid walk's rows of their
-    nodes.  `fit_nodes` (`quadratic_nodes`), when given, ride along in the
-    same stencil call, so that both node sets share its walks; their
-    stencil is returned as `fit_stencil` and enters no residual."""
+    One Jacobian-carrying walk (`map_grid`) maps the grid, then the
+    `fit_nodes` (`quadratic_nodes`) when given, then the fibre check's
+    `fibre_rows`, each extra row on its own path.  The cross-check's
+    stencils start from the walk's rows of their nodes, and the fit nodes
+    ride along in the same stencil call, so that both node sets share its
+    walks; their stencil is returned as `fit_stencil` and enters no
+    residual.  Only the finite-difference Jacobians take a walk of their
+    own: they carry no Jacobian, and the integrator's error norm covers the
+    Jacobian components of a member that carries one."""
     m = transform.m
     n = transform.n
     tc = transform.t_count
@@ -736,14 +763,22 @@ def pushforward_residuals(transform: CoordinateTransform,
         1.0 if name == "t1" and transform.case == CASE2 else 0.0
         for name in transform.param_names[:tc]
     ])
-    # the grid walked level by level, then the linear algebra of all nodes
-    # at once; a node that fails or is ill-conditioned is flagged
-    z, J, failed = transform.map_grid(axis)
-    live = _live_rows(len(nodes), failed)
-    cond = np.full(len(nodes), np.nan)
+    fit = np.zeros((0, m)) if fit_nodes is None else \
+        np.asarray(fit_nodes, dtype=float)
+    fibre = transform.fibre_rows(np.zeros(m))
+    # the grid walked level by level, the fit and fibre rows each on its own
+    # path in the same walk, then the linear algebra of all nodes at once; a
+    # node that fails or is ill-conditioned is flagged
+    count = len(nodes)
+    walked = transform.map_grid(axis, np.concatenate([fit, fibre]))
+    z, J, failed = walked
+    live = _live_rows(count, [k for k in failed if k < count])
+    # every node live (the usual case): views, not copies of the walk's rows
+    rows = slice(0, count) if live.size == count else live
+    cond = np.full(count, np.nan)
     if live.size:
-        v, singular = transform._pushforward_batch(z[live], J[live])
-        cond[live] = np.linalg.cond(J[live])
+        v, singular = transform._pushforward_batch(z[rows], J[rows])
+        cond[live] = np.linalg.cond(J[rows])
         cond[live[list(singular)]] = np.nan
     ok = cond <= COND_LIMIT
     if not ok.any():
@@ -752,19 +787,14 @@ def pushforward_residuals(transform: CoordinateTransform,
     t_arr = (np.max(np.abs(v[:, :tc] - expected_t), axis=1) if tc
              else np.zeros(len(v)))
     # independent cross-check on every stride-th node that is not flagged,
-    # its stencils solved together with those of the fit nodes, which alone
-    # are walked here: a failure flags only its own row
-    picked = np.arange(0, len(nodes), max(1, len(nodes) // CROSSCHECK_CAP))
+    # its stencils solved together with those of the fit nodes: a failure
+    # flags only its own row
+    picked = np.arange(0, count, max(1, count // CROSSCHECK_CAP))
     picked = picked[ok[picked]]
     c = len(picked)
-    fit = np.zeros((0, m)) if fit_nodes is None else \
-        np.asarray(fit_nodes, dtype=float)
-    fit_z, fit_J, fit_failed = transform.map_batch(fit)
-    mapped = (np.concatenate([z[picked], fit_z]),
-              np.concatenate([J[picked], fit_J]),
-              {c + i: err for i, err in fit_failed.items()})
     values, final, failures = transform.field_in_final_chart(
-        np.concatenate([nodes[picked], fit]), mapped)
+        np.concatenate([nodes[picked], fit]),
+        _take(walked, np.concatenate([picked, count + np.arange(len(fit))])))
     fit_failures = {k - c: err for k, err in failures.items() if k >= c}
     passed = _live_rows(c, [k for k in failures if k < c])
     max_cross = 0.0
@@ -788,7 +818,8 @@ def pushforward_residuals(transform: CoordinateTransform,
         checked += 1
     if not checked:
         raise NumericFailure("no grid node passed the cross-check")
-    fibre_sv = transform.fibre_jacobian_min_sv(np.zeros(m))
+    fibre_sv = transform.fibre_jacobian_min_sv(
+        np.zeros(m), _take(walked, count + len(fit) + np.arange(len(fibre))))
     # for m = 2n there is no t-block; the stencil cross-check is then the
     # substantive structural residual
     structural = max(float(np.max(t_arr)), max_cross)
@@ -802,7 +833,7 @@ def pushforward_residuals(transform: CoordinateTransform,
         crosscheck_nodes=checked,
         max_crosscheck_residual=max_cross,
         max_jacobian_gap=max_jgap,
-        flagged_nodes=len(nodes) - len(t_arr),
+        flagged_nodes=count - len(t_arr),
         fibre_min_sv=fibre_sv,
         fit_stencil=None if fit_nodes is None else (
             values[c:], final[c:], fit_failures),

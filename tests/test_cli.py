@@ -172,14 +172,11 @@ REPORT_INSTANCES = {
 @pytest.mark.parametrize("name", sorted(REPORT_INSTANCES))
 def test_report_agrees_with_straighten_and_quadratic(name):
     # report solves the cross-check's and the fit's stencils in one batch;
-    # its sections must be those of the commands that solve them alone.
-    # Only `quadratic` notes that it skips the fit above dimension 4.
+    # its sections must be those of the commands that solve them alone,
+    # down to the notice that the fit is skipped above dimension 4
     def sections(command, seed, keys):
         report, _ = run_command(command, REPORT_INSTANCES[name](),
                                 {"seed": seed})
-        report["warnings"] = [
-            w for w in report.get("warnings", [])
-            if not w.startswith("coefficient extraction skipped")]
         return [json.dumps(report.get(key), sort_keys=True) for key in keys]
 
     for seed in (0, 1):

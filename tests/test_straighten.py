@@ -696,34 +696,89 @@ def test_report_inverts_all_its_stencil_points_at_once(monkeypatch):
 
 
 def test_the_cross_check_starts_from_the_grid_walk(monkeypatch):
-    # map_batch walks the fit nodes (and the Newton steps, the fibre check
-    # and the base point), never a cross-checked grid node
+    # the fit nodes ride in the grid walk, after the grid and before the
+    # fibre check's rows; map_batch (the Newton steps) never receives a fit
+    # node or a cross-checked grid node
     tr = timedep_transform()
     g, ext = 10, 0.3
     fit = straighten.quadratic_nodes(tr)
-    calls = []
-    real = straighten.CoordinateTransform.map_batch
+    batches, extra = [], []
+    real_batch = straighten.CoordinateTransform.map_batch
+    real_grid = straighten.CoordinateTransform.map_grid
 
-    def recording(self, params):
-        calls.append(np.array(params, dtype=float).reshape(-1, self.m))
-        return real(self, params)
+    def recording_batch(self, params):
+        batches.append(np.array(params, dtype=float).reshape(-1, self.m))
+        return real_batch(self, params)
+
+    def recording_grid(self, axis, rows=()):
+        extra.append(np.array(rows, dtype=float).reshape(-1, self.m))
+        return real_grid(self, axis, rows)
 
     monkeypatch.setattr(straighten.CoordinateTransform, "map_batch",
-                        recording)
+                        recording_batch)
+    monkeypatch.setattr(straighten.CoordinateTransform, "map_grid",
+                        recording_grid)
     res = pushforward_residuals(tr, grid_points=g, extent=ext, fit_nodes=fit)
     nodes = np.array(list(itertools.product(np.linspace(-ext, ext, g),
                                             repeat=tr.m)))
     picked = nodes[::len(nodes) // straighten.CROSSCHECK_CAP]
     assert res.crosscheck_nodes == len(picked)
-    rows = np.concatenate(calls)
-    assert not (rows[:, None] == picked[None]).all(axis=2).any()
-    assert sum(np.array_equal(c, fit) for c in calls) == 1
+    rows = np.concatenate(batches)
+    for walked in (picked, fit):
+        assert not (rows[:, None] == walked[None]).all(axis=2).any()
+    assert len(extra) == 1
+    assert np.array_equal(extra[0],
+                          np.concatenate([fit, tr.fibre_rows(np.zeros(tr.m))]))
     monkeypatch.undo()
     values, final, failures = res.fit_stencil
     assert failures == {}
     alone_values, alone_final, _ = tr.field_in_final_chart(fit)
     assert np.array_equal(values, alone_values)
     assert np.array_equal(final, alone_final)
+
+
+def test_each_extra_row_of_the_grid_walk_is_mapped_as_alone():
+    # extra rows follow the g^m grid nodes on their own paths; a row whose
+    # fibre flow leaves the box (|s3| > 3 on the box [-1, 1]^3) fails alone
+    tr = timedep_transform()
+    g = 4
+    axis = np.linspace(-0.3, 0.3, g)
+    rows = np.concatenate([straighten.quadratic_nodes(tr)[::7],
+                           [[0.1, -0.2, 5.0]],
+                           tr.fibre_rows(np.zeros(tr.m))])
+    bad = len(rows) - 2 * tr.n - 1
+    want_z, want_J, _ = tr.map_grid(axis)
+    alone_z, alone_J, alone_failures = tr.map_batch(rows)
+    z, J, failures = tr.map_grid(axis, rows)
+    assert len(z) == g ** tr.m + len(rows)
+    assert list(failures) == [g ** tr.m + bad]
+    assert list(alone_failures) == [bad]
+    assert str(failures[g ** tr.m + bad]) == str(alone_failures[bad]) == \
+        "flow left the sampling box (beyond the allowed slack)"
+    assert np.array_equal(z[:g ** tr.m], want_z)
+    assert np.array_equal(J[:g ** tr.m], want_J)
+    assert np.isnan(z[g ** tr.m + bad]).all()
+    assert np.isnan(J[g ** tr.m + bad]).all()
+    kept = [k for k in range(len(rows)) if k != bad]
+    assert np.array_equal(z[g ** tr.m:][kept], alone_z[kept])
+    assert np.array_equal(J[g ** tr.m:][kept], alone_J[kept])
+
+
+@pytest.mark.parametrize("name, calls", [("timedep-scrambled", 11),
+                                         ("oscillator-scrambled", 6)])
+def test_the_residual_stage_walks_its_jacobian_rows_once(monkeypatch, name,
+                                                         calls):
+    # one Jacobian-carrying walk for grid, fit and fibre rows: report makes
+    # as many solve_ivp calls as straighten, which fits nothing
+    real = straighten.solve_ivp
+    counts = []
+    monkeypatch.setattr(straighten, "solve_ivp",
+                        lambda *a, **kw: counts.append(1) or real(*a, **kw))
+    for command in ("report", "straighten"):
+        counts.clear()
+        _, code = run_command(command, corpus_get(name))
+        assert code == 0
+        assert len(counts) == calls, command
 
 
 def test_a_failing_fit_node_fails_the_fit_alone(monkeypatch):

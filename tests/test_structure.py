@@ -137,6 +137,15 @@ def test_the_transform_maps_share_one_stage_walk():
     assert not hasattr(CoordinateTransform, "_stage")
 
 
+def test_the_residual_stage_makes_no_second_jacobian_walk():
+    # the grid, the fit nodes and the fibre check's rows share map_grid's
+    # walk; map_batch maps only the base point, Newton steps and rows that a
+    # caller of final_coords has not mapped
+    assert callers("map_batch") == {("straighten", "__init__"),
+                                    ("straighten", "invert"),
+                                    ("straighten", "final_coords")}
+
+
 def test_every_flow_of_the_chart_is_guarded_by_its_box():
     # one box policy: no map takes a guard switch, every flow is given the
     # chart; one failure shape: the stencil returns a {row: failure} dict
