@@ -92,6 +92,10 @@ class OptionsError(ValueError):
     """A manifest option that is unknown or has a bad value (exit code 2)."""
 
 
+MAX_COUNT = 10_000  # per count option, so that validated input bounds the work
+COUNT_OPTIONS = ("samples", "trials", "newton_starts", "newton_max_iter")
+
+
 class InternalInconsistencyError(AnalysisError):
     """An identity that involutivity forces has failed; this flags an
     upstream inconsistency or sampling artifact, not a property of the
@@ -135,6 +139,9 @@ class Options:
             if not ok or isinstance(value, bool):
                 raise OptionsError(
                     f"option '{key}' must be {want}, got {value!r}")
+            if key in COUNT_OPTIONS and value > MAX_COUNT:
+                raise OptionsError(
+                    f"option '{key}' must be at most {MAX_COUNT}, got {value}")
             setattr(opts, key, (int if integral else float)(value))
         return opts
 
@@ -696,7 +703,6 @@ class ConnectionTables:
     gamma2: list          # gamma2[k][i][j] = Gamma^k_ij
     lifts: list           # horizontal lifts of the V-basis, as fields
     torsion: IdentitySuite
-    gamma_symmetry: IdentitySuite
 
     def as_dict(self) -> dict:
         return {
@@ -708,20 +714,18 @@ class ConnectionTables:
                 [to_str(c) for c in h.components] for h in self.lifts
             ],
             "torsion": self.torsion.as_dict(),
-            "gamma_symmetry": self.gamma_symmetry.as_dict(),
         }
 
 
 def connection_tables(conn: Connections) -> ConnectionTables:
-    """First- and second-order connection coefficients with torsion checks.
+    """First- and second-order connection coefficients with the torsion check.
 
     gamma1[i][j]: vertical parts of the horizontal lifts; equals
     -1/2 d(force^i)/dy^j in natural coordinates.  gamma2[k][i][j]: vertical
-    coefficients of nabla_{h(V_i)} V_j; symmetric in i, j when the torsion
-    vanishes (which it must)."""
+    coefficients of nabla_{h(V_i)} V_j; symmetric in i, j only in a frame
+    where omega and the q.w terms vanish.  The torsion is the check."""
     ef, n, q, w, g2 = conn.ef, conn.ef.n, conn.q, conn.w, conn.gamma2
     torsion = IdentitySuite("torsion")
-    gamma_sym = IdentitySuite("gamma_symmetry")
     for i, j in ef.commutators:
         t = [_dot([(g2[m][i][j],), (NEG, g2[m][j][i]), (conn.omega[i, j][m],)]
                   + [f for k in range(n) for f in (
@@ -729,12 +733,8 @@ def connection_tables(conn: Connections) -> ConnectionTables:
                       (NEG, HALF, q[i][k], w[k][j][m]))])
              for m in range(n)]
         torsion.add_field(ef.probe, ef.field_of(t), f"T[{i}{j}]")
-        for k in range(n):
-            gamma_sym.add(ef.probe(g2[k][i][j] - g2[k][j][i]),
-                          f"G[{k}][{i}{j}]")
     return ConnectionTables(gamma1=conn.gamma1, gamma2=g2,
-                            lifts=conn.lifts(), torsion=torsion,
-                            gamma_symmetry=gamma_sym)
+                            lifts=conn.lifts(), torsion=torsion)
 
 
 @dataclass
@@ -1034,7 +1034,6 @@ def _connections(state: PipelineState):
     tables = connection_tables(conn)
     report.connection_data = tables
     report.identity_suites.append(tables.torsion)
-    report.identity_suites.append(tables.gamma_symmetry)
 
 
 def _curvature(state: PipelineState):

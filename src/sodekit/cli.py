@@ -133,18 +133,18 @@ def _run(args) -> int:
         return 0
     try:
         manifest = resolve_manifest(args.manifest, args.corpus)
-    except (ManifestError, GeometryError) as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
         report, exit_code = run_command(args.command, manifest,
                                         _overrides(args))
     except (ManifestError, GeometryError, ExpressionError) as err:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
+        try:
+            with open(args.json, "w", encoding="utf-8") as fh:
+                fh.write(report_to_json(report))
+        except OSError as err:
+            print(f"input error: cannot write report: {err}", file=sys.stderr)
+            return EXIT_INPUT
     _summarize(report, exit_code)
     return exit_code
 

@@ -1,19 +1,70 @@
-"""Shared fixtures: standard problem instances, a seeded random expression
-generator, and the independent Euler-Lagrange oracle for the reduced
-Lagrangian corpus instance."""
+"""Shared fixtures: standard problem instances, the registry of manifests
+every command must handle, a seeded random expression generator, and the
+independent Euler-Lagrange oracle for the reduced Lagrangian corpus
+instance."""
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from sodekit.corpus import corpus_get, corpus_list
 from sodekit.expressions import (
     Expr, Num, Sym, ZERO, cos, differentiate, exp, free_symbols, log,
     normalize, sin,
 )
 from sodekit.geometry import Chart, Frame, VectorField, coordinate_field
+from sodekit.manifest import load_manifest, load_manifest_file
 from sodekit.parser import parse
+
+BENCH_MANIFESTS = Path(__file__).resolve().parent.parent / "bench" / "manifests"
+N3_FORCE = ["y1", "y2", "y3", "x2*y1^2 - y3 + x1", "y1*y2 - x3",
+            "x1*y3^2 + y2*x2"]
+
+
+def _unit(i, m=6):
+    return ["1" if k == i else "0" for k in range(m)]
+
+
+def make_manifest(name, coords, field, frame):
+    """A manifest on the box [-1, 1]^m from component strings."""
+    return load_manifest({
+        "name": name,
+        "chart": {"coordinates": coords, "box": [[-1, 1]] * len(coords)},
+        "field": {"components": field},
+        "frame": [{"components": comps} for comps in frame],
+    })
+
+
+# every manifest the commands are held to, by name: a few hand-built problems,
+# the corpus and the bench manifests (regularity-fail is the one that stops)
+INSTANCES = {
+    "n3": lambda: make_manifest(
+        "n3", ["x1", "x2", "x3", "y1", "y2", "y3"], N3_FORCE,
+        [_unit(3), _unit(4), _unit(5)]),
+    # [W_i, W_j] has a W-part, so Gamma2 is not symmetric in this frame
+    "n3-sheared": lambda: make_manifest(
+        "n3-sheared", ["x1", "x2", "x3", "y1", "y2", "y3"], N3_FORCE,
+        [_unit(3), ["0", "0", "0", "x1", "1", "0"],
+         ["0", "0", "0", "0", "x2", "1"]]),
+    # numeric adaptation, w != 0: the general expansion of every formula
+    "numeric-exp": lambda: make_manifest(
+        "numeric-exp", ["x", "y"], ["y", "0"], [["0", "exp(y)"]]),
+    "numeric-exp-xy": lambda: make_manifest(
+        "numeric-exp-xy", ["x", "y"], ["y", "x*y^3 + y^2"],
+        [["0", "exp(x*y)"]]),
+    # d/du for the fibre coordinates y = (u1, u2*exp(u1)): n = 2 with
+    # w^k_ij != 0 for i != j, for the Nijenhuis and flatness suites
+    "n2-curved-fibre": lambda: make_manifest(
+        "n2-curved-fibre", ["x1", "x2", "y1", "y2"],
+        ["y1", "y2", "x2*y1^2 - x1", "y1*y2 - x2"],
+        [["0", "0", "1", "y2"], ["0", "0", "0", "exp(y1)"]]),
+    **{name: (lambda name=name: corpus_get(name)) for name in corpus_list()},
+    **{path.stem: (lambda path=path: load_manifest_file(str(path)))
+       for path in sorted(BENCH_MANIFESTS.glob("*.json"))},
+}
 
 
 @pytest.fixture

@@ -183,18 +183,14 @@ def connection_tables(conn: FieldConnections) -> ConnectionTables:
             for k in range(n):
                 gamma2[k][i][j] = normalize(coeffs[k])
     torsion = IdentitySuite("torsion")
-    gamma_sym = IdentitySuite("gamma_symmetry")
     for i in range(n):
         for j in range(i + 1, n):
             t = dv_table[i][j] - dv_table[j][i] - apply_tangent_structure(
                 ef, lie_bracket(lifts[i], lifts[j])
             )
             torsion.add_field(ef.probe, t, f"T[{i}{j}]")
-            for k in range(n):
-                gamma_sym.add(ef.probe(gamma2[k][i][j] - gamma2[k][j][i]),
-                              f"G[{k}][{i}{j}]")
     return ConnectionTables(gamma1=gamma1, gamma2=gamma2, lifts=lifts,
-                            torsion=torsion, gamma_symmetry=gamma_sym)
+                            torsion=torsion)
 
 
 def mixed_curvature(conn: FieldConnections) -> MixedCurvature:

@@ -32,7 +32,6 @@ REQUIRED_SUITES = (
     "projector_identities",  # includes (L_F S)^2 = id, P_H + P_V = id,
                              # and projector idempotence
     "torsion",
-    "gamma_symmetry",
 )
 
 

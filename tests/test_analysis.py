@@ -1,7 +1,6 @@
 import json
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -17,12 +16,11 @@ from sodekit.analysis import (
     check_regularity, classify, mixed_curvature, nijenhuis_check,
     verify_bracket_integrability,
 )
-from sodekit.manifest import load_manifest, load_manifest_file
 from sodekit.parser import parse
-from sodekit.corpus import corpus_get, corpus_list
+from sodekit.corpus import corpus_get
 from tests import connection_oracle
 from tests.connection_oracle import FieldConnections, apply_tangent_structure
-from tests.conftest import random_polynomial
+from tests.conftest import INSTANCES, make_manifest, random_polynomial
 
 x, y = syms("x y")
 
@@ -568,13 +566,12 @@ def test_mixing_transformation_law():
         assert probe(law).is_zero
 
 
-def test_torsion_and_gamma_symmetry_routh():
+def test_torsion_routh():
     m = corpus_get("routh-abelian")
     prob = SecondOrderProblem(m.chart, m.vector_field(),
                               Frame(m.chart, m.frame_fields()))
     rep = classify(prob)
     assert rep.connection_data.torsion.exact
-    assert rep.connection_data.gamma_symmetry.exact
     # Gamma^1_2 = -1/2 d(v2 mu)/dv2 ... cross coefficients carry mu/2
     g1 = rep.connection_data.gamma1
     assert normalize(g1[0][1] + Num(Fraction(1, 2)) * Sym("mu")) == ZERO
@@ -594,53 +591,9 @@ def test_identity_suites_exact_on_polynomial_instances():
 
 # -- table-based stages against the field-level oracle ------------------------
 
-BENCH_MANIFESTS = Path(__file__).resolve().parent.parent / "bench" / "manifests"
-N3_FORCE = ["y1", "y2", "y3", "x2*y1^2 - y3 + x1", "y1*y2 - x3",
-            "x1*y3^2 + y2*x2"]
-
-
-def _unit(i, m=6):
-    return ["1" if k == i else "0" for k in range(m)]
-
-
-def _manifest(name, coords, field, frame):
-    return load_manifest({
-        "name": name,
-        "chart": {"coordinates": coords, "box": [[-1, 1]] * len(coords)},
-        "field": {"components": field},
-        "frame": [{"components": comps} for comps in frame],
-    })
-
-
-AGREEMENT_INSTANCES = {
-    "n3": lambda: _manifest(
-        "n3", ["x1", "x2", "x3", "y1", "y2", "y3"], N3_FORCE,
-        [_unit(3), _unit(4), _unit(5)]),
-    "n3-sheared": lambda: _manifest(
-        "n3-sheared", ["x1", "x2", "x3", "y1", "y2", "y3"], N3_FORCE,
-        [_unit(3), ["0", "0", "0", "x1", "1", "0"],
-         ["0", "0", "0", "0", "x2", "1"]]),
-    # numeric adaptation, w != 0: the general expansion of every formula
-    "numeric-exp": lambda: _manifest(
-        "numeric-exp", ["x", "y"], ["y", "0"], [["0", "exp(y)"]]),
-    "numeric-exp-xy": lambda: _manifest(
-        "numeric-exp-xy", ["x", "y"], ["y", "x*y^3 + y^2"],
-        [["0", "exp(x*y)"]]),
-    # d/du for the fibre coordinates y = (u1, u2*exp(u1)): n = 2 with
-    # w^k_ij != 0 for i != j, for the Nijenhuis and flatness suites
-    "n2-curved-fibre": lambda: _manifest(
-        "n2-curved-fibre", ["x1", "x2", "y1", "y2"],
-        ["y1", "y2", "x2*y1^2 - x1", "y1*y2 - x2"],
-        [["0", "0", "1", "y2"], ["0", "0", "0", "exp(y1)"]]),
-    **{name: (lambda name=name: corpus_get(name)) for name in corpus_list()},
-    **{path.stem: (lambda path=path: load_manifest_file(str(path)))
-       for path in sorted(BENCH_MANIFESTS.glob("*.json"))},
-}
-
-
-@pytest.mark.parametrize("name", sorted(AGREEMENT_INSTANCES))
+@pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_table_stages_print_what_the_field_oracle_prints(name):
-    manifest = AGREEMENT_INSTANCES[name]()
+    manifest = INSTANCES[name]()
     opts = Options.from_mapping(manifest.options)
     frame = Frame(manifest.chart, manifest.frame_fields(),
                   samples=opts.samples, seed=opts.seed)
@@ -669,10 +622,10 @@ def test_table_stages_print_what_the_field_oracle_prints(name):
 def test_commutator_zero_only_by_sampling_stays_in_the_tables():
     # [V_1, V_2] vanishes on the box, but only the sampled test says so: its
     # V-decomposition must enter the tables, not be dropped
-    m = _manifest("sampled-commutator", ["x1", "x2", "y1", "y2"],
-                  ["y1", "y2", "x2*y1^2 - x1", "y1*y2 - x2"],
-                  [["0", "0", "1", "0"],
-                   ["0", "0", "0", "exp(log(1 + y1^2)) - y1^2"]])
+    m = make_manifest("sampled-commutator", ["x1", "x2", "y1", "y2"],
+                      ["y1", "y2", "x2*y1^2 - x1", "y1*y2 - x2"],
+                      [["0", "0", "1", "0"],
+                       ["0", "0", "0", "exp(log(1 + y1^2)) - y1^2"]])
     rep = classify(SecondOrderProblem(m.chart, m.vector_field(),
                                       Frame(m.chart, m.frame_fields())))
     commutes = rep.identity_suites[0]

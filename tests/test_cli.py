@@ -7,16 +7,17 @@ import time
 
 import pytest
 
+from sodekit.analysis import COUNT_OPTIONS, MAX_COUNT
 from sodekit.cli import main
 from sodekit.corpus import corpus_get, corpus_list, corpus_raw
 from sodekit.manifest import (
-    ManifestError, load_manifest, load_manifest_file, load_manifest_text,
+    ManifestError, load_manifest, load_manifest_text,
 )
 from sodekit.runner import (
     EXIT_INPUT, EXIT_MATH_FAIL, EXIT_NUMERIC, EXIT_OK, report_to_json,
     run_command,
 )
-from tests.test_analysis import BENCH_MANIFESTS
+from tests.conftest import INSTANCES
 
 
 def inline_manifest(**kw):
@@ -139,19 +140,20 @@ def test_numeric_adaptation_runs_end_to_end():
     assert report["quadratic_coefficients"]["max_fit_residual"] < 1e-8
 
 
-def test_run_report_all_corpus_instances_pass():
-    for name in corpus_list():
-        manifest = corpus_get(name)
-        report, code = run_command("report", manifest)
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_run_report_all_corpus_instances_pass(name):
+    for command in ("connection", "report"):
+        report, code = run_command(command, INSTANCES[name]())
+        if name == "regularity-fail":
+            assert code == EXIT_MATH_FAIL, command
+            continue
+        assert code == EXIT_OK, (name, command)
+        suites = report["analysis"]["identity_suites"]
+        assert all(s["status"] == "pass" for s in suites), (name, command)
         if name == "cubic-demo":
             # not of quadratic type, but still a healthy second-order field
-            assert code == EXIT_OK
             assert report["analysis"]["mixed_curvature"]["verdict"] \
                 == "not_quadratic"
-        else:
-            assert code == EXIT_OK, name
-        suites = report["analysis"]["identity_suites"]
-        assert all(s["status"] == "pass" for s in suites), name
 
 
 def test_run_report_deterministic_excluding_timings():
@@ -162,20 +164,13 @@ def test_run_report_deterministic_excluding_timings():
     assert report_to_json(r1) == report_to_json(r2)
 
 
-REPORT_INSTANCES = {
-    **{name: (lambda name=name: corpus_get(name)) for name in corpus_list()},
-    **{path.stem: (lambda path=path: load_manifest_file(str(path)))
-       for path in sorted(BENCH_MANIFESTS.glob("*.json"))},
-}
-
-
-@pytest.mark.parametrize("name", sorted(REPORT_INSTANCES))
+@pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_report_agrees_with_straighten_and_quadratic(name):
     # report solves the cross-check's and the fit's stencils in one batch;
     # its sections must be those of the commands that solve them alone,
     # down to the notice that the fit is skipped above dimension 4
     def sections(command, seed, keys):
-        report, _ = run_command(command, REPORT_INSTANCES[name](),
+        report, _ = run_command(command, INSTANCES[name](),
                                 {"seed": seed})
         return [json.dumps(report.get(key), sort_keys=True) for key in keys]
 
@@ -208,6 +203,15 @@ def test_cli_classify_writes_json(tmp_path, capsys):
     data = json.loads(out.read_text())
     assert data["analysis"]["classification"] == "case1-sode-with-parameters"
     assert "timings" in data
+
+
+def test_cli_unwritable_json_is_input_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "report.json"
+    code = main(["classify", "--corpus", "quadratic-demo", "--json", str(out)])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot write report: ")
+    assert not out.exists()
 
 
 def test_cli_input_errors(tmp_path, capsys):
@@ -385,6 +389,9 @@ def test_cli_too_many_coordinates_is_input_error(tmp_path, capsys):
     ({"seed": "abc"}, "option 'seed' must be an integer >= 0, got 'abc'"),
     ({"seed": -1}, "option 'seed' must be an integer >= 0"),
     ({"zero_tol": 0}, "option 'zero_tol' must be a positive number"),
+    *(({key: MAX_COUNT + 1},
+       f"option '{key}' must be at most {MAX_COUNT}, got {MAX_COUNT + 1}")
+      for key in COUNT_OPTIONS),
 ])
 def test_cli_bad_option_is_input_error(tmp_path, capsys, options, message):
     path = write_manifest(tmp_path, options=options)
@@ -393,9 +400,10 @@ def test_cli_bad_option_is_input_error(tmp_path, capsys, options, message):
 
 
 def test_cli_bad_override_is_input_error(capsys):
-    assert main(["classify", "--corpus", "cubic-demo",
-                 "--samples", "0"]) == EXIT_INPUT
-    assert "option 'samples'" in capsys.readouterr().err
+    for samples in ("0", str(MAX_COUNT + 1)):
+        assert main(["classify", "--corpus", "cubic-demo",
+                     "--samples", samples]) == EXIT_INPUT
+        assert "option 'samples'" in capsys.readouterr().err
 
 
 def test_cli_deeply_nested_expression_is_input_error(tmp_path, capsys):

@@ -23,8 +23,7 @@ from sodekit.straighten import (
     NumericFailure, build_normal_coordinates, integrate_flows,
     pushforward_residuals, transported_fibre_fields,
 )
-from tests.conftest import values_at
-from tests.test_analysis import AGREEMENT_INSTANCES
+from tests.conftest import INSTANCES, values_at
 
 x, y = syms("x y")
 
@@ -547,7 +546,7 @@ def test_no_grid_call_holds_more_than_flow_rows(monkeypatch):
 def test_residual_grid_memory_stays_bounded():
     # 5^6 nodes of the sheared n = 3 instance: the level walk holds at most
     # FLOW_ROWS members' integrator state at once
-    manifest = AGREEMENT_INSTANCES["n3-sheared"]()
+    manifest = INSTANCES["n3-sheared"]()
     tr = build_normal_coordinates(classify(SecondOrderProblem(
         manifest.chart, manifest.vector_field(),
         Frame(manifest.chart, manifest.frame_fields()))))
