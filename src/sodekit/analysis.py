@@ -840,11 +840,20 @@ def find_zero_section_points(ef: ExtendedFrame, b_coeffs) -> list:
             z[live[i]] = np.clip(z[live[i]] + step, lows, highs)
         live = live[step_ok]
     found = [tuple(float(v) for v in z[k]) for k in found]
-    found = [p for p in found if chart.contains(p, slack=1e-9)]
-    unique = []
-    for p in sorted(found):
+    return _distinct_points(p for p in found if chart.contains(p, slack=1e-9))
+
+
+def _distinct_points(points) -> list:
+    """The points in lexicographic order, each dropped that lies within
+    1e-6 of a kept one in every coordinate.  The kept points are sorted, so
+    only the last few, those within 1e-6 in the first coordinate, can be
+    that close."""
+    unique: list = []
+    for p in sorted(points):
+        near = itertools.takewhile(lambda q: p[0] - q[0] < 1e-6,
+                                   reversed(unique))
         if not any(max(abs(a - b) for a, b in zip(p, q)) < 1e-6
-                   for q in unique):
+                   for q in near):
             unique.append(p)
     return unique
 

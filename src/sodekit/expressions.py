@@ -279,18 +279,23 @@ def free_symbols(e: Expr) -> frozenset:
         node = stack.pop()
         if isinstance(node, Sym):
             out.add(node.name)
-        elif isinstance(node, Fn):
-            stack.append(node.arg)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, Add):
-            stack.extend(node.terms)
-        elif isinstance(node, Mul):
-            stack.extend(node.factors)
-        elif isinstance(node, Div):
-            stack.append(node.num)
-            stack.append(node.den)
+        else:
+            stack.extend(_children(node))
     return memo.put(key, frozenset(out))
+
+
+def _children(e: Expr) -> tuple:
+    if isinstance(e, Add):
+        return e.terms
+    if isinstance(e, Mul):
+        return e.factors
+    if isinstance(e, Div):
+        return (e.num, e.den)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Fn):
+        return (e.arg,)
+    return ()
 
 
 # --------------------------------------------------------------------------
@@ -774,34 +779,64 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
 # with numpy ufuncs.  A ufunc gives the same bits for a column whatever the
 # batch size, but may differ from `math` in the last bit (exp, log and
 # integer powers do on a few percent of arguments; sin and cos rarely).
+# The interned trees share subexpressions: every non-leaf node used more
+# than once is computed once, into a local assigned before the `return`,
+# and each use reads that local.  Each node is computed by the same
+# operations either way, so sharing moves no bit.
 # --------------------------------------------------------------------------
 
-def _emit(e: Expr, names: Mapping[str, str]) -> str:
+def _emit(e: Expr, names: dict, shared, lines: list) -> str:
+    """Python source of e's value.  `names` maps each coordinate symbol to
+    its source and grows by each node of `shared` emitted as a local, whose
+    assignment is appended to `lines`; with no `shared` nodes the tree is
+    unfolded in place."""
+    text = names.get(e)
+    if text is not None:
+        return text
     if isinstance(e, Num):
         v = e.value
         if v.denominator == 1:
             return f"({v.numerator})"
         return f"({v.numerator}/{v.denominator})"
     if isinstance(e, Sym):
-        try:
-            return names[e.name]
-        except KeyError:
-            raise MissingSymbolError(e.name) from None
+        raise MissingSymbolError(e.name)
     if isinstance(e, Add):
-        return "(" + " + ".join(_emit(t, names) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "(" + "*".join(_emit(f, names) for f in e.factors) + ")"
-    if isinstance(e, Div):
-        return f"({_emit(e.num, names)}/{_emit(e.den, names)})"
-    if isinstance(e, Pow):
+        text = "(" + " + ".join(_emit(t, names, shared, lines)
+                                for t in e.terms) + ")"
+    elif isinstance(e, Mul):
+        text = "(" + "*".join(_emit(f, names, shared, lines)
+                              for f in e.factors) + ")"
+    elif isinstance(e, Div):
+        text = (f"({_emit(e.num, names, shared, lines)}"
+                f"/{_emit(e.den, names, shared, lines)})")
+    elif isinstance(e, Pow):
         q = e.exponent
-        b = _emit(e.base, names)
-        if q.denominator == 1:
-            return f"({b}**{q.numerator})"
-        return f"_pow({b}, {float(q)!r})"
-    if isinstance(e, Fn):
-        return f"_{e.name}({_emit(e.arg, names)})"
-    raise TypeError(f"unknown node {e!r}")
+        b = _emit(e.base, names, shared, lines)
+        text = (f"({b}**{q.numerator})" if q.denominator == 1
+                else f"_pow({b}, {float(q)!r})")
+    elif isinstance(e, Fn):
+        text = f"_{e.name}({_emit(e.arg, names, shared, lines)})"
+    else:
+        raise TypeError(f"unknown node {e!r}")
+    if e in shared:
+        names[e] = f"_t{len(lines)}"
+        lines.append(f"    {names[e]} = {text}\n")
+        return names[e]
+    return text
+
+
+def _shared_nodes(exprs: tuple) -> set:
+    """The non-leaf nodes of exprs used more than once: by the list itself
+    or by distinct parent nodes, each parent counted once."""
+    uses: dict = {}
+    stack = list(exprs)
+    while stack:
+        e = stack.pop()
+        uses[e] = uses.get(e, 0) + 1
+        if uses[e] == 1:
+            stack.extend(_children(e))
+    return {e for e, n in uses.items()
+            if n > 1 and not isinstance(e, (Num, Sym))}
 
 
 def compile_exprs(exprs: Sequence[Expr],
@@ -811,25 +846,31 @@ def compile_exprs(exprs: Sequence[Expr],
     The function takes K points as the columns of a (len(coord_names), K)
     array and returns `(values, errors)`: a (len(exprs), K) array and a dict
     from each column holding a non-finite value to its EvalDomainError,
-    which names the failing subexpression as `evaluate` does.  Memoized;
-    callers share the function.
+    which names the failing subexpression as `evaluate` does.  A node the
+    expressions share is computed once per call, by the same operations as
+    each of its uses would.  Memoized; callers share the function.
     """
     exprs = tuple(exprs)
     coord_names = tuple(coord_names)
     key = ("compile_exprs", exprs, coord_names)
     hit = memo.get(key)
     return hit if hit is not None else memo.put(
-        key, _compile(exprs, coord_names))
+        key, _compile(exprs, coord_names, _shared_nodes(exprs)))
 
 
-def _compile(exprs: tuple, coord_names: tuple) -> Callable:
-    names = {n: f"_z[{i}]" for i, n in enumerate(coord_names)}
-    body = ", ".join(_emit(e, names) for e in exprs)
+def _source(exprs: tuple, coord_names: tuple, shared) -> str:
+    names = {Sym(n): f"_z[{i}]" for i, n in enumerate(coord_names)}
+    lines: list = []
+    body = ", ".join(_emit(e, names, shared, lines) for e in exprs)
     if len(exprs) == 1:
         body += ","
-    src = f"def _compiled(_z):\n    return ({body})\n"
+    return "def _compiled(_z):\n" + "".join(lines) + f"    return ({body})\n"
+
+
+def _compile(exprs: tuple, coord_names: tuple, shared) -> Callable:
+    """The evaluator of exprs, each node of `shared` computed once."""
     scope = dict(_NUMPY_SCOPE)
-    exec(src, scope)
+    exec(_source(exprs, coord_names, shared), scope)
     fn = scope["_compiled"]
 
     def run(points):

@@ -235,8 +235,22 @@ def frame_rank(fields, chart: Optional[Chart] = None, samples: int = 64,
     # one matrix per kept point, with the fields' values as its columns
     matrices = values[:, kept].T.reshape(len(kept), len(fields), chart.dim)
     svals = np.linalg.svd(matrices.transpose(0, 2, 1), compute_uv=False)
-    ranks = [int(r) for r in
-             (svals > RANK_TOL * svals[:, :1]).sum(axis=1)]
+    ranks = (svals > RANK_TOL * svals[:, :1]).sum(axis=1)
+    # a field's scale must not decide the rank: the points that look
+    # deficient are tested again with each field's largest component scaled
+    # to one there (a zero field stays zero), unless every field there has
+    # the same size already
+    low = np.flatnonzero(ranks < len(fields))
+    if low.size:
+        sizes = np.abs(matrices[low]).max(axis=2, keepdims=True)
+        uneven = sizes.min(axis=1)[:, 0] < sizes.max(axis=1)[:, 0]
+        low, sizes = low[uneven], sizes[uneven]
+    if low.size:
+        unit = matrices[low] / np.where(sizes > 0, sizes, 1.0)
+        sv = np.linalg.svd(unit.transpose(0, 2, 1), compute_uv=False)
+        ranks[low] = np.maximum(ranks[low],
+                                (sv > RANK_TOL * sv[:, :1]).sum(axis=1))
+    ranks = [int(r) for r in ranks]
     full = [k for k, r in enumerate(ranks) if r == len(fields)]
     claimed = max(ranks)
     return RankReport(

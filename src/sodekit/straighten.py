@@ -56,7 +56,12 @@ FD_STEP = 1e-5
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
 STENCIL_STEP = 1e-2
-COND_LIMIT = 1e8          # a larger condition number flags a grid node
+# A chart whose Jacobian has a larger 2-norm condition number at the base
+# point fails, and a grid node with one is flagged.  On the grid the bound
+# |J|_F |J^-1|_F >= cond_2 clears most nodes without an SVD; it clears only
+# below COND_LIMIT / 2, far outside the rounding of either route, so every
+# flag is the one np.linalg.cond gives.
+COND_LIMIT = 1e8
 CROSSCHECK_CAP = 12       # about this many grid nodes are cross-checked
 PATH_CHECK_TOL = 1e-7     # basis transport: gap between the two flow orders
 QUADRATIC_GRID = 5        # fibre nodes per axis of the quadratic fit
@@ -207,6 +212,28 @@ def _median(values) -> float:
     if np.isnan(s[-1]):
         return float("nan")
     return float(s[k] if len(s) % 2 else (s[k - 1] + s[k]) / 2)
+
+
+def _well_conditioned(J) -> np.ndarray:
+    """np.linalg.cond(J[k]) <= COND_LIMIT for each matrix of the stack, and
+    False for a non-finite one; the SVD only where the Frobenius bound does
+    not clear the matrix, in slices of FLOW_ROWS to bound the inverses."""
+    ok = np.zeros(len(J), dtype=bool)
+    for first in range(0, len(J), FLOW_ROWS):
+        part = J[first:first + FLOW_ROWS]
+        try:
+            with np.errstate(all="ignore"):
+                bound = np.linalg.norm(part, axis=(1, 2)) * np.linalg.norm(
+                    np.linalg.inv(part), axis=(1, 2))
+            sure = bound <= COND_LIMIT / 2
+        except np.linalg.LinAlgError:  # an exactly singular member
+            sure = np.zeros(len(part), dtype=bool)
+        ok[first:first + len(part)] = sure
+        unsure = ~sure & np.isfinite(part).all(axis=(1, 2))
+        if unsure.any():
+            ok[first + np.flatnonzero(unsure)] = \
+                np.linalg.cond(part[unsure]) <= COND_LIMIT
+    return ok
 
 
 def _take(walked: tuple, index) -> tuple:
@@ -775,12 +802,11 @@ def pushforward_residuals(transform: CoordinateTransform,
     live = _live_rows(count, [k for k in failed if k < count])
     # every node live (the usual case): views, not copies of the walk's rows
     rows = slice(0, count) if live.size == count else live
-    cond = np.full(count, np.nan)
+    ok = np.zeros(count, dtype=bool)
     if live.size:
         v, singular = transform._pushforward_batch(z[rows], J[rows])
-        cond[live] = np.linalg.cond(J[rows])
-        cond[live[list(singular)]] = np.nan
-    ok = cond <= COND_LIMIT
+        ok[live] = _well_conditioned(J[rows])
+        ok[live[list(singular)]] = False
     if not ok.any():
         raise NumericFailure("every grid node was flagged or failed")
     v = v[ok[live]]

@@ -188,6 +188,35 @@ def test_newton_search_lets_unrelated_evaluator_errors_through(
         analysis.find_zero_section_points(rep.extended, rep.f_w_coefficients)
 
 
+def pairwise_distinct(points):
+    unique = []
+    for p in sorted(points):
+        if not any(max(abs(a - b) for a, b in zip(p, q)) < 1e-6
+                   for q in unique):
+            unique.append(p)
+    return unique
+
+
+def test_distinct_points_match_the_pairwise_loop():
+    from sodekit.analysis import _distinct_points
+    rng = random.Random(11)
+    clustered = [(c + rng.uniform(-2e-6, 2e-6), d + rng.uniform(-2e-6, 2e-6))
+                 for c, d in [(0.1, 0.2), (0.1, 0.9), (-0.5, 0.0)]
+                 for _ in range(40)]
+    # equal first coordinates, only the second one tells them apart
+    tied = [(0.25, rng.choice([0.0, 1e-7, 5e-7, 3e-6, 0.5])) for _ in range(60)]
+    # 0.9e-6 apart: each close to its neighbours, not to the whole chain
+    chained = [(k * 0.9e-6, 0.0) for k in range(30)] + \
+        [(k * 0.9e-6, k * 0.9e-6) for k in range(30)]
+    spread = [(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(200)]
+    for points in (clustered, tied, chained, spread,
+                   clustered + tied + chained + spread, []):
+        want = pairwise_distinct(points)
+        assert _distinct_points(points) == want
+        assert _distinct_points(reversed(points)) == want
+    assert 1 < len(pairwise_distinct(chained)) < len(chained)
+
+
 def test_adaptation_identity_routh():
     m = corpus_get("routh-abelian")
     prob = SecondOrderProblem(m.chart, m.vector_field(),

@@ -234,6 +234,19 @@ def test_cli_math_failure_exit(tmp_path):
     assert main(["check", str(bad)]) == EXIT_MATH_FAIL
 
 
+@pytest.mark.parametrize("force", ["1000000*y^2", "(x+y)^14"])
+def test_cli_a_large_force_is_still_second_order(tmp_path, force):
+    # det(V, [F, V]) = -1 everywhere: the rank must not read |df/dy| ~ 1e5
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(inline_manifest(
+        field={"components": ["y", force]})))
+    out = tmp_path / "report.json"
+    assert main(["classify", str(path), "--json", str(out)]) == EXIT_OK
+    analysis = json.loads(out.read_text())["analysis"]
+    assert analysis["classification"] == "case1-sode-with-parameters"
+    assert analysis["verdicts"]["regularity"]["status"] == "pass"
+
+
 def test_cli_degenerate_expression_is_input_error(tmp_path):
     # parses fine but normalizes into a division by zero during analysis
     bad = tmp_path / "div0.json"

@@ -1,17 +1,21 @@
+import functools
+import operator
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sodekit import memo
+from sodekit import expressions, memo
 from sodekit.analysis import _rational_nullspace
 from sodekit.corpus import corpus_get, corpus_list
 from sodekit.expressions import (
-    Add, EvalDomainError, Fn, MissingSymbolError, Mul, Num, Pow, Sym,
-    ZERO, _P_ONE, _qdiv, _reduce_rf, _to_rf, compile_exprs, cos,
-    differentiate, evaluate, exp, log, normalize, sin, syms, to_str,
+    Add, Div, EvalDomainError, Fn, MissingSymbolError, Mul, Num, Pow, Sym,
+    ZERO, _NUMPY_SCOPE, _P_ONE, _compile, _qdiv, _reduce_rf,
+    _shared_nodes, _source, _to_rf, compile_exprs, cos, differentiate,
+    evaluate, exp, log, normalize, sin, syms, to_str,
 )
 from sodekit.manifest import load_manifest_file
 from sodekit.parser import parse
@@ -276,6 +280,143 @@ def test_compiled_columns_do_not_depend_on_the_batch(K):
     for k in range(K):
         alone, _ = fn(points[:, k:k + 1])
         assert values[:, k].tobytes() == alone[:, 0].tobytes()
+
+
+def corpus_evaluators():
+    """Every (exprs, names) compiled while straightening the corpus: the
+    variational right-hand sides of each stage among them."""
+    memo.clear()
+    for name in corpus_list():
+        assert run_command("straighten", corpus_get(name))[1] == 0
+    return [key[1:] for key in list(memo._table)
+            if isinstance(key, tuple) and key[0] == "compile_exprs"]
+
+
+def wrap_exprs():
+    """x wrapped 10 times, alternately in (...)*y and sin(...) + 1, with its
+    two derivatives."""
+    text = "x"
+    for i in range(10):
+        text = f"({text})*y" if i % 2 == 0 else f"sin({text}) + 1"
+    e = normalize(parse(text))
+    return (e, differentiate(e, "x"), differentiate(e, "y")), ("x", "y")
+
+
+def assert_matches_unfolded_tree(exprs, names, points):
+    values, errors = compile_exprs(exprs, names)(points)
+    ref_values, ref_errors = _compile(tuple(exprs), tuple(names),
+                                      frozenset())(points)
+    assert np.array_equal(values, ref_values, equal_nan=True)
+    assert {k: (err.subtree, str(err)) for k, err in errors.items()} == \
+        {k: (err.subtree, str(err)) for k, err in ref_errors.items()}
+    return errors
+
+
+def test_shared_nodes_give_the_unfolded_trees_bits():
+    rng = np.random.default_rng(3)
+    evaluators = corpus_evaluators()
+    variational = [(exprs, names) for exprs, names in evaluators
+                   if len(exprs) == len(names) * (len(names) + 1)]
+    assert variational and any(_shared_nodes(e) for e, _ in variational)
+    for exprs, names in evaluators + [wrap_exprs()]:
+        points = rng.uniform(-1.5, 1.5, size=(len(names), 40))
+        assert_matches_unfolded_tree(exprs, names, points)
+    # a domain error in one column, and a failing constant subexpression
+    # shared by both components
+    bad = Pow(Num(0), -1)
+    points = np.array([[1.0, 1.0, 0.5], [2.0, -1.0, 0.0]])
+    shared_log = log(y) * x
+    errors = assert_matches_unfolded_tree(
+        [shared_log + y, shared_log * shared_log, x], ["x", "y"], points)
+    assert sorted(errors) == [1, 2]
+    errors = assert_matches_unfolded_tree(
+        [x * bad + y, y * bad], ["x", "y"], points)
+    assert sorted(errors) == [0, 1, 2]
+    assert "zero raised to a negative power" in str(errors[0])
+
+
+class Traced:
+    """A stand-in value that counts each operation computing it, keyed by
+    the operation and its operands, so that a repeated computation counts
+    twice."""
+
+    def __init__(self, ops: Counter, key):
+        self.ops, self.key = ops, key
+
+    def _apply(self, op, *operands):
+        key = (op,) + tuple(v.key if isinstance(v, Traced) else repr(v)
+                            for v in operands)
+        self.ops[key] += 1
+        return Traced(self.ops, key)
+
+    def __add__(self, o): return self._apply("+", self, o)
+    def __radd__(self, o): return self._apply("+", o, self)
+    def __mul__(self, o): return self._apply("*", self, o)
+    def __rmul__(self, o): return self._apply("*", o, self)
+    def __truediv__(self, o): return self._apply("/", self, o)
+    def __rtruediv__(self, o): return self._apply("/", o, self)
+    def __pow__(self, o): return self._apply("**", self, o)
+
+
+def traced_scope(ops: Counter) -> dict:
+    return {f: (lambda v, *a, f=f: v._apply(f, v, *a)) for f in _NUMPY_SCOPE}
+
+
+def generated_ops(source: str, names) -> Counter:
+    ops: Counter = Counter()
+    scope = traced_scope(ops)
+    exec(source, scope)
+    scope["_compiled"]([Traced(ops, n) for n in names])
+    return ops
+
+
+def dag_ops(exprs, names) -> Counter:
+    """The operations of computing each distinct node once."""
+    ops: Counter = Counter()
+    scope = traced_scope(ops)
+
+    @functools.lru_cache(maxsize=None)
+    def value(e):
+        if isinstance(e, Num):
+            q = e.value
+            return q.numerator if q.denominator == 1 else \
+                q.numerator / q.denominator
+        if isinstance(e, Sym):
+            return Traced(ops, e.name)
+        if isinstance(e, Add):
+            return functools.reduce(operator.add, map(value, e.terms))
+        if isinstance(e, Mul):
+            return functools.reduce(operator.mul, map(value, e.factors))
+        if isinstance(e, Div):
+            return value(e.num) / value(e.den)
+        if isinstance(e, Pow):
+            q = e.exponent
+            return value(e.base) ** q.numerator if q.denominator == 1 else \
+                scope["_pow"](value(e.base), float(q))
+        return scope[f"_{e.name}"](value(e.arg))
+
+    for e in exprs:
+        value(e)
+    return ops
+
+
+def test_generated_source_computes_each_node_once(monkeypatch):
+    sets = [wrap_exprs()] + [(exprs, names) for exprs, names
+                             in corpus_evaluators() if _shared_nodes(exprs)]
+    sources = []
+
+    def recording(*args):
+        sources.append(_source(*args))
+        return sources[-1]
+
+    monkeypatch.setattr(expressions, "_source", recording)
+    memo.clear()
+    for exprs, names in sets:
+        compile_exprs(exprs, names)
+        once = dag_ops(exprs, names)
+        assert generated_ops(sources[-1], names) == once
+        unfolded = generated_ops(_source(exprs, names, frozenset()), names)
+        assert unfolded - once and not once - unfolded
 
 
 # -- is_zero -----------------------------------------------------------------

@@ -125,6 +125,22 @@ def test_frame_rank_matches_a_loop_over_the_points(plane):
             worst if np.isfinite(worst) else 0.0)
 
 
+@pytest.mark.parametrize("force", ["1000000*y^2", "(x+y)^14"])
+def test_frame_rank_does_not_depend_on_a_fields_scale(force):
+    # det(dy, [F, dy]) = 1 everywhere, though |[F, dy]| reaches 1e5 or more
+    square = Chart(["x", "y"], [(-1, 1), (-1, 1)])
+    F = VectorField(square, [y, parse(force)])
+    dy = coordinate_field(square, "y")
+    W = lie_bracket(F, dy)
+    report = frame_rank([dy, W], square)
+    assert report.claimed_rank == 2 and report.constant_rank
+    scaled = frame_rank([dy.scaled(Num(10 ** 12)), W], square)
+    assert scaled.ranks == report.ranks
+    # a zero field stays deficient, whatever the other's scale
+    zero = frame_rank([W, VectorField(square, [ZERO, ZERO])], square)
+    assert zero.claimed_rank == 1 and zero.constant_rank
+
+
 def test_frame_rank_skips_points_with_non_finite_values():
     # exp(700*x)*exp(700*y) overflows to inf where x + y > 1.014
     square = Chart(["x", "y"], [(-1, 1), (-1, 1)])

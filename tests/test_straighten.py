@@ -945,3 +945,61 @@ def test_a_straighten_run_imports_no_numpy_ma():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.splitlines()[-1] == "0 False"
+
+
+def stack_with_conditions(conds, m=3, seed=0):
+    """Matrices U diag(s) V^T with random orthogonal U, V and singular values
+    from 1 down to 1/c, one for each condition number c."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for c in conds:
+        U, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        V, _ = np.linalg.qr(rng.standard_normal((m, m)))
+        out.append(U @ np.diag(np.geomspace(1.0, 1.0 / c, m)) @ V.T)
+    return np.array(out)
+
+
+def cond_mask(J):
+    """np.linalg.cond(J[k]) <= COND_LIMIT member by member, False where the
+    SVD does not converge (a NaN entry)."""
+    mask = []
+    for matrix in J:
+        try:
+            mask.append(bool(np.linalg.cond(matrix) <= straighten.COND_LIMIT))
+        except np.linalg.LinAlgError:
+            mask.append(False)
+    return np.array(mask)
+
+
+def test_well_conditioned_flags_as_cond_does():
+    conds = [1.0, 0.4e8, 0.6e8, 0.99e8, 1.01e8, 1e12, 10.0]
+    J = stack_with_conditions(conds)
+    singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
+    with_nan = np.eye(3)
+    with_nan[1, 2] = np.nan
+    mixed = np.concatenate([J, [singular, with_nan]])
+    want = cond_mask(mixed)
+    assert want.tolist() == [True] * 4 + [False] * 2 + [True, False, False]
+    assert np.array_equal(straighten._well_conditioned(mixed), want)
+    assert np.array_equal(straighten._well_conditioned(J), cond_mask(J))
+    # longer than FLOW_ROWS: the singular member spoils only its own slice
+    long = np.concatenate([
+        stack_with_conditions(10.0 ** np.linspace(0, 12, 2 * 1024), seed=1),
+        mixed, stack_with_conditions([3.0] * 50, seed=2)])
+    assert len(long) > 2 * straighten.FLOW_ROWS
+    assert np.array_equal(straighten._well_conditioned(long), cond_mask(long))
+
+
+def test_grid_nodes_are_flagged_without_an_svd(monkeypatch):
+    tr = timedep_transform()
+    rows = []
+    real = np.linalg.cond
+
+    def counting(x, *args, **kwargs):
+        rows.append(1 if np.ndim(x) == 2 else len(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    res = pushforward_residuals(tr, grid_points=14)
+    assert res.flagged_nodes == 0 and res.node_count == 14 ** tr.m
+    assert rows == []
