@@ -10,7 +10,8 @@ initial step of `select_initial_step`, safety 0.9, step factors within
 [0.2, 10], error exponent -1/8 and the combined 5th/3rd-order error norm.
 There is no dense output and no record of the accepted steps: a run gives
 each member's last time and state.  A member that has not reached its end
-after MAX_ATTEMPTS step attempts fails, so every run ends.
+after MAX_ATTEMPTS step attempts fails, so every run ends.  A run raises no
+floating-point warning: non-finite values fail their member.
 """
 
 from __future__ import annotations
@@ -169,7 +170,8 @@ def solve_ivp(fun, t_span, y0, rtol: float = 1e-3,
     y0 = np.asarray(y0, dtype=float)
     if y0.ndim != 2:
         raise ValueError("y0 must hold one member per row, shape (K, d)")
-    run = _Batch(fun, t_span, y0, rtol, atol)
+    with np.errstate(all="ignore"):
+        run = _Batch(fun, t_span, y0, rtol, atol)
     return OdeResult(run.t_end, run.y_end, run.nfev, not run.failures,
                      f"{len(run.failures)} members failed"
                      if run.failures else SUCCESS, run.failures)

@@ -5,7 +5,8 @@ associates right), parentheses, single-argument function calls for
 exp/log/sin/cos, identifiers [A-Za-z_][A-Za-z0-9_]*, and numbers written as
 integers or decimals (rationals p/q arrive through the division operator and
 stay exact).  Whitespace is insignificant.  Unknown symbols are not an error:
-symbols are free.  The right operand of ^ must fold to a rational constant.
+symbols are free.  The right operand of ^ must fold to a rational constant,
+and the argument of log must not fold to zero.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .expressions import (
-    Add, Div, Expr, ExpressionError, Fn, Mul, Num, Pow, Sym,
+    Add, Div, Expr, ExpressionError, Fn, Mul, Num, Pow, Sym, ZERO,
     FUNCTIONS, normalize,
 )
 
@@ -164,11 +165,14 @@ class _Parser:
         exponent = self.parse_unary()  # right-associative: x^-2, x^y^z
         return Pow(base, self._fold_exponent(exponent, op))
 
-    def _fold_exponent(self, exponent: Expr, op: _Token) -> Fraction:
+    def _fold(self, expr: Expr, what: str, tok: _Token) -> Expr:
         try:
-            folded = normalize(exponent)
+            return normalize(expr)
         except ExpressionError as err:
-            raise ParseError(f"invalid exponent: {err}", op.line, op.column) from None
+            raise ParseError(f"invalid {what}: {err}", tok.line, tok.column) from None
+
+    def _fold_exponent(self, exponent: Expr, op: _Token) -> Fraction:
+        folded = self._fold(exponent, "exponent", op)
         if not isinstance(folded, Num):
             raise ParseError(
                 "exponent must fold to a rational constant", op.line, op.column
@@ -188,7 +192,13 @@ class _Parser:
                 self.advance()
                 arg = self.parse_expr()
                 self.expect(")")
-                return Fn(tok.value, arg)
+                fn = Fn(tok.value, arg)
+                if fn.name == "log" and \
+                        self._fold(arg, "log argument", tok) == ZERO:
+                    # no value, and d log(u) = du/u would divide by zero
+                    raise ParseError(f"log of an expression that normalizes "
+                                     f"to zero: '{fn}'", tok.line, tok.column)
+                return fn
             return Sym(tok.value)
         if tok.kind == "(":
             expr = self.parse_expr()

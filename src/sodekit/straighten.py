@@ -199,11 +199,6 @@ def _live_rows(count: int, failures) -> np.ndarray:
     return np.flatnonzero(live)
 
 
-def _own_rows(count: int, stages: int) -> list:
-    """Walk parents that keep each of `count` rows on its own path."""
-    return [np.zeros(count, dtype=int)] + [np.arange(count)] * (stages - 1)
-
-
 def _median(values) -> float:
     """np.median of a nonempty 1-d array, bit for bit, without the numpy.ma
     import np.median makes on its first call."""
@@ -344,16 +339,16 @@ class CoordinateTransform:
     After the forward map, fibre coordinates are redefined as the
     x-components of the pushed-forward field (`final_coords`).
 
-    Every map works on stacks of parameter rows through one stage walk
-    (`_walk`), each flow stage of all rows in calls of at most FLOW_ROWS
-    members; each row steps as it would alone, and a row that fails is
-    flagged alone.  Every flow of the chart is guarded: a member whose flow
-    ends outside the box by more than BOX_SLACK of its width fails.  A
-    batched map returns its failures as a {row: NumericFailure} dict, and a
-    caller that reports one failure of a batch reports its lowest row's.
-    `map_grid` walks a grid level by level so that nodes share their inner
-    flows, and extra rows on their own paths in the same calls.  A
-    transform keeps no state after construction, so threads may share one.
+    Every map works on stacks of parameter rows through one stage walk,
+    `map_batch`, each flow stage in calls of at most FLOW_ROWS members.
+    Rows that share a prefix of parameters share its inner flows, whatever
+    their order; each row steps as it would alone, and a failure flags only
+    the rows that share the failing prefix.  Every flow of the chart is
+    guarded: a member whose flow ends outside the box by more than
+    BOX_SLACK of its width fails.  A batched map returns its failures as a
+    {row: NumericFailure} dict, and a caller that reports one failure of a
+    batch reports its lowest row's.  A transform keeps no state after
+    construction, so threads may share one.
 
     The flows start from `start`: the base point z0, followed by the entries
     of the identity matrix when the stages carry a transport matrix along
@@ -398,20 +393,36 @@ class CoordinateTransform:
             "base_condition_number": self.base_condition,
         }
 
-    def _walk(self, parents, times, jacobian: bool = True) -> tuple:
-        """Member i of stage k flows from the end of member parents[k][i] of
-        stage k - 1 (parents[0] is all 0: `start`) over times[k][i], the live
-        members of a stage in integrate_flows calls of at most FLOW_ROWS; a
+    def map_batch(self, params, jacobian: bool = True) -> tuple:
+        """Point and, with `jacobian`, Jacobian of each row of params:
+        (z (K, m), J (K, m, m) or None, failures), a failed row's rows NaN.
+
+        One walk of the stages: stage k below the last flows each distinct
+        prefix params[:, :k+1] once, from the end of its stage-(k - 1)
+        member (from `start` at k = 0); the last stage has one member per
+        row, in row order.  A stage's live members go through
+        integrate_flows calls of at most FLOW_ROWS, guarded by the box; a
         member whose parent failed takes on that failure and is not flowed,
-        and every flow is guarded by the chart's box.  `jacobian` composes
-        the Jacobians, appending each stage field's column.  Returns
-        (z (K, m), J (K, m, m) or None, failures) of the K members of the
-        last stage, a failed member's rows NaN."""
+        so a failing prefix flags all its rows.  `jacobian` composes the
+        Jacobians, appending each stage field's column."""
+        params = np.asarray(params, dtype=float)
+        K = len(params)
         z = self.start[None]
         J = np.zeros((1, len(self.start), 0)) if jacobian else None
         failed = np.full(1, None, dtype=object)   # per member: its failure
-        for k, (parent, s) in enumerate(zip(parents, times)):
-            fld = self.stages[k].fld
+        member = np.zeros(K, dtype=int)           # per row: its member
+        for k, fld in enumerate(st.fld for st in self.stages):
+            if k < self.m - 1:
+                # one member per distinct (member, time) of the sorted rows
+                order = np.lexsort((params[:, k], member))
+                parent, s = member[order], params[order, k]
+                new = np.ones(K, dtype=bool)
+                new[1:] = (parent[1:] != parent[:-1]) | (s[1:] != s[:-1])
+                parent, s = parent[new], s[new]
+                member = np.empty(K, dtype=int)
+                member[order] = np.cumsum(new) - 1
+            else:
+                parent, s = member, params[:, k]
             failed = failed[parent]
             live = np.flatnonzero(np.equal(failed, None))
             zk = np.full((len(parent), len(self.start)), np.nan)
@@ -437,29 +448,6 @@ class CoordinateTransform:
             J[lost] = np.nan
             J = J[:, :self.m]
         return z[:, :self.m], J, {int(i): failed[i] for i in lost}
-
-    def map_batch(self, params) -> tuple:
-        """Point and Jacobian of each row of params: (z (K, m), J (K, m, m),
-        failures), the rows of a failed member NaN."""
-        params = np.asarray(params, dtype=float)
-        return self._walk(_own_rows(len(params), self.m), params.T)
-
-    def map_grid(self, axis, rows=()) -> tuple:
-        """`map_batch` of every node of the grid axis^m, in C order, then of
-        each of `rows`, in one walk level by level: stage k integrates each
-        distinct prefix of length k + 1 once, and each extra row on its own
-        path after them (its stage-k parent offset by the g^k prefixes).  A
-        prefix that fails flags all its nodes."""
-        axis = np.asarray(axis, dtype=float)
-        rows = np.asarray(rows, dtype=float).reshape(-1, self.m)
-        g = len(axis)
-        own = _own_rows(len(rows), self.m)
-        return self._walk(
-            [np.concatenate([np.repeat(np.arange(g ** k), g),
-                             own[k] + (g ** k if k else 0)])
-             for k in range(self.m)],
-            [np.concatenate([np.tile(axis, g ** k), rows[:, k]])
-             for k in range(self.m)])
 
     def invert(self, z_targets, guesses) -> tuple:
         """Newton inversion of the map for each row of z_targets, all members
@@ -606,8 +594,7 @@ class CoordinateTransform:
         shift = FD_STEP * np.eye(m)
         rows = np.stack([nodes[:, None] + shift, nodes[:, None] - shift],
                         axis=2).reshape(2 * m * K, m)
-        ends, _, errs = self._walk(_own_rows(len(rows), m), rows.T,
-                                   jacobian=False)
+        ends, _, errs = self.map_batch(rows, jacobian=False)
         failures: dict = {}
         for i, err in errs.items():
             failures.setdefault(i // (2 * m), err)
@@ -770,15 +757,15 @@ def pushforward_residuals(transform: CoordinateTransform,
     is used as the sanity cross-check on a capped subsample of nodes, along
     with a finite-difference check of the variational Jacobian.
 
-    One Jacobian-carrying walk (`map_grid`) maps the grid, then the
+    One Jacobian-carrying `map_batch` maps the grid nodes, then the
     `fit_nodes` (`quadratic_nodes`) when given, then the fibre check's
-    `fibre_rows`, each extra row on its own path.  The cross-check's
-    stencils start from the walk's rows of their nodes, and the fit nodes
-    ride along in the same stencil call, so that both node sets share its
-    walks; their stencil is returned as `fit_stencil` and enters no
-    residual.  Only the finite-difference Jacobians take a walk of their
-    own: they carry no Jacobian, and the integrator's error norm covers the
-    Jacobian components of a member that carries one."""
+    `fibre_rows`; rows that share a prefix share its flows.  The
+    cross-check's stencils start from the walk's rows of their nodes, and
+    the fit nodes ride along in the same stencil call, so that both node
+    sets share its walks; their stencil is returned as `fit_stencil` and
+    enters no residual.  Only the finite-difference Jacobians take a walk
+    of their own: they carry no Jacobian, and the integrator's error norm
+    covers the Jacobian components of a member that carries one."""
     m = transform.m
     n = transform.n
     tc = transform.t_count
@@ -793,11 +780,10 @@ def pushforward_residuals(transform: CoordinateTransform,
     fit = np.zeros((0, m)) if fit_nodes is None else \
         np.asarray(fit_nodes, dtype=float)
     fibre = transform.fibre_rows(np.zeros(m))
-    # the grid walked level by level, the fit and fibre rows each on its own
-    # path in the same walk, then the linear algebra of all nodes at once; a
-    # node that fails or is ill-conditioned is flagged
+    # the grid, fit and fibre rows in one walk, then the linear algebra of
+    # all nodes at once; a node that fails or is ill-conditioned is flagged
     count = len(nodes)
-    walked = transform.map_grid(axis, np.concatenate([fit, fibre]))
+    walked = transform.map_batch(np.concatenate([nodes, fit, fibre]))
     z, J, failed = walked
     live = _live_rows(count, [k for k in failed if k < count])
     # every node live (the usual case): views, not copies of the walk's rows

@@ -256,6 +256,37 @@ def test_cli_degenerate_expression_is_input_error(tmp_path):
     assert main(["check", str(bad)]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("component,log", [("log(0)", "log(0)"),
+                                           ("y*log(x - x)", "log(x - x)")])
+def test_cli_log_of_zero_names_the_log_and_its_component(tmp_path, capsys,
+                                                         component, log):
+    # the derivative u'/u of log(u) divides by zero; the message names the
+    # log the input holds, not that division
+    path = write_manifest(tmp_path, field={"components": ["y", component]})
+    assert main(["classify", path]) == EXIT_INPUT
+    column = component.index("log") + 1
+    assert capsys.readouterr().err == (
+        f"input error: field.components[1]: log of an expression that "
+        f"normalizes to zero: '{log}' (line 1, column {column})\n")
+
+
+def test_an_overflowing_flow_raises_no_runtime_warning():
+    # flows across a box of width 2e200 overflow the integrator's error
+    # norm; RuntimeWarnings are errors under this suite, so the commands
+    # reach their exit codes only if none escapes
+    manifest = load_manifest(inline_manifest(
+        chart={"coordinates": ["x", "y"], "box": [[-1e200, 1e200], [-1, 1]]},
+        field={"components": ["y", "x"]}))
+    report, code = run_command("straighten", manifest)
+    assert code == EXIT_NUMERIC
+    assert report["error"] == "no grid node passed the cross-check"
+    report, code = run_command("quadratic", manifest)
+    assert code == EXIT_OK
+    assert report["warnings"] == [
+        "coefficient extraction failed: flow hit a domain error: "
+        "non-finite value in 'y'"]
+
+
 def test_cli_seed_override_changes_samples(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"

@@ -210,10 +210,10 @@ def test_oscillator_residuals_on_grid():
 def test_jacobian_routes_agree_on_every_grid_node():
     rep = classify_corpus("oscillator-scrambled")
     tr = build_normal_coordinates(rep)
-    axis = np.linspace(-0.5, 0.5, 10)
-    _, J, failures = tr.map_grid(axis)
+    nodes = grid(10, ext=0.5, m=2)
+    _, J, failures = tr.map_batch(nodes)
     assert not failures
-    Jfd, fd_failures = tr.jacobian_fd(list(itertools.product(axis, repeat=2)))
+    Jfd, fd_failures = tr.jacobian_fd(nodes)
     assert not fd_failures
     for Jv, Jf in zip(J, Jfd):
         scale = max(1.0, float(np.max(np.abs(Jv))))
@@ -412,13 +412,12 @@ def timedep_transform():
     return build_normal_coordinates(classify_corpus("timedep-scrambled"))
 
 
-def test_grid_loop_integrates_each_stage_once_per_prefix(monkeypatch):
-    tr = timedep_transform()
-    g, m = 6, tr.m
-    axis = np.linspace(-0.3, 0.3, g)
+def count_members(monkeypatch, tr):
+    """Count the members and calls of integrate_flows per stage of tr:
+    returns the two lists, filled as the transform's maps run."""
     stage_of = {id(st.fld): k for k, st in enumerate(tr.stages)}
-    members = [0] * m
-    calls = [0] * m
+    members = [0] * tr.m
+    calls = [0] * tr.m
     real = straighten.integrate_flows
 
     def counting(fld, z, s, *args, **kwargs):
@@ -427,16 +426,69 @@ def test_grid_loop_integrates_each_stage_once_per_prefix(monkeypatch):
         return real(fld, z, s, *args, **kwargs)
 
     monkeypatch.setattr(straighten, "integrate_flows", counting)
-    z, J, failures = tr.map_grid(axis)
+    return members, calls
+
+
+def grid(g, ext=0.3, m=3):
+    """The nodes of the grid of g points per axis on [-ext, ext]^m, C order."""
+    return straighten._mesh([np.linspace(-ext, ext, g)] * m)
+
+
+def test_grid_loop_integrates_each_stage_once_per_prefix(monkeypatch):
+    tr = timedep_transform()
+    g, m = 6, tr.m
+    nodes = grid(g)
+    members, calls = count_members(monkeypatch, tr)
+    z, J, failures = tr.map_batch(nodes)
     assert len(z) == g ** m
     assert members == [g ** (k + 1) for k in range(m)]
     assert calls == [-(-g ** (k + 1) // straighten.FLOW_ROWS)
                      for k in range(m)]
     monkeypatch.undo()
-    zb, Jb, batch_failures = tr.map_batch(
-        list(itertools.product(axis, repeat=m)))
-    assert failures == batch_failures == {}
-    assert np.array_equal(z, zb) and np.array_equal(J, Jb)
+    # the order of the rows changes nothing: reversed, they share the same
+    # prefixes; and a row maps as it does alone
+    zr, Jr, reversed_failures = tr.map_batch(nodes[::-1])
+    assert failures == reversed_failures == {}
+    assert np.array_equal(z, zr[::-1]) and np.array_equal(J, Jr[::-1])
+    for k in range(0, g ** m, 37):
+        zk, Jk, _ = tr.map_batch(nodes[k:k + 1])
+        assert np.array_equal(z[k], zk[0]) and np.array_equal(J[k], Jk[0])
+
+
+def test_rows_that_share_a_prefix_share_its_flows(monkeypatch):
+    # rows in no particular order: shared prefixes, an exact duplicate, a
+    # prefix whose flow leaves the box (|x1| = 5 on the box [-1, 1]^3) and a
+    # row whose last flow alone leaves it
+    tr = timedep_transform()
+    rows = np.array([
+        [0.1, -0.2, 0.3],
+        [0.1, -0.2, -0.1],     # shares (0.1, -0.2) with row 0
+        [0.1, 5.0, 0.2],       # its stage-1 flow leaves the box
+        [-0.2, -0.2, 0.3],     # x1 of row 0 after another t1: no sharing
+        [0.1, 5.0, -0.3],      # shares the failing prefix of row 2
+        [0.1, -0.2, 0.3],      # row 0 again
+        [0.1, -0.2, 5.0],      # its last flow leaves the box
+        [0.1, 0.25, 0.0],      # shares (0.1,) only
+    ])
+    members, _ = count_members(monkeypatch, tr)
+    z, J, failures = tr.map_batch(rows)
+    monkeypatch.undo()
+    # stage 0 flows t1 = 0.1 and -0.2; stage 1 the four distinct (t1, x1);
+    # the last stage one member per row whose prefix did not fail
+    assert members == [2, 4, len(rows) - 2]
+    assert sorted(failures) == [2, 4, 6]
+    assert failures[2] is failures[4]
+    for k, row in enumerate(rows):
+        zk, Jk, alone = tr.map_batch(row[None])
+        if k in failures:
+            assert list(alone) == [0]
+            assert str(alone[0]) == str(failures[k]) == \
+                "flow left the sampling box (beyond the allowed slack)"
+            assert np.isnan(z[k]).all() and np.isnan(J[k]).all()
+        else:
+            assert alone == {}
+            assert np.array_equal(z[k], zk[0]) and np.array_equal(J[k], Jk[0])
+    assert np.array_equal(z[5], z[0]) and np.array_equal(J[5], J[0])
 
 
 def inject_failures(monkeypatch, fld, rows_of_call):
@@ -462,13 +514,13 @@ def inject_failures(monkeypatch, fld, rows_of_call):
 def test_a_failing_prefix_flags_exactly_its_nodes(monkeypatch):
     tr = timedep_transform()
     g, m = 6, tr.m
-    axis = np.linspace(-0.3, 0.3, g)
-    want_z, want_J, _ = tr.map_grid(axis)
+    nodes = grid(g)
+    want_z, want_J, _ = tr.map_batch(nodes)
     prefix, child = 2, 4     # the stage-1 prefix (axis[2], axis[4]) fails
     # stage 1 is one call whose rows are the prefixes in C order
     stage_1_calls = inject_failures(monkeypatch, tr.stages[1].fld,
                                     {0: [prefix * g + child]})
-    z, J, failures = tr.map_grid(axis)
+    z, J, failures = tr.map_batch(nodes)
     assert stage_1_calls == [g * g]
     span = g ** (m - 2)
     first = (prefix * g + child) * span
@@ -503,7 +555,7 @@ def test_a_level_that_fails_as_a_whole_is_a_numeric_failure(monkeypatch):
         return ends, jac, failures
 
     monkeypatch.setattr(straighten, "integrate_flows", flaky)
-    z, J, failures = tr.map_grid(np.linspace(-0.3, 0.3, g))
+    z, J, failures = tr.map_batch(grid(g))
     assert sorted(failures) == list(range(g ** m))
     assert {str(err) for err in failures.values()} == {"injected"}
     assert np.isnan(z).all() and np.isnan(J).all()
@@ -521,8 +573,8 @@ def test_no_grid_call_holds_more_than_flow_rows(monkeypatch):
     # members either side of the boundary between them fail
     tr = timedep_transform()
     g, m, cap = 11, tr.m, straighten.FLOW_ROWS
-    axis = np.linspace(-0.3, 0.3, g)
-    want_z, want_J, _ = tr.map_grid(axis)
+    nodes = grid(g)
+    want_z, want_J, _ = tr.map_batch(nodes)
     sizes = []
     real = straighten.integrate_flows
 
@@ -533,7 +585,7 @@ def test_no_grid_call_holds_more_than_flow_rows(monkeypatch):
     monkeypatch.setattr(straighten, "integrate_flows", counting)
     last_calls = inject_failures(monkeypatch, tr.stages[-1].fld,
                                  {0: [cap - 1], 1: [0]})
-    z, J, failures = tr.map_grid(axis)
+    z, J, failures = tr.map_batch(nodes)
     assert max(sizes) <= cap
     assert last_calls == [cap, g ** m - cap]
     assert sorted(failures) == [cap - 1, cap]
@@ -696,38 +748,30 @@ def test_report_inverts_all_its_stencil_points_at_once(monkeypatch):
 
 def test_the_cross_check_starts_from_the_grid_walk(monkeypatch):
     # the fit nodes ride in the grid walk, after the grid and before the
-    # fibre check's rows; map_batch (the Newton steps) never receives a fit
-    # node or a cross-checked grid node
+    # fibre check's rows; no later Jacobian-carrying map_batch (the Newton
+    # steps) receives a fit node or a cross-checked grid node
     tr = timedep_transform()
     g, ext = 10, 0.3
     fit = straighten.quadratic_nodes(tr)
-    batches, extra = [], []
+    batches = []
     real_batch = straighten.CoordinateTransform.map_batch
-    real_grid = straighten.CoordinateTransform.map_grid
 
-    def recording_batch(self, params):
-        batches.append(np.array(params, dtype=float).reshape(-1, self.m))
-        return real_batch(self, params)
-
-    def recording_grid(self, axis, rows=()):
-        extra.append(np.array(rows, dtype=float).reshape(-1, self.m))
-        return real_grid(self, axis, rows)
+    def recording_batch(self, params, jacobian=True):
+        if jacobian:
+            batches.append(np.array(params, dtype=float).reshape(-1, self.m))
+        return real_batch(self, params, jacobian)
 
     monkeypatch.setattr(straighten.CoordinateTransform, "map_batch",
                         recording_batch)
-    monkeypatch.setattr(straighten.CoordinateTransform, "map_grid",
-                        recording_grid)
     res = pushforward_residuals(tr, grid_points=g, extent=ext, fit_nodes=fit)
-    nodes = np.array(list(itertools.product(np.linspace(-ext, ext, g),
-                                            repeat=tr.m)))
+    nodes = grid(g, ext)
     picked = nodes[::len(nodes) // straighten.CROSSCHECK_CAP]
     assert res.crosscheck_nodes == len(picked)
-    rows = np.concatenate(batches)
+    assert np.array_equal(batches[0], np.concatenate(
+        [nodes, fit, tr.fibre_rows(np.zeros(tr.m))]))
+    rows = np.concatenate(batches[1:])
     for walked in (picked, fit):
         assert not (rows[:, None] == walked[None]).all(axis=2).any()
-    assert len(extra) == 1
-    assert np.array_equal(extra[0],
-                          np.concatenate([fit, tr.fibre_rows(np.zeros(tr.m))]))
     monkeypatch.undo()
     values, final, failures = res.fit_stencil
     assert failures == {}
@@ -737,18 +781,19 @@ def test_the_cross_check_starts_from_the_grid_walk(monkeypatch):
 
 
 def test_each_extra_row_of_the_grid_walk_is_mapped_as_alone():
-    # extra rows follow the g^m grid nodes on their own paths; a row whose
-    # fibre flow leaves the box (|s3| > 3 on the box [-1, 1]^3) fails alone
+    # extra rows follow the g^m grid nodes in one walk, sharing prefixes with
+    # them where they can; a row whose fibre flow leaves the box (|s3| > 3 on
+    # the box [-1, 1]^3) fails alone
     tr = timedep_transform()
     g = 4
-    axis = np.linspace(-0.3, 0.3, g)
+    nodes = grid(g)
     rows = np.concatenate([straighten.quadratic_nodes(tr)[::7],
                            [[0.1, -0.2, 5.0]],
                            tr.fibre_rows(np.zeros(tr.m))])
     bad = len(rows) - 2 * tr.n - 1
-    want_z, want_J, _ = tr.map_grid(axis)
+    want_z, want_J, _ = tr.map_batch(nodes)
     alone_z, alone_J, alone_failures = tr.map_batch(rows)
-    z, J, failures = tr.map_grid(axis, rows)
+    z, J, failures = tr.map_batch(np.concatenate([nodes, rows]))
     assert len(z) == g ** tr.m + len(rows)
     assert list(failures) == [g ** tr.m + bad]
     assert list(alone_failures) == [bad]
@@ -883,8 +928,15 @@ def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
     monkeypatch.setattr(straighten, "solve_ivp", counting)
     got, failures = tr.jacobian_fd(nodes)
     assert not failures
-    assert 0 < len(members) <= len(tr.stages)
-    assert members == [2 * tr.m * len(nodes)] * len(members)
+    # the 2m shifted rows of a node: node +- h e_j; at stage k < m - 1 they
+    # share 2k + 3 distinct prefixes (the node's own and its +- h shifts up
+    # to k), the last stage has one member per row, and only stages with a
+    # nonconstant field reach solve_ivp
+    flowing = [k for k, st in enumerate(tr.stages)
+               if straighten._is_constant_field(st.fld) is None]
+    assert 0 < len(flowing) <= len(tr.stages)
+    assert members == [len(nodes) * (2 * k + 3 if k < tr.m - 1 else 2 * tr.m)
+                       for k in flowing]
     assert all(np.array_equal(got[k], alone[k]) for k in range(len(nodes)))
     assert np.array_equal(got[0], want)
     _, Jv, _ = tr.map_batch(nodes)

@@ -129,21 +129,28 @@ def test_flows_are_integrated_on_one_path():
 
 
 def test_the_transform_maps_share_one_stage_walk():
-    # map_batch, map_grid and jacobian_fd are callers of the walk; besides
+    # map_batch is the one walk, and it finds shared prefixes itself; besides
     # it only the path check and the stencil's F-flow integrate flows
     assert {owner for module, owner in callers("integrate_flows")
             if module == "straighten"} == {
-        "_walk", "_check_path_independence", "field_in_final_chart"}
-    assert not hasattr(CoordinateTransform, "_stage")
+        "map_batch", "_check_path_independence", "field_in_final_chart"}
+    for gone in ("_stage", "_walk", "map_grid"):
+        assert not hasattr(CoordinateTransform, gone)
+    assert not hasattr(straighten, "_own_rows")
+    assert list(inspect.signature(CoordinateTransform.map_batch).parameters) \
+        == ["self", "params", "jacobian"]
 
 
 def test_the_residual_stage_makes_no_second_jacobian_walk():
-    # the grid, the fit nodes and the fibre check's rows share map_grid's
-    # walk; map_batch maps only the base point, Newton steps and rows that a
-    # caller of final_coords has not mapped
+    # the grid, the fit nodes and the fibre check's rows go through one
+    # map_batch in pushforward_residuals; besides it map_batch maps only the
+    # base point, Newton steps, rows that a caller of final_coords has not
+    # mapped and jacobian_fd's shifted rows
     assert callers("map_batch") == {("straighten", "__init__"),
                                     ("straighten", "invert"),
-                                    ("straighten", "final_coords")}
+                                    ("straighten", "final_coords"),
+                                    ("straighten", "jacobian_fd"),
+                                    ("straighten", "pushforward_residuals")}
 
 
 def test_every_flow_of_the_chart_is_guarded_by_its_box():
