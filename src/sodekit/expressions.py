@@ -683,6 +683,9 @@ def _diff(e: Expr, name: str) -> Expr:
         if e.name == "exp":
             return Mul((Fn("exp", e.arg), da))
         if e.name == "log":
+            if normalize(e.arg) == ZERO:  # du/u would divide by zero
+                raise ExpressionError(f"log of an expression that normalizes "
+                                      f"to zero: '{e}'")
             return Div(da, e.arg)
         if e.name == "sin":
             return Mul((Fn("cos", e.arg), da))

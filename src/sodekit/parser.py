@@ -6,7 +6,8 @@ exp/log/sin/cos, identifiers [A-Za-z_][A-Za-z0-9_]*, and numbers written as
 integers or decimals (rationals p/q arrive through the division operator and
 stay exact).  Whitespace is insignificant.  Unknown symbols are not an error:
 symbols are free.  The right operand of ^ must fold to a rational constant,
-and the argument of log must not fold to zero.
+and neither a divisor, the base of a negative power nor the argument of log
+may fold to zero.
 """
 
 from __future__ import annotations
@@ -139,7 +140,11 @@ class _Parser:
             op = self.advance()
             self.nest(op)
             rhs = self.parse_unary()
-            expr = Mul((expr, rhs)) if op.kind == "*" else Div(expr, rhs)
+            if op.kind == "*":
+                expr = Mul((expr, rhs))
+            else:
+                self._nonzero(rhs, "divisor", op)
+                expr = Div(expr, rhs)
         self.depth = outer
         return expr
 
@@ -163,13 +168,23 @@ class _Parser:
             return base
         op = self.advance()
         exponent = self.parse_unary()  # right-associative: x^-2, x^y^z
-        return Pow(base, self._fold_exponent(exponent, op))
+        q = self._fold_exponent(exponent, op)
+        if q < 0:
+            self._nonzero(base, "base", op)
+        return Pow(base, q)
 
     def _fold(self, expr: Expr, what: str, tok: _Token) -> Expr:
         try:
             return normalize(expr)
         except ExpressionError as err:
             raise ParseError(f"invalid {what}: {err}", tok.line, tok.column) from None
+
+    def _nonzero(self, divisor: Expr, what: str, tok: _Token):
+        """Raise at tok when divisor folds to zero: the expression would
+        have no value anywhere."""
+        if self._fold(divisor, what, tok) == ZERO:
+            raise ParseError(f"division by an expression that normalizes to "
+                             f"zero: '{divisor}'", tok.line, tok.column)
 
     def _fold_exponent(self, exponent: Expr, op: _Token) -> Fraction:
         folded = self._fold(exponent, "exponent", op)

@@ -10,24 +10,29 @@ solving for it.  Fibre coordinates are finally redefined as the x-components
 of the pushed-forward field, which forces the xdot = y block by construction
 and leaves the t-block and chart validity as the substantive checks.
 
-Jacobians of flow compositions are propagated by variational equations;
+Jacobians of flow compositions are composed from each flow's Jacobian,
+exact for a closed-form flow and from the variational equations otherwise;
 central finite differences of the whole map serve as a cross-check.  Where
 the adapted V-basis has no closed form, the matrix A of the basis change is
 carried as n^2 extra coordinates of every stage: the fibre fields transport
 A along their own flows, so they are symbolic fields like all the others.
-Every flow is integrated by `integrate_flows`, many members of one stage per
-solve_ivp call.
+Every flow goes through `integrate_flows`, many members of one stage at a
+time.  A stage field X whose Lie series ends, X^k z_a = 0 for every
+coordinate with k <= LIE_DEPTH, flows in closed form,
+z + sum_{j<k} s^j/j! (X^j z)(z0), with the exact Jacobian; every other flow
+is one solve_ivp call.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .expressions import (
-    Num, Sym, ZERO, compile_exprs, differentiate, free_symbols, normalize,
+    Num, Sym, ZERO, _to_rf, compile_exprs, differentiate, normalize,
 )
 from .geometry import Chart, VectorField
 from . import memo
@@ -66,6 +71,12 @@ CROSSCHECK_CAP = 12       # about this many grid nodes are cross-checked
 PATH_CHECK_TOL = 1e-7     # basis transport: gap between the two flow orders
 QUADRATIC_GRID = 5        # fibre nodes per axis of the quadratic fit
 FLOW_ROWS = 1024          # members per flow call of a walk, to bound ODE state
+# A stage field flows in closed form when X^k z_a normalizes to zero for every
+# coordinate with k <= LIE_DEPTH.  The attempt stops at a level whose normal
+# forms hold more than LIE_TERMS terms (numerators and denominators), so a
+# field whose series does not end stays cheap to try.
+LIE_DEPTH = 3
+LIE_TERMS = 64
 
 
 def _variational_evaluator(fld: VectorField):
@@ -80,10 +91,61 @@ def _variational_evaluator(fld: VectorField):
         names))
 
 
-def _is_constant_field(fld: VectorField) -> Optional[np.ndarray]:
-    if all(not free_symbols(c) for c in fld.components):
-        return fld.at([0.0] * fld.chart.dim)
-    return None
+_ENDLESS = ("the Lie series does not end",)   # the memo's failed attempt
+
+
+def _lie_series(fld: VectorField):
+    """The Lie series of the flow of fld when it ends within LIE_DEPTH:
+    (order, values, with_jacobian), or None.  `order` is k - 1 for the
+    least k with X^k z_a = 0 for every coordinate z_a; `values` is the
+    compiled X^j z_a for j = 1..order, j major, and `with_jacobian` the same
+    followed by their chart derivatives, d(X^j z_a)/dz_b row-major per j.
+    Memoized, a failed attempt too."""
+    key = ("lie_series", fld.components, fld.chart.names)
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo.put(key, _ending_series(fld) or _ENDLESS)
+    return None if hit is _ENDLESS else hit
+
+
+def _ending_series(fld: VectorField) -> Optional[tuple]:
+    """`_lie_series`'s result, computed."""
+    names = fld.chart.names
+    levels: list = []
+    level = fld.components   # X z_a as given: the integrator's values
+    while any(normalize(c) != ZERO for c in level):
+        if len(levels) == LIE_DEPTH - 1 or sum(
+                len(p) + len(q) for p, q in
+                (_to_rf(normalize(c)) for c in level)) > LIE_TERMS:
+            return None
+        levels.append(level)
+        level = tuple(fld.directional(c) for c in level)
+    values = [c for lv in levels for c in lv]
+    derivatives = [differentiate(c, n) for c in values for n in names]
+    return (len(levels), compile_exprs(values, names),
+            compile_exprs(values + derivatives, names))
+
+
+def _series_flow(series: tuple, z, jac, s, what: str) -> tuple:
+    """The closed-form flow of every row of z over its own time s[k]:
+    (ends, Jacobians or None, failures), `jac` the Jacobians it starts from
+    (the identity) or None.  A member whose series terms fail to evaluate
+    at its start fails with the integrator's domain-error wording."""
+    order, values, with_jacobian = series
+    K, m = z.shape
+    terms, errors = (values if jac is None else with_jacobian)(z.T)
+    failures = {k: NumericFailure(f"{what} hit a domain error: {err}",
+                                  last_point=tuple(z[k]))
+                for k, err in errors.items()}
+    with np.errstate(all="ignore"):     # a failed member's NaN, an overflow
+        for j in range(order):
+            c = s ** (j + 1) / math.factorial(j + 1)
+            z = z + c[:, None] * terms[j * m:(j + 1) * m].T
+            if jac is not None:
+                first = order * m + j * m * m
+                jac = jac + c[:, None, None] * terms[
+                    first:first + m * m].T.reshape(K, m, m)
+    return z, jac, failures
 
 
 # --------------------------------------------------------------------------
@@ -93,9 +155,11 @@ def _is_constant_field(fld: VectorField) -> Optional[np.ndarray]:
 def integrate_flows(fld: VectorField, z, s, with_jacobian: bool = False,
                     chart: Optional[Chart] = None) -> tuple:
     """Endpoint of the flow of `fld` from each row of z over its own time
-    s[k], all members in one solve_ivp call with a step size and error
-    control per member; `with_jacobian` adds the Jacobian of each flow map
-    from the variational equations.
+    s[k]; `with_jacobian` adds the Jacobian of each flow map.  A field whose
+    Lie series ends (`_lie_series`) flows in closed form, with the exact
+    Jacobian, and makes no solve_ivp call; every other field flows all
+    members in one solve_ivp call with a step size and error control per
+    member, its Jacobians from the variational equations.
 
     Returns (ends (K, m), Jacobians (K, m, m) or None, failures), failures
     mapping each failed member to its NumericFailure; a failed member's rows
@@ -109,9 +173,16 @@ def integrate_flows(fld: VectorField, z, s, with_jacobian: bool = False,
     jac = np.tile(np.eye(m), (K, 1, 1)) if with_jacobian else None
     failures: dict = {}
     moving = np.flatnonzero(s != 0.0)
-    const = _is_constant_field(fld)
-    if const is not None:
-        z[moving] = z[moving] + s[moving, None] * const
+    what = "variational flow" if with_jacobian else "flow"
+    series = _lie_series(fld)
+    if moving.size and series is not None:
+        ends, jm, errs = _series_flow(
+            series, z[moving], jac[moving] if with_jacobian else None,
+            s[moving], what)
+        z[moving] = ends
+        if with_jacobian:
+            jac[moving] = jm
+        failures = {int(moving[i]): err for i, err in errs.items()}
     elif moving.size:
         count = len(moving)
         y0 = z[moving]
@@ -137,7 +208,6 @@ def integrate_flows(fld: VectorField, z, s, with_jacobian: bool = False,
                 return (None if errors else values.T), errors
 
         sol = solve_ivp(rhs, (0.0, s[moving]), y0, rtol=RTOL, atol=ATOL)
-        what = "variational flow" if with_jacobian else "flow"
         for i in sorted(sol.failures):
             err = sol.failures[i]
             failures[int(moving[i])] = NumericFailure(
@@ -334,8 +404,10 @@ class Stage:
 class CoordinateTransform:
     """Numeric chart (t^p, x^i, y^i) -> point of M built from composed flows.
 
-    Parameters are applied innermost first in the stored stage order;
-    the Jacobian is propagated by variational equations alongside each flow.
+    Parameters are applied innermost first in the stored stage order.  A
+    stage whose Lie series ends flows in closed form, with its exact
+    Jacobian, and takes no integrator step; the others are integrated, their
+    Jacobians from the variational equations (see `integrate_flows`).
     After the forward map, fibre coordinates are redefined as the
     x-components of the pushed-forward field (`final_coords`).
 

@@ -247,13 +247,24 @@ def test_cli_a_large_force_is_still_second_order(tmp_path, force):
     assert analysis["verdicts"]["regularity"]["status"] == "pass"
 
 
-def test_cli_degenerate_expression_is_input_error(tmp_path):
-    # parses fine but normalizes into a division by zero during analysis
+def test_cli_degenerate_expression_is_input_error(tmp_path, capsys):
+    # a divisor that normalizes to zero is rejected at parse time, with the
+    # component and the place of the division, in the field and in a frame
     bad = tmp_path / "div0.json"
     bad.write_text(json.dumps(inline_manifest(
         field={"components": ["y", "1/(x - x)"]}
     )))
     assert main(["check", str(bad)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: field.components[1]: division by an expression that "
+        "normalizes to zero: 'x - x' (line 1, column 2)\n")
+    bad.write_text(json.dumps(inline_manifest(
+        frame=[{"components": ["0", "1 + y/(2*x - x - x)"]}]
+    )))
+    assert main(["classify", str(bad)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: frame[0].components[1]: division by an expression "
+        "that normalizes to zero: '2*x - x - x' (line 1, column 6)\n")
 
 
 @pytest.mark.parametrize("component,log", [("log(0)", "log(0)"),

@@ -12,7 +12,7 @@ from sodekit import expressions, memo
 from sodekit.analysis import _rational_nullspace
 from sodekit.corpus import corpus_get, corpus_list
 from sodekit.expressions import (
-    Add, Div, EvalDomainError, Fn, MissingSymbolError, Mul, Num, Pow, Sym,
+    Add, Div, EvalDomainError, ExpressionError, Fn, MissingSymbolError, Mul, Num, Pow, Sym,
     ZERO, _NUMPY_SCOPE, _P_ONE, _compile, _qdiv, _reduce_rf,
     _shared_nodes, _source, _to_rf, compile_exprs, cos, differentiate,
     evaluate, exp, log, normalize, sin, syms, to_str,
@@ -52,6 +52,15 @@ def test_normalize_idempotent_random():
             e = e * sin(x) + cos(y)
         once = normalize(e)
         assert normalize(once) == once
+
+
+def test_log_of_zero_is_named_when_differentiated():
+    # an API-built tree is not checked by the parser; its derivative u'/u
+    # would divide by zero, and the error names the log instead
+    with pytest.raises(ExpressionError, match=(
+            r"^log of an expression that normalizes to zero: 'log\(x - x\)'$")):
+        differentiate(log(x - x) + y, "x")
+    assert differentiate(log(x) + y, "x") == normalize(1 / x)
 
 
 def test_normalize_reduces_exact_quotients():

@@ -30,6 +30,29 @@ def test_zero_denominator_exponent_rejected():
         parse("y^(1/0)")
 
 
+@pytest.mark.parametrize("text,divisor,column", [
+    ("1/(x - x)", "x - x", 2),
+    ("y + x/(2*y - y - y)*3", "2*y - y - y", 6),
+    ("(x*y - y*x)^-2", "x*y - y*x", 12),
+    ("x/(1/2 - 0.5)", "1/2 - 0.5", 2),
+])
+def test_division_by_a_zero_normal_form_rejected(text, divisor, column):
+    # no value anywhere: the divisor, or the base of a negative power, is
+    # folded at parse time and the error names it, as parsed, and the
+    # operator
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.message == (
+        f"division by an expression that normalizes to zero: "
+        f"'{parse(divisor)}'")
+    assert (err.value.line, err.value.column) == (1, column)
+
+
+def test_nonzero_divisors_parse():
+    assert parse("1/(x - y)") is not None
+    assert parse("(x - x + 1)^-1") is not None
+
+
 def test_nonconstant_exponent_rejected():
     with pytest.raises(ParseError, match="rational constant"):
         parse("x^y")

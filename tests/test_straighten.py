@@ -105,6 +105,152 @@ def test_flow_box_exit_rejected_with_chart_guard():
         flow(fld, (0.0, 0.0), 5.0, chart=ch)
 
 
+# -- closed-form flows -------------------------------------------------------------
+
+def count_solves(monkeypatch):
+    """The number of solve_ivp calls made from now on, as a growing list."""
+    calls = []
+    real = straighten.solve_ivp
+    monkeypatch.setattr(straighten, "solve_ivp",
+                        lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+def integrated(monkeypatch, fld, z, s, with_jacobian=False, chart=None):
+    """integrate_flows with the closed form switched off: DOP853 for every
+    field."""
+    with monkeypatch.context() as patch:
+        patch.setattr(straighten, "_lie_series", lambda _fld: None)
+        return integrate_flows(fld, z, s, with_jacobian, chart)
+
+
+@pytest.mark.parametrize("name", ["oscillator-scrambled", "timedep-scrambled"])
+def test_polynomial_stages_flow_in_closed_form_as_dop853_does(monkeypatch,
+                                                              name):
+    # the x1 stage has X^3 z = 0: its flow is quadratic in s
+    tr = build_normal_coordinates(classify_corpus(name))
+    fld = tr.stages[tr.param_names.index("x1")].fld
+    order, _, _ = straighten._lie_series(fld)
+    assert order == 2
+    rng = np.random.default_rng(3)
+    z = tr.z0 + rng.uniform(-0.2, 0.2, (6, tr.m))
+    s = rng.uniform(-0.35, 0.35, 6)
+    solves = count_solves(monkeypatch)
+    ends, J, failures = integrate_flows(fld, z, s, True, tr.chart)
+    assert solves == [] and failures == {}
+    want_ends, want_J, _ = integrated(monkeypatch, fld, z, s, True, tr.chart)
+    assert solves == [1]
+    assert np.max(np.abs(ends - want_ends)) < 1e-9
+    assert np.max(np.abs(J - want_J)) < 1e-9
+    # without Jacobians the ends are the same bits
+    alone, _, _ = integrate_flows(fld, z, s, chart=tr.chart)
+    assert np.array_equal(alone, ends)
+
+
+def test_a_field_whose_series_does_not_end_is_integrated(monkeypatch):
+    tr = timedep_transform()
+    assert tr.param_names[0] == "t1" and tr.stages[0].fld is tr.F
+    assert straighten._lie_series(tr.F) is None
+    solves = count_solves(monkeypatch)
+    z = np.repeat(tr.z0[None], 3, axis=0)
+    ends, J, failures = integrate_flows(tr.F, z, [0.1, -0.2, 0.3], True,
+                                        tr.chart)
+    assert solves == [1] and failures == {}
+    # the time coordinate of F = (1, ...) moves by s exactly, up to rounding
+    assert np.allclose(ends[:, 0], tr.z0[0] + np.array([0.1, -0.2, 0.3]),
+                       atol=1e-12)
+
+
+def test_a_constant_stage_is_a_translation_to_the_last_bit(monkeypatch):
+    ch = Chart(["x", "y"], [(-2, 2), (-2, 2)])
+    c = np.array([0.3, -1.7])
+    fld = VectorField(ch, [Num(0.3), Num(-1.7)])
+    assert straighten._lie_series(fld)[0] == 1
+    z = np.array([[0.1, 0.2], [-0.5, 0.25], [1.0, -1.0]])
+    s = np.array([0.7, 0.0, -0.35])
+    solves = count_solves(monkeypatch)
+    ends, J, failures = integrate_flows(fld, z, s, True, ch)
+    assert solves == [] and failures == {}
+    want = z + s[:, None] * c
+    want[1] = z[1]                  # a member that does not move
+    assert ends.tobytes() == want.tobytes()
+    assert J.tobytes() == np.tile(np.eye(2), (3, 1, 1)).tobytes()
+    # the zero field (X z = 0, no terms) moves nothing
+    still = VectorField(ch, [ZERO, ZERO])
+    assert straighten._lie_series(still)[0] == 0
+    ends, J, _ = integrate_flows(still, z, s, True, ch)
+    assert ends.tobytes() == z.tobytes()
+    assert J.tobytes() == np.tile(np.eye(2), (3, 1, 1)).tobytes()
+
+
+def test_a_pole_of_a_closed_form_field_fails_its_member_alone(monkeypatch):
+    # X = (0, 1/x): X^2 z = 0, so y moves by s/x; at x = 0 the field has no
+    # value, and the member there fails as it does in the integrator
+    ch = Chart(["x", "y"], [(-1, 1), (-1, 1)])
+    fld = VectorField(ch, [ZERO, parse("1/x")])
+    assert straighten._lie_series(fld)[0] == 1
+    z = np.array([[0.5, 0.1], [0.0, 0.2], [-0.4, 0.3]])
+    s = np.array([0.2, 0.2, 0.2])
+    for with_jacobian in (False, True):
+        ends, J, failures = integrate_flows(fld, z, s, with_jacobian, ch)
+        _, _, want = integrated(monkeypatch, fld, z, s, with_jacobian, ch)
+        assert list(failures) == list(want) == [1]
+        assert str(failures[1]) == str(want[1]) == (
+            ("variational flow" if with_jacobian else "flow")
+            + " hit a domain error: division by zero in '1/x'")
+        assert failures[1].last_point == (0.0, 0.2)
+        assert np.isnan(ends[1]).all()
+        assert np.array_equal(ends[[0, 2]], [[0.5, 0.1 + 0.2 / 0.5],
+                                             [-0.4, 0.3 + 0.2 / -0.4]])
+        if with_jacobian:
+            assert np.isnan(J[1]).all()
+            assert np.array_equal(J[0], [[1.0, 0.0], [-0.2 / 0.25, 1.0]])
+
+
+def test_a_closed_form_member_that_leaves_the_box_fails_alone(monkeypatch):
+    tr = build_normal_coordinates(classify_corpus("oscillator-scrambled"))
+    fld = tr.stages[0].fld
+    assert straighten._lie_series(fld) is not None
+    z = np.repeat(tr.z0[None], 3, axis=0)
+    s = np.array([0.2, 40.0, -0.2])
+    for with_jacobian in (False, True):
+        ends, J, failures = integrate_flows(fld, z, s, with_jacobian,
+                                            tr.chart)
+        _, _, want = integrated(monkeypatch, fld, z, s, with_jacobian,
+                                tr.chart)
+        assert list(failures) == list(want) == [1]
+        assert str(failures[1]) == str(want[1]) == \
+            "flow left the sampling box (beyond the allowed slack)"
+        assert np.isnan(ends[1]).all() and np.isfinite(ends[[0, 2]]).all()
+
+
+def test_the_lie_series_is_bounded_and_tried_once(monkeypatch):
+    ch = Chart(["x", "y", "w"], [(-1, 1)] * 3)
+    # X^3 z = 0: closed form; X^4 z = 0 but X^3 z != 0: beyond LIE_DEPTH
+    assert straighten.LIE_DEPTH == 3
+    assert straighten._lie_series(
+        VectorField(ch, [parse("1"), parse("x"), ZERO]))[0] == 2
+    deep = VectorField(ch, [parse("1"), parse("x"), parse("x^2")])
+    assert straighten._lie_series(deep) is None
+    # X^2 z = 0, but X z holds more than LIE_TERMS terms: the next level is
+    # not formed
+    wide = VectorField(ch, [ZERO, ZERO, parse(" + ".join(
+        f"x^{k}*y" for k in range(straighten.LIE_TERMS + 1)))])
+    directional = []
+    real = VectorField.directional
+    monkeypatch.setattr(VectorField, "directional", lambda self, f: (
+        directional.append(1) or real(self, f)))
+    assert straighten._lie_series(wide) is None
+    assert directional == []
+    # a failed attempt is paid once
+    other = VectorField(ch, [parse("y"), parse("w"), parse("x")])
+    assert straighten._lie_series(other) is None
+    tried = len(directional)
+    assert tried > 0
+    assert straighten._lie_series(other) is None
+    assert len(directional) == tried
+
+
 # -- numeric basis transport ----------------------------------------------------
 
 def transported(fld, z, s):
@@ -808,16 +954,15 @@ def test_each_extra_row_of_the_grid_walk_is_mapped_as_alone():
     assert np.array_equal(J[g ** tr.m:][kept], alone_J[kept])
 
 
-@pytest.mark.parametrize("name, calls", [("timedep-scrambled", 11),
-                                         ("oscillator-scrambled", 6)])
+@pytest.mark.parametrize("name, calls", [("timedep-scrambled", 6),
+                                         ("oscillator-scrambled", 1)])
 def test_the_residual_stage_walks_its_jacobian_rows_once(monkeypatch, name,
                                                          calls):
     # one Jacobian-carrying walk for grid, fit and fibre rows: report makes
-    # as many solve_ivp calls as straighten, which fits nothing
-    real = straighten.solve_ivp
-    counts = []
-    monkeypatch.setattr(straighten, "solve_ivp",
-                        lambda *a, **kw: counts.append(1) or real(*a, **kw))
+    # as many solve_ivp calls as straighten, which fits nothing.  Only the
+    # stages whose Lie series does not end call it: t1 = F of timedep (one
+    # call per walk) and, in both, the stencil's F-flow
+    counts = count_solves(monkeypatch)
     for command in ("report", "straighten"):
         counts.clear()
         _, code = run_command(command, corpus_get(name))
@@ -930,10 +1075,10 @@ def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
     assert not failures
     # the 2m shifted rows of a node: node +- h e_j; at stage k < m - 1 they
     # share 2k + 3 distinct prefixes (the node's own and its +- h shifts up
-    # to k), the last stage has one member per row, and only stages with a
-    # nonconstant field reach solve_ivp
+    # to k), the last stage has one member per row, and only stages whose
+    # Lie series does not end reach solve_ivp
     flowing = [k for k, st in enumerate(tr.stages)
-               if straighten._is_constant_field(st.fld) is None]
+               if straighten._lie_series(st.fld) is None]
     assert 0 < len(flowing) <= len(tr.stages)
     assert members == [len(nodes) * (2 * k + 3 if k < tr.m - 1 else 2 * tr.m)
                        for k in flowing]
