@@ -21,6 +21,17 @@ time.  A stage field X whose Lie series ends, X^k z_a = 0 for every
 coordinate with k <= LIE_DEPTH, flows in closed form,
 z + sum_{j<k} s^j/j! (X^j z)(z0), with the exact Jacobian; every other flow
 is one solve_ivp call.
+
+The residual stage reads F in the final chart from five-point stencils.
+The quadratic fit needs only the fibre components, D(ytilde)(p)*v with
+v = J^-1 F the field in the parameter chart, so it differentiates along the
+straight line p + s*v and makes no F-flow and no Newton step.  The
+cross-check, which must not rest on the variational Jacobian, flows F and
+inverts each stencil point by Newton's method from the same p + s*v; the
+line rows of the fit ride in that first Newton walk.  The residual grid, the
+fit nodes, the fibre check and the shifted rows of the finite-difference
+Jacobians share one walk, so timedep-scrambled's residual stage makes four
+solve_ivp calls: the grid walk, the F-flow and two Newton walks.
 """
 
 from __future__ import annotations
@@ -60,7 +71,7 @@ BOX_SLACK = 1.0
 FD_STEP = 1e-5
 NEWTON_TOL = 1e-10
 NEWTON_MAX_ITER = 50
-STENCIL_STEP = 1e-2
+STENCIL_STEP = 3e-3
 # A chart whose Jacobian has a larger 2-norm condition number at the base
 # point fails, and a grid node with one is flagged.  On the grid the bound
 # |J|_F |J^-1|_F >= cond_2 clears most nodes without an SVD; it clears only
@@ -119,7 +130,11 @@ def _ending_series(fld: VectorField) -> Optional[tuple]:
                 (_to_rf(normalize(c)) for c in level)) > LIE_TERMS:
             return None
         levels.append(level)
-        level = tuple(fld.directional(c) for c in level)
+        # the last allowed level is only tested: it is formed one component
+        # at a time, up to the first that does not vanish
+        level = (fld.directional(c) for c in level)
+        if len(levels) < LIE_DEPTH - 1:
+            level = tuple(level)
     values = [c for lv in levels for c in lv]
     derivatives = [differentiate(c, n) for c in values for n in names]
     return (len(levels), compile_exprs(values, names),
@@ -465,9 +480,9 @@ class CoordinateTransform:
             "base_condition_number": self.base_condition,
         }
 
-    def map_batch(self, params, jacobian: bool = True) -> tuple:
-        """Point and, with `jacobian`, Jacobian of each row of params:
-        (z (K, m), J (K, m, m) or None, failures), a failed row's rows NaN.
+    def map_batch(self, params) -> tuple:
+        """Point and Jacobian of each row of params: (z (K, m), J (K, m, m),
+        failures), a failed row's rows NaN.
 
         One walk of the stages: stage k below the last flows each distinct
         prefix params[:, :k+1] once, from the end of its stage-(k - 1)
@@ -475,12 +490,12 @@ class CoordinateTransform:
         row, in row order.  A stage's live members go through
         integrate_flows calls of at most FLOW_ROWS, guarded by the box; a
         member whose parent failed takes on that failure and is not flowed,
-        so a failing prefix flags all its rows.  `jacobian` composes the
-        Jacobians, appending each stage field's column."""
+        so a failing prefix flags all its rows.  The Jacobians are composed
+        stage by stage, appending each stage field's column."""
         params = np.asarray(params, dtype=float)
         K = len(params)
         z = self.start[None]
-        J = np.zeros((1, len(self.start), 0)) if jacobian else None
+        J = np.zeros((1, len(self.start), 0))
         failed = np.full(1, None, dtype=object)   # per member: its failure
         member = np.zeros(K, dtype=int)           # per row: its member
         for k, fld in enumerate(st.fld for st in self.stages):
@@ -498,33 +513,31 @@ class CoordinateTransform:
             failed = failed[parent]
             live = np.flatnonzero(np.equal(failed, None))
             zk = np.full((len(parent), len(self.start)), np.nan)
-            Jk = np.full(zk.shape + (k + 1,), np.nan) if jacobian else None
+            Jk = np.full(zk.shape + (k + 1,), np.nan)
             for first in range(0, len(live), FLOW_ROWS):
                 rows = live[first:first + FLOW_ROWS]
                 at = parent[rows]
                 ends, Jf, errs = integrate_flows(
-                    fld, z[at], s[rows], with_jacobian=jacobian,
+                    fld, z[at], s[rows], with_jacobian=True,
                     chart=self.chart)
                 zk[rows] = ends
-                if jacobian:
-                    col, col_errs = _field_values(fld, ends)
-                    Jk[rows] = np.concatenate([Jf @ J[at], col[:, :, None]],
-                                              axis=2)
-                    errs = {**col_errs, **errs}
-                for i, err in errs.items():
+                col, col_errs = _field_values(fld, ends)
+                Jk[rows] = np.concatenate([Jf @ J[at], col[:, :, None]],
+                                          axis=2)
+                for i, err in {**col_errs, **errs}.items():
                     failed[rows[i]] = err
             z, J = zk, Jk
         lost = np.flatnonzero(np.not_equal(failed, None))
         z[lost] = np.nan
-        if jacobian:
-            J[lost] = np.nan
-            J = J[:, :self.m]
-        return z[:, :self.m], J, {int(i): failed[i] for i in lost}
+        J[lost] = np.nan
+        return z[:, :self.m], J[:, :self.m], {int(i): failed[i] for i in lost}
 
-    def invert(self, z_targets, guesses) -> tuple:
+    def invert(self, z_targets, guesses, mapped=None) -> tuple:
         """Newton inversion of the map for each row of z_targets, all members
         stepping together and converged members dropping out:
-        (params, z, J, failures) with z, J the map at the returned params."""
+        (params, z, J, failures) with z, J the map at the returned params.
+        `mapped` is `map_batch(guesses)`'s triple when the caller has it
+        already; the first iterate is then not walked again."""
         targets = np.asarray(z_targets, dtype=float)
         params = np.array(guesses, dtype=float)
         z = np.full_like(params, np.nan)
@@ -534,7 +547,9 @@ class CoordinateTransform:
         for _ in range(NEWTON_MAX_ITER):
             if not live.size:
                 break
-            zl, Jl, errs = self.map_batch(params[live])
+            zl, Jl, errs = (self.map_batch(params[live]) if mapped is None
+                            else mapped)
+            mapped = None
             live, zl, Jl = _keep_live(errs, live, failures, zl, Jl)
             r = zl - targets[live]
             done = np.max(np.abs(r), axis=1) < NEWTON_TOL
@@ -618,37 +633,53 @@ class CoordinateTransform:
         G = (fibre[:, 0] - fibre[:, 1]).T / (2 * FD_STEP)
         return float(np.linalg.svd(G, compute_uv=False)[-1])
 
-    def field_in_final_chart(self, nodes, mapped=None) -> tuple:
+    def field_in_final_chart(self, nodes, mapped=None, fit: int = 0) -> tuple:
         """All components of F in the final chart at each row of nodes, by a
-        five-point stencil along the F-flow through the node (independent of
-        the variational route).  The stencil points of all nodes are solved
-        together.  Returns (values (K, m), final (K, m), failures): the
-        components, the node's final coordinates and a failed node's
-        failure, its rows NaN.  `mapped` is as in `final_coords`."""
+        five-point stencil of the final coordinates with step STENCIL_STEP.
+        Returns (values (K, m), final (K, m), failures): the components, the
+        node's final coordinates and a failed node's failure, its rows NaN.
+        `mapped` is as in `final_coords`.
+
+        The stencil of the first K - fit nodes (the cross-check's) runs along
+        the F-flow through the node's point, each point inverted by Newton's
+        method from the guess p + s*v, v the field in the parameter chart at
+        the node p: independent of the variational Jacobian.  The stencil of
+        the last `fit` nodes (the quadratic fit's) runs along the straight
+        line p + s*v itself, so it needs no F-flow and no Newton step.  Both
+        kinds of rows are the same p + s*v; they are mapped in one walk, the
+        first Newton iterate of the cross-check."""
         nodes = np.asarray(nodes, dtype=float)
         K, m = nodes.shape
         final, z, v, failures = self.final_coords(nodes, mapped)
         live = _live_rows(K, failures)
-        z, v, live_nodes = z[live], v[live], nodes[live]
         # the four stencil points of each live node, consecutive
-        owner = np.repeat(np.arange(len(live)), 4)
+        owner = np.repeat(live, 4)
         shift = np.tile(STENCIL_STEP * np.array([-2.0, -1.0, 1.0, 2.0]),
                         len(live))
+        line = nodes[owner] + shift[:, None] * v[owner]
+        checked = np.flatnonzero(owner < K - fit)
+        on_line = np.flatnonzero(owner >= K - fit)
         point_failures: dict = {}
-        zs, _, errs = integrate_flows(self.F, z[owner], shift,
-                                      chart=self.chart)
-        points, zs, guesses = _keep_live(
-            errs, np.arange(len(owner)), point_failures,
-            zs, live_nodes[owner] + shift[:, None] * v[owner])
-        ps, zp, Jp, errs = self.invert(zs, guesses)
-        points, ps, zp, Jp = _keep_live(errs, points, point_failures,
-                                        ps, zp, Jp)
-        vp, errs = self._pushforward_batch(zp, Jp)
-        points, ps, vp = _keep_live(errs, points, point_failures, ps, vp)
+        targets, _, errs = integrate_flows(self.F, z[owner[checked]],
+                                           shift[checked], chart=self.chart)
+        checked, targets = _keep_live(errs, checked, point_failures, targets)
+        c = len(checked)
+        first = self.map_batch(np.concatenate([line[checked],
+                                               line[on_line]]))
+        ps, zp, Jp, errs = self.invert(targets, line[checked],
+                                       _take(first, np.arange(c)))
+        checked, ps, zp, Jp = _keep_live(errs, checked, point_failures,
+                                         ps, zp, Jp)
         samples = np.full((len(owner), m), np.nan)
-        samples[points] = self._with_fibre(ps, vp)
+        for points, params, walked in (
+                (checked, ps, (zp, Jp, {})),
+                (on_line, line[on_line],
+                 _take(first, c + np.arange(len(on_line))))):
+            fin, _, _, errs = self.final_coords(params, walked)
+            points, fin = _keep_live(errs, points, point_failures, fin)
+            samples[points] = fin
         for p in sorted(point_failures):
-            failures.setdefault(int(live[owner[p]]), point_failures[p])
+            failures.setdefault(int(owner[p]), point_failures[p])
         s4 = samples.reshape(len(live), 4, m)
         values = np.full((K, m), np.nan)
         values[live] = (s4[:, 0] - 8 * s4[:, 1] + 8 * s4[:, 2]
@@ -656,24 +687,34 @@ class CoordinateTransform:
         final[list(failures)] = np.nan
         return values, final, failures
 
-    def jacobian_fd(self, nodes) -> tuple:
+    def jacobian_fd(self, nodes, mapped=None) -> tuple:
         """Central differences of the flow map at each row of nodes (no
         variational equations): (J (K, m, m), failures), a node failing with
         the failure of its lowest failing shifted row, its rows NaN.  The 2mK
-        shifted rows are walked together."""
+        `fd_rows` are walked together; `mapped` is as in `final_coords`, of
+        those rows.  The quotient reads only the mapped points."""
         nodes = np.asarray(nodes, dtype=float)
         K, m = nodes.shape
-        shift = FD_STEP * np.eye(m)
-        rows = np.stack([nodes[:, None] + shift, nodes[:, None] - shift],
-                        axis=2).reshape(2 * m * K, m)
-        ends, _, errs = self.map_batch(rows, jacobian=False)
+        ends, _, errs = (self.map_batch(fd_rows(nodes)) if mapped is None
+                         else mapped)
         failures: dict = {}
         for i, err in errs.items():
             failures.setdefault(i // (2 * m), err)
-        ends = ends.reshape(K, m, 2, m)
+        ends = np.array(ends).reshape(K, m, 2, m)
         ends[list(failures)] = np.nan
         return ((ends[:, :, 0] - ends[:, :, 1]).transpose(0, 2, 1)
                 / (2 * FD_STEP), failures)
+
+
+def fd_rows(nodes) -> np.ndarray:
+    """The rows of `jacobian_fd` at each row of nodes: 2m rows per node,
+    consecutive, each coordinate shifted by +FD_STEP and by -FD_STEP in
+    turn."""
+    nodes = np.asarray(nodes, dtype=float)
+    K, m = nodes.shape
+    shift = FD_STEP * np.eye(m)
+    return np.stack([nodes[:, None] + shift, nodes[:, None] - shift],
+                    axis=2).reshape(2 * m * K, m)
 
 
 def _tilt_to_locus(fld: VectorField, b_exprs, vbasis) -> VectorField:
@@ -829,15 +870,15 @@ def pushforward_residuals(transform: CoordinateTransform,
     is used as the sanity cross-check on a capped subsample of nodes, along
     with a finite-difference check of the variational Jacobian.
 
-    One Jacobian-carrying `map_batch` maps the grid nodes, then the
-    `fit_nodes` (`quadratic_nodes`) when given, then the fibre check's
-    `fibre_rows`; rows that share a prefix share its flows.  The
-    cross-check's stencils start from the walk's rows of their nodes, and
-    the fit nodes ride along in the same stencil call, so that both node
-    sets share its walks; their stencil is returned as `fit_stencil` and
-    enters no residual.  Only the finite-difference Jacobians take a walk
-    of their own: they carry no Jacobian, and the integrator's error norm
-    covers the Jacobian components of a member that carries one."""
+    One `map_batch` maps the grid nodes, then the `fit_nodes`
+    (`quadratic_nodes`) when given, then the fibre check's `fibre_rows`,
+    then the `fd_rows` of every stride-th node, the cross-check's
+    candidates; rows that share a prefix share its flows.  The stencils
+    start from the walk's rows of their nodes: the cross-check's along the
+    F-flow, the fit nodes' along the straight line, both in one
+    `field_in_final_chart` call.  The fit's stencil is returned as
+    `fit_stencil` and enters no residual.  Only the shifted rows of the
+    candidates that pass the cross-check enter the Jacobian gap."""
     m = transform.m
     n = transform.n
     tc = transform.t_count
@@ -851,11 +892,16 @@ def pushforward_residuals(transform: CoordinateTransform,
     ])
     fit = np.zeros((0, m)) if fit_nodes is None else \
         np.asarray(fit_nodes, dtype=float)
-    fibre = transform.fibre_rows(np.zeros(m))
-    # the grid, fit and fibre rows in one walk, then the linear algebra of
-    # all nodes at once; a node that fails or is ill-conditioned is flagged
     count = len(nodes)
-    walked = transform.map_batch(np.concatenate([nodes, fit, fibre]))
+    stride = max(1, count // CROSSCHECK_CAP)
+    candidates = np.arange(0, count, stride)
+    # the grid, fit, fibre and shifted rows in one walk, then the linear
+    # algebra of all nodes at once; a node that fails or is ill-conditioned
+    # is flagged
+    parts = [nodes, fit, transform.fibre_rows(np.zeros(m)),
+             fd_rows(nodes[candidates])]
+    offset = np.cumsum([0] + [len(rows) for rows in parts])
+    walked = transform.map_batch(np.concatenate(parts))
     z, J, failed = walked
     live = _live_rows(count, [k for k in failed if k < count])
     # every node live (the usual case): views, not copies of the walk's rows
@@ -870,15 +916,16 @@ def pushforward_residuals(transform: CoordinateTransform,
     v = v[ok[live]]
     t_arr = (np.max(np.abs(v[:, :tc] - expected_t), axis=1) if tc
              else np.zeros(len(v)))
-    # independent cross-check on every stride-th node that is not flagged,
-    # its stencils solved together with those of the fit nodes: a failure
-    # flags only its own row
-    picked = np.arange(0, count, max(1, count // CROSSCHECK_CAP))
-    picked = picked[ok[picked]]
+    # independent cross-check on every candidate that is not flagged, its
+    # stencils solved together with those of the fit nodes: a failure flags
+    # only its own row
+    picked = candidates[ok[candidates]]
     c = len(picked)
     values, final, failures = transform.field_in_final_chart(
         np.concatenate([nodes[picked], fit]),
-        _take(walked, np.concatenate([picked, count + np.arange(len(fit))])))
+        _take(walked, np.concatenate([picked,
+                                      offset[1] + np.arange(len(fit))])),
+        fit=len(fit))
     fit_failures = {k - c: err for k, err in failures.items() if k >= c}
     passed = _live_rows(c, [k for k in failures if k < c])
     max_cross = 0.0
@@ -890,9 +937,13 @@ def pushforward_residuals(transform: CoordinateTransform,
         gap_x = float(np.max(np.abs(fin[tc: tc + n] - ytilde)))
         gap_t = float(np.max(np.abs(fin[:tc] - expected_t))) if tc else 0.0
         max_cross = max(max_cross, gap_x, gap_t)
-    # the finite-difference Jacobians of every node that passed, in one batch
+    # the finite-difference Jacobians of every node that passed, from the
+    # walk's shifted rows
     fd_nodes = picked[passed]
-    Jf, fd_failures = transform.jacobian_fd(nodes[fd_nodes])
+    shifted = (offset[3] + 2 * m * (fd_nodes // stride)[:, None]
+               + np.arange(2 * m)).ravel()
+    Jf, fd_failures = transform.jacobian_fd(nodes[fd_nodes],
+                                            _take(walked, shifted))
     for i, index in enumerate(fd_nodes):
         if i in fd_failures:
             continue
@@ -903,7 +954,7 @@ def pushforward_residuals(transform: CoordinateTransform,
     if not checked:
         raise NumericFailure("no grid node passed the cross-check")
     fibre_sv = transform.fibre_jacobian_min_sv(
-        np.zeros(m), _take(walked, count + len(fit) + np.arange(len(fibre))))
+        np.zeros(m), _take(walked, np.arange(offset[2], offset[3])))
     # for m = 2n there is no t-block; the stencil cross-check is then the
     # substantive structural residual
     structural = max(float(np.max(t_arr)), max_cross)
@@ -939,14 +990,18 @@ def extract_quadratic_coefficients(transform: CoordinateTransform,
     """Fit force^k = G^k_ij y^i y^j + P^k_i y^i + Q^k per base node.
 
     Only sensible after a Quadratic verdict; the fit residual reports how
-    well the force is represented by the quadratic model on the grid.
-    `stencil` is `field_in_final_chart(quadratic_nodes(transform))`'s
-    triple when the caller has it already (`pushforward_residuals`'s
-    `fit_stencil`); the extraction then only fits."""
+    well the force is represented by the quadratic model on the grid.  The
+    force at a node p is D(ytilde)(p)*v, v the field in the parameter chart:
+    the straight-line stencil of `field_in_final_chart`, which maps the
+    nodes and then their line rows, with no F-flow and no Newton step.
+    `stencil` is that triple when the caller has it already
+    (`pushforward_residuals`'s `fit_stencil`); the extraction then only
+    fits."""
     n, tc = transform.n, transform.t_count
     nodes = quadratic_nodes(transform)
-    values, final, failures = (transform.field_in_final_chart(nodes)
-                               if stencil is None else stencil)
+    values, final, failures = (
+        transform.field_in_final_chart(nodes, fit=len(nodes))
+        if stencil is None else stencil)
     if failures:
         raise failures[min(failures)]
     per_base = QUADRATIC_GRID ** n

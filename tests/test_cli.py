@@ -294,8 +294,8 @@ def test_an_overflowing_flow_raises_no_runtime_warning():
     report, code = run_command("quadratic", manifest)
     assert code == EXIT_OK
     assert report["warnings"] == [
-        "coefficient extraction failed: flow hit a domain error: "
-        "non-finite value in 'y'"]
+        "coefficient extraction failed: flow left the sampling box (beyond "
+        "the allowed slack)"]
 
 
 def test_cli_seed_override_changes_samples(tmp_path):

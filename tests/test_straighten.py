@@ -242,11 +242,13 @@ def test_the_lie_series_is_bounded_and_tried_once(monkeypatch):
         directional.append(1) or real(self, f)))
     assert straighten._lie_series(wide) is None
     assert directional == []
-    # a failed attempt is paid once
+    # a failed attempt is paid once, and the last allowed level is formed
+    # only up to its first component that does not vanish: X^2 z = (w, x, y)
+    # whole, then X^3 z_1 = x
     other = VectorField(ch, [parse("y"), parse("w"), parse("x")])
     assert straighten._lie_series(other) is None
     tried = len(directional)
-    assert tried > 0
+    assert tried == 3 + 1
     assert straighten._lie_series(other) is None
     assert len(directional) == tried
 
@@ -677,7 +679,24 @@ def test_a_failing_prefix_flags_exactly_its_nodes(monkeypatch):
     kept = np.setdiff1d(np.arange(g ** m), flagged)
     assert np.array_equal(z[kept], want_z[kept])
     assert np.array_equal(J[kept], want_J[kept])
-    stage_1_calls.clear()
+    monkeypatch.undo()
+    # in the residual walk the cross-check's shifted rows add prefixes of
+    # their own, so the failing member is told by its start and its time
+    axis = np.linspace(-0.3, 0.3, g)
+    start, _, _ = integrate_flows(tr.stages[0].fld, tr.start[None],
+                                  [axis[prefix]], True, tr.chart)
+    real = straighten.integrate_flows
+
+    def flaky(fld, z, s, *args, **kwargs):
+        ends, jac, failures = real(fld, z, s, *args, **kwargs)
+        if fld is tr.stages[1].fld:
+            hit = (z == start).all(axis=1) & (s == axis[child])
+            for row in np.flatnonzero(hit):
+                failures[int(row)] = NumericFailure("injected")
+                ends[row] = jac[row] = np.nan
+        return ends, jac, failures
+
+    monkeypatch.setattr(straighten, "integrate_flows", flaky)
     res = pushforward_residuals(tr, grid_points=g, extent=0.3)
     assert res.flagged_nodes == span
     assert res.node_count == g ** m - span
@@ -863,8 +882,8 @@ def fail_inversions(monkeypatch, targets):
     hits = []
     real = straighten.CoordinateTransform.invert
 
-    def flaky(self, z_targets, guesses):
-        params, z, J, failures = real(self, z_targets, guesses)
+    def flaky(self, z_targets, guesses, mapped=None):
+        params, z, J, failures = real(self, z_targets, guesses, mapped)
         hit = (np.abs(z_targets[:, None] - targets[None]) < 1e-9).all(
             axis=2).any(axis=1)
         for k in np.flatnonzero(hit):
@@ -878,34 +897,40 @@ def fail_inversions(monkeypatch, targets):
 
 
 def test_report_inverts_all_its_stencil_points_at_once(monkeypatch):
+    # the cross-check's points, in one call; the fit's straight-line
+    # stencil inverts nothing
     sizes = []
     real = straighten.CoordinateTransform.invert
 
-    def counting(self, z_targets, guesses):
+    def counting(self, z_targets, guesses, mapped=None):
         sizes.append(len(z_targets))
-        return real(self, z_targets, guesses)
+        return real(self, z_targets, guesses, mapped)
 
     monkeypatch.setattr(straighten.CoordinateTransform, "invert", counting)
     report, code = run_command("report", corpus_get("timedep-scrambled"))
     assert code == 0 and "quadratic_coefficients" in report
-    fit = straighten.quadratic_nodes(timedep_transform())
-    assert sizes == [4 * (report["residuals"]["crosscheck_nodes"] + len(fit))]
+    assert sizes == [4 * report["residuals"]["crosscheck_nodes"]]
+    sizes.clear()
+    report, code = run_command("quadratic", corpus_get("timedep-scrambled"))
+    assert code == 0 and "quadratic_coefficients" in report
+    assert sizes == [0]
 
 
 def test_the_cross_check_starts_from_the_grid_walk(monkeypatch):
     # the fit nodes ride in the grid walk, after the grid and before the
-    # fibre check's rows; no later Jacobian-carrying map_batch (the Newton
-    # steps) receives a fit node or a cross-checked grid node
+    # fibre check's rows and the cross-check candidates' shifted rows; the
+    # next walk maps the cross-check's Newton guesses and the fit's line
+    # rows, and no later walk (the Newton steps) receives a fit node, a
+    # line row or a cross-checked grid node
     tr = timedep_transform()
     g, ext = 10, 0.3
     fit = straighten.quadratic_nodes(tr)
     batches = []
     real_batch = straighten.CoordinateTransform.map_batch
 
-    def recording_batch(self, params, jacobian=True):
-        if jacobian:
-            batches.append(np.array(params, dtype=float).reshape(-1, self.m))
-        return real_batch(self, params, jacobian)
+    def recording_batch(self, params):
+        batches.append(np.array(params, dtype=float).reshape(-1, self.m))
+        return real_batch(self, params)
 
     monkeypatch.setattr(straighten.CoordinateTransform, "map_batch",
                         recording_batch)
@@ -914,16 +939,51 @@ def test_the_cross_check_starts_from_the_grid_walk(monkeypatch):
     picked = nodes[::len(nodes) // straighten.CROSSCHECK_CAP]
     assert res.crosscheck_nodes == len(picked)
     assert np.array_equal(batches[0], np.concatenate(
-        [nodes, fit, tr.fibre_rows(np.zeros(tr.m))]))
-    rows = np.concatenate(batches[1:])
-    for walked in (picked, fit):
+        [nodes, fit, tr.fibre_rows(np.zeros(tr.m)),
+         straighten.fd_rows(picked)]))
+    guesses = 4 * len(picked)
+    assert len(batches[1]) == guesses + 4 * len(fit)
+    line = batches[1][guesses:]
+    rows = np.concatenate(batches[2:])
+    for walked in (picked, fit, line):
         assert not (rows[:, None] == walked[None]).all(axis=2).any()
     monkeypatch.undo()
+    # the line rows p + s v, v the field in the parameter chart at p
+    _, _, v, _ = tr.final_coords(fit)
+    s = straighten.STENCIL_STEP * np.array([-2.0, -1.0, 1.0, 2.0])
+    assert np.array_equal(line.reshape(len(fit), 4, tr.m),
+                          fit[:, None] + s[:, None] * v[:, None])
     values, final, failures = res.fit_stencil
     assert failures == {}
-    alone_values, alone_final, _ = tr.field_in_final_chart(fit)
+    alone_values, alone_final, _ = tr.field_in_final_chart(fit, fit=len(fit))
     assert np.array_equal(values, alone_values)
     assert np.array_equal(final, alone_final)
+
+
+def test_the_shifted_rows_of_the_grid_walk_give_jacobian_fd_alone(
+        monkeypatch):
+    # the finite-difference Jacobians of the cross-checked nodes come from
+    # their shifted rows in the grid walk, bit for bit as jacobian_fd
+    # walking them on its own
+    tr = timedep_transform()
+    seen = []
+    real = straighten.CoordinateTransform.jacobian_fd
+
+    def recording(self, nodes, mapped=None):
+        out = real(self, nodes, mapped)
+        seen.append((np.array(nodes), mapped is not None, out))
+        return out
+
+    monkeypatch.setattr(straighten.CoordinateTransform, "jacobian_fd",
+                        recording)
+    res = pushforward_residuals(tr, grid_points=10, extent=0.3)
+    monkeypatch.undo()
+    [(nodes, from_walk, (Jf, failures))] = seen
+    assert from_walk and failures == {}
+    assert len(nodes) == res.crosscheck_nodes > 1
+    alone, alone_failures = tr.jacobian_fd(nodes)
+    assert alone_failures == {}
+    assert np.array_equal(Jf, alone)
 
 
 def test_each_extra_row_of_the_grid_walk_is_mapped_as_alone():
@@ -954,14 +1014,15 @@ def test_each_extra_row_of_the_grid_walk_is_mapped_as_alone():
     assert np.array_equal(J[g ** tr.m:][kept], alone_J[kept])
 
 
-@pytest.mark.parametrize("name, calls", [("timedep-scrambled", 6),
+@pytest.mark.parametrize("name, calls", [("timedep-scrambled", 4),
                                          ("oscillator-scrambled", 1)])
 def test_the_residual_stage_walks_its_jacobian_rows_once(monkeypatch, name,
                                                          calls):
-    # one Jacobian-carrying walk for grid, fit and fibre rows: report makes
-    # as many solve_ivp calls as straighten, which fits nothing.  Only the
-    # stages whose Lie series does not end call it: t1 = F of timedep (one
-    # call per walk) and, in both, the stencil's F-flow
+    # one walk for grid, fit, fibre and shifted rows: report makes as many
+    # solve_ivp calls as straighten, which fits nothing.  Only the stages
+    # whose Lie series does not end call it: t1 = F of timedep, once per
+    # walk (the grid walk and two Newton walks, the fit's line rows riding
+    # in the first), and, in both, the stencil's F-flow
     counts = count_solves(monkeypatch)
     for command in ("report", "straighten"):
         counts.clear()
@@ -970,15 +1031,48 @@ def test_the_residual_stage_walks_its_jacobian_rows_once(monkeypatch, name,
         assert len(counts) == calls, command
 
 
+def line_rows(tr, node):
+    """The rows of the straight-line stencil of one fit node: node + s v,
+    v the field in the parameter chart at the node."""
+    _, _, v, _ = tr.final_coords([node])
+    shifts = straighten.STENCIL_STEP * np.array([-2.0, -1.0, 1.0, 2.0])
+    return node + shifts[:, None] * v
+
+
+def fail_rows(monkeypatch, rows):
+    """Make CoordinateTransform.map_batch fail each parameter row that is one
+    of `rows`; returns the number of such rows per call."""
+    hits = []
+    real = straighten.CoordinateTransform.map_batch
+
+    def flaky(self, params):
+        z, J, failures = real(self, params)
+        hit = (np.abs(np.asarray(params)[:, None] - rows[None]) < 1e-9).all(
+            axis=2).any(axis=1)
+        for k in np.flatnonzero(hit):
+            failures[int(k)] = NumericFailure("injected")
+            z[k] = J[k] = np.nan
+        hits.append(int(hit.sum()))
+        return z, J, failures
+
+    monkeypatch.setattr(straighten.CoordinateTransform, "map_batch", flaky)
+    return hits
+
+
 def test_a_failing_fit_node_fails_the_fit_alone(monkeypatch):
     manifest = corpus_get("timedep-scrambled")
     clean, _ = run_command("report", manifest)
     tr = timedep_transform()
     node = straighten.quadratic_nodes(tr)[7]     # (-ext, 0, 0): no grid node
-    hits = fail_inversions(monkeypatch, stencil_targets(tr, node))
+    hits = fail_rows(monkeypatch, line_rows(tr, node))
     report, code = run_command("report", manifest)
+    # the walks: the base point, the grid, then the line rows, which ride in
+    # the cross-check's first Newton walk; quadratic maps the fit nodes, then
+    # their line rows
+    assert hits[:3] == [0, 0, 4] and sum(hits) == 4
+    hits.clear()
     alone, _ = run_command("quadratic", manifest)
-    assert hits == [4, 4]
+    assert hits == [0, 0, 4]
     assert report["warnings"] == alone["warnings"] == [
         "coefficient extraction failed: injected"]
     assert "quadratic_coefficients" not in report
@@ -1004,6 +1098,21 @@ def test_a_failing_cross_check_node_leaves_the_fit_alone(monkeypatch):
     assert "warnings" not in report
 
 
+def test_the_fit_recovers_the_known_force_of_quadratic_demo():
+    # F = (y, x y^2 - y + 1), V = d/dy: the chart translates by the base
+    # point, so in the normal chart the force is G ytilde^2 + P ytilde + Q
+    # with G = x, the base parameter plus the base point's x, P = -1, Q = 1
+    tr = build_normal_coordinates(classify_corpus("quadratic-demo"))
+    out = straighten.extract_quadratic_coefficients(tr)
+    assert len(out["per_base_node"]) == 3
+    for entry in out["per_base_node"]:
+        G = entry["quadratic"]["G[0][00]"]
+        assert abs(G - entry["base"][0] - tr.z0[0]) < 1e-10
+        assert abs(entry["linear"]["P[0][0]"] + 1.0) < 1e-10
+        assert abs(entry["constant"]["Q[0]"] - 1.0) < 1e-10
+    assert out["max_fit_residual"] < 1e-12
+
+
 def test_extraction_reports_the_first_failing_node(monkeypatch):
     tr = timedep_transform()
     real = tr.map_batch
@@ -1014,7 +1123,7 @@ def test_extraction_reports_the_first_failing_node(monkeypatch):
         calls.append(len(params))
         if len(calls) == 1:     # the nodes' own maps: node 7 fails here
             failures[7] = NumericFailure("node 7 failed first in time")
-        elif len(calls) == 2:   # the first Newton step: node 3 fails
+        elif len(calls) == 2:   # the line rows: node 3 fails
             failures[4 * 3] = NumericFailure("node 3 failed in its stencil")
         for k in failures:
             z[k] = np.nan
@@ -1026,7 +1135,10 @@ def test_extraction_reports_the_first_failing_node(monkeypatch):
         straighten.extract_quadratic_coefficients(tr)
 
 
-def test_extraction_integrates_each_stage_once_per_newton_step(monkeypatch):
+def test_extraction_integrates_each_stage_once_per_walk(monkeypatch):
+    # two walks, the fit nodes and then their line rows: no F-flow and no
+    # Newton step, so only t1 = F, the one stage whose Lie series does not
+    # end, calls solve_ivp, once per walk
     tr = timedep_transform()
     solves = []
     maps = []
@@ -1038,15 +1150,18 @@ def test_extraction_integrates_each_stage_once_per_newton_step(monkeypatch):
         return real_solve(*args, **kwargs)
 
     def counting_map(*args, **kwargs):
-        maps.append(1)
+        maps.append(len(args[0]))
         return real_map(*args, **kwargs)
 
     monkeypatch.setattr(straighten, "solve_ivp", counting_solve)
     monkeypatch.setattr(tr, "map_batch", counting_map)
     out = straighten.extract_quadratic_coefficients(tr)
     assert len(out["per_base_node"]) == 9
-    newton_iterations = len(maps) - 1     # the first map is the nodes' own
-    assert 0 < len(solves) <= (newton_iterations + 2) * len(tr.stages)
+    nodes = len(straighten.quadratic_nodes(tr))
+    assert maps == [nodes, 4 * nodes]
+    integrated = [st for st in tr.stages
+                  if straighten._lie_series(st.fld) is None]
+    assert len(solves) == len(maps) * len(integrated) == 2
 
 
 def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
@@ -1054,10 +1169,10 @@ def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
     nodes = np.array([[0.15, -0.2, 0.1], [-0.1, 0.25, -0.2], [0.05, 0.1, 0.3]])
     h = straighten.FD_STEP
 
-    def flow_map(params):   # states only, each row alone
+    def flow_map(params):   # each row alone; the states of its flows
         z = tr.z0
         for st, s in zip(tr.stages, params):
-            z = flow(st.fld, z, s, chart=tr.chart)
+            z, _ = flow(st.fld, z, s, chart=tr.chart, with_jacobian=True)
         return z
 
     want = np.array([(flow_map(nodes[0] + h * e) - flow_map(nodes[0] - h * e))
@@ -1076,7 +1191,9 @@ def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
     # the 2m shifted rows of a node: node +- h e_j; at stage k < m - 1 they
     # share 2k + 3 distinct prefixes (the node's own and its +- h shifts up
     # to k), the last stage has one member per row, and only stages whose
-    # Lie series does not end reach solve_ivp
+    # Lie series does not end reach solve_ivp.  The rows are mapped with
+    # their Jacobians, as in the residual walk, and the quotient reads only
+    # the points
     flowing = [k for k, st in enumerate(tr.stages)
                if straighten._lie_series(st.fld) is None]
     assert 0 < len(flowing) <= len(tr.stages)
@@ -1090,36 +1207,25 @@ def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
 
 def test_a_failing_shifted_row_drops_only_its_node(monkeypatch):
     tr = build_normal_coordinates(classify_corpus("oscillator-scrambled"))
-    m = tr.m
     nodes = np.array([[0.1, 0.2], [-0.3, 0.1], [0.2, -0.3]])
     want, _ = tr.jacobian_fd(nodes)
     full = pushforward_residuals(tr, grid_points=10)
-    real = straighten.integrate_flows
-    bad = {"row": None, "nodes": len(nodes)}
-
-    def flaky(fld, z, s, with_jacobian=False, chart=None):
-        ends, jac, failures = real(fld, z, s, with_jacobian, chart)
-        # the shifted rows are the walk's flows without a Jacobian, 2 m rows
-        # per node (at m = 2 the stencil's F-flow has as many rows, so it is
-        # told apart by its field); the second shifted row of the second
-        # node fails at the first stage
-        if (len(z) == 2 * m * bad["nodes"] and fld is not tr.F
-                and not with_jacobian and bad["row"] is None):
-            bad["row"] = 2 * m + 1
-            failures[bad["row"]] = NumericFailure("injected")
-            ends[bad["row"]] = np.nan
-        return ends, jac, failures
-
-    monkeypatch.setattr(straighten, "integrate_flows", flaky)
+    # the second shifted row of the second node fails, alone and in the
+    # grid walk (the second cross-checked node there)
+    fail_rows(monkeypatch, straighten.fd_rows(nodes)[[2 * tr.m + 1]])
     got, failures = tr.jacobian_fd(nodes)
     assert list(failures) == [1] and str(failures[1]) == "injected"
     assert np.isnan(got[1]).all()
     assert np.array_equal(got[[0, 2]], want[[0, 2]])
-    bad["row"], bad["nodes"] = None, full.crosscheck_nodes
+    monkeypatch.undo()
+    grid_nodes = grid(10, straighten.default_extent(tr.chart), tr.m)
+    second = grid_nodes[len(grid_nodes) // straighten.CROSSCHECK_CAP]
+    fail_rows(monkeypatch, straighten.fd_rows(second[None])[[1]])
     res = pushforward_residuals(tr, grid_points=10)
     assert full.crosscheck_nodes > 1
     assert res.crosscheck_nodes == full.crosscheck_nodes - 1
     assert res.max_jacobian_gap <= full.max_jacobian_gap
+    assert res.max_crosscheck_residual == full.max_crosscheck_residual
 
 
 def test_median_matches_numpy_bit_for_bit():

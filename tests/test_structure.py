@@ -137,18 +137,22 @@ def test_the_transform_maps_share_one_stage_walk():
     for gone in ("_stage", "_walk", "map_grid"):
         assert not hasattr(CoordinateTransform, gone)
     assert not hasattr(straighten, "_own_rows")
+    # one mode: every walk carries its Jacobians
     assert list(inspect.signature(CoordinateTransform.map_batch).parameters) \
-        == ["self", "params", "jacobian"]
+        == ["self", "params"]
 
 
 def test_the_residual_stage_makes_no_second_jacobian_walk():
-    # the grid, the fit nodes and the fibre check's rows go through one
-    # map_batch in pushforward_residuals; besides it map_batch maps only the
-    # base point, Newton steps, rows that a caller of final_coords has not
-    # mapped and jacobian_fd's shifted rows
+    # the grid, the fit nodes, the fibre check's rows and the cross-check's
+    # shifted rows go through one map_batch in pushforward_residuals;
+    # besides it map_batch maps only the base point, the stencils' first
+    # iterate (the cross-check's Newton guesses with the fit's line rows),
+    # later Newton steps, and rows that a caller of final_coords or
+    # jacobian_fd has not mapped
     assert callers("map_batch") == {("straighten", "__init__"),
                                     ("straighten", "invert"),
                                     ("straighten", "final_coords"),
+                                    ("straighten", "field_in_final_chart"),
                                     ("straighten", "jacobian_fd"),
                                     ("straighten", "pushforward_residuals")}
 
