@@ -12,10 +12,12 @@ and leaves the t-block and chart validity as the substantive checks.
 
 Jacobians of flow compositions are composed from each flow's Jacobian,
 exact for a closed-form flow and from the variational equations otherwise;
-central finite differences of the whole map serve as a cross-check.  Where
-the adapted V-basis has no closed form, the matrix A of the basis change is
-carried as n^2 extra coordinates of every stage: the fibre fields transport
-A along their own flows, so they are symbolic fields like all the others.
+the innermost flow starts at the fixed base point, so only its field's
+column enters and it flows without one.  Central finite differences of the
+whole map serve as a cross-check.  Where the adapted V-basis has no closed
+form, the matrix A of the basis change is carried as n^2 extra coordinates
+of every stage: the fibre fields transport A along their own flows, so they
+are symbolic fields like all the others.
 Every flow goes through `integrate_flows`, many members of one stage at a
 time.  A stage field X whose Lie series ends, X^k z_a = 0 for every
 coordinate with k <= LIE_DEPTH, flows in closed form,
@@ -174,7 +176,9 @@ def integrate_flows(fld: VectorField, z, s, with_jacobian: bool = False,
     Lie series ends (`_lie_series`) flows in closed form, with the exact
     Jacobian, and makes no solve_ivp call; every other field flows all
     members in one solve_ivp call with a step size and error control per
-    member, its Jacobians from the variational equations.
+    member, its Jacobians from the variational equations.  Without
+    `with_jacobian` the states are the m coordinates alone, and a failure
+    reads "flow ..."; with it, "variational flow ...".
 
     Returns (ends (K, m), Jacobians (K, m, m) or None, failures), failures
     mapping each failed member to its NumericFailure; a failed member's rows
@@ -491,7 +495,9 @@ class CoordinateTransform:
         integrate_flows calls of at most FLOW_ROWS, guarded by the box; a
         member whose parent failed takes on that failure and is not flowed,
         so a failing prefix flags all its rows.  The Jacobians are composed
-        stage by stage, appending each stage field's column."""
+        stage by stage, appending each stage field's column.  Stage 0 flows
+        from the fixed `start`, whose parent block has no columns, so it
+        flows without its flow Jacobian and contributes its column only."""
         params = np.asarray(params, dtype=float)
         K = len(params)
         z = self.start[None]
@@ -518,12 +524,13 @@ class CoordinateTransform:
                 rows = live[first:first + FLOW_ROWS]
                 at = parent[rows]
                 ends, Jf, errs = integrate_flows(
-                    fld, z[at], s[rows], with_jacobian=True,
+                    fld, z[at], s[rows], with_jacobian=k > 0,
                     chart=self.chart)
                 zk[rows] = ends
                 col, col_errs = _field_values(fld, ends)
-                Jk[rows] = np.concatenate([Jf @ J[at], col[:, :, None]],
-                                          axis=2)
+                Jk[rows] = np.concatenate(
+                    [J[at] if Jf is None else Jf @ J[at], col[:, :, None]],
+                    axis=2)
                 for i, err in {**col_errs, **errs}.items():
                     failed[rows[i]] = err
             z, J = zk, Jk

@@ -21,6 +21,7 @@ from sodekit.manifest import load_manifest_file
 from sodekit.parser import parse
 from sodekit.runner import run_command
 from sodekit.sampling import _jittered, box_points, is_zero
+from sodekit.straighten import _variational_evaluator
 from tests.conftest import random_elementary, random_polynomial
 
 x, y = syms("x y")
@@ -292,11 +293,13 @@ def test_compiled_columns_do_not_depend_on_the_batch(K):
 
 
 def corpus_evaluators():
-    """Every (exprs, names) compiled while straightening the corpus: the
-    variational right-hand sides of each stage among them."""
+    """Every (exprs, names) compiled while straightening the corpus, and the
+    variational right-hand side of each corpus field F (straightening
+    compiles one only for an integrated stage after the first)."""
     memo.clear()
     for name in corpus_list():
         assert run_command("straighten", corpus_get(name))[1] == 0
+        _variational_evaluator(corpus_get(name).vector_field())
     return [key[1:] for key in list(memo._table)
             if isinstance(key, tuple) and key[0] == "compile_exprs"]
 

@@ -29,7 +29,7 @@ x, y = syms("x y")
 
 
 def classify_corpus(name):
-    m = corpus_get(name)
+    m = INSTANCES[name]()
     prob = SecondOrderProblem(m.chart, m.vector_field(),
                               Frame(m.chart, m.frame_fields()))
     return classify(prob)
@@ -684,7 +684,7 @@ def test_a_failing_prefix_flags_exactly_its_nodes(monkeypatch):
     # their own, so the failing member is told by its start and its time
     axis = np.linspace(-0.3, 0.3, g)
     start, _, _ = integrate_flows(tr.stages[0].fld, tr.start[None],
-                                  [axis[prefix]], True, tr.chart)
+                                  [axis[prefix]], chart=tr.chart)
     real = straighten.integrate_flows
 
     def flaky(fld, z, s, *args, **kwargs):
@@ -703,20 +703,21 @@ def test_a_failing_prefix_flags_exactly_its_nodes(monkeypatch):
 
 
 def test_a_level_that_fails_as_a_whole_is_a_numeric_failure(monkeypatch):
-    # every member of stage 0's Jacobian-carrying calls of more than one
-    # member fails (the transform's own one-row map at its base point does
-    # not); an even g puts no 0 on the axis, so every member moves
+    # every member of stage 0's guarded calls of more than one member fails
+    # (the transform's own one-row map at its base point does not; stage 0
+    # is F, but no cross-check F-flow is reached once the grid has failed);
+    # an even g puts no 0 on the axis, so every member moves
     tr = timedep_transform()
     g, m = 4, tr.m
     stage_0 = tr.stages[0].fld.components
     real = straighten.integrate_flows
 
-    def flaky(fld, z, s, *args, **kwargs):
-        ends, jac, failures = real(fld, z, s, *args, **kwargs)
-        if fld.components == stage_0 and jac is not None and len(z) > 1:
+    def flaky(fld, z, s, with_jacobian=False, chart=None):
+        ends, jac, failures = real(fld, z, s, with_jacobian, chart)
+        if fld.components == stage_0 and chart is not None and len(z) > 1:
             for row in range(len(z)):
                 failures[row] = NumericFailure("injected")
-                ends[row] = jac[row] = np.nan
+                ends[row] = np.nan
         return ends, jac, failures
 
     monkeypatch.setattr(straighten, "integrate_flows", flaky)
@@ -1169,10 +1170,11 @@ def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
     nodes = np.array([[0.15, -0.2, 0.1], [-0.1, 0.25, -0.2], [0.05, 0.1, 0.3]])
     h = straighten.FD_STEP
 
-    def flow_map(params):   # each row alone; the states of its flows
-        z = tr.z0
-        for st, s in zip(tr.stages, params):
-            z, _ = flow(st.fld, z, s, chart=tr.chart, with_jacobian=True)
+    def flow_map(params):   # each row alone; the states of its flows,
+        z = tr.z0           # stage 0 without a Jacobian, as in the walk
+        for k, (st, s) in enumerate(zip(tr.stages, params)):
+            out = flow(st.fld, z, s, chart=tr.chart, with_jacobian=k > 0)
+            z = out[0] if k > 0 else out
         return z
 
     want = np.array([(flow_map(nodes[0] + h * e) - flow_map(nodes[0] - h * e))
@@ -1203,6 +1205,61 @@ def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
     assert np.array_equal(got[0], want)
     _, Jv, _ = tr.map_batch(nodes)
     assert np.max(np.abs(got - Jv)) < 1e-8
+
+
+def test_stage_0_flows_without_variational_equations(monkeypatch):
+    # stage 0 flows from the fixed start, so no walk integrates its flow
+    # Jacobian: each of its solve_ivp calls carries L-wide states, and its
+    # points are those of the plain flow, bit for bit
+    tr = timedep_transform()
+    L = len(tr.start)
+    stage_0 = tr.stages[0].fld
+    assert straighten._lie_series(stage_0) is None
+    walked, widths = [], []
+    field_of_call = []
+    real_flows, real_solve = straighten.integrate_flows, straighten.solve_ivp
+
+    def recording(fld, z, s, with_jacobian=False, chart=None):
+        field_of_call.append(fld)
+        out = real_flows(fld, z, s, with_jacobian, chart)
+        if fld is stage_0 and chart is tr.chart:
+            walked.append((np.array(z), np.array(s), with_jacobian, out[0]))
+        return out
+
+    def solving(fun, t_span, y0, **kwargs):
+        if field_of_call[-1] is stage_0:
+            widths.append(np.shape(y0)[1])
+        return real_solve(fun, t_span, y0, **kwargs)
+
+    monkeypatch.setattr(straighten, "integrate_flows", recording)
+    monkeypatch.setattr(straighten, "solve_ivp", solving)
+    pushforward_residuals(tr, grid_points=4, extent=0.3,
+                          fit_nodes=straighten.quadratic_nodes(tr))
+    monkeypatch.undo()
+    # the grid walk, the cross-check's F-flow and its two Newton walks
+    assert len(widths) == 4 and set(widths) == {L}
+    walks = [call for call in walked if (call[0] == tr.start).all()]
+    assert len(walks) == 3
+    for z, s, with_jacobian, ends in walks:
+        assert not with_jacobian
+        alone, _, failures = integrate_flows(stage_0, z, s)
+        assert not failures and np.array_equal(ends, alone)
+
+
+@pytest.mark.parametrize("name",
+                         ["timedep-scrambled", "osc-sin", "numeric-exp-xy"])
+def test_walk_jacobian_agrees_with_finite_differences(name):
+    # the instances whose stage 0 is integrated: its column is the field at
+    # the stage's end, and the later stages' variational equations carry it
+    tr = build_normal_coordinates(classify_corpus(name))
+    assert straighten._lie_series(tr.stages[0].fld) is None
+    nodes = straighten._mesh(
+        [np.linspace(-0.5, 0.5, 2) * straighten.default_extent(tr.chart)]
+        * tr.m)
+    _, J, failures = tr.map_batch(nodes)
+    Jf, fd_failures = tr.jacobian_fd(nodes)
+    assert not failures and not fd_failures
+    assert np.max(np.abs(J - Jf)) < 1e-8
 
 
 def test_a_failing_shifted_row_drops_only_its_node(monkeypatch):
