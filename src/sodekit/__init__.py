@@ -17,7 +17,7 @@ from .geometry import (  # noqa: F401
 from .analysis import (  # noqa: F401
     AnalysisReport, Options, SecondOrderProblem, adapt_commuting_basis,
     bracket_coefficients, build_extended_frame, check_regularity,
-    check_w_involutive, classify, mixed_curvature, nijenhuis_check,
+    check_w_involutive, classify, mixed_curvature,
     verify_bracket_integrability,
 )
 from .straighten import (  # noqa: F401

@@ -21,13 +21,11 @@ A commutator [V_i, V_j] = c^k_ij V_k that is not structurally zero is kept.
                   - Gamma2^l_ik w^m_jl - Gamma2^l_ij w^m_lk + w^l_ji Gamma2^m_lk
                   with h_i(f) = 1/2 q^k_i V_k(f) - W_i(f);
     torsion T^m_ij = Gamma2^m_ij - Gamma2^m_ji + omega^m_ij
-                     - 1/2 q^k_i w^m_kj + 1/2 q^k_j w^m_ki;
-    vertical flatness R^l_ijk = V_i(w^l_jk) - V_j(w^l_ik) + w^b_jk w^l_ib
-                                - w^b_ik w^l_jb - c^b_ij w^l_bk;
-    Nijenhuis torsion (c^k_ij + w^k_ji - w^k_ij) V_k on (W_i, W_j), 0 on
-    every other pair.
-A frame-level residual r enters its identity suite through the coordinate
-components of r^a E_a.
+                     - 1/2 q^k_i w^m_kj + 1/2 q^k_j w^m_ki.
+The torsion residual r enters its identity suite through the coordinate
+components of r^a E_a.  The projector identities, the Nijenhuis torsion of S
+and the vertical flatness hold for any tables by these formulas, so they are
+checked on whole fields by the test oracle, not here.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ from .expressions import (
 )
 from .geometry import (
     Chart, Decomposition, Frame, GeometryError,
-    InvolutivityResult, VectorField, decompose_in_frame,
+    InvolutivityResult, VectorField, decompose_in_frame, first_domain_error,
     frame_rank, is_involutive, lie_bracket,
 )
 from .sampling import ZeroProbe, ZeroVerdict, box_points
@@ -77,11 +75,6 @@ def _dot(products) -> Expr:
     terms = tuple(f[0] if len(f) == 1 else Mul(f)
                   for f in products if ZERO not in f)
     return normalize(Add(terms)) if terms else ZERO
-
-
-def _minus(x: list, y: list) -> list:
-    """x - y for frame vectors (coefficient lists)."""
-    return [_dot(((a,), (NEG, b))) for a, b in zip(x, y)]
 
 
 class AnalysisError(RuntimeError):
@@ -276,6 +269,23 @@ class ExtendedFrame:
         ])
 
 
+def check_field_defined(problem: SecondOrderProblem) -> Optional[str]:
+    """F's components at the rank samples of check_regularity: a
+    GeometryError if F fails to evaluate at every one of them, a warning
+    naming the first failure if at some, else None."""
+    chart, opts = problem.chart, problem.options
+    points = chart.sample(opts.samples, opts.seed)
+    values, errors = problem.F.evaluator()(np.array(points).T)
+    if not errors:
+        return None
+    where = first_domain_error(["F"], chart, points, values, errors)
+    if len(errors) == len(points):
+        raise GeometryError(
+            f"all sample points hit evaluation domain errors: {where}")
+    return (f"F fails to evaluate at {len(errors)} of {len(points)} sample "
+            f"points; the first: {where}")
+
+
 def check_regularity(problem: SecondOrderProblem) -> dict:
     """Span of {V_i} with {[F, V_i]} must reach rank 2n at every sample.
 
@@ -359,16 +369,6 @@ def bracket_coefficients(ef: ExtendedFrame) -> BracketCoefficients:
     return BracketCoefficients(v=v, w=w, symmetry=suite)
 
 
-def _flatness(V, w, c_ij, i, j, k, el) -> Expr:
-    """R^l_ijk, l = el, of nabla_{V_i} V_j = w^k_ij V_k (module docstring)."""
-    return _dot([(V[i].directional(w[j][k][el]),),
-                 (NEG, V[j].directional(w[i][k][el]))]
-                + [f for b in range(len(V)) for f in (
-                    (w[j][k][b], w[i][b][el]),
-                    (NEG, w[i][k][b], w[j][b][el]),
-                    (NEG, c_ij[b], w[b][k][el]))])
-
-
 def verify_bracket_integrability(ef: ExtendedFrame,
                                  bc: BracketCoefficients) -> IdentitySuite:
     """Flatness identities of the w-mixing system of the commuting basis.
@@ -376,14 +376,16 @@ def verify_bracket_integrability(ef: ExtendedFrame,
     V_i(w^l_jk) - V_j(w^l_ik) + w^l_im w^m_jk - w^l_jm w^m_ik = 0 whenever V
     and W are involutive; a NonZero here is an internal inconsistency, not a
     property of the input."""
-    n = ef.n
+    V, w = ef.vbasis, bc.w
     suite = IdentitySuite("w_mix_integrability")
-    for i, j in ef.commutators:
-        for k in range(n):
-            for el in range(n):
-                suite.add(ef.probe(_flatness(ef.vbasis, bc.w, [ZERO] * n,
-                                             i, j, k, el)),
-                          f"[{i}{j}{k}{el}]")
+    for (i, j), k, el in itertools.product(ef.commutators, range(ef.n),
+                                           range(ef.n)):
+        r = _dot([(V[i].directional(w[j][k][el]),),
+                  (NEG, V[j].directional(w[i][k][el]))]
+                 + [f for b in range(ef.n) for f in (
+                     (w[j][k][b], w[i][b][el]),
+                     (NEG, w[i][k][b], w[j][b][el]))])
+        suite.add(ef.probe(r), f"[{i}{j}{k}{el}]")
     return suite
 
 
@@ -391,7 +393,7 @@ def verify_bracket_integrability(ef: ExtendedFrame,
 class AdaptationInfo:
     mode: str                       # "identity" | "symbolic" | "numeric"
     matrix: Optional[list] = None   # A[i][j] Expressions (mode != numeric)
-    verification: Optional[IdentitySuite] = None
+    verification: Optional[IdentitySuite] = None  # symbolic mode only
 
     def as_dict(self) -> dict:
         out = {"mode": self.mode}
@@ -517,20 +519,18 @@ def _rational_nullspace(matrix, width):
 def adapt_commuting_basis(ef: ExtendedFrame, bc: BracketCoefficients):
     """Re-mix the V-basis so that every [V_i, W_j] is vertical.
 
-    Identity when the w-mixing coefficients vanish; for n = 1 a bounded
-    polynomial ansatz for the scalar transport equation is attempted; any
-    remaining case is decided "numeric", and the chart transports the basis
-    along the V-flows (straighten.build_normal_coordinates).  Returns
-    (adapted frame, AdaptationInfo)."""
+    Identity when the w-mixing coefficients are structurally zero; for
+    n = 1 a bounded polynomial ansatz for the scalar transport equation is
+    attempted, and its rescaled basis is verified; any remaining case is
+    decided "numeric", and the chart transports the basis along the V-flows
+    (straighten.build_normal_coordinates).  Returns (adapted frame,
+    AdaptationInfo)."""
     n = ef.n
     if bc.w_all_zero():
-        info = AdaptationInfo(
+        return ef, AdaptationInfo(
             mode="identity",
             matrix=[[Num(1) if i == j else ZERO for j in range(n)]
-                    for i in range(n)],
-            verification=_verify_adapted(ef),
-        )
-        return ef, info
+                    for i in range(n)])
     if n == 1:
         beta = bc.w[0][0][0]
         found = _poly_ansatz_solve(ef.vbasis[0], beta, ef.chart)
@@ -565,7 +565,7 @@ class PreservationError(AnalysisError):
 
 
 class Connections:
-    """Projectors, lifts and connection coefficients from the tables q[i][k]
+    """L_F S, lifts and connection coefficients from the tables q[i][k]
     = q^k_i, v[i][j][k] = v^k_ij, w[i][j][k], omega[i, j][m] and c[i][j][k]
     (module docstring).  A frame vector is the list (a_1..a_n, b_1..b_n)."""
 
@@ -614,87 +614,19 @@ class Connections:
             + [(HALF, q[i][l], self.c[l][j][k]) for l in range(n)]
         )
 
-    def _lie_derivative_s(self, x: list) -> list:
-        """(L_F S)(aV + bW) = (a + Q b)V - bW with (Q b)^k = q^k_i b^i."""
-        n = self.ef.n
-        return ([_dot([(x[k],)] + [(self.q[i][k], x[n + i])
-                                   for i in range(n)]) for k in range(n)]
-                + [_dot(((NEG, b),)) for b in x[n:]])
-
-    def _projector(self, x: list, sign: int) -> list:
-        """P_H = (id - L_F S)/2 for sign -1, P_V = (id + L_F S)/2 for +1."""
-        return [_dot(((HALF, a), (Num(sign), HALF, lfs)))
-                for a, lfs in zip(x, self._lie_derivative_s(x))]
+    def lie_derivative_s(self) -> list:
+        """(L_F S)(E_a) for each element of the combined frame, as fields:
+        V_k is fixed and W_i goes to q^k_i V_k - W_i."""
+        ef, n = self.ef, self.ef.n
+        return ([ef.field_of([Num(1) if k == i else ZERO for k in range(n)])
+                 for i in range(n)]
+                + [ef.field_of(self.q[i] + [NEG if k == i else ZERO
+                                            for k in range(n)])
+                   for i in range(n)])
 
     def lifts(self) -> list:
         """The horizontal lifts h_i of the V-basis, as fields."""
         return [self.ef.field_of(h) for h in self.lift_vectors]
-
-    def projector_identities(self) -> ProjectorData:
-        ef, n = self.ef, self.ef.n
-        lfs, proj = self._lie_derivative_s, self._projector
-        suite = IdentitySuite("projector_identities")
-
-        def check(x, label):
-            suite.add_field(ef.probe, ef.field_of(x), label)
-
-        basis = [[Num(1) if k == a else ZERO for k in range(2 * n)]
-                 for a in range(2 * n)]
-        lfs_table = []
-        for idx, e in enumerate(basis):
-            lfs_table.append(ef.field_of(lfs(e)))
-            check(_minus(lfs(lfs(e)), e), f"(L_F S)^2-id[{idx}]")
-            ph, pv = proj(e, -1), proj(e, 1)
-            check([_dot(((a,), (b,), (NEG, c))) for a, b, c in zip(ph, pv, e)],
-                  f"P_H+P_V-id[{idx}]")
-            check(_minus(proj(ph, -1), ph), f"P_H idempotent[{idx}]")
-            check(_minus(proj(pv, 1), pv), f"P_V idempotent[{idx}]")
-        for idx, v in enumerate(basis[:n]):
-            check(_minus(proj(v, 1), v), f"P_V(V{idx})-V{idx}")
-            check(proj(v, -1), f"P_H(V{idx})")
-        for idx, h in enumerate(self.lift_vectors):
-            s_h = [_dot(((NEG, b),)) for b in h[n:]] + [ZERO] * n  # S = -bV
-            check(_minus(s_h, basis[idx]), f"S(h{idx})-V{idx}")
-            check(proj(h, 1), f"P_V(h{idx})")
-        return ProjectorData(lfs_table=lfs_table, identities=suite)
-
-    def vertical_flatness(self) -> IdentitySuite:
-        """Curvature of the vertical derivative in vertical directions."""
-        ef, n = self.ef, self.ef.n
-        suite = IdentitySuite("vertical_flatness")
-        for i, j in ef.commutators:
-            for k in range(n):
-                r = [_flatness(ef.vbasis, self.w, self.c[i][j], i, j, k, el)
-                     for el in range(n)]
-                suite.add_field(ef.probe, ef.field_of(r), f"R[{i}{j}{k}]")
-        return suite
-
-
-def nijenhuis_check(conn: Connections) -> IdentitySuite:
-    """Nijenhuis torsion of S on all combined-frame pairs; must vanish."""
-    ef, n, w = conn.ef, conn.ef.n, conn.w
-    suite = IdentitySuite("nijenhuis_torsion")
-    for i in range(2 * n):
-        for j in range(i + 1, 2 * n):
-            a, b = i - n, j - n
-            r = [_dot(((conn.c[a][b][k],), (w[b][a][k],), (NEG, w[a][b][k])))
-                 if a >= 0 else ZERO for k in range(n)]
-            suite.add_field(ef.probe, ef.field_of(r), f"N[{i},{j}]")
-    return suite
-
-
-@dataclass
-class ProjectorData:
-    lfs_table: list       # (L_F S) applied to each combined-frame element
-    identities: IdentitySuite
-
-    def as_dict(self) -> dict:
-        return {
-            "lie_derivative_S": [
-                [to_str(c) for c in f.components] for f in self.lfs_table
-            ],
-            "identities": self.identities.as_dict(),
-        }
 
 
 @dataclass
@@ -872,7 +804,7 @@ class AnalysisReport:
     f_w_coefficients: Optional[tuple] = None
     zero_section_points: list = field(default_factory=list)
     parameter_count: Optional[int] = None
-    projector_data: Optional[ProjectorData] = None
+    lie_derivative_s: Optional[list] = None   # (L_F S)(E_a), as fields
     connection_data: Optional[ConnectionTables] = None
     curvature: Optional[MixedCurvature] = None
     s_of_f: Optional[VectorField] = None
@@ -906,8 +838,10 @@ class AnalysisReport:
             out["bracket_coefficients"] = self.bracket_coeffs.as_dict()
         if self.adaptation is not None:
             out["adaptation"] = self.adaptation.as_dict()
-        if self.projector_data is not None:
-            out["projectors"] = self.projector_data.as_dict()
+        if self.lie_derivative_s is not None:
+            out["projectors"] = {"lie_derivative_S": [
+                [to_str(c) for c in f.components]
+                for f in self.lie_derivative_s]}
         if self.connection_data is not None:
             out["connection"] = self.connection_data.as_dict()
         if self.curvature is not None:
@@ -937,6 +871,9 @@ class PipelineState:
 
 def _regularity(state: PipelineState):
     problem, report = state.problem, state.analysis
+    warning = check_field_defined(problem)
+    if warning:
+        report.warnings.append(warning)
     v_involutivity = is_involutive(problem.V, problem.probe)
     report.verdicts["v_involutive"] = v_involutivity.as_dict()
     if not v_involutivity.ok:
@@ -1035,11 +972,7 @@ def _connections(state: PipelineState):
         return
     report.verdicts["f_preserves_w"] = {"status": "pass"}
     state.connections = conn
-    report.identity_suites.append(nijenhuis_check(conn))
-    proj = conn.projector_identities()
-    report.projector_data = proj
-    report.identity_suites.append(proj.identities)
-    report.identity_suites.append(conn.vertical_flatness())
+    report.lie_derivative_s = conn.lie_derivative_s()
     tables = connection_tables(conn)
     report.connection_data = tables
     report.identity_suites.append(tables.torsion)

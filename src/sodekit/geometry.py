@@ -210,6 +210,18 @@ class RankReport:
         }
 
 
+def first_domain_error(labels, chart: Chart, points, values,
+                       errors) -> str:
+    """Where fields first fail to evaluate: the first non-finite component
+    at the first failing point, that point and the failing subexpression.
+    `values` and `errors` are a compiled evaluator's output on the fields'
+    stacked components at `points`; `labels` name the fields."""
+    k = min(errors)
+    j = int(np.flatnonzero(~np.isfinite(values[:, k]))[0])
+    return (f"component {j % chart.dim} ('{chart.names[j % chart.dim]}') of "
+            f"{labels[j // chart.dim]} fails at {points[k]}: {errors[k]}")
+
+
 def frame_rank(fields, chart: Optional[Chart] = None, samples: int = 64,
                seed: int = 0) -> RankReport:
     """Numeric rank of the span of `fields` at quasi-random sample points."""
@@ -230,8 +242,9 @@ def frame_rank(fields, chart: Optional[Chart] = None, samples: int = 64,
     kept = [k for k in range(len(points)) if k not in errors]
     if not kept:
         raise GeometryError(
-            "all sample points hit evaluation domain errors"
-        )
+            "all sample points hit evaluation domain errors: "
+            + first_domain_error([f"field {i}" for i in range(len(fields))],
+                                 chart, points, values, errors))
     # one matrix per kept point, with the fields' values as its columns
     matrices = values[:, kept].T.reshape(len(kept), len(fields), chart.dim)
     svals = np.linalg.svd(matrices.transpose(0, 2, 1), compute_uv=False)

@@ -5,18 +5,22 @@ Every quantity here is built from whole vector fields, with Lie brackets and
 frame decompositions, as the invariant definitions read: the vertical
 endomorphism S, its Lie derivative L_F S, the projectors, the horizontal
 lifts, the vertical and the extended covariant derivatives, and from them
-the identity suites, the connection tables and the mixed curvature.  It
-shares only the report dataclasses with the stages, so a report section
-built here and one built from the coefficient tables must print the same.
+the connection tables and the mixed curvature.  It shares only the report
+dataclasses with the stages, so a report section built here and one built
+from the coefficient tables must print the same.
+
+The Nijenhuis torsion of S, the projector identities and the vertical
+flatness are checked here only: on the coefficient tables they hold by
+construction, but on whole fields they test the frame, the brackets and the
+decompositions the tables come from.
 """
 
 from fractions import Fraction
 
 from sodekit.analysis import (
     ConnectionTables, ExtendedFrame, IdentitySuite, MixedCurvature,
-    ProjectorData,
 )
-from sodekit.expressions import Num, ZERO, normalize
+from sodekit.expressions import Num, ZERO, normalize, to_str
 from sodekit.geometry import VectorField, lie_bracket
 
 
@@ -117,12 +121,12 @@ class FieldConnections:
         )
         return term1 + term2
 
-    def projector_identities(self) -> ProjectorData:
+    def projector_identities(self) -> IdentitySuite:
         ef = self.ef
         suite = IdentitySuite("projector_identities")
         elements = list(ef.combined.fields)
-        lfs_table = [self.lie_derivative_s(e) for e in elements]
-        for idx, (e, lfs_e) in enumerate(zip(elements, lfs_table)):
+        for idx, e in enumerate(elements):
+            lfs_e = self.lie_derivative_s(e)
             twice = self.lie_derivative_s(lfs_e)
             suite.add_field(ef.probe, twice - e, f"(L_F S)^2-id[{idx}]")
             ph = self.horizontal(e)
@@ -139,7 +143,7 @@ class FieldConnections:
             suite.add_field(ef.probe, apply_tangent_structure(ef, h) - v,
                             f"S(h{idx})-V{idx}")
             suite.add_field(ef.probe, self.vertical(h), f"P_V(h{idx})")
-        return ProjectorData(lfs_table=lfs_table, identities=suite)
+        return suite
 
     def vertical_flatness(self) -> IdentitySuite:
         """Curvature of the vertical derivative in vertical directions."""
@@ -222,12 +226,15 @@ def mixed_curvature(conn: FieldConnections) -> MixedCurvature:
 
 def sections(ef: ExtendedFrame) -> dict:
     """The printed `projectors`, `connection` and `mixed_curvature` sections
-    and the nijenhuis and vertical-flatness suites, all from the fields."""
+    and the oracle-only identity suites, all from the fields."""
     conn = FieldConnections(ef)
     return {
         "nijenhuis_torsion": nijenhuis_check(ef).as_dict(),
-        "projectors": conn.projector_identities().as_dict(),
+        "projector_identities": conn.projector_identities().as_dict(),
         "vertical_flatness": conn.vertical_flatness().as_dict(),
+        "projectors": {"lie_derivative_S": [
+            [to_str(c) for c in conn.lie_derivative_s(e).components]
+            for e in ef.combined.fields]},
         "connection": connection_tables(conn).as_dict(),
         "mixed_curvature": mixed_curvature(conn).as_dict(),
     }

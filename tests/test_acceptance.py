@@ -22,15 +22,17 @@ from sodekit.straighten import (
     transported_fibre_fields,
 )
 from tests.conftest import euler_lagrange_reduced_field
-from tests.connection_oracle import apply_tangent_structure
+from tests.connection_oracle import (
+    FieldConnections, apply_tangent_structure, nijenhuis_check,
+)
 
 x, y = syms("x y")
 
 REQUIRED_SUITES = (
     "w_mix_integrability",   # flatness identities of the mixing system
-    "nijenhuis_torsion",
-    "projector_identities",  # includes (L_F S)^2 = id, P_H + P_V = id,
-                             # and projector idempotence
+    "nijenhuis_torsion",     # from the field oracle
+    "projector_identities",  # from the field oracle; includes (L_F S)^2 = id,
+                             # P_H + P_V = id and projector idempotence
     "torsion",
 )
 
@@ -58,6 +60,11 @@ def test_criterion_1_identity_suite():
             failures.append(f"{name}: classification {rep.classification}")
             continue
         suites = {s.name: s for s in rep.identity_suites}
+        # on the coefficient tables these hold by construction, so they are
+        # checked on whole fields
+        for suite in (nijenhuis_check(rep.extended),
+                      FieldConnections(rep.extended).projector_identities()):
+            suites[suite.name] = suite
         for wanted in REQUIRED_SUITES:
             suite = suites.get(wanted)
             if suite is None:

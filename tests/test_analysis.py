@@ -13,7 +13,7 @@ from sodekit.geometry import (
 from sodekit.analysis import (
     CASE1, CASE2, NOT_SODE, Connections, Options, SecondOrderProblem,
     adapt_commuting_basis, bracket_coefficients, build_extended_frame,
-    check_regularity, classify, mixed_curvature, nijenhuis_check,
+    check_regularity, classify, mixed_curvature,
     verify_bracket_integrability,
 )
 from sodekit.parser import parse
@@ -139,7 +139,8 @@ def test_adaptation_identity_when_mixing_vanishes(natural):
     adapted, info = adapt_commuting_basis(ef, bc)
     assert info.mode == "identity"
     assert adapted is ef
-    assert info.verification.ok
+    # the W-parts of [V_i, W_j] are structurally zero: nothing to verify
+    assert bc.w_all_zero() and info.verification is None
 
 
 def test_adaptation_numeric_fallback_for_transcendental_rescaling(plane):
@@ -225,7 +226,8 @@ def test_adaptation_identity_routh():
     bc = bracket_coefficients(ef)
     adapted, info = adapt_commuting_basis(ef, bc)
     assert info.mode == "identity"
-    assert info.verification.exact
+    assert adapted is ef
+    assert bc.w_all_zero() and info.verification is None
 
 
 # -- vertical endomorphism ----------------------------------------------------
@@ -255,7 +257,7 @@ def test_s_of_f_is_fibre_dilation_field(natural):
 
 def test_nijenhuis_vanishes(natural):
     ef = build_extended_frame(natural)
-    suite = nijenhuis_check(Connections(ef))
+    suite = connection_oracle.nijenhuis_check(ef)
     assert suite.ok and suite.exact
 
 
@@ -264,7 +266,7 @@ def test_nijenhuis_vanishes_routh():
     prob = SecondOrderProblem(m.chart, m.vector_field(),
                               Frame(m.chart, m.frame_fields()))
     ef = build_extended_frame(prob)
-    suite = nijenhuis_check(Connections(ef))
+    suite = connection_oracle.nijenhuis_check(ef)
     assert suite.ok and suite.exact
 
 
@@ -272,9 +274,8 @@ def test_nijenhuis_vanishes_routh():
 
 def test_projector_actions_on_basis(natural):
     ef = build_extended_frame(natural)
-    conn = Connections(ef)
-    data = conn.projector_identities()
-    assert data.identities.ok and data.identities.exact
+    suite = FieldConnections(ef).projector_identities()
+    assert suite.ok and suite.exact
 
 
 def test_horizontal_projection_of_w(natural):
@@ -620,6 +621,9 @@ def test_identity_suites_exact_on_polynomial_instances():
 
 # -- table-based stages against the field-level oracle ------------------------
 
+ORACLE_SUITES = ("nijenhuis_torsion", "projector_identities",
+                 "vertical_flatness")
+
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_table_stages_print_what_the_field_oracle_prints(name):
     manifest = INSTANCES[name]()
@@ -631,21 +635,37 @@ def test_table_stages_print_what_the_field_oracle_prints(name):
     if rep.connection_data is None:
         # the recognition stopped first: no stage output to compare
         assert name == "regularity-fail" and rep.reason
-        assert rep.projector_data is None and rep.curvature is None
+        assert rep.lie_derivative_s is None and rep.curvature is None
         return
     printed = rep.as_dict()
-    suites = {s["identity"]: s for s in printed["identity_suites"]}
-    stage = {
-        "nijenhuis_torsion": suites["nijenhuis_torsion"],
-        "projectors": printed["projectors"],
-        "vertical_flatness": suites["vertical_flatness"],
-        "connection": printed["connection"],
-        "mixed_curvature": printed["mixed_curvature"],
-    }
     oracle = connection_oracle.sections(rep.extended)
-    for section in stage:
-        assert (json.dumps(stage[section], sort_keys=True)
+    for suite in ORACLE_SUITES:
+        assert oracle[suite]["status"] == "pass", suite
+        assert oracle[suite]["exact"], suite
+    for section in ("projectors", "connection", "mixed_curvature"):
+        assert (json.dumps(printed[section], sort_keys=True)
                 == json.dumps(oracle[section], sort_keys=True)), section
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_the_printed_suites_per_adaptation_mode(name):
+    # the suites that hold by construction on the tables are the oracle's;
+    # the adapted basis is verified only where an ansatz rescaled it
+    manifest = INSTANCES[name]()
+    opts = Options.from_mapping(manifest.options)
+    frame = Frame(manifest.chart, manifest.frame_fields(),
+                  samples=opts.samples, seed=opts.seed)
+    rep = classify(SecondOrderProblem(manifest.chart, manifest.vector_field(),
+                                      frame, opts))
+    if rep.adaptation is None:
+        assert name == "regularity-fail"
+        return
+    expected = ["v_basis_commutes", "mixing_symmetry", "w_mix_integrability",
+                "torsion"]
+    if rep.adaptation.mode == "symbolic":
+        expected.insert(3, "adapted_brackets_vertical")
+    assert [s.name for s in rep.identity_suites] == expected
+    assert (rep.adaptation.mode == "symbolic") == (name == "beta-rescaled")
 
 
 def test_commutator_zero_only_by_sampling_stays_in_the_tables():

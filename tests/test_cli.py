@@ -14,8 +14,8 @@ from sodekit.manifest import (
     ManifestError, load_manifest, load_manifest_text,
 )
 from sodekit.runner import (
-    EXIT_INPUT, EXIT_MATH_FAIL, EXIT_NUMERIC, EXIT_OK, report_to_json,
-    run_command,
+    COMMANDS, EXIT_INPUT, EXIT_MATH_FAIL, EXIT_NUMERIC, EXIT_OK,
+    report_to_json, run_command,
 )
 from tests.conftest import INSTANCES
 
@@ -279,6 +279,39 @@ def test_cli_log_of_zero_names_the_log_and_its_component(tmp_path, capsys,
     assert capsys.readouterr().err == (
         f"input error: field.components[1]: log of an expression that "
         f"normalizes to zero: '{log}' (line 1, column {column})\n")
+
+
+FIRST_SAMPLE = load_manifest(inline_manifest()).chart.sample(200)[0]
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("part,field", [
+    ({"frame": [{"components": ["0", "log(x - 3)"]}]}, "field 0"),
+    ({"field": {"components": ["y", "log(x - 3)"]}}, "F")])
+def test_cli_a_component_undefined_everywhere_is_named(tmp_path, capsys,
+                                                        command, part, field):
+    # log(x - 3) has no value on [-1, 1]: an input error that names the
+    # field, its component, the first sample point and the failing log
+    assert main([command, write_manifest(tmp_path, **part)]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: all sample points hit evaluation domain errors: "
+        f"component 1 ('y') of {field} fails at {FIRST_SAMPLE}: log of a "
+        "nonpositive value in 'log(x - 3)'\n")
+
+
+def test_a_field_undefined_at_some_samples_warns_once():
+    # log(x) fails on the left half of the box: the run goes on, with one
+    # warning naming the component and the first failing sample point
+    manifest = load_manifest(inline_manifest(
+        field={"components": ["y", "log(x)"]}))
+    points = manifest.chart.sample(200)
+    bad = [p for p in points if p[0] <= 0]
+    report, code = run_command("classify", manifest)
+    assert code == EXIT_OK
+    assert report["analysis"]["warnings"] == [
+        f"F fails to evaluate at {len(bad)} of 200 sample points; the first: "
+        f"component 1 ('y') of F fails at {bad[0]}: log of a nonpositive "
+        "value in 'log(x)'"]
 
 
 def test_an_overflowing_flow_raises_no_runtime_warning():
