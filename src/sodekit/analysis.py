@@ -41,8 +41,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .expressions import (
-    Add, Expr, Mul, Num, Pow, Sym, ZERO, _to_rf, compile_exprs, differentiate,
-    normalize, to_str,
+    Expr, NEG, Num, Pow, Sym, ZERO, _to_rf, compile_exprs, differentiate,
+    dot, normalize, to_str,
 )
 from .geometry import (
     Chart, Decomposition, Frame, GeometryError,
@@ -66,15 +66,6 @@ NOT_SODE = "not-second-order"
 
 
 HALF = Num(Fraction(1, 2))
-NEG = Num(-1)
-
-
-def _dot(products) -> Expr:
-    """Normal form of a sum of products, each a tuple of factors; a product
-    with a ZERO factor is skipped."""
-    terms = tuple(f[0] if len(f) == 1 else Mul(f)
-                  for f in products if ZERO not in f)
-    return normalize(Add(terms)) if terms else ZERO
 
 
 class AnalysisError(RuntimeError):
@@ -264,26 +255,35 @@ class ExtendedFrame:
         """The field c^a E_a; a shorter list covers the leading elements."""
         pairs = list(zip(coefficients, self.combined.fields))
         return VectorField(self.chart, [
-            _dot((c, f.components[idx]) for c, f in pairs)
+            dot((c, f.components[idx]) for c, f in pairs)
             for idx in range(self.chart.dim)
         ])
 
 
-def check_field_defined(problem: SecondOrderProblem) -> Optional[str]:
-    """F's components at the rank samples of check_regularity: a
-    GeometryError if F fails to evaluate at every one of them, a warning
-    naming the first failure if at some, else None."""
+def check_field_defined(problem: SecondOrderProblem) -> list:
+    """F's and the V-basis's components at the rank samples of
+    check_regularity: a GeometryError if F or the V-basis fails to evaluate
+    at every one of them, else one warning naming the first failure for
+    each of them that fails at some."""
     chart, opts = problem.chart, problem.options
     points = chart.sample(opts.samples, opts.seed)
-    values, errors = problem.F.evaluator()(np.array(points).T)
-    if not errors:
-        return None
-    where = first_domain_error(["F"], chart, points, values, errors)
-    if len(errors) == len(points):
-        raise GeometryError(
-            f"all sample points hit evaluation domain errors: {where}")
-    return (f"F fails to evaluate at {len(errors)} of {len(points)} sample "
-            f"points; the first: {where}")
+    warnings = []
+    for what, fields, labels in (
+            ("F", [problem.F], ["F"]),
+            ("the V-basis", problem.V.fields,
+             [f"field {i}" for i in range(problem.n)])):
+        values, errors = compile_exprs(
+            [c for f in fields for c in f.components], chart.names)(
+            np.array(points).T)
+        if not errors:
+            continue
+        where = first_domain_error(labels, chart, points, values, errors)
+        if len(errors) == len(points):
+            raise GeometryError(
+                f"all sample points hit evaluation domain errors: {where}")
+        warnings.append(f"{what} fails to evaluate at {len(errors)} of "
+                        f"{len(points)} sample points; the first: {where}")
+    return warnings
 
 
 def check_regularity(problem: SecondOrderProblem) -> dict:
@@ -380,11 +380,11 @@ def verify_bracket_integrability(ef: ExtendedFrame,
     suite = IdentitySuite("w_mix_integrability")
     for (i, j), k, el in itertools.product(ef.commutators, range(ef.n),
                                            range(ef.n)):
-        r = _dot([(V[i].directional(w[j][k][el]),),
-                  (NEG, V[j].directional(w[i][k][el]))]
-                 + [f for b in range(ef.n) for f in (
-                     (w[j][k][b], w[i][b][el]),
-                     (NEG, w[i][k][b], w[j][b][el]))])
+        r = dot([(V[i].directional(w[j][k][el]),),
+                 (NEG, V[j].directional(w[i][k][el]))]
+                + [f for b in range(ef.n) for f in (
+                    (w[j][k][b], w[i][b][el]),
+                    (NEG, w[i][k][b], w[j][b][el]))])
         suite.add(ef.probe(r), f"[{i}{j}{k}{el}]")
     return suite
 
@@ -427,13 +427,11 @@ def _poly_ansatz_solve(vfield: VectorField, target: Expr, chart: Chart,
     if len(monos) > 220:
         return None
     coeff_syms = [Sym(f"_c{i}") for i in range(len(monos))]
-    h = ZERO
-    for cs, mono in zip(coeff_syms, monos):
-        term = cs
-        for name, e in mono:
-            term = term * Pow_(Sym(name), e)
-        h = h + term
-    residual = normalize(vfield.directional(h) - target * h)
+    h = dot((cs,) + _factors(mono) for cs, mono in zip(coeff_syms, monos))
+    residual = dot([(vfield.directional(h),), (NEG, target, h)])
+    # one row per monomial in the residual's term order; the nullspace does
+    # not depend on that order: Gauss-Jordan ends in the reduced row echelon
+    # form, which the row space alone determines
     p, _ = _to_rf(residual)
     coeff_names = {s.name for s in coeff_syms}
     rows: dict = {}
@@ -462,23 +460,18 @@ def _poly_ansatz_solve(vfield: VectorField, target: Expr, chart: Chart,
         for name, val in chart.assignment(chart.center()).items()
     }
     for vec in null:
-        h_expr, value = ZERO, Fraction(0)
-        for c, mono in zip(vec, monos):
-            if c == 0:
-                continue
-            term: Expr = Num(c)
-            for name, e in mono:
-                term = term * Pow_(Sym(name), e)
-                c *= center[name] ** e    # c times the monomial at the center
-            h_expr, value = h_expr + term, value + c
         # the rescaling divides by h, so h must not vanish at the base point
+        value = sum((c * math.prod(center[name] ** e for name, e in mono)
+                     for c, mono in zip(vec, monos)), Fraction(0))
         if value != 0:
-            return normalize(h_expr), value
+            return dot((Num(c),) + _factors(mono)
+                       for c, mono in zip(vec, monos) if c != 0), value
     return None
 
 
-def Pow_(base, e):
-    return Pow(base, e) if e != 1 else base
+def _factors(mono) -> tuple:
+    """The powers of chart symbols of an exponent tuple."""
+    return tuple(Pow(Sym(name), e) for name, e in mono)
 
 
 def _rational_nullspace(matrix, width):
@@ -592,10 +585,10 @@ class Connections:
             if any(c != ZERO for c in comm.components):
                 for k, c in enumerate(ef.decompose_vertical(comm)):
                     self.c[i][j][k] = normalize(c)
-                    self.c[j][i][k] = normalize(-c)
+                    self.c[j][i][k] = dot(((NEG, c),))
         # h_i = 1/2 q^k_i V_k - W_i, so Gamma1^k_i = 1/2 q^k_i
         self.lift_vectors = [
-            [_dot(((HALF, c),)) for c in self.q[i]]
+            [dot(((HALF, c),)) for c in self.q[i]]
             + [NEG if k == i else ZERO for k in range(n)]
             for i in range(n)
         ]
@@ -607,7 +600,7 @@ class Connections:
     def _gamma2(self, k: int, i: int, j: int) -> Expr:
         """Gamma2^k_ij, the V_k-part of P_V([h_i, V_j])."""
         n, q, w = self.ef.n, self.q, self.w
-        return _dot(
+        return dot(
             [(NEG, HALF, self.ef.vbasis[j].directional(q[i][k])),
              (self.v[j][i][k],)]
             + [(HALF, q[l][k], w[j][i][l]) for l in range(n)]
@@ -659,10 +652,10 @@ def connection_tables(conn: Connections) -> ConnectionTables:
     ef, n, q, w, g2 = conn.ef, conn.ef.n, conn.q, conn.w, conn.gamma2
     torsion = IdentitySuite("torsion")
     for i, j in ef.commutators:
-        t = [_dot([(g2[m][i][j],), (NEG, g2[m][j][i]), (conn.omega[i, j][m],)]
-                  + [f for k in range(n) for f in (
-                      (HALF, q[j][k], w[k][i][m]),
-                      (NEG, HALF, q[i][k], w[k][j][m]))])
+        t = [dot([(g2[m][i][j],), (NEG, g2[m][j][i]), (conn.omega[i, j][m],)]
+                 + [f for k in range(n) for f in (
+                     (HALF, q[j][k], w[k][i][m]),
+                     (NEG, HALF, q[i][k], w[k][j][m]))])
              for m in range(n)]
         torsion.add_field(ef.probe, ef.field_of(t), f"T[{i}{j}]")
     return ConnectionTables(gamma1=conn.gamma1, gamma2=g2,
@@ -714,15 +707,15 @@ def mixed_curvature(conn: Connections) -> MixedCurvature:
     in the fibre coordinates."""
     ef, n, q, w, g2 = conn.ef, conn.ef.n, conn.q, conn.w, conn.gamma2
     V, W = ef.vbasis, ef.wfields
-    comps = [[[[_dot([(HALF, q[i][el], V[el].directional(w[j][k][m]))
-                      for el in range(n)]
-                     + [(NEG, W[i].directional(w[j][k][m])),
-                        (NEG, V[j].directional(g2[m][i][k]))]
-                     + [f for el in range(n) for f in (
-                         (w[j][k][el], g2[m][i][el]),
-                         (NEG, g2[el][i][k], w[j][el][m]),
-                         (NEG, g2[el][i][j], w[el][k][m]),
-                         (w[j][i][el], g2[m][el][k]))])
+    comps = [[[[dot([(HALF, q[i][el], V[el].directional(w[j][k][m]))
+                     for el in range(n)]
+                    + [(NEG, W[i].directional(w[j][k][m])),
+                       (NEG, V[j].directional(g2[m][i][k]))]
+                    + [f for el in range(n) for f in (
+                        (w[j][k][el], g2[m][i][el]),
+                        (NEG, g2[el][i][k], w[j][el][m]),
+                        (NEG, g2[el][i][j], w[el][k][m]),
+                        (w[j][i][el], g2[m][el][k]))])
                 for m in range(n)] for k in range(n)] for j in range(n)]
              for i in range(n)]
     return MixedCurvature.from_components(comps, ef.probe)
@@ -871,9 +864,7 @@ class PipelineState:
 
 def _regularity(state: PipelineState):
     problem, report = state.problem, state.analysis
-    warning = check_field_defined(problem)
-    if warning:
-        report.warnings.append(warning)
+    report.warnings.extend(check_field_defined(problem))
     v_involutivity = is_involutive(problem.V, problem.probe)
     report.verdicts["v_involutive"] = v_involutivity.as_dict()
     if not v_involutivity.ok:
@@ -992,7 +983,7 @@ def _zero_section(state: PipelineState):
         report.classification = CASE2
         return
     # S(F) = -b^i V_i for F = a^i V_i + b^i W_i
-    report.s_of_f = ef.field_of([normalize(-b)
+    report.s_of_f = ef.field_of([dot(((NEG, b),))
                                  for b in report.f_w_coefficients])
     report.zero_section_points = find_zero_section_points(
         ef, report.f_w_coefficients)

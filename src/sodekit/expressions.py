@@ -245,6 +245,7 @@ class Div(Expr):
 
 ZERO = Num(0)
 ONE = Num(1)
+NEG = Num(-1)
 
 
 def syms(names: str) -> tuple:
@@ -316,6 +317,7 @@ Monomial = tuple
 Poly = dict
 
 _P_ONE: Poly = {(): 1}
+_UNIT = MappingProxyType(dict(_P_ONE))   # the unit denominator of every _rf
 
 
 def _qdiv(a: Number, b: Number) -> Number:
@@ -373,8 +375,13 @@ def _poly_add(p1: Poly, p2: Poly) -> Poly:
 
 
 def _poly_mul(p1: Poly, p2: Poly) -> Poly:
+    """The product; a unit operand returns the other as is."""
     if not p1 or not p2:
         return {}
+    if len(p1) == 1 and p1.get(()) == 1:
+        return p2
+    if len(p2) == 1 and p2.get(()) == 1:
+        return p1
     out: Poly = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
@@ -642,15 +649,38 @@ def normalize(e: Expr) -> Expr:
         return e
     key = ("normalize", e)
     hit = memo.get(key)
-    return hit if hit is not None else memo.put(key, _normal_tree(e))
+    return hit if hit is not None else memo.put(key, _attach_rf(*_to_rf(e)))
 
 
-def _normal_tree(e: Expr) -> Expr:
-    p, q = _to_rf(e)
+def _attach_rf(p: Poly, q: Poly) -> Expr:
+    """The normal tree of the canonical pair (p, q), carrying it read-only."""
     out = _rf_to_tree((p, q))
-    object.__setattr__(out, "_rf", (MappingProxyType(dict(p)),
-                                    MappingProxyType(dict(q))))
+    if getattr(out, "_rf", None) is None:
+        object.__setattr__(out, "_rf", (MappingProxyType(dict(p)), _UNIT
+                                        if q == _P_ONE else
+                                        MappingProxyType(dict(q))))
     return out
+
+
+def dot(products) -> Expr:
+    """Normal form of a sum of products, each a tuple of factors; a product
+    with a ZERO factor is skipped.  When every factor's normal form is a
+    polynomial (unit denominator) the sum is formed on the rational forms,
+    exact arithmetic in which the tree path's reductions are no-ops, and
+    only the result is interned; otherwise it is normalize(Add(Mul(...)))."""
+    products = [f for f in products if ZERO not in f]
+    total: Poly = {}
+    for f in products:
+        rfs = [normalize(x)._rf for x in f]
+        if any(q is not _UNIT for _, q in rfs):
+            return normalize(Add(tuple(g[0] if len(g) == 1 else Mul(g)
+                                       for g in products)))
+        prod = rfs[0][0]
+        for p, _ in rfs[1:]:
+            prod = _poly_mul(prod, p)
+        for mon, c in prod.items():
+            _poly_add_term(total, mon, c)
+    return _attach_rf(total, _P_ONE)
 
 
 # --------------------------------------------------------------------------
@@ -695,11 +725,49 @@ def _diff(e: Expr, name: str) -> Expr:
 
 
 def differentiate(e: Expr, symbol) -> Expr:
-    """Exact partial derivative with respect to `symbol`, normalized."""
+    """Exact partial derivative with respect to `symbol`, normalized.
+    Memoized.  A polynomial e = sum c m (a normal form with the unit
+    denominator, or a tree that `_polynomial_tree` admits) is differentiated
+    on its rational form, sum of k c (m/a) da over the atoms a^k of each
+    monomial m, when every atom derivative da is a polynomial; any other e
+    is differentiated as a product-rule tree."""
     name = symbol.name if isinstance(symbol, Sym) else symbol
     key = ("differentiate", e, name)
     hit = memo.get(key)
-    return hit if hit is not None else memo.put(key, normalize(_diff(e, name)))
+    return hit if hit is not None else memo.put(key, _derivative(e, name))
+
+
+def _polynomial_tree(e: Expr) -> bool:
+    """Whether e is built of constants, symbols, sums, products, powers with
+    positive integer exponents and non-log functions: then every subtree's
+    rational form, and its derivative's, is a polynomial."""
+    if isinstance(e, Pow):
+        q = e.exponent
+        return q.denominator == 1 and q >= 1 and _polynomial_tree(e.base)
+    if isinstance(e, Fn):
+        return e.name != "log" and _polynomial_tree(e.arg)
+    return not isinstance(e, Div) and all(map(_polynomial_tree, _children(e)))
+
+
+def _derivative(e: Expr, name: str) -> Expr:
+    rf = getattr(e, "_rf", None)
+    if rf is None and _polynomial_tree(e):
+        rf = normalize(e)._rf
+    if rf is None or rf[1] is not _UNIT:
+        return normalize(_diff(e, name))
+    total: Poly = {}
+    for mon, c in rf[0].items():
+        for a, k in mon:
+            if a == e:  # a bare atom: its own derivative is a tree's
+                return normalize(_diff(e, name))
+            pd, qd = differentiate(a, name)._rf
+            if qd is not _UNIT:
+                return normalize(_diff(e, name))
+            if pd:
+                base = _mon_mul(mon, ((a, -1),))
+                for m2, c2 in pd.items():
+                    _poly_add_term(total, _mon_mul(base, m2), k * c * c2)
+    return _attach_rf(total, _P_ONE)
 
 
 # --------------------------------------------------------------------------

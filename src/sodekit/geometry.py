@@ -14,7 +14,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .expressions import (
-    Add, Expr, Num, ZERO, compile_exprs, differentiate,
+    Expr, NEG, Num, ZERO, compile_exprs, differentiate, dot,
     free_symbols, normalize, to_str,
 )
 from . import memo
@@ -110,10 +110,11 @@ class VectorField:
 
     def directional(self, f: Expr) -> Expr:
         """Derivative of the scalar f along this field."""
-        terms = tuple(comp * differentiate(f, name)
-                      for name, comp in zip(self.chart.names, self.components)
-                      if comp != ZERO and f != ZERO)
-        return normalize(Add(terms)) if terms else ZERO
+        if f == ZERO:
+            return ZERO
+        return dot((comp, differentiate(f, name))
+                   for name, comp in zip(self.chart.names, self.components)
+                   if comp != ZERO)
 
     def evaluator(self):
         """The compiled components on stacked points (see compile_exprs)."""
@@ -131,16 +132,13 @@ class VectorField:
                 other_coeff: Expr) -> "VectorField":
         if other.chart != self.chart:
             raise ChartMismatchError("vector fields live on different charts")
-        comps = [
-            normalize(coeff * a + other_coeff * b)
-            for a, b in zip(self.components, other.components)
-        ]
+        comps = [dot(((coeff, a), (other_coeff, b)))
+                 for a, b in zip(self.components, other.components)]
         return VectorField(self.chart, comps)
 
     def scaled(self, factor: Expr) -> "VectorField":
-        return VectorField(
-            self.chart, [normalize(factor * c) for c in self.components]
-        )
+        return VectorField(self.chart,
+                           [dot(((factor, c),)) for c in self.components])
 
     def __add__(self, other):
         return self.combine(Num(1), other, Num(1))
@@ -175,15 +173,11 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 
 
 def _bracket_components(X: VectorField, Y: VectorField) -> tuple:
-    chart = X.chart
-    comps = []
-    for k in range(chart.dim):
-        terms = []
-        for j, name in enumerate(chart.names):
-            terms.append(X.components[j] * differentiate(Y.components[k], name))
-            terms.append(-(Y.components[j] * differentiate(X.components[k], name)))
-        comps.append(normalize(sum(terms[1:], terms[0])))
-    return tuple(comps)
+    return tuple(
+        dot(f for j, name in enumerate(X.chart.names) for f in (
+            (X.components[j], differentiate(Y.components[k], name)),
+            (NEG, Y.components[j], differentiate(X.components[k], name))))
+        for k in range(X.chart.dim))
 
 
 @dataclass
@@ -395,16 +389,14 @@ def _decompose(X: VectorField, fields: list, probe: ZeroProbe):
             if factor == ZERO:
                 continue
             rows[ri] = [
-                normalize(e - factor * p) if j >= col else rows[ri][j]
+                dot(((e,), (NEG, factor, p))) if j >= col else rows[ri][j]
                 for j, (e, p) in enumerate(zip(rows[ri], rows[pivot]))
             ]
     coefficients = tuple(rows[pivot_rows[c]][k] for c in range(k))
     residual = list(X.components)
     for c, f in zip(coefficients, fields):
-        residual = [
-            normalize(r - c * comp)
-            for r, comp in zip(residual, f.components)
-        ]
+        residual = [dot(((r,), (NEG, c, comp)))
+                    for r, comp in zip(residual, f.components)]
     verdicts = tuple(probe(r) for r in residual)
     for v in verdicts:
         if v.is_nonzero:

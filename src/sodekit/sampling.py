@@ -36,33 +36,24 @@ def _splitmix64(state: int):
     return state, (z ^ (z >> 31)) / 2.0**64
 
 
-def _halton(index: int, base: int) -> float:
-    result = 0.0
-    f = 1.0
-    i = index
-    while i > 0:
-        f /= base
-        result += f * (i % base)
-        i //= base
-    return result
-
-
-def unit_points(count: int, dims: int, seed: int):
-    """`count` low-discrepancy points in [0,1)^dims, deterministic in seed."""
+def unit_points(count: int, dims: int, seed: int) -> np.ndarray:
+    """`count` low-discrepancy points in [0,1)^dims, deterministic in seed,
+    as the rows of an array: Halton indices 1..count, one prime base and
+    one seeded shift (mod 1) per coordinate, all indices' digits at once."""
     if dims > MAX_DIMS:
         raise ValueError(f"at most {MAX_DIMS} dimensions supported")
     state = (seed * 0x9E3779B97F4A7C15 + 0x1234567) & 0xFFFFFFFFFFFFFFFF
-    shifts = []
-    for _ in range(dims):
-        state, u = _splitmix64(state)
-        shifts.append(u)
-    points = []
-    for i in range(1, count + 1):
-        pt = tuple(
-            (_halton(i, _PRIMES[d]) + shifts[d]) % 1.0 for d in range(dims)
-        )
-        points.append(pt)
-    return points
+    out = np.empty((count, dims))
+    for d in range(dims):
+        state, shift = _splitmix64(state)
+        base, rest = _PRIMES[d], np.arange(1, count + 1)
+        h, f = np.zeros(count), 1.0
+        while rest.any():
+            f /= base
+            h += f * (rest % base)
+            rest //= base
+        out[:, d] = (h + shift) % 1.0
+    return out
 
 
 def box_points(box: Sequence, count: int, seed: int):
@@ -71,10 +62,10 @@ def box_points(box: Sequence, count: int, seed: int):
     key = ("box_points", box, count, seed)
     points = memo.get(key)
     if points is None:
-        points = memo.put(key, tuple(
-            tuple(lo + u * (hi - lo) for u, (lo, hi) in zip(pt, box))
-            for pt in unit_points(count, len(box), seed)
-        ))
+        u = unit_points(count, len(box), seed)
+        for d, (lo, hi) in enumerate(box):
+            u[:, d] = lo + u[:, d] * (hi - lo)
+        points = memo.put(key, tuple(map(tuple, u.tolist())))
     return list(points)
 
 

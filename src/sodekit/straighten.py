@@ -45,7 +45,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .expressions import (
-    Num, Sym, ZERO, _to_rf, compile_exprs, differentiate, normalize,
+    NEG, Num, Sym, ZERO, _to_rf, compile_exprs, differentiate, dot,
+    normalize,
 )
 from .geometry import Chart, VectorField
 from . import memo
@@ -377,12 +378,11 @@ def transported_fibre_fields(ef: ExtendedFrame, w) -> list:
     a = [[Sym(names[k * n + j]) for j in range(n)] for k in range(n)]
     fields = []
     for i in range(n):
-        block = [normalize(sum((a[l][i] * v.components[c]
-                                for l, v in enumerate(ef.vbasis)), ZERO))
+        block = [dot((a[l][i], v.components[c])
+                     for l, v in enumerate(ef.vbasis))
                  for c in range(chart.dim)]
-        carried = [normalize(-sum((a[l][i] * w[l][p][k] * a[p][j]
-                                   for l in range(n) for p in range(n)
-                                   if w[l][p][k] != ZERO), ZERO))
+        carried = [dot((NEG, a[l][i], w[l][p][k], a[p][j])
+                       for l in range(n) for p in range(n))
                    for k in range(n) for j in range(n)]
         fields.append(VectorField(extended, block + carried))
     return fields
@@ -729,7 +729,7 @@ def _tilt_to_locus(fld: VectorField, b_exprs, vbasis) -> VectorField:
     (valid because V_k(b^j) = -delta^j_k in the adapted basis)."""
     out = fld
     for k, v in enumerate(vbasis):
-        corr = normalize(fld.directional(b_exprs[k]))
+        corr = fld.directional(b_exprs[k])
         if corr != ZERO:
             out = out + v.scaled(corr)
     return out

@@ -314,6 +314,22 @@ def test_a_field_undefined_at_some_samples_warns_once():
         "value in 'log(x)'"]
 
 
+def test_a_frame_field_undefined_at_some_samples_warns_once():
+    # x^(1/2) fails on the left half of the box: the frame keeps its rank
+    # on the other half, and one warning names the V-basis's first failure
+    manifest = load_manifest(inline_manifest(
+        field={"components": ["y", "0"]},
+        frame=[{"components": ["0", "(x^(1/2) + 2)"]}]))
+    points = manifest.chart.sample(200)
+    bad = [p for p in points if p[0] < 0]
+    report, code = run_command("classify", manifest)
+    assert code == EXIT_OK
+    assert report["analysis"]["warnings"] == [
+        f"the V-basis fails to evaluate at {len(bad)} of 200 sample points; "
+        f"the first: component 1 ('y') of field 0 fails at {bad[0]}: "
+        "fractional power of a negative value in 'x^(1/2)'"]
+
+
 def test_an_overflowing_flow_raises_no_runtime_warning():
     # flows across a box of width 2e200 overflow the integrator's error
     # norm; RuntimeWarnings are errors under this suite, so the commands

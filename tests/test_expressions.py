@@ -20,7 +20,9 @@ from sodekit.expressions import (
 from sodekit.manifest import load_manifest_file
 from sodekit.parser import parse
 from sodekit.runner import run_command
-from sodekit.sampling import _jittered, box_points, is_zero
+from sodekit.sampling import (
+    _PRIMES, _jittered, _splitmix64, box_points, is_zero, unit_points,
+)
 from sodekit.straighten import _variational_evaluator
 from tests.conftest import random_elementary, random_polynomial
 
@@ -170,6 +172,25 @@ def test_rational_nullspace_of_an_int_matrix_is_exact():
     null = _rational_nullspace([[3, 1, 0], [0, 2, 4]], 3)
     assert null == [[Fraction(2, 3), -2, 1]]
     assert all(type(c) is Fraction for vec in null for c in vec)
+
+
+def test_rational_nullspace_does_not_depend_on_the_row_order():
+    # the polynomial ansatz takes its rows in the residual's term order;
+    # Gauss-Jordan ends in the reduced row echelon form, which the row space
+    # alone determines, so every order gives the same basis
+    rng = random.Random(3)
+    for _ in range(40):
+        width = rng.randint(1, 6)
+        base = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                 for _ in range(width)] for _ in range(rng.randint(1, 4))]
+        rows = [[sum(c * b[j] for c, b in zip(coeffs, base))
+                 for j in range(width)]
+                for coeffs in ([rng.randint(-2, 2) for _ in base]
+                               for _ in range(rng.randint(1, 6)))]
+        null = _rational_nullspace(rows, width)
+        for _ in range(4):
+            rng.shuffle(rows)
+            assert _rational_nullspace(rows, width) == null
 
 
 def test_unit_denominator_pair_is_returned_as_is():
@@ -486,6 +507,43 @@ def test_is_zero_counts_non_finite_values_as_domain_errors():
     assert v.kind == "unknown"
     assert v.diagnostic == "10 of 64 trial points skipped"
     assert v.max_residual < 1e-12
+
+
+def scalar_unit_points(count, dims, seed) -> np.ndarray:
+    """The shifted Halton points, one coordinate of one point at a time by
+    the scalar radical inverse."""
+    state = (seed * 0x9E3779B97F4A7C15 + 0x1234567) & 0xFFFFFFFFFFFFFFFF
+    shifts = []
+    for _ in range(dims):
+        state, u = _splitmix64(state)
+        shifts.append(u)
+    points = []
+    for i in range(1, count + 1):
+        point = []
+        for base, shift in zip(_PRIMES, shifts):
+            h, f, k = 0.0, 1.0, i
+            while k > 0:
+                f /= base
+                h += f * (k % base)
+                k //= base
+            point.append((h + shift) % 1.0)
+        points.append(point)
+    return np.array(points)
+
+
+@pytest.mark.parametrize("seed", [0, 25, 2**40 + 7])
+def test_unit_points_match_the_scalar_halton_bit_for_bit(seed):
+    want = scalar_unit_points(1000, 16, seed)
+    counts = (range(1, 1001) if seed == 0
+              else (1, 2, 3, 10, 99, 100, 500, 999, 1000))
+    for count in counts:
+        for dims in (1, 16):
+            got = unit_points(count, dims, seed)
+            assert got.tobytes() == want[:count, :dims].tobytes()
+    box = [(-1.5, 2.0), (0.25, 0.75), (-3, 1)]
+    assert box_points(box, 300, seed) == [
+        tuple(lo + u * (hi - lo) for u, (lo, hi) in zip(point, box))
+        for point in want[:300, :3].tolist()]
 
 
 def walk_trial_points(e, box, trials=64, seed=0):

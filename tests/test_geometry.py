@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from sodekit.expressions import Num, Sym, ZERO, normalize, syms
+from sodekit import geometry
+from sodekit.expressions import Num, Sym, ZERO, differentiate, normalize, syms
 from sodekit.geometry import (
     Chart, ChartMismatchError, Frame, FrameRankError, GeometryError,
     VectorField, coordinate_field, decompose_in_frame, frame_rank,
@@ -88,6 +89,22 @@ def test_leibniz_rule_random_scalar(plane):
         rhs = Y.scaled(X.directional(f)) + lie_bracket(X, Y).scaled(f)
         assert all(normalize(c) == ZERO
                    for c in (lhs - rhs).components)
+
+
+def test_directional_differentiates_along_nonzero_components_only(
+        plane, monkeypatch):
+    # a derivative along a zero component would be formed and then dropped
+    calls = []
+
+    def recorded(f, name):
+        calls.append(name)
+        return differentiate(f, name)
+
+    monkeypatch.setattr(geometry, "differentiate", recorded)
+    f = parse("sin(x*y) + x^3*y")
+    assert VectorField(plane, [ZERO, x]).directional(f) == normalize(
+        parse("x*(x*cos(x*y) + x^3)"))
+    assert calls == ["y"]
 
 
 def test_frame_rank_full(plane):

@@ -1,5 +1,7 @@
 """Independent oracle for the memoized engine: `normalize` and
-`differentiate` on random small rational trees, checked against sympy."""
+`differentiate` on random small rational trees, checked against sympy; and
+the sums of products formed on rational forms (`dot`, `differentiate`,
+`lie_bracket`), checked against the normal forms of their trees."""
 
 import pytest
 
@@ -8,9 +10,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from sodekit.expressions import (  # noqa: E402
-    Add, Div, ExpressionError, Mul, Num, Pow, Sym, _rf_to_tree, _to_rf,
-    differentiate, normalize,
+    Add, Div, ExpressionError, Fn, FUNCTIONS, Mul, Num, Pow, Sym, _diff,
+    _rf_to_tree, _to_rf, differentiate, dot, normalize,
 )
+from sodekit.geometry import lie_bracket  # noqa: E402
+from tests.conftest import INSTANCES  # noqa: E402
 
 NAMES = ("x", "y")
 
@@ -98,3 +102,91 @@ def test_differentiate_agrees_with_sympy(e, name):
         return
     assert same_function(to_sympy(got),
                          sympy.diff(to_sympy(e), sympy.Symbol(name)))
+
+
+def _elementary_branches(children):
+    """The rational branches, fractional powers and the functions."""
+    return st.one_of(
+        _branches(children),
+        st.builds(Pow, children,
+                  st.fractions(min_value=-2, max_value=2, max_denominator=3)),
+        st.builds(Fn, st.sampled_from(FUNCTIONS), children),
+    )
+
+
+def _polynomial_branches(children):
+    terms = st.lists(children, min_size=2, max_size=3).map(tuple)
+    return st.one_of(terms.map(Add), terms.map(Mul), st.builds(
+        Pow, children, st.integers(min_value=1, max_value=2)))
+
+
+polynomials = st.recursive(leaves, _polynomial_branches, max_leaves=8)
+elementary = st.recursive(leaves, _elementary_branches, max_leaves=8)
+inputs = st.one_of(polynomials, trees, elementary)
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of the ExpressionError it
+    raises (a denominator or log argument that normalizes to zero)."""
+    try:
+        return fn(*args)
+    except ExpressionError as err:
+        return (ExpressionError, str(err))
+
+
+def normal_or_raw(e):
+    """e's normal form, as the callers pass factors, or e itself when it
+    has none."""
+    got = outcome(normalize, e)
+    return e if type(got) is tuple else got
+
+
+# sums of products with their factors already normal, as the callers pass
+# them, or raw trees
+products = st.lists(st.lists(st.one_of(inputs, inputs.map(normal_or_raw)),
+                             min_size=1, max_size=3).map(tuple),
+                    min_size=0, max_size=3)
+
+
+def tree_sum(ps):
+    """The normal form of the sum's tree; a product with a literal zero
+    factor is left out unevaluated, as `dot` documents."""
+    return normalize(Add(tuple(Mul(f) for f in ps if Num(0) not in f)))
+
+
+@ORACLE
+@given(products)
+def test_dot_is_the_normal_form_of_its_tree(ps):
+    want = outcome(tree_sum, ps)
+    got = outcome(dot, ps)
+    assert got is want or (type(got) is tuple and got == want)
+
+
+@ORACLE
+@given(inputs, st.sampled_from(NAMES), st.booleans())
+def test_differentiate_is_the_normal_form_of_its_product_rule_tree(
+        e, name, normal):
+    e = normal_or_raw(e) if normal else e
+    want = outcome(lambda: normalize(_diff(e, name)))
+    got = outcome(differentiate, e, name)
+    assert got is want or (type(got) is tuple and got == want)
+
+
+def tree_bracket(X, Y) -> tuple:
+    """[X, Y]^k = X^j dY^k/dz^j - Y^j dX^k/dz^j as one normalized tree."""
+    return tuple(
+        normalize(sum((X.components[j] * differentiate(Y.components[k], n)
+                       - Y.components[j] * differentiate(X.components[k], n)
+                       for j, n in enumerate(X.chart.names)), Num(0)))
+        for k in range(X.chart.dim))
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_lie_bracket_is_the_normal_form_of_its_tree(name):
+    manifest = INSTANCES[name]()
+    F, V = manifest.vector_field(), manifest.frame_fields()
+    pairs = [(F, v) for v in V] + [(v, u) for v in V for u in V]
+    pairs += [(F, lie_bracket(F, v)) for v in V]
+    for X, Y in pairs:
+        got = lie_bracket(X, Y).components
+        assert all(a is b for a, b in zip(got, tree_bracket(X, Y)))

@@ -1,5 +1,6 @@
 """Structure of the package: its import graph, its one flow path, its one
-compiled evaluator, its one cache and the stage list."""
+compiled evaluator, its one sum-of-products primitive, its one cache and
+the stage list."""
 
 import ast
 import inspect
@@ -259,6 +260,49 @@ def test_cache_scan_sees_written_tables_and_cache_decorators(tmp_path):
 def test_the_memo_table_is_the_only_cache():
     # interned expression nodes and memoized results share one bounded table
     assert module_caches() == {("memo", "_table")}
+
+
+def normalized_trees(package: Path = PACKAGE) -> list:
+    """(module, line) of every call to `normalize` outside expressions.py
+    whose argument is a freshly built sum or product: a call to `Add`,
+    `Mul` or `sum`, or a `+`, `-` or `*` expression."""
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "expressions":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            if not (isinstance(node, ast.Call) and node.args and "normalize"
+                    in (getattr(func, "id", None), getattr(func, "attr", None))):
+                continue
+            arg = node.args[0]
+            if (isinstance(arg, ast.BinOp)
+                    and isinstance(arg.op, (ast.Add, ast.Sub, ast.Mult))
+                    or isinstance(arg, ast.UnaryOp)
+                    and isinstance(arg.op, ast.USub)
+                    or isinstance(arg, ast.Call) and getattr(
+                        arg.func, "id", None) in ("Add", "Mul", "sum")):
+                found.append((path.stem, node.lineno))
+    return found
+
+
+def test_normalized_tree_scan_sees_sums_and_products(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "def f(a, b, c):\n"
+        "    return [normalize(a + b), normalize(a - b), normalize(a * b),\n"
+        "            normalize(-a), normalize(Add((a, b))),\n"
+        "            expressions.normalize(Mul((a, b))),\n"
+        "            normalize(sum((a, b), c)),\n"
+        "            normalize(a / b), normalize(c), dot(((a, b),))]\n")
+    (tmp_path / "expressions.py").write_text("x = normalize(a + b)\n")
+    assert sorted(normalized_trees(tmp_path)) == [("a", 2)] * 3 + [
+        ("a", 3)] * 2 + [("a", 4), ("a", 5)]
+
+
+def test_sums_of_products_are_normalized_by_dot_only():
+    # dot forms a sum of polynomial products on the rational forms, so a
+    # tree built elsewhere and normalized again is work done twice
+    assert normalized_trees() == []
 
 
 def test_node_equality_and_hash_never_build_a_sort_key():
