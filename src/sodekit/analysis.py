@@ -41,12 +41,12 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .expressions import (
-    Expr, NEG, Num, Pow, Sym, ZERO, _to_rf, compile_exprs, differentiate,
-    dot, normalize, to_str,
+    Expr, NEG, Num, ZERO, compile_exprs, differentiate, dot, normalize,
+    to_str,
 )
 from .geometry import (
-    Chart, Decomposition, Frame, GeometryError,
-    InvolutivityResult, VectorField, decompose_in_frame, first_domain_error,
+    Chart, Decomposition, Frame, GeometryError, InvolutivityResult,
+    VectorField, coordinate_field, decompose_in_frame, first_domain_error,
     frame_rank, is_involutive, lie_bracket,
 )
 from .sampling import ZeroProbe, ZeroVerdict, box_points
@@ -200,6 +200,9 @@ class IdentitySuite:
 class ExtendedFrame:
     """The V-basis together with W_i = [F, V_i], the commutators
     [V_i, V_j] (i < j) and the combined frame E = (V, W)."""
+
+    # (A, coordinate names) when the basis is V.B^-1 (normalize_v_basis)
+    normalization: Optional[tuple] = None
 
     def __init__(self, problem: SecondOrderProblem,
                  vbasis: Sequence[VectorField], validate: bool = True):
@@ -389,164 +392,74 @@ def verify_bracket_integrability(ef: ExtendedFrame,
     return suite
 
 
+def normalize_v_basis(ef: ExtendedFrame) -> Optional[ExtendedFrame]:
+    """The basis V.B^-1 of the Frobenius theorem's proof, B the n x n block
+    of V's components on the chart coordinates that carry it:
+    V~_i = sum_j A[j][i] V_j with B.A = I, so V~_i is the coordinate field
+    of the i-th of those coordinates and the basis commutes.  Only when V is
+    carried by exactly n coordinates (the rows where some V_i component is
+    not structurally zero), so that rank V = rank B at every point and the
+    frame's rank samples certify det B != 0; None otherwise, when the
+    elimination finds no inverse, or when V.B^-1 is V itself.  The result
+    records (A, the coordinate names) as `normalization`."""
+    chart, V = ef.chart, ef.vbasis
+    rows = [r for r in range(chart.dim)
+            if any(v.components[r] != ZERO for v in V)]
+    if len(rows) != ef.n:
+        return None
+    # column i of A solves B.a = e_i on the chosen rows
+    columns = []
+    for r in rows:
+        dec = decompose_in_frame(coordinate_field(chart, chart.names[r]), V,
+                                 ef.probe)
+        if not dec.ok:
+            return None
+        columns.append(dec.coefficients)
+    tilde = [VectorField(chart, [dot((a, v.components[c])
+                                     for a, v in zip(col, V))
+                                 for c in range(chart.dim)])
+             for col in columns]
+    if all(t.components == v.components for t, v in zip(tilde, V)):
+        return None
+    normalized = ExtendedFrame(ef.problem, tilde, validate=False)
+    normalized.normalization = ([list(row) for row in zip(*columns)],
+                                [chart.names[r] for r in rows])
+    return normalized
+
+
 @dataclass
 class AdaptationInfo:
-    mode: str                       # "identity" | "symbolic" | "numeric"
-    matrix: Optional[list] = None   # A[i][j] Expressions (mode != numeric)
-    verification: Optional[IdentitySuite] = None  # symbolic mode only
+    mode: str                       # "identity" | "normalized" | "numeric"
+    matrix: Optional[list] = None   # A[j][i]: V~_i = A[j][i] V_j
+    coordinates: Optional[list] = None  # the rows of B (normalized basis)
 
     def as_dict(self) -> dict:
         out = {"mode": self.mode}
         if self.matrix is not None:
             out["matrix"] = [[to_str(c) for c in row] for row in self.matrix]
-        if self.verification is not None:
-            out["verification"] = self.verification.as_dict()
+        if self.coordinates is not None:
+            out["coordinates"] = list(self.coordinates)
         return out
 
 
-def _monomials_upto(names, degree):
-    """All exponent tuples over `names` with total degree <= degree."""
-    out = [()]
-    for name in names:
-        new = []
-        for mono in out:
-            used = sum(e for _, e in mono)
-            for e in range(degree - used + 1):
-                new.append(mono + ((name, e),) if e else mono)
-        out = new
-    return out
+def adapt_commuting_basis(ef: ExtendedFrame,
+                          bc: BracketCoefficients) -> AdaptationInfo:
+    """How the commuting basis the pipeline holds is adapted, so that every
+    [V_i, W_j] is vertical.
 
-
-def _poly_ansatz_solve(vfield: VectorField, target: Expr, chart: Chart,
-                       degree: int = 4):
-    """Find a polynomial h with vfield(h) = target * h, h not identically 0.
-
-    Bounded-degree linear ansatz solved exactly over rationals; returns h
-    with its value at the box center (nonzero), or None."""
-    monos = _monomials_upto(chart.names, degree)
-    if len(monos) > 220:
-        return None
-    coeff_syms = [Sym(f"_c{i}") for i in range(len(monos))]
-    h = dot((cs,) + _factors(mono) for cs, mono in zip(coeff_syms, monos))
-    residual = dot([(vfield.directional(h),), (NEG, target, h)])
-    # one row per monomial in the residual's term order; the nullspace does
-    # not depend on that order: Gauss-Jordan ends in the reduced row echelon
-    # form, which the row space alone determines
-    p, _ = _to_rf(residual)
-    coeff_names = {s.name for s in coeff_syms}
-    rows: dict = {}
-    for mono, coeff in p.items():
-        c_part = None
-        rest = []
-        for atom, e in mono:
-            if getattr(atom, "name", None) in coeff_names and e == 1:
-                c_part = atom.name
-            else:
-                rest.append((atom, e))
-        if c_part is None:
-            return None
-        rows.setdefault(tuple(rest), {})[c_part] = coeff
-    if not rows:
-        return None
-    names = [s.name for s in coeff_syms]
-    matrix = [
-        [row.get(nm, 0) for nm in names] for row in rows.values()
-    ]
-    null = _rational_nullspace(matrix, len(names))
-    if not null:
-        return None
-    center = {
-        name: Fraction(val)
-        for name, val in chart.assignment(chart.center()).items()
-    }
-    for vec in null:
-        # the rescaling divides by h, so h must not vanish at the base point
-        value = sum((c * math.prod(center[name] ** e for name, e in mono)
-                     for c, mono in zip(vec, monos)), Fraction(0))
-        if value != 0:
-            return dot((Num(c),) + _factors(mono)
-                       for c, mono in zip(vec, monos) if c != 0), value
-    return None
-
-
-def _factors(mono) -> tuple:
-    """The powers of chart symbols of an exponent tuple."""
-    return tuple(Pow(Sym(name), e) for name, e in mono)
-
-
-def _rational_nullspace(matrix, width):
-    """Nullspace basis of an exact rational matrix (Gauss-Jordan).  Entries
-    may be ints (as normal-form coefficients are); they are taken as
-    Fractions, so the pivot divisions stay exact."""
-    rows = [[Fraction(x) for x in r] for r in matrix]
-    pivots = {}
-    r = 0
-    for c in range(width):
-        pivot = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots[c] = r
-        r += 1
-    free = [c for c in range(width) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for c, pr in pivots.items():
-            vec[c] = -rows[pr][fc]
-        basis.append(vec)
-    return basis
-
-
-def adapt_commuting_basis(ef: ExtendedFrame, bc: BracketCoefficients):
-    """Re-mix the V-basis so that every [V_i, W_j] is vertical.
-
-    Identity when the w-mixing coefficients are structurally zero; for
-    n = 1 a bounded polynomial ansatz for the scalar transport equation is
-    attempted, and its rescaled basis is verified; any remaining case is
-    decided "numeric", and the chart transports the basis along the V-flows
-    (straighten.build_normal_coordinates).  Returns (adapted frame,
-    AdaptationInfo)."""
-    n = ef.n
-    if bc.w_all_zero():
-        return ef, AdaptationInfo(
-            mode="identity",
-            matrix=[[Num(1) if i == j else ZERO for j in range(n)]
-                    for i in range(n)])
-    if n == 1:
-        beta = bc.w[0][0][0]
-        found = _poly_ansatz_solve(ef.vbasis[0], beta, ef.chart)
-        if found is not None:
-            h, scale = found
-            a_expr = normalize(Num(scale) / h)
-            new_v = ef.vbasis[0].scaled(a_expr)
-            adapted = ExtendedFrame(ef.problem, [new_v])
-            info = AdaptationInfo(
-                mode="symbolic", matrix=[[a_expr]],
-                verification=_verify_adapted(adapted),
-            )
-            return adapted, info
-    return ef, AdaptationInfo(mode="numeric")
-
-
-def _verify_adapted(ef: ExtendedFrame) -> IdentitySuite:
-    """[V_i, W_j] must have zero W-part in the adapted basis."""
-    suite = IdentitySuite("adapted_brackets_vertical")
-    _, w = ef.mixing()
-    for i, j, k in itertools.product(range(ef.n), repeat=3):
-        suite.add(ef.probe(w[i][j][k]), f"w[{i}{j}{k}]")
-    return suite
+    Where the w-mixing coefficients are structurally zero the basis is
+    adapted as it stands: mode "identity", or "normalized" when it is the
+    given basis times B^-1 (normalize_v_basis).  Otherwise the mode is
+    "numeric": the chart transports this basis along the V-flows
+    (straighten.build_normal_coordinates)."""
+    matrix, coordinates = ef.normalization or (None, None)
+    if not bc.w_all_zero():
+        return AdaptationInfo("numeric", matrix, coordinates)
+    if matrix is not None:
+        return AdaptationInfo("normalized", matrix, coordinates)
+    return AdaptationInfo("identity", [
+        [Num(1) if i == j else ZERO for j in range(ef.n)]
+        for i in range(ef.n)])
 
 
 # --------------------------------------------------------------------------
@@ -887,9 +800,19 @@ def _w_involutivity(state: PipelineState):
 
 
 def _brackets(state: PipelineState):
+    """The commuting suite and the mixing coefficients of the V-basis; a
+    basis that does not commute or is not adapted is first replaced by
+    V.B^-1 where normalize_v_basis applies."""
     report = state.analysis
     ef = report.extended
     commuting = check_commuting(ef)
+    bc = bracket_coefficients(ef) if commuting.ok else None
+    if bc is None or not bc.w_all_zero():
+        normalized = normalize_v_basis(ef)
+        if normalized is not None:
+            ef = report.extended = normalized
+            commuting = check_commuting(ef)
+            bc = bracket_coefficients(ef) if commuting.ok else None
     report.identity_suites.append(commuting)
     report.verdicts["v_basis_commutes"] = commuting.as_dict()
     if not commuting.ok:
@@ -898,7 +821,6 @@ def _brackets(state: PipelineState):
             "basis of V (the connection pipeline requires one)"
         )
         return
-    bc = bracket_coefficients(ef)
     report.bracket_coeffs = bc
     report.identity_suites.append(bc.symmetry)
     integrability = verify_bracket_integrability(ef, bc)
@@ -912,10 +834,8 @@ def _brackets(state: PipelineState):
 
 def _adaptation(state: PipelineState):
     report = state.analysis
-    report.extended, report.adaptation = adapt_commuting_basis(
-        report.extended, report.bracket_coeffs)
-    if report.adaptation.verification is not None:
-        report.identity_suites.append(report.adaptation.verification)
+    report.adaptation = adapt_commuting_basis(report.extended,
+                                              report.bracket_coeffs)
 
 
 def _placement(state: PipelineState):

@@ -173,10 +173,14 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
 
 
 def _bracket_components(X: VectorField, Y: VectorField) -> tuple:
+    """dY^k/dz^j is formed only where X^j is not structurally zero, and
+    dX^k/dz^j only where Y^j is not, as in `directional`."""
+    xs, ys = X.components, Y.components
     return tuple(
-        dot(f for j, name in enumerate(X.chart.names) for f in (
-            (X.components[j], differentiate(Y.components[k], name)),
-            (NEG, Y.components[j], differentiate(X.components[k], name))))
+        dot([(x, differentiate(ys[k], name))
+             for x, name in zip(xs, X.chart.names) if x != ZERO]
+            + [(NEG, y, differentiate(xs[k], name))
+               for y, name in zip(ys, X.chart.names) if y != ZERO])
         for k in range(X.chart.dim))
 
 

@@ -14,10 +14,10 @@ Jacobians of flow compositions are composed from each flow's Jacobian,
 exact for a closed-form flow and from the variational equations otherwise;
 the innermost flow starts at the fixed base point, so only its field's
 column enters and it flows without one.  Central finite differences of the
-whole map serve as a cross-check.  Where the adapted V-basis has no closed
-form, the matrix A of the basis change is carried as n^2 extra coordinates
-of every stage: the fibre fields transport A along their own flows, so they
-are symbolic fields like all the others.
+whole map serve as a cross-check.  Where the V-basis is not adapted (the
+adaptation is numeric), the matrix A of the basis change is carried as n^2
+extra coordinates of every stage: the fibre fields transport A along their
+own flows, so they are symbolic fields like all the others.
 Every flow goes through `integrate_flows`, many members of one stage at a
 time.  A stage field X whose Lie series ends, X^k z_a = 0 for every
 coordinate with k <= LIE_DEPTH, flows in closed form,

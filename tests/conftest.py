@@ -28,13 +28,14 @@ def _unit(i, m=6):
     return ["1" if k == i else "0" for k in range(m)]
 
 
-def make_manifest(name, coords, field, frame):
+def make_manifest(name, coords, field, frame, options=None):
     """A manifest on the box [-1, 1]^m from component strings."""
     return load_manifest({
         "name": name,
         "chart": {"coordinates": coords, "box": [[-1, 1]] * len(coords)},
         "field": {"components": field},
         "frame": [{"components": comps} for comps in frame],
+        "options": options or {},
     })
 
 
@@ -49,18 +50,29 @@ INSTANCES = {
         "n3-sheared", ["x1", "x2", "x3", "y1", "y2", "y3"], N3_FORCE,
         [_unit(3), ["0", "0", "0", "x1", "1", "0"],
          ["0", "0", "0", "0", "x2", "1"]]),
-    # numeric adaptation, w != 0: the general expansion of every formula
+    # transcendental rescalings of d/dy, w != 0: normalized to V.B^-1
     "numeric-exp": lambda: make_manifest(
         "numeric-exp", ["x", "y"], ["y", "0"], [["0", "exp(y)"]]),
     "numeric-exp-xy": lambda: make_manifest(
         "numeric-exp-xy", ["x", "y"], ["y", "x*y^3 + y^2"],
         [["0", "exp(x*y)"]]),
     # d/du for the fibre coordinates y = (u1, u2*exp(u1)): n = 2 with
-    # w^k_ij != 0 for i != j, for the Nijenhuis and flatness suites
+    # w^k_ij != 0 for i != j, normalized by the full 2 x 2 block B^-1
     "n2-curved-fibre": lambda: make_manifest(
         "n2-curved-fibre", ["x1", "x2", "y1", "y2"],
         ["y1", "y2", "x2*y1^2 - x1", "y1*y2 - x2"],
         [["0", "0", "1", "y2"], ["0", "0", "0", "exp(y1)"]]),
+    # a reparametrized fibre y = u + u^2/4: the coordinate basis d/du has
+    # w != 0 and normalization leaves it as it is, so the adaptation is
+    # numeric, the general expansion of every formula
+    "reparam-fibre": lambda: make_manifest(
+        "reparam-fibre", ["x", "u"], ["u + u^2/4", "0"], [["0", "1"]]),
+    # n = 2 with w^k_ij != 0 for i != j, transported numerically; a coarse
+    # grid, since every residual node flows the transport matrix
+    "reparam-fibre-pair": lambda: make_manifest(
+        "reparam-fibre-pair", ["x1", "x2", "u1", "u2"],
+        ["u1 + u1^2/4", "u2 + u1*u2/4", "0", "0"],
+        [["0", "0", "1", "0"], ["0", "0", "0", "1"]], {"grid": 4}),
     **{name: (lambda name=name: corpus_get(name)) for name in corpus_list()},
     **{path.stem: (lambda path=path: load_manifest_file(str(path)))
        for path in sorted(BENCH_MANIFESTS.glob("*.json"))},

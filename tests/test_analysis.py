@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from sodekit.expressions import (
-    Num, Sym, ZERO, differentiate, normalize, syms,
+    Num, Sym, ZERO, differentiate, normalize, syms, to_str,
 )
 from sodekit.geometry import (
     Chart, Frame, VectorField, coordinate_field, lie_bracket,
@@ -13,7 +13,7 @@ from sodekit.geometry import (
 from sodekit.analysis import (
     CASE1, CASE2, NOT_SODE, Connections, Options, SecondOrderProblem,
     adapt_commuting_basis, bracket_coefficients, build_extended_frame,
-    check_regularity, classify, mixed_curvature,
+    check_regularity, classify, mixed_curvature, normalize_v_basis,
     verify_bracket_integrability,
 )
 from sodekit.parser import parse
@@ -121,52 +121,82 @@ def test_integrability_routh():
 # -- basis adaptation ---------------------------------------------------------
 
 def test_adaptation_closed_form(plane):
-    prob = make_problem(plane, ["y", "0"], [["0", "1 + y^2"]])
-    ef = build_extended_frame(prob)
-    bc = bracket_coefficients(ef)
-    adapted, info = adapt_commuting_basis(ef, bc)
-    assert info.mode == "symbolic"
+    # V = (1 + y^2) dy is normalized to V.B^-1 = dy, whose brackets with W
+    # are vertical: the matrix is the closed form 1/(1 + y^2)
+    rep = classify(make_problem(plane, ["y", "0"], [["0", "1 + y^2"]]))
+    info = rep.adaptation
+    assert info.mode == "normalized" and info.coordinates == ["y"]
     oracle = normalize(parse("1/(1 + y^2)"))
     assert normalize(info.matrix[0][0] - oracle) == ZERO
     # recovered basis is the plain coordinate field
-    assert adapted.vbasis[0].components == (ZERO, Num(1))
-    assert info.verification.ok and info.verification.exact
+    assert rep.extended.vbasis[0].components == (ZERO, Num(1))
+    assert rep.bracket_coeffs.w_all_zero()
+
+
+def test_normalization_inverts_the_block_of_v(plane):
+    # V.B^-1 for a transcendental block, and for a block that does not
+    # commute: both are the coordinate fields of the rows that carry V
+    ch = Chart(["x1", "x2", "y1", "y2"], [(-1.0, 1.0)] * 4)
+    for chart, F, V in ((plane, ["y", "0"], [["0", "exp(y)"]]),
+                        (ch, ["y1", "y2", "-x1", "-x2"],
+                         [["0", "0", "1", "y2"], ["0", "0", "0", "1"]])):
+        ef = build_extended_frame(make_problem(chart, F, V))
+        normalized = normalize_v_basis(ef)
+        matrix, coordinates = normalized.normalization
+        assert coordinates == list(chart.names[-ef.n:])
+        for i, v in enumerate(normalized.vbasis):
+            assert v.components == coordinate_field(
+                chart, coordinates[i]).components
+        assert adapt_commuting_basis(
+            normalized, bracket_coefficients(normalized)).mode \
+            == "normalized"
+    assert [[to_str(c) for c in row] for row in matrix] == [["1", "0"],
+                                                            ["(-1)*y2", "1"]]
+    # a basis carried by more rows than its size is left to the caller, and
+    # so is one that normalization would not change
+    wide = build_extended_frame(make_problem(
+        ch, ["y1", "y2", "-x1", "-x2"],
+        [["1", "0", "1", "y2"], ["0", "0", "0", "1"]]))
+    assert normalize_v_basis(wide) is None
+    assert normalize_v_basis(build_extended_frame(make_problem(
+        plane, ["y + y^2/4", "0"], [["0", "1"]]))) is None
 
 
 def test_adaptation_identity_when_mixing_vanishes(natural):
     ef = build_extended_frame(natural)
     bc = bracket_coefficients(ef)
-    adapted, info = adapt_commuting_basis(ef, bc)
+    info = adapt_commuting_basis(ef, bc)
     assert info.mode == "identity"
-    assert adapted is ef
-    # the W-parts of [V_i, W_j] are structurally zero: nothing to verify
-    assert bc.w_all_zero() and info.verification is None
+    assert info.matrix == [[Num(1)]] and info.coordinates is None
+    assert bc.w_all_zero()
 
 
-def test_adaptation_numeric_fallback_for_transcendental_rescaling(plane):
-    # V = exp(y) dy admits no polynomial transport solution, so the
-    # adaptation goes numeric; the chart's y-flow is A V with the transported
-    # scalar A = exp(-y) carried as a third coordinate, one from y = 0
+def test_adaptation_numeric_fallback_for_a_reparametrized_fibre(plane):
+    # V = du for y = u + u^2/4 commutes but is not adapted, and V.B^-1 is V
+    # itself, so the adaptation goes numeric; the chart's u-flow is A V with
+    # the transported scalar A = 2/(2 + u) carried as a third coordinate,
+    # one from u = 0
     import numpy as np
-    from sodekit.expressions import exp as exp_
     from sodekit.straighten import build_normal_coordinates, integrate_flows
-    prob = SecondOrderProblem(
-        plane, VectorField(plane, [y, ZERO]),
-        Frame(plane, [VectorField(plane, [ZERO, exp_(y)])]),
-    )
-    rep = classify(prob)
+    chart = Chart(["x", "u"], [(-1.0, 1.0), (-1.0, 1.0)])
+    rep = classify(make_problem(chart, ["u + u^2/4", "0"], [["0", "1"]]))
     assert rep.classification == CASE1
     assert rep.adaptation.mode == "numeric"
-    y_flow = build_normal_coordinates(rep).stages[-1].fld
+    assert rep.adaptation.matrix is None
+    u_flow = build_normal_coordinates(rep).stages[-1].fld
     ends, _, failures = integrate_flows(
-        y_flow, [(0.0, 0.0, 1.0), (0.3, 0.0, 1.0)], [0.5, -0.7])
+        u_flow, [(0.0, 0.0, 1.0), (0.3, 0.0, 1.0)], [0.5, -0.7])
     assert not failures
-    for _, y_end, a in ends:
-        assert abs(a - np.exp(-y_end)) < 1e-8
-        assert abs(y_flow.at((0.0, y_end, a))[1] - 1.0) < 1e-8
-    # identity suites still hold exactly: the function atoms cancel
-    # structurally in the rational-form arithmetic
+    for _, u_end, a in ends:
+        assert abs(a - 2.0 / (2.0 + u_end)) < 1e-8
+        assert abs(u_flow.at((0.0, u_end, a))[1] - a) < 1e-12
     assert rep.identity_suites_ok()
+    # rescaled by 1 + u^2, the basis is normalized back to du, and the
+    # transport starts from there
+    info = classify(make_problem(chart, ["u + u^2/4", "0"],
+                                 [["0", "1 + u^2"]])).adaptation
+    assert info.mode == "numeric" and info.coordinates == ["u"]
+    assert to_str(info.matrix[0][0]) == "1/(u^2 + 1)"
 
 
 class Injected(Exception):
@@ -224,10 +254,9 @@ def test_adaptation_identity_routh():
                               Frame(m.chart, m.frame_fields()))
     ef = build_extended_frame(prob)
     bc = bracket_coefficients(ef)
-    adapted, info = adapt_commuting_basis(ef, bc)
-    assert info.mode == "identity"
-    assert adapted is ef
-    assert bc.w_all_zero() and info.verification is None
+    info = adapt_commuting_basis(ef, bc)
+    assert info.mode == "identity" and info.coordinates is None
+    assert bc.w_all_zero()
 
 
 # -- vertical endomorphism ----------------------------------------------------
@@ -649,8 +678,8 @@ def test_table_stages_print_what_the_field_oracle_prints(name):
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_the_printed_suites_per_adaptation_mode(name):
-    # the suites that hold by construction on the tables are the oracle's;
-    # the adapted basis is verified only where an ansatz rescaled it
+    # the suites that hold by construction on the tables are the oracle's,
+    # and so is the adapted basis: it is adapted by construction
     manifest = INSTANCES[name]()
     opts = Options.from_mapping(manifest.options)
     frame = Frame(manifest.chart, manifest.frame_fields(),
@@ -660,20 +689,18 @@ def test_the_printed_suites_per_adaptation_mode(name):
     if rep.adaptation is None:
         assert name == "regularity-fail"
         return
-    expected = ["v_basis_commutes", "mixing_symmetry", "w_mix_integrability",
-                "torsion"]
-    if rep.adaptation.mode == "symbolic":
-        expected.insert(3, "adapted_brackets_vertical")
-    assert [s.name for s in rep.identity_suites] == expected
-    assert (rep.adaptation.mode == "symbolic") == (name == "beta-rescaled")
+    assert [s.name for s in rep.identity_suites] == [
+        "v_basis_commutes", "mixing_symmetry", "w_mix_integrability",
+        "torsion"]
 
 
 def test_commutator_zero_only_by_sampling_stays_in_the_tables():
     # [V_1, V_2] vanishes on the box, but only the sampled test says so: its
-    # V-decomposition must enter the tables, not be dropped
+    # V-decomposition must enter the tables, not be dropped (V is carried by
+    # three rows, so it is not normalized)
     m = make_manifest("sampled-commutator", ["x1", "x2", "y1", "y2"],
-                      ["y1", "y2", "x2*y1^2 - x1", "y1*y2 - x2"],
-                      [["0", "0", "1", "0"],
+                      ["y1", "y2", "-x1", "-x2"],
+                      [["1", "0", "1", "0"],
                        ["0", "0", "0", "exp(log(1 + y1^2)) - y1^2"]])
     rep = classify(SecondOrderProblem(m.chart, m.vector_field(),
                                       Frame(m.chart, m.frame_fields())))

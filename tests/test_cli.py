@@ -127,10 +127,10 @@ def test_run_straighten_numeric_failure_when_locus_outside_box():
 
 
 def test_numeric_adaptation_runs_end_to_end():
-    # V = exp(y) dy has no closed-form adaptation: the fibre flows carry the
-    # transported basis matrix
-    manifest = load_manifest(inline_manifest(
-        frame=[{"components": ["0", "exp(y)"]}]))
+    # V = du for the fibre coordinate y = u + u^2/4 is not adapted, and
+    # normalization leaves it as it is: the fibre flows carry the transported
+    # basis matrix
+    manifest = INSTANCES["reparam-fibre"]()
     for command in ("straighten", "quadratic"):
         start = time.perf_counter()
         report, code = run_command(command, manifest)
@@ -138,6 +138,40 @@ def test_numeric_adaptation_runs_end_to_end():
         assert report["analysis"]["adaptation"]["mode"] == "numeric"
         assert time.perf_counter() - start < 10.0, command
     assert report["quadratic_coefficients"]["max_fit_residual"] < 1e-8
+
+
+def test_a_basis_that_does_not_commute_is_normalized():
+    # V1 = dy1 + y2 dy2, V2 = dy2 do not commute; they are carried by the
+    # rows y1, y2, so V.B^-1 = (dy1, dy2) takes their place
+    manifest = load_manifest(inline_manifest(
+        chart={"coordinates": ["x1", "x2", "y1", "y2"],
+               "box": [[-1, 1]] * 4},
+        field={"components": ["y1", "y2", "-x1", "-x2"]},
+        frame=[{"components": ["0", "0", "1", "y2"]},
+               {"components": ["0", "0", "0", "1"]}]))
+    for command in ("classify", "report"):
+        report, code = run_command(command, manifest)
+        assert code == EXIT_OK, command
+        analysis = report["analysis"]
+        assert analysis["adaptation"]["mode"] == "normalized"
+        assert analysis["adaptation"]["coordinates"] == ["y1", "y2"]
+        assert all(s["status"] == "pass"
+                   for s in analysis["identity_suites"]), command
+
+
+def test_a_wide_basis_that_does_not_commute_is_refused():
+    # V1 = dx1 + dy1 + y2 dy2 spans three rows with V2 = dy2: no n x n block
+    # carries V, so it is not normalized and the refusal stands
+    manifest = load_manifest(inline_manifest(
+        chart={"coordinates": ["x1", "x2", "y1", "y2"],
+               "box": [[-1, 1]] * 4},
+        field={"components": ["y1", "y2", "-x1", "-x2"]},
+        frame=[{"components": ["1", "0", "1", "y2"]},
+               {"components": ["0", "0", "0", "1"]}]))
+    for command in ("classify", "report"):
+        report, code = run_command(command, manifest)
+        assert code == EXIT_MATH_FAIL, command
+        assert "does not commute" in report["analysis"]["reason"]
 
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))

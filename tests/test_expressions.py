@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from sodekit import expressions, memo
-from sodekit.analysis import _rational_nullspace
 from sodekit.corpus import corpus_get, corpus_list
 from sodekit.expressions import (
     Add, Div, EvalDomainError, ExpressionError, Fn, MissingSymbolError, Mul, Num, Pow, Sym,
@@ -166,31 +165,6 @@ def test_tree_constants_and_exponents_follow_the_number_policy():
     assert str(Num(Fraction(-3, 4))) == "-3/4" and str(Pow(x, 2)) == "x^2"
     with pytest.raises(TypeError):
         Num("1")
-
-
-def test_rational_nullspace_of_an_int_matrix_is_exact():
-    null = _rational_nullspace([[3, 1, 0], [0, 2, 4]], 3)
-    assert null == [[Fraction(2, 3), -2, 1]]
-    assert all(type(c) is Fraction for vec in null for c in vec)
-
-
-def test_rational_nullspace_does_not_depend_on_the_row_order():
-    # the polynomial ansatz takes its rows in the residual's term order;
-    # Gauss-Jordan ends in the reduced row echelon form, which the row space
-    # alone determines, so every order gives the same basis
-    rng = random.Random(3)
-    for _ in range(40):
-        width = rng.randint(1, 6)
-        base = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                 for _ in range(width)] for _ in range(rng.randint(1, 4))]
-        rows = [[sum(c * b[j] for c, b in zip(coeffs, base))
-                 for j in range(width)]
-                for coeffs in ([rng.randint(-2, 2) for _ in base]
-                               for _ in range(rng.randint(1, 6)))]
-        null = _rational_nullspace(rows, width)
-        for _ in range(4):
-            rng.shuffle(rows)
-            assert _rational_nullspace(rows, width) == null
 
 
 def test_unit_denominator_pair_is_returned_as_is():

@@ -59,6 +59,16 @@ def test_bracket_antisymmetry_diagonal(plane):
     assert lie_bracket(X, X).components == (ZERO, ZERO)
 
 
+def test_bracket_differentiates_only_along_nonzero_components(plane):
+    # an API-built log(x - x) has no derivative; the zero field never asks
+    # for it, as its directional derivative would not
+    from sodekit.expressions import log
+    X = VectorField(plane, [ZERO, ZERO])
+    Y = VectorField(plane, [log(x - x), ZERO])
+    assert lie_bracket(X, Y).components == (ZERO, ZERO)
+    assert X.directional(Y.components[0]) == ZERO
+
+
 def test_bracket_chart_mismatch(plane):
     other = Chart(["x", "y"], [(-2, 2), (-2, 2)])
     with pytest.raises(ChartMismatchError):

@@ -23,7 +23,7 @@ from sodekit.straighten import (
     NumericFailure, build_normal_coordinates, integrate_flows,
     pushforward_residuals, transported_fibre_fields,
 )
-from tests.conftest import INSTANCES, values_at
+from tests.conftest import INSTANCES, make_manifest, values_at
 
 x, y = syms("x y")
 
@@ -466,14 +466,14 @@ def test_straighten_then_analyze_idempotence():
     assert rep2.classification == rep.classification == CASE1
 
 
-def exp_rescaled(names=("x", "y")):
-    """V = exp(y) dy, F = y dx on [-1, 1]^2: no closed-form adaptation."""
-    from sodekit.expressions import exp as exp_
+def reparam_fibre(names=("x", "u")):
+    """V = du, F = (u + u^2/4) dx on [-1, 1]^2: the fibre coordinate is
+    y = u + u^2/4, and normalization leaves du as it is."""
     ch = Chart(list(names), [(-1.0, 1.0), (-1.0, 1.0)])
     fibre = Sym(names[1])
     prob = SecondOrderProblem(
-        ch, VectorField(ch, [fibre, ZERO]),
-        Frame(ch, [VectorField(ch, [ZERO, exp_(fibre)])]),
+        ch, VectorField(ch, [fibre + fibre * fibre / 4, ZERO]),
+        Frame(ch, [coordinate_field(ch, names[1])]),
     )
     rep = classify(prob)
     assert rep.adaptation.mode == "numeric"
@@ -481,9 +481,9 @@ def exp_rescaled(names=("x", "y")):
 
 
 def test_straighten_through_numeric_adaptation():
-    # full pipeline over a transcendental basis rescaling: the fibre flows
+    # full pipeline over a basis that needs the transport: the fibre flows
     # carry the transported basis matrix as extra coordinates
-    tr = build_normal_coordinates(exp_rescaled())
+    tr = build_normal_coordinates(reparam_fibre())
     assert len(tr.metadata()["base_point"]) == 2
     residuals = pushforward_residuals(tr)
     assert residuals.grid_shape == (10, 10)
@@ -495,8 +495,9 @@ def test_straighten_through_numeric_adaptation():
     assert (np.linalg.cond(J) < 1e3).all()
     final, _, _, failures = tr.final_coords(params)
     assert not failures
-    # the pushforward of F = y d/dx, solved here from map_batch's (z, J)
-    f = np.array([[p[1], 0.0] for p in z])
+    # the pushforward of F = (u + u^2/4) d/dx, solved here from map_batch's
+    # (z, J)
+    f = np.array([[p[1] + p[1] ** 2 / 4, 0.0] for p in z])
     v = np.linalg.solve(J, f[..., None])[..., 0]
     assert np.max(np.abs(v[:, 0] - final[:, 1])) < 1e-12  # definitionally equal
     assert tr.fibre_jacobian_min_sv(np.zeros(2)) > 1e-6
@@ -504,29 +505,23 @@ def test_straighten_through_numeric_adaptation():
 
 def test_transport_coordinates_never_clash_with_the_chart():
     # the chart takes the first-choice name of the transport entry a^1_1
-    tr = build_normal_coordinates(exp_rescaled(("x", "a11")))
+    tr = build_normal_coordinates(reparam_fibre(("x", "a11")))
     extended = tr.stages[-1].fld.chart.names
     assert extended[:2] == ("x", "a11") and len(set(extended)) == 3
     assert pushforward_residuals(tr).max_structural_residual < 1e-5
 
 
-def exp_rescaled_pair():
-    """n = 2: V = (exp(y1) dy1, exp(y2 + x1) dy2), F = (y1, y2, -x1, -x2)."""
-    ch = Chart(["x1", "x2", "y1", "y2"], [(-1.0, 1.0)] * 4)
-
-    def field(*comps):
-        return VectorField(ch, [parse(c) for c in comps])
-
-    rep = classify(SecondOrderProblem(
-        ch, field("y1", "y2", "-x1", "-x2"),
-        Frame(ch, [field("0", "0", "exp(y1)", "0"),
-                   field("0", "0", "0", "exp(y2 + x1)")])))
+def reparam_fibre_pair():
+    """n = 2: V = (du1, du2), F = (u1 + u1^2/4, u2 + u1*u2/4, 0, 0), with
+    w^k_ij != 0 for i != j."""
+    rep = classify_corpus("reparam-fibre-pair")
     assert rep.adaptation.mode == "numeric"
+    assert rep.bracket_coeffs.w[0][1][1] != ZERO
     return rep
 
 
 def test_numeric_adaptation_with_two_fibre_directions():
-    tr = build_normal_coordinates(exp_rescaled_pair())
+    tr = build_normal_coordinates(reparam_fibre_pair())
     residuals = pushforward_residuals(tr, grid_points=3)
     assert residuals.flagged_nodes == 0
     assert residuals.max_structural_residual < 1e-5
@@ -534,7 +529,7 @@ def test_numeric_adaptation_with_two_fibre_directions():
 
 def test_path_dependent_transport_is_a_numeric_failure():
     # spoiled mixing coefficients: the transported fields no longer commute
-    rep = exp_rescaled_pair()
+    rep = reparam_fibre_pair()
     rep.bracket_coeffs.w[0][1][0] = Num(1)
     with pytest.raises(NumericFailure, match="path dependent"):
         build_normal_coordinates(rep)
@@ -1246,12 +1241,21 @@ def test_stage_0_flows_without_variational_equations(monkeypatch):
         assert not failures and np.array_equal(ends, alone)
 
 
+# the pendulum in the fibre coordinate u of y = u + u^2/4: a numeric
+# adaptation whose first flow, the x-stage, is integrated
+WALK_INSTANCES = {**INSTANCES, "reparam-pendulum": lambda: make_manifest(
+    "reparam-pendulum", ["x", "u"], ["u + u^2/4", "-sin(x)/(1 + u/2)"],
+    [["0", "1"]])}
+
+
 @pytest.mark.parametrize("name",
-                         ["timedep-scrambled", "osc-sin", "numeric-exp-xy"])
+                         ["timedep-scrambled", "osc-sin", "reparam-pendulum"])
 def test_walk_jacobian_agrees_with_finite_differences(name):
     # the instances whose stage 0 is integrated: its column is the field at
     # the stage's end, and the later stages' variational equations carry it
-    tr = build_normal_coordinates(classify_corpus(name))
+    m = WALK_INSTANCES[name]()
+    tr = build_normal_coordinates(classify(SecondOrderProblem(
+        m.chart, m.vector_field(), Frame(m.chart, m.frame_fields()))))
     assert straighten._lie_series(tr.stages[0].fld) is None
     nodes = straighten._mesh(
         [np.linspace(-0.5, 0.5, 2) * straighten.default_extent(tr.chart)]

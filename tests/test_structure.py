@@ -17,6 +17,7 @@ from sodekit.geometry import Chart, Frame, VectorField
 from sodekit.parser import parse
 from sodekit.runner import COMMANDS, STAGES, run_command
 from sodekit.straighten import CoordinateTransform, build_normal_coordinates
+from tests.conftest import INSTANCES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sodekit"
 
@@ -119,14 +120,23 @@ def test_flows_are_integrated_on_one_path():
     # transported fibre fields too: they are symbolic fields on a chart
     # extended by the transport matrix
     assert callers("solve_ivp") == {("straighten", "integrate_flows")}
-    chart = Chart(["x", "y"], [(-1.0, 1.0), (-1.0, 1.0)])
-    y = parse("y")
+    chart = Chart(["x", "u"], [(-1.0, 1.0), (-1.0, 1.0)])
     rep = classify(SecondOrderProblem(
-        chart, VectorField(chart, [y, parse("0")]),
-        Frame(chart, [VectorField(chart, [parse("0"), parse("exp(y)")])])))
+        chart, VectorField(chart, [parse("u + u^2/4"), parse("0")]),
+        Frame(chart, [VectorField(chart, [parse("0"), parse("1")])])))
     assert rep.adaptation.mode == "numeric"
     transform = build_normal_coordinates(rep)
     assert all(isinstance(st.fld, VectorField) for st in transform.stages)
+
+
+def test_every_adaptation_mode_is_reached():
+    # a mode that no registry input reaches is dead code
+    modes = set()
+    for make in INSTANCES.values():
+        report, _ = run_command("classify", make())
+        if "adaptation" in report["analysis"]:
+            modes.add(report["analysis"]["adaptation"]["mode"])
+    assert modes == {"identity", "normalized", "numeric"}
 
 
 def test_the_transform_maps_share_one_stage_walk():
