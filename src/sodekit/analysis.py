@@ -205,7 +205,7 @@ class ExtendedFrame:
     normalization: Optional[tuple] = None
 
     def __init__(self, problem: SecondOrderProblem,
-                 vbasis: Sequence[VectorField], validate: bool = True):
+                 vbasis: Sequence[VectorField]):
         self.problem = problem
         self.chart = problem.chart
         self.vbasis = list(vbasis)
@@ -216,7 +216,7 @@ class ExtendedFrame:
         }
         self.combined = Frame(
             problem.chart, self.vbasis + self.wfields,
-            validate=validate, samples=problem.options.samples,
+            validate=False, samples=problem.options.samples,
             seed=problem.options.seed,
         )
         self.probe = problem.probe
@@ -246,13 +246,6 @@ class ExtendedFrame:
                 f"field is not vertical: {dec.failure} {dec.diagnostic or ''}"
             )
         return dec.coefficients
-
-    def mixing(self):
-        """v[i][j][k], w[i][j][k]: [V_i, W_j] = v^k_ij V_k + w^k_ij W_k."""
-        vw = [[self.decompose_split(lie_bracket(vf, wf))
-               for wf in self.wfields] for vf in self.vbasis]
-        return ([[[normalize(c) for c in a] for a, _ in row] for row in vw],
-                [[[normalize(c) for c in b] for _, b in row] for row in vw])
 
     def field_of(self, coefficients) -> VectorField:
         """The field c^a E_a; a shorter list covers the leading elements."""
@@ -314,7 +307,7 @@ def check_regularity(problem: SecondOrderProblem) -> dict:
 
 def build_extended_frame(problem: SecondOrderProblem) -> ExtendedFrame:
     """The V-basis with W = [F, V]; its rank is check_regularity's."""
-    return ExtendedFrame(problem, list(problem.V.fields), validate=False)
+    return ExtendedFrame(problem, list(problem.V.fields))
 
 
 def check_w_involutive(ef: ExtendedFrame) -> InvolutivityResult:
@@ -362,7 +355,10 @@ def bracket_coefficients(ef: ExtendedFrame) -> BracketCoefficients:
     the lower indices; the symmetry residuals are attached as an identity
     suite."""
     n = ef.n
-    v, w = ef.mixing()
+    vw = [[ef.decompose_split(lie_bracket(vf, wf)) for wf in ef.wfields]
+          for vf in ef.vbasis]
+    v = [[[normalize(c) for c in a] for a, _ in row] for row in vw]
+    w = [[[normalize(c) for c in b] for _, b in row] for row in vw]
     suite = IdentitySuite("mixing_symmetry")
     for i in range(n):
         for j in range(i + 1, n):
@@ -421,7 +417,7 @@ def normalize_v_basis(ef: ExtendedFrame) -> Optional[ExtendedFrame]:
              for col in columns]
     if all(t.components == v.components for t, v in zip(tilde, V)):
         return None
-    normalized = ExtendedFrame(ef.problem, tilde, validate=False)
+    normalized = ExtendedFrame(ef.problem, tilde)
     normalized.normalization = ([list(row) for row in zip(*columns)],
                                 [chart.names[r] for r in rows])
     return normalized
@@ -472,10 +468,11 @@ class PreservationError(AnalysisError):
 
 class Connections:
     """L_F S, lifts and connection coefficients from the tables q[i][k]
-    = q^k_i, v[i][j][k] = v^k_ij, w[i][j][k], omega[i, j][m] and c[i][j][k]
-    (module docstring).  A frame vector is the list (a_1..a_n, b_1..b_n)."""
+    = q^k_i, v[i][j][k] = v^k_ij and w[i][j][k] (bc's), omega[i, j][m] and
+    c[i][j][k] (module docstring).  A frame vector is the list
+    (a_1..a_n, b_1..b_n)."""
 
-    def __init__(self, ef: ExtendedFrame):
+    def __init__(self, ef: ExtendedFrame, bc: BracketCoefficients):
         self.ef = ef
         n = ef.n
         self.q = []
@@ -487,7 +484,7 @@ class Connections:
                     f"{dec.failure}"
                 )
             self.q.append([normalize(c) for c in dec.coefficients[n:]])
-        self.v, self.w = ef.mixing()
+        self.v, self.w = bc.v, bc.w
         self.omega = {
             (i, j): [normalize(c) for c in ef.decompose_split(
                 lie_bracket(ef.wfields[i], ef.wfields[j]))[1]]
@@ -875,7 +872,7 @@ def _connections(state: PipelineState):
     report = state.analysis
     ef = report.extended
     try:
-        conn = Connections(ef)
+        conn = Connections(ef, report.bracket_coeffs)
     except PreservationError as err:
         report.verdicts["f_preserves_w"] = {"status": "fail",
                                             "detail": str(err)}

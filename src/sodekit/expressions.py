@@ -590,6 +590,9 @@ def _to_rf(e: Expr):
     if isinstance(e, Fn):
         arg = normalize(e.arg)
         if isinstance(arg, Num):
+            if e.name == "log" and arg == ZERO:  # du/u would divide by 0
+                raise ExpressionError(f"log of an expression that normalizes "
+                                      f"to zero: '{e}'")
             fold = _FOLDS.get((e.name, arg.value))
             if fold is not None:
                 return _to_rf(Num(fold))
@@ -664,110 +667,99 @@ def _attach_rf(p: Poly, q: Poly) -> Expr:
 
 def dot(products) -> Expr:
     """Normal form of a sum of products, each a tuple of factors; a product
-    with a ZERO factor is skipped.  When every factor's normal form is a
-    polynomial (unit denominator) the sum is formed on the rational forms,
-    exact arithmetic in which the tree path's reductions are no-ops, and
-    only the result is interned; otherwise it is normalize(Add(Mul(...)))."""
-    products = [f for f in products if ZERO not in f]
+    with a ZERO factor is skipped.  The sum is formed on the factors'
+    rational forms and only the result is interned.  While every product is
+    a polynomial (unit denominators) its terms are added in place; from the
+    first product with a rational factor on, each product is folded with
+    `_rf_mul` and added with `_rf_add` in order, as `normalize` folds
+    `Add(Mul(...), ...)`, so the result is that tree's normal form."""
     total: Poly = {}
+    rf = None   # the running sum, once a product has a rational factor
     for f in products:
+        if ZERO in f:
+            continue
         rfs = [normalize(x)._rf for x in f]
-        if any(q is not _UNIT for _, q in rfs):
-            return normalize(Add(tuple(g[0] if len(g) == 1 else Mul(g)
-                                       for g in products)))
-        prod = rfs[0][0]
-        for p, _ in rfs[1:]:
-            prod = _poly_mul(prod, p)
-        for mon, c in prod.items():
-            _poly_add_term(total, mon, c)
-    return _attach_rf(total, _P_ONE)
+        if rf is None and all(q is _UNIT for _, q in rfs):
+            prod = rfs[0][0]
+            for p, _ in rfs[1:]:
+                prod = _poly_mul(prod, p)
+            for mon, c in prod.items():
+                _poly_add_term(total, mon, c)
+            continue
+        term = rfs[0]
+        for x in rfs[1:]:
+            term = _rf_mul(term, x)
+        rf = _rf_add(rf or (total, _P_ONE), term)
+    return _attach_rf(*(rf or (total, _P_ONE)))
 
 
 # --------------------------------------------------------------------------
 # Differentiation
 # --------------------------------------------------------------------------
 
-def _diff(e: Expr, name: str) -> Expr:
-    if isinstance(e, Num):
-        return ZERO
-    if isinstance(e, Sym):
-        return ONE if e.name == name else ZERO
-    if isinstance(e, Add):
-        return Add(tuple(_diff(t, name) for t in e.terms))
-    if isinstance(e, Mul):
-        parts = []
-        fs = e.factors
-        for i, f in enumerate(fs):
-            parts.append(Mul(fs[:i] + (_diff(f, name),) + fs[i + 1:]))
-        return Add(tuple(parts))
-    if isinstance(e, Div):
-        dn = _diff(e.num, name)
-        dd = _diff(e.den, name)
-        return Div(Add((Mul((dn, e.den)), Mul((Num(-1), e.num, dd)))),
-                   Pow(e.den, 2))
-    if isinstance(e, Pow):
-        db = _diff(e.base, name)
-        return Mul((Num(e.exponent), Pow(e.base, e.exponent - 1), db))
-    if isinstance(e, Fn):
-        da = _diff(e.arg, name)
-        if e.name == "exp":
-            return Mul((Fn("exp", e.arg), da))
-        if e.name == "log":
-            if normalize(e.arg) == ZERO:  # du/u would divide by zero
-                raise ExpressionError(f"log of an expression that normalizes "
-                                      f"to zero: '{e}'")
-            return Div(da, e.arg)
-        if e.name == "sin":
-            return Mul((Fn("cos", e.arg), da))
-        if e.name == "cos":
-            return Mul((Num(-1), Fn("sin", e.arg), da))
-    raise TypeError(f"unknown node {e!r}")
-
-
 def differentiate(e: Expr, symbol) -> Expr:
     """Exact partial derivative with respect to `symbol`, normalized.
-    Memoized.  A polynomial e = sum c m (a normal form with the unit
-    denominator, or a tree that `_polynomial_tree` admits) is differentiated
-    on its rational form, sum of k c (m/a) da over the atoms a^k of each
-    monomial m, when every atom derivative da is a polynomial; any other e
-    is differentiated as a product-rule tree."""
+    Memoized.  Formed on the rational form p/q of e: each polynomial term by
+    term, the sum of k c (m/a) da over the atoms a^k of each monomial m,
+    then (dp q - p dq)/q^2 when q is not 1 (dp/q when dq is 0)."""
     name = symbol.name if isinstance(symbol, Sym) else symbol
     key = ("differentiate", e, name)
     hit = memo.get(key)
     return hit if hit is not None else memo.put(key, _derivative(e, name))
 
 
-def _polynomial_tree(e: Expr) -> bool:
-    """Whether e is built of constants, symbols, sums, products, powers with
-    positive integer exponents and non-log functions: then every subtree's
-    rational form, and its derivative's, is a polynomial."""
-    if isinstance(e, Pow):
-        q = e.exponent
-        return q.denominator == 1 and q >= 1 and _polynomial_tree(e.base)
-    if isinstance(e, Fn):
-        return e.name != "log" and _polynomial_tree(e.arg)
-    return not isinstance(e, Div) and all(map(_polynomial_tree, _children(e)))
-
-
 def _derivative(e: Expr, name: str) -> Expr:
-    rf = getattr(e, "_rf", None)
-    if rf is None and _polynomial_tree(e):
-        rf = normalize(e)._rf
-    if rf is None or rf[1] is not _UNIT:
-        return normalize(_diff(e, name))
+    e = normalize(e)
+    p, q = e._rf
+    dp = _poly_derivative(p, e, name)
+    if q is _UNIT:
+        return _attach_rf(*dp)
+    dq = _poly_derivative(q, e, name)
+    if dq[0]:  # (dp q - p dq)/q^2; else dp/q
+        dp = _rf_add(_rf_mul(dp, (q, _P_ONE)),
+                     _rf_mul((_poly_scale(p, -1), _P_ONE), dq))
+        q = _poly_mul(q, q)
+    return _attach_rf(*_rf_mul(dp, (_P_ONE, q)))
+
+
+def _poly_derivative(p: Poly, e: Expr, name: str):
+    """The rational form of dp/d name, term by term.  An atom's derivative
+    da is memoized, but the atom e itself, the normal form p belongs to,
+    takes the chain rule.  Terms whose da is a polynomial are added in
+    place, the others as rational forms."""
     total: Poly = {}
-    for mon, c in rf[0].items():
+    rest = None
+    for mon, c in p.items():
         for a, k in mon:
-            if a == e:  # a bare atom: its own derivative is a tree's
-                return normalize(_diff(e, name))
-            pd, qd = differentiate(a, name)._rf
-            if qd is not _UNIT:
-                return normalize(_diff(e, name))
-            if pd:
-                base = _mon_mul(mon, ((a, -1),))
+            pd, qd = (_atom_derivative(a, name) if a == e
+                      else differentiate(a, name))._rf
+            if not pd:
+                continue
+            base = _mon_mul(mon, ((a, -1),))
+            if qd is _UNIT:
                 for m2, c2 in pd.items():
                     _poly_add_term(total, _mon_mul(base, m2), k * c * c2)
-    return _attach_rf(total, _P_ONE)
+                continue
+            term = _rf_mul((_poly_scale({base: 1}, k * c), _P_ONE), (pd, qd))
+            rest = term if rest is None else _rf_add(rest, term)
+    return (total, _P_ONE) if rest is None else _rf_add((total, _P_ONE), rest)
+
+
+def _atom_derivative(a: Expr, name: str) -> Expr:
+    """The chain rule on an atom of a rational form: a symbol, a function
+    of a normal argument or a fractional power of a composite base."""
+    if isinstance(a, Sym):
+        return normalize(ONE if a.name == name else ZERO)
+    if isinstance(a, Pow):
+        r = a.exponent
+        db = differentiate(a.base, name)
+        return dot(((Num(r), Pow(a.base, r - 1), db),))
+    da = differentiate(a.arg, name)
+    if a.name == "log":
+        return normalize(Div(da, a.arg))
+    if a.name == "cos":
+        return dot(((NEG, Fn("sin", a.arg), da),))
+    return dot(((a if a.name == "exp" else Fn("cos", a.arg), da),))
 
 
 # --------------------------------------------------------------------------

@@ -324,7 +324,7 @@ def test_horizontal_projection_of_w(natural):
 def test_lift_in_natural_chart(natural):
     # h(dy) = dx + (f_y/2) dy
     ef = build_extended_frame(natural)
-    conn = Connections(ef)
+    conn = Connections(ef, bracket_coefficients(ef))
     h = conn.lifts()[0]
     f_y = differentiate(parse("x*y^2 + y"), "y")
     expected = VectorField(
@@ -336,7 +336,7 @@ def test_lift_in_natural_chart(natural):
 def test_lift_flat_force(plane):
     prob = make_problem(plane, ["y", "0"], [["0", "1"]])
     ef = build_extended_frame(prob)
-    conn = Connections(ef)
+    conn = Connections(ef, bracket_coefficients(ef))
     h = conn.lifts()[0]
     assert field_is_zero(ef, h - coordinate_field(plane, "x"))
 
@@ -347,7 +347,7 @@ def test_lift_routh_matches_connection_coefficients():
     prob = SecondOrderProblem(m.chart, m.vector_field(),
                               Frame(m.chart, m.frame_fields()))
     ef = build_extended_frame(prob)
-    conn = Connections(ef)
+    conn = Connections(ef, bracket_coefficients(ef))
     mu = Sym("mu")
     half = Num(Fraction(1, 2))
     # Gamma^2_1 = -1/2 d(-v1 mu)/dv1 = mu/2, so h(dv1) = dx1 - mu/2 dv2
@@ -451,7 +451,7 @@ def test_extended_is_bracket_for_projectable_horizontal(natural):
 def test_curvature_zero_for_quadratic_force(plane):
     prob = make_problem(plane, ["y", "x*y^2 - y + 1"], [["0", "1"]])
     ef = build_extended_frame(prob)
-    curv = mixed_curvature(Connections(ef))
+    curv = mixed_curvature(Connections(ef, bracket_coefficients(ef)))
     assert curv.verdict == "quadratic"
     assert all(c == ZERO for c in curv.components[0][0][0])
 
@@ -459,7 +459,7 @@ def test_curvature_zero_for_quadratic_force(plane):
 def test_curvature_nonzero_for_cubic_force(plane):
     prob = make_problem(plane, ["y", "y^3"], [["0", "1"]])
     ef = build_extended_frame(prob)
-    curv = mixed_curvature(Connections(ef))
+    curv = mixed_curvature(Connections(ef, bracket_coefficients(ef)))
     assert curv.verdict == "not_quadratic"
     assert curv.witness is not None
     assert abs(curv.witness_value) > 0.1
@@ -470,7 +470,7 @@ def test_curvature_nonzero_for_cubic_force(plane):
 def test_curvature_zero_for_free_motion(plane):
     prob = make_problem(plane, ["y", "0"], [["0", "1"]])
     ef = build_extended_frame(prob)
-    curv = mixed_curvature(Connections(ef))
+    curv = mixed_curvature(Connections(ef, bracket_coefficients(ef)))
     assert curv.verdict == "quadratic"
 
 
@@ -707,7 +707,7 @@ def test_commutator_zero_only_by_sampling_stays_in_the_tables():
     commutes = rep.identity_suites[0]
     assert commutes.name == "v_basis_commutes"
     assert commutes.ok and not commutes.exact
-    conn = Connections(rep.extended)
+    conn = Connections(rep.extended, rep.bracket_coeffs)
     assert conn.c[0][1][1] != ZERO
     assert normalize(conn.c[0][1][1] + conn.c[1][0][1]) == ZERO
     assert rep.identity_suites_ok()

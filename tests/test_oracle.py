@@ -1,7 +1,8 @@
-"""Independent oracle for the memoized engine: `normalize` and
-`differentiate` on random small rational trees, checked against sympy; and
-the sums of products formed on rational forms (`dot`, `differentiate`,
-`lie_bracket`), checked against the normal forms of their trees."""
+"""Independent oracle for the memoized engine: `normalize` on random small
+rational trees and `differentiate` on random polynomial, rational and
+elementary trees (the term rule, the quotient rule and the chain rule),
+checked against sympy; and the sums of products formed on rational forms
+(`dot`, `lie_bracket`), checked against the normal forms of their trees."""
 
 import pytest
 
@@ -10,10 +11,11 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from sodekit.expressions import (  # noqa: E402
-    Add, Div, ExpressionError, Fn, FUNCTIONS, Mul, Num, Pow, Sym, _diff,
+    Add, Div, ExpressionError, Fn, FUNCTIONS, Mul, Num, Pow, Sym,
     _rf_to_tree, _to_rf, differentiate, dot, normalize,
 )
 from sodekit.geometry import lie_bracket  # noqa: E402
+from sodekit.parser import parse  # noqa: E402
 from tests.conftest import INSTANCES  # noqa: E402
 
 NAMES = ("x", "y")
@@ -51,7 +53,7 @@ def to_sympy(e):
     if isinstance(e, Pow):
         q = e.exponent
         return to_sympy(e.base) ** sympy.Rational(q.numerator, q.denominator)
-    raise TypeError(f"not a rational tree: {e!r}")
+    return getattr(sympy, e.name)(to_sympy(e.arg))
 
 
 def rebuilt(e):
@@ -93,17 +95,6 @@ def test_normalize_agrees_with_sympy_and_its_own_memo(e):
     assert _rf_to_tree(_to_rf(rebuilt(got))) == got
 
 
-@ORACLE
-@given(trees, st.sampled_from(NAMES))
-def test_differentiate_agrees_with_sympy(e, name):
-    try:
-        got = differentiate(e, name)
-    except ExpressionError:
-        return
-    assert same_function(to_sympy(got),
-                         sympy.diff(to_sympy(e), sympy.Symbol(name)))
-
-
 def _elementary_branches(children):
     """The rational branches, fractional powers and the functions."""
     return st.one_of(
@@ -123,6 +114,33 @@ def _polynomial_branches(children):
 polynomials = st.recursive(leaves, _polynomial_branches, max_leaves=8)
 elementary = st.recursive(leaves, _elementary_branches, max_leaves=8)
 inputs = st.one_of(polynomials, trees, elementary)
+
+
+@ORACLE
+@given(inputs, st.sampled_from(NAMES))
+def test_differentiate_agrees_with_sympy(e, name):
+    try:
+        got = differentiate(e, name)
+    except ExpressionError:
+        return
+    assert same_function(to_sympy(got),
+                         sympy.diff(to_sympy(e), sympy.Symbol(name)))
+
+
+@pytest.mark.parametrize("text", [
+    "x*y/(y - 2)", "(x + y)/(x - y^2) + x^2", "sin(x)/(1 + x*cos(y))",
+    "exp(1/(1 + x^2))", "log(x^2 + y^2 + 1)*y", "(x^2 + y)^(1/2)",
+    "x^(1/3)*log(x) + 1/(x^(2/3) + y)"])
+def test_quotient_and_chain_rules_agree_with_sympy(text):
+    e = parse(text)
+    for name in NAMES:
+        assert same_function(to_sympy(differentiate(e, name)),
+                             sympy.diff(to_sympy(e), sympy.Symbol(name)))
+
+
+def test_differentiate_normalizes_before_the_product_rule():
+    # 0^0 is 1: a product-rule tree would form 0 * 0^(-1) and divide by zero
+    assert differentiate(Pow(Num(0), 0) * Sym("x"), "x") == Num(1)
 
 
 def outcome(fn, *args):
@@ -159,16 +177,6 @@ def tree_sum(ps):
 def test_dot_is_the_normal_form_of_its_tree(ps):
     want = outcome(tree_sum, ps)
     got = outcome(dot, ps)
-    assert got is want or (type(got) is tuple and got == want)
-
-
-@ORACLE
-@given(inputs, st.sampled_from(NAMES), st.booleans())
-def test_differentiate_is_the_normal_form_of_its_product_rule_tree(
-        e, name, normal):
-    e = normal_or_raw(e) if normal else e
-    want = outcome(lambda: normalize(_diff(e, name)))
-    got = outcome(differentiate, e, name)
     assert got is want or (type(got) is tuple and got == want)
 
 
