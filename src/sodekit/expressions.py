@@ -437,11 +437,27 @@ def _mon_quotient(mon: Monomial, div: Monomial):
     return tuple(out)
 
 
+def _cleared(p: Poly) -> tuple:
+    """(p*M, M): M the monomial that clears p's negative exponents."""
+    low: dict = {}
+    for mon in p:
+        for atom, e in mon:
+            if e < low.get(atom, 0):
+                low[atom] = e
+    clear = tuple((atom, -e) for atom, e in low.items())
+    return ({_mon_mul(mon, clear): c for mon, c in p.items()} if clear
+            else p), clear
+
+
 def _try_exact_division(p: Poly, q: Poly):
     """Quotient of p by q when the division is exact, else None.
 
-    Standard multivariate long division in the graded order; only attempted
-    on plain polynomials (positive integer exponents)."""
+    Standard multivariate long division in the graded order of p*Mp by
+    q*Mq, Mp and Mq the monomials that clear the negative exponents of p
+    and q, the quotient then multiplied by Mq/Mp; only attempted when p*Mp
+    and q*Mq are plain polynomials (positive integer exponents)."""
+    p, mp = _cleared(p)
+    q, mq = _cleared(q)
     if not (_is_plain_poly(p) and _is_plain_poly(q)):
         return None
     qmon, qc = _leading(q)
@@ -461,7 +477,9 @@ def _try_exact_division(p: Poly, q: Poly):
         _poly_add_term(quotient, factor_mon, factor_c)
         for m2, c2 in q.items():
             _poly_add_term(rem, _mon_mul(factor_mon, m2), -factor_c * c2)
-    return quotient
+    back = _mon_mul(mq, tuple((atom, -e) for atom, e in mp))
+    return {_mon_mul(mon, back): c for mon, c in quotient.items()} if back \
+        else quotient
 
 
 def _reduce_rf(p: Poly, q: Poly):
@@ -909,9 +927,11 @@ def compile_exprs(exprs: Sequence[Expr],
     The function takes K points as the columns of a (len(coord_names), K)
     array and returns `(values, errors)`: a (len(exprs), K) array and a dict
     from each column holding a non-finite value to its EvalDomainError,
-    which names the failing subexpression as `evaluate` does.  A node the
-    expressions share is computed once per call, by the same operations as
-    each of its uses would.  Memoized; callers share the function.
+    which names the failing subexpression as `evaluate` does; a batch whose
+    values are all finite returns as soon as one dot product proves it, and
+    only another one is scanned column by column.  A node the expressions
+    share is computed once per call, by the same operations as each of its
+    uses would.  Memoized; callers share the function.
     """
     exprs = tuple(exprs)
     coord_names = tuple(coord_names)
@@ -943,6 +963,11 @@ def _compile(exprs: tuple, coord_names: tuple, shared) -> Callable:
             with np.errstate(all="ignore"):
                 for i, value in enumerate(fn(points)):
                     out[i] = value
+                # a finite sum of squares (one BLAS dot) proves every value
+                # finite; finite values may overflow it, and the column scan
+                # below decides then
+                if math.isfinite(np.vdot(out, out)):
+                    return out, {}
         except (ZeroDivisionError, ValueError, OverflowError):
             out[:] = np.nan  # a constant subexpression failed
         bad = (~np.isfinite(out).all(axis=0)).nonzero()[0]

@@ -77,9 +77,10 @@ NEWTON_MAX_ITER = 50
 STENCIL_STEP = 3e-3
 # A chart whose Jacobian has a larger 2-norm condition number at the base
 # point fails, and a grid node with one is flagged.  On the grid the bound
-# |J|_F |J^-1|_F >= cond_2 clears most nodes without an SVD; it clears only
-# below COND_LIMIT / 2, far outside the rounding of either route, so every
-# flag is the one np.linalg.cond gives.
+# (2 / |det J|) (|J|_F / sqrt(m))^m >= cond_2 (Guggenheimer, Edelman and
+# Johnson 1995) clears most nodes without an SVD; it clears only below
+# COND_LIMIT / 2, far outside the rounding of either route, so every flag is
+# the one np.linalg.cond gives.
 COND_LIMIT = 1e8
 CROSSCHECK_CAP = 12       # about this many grid nodes are cross-checked
 PATH_CHECK_TOL = 1e-7     # basis transport: gap between the two flow orders
@@ -193,21 +194,23 @@ def integrate_flows(fld: VectorField, z, s, with_jacobian: bool = False,
     jac = np.tile(np.eye(m), (K, 1, 1)) if with_jacobian else None
     failures: dict = {}
     moving = np.flatnonzero(s != 0.0)
+    # every member moving (the usual case): views of the rows, not copies
+    rows = slice(None) if len(moving) == K else moving
     what = "variational flow" if with_jacobian else "flow"
     series = _lie_series(fld)
     if moving.size and series is not None:
         ends, jm, errs = _series_flow(
-            series, z[moving], jac[moving] if with_jacobian else None,
-            s[moving], what)
-        z[moving] = ends
+            series, z[rows], jac[rows] if with_jacobian else None,
+            s[rows], what)
+        z[rows] = ends
         if with_jacobian:
-            jac[moving] = jm
+            jac[rows] = jm
         failures = {int(moving[i]): err for i, err in errs.items()}
     elif moving.size:
         count = len(moving)
-        y0 = z[moving]
+        y0 = z[rows]
         if with_jacobian:
-            y0 = np.hstack([y0, jac[moving].reshape(count, m * m)])
+            y0 = np.hstack([y0, jac[rows].reshape(count, m * m)])
             ev = _variational_evaluator(fld)
 
             def rhs(_t, y):
@@ -227,20 +230,20 @@ def integrate_flows(fld: VectorField, z, s, with_jacobian: bool = False,
                 values, errors = ev(y.T)
                 return (None if errors else values.T), errors
 
-        sol = solve_ivp(rhs, (0.0, s[moving]), y0, rtol=RTOL, atol=ATOL)
+        sol = solve_ivp(rhs, (0.0, s[rows]), y0, rtol=RTOL, atol=ATOL)
         for i in sorted(sol.failures):
             err = sol.failures[i]
             failures[int(moving[i])] = NumericFailure(
                 f"{what} failed: {err}" if isinstance(err, StepFailure)
                 else f"{what} hit a domain error: {err}",
                 last_point=tuple(sol.y[i, :m]))
-        z[moving] = sol.y[:, :m]
+        z[rows] = sol.y[:, :m]
         if with_jacobian:
-            jac[moving] = sol.y[:, m:].reshape(count, m, m)
+            jac[rows] = sol.y[:, m:].reshape(count, m, m)
     if chart is not None:
         lo, hi = np.array(chart.box).T
         pad = BOX_SLACK * (hi - lo)
-        ends = z[moving, :len(lo)]
+        ends = z[rows, :len(lo)]
         # a NaN end compares false, so it fails too
         inside = ((lo - pad <= ends) & (ends <= hi + pad)).all(axis=1)
         for k in moving[~inside]:
@@ -266,19 +269,20 @@ def _field_values(fld: VectorField, z) -> tuple:
 
 def _solve_each(A, b, message: str, points) -> tuple:
     """np.linalg.solve(A[k], b[k]) for each member: (x, failures), a singular
-    member flagged with `message`."""
+    member flagged with `message`.  A stack with a singular member is solved
+    again by halves, batched, so s singular members of K cost O(s log K)
+    solves; batched and single solves agree bit for bit."""
     try:
         return np.linalg.solve(A, b[..., None])[..., 0], {}
     except np.linalg.LinAlgError:
-        x = np.full_like(b, np.nan)
-        failures = {}
-        for k in range(len(b)):
-            try:
-                x[k] = np.linalg.solve(A[k], b[k])
-            except np.linalg.LinAlgError:
-                failures[k] = NumericFailure(message,
-                                             last_point=tuple(points[k]))
-        return x, failures
+        if len(b) == 1:
+            return np.full_like(b, np.nan), {
+                0: NumericFailure(message, last_point=tuple(points[0]))}
+    mid = len(b) // 2
+    x, failures = _solve_each(A[:mid], b[:mid], message, points[:mid])
+    x2, failures2 = _solve_each(A[mid:], b[mid:], message, points[mid:])
+    failures.update((mid + k, err) for k, err in failures2.items())
+    return np.concatenate([x, x2]), failures
 
 
 def _live_rows(count: int, failures) -> np.ndarray:
@@ -301,23 +305,20 @@ def _median(values) -> float:
 
 def _well_conditioned(J) -> np.ndarray:
     """np.linalg.cond(J[k]) <= COND_LIMIT for each matrix of the stack, and
-    False for a non-finite one; the SVD only where the Frobenius bound does
-    not clear the matrix, in slices of FLOW_ROWS to bound the inverses."""
-    ok = np.zeros(len(J), dtype=bool)
-    for first in range(0, len(J), FLOW_ROWS):
-        part = J[first:first + FLOW_ROWS]
-        try:
-            with np.errstate(all="ignore"):
-                bound = np.linalg.norm(part, axis=(1, 2)) * np.linalg.norm(
-                    np.linalg.inv(part), axis=(1, 2))
-            sure = bound <= COND_LIMIT / 2
-        except np.linalg.LinAlgError:  # an exactly singular member
-            sure = np.zeros(len(part), dtype=bool)
-        ok[first:first + len(part)] = sure
-        unsure = ~sure & np.isfinite(part).all(axis=(1, 2))
-        if unsure.any():
-            ok[first + np.flatnonzero(unsure)] = \
-                np.linalg.cond(part[unsure]) <= COND_LIMIT
+    False for a non-finite one; the SVD only where the determinant bound
+    does not clear the matrix: a bound above COND_LIMIT / 2, or one that is
+    NaN or infinite because the determinant or the power under- or
+    overflows, or a determinant below the smallest normal float, whose
+    rounding the margin would not cover."""
+    m = J.shape[-1]
+    with np.errstate(all="ignore"):
+        det = np.abs(np.linalg.det(J))
+        bound = 2 * np.sqrt(np.einsum("kij,kij->k", J, J) / m) ** m / det
+    ok = (bound <= COND_LIMIT / 2) & (det >= np.finfo(float).tiny)
+    unsure = np.flatnonzero(~ok)
+    finite = unsure[np.isfinite(J[unsure]).all(axis=(1, 2))]
+    if finite.size:
+        ok[finite] = np.linalg.cond(J[finite]) <= COND_LIMIT
     return ok
 
 

@@ -70,6 +70,18 @@ def test_normalize_reduces_exact_quotients():
     assert normalize((2 * y ** 3 + 2 * y) / (1 + y ** 2)) == normalize(2 * y)
 
 
+def test_exact_quotients_cancel_with_negative_exponents():
+    e = parse("(6*y/x^3)*(9*x^2 + 30*x + 25)/(9*x^2 + 30*x + 25)")
+    assert to_str(normalize(e)) == "6*x^(-3)*y"
+    assert to_str(differentiate(parse("(x + 5/3)^(-2) + 3*y^2/x^3"),
+                                "y")) == "6*x^(-3)*y"
+    # negative exponents in the divisor, and on the other side (q / p)
+    assert to_str(normalize(parse("(x^2 - 1)/(x^(-1) + 1)"))) == "x^2 - x"
+    assert to_str(normalize(parse("(x^(-1) + 1)/(x + 1)"))) == "x^(-1)"
+    e = parse("(x^2 + 1)/(x^(-1)*(x^2 + 1) + x^(-2)*(x^2 + 1))")
+    assert normalize(e) == normalize(1 / (x ** -1 + x ** -2))
+
+
 def test_normalize_is_semantic_noop():
     rng = random.Random(99)
     for _ in range(100):
@@ -270,6 +282,23 @@ def test_compiled_domain_error_names_the_failing_component():
     huge = normalize(y * 10 ** 400)
     _, errors = compile_exprs([x, huge], ["x", "y"])(np.array([[1.0], [1.0]]))
     assert errors[0].subtree == Num(10 ** 400)
+
+
+def test_compiled_fast_path_leaves_the_column_scan_its_cases():
+    fn = compile_exprs([x, x * y], ["x", "y"])
+    # finite values whose sum of squares overflows: no failure
+    values, errors = fn(np.array([[1e308, 1e308, 2.0], [1.0, 1.0, 3.0]]))
+    assert errors == {} and np.isfinite(values).all()
+    assert fn(np.array([[0.5, -0.25], [1.0, 2.0]]))[1] == {}
+    # a column holding inf or NaN is named as before, by the same error
+    fn = compile_exprs([x, log(y)], ["x", "y"])
+    points = np.array([[1.0, np.inf, np.nan, 1.0], [2.0, 1.0, 1.0, -1.0]])
+    values, errors = fn(points)
+    assert {k: (err.subtree, str(err)) for k, err in errors.items()} == {
+        1: (x, "non-finite value in 'x'"),
+        2: (x, "non-finite value in 'x'"),
+        3: (log(y), "log of a nonpositive value in 'log(y)'")}
+    assert values[1, 0] == np.log(2.0)
 
 
 @pytest.mark.parametrize("K", [1, 7, 64])

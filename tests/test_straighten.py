@@ -1335,7 +1335,7 @@ def cond_mask(J):
     return np.array(mask)
 
 
-def test_well_conditioned_flags_as_cond_does():
+def test_well_conditioned_flags_as_cond_does(monkeypatch):
     conds = [1.0, 0.4e8, 0.6e8, 0.99e8, 1.01e8, 1e12, 10.0]
     J = stack_with_conditions(conds)
     singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]])
@@ -1346,16 +1346,33 @@ def test_well_conditioned_flags_as_cond_does():
     assert want.tolist() == [True] * 4 + [False] * 2 + [True, False, False]
     assert np.array_equal(straighten._well_conditioned(mixed), want)
     assert np.array_equal(straighten._well_conditioned(J), cond_mask(J))
-    # longer than FLOW_ROWS: the singular member spoils only its own slice
+    # a long stack: the singular and the NaN member spoil no other member
     long = np.concatenate([
         stack_with_conditions(10.0 ** np.linspace(0, 12, 2 * 1024), seed=1),
         mixed, stack_with_conditions([3.0] * 50, seed=2)])
-    assert len(long) > 2 * straighten.FLOW_ROWS
     assert np.array_equal(straighten._well_conditioned(long), cond_mask(long))
+    # what the determinant bound cannot clear goes to the SVD, without a
+    # RuntimeWarning: 1e-70 I6, whose determinant underflows to 0 (a NaN
+    # bound), and 1e110 I3, whose determinant and power overflow (inf/inf);
+    # both have condition 1.  The identity beside each clears by the bound.
+    edge = [np.array([1e-70 * np.eye(6), np.eye(6)]),
+            np.array([1e110 * np.eye(3), 2 * np.eye(3)])]
+    assert [cond_mask(stack).tolist() for stack in edge] == [[True, True]] * 2
+    svd_rows = []
+    real = np.linalg.cond
+
+    def counting(x, *args, **kwargs):
+        svd_rows.append(len(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cond", counting)
+    for stack in edge:
+        svd_rows.clear()
+        assert straighten._well_conditioned(stack).tolist() == [True, True]
+        assert svd_rows == [1]
 
 
 def test_grid_nodes_are_flagged_without_an_svd(monkeypatch):
-    tr = timedep_transform()
     rows = []
     real = np.linalg.cond
 
@@ -1363,7 +1380,43 @@ def test_grid_nodes_are_flagged_without_an_svd(monkeypatch):
         rows.append(1 if np.ndim(x) == 2 else len(x))
         return real(x, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "cond", counting)
-    res = pushforward_residuals(tr, grid_points=14)
-    assert res.flagged_nodes == 0 and res.node_count == 14 ** tr.m
-    assert rows == []
+    for name, g in (("timedep-scrambled", 14), ("routh-abelian", 5)):
+        tr = build_normal_coordinates(classify_corpus(name))
+        monkeypatch.setattr(np.linalg, "cond", counting)
+        res = pushforward_residuals(tr, grid_points=g)
+        monkeypatch.undo()
+        assert res.flagged_nodes == 0 and res.node_count == g ** tr.m
+        assert rows == []
+
+
+def test_solve_each_bisects_to_its_singular_members(monkeypatch):
+    rng = np.random.default_rng(5)
+    K, m = 4096, 3
+    A = rng.standard_normal((K, m, m)) + 4 * np.eye(m)
+    b = rng.standard_normal((K, m))
+    singular = [17, 2048, 4000]
+    A[singular] = [[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]
+    points = rng.standard_normal((K, m))
+    # the member-by-member loop it replaces
+    want = np.full_like(b, np.nan)
+    for k in range(K):
+        if k not in singular:
+            want[k] = np.linalg.solve(A[k], b[k])
+    calls = []
+    real = np.linalg.solve
+
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    x, failures = straighten._solve_each(A, b, "singular", points)
+    monkeypatch.undo()
+    assert np.array_equal(x, want, equal_nan=True)
+    assert list(failures) == singular
+    assert all(str(err) == "singular" and err.last_point == tuple(points[k])
+               for k, err in failures.items())
+    # each singular member costs one failing solve per level of halving
+    assert len(calls) <= 1 + 2 * len(singular) * math.ceil(math.log2(K))
+    x, failures = straighten._solve_each(A[:5], b[:5], "singular", points)
+    assert failures == {} and np.array_equal(x, want[:5])

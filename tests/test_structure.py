@@ -168,6 +168,13 @@ def test_the_residual_stage_makes_no_second_jacobian_walk():
                                     ("straighten", "pushforward_residuals")}
 
 
+def test_the_grid_screen_inverts_no_stack():
+    # the condition screen proves its bound from a determinant, and the
+    # linear solves solve: straighten keeps no (K, m, m) inverse
+    assert not {owner for module, owner in callers("inv")
+                if module == "straighten"}
+
+
 def test_every_flow_of_the_chart_is_guarded_by_its_box():
     # one box policy: no map takes a guard switch, every flow is given the
     # chart; one failure shape: the stencil returns a {row: failure} dict
