@@ -332,6 +332,12 @@ def _mon_key(mon: Monomial):
     return (sum(e for _, e in mon), tuple((a.key, e) for a, e in mon))
 
 
+def _monomial(pairs) -> Monomial:
+    """The monomial of (atom, exponent) pairs on distinct atoms, in the
+    canonical order that `_mon_mul` keeps."""
+    return tuple(sorted(pairs, key=lambda pair: (pair[0].key, pair[1])))
+
+
 def _mon_mul(m1: Monomial, m2: Monomial) -> Monomial:
     if not m1:
         return m2
@@ -438,13 +444,15 @@ def _mon_quotient(mon: Monomial, div: Monomial):
 
 
 def _cleared(p: Poly) -> tuple:
-    """(p*M, M): M the monomial that clears p's negative exponents."""
+    """(p*M, M): M the monomial that clears p's negative exponents, built
+    in canonical order, since `_mon_mul` returns a unit operand's partner
+    as is (p's constant term times M is M)."""
     low: dict = {}
     for mon in p:
         for atom, e in mon:
             if e < low.get(atom, 0):
                 low[atom] = e
-    clear = tuple((atom, -e) for atom, e in low.items())
+    clear = _monomial((atom, -e) for atom, e in low.items())
     return ({_mon_mul(mon, clear): c for mon, c in p.items()} if clear
             else p), clear
 
@@ -477,7 +485,7 @@ def _try_exact_division(p: Poly, q: Poly):
         _poly_add_term(quotient, factor_mon, factor_c)
         for m2, c2 in q.items():
             _poly_add_term(rem, _mon_mul(factor_mon, m2), -factor_c * c2)
-    back = _mon_mul(mq, tuple((atom, -e) for atom, e in mp))
+    back = _mon_mul(mq, tuple((atom, -e) for atom, e in mp))  # canonical
     return {_mon_mul(mon, back): c for mon, c in quotient.items()} if back \
         else quotient
 
@@ -521,8 +529,7 @@ def _reduce_rf(p: Poly, q: Poly):
         if not shared:
             break
     if shared:
-        inv = tuple(sorted(((a, -e) for a, e in shared.items()),
-                           key=lambda pair: (pair[0].key, pair[1])))
+        inv = _monomial((a, -e) for a, e in shared.items())
         p = {_mon_mul(m, inv): c for m, c in p.items()}
         q = {_mon_mul(m, inv): c for m, c in q.items()}
         if len(q) == 1:

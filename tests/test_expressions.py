@@ -80,6 +80,26 @@ def test_exact_quotients_cancel_with_negative_exponents():
     assert to_str(normalize(parse("(x^(-1) + 1)/(x + 1)"))) == "x^(-1)"
     e = parse("(x^2 + 1)/(x^(-1)*(x^2 + 1) + x^(-2)*(x^2 + 1))")
     assert normalize(e) == normalize(1 / (x ** -1 + x ** -2))
+    # the clearing monomial is canonical even where it stands alone (the
+    # dividend's constant term, a unit quotient term): equal forms are ==
+    e = parse("(x^2 + 3*x + 2)/(x*y)/(x + 2)")
+    assert normalize(e) == normalize(parse("1/y + 1/(x*y)"))
+    assert normalize(e - parse("1/y + 1/(x*y)")) == ZERO
+
+
+def test_exact_quotients_with_negative_exponents_are_canonical():
+    rng = random.Random(28)
+    for _ in range(60):
+        r = sum((rng.choice([-3, -1, 1, 2]) * x ** rng.randint(-2, 2)
+                 * y ** rng.randint(-2, 2) for _ in range(3)), ZERO)
+        s = random_polynomial(rng, ["x", "y"], degree=2, terms=3)
+        if normalize(s) == ZERO or normalize(r) == ZERO:
+            continue
+        for form in (normalize(r * s / s), normalize(r * s) / normalize(s)):
+            p, q = _to_rf(normalize(form))
+            assert all(list(mon) == sorted(mon, key=lambda pair: pair[0].key)
+                       for poly in (p, q) for mon in poly)
+            assert normalize(form - r) == ZERO
 
 
 def test_normalize_is_semantic_noop():
