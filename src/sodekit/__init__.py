@@ -15,10 +15,9 @@ from .geometry import (  # noqa: F401
     frame_rank, is_involutive, lie_bracket,
 )
 from .analysis import (  # noqa: F401
-    AnalysisReport, Options, SecondOrderProblem, adapt_commuting_basis,
-    bracket_coefficients, build_extended_frame, check_regularity,
-    check_w_involutive, classify, mixed_curvature,
-    verify_bracket_integrability,
+    AnalysisReport, Options, SecondOrderProblem, bracket_coefficients,
+    build_extended_frame, check_regularity, check_w_involutive, classify,
+    mixed_curvature, verify_bracket_integrability,
 )
 from .straighten import (  # noqa: F401
     CoordinateTransform, NumericFailure, build_normal_coordinates,

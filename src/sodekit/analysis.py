@@ -76,8 +76,13 @@ class OptionsError(ValueError):
     """A manifest option that is unknown or has a bad value (exit code 2)."""
 
 
-MAX_COUNT = 10_000  # per count option, so that validated input bounds the work
-COUNT_OPTIONS = ("samples", "trials", "newton_starts", "newton_max_iter")
+MAX_COUNT = 10_000  # bounds `samples`, so that validated input bounds the work
+
+# the Newton search for a point where F is vertical: starts, the tolerance on
+# max |b^i| and the iterations per start
+NEWTON_STARTS = 16
+NEWTON_TOL = 1e-10
+NEWTON_MAX_ITER = 50
 
 
 class InternalInconsistencyError(AnalysisError):
@@ -90,11 +95,6 @@ class InternalInconsistencyError(AnalysisError):
 class Options:
     samples: int = 200        # rank / residual sampling points
     seed: int = 0
-    trials: int = 64          # zero-test trials
-    zero_tol: float = 1e-10
-    newton_starts: int = 16
-    newton_tol: float = 1e-10
-    newton_max_iter: int = 50
     # the residual grid: nodes per axis and half-width (None: the defaults of
     # straighten.pushforward_residuals) and the structural tolerance
     grid: Optional[int] = None
@@ -123,7 +123,7 @@ class Options:
             if not ok or isinstance(value, bool):
                 raise OptionsError(
                     f"option '{key}' must be {want}, got {value!r}")
-            if key in COUNT_OPTIONS and value > MAX_COUNT:
+            if key == "samples" and value > MAX_COUNT:
                 raise OptionsError(
                     f"option '{key}' must be at most {MAX_COUNT}, got {value}")
             setattr(opts, key, (int if integral else float)(value))
@@ -148,8 +148,7 @@ class SecondOrderProblem:
             raise GeometryError(
                 f"need 2*dim(V) <= dim(M): got {2 * self.n} > {self.m}"
             )
-        self.probe = chart.probe(self.options.trials, self.options.seed,
-                                 self.options.zero_tol)
+        self.probe = chart.probe(self.options.seed)
 
 
 @dataclass
@@ -199,7 +198,8 @@ class IdentitySuite:
 
 class ExtendedFrame:
     """The V-basis together with W_i = [F, V_i], the commutators
-    [V_i, V_j] (i < j) and the combined frame E = (V, W)."""
+    [V_i, V_j] (i < j) and the combined frame E = (V, W), a tuple of
+    fields."""
 
     # (A, coordinate names) when the basis is V.B^-1 (normalize_v_basis)
     normalization: Optional[tuple] = None
@@ -214,11 +214,7 @@ class ExtendedFrame:
             (i, j): lie_bracket(self.vbasis[i], self.vbasis[j])
             for i in range(self.n) for j in range(i + 1, self.n)
         }
-        self.combined = Frame(
-            problem.chart, self.vbasis + self.wfields,
-            validate=False, samples=problem.options.samples,
-            seed=problem.options.seed,
-        )
+        self.combined = tuple(self.vbasis + self.wfields)
         self.probe = problem.probe
 
     @property
@@ -249,7 +245,7 @@ class ExtendedFrame:
 
     def field_of(self, coefficients) -> VectorField:
         """The field c^a E_a; a shorter list covers the leading elements."""
-        pairs = list(zip(coefficients, self.combined.fields))
+        pairs = list(zip(coefficients, self.combined))
         return VectorField(self.chart, [
             dot((c, f.components[idx]) for c, f in pairs)
             for idx in range(self.chart.dim)
@@ -289,8 +285,7 @@ def check_regularity(problem: SecondOrderProblem) -> dict:
     does not rank it again."""
     wfields = [lie_bracket(problem.F, v) for v in problem.V]
     fields = list(problem.V.fields) + wfields
-    report = frame_rank(fields, problem.chart,
-                        problem.options.samples, problem.options.seed)
+    report = frame_rank(fields, problem.options.samples, problem.options.seed)
     ok = report.claimed_rank == 2 * problem.n and report.constant_rank
     out = {
         "status": "pass" if ok else "fail",
@@ -425,6 +420,15 @@ def normalize_v_basis(ef: ExtendedFrame) -> Optional[ExtendedFrame]:
 
 @dataclass
 class AdaptationInfo:
+    """How the commuting basis the pipeline holds is adapted, so that every
+    [V_i, W_j] is vertical.
+
+    Where the w-mixing coefficients are structurally zero the basis is
+    adapted as it stands: mode "identity", or "normalized" when it is the
+    given basis times B^-1 (normalize_v_basis).  Otherwise the mode is
+    "numeric": the chart transports this basis along the V-flows
+    (straighten.build_normal_coordinates)."""
+
     mode: str                       # "identity" | "normalized" | "numeric"
     matrix: Optional[list] = None   # A[j][i]: V~_i = A[j][i] V_j
     coordinates: Optional[list] = None  # the rows of B (normalized basis)
@@ -436,26 +440,6 @@ class AdaptationInfo:
         if self.coordinates is not None:
             out["coordinates"] = list(self.coordinates)
         return out
-
-
-def adapt_commuting_basis(ef: ExtendedFrame,
-                          bc: BracketCoefficients) -> AdaptationInfo:
-    """How the commuting basis the pipeline holds is adapted, so that every
-    [V_i, W_j] is vertical.
-
-    Where the w-mixing coefficients are structurally zero the basis is
-    adapted as it stands: mode "identity", or "normalized" when it is the
-    given basis times B^-1 (normalize_v_basis).  Otherwise the mode is
-    "numeric": the chart transports this basis along the V-flows
-    (straighten.build_normal_coordinates)."""
-    matrix, coordinates = ef.normalization or (None, None)
-    if not bc.w_all_zero():
-        return AdaptationInfo("numeric", matrix, coordinates)
-    if matrix is not None:
-        return AdaptationInfo("normalized", matrix, coordinates)
-    return AdaptationInfo("identity", [
-        [Num(1) if i == j else ZERO for j in range(ef.n)]
-        for i in range(ef.n)])
 
 
 # --------------------------------------------------------------------------
@@ -642,7 +626,6 @@ def find_zero_section_points(ef: ExtendedFrame, b_coeffs) -> list:
     iterates clipped to the box; returns deduplicated points sorted
     lexicographically."""
     chart = ef.chart
-    opts = ef.problem.options
     names = chart.names
     b_exprs = [normalize(b) for b in b_coeffs]
     jac_exprs = [
@@ -650,20 +633,20 @@ def find_zero_section_points(ef: ExtendedFrame, b_coeffs) -> list:
     ]
     nb, d = len(b_exprs), len(names)
     fn = compile_exprs(b_exprs + [e for row in jac_exprs for e in row], names)
-    z = np.array(box_points(chart.box, opts.newton_starts, opts.seed + 101),
-                 dtype=float)
+    z = np.array(box_points(chart.box, NEWTON_STARTS,
+                            ef.problem.options.seed + 101), dtype=float)
     lows = np.array([lo for lo, _ in chart.box])
     highs = np.array([hi for _, hi in chart.box])
     live = np.arange(len(z))
     found = []
-    for _ in range(opts.newton_max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if not live.size:
             break
         values, _ = fn(z[live].T)
         bv = values[:nb].T
         J = values[nb:].T.reshape(len(live), nb, d)
         b_ok = np.isfinite(bv).all(axis=1)
-        done = b_ok & (np.abs(bv).max(axis=1) < opts.newton_tol)
+        done = b_ok & (np.abs(bv).max(axis=1) < NEWTON_TOL)
         found.extend(live[done])
         # a start whose b or Jacobian fails to evaluate is given up
         step_ok = b_ok & ~done & np.isfinite(J).all(axis=(1, 2))
@@ -797,9 +780,10 @@ def _w_involutivity(state: PipelineState):
 
 
 def _brackets(state: PipelineState):
-    """The commuting suite and the mixing coefficients of the V-basis; a
-    basis that does not commute or is not adapted is first replaced by
-    V.B^-1 where normalize_v_basis applies."""
+    """The commuting suite and the mixing coefficients of the V-basis, and
+    how it is adapted (AdaptationInfo); a basis that does not commute or is
+    not adapted is first replaced by V.B^-1 where normalize_v_basis
+    applies."""
     report = state.analysis
     ef = report.extended
     commuting = check_commuting(ef)
@@ -827,12 +811,15 @@ def _brackets(state: PipelineState):
             "w-mixing integrability failed although V and W are involutive; "
             "this indicates an upstream inconsistency or sampling artifact"
         )
-
-
-def _adaptation(state: PipelineState):
-    report = state.analysis
-    report.adaptation = adapt_commuting_basis(report.extended,
-                                              report.bracket_coeffs)
+    matrix, coordinates = ef.normalization or (None, None)
+    if not bc.w_all_zero():
+        report.adaptation = AdaptationInfo("numeric", matrix, coordinates)
+    elif matrix is not None:
+        report.adaptation = AdaptationInfo("normalized", matrix, coordinates)
+    else:
+        report.adaptation = AdaptationInfo("identity", [
+            [Num(1) if i == j else ZERO for j in range(ef.n)]
+            for i in range(ef.n)])
 
 
 def _placement(state: PipelineState):
@@ -851,10 +838,8 @@ def _placement(state: PipelineState):
     if f_dec.failure != "not_in_span":
         report.reason = f"cannot place F relative to W: {f_dec.diagnostic}"
         return
-    full = frame_rank(
-        list(ef.combined.fields) + [problem.F], problem.chart,
-        problem.options.samples, problem.options.seed,
-    )
+    full = frame_rank(ef.combined + (problem.F,), problem.options.samples,
+                      problem.options.seed)
     report.verdicts["f_independent_of_w"] = {
         "status": "pass" if (full.claimed_rank == 2 * ef.n + 1
                              and full.constant_rank) else "fail",
@@ -916,7 +901,6 @@ STAGES = (
     ("regularity", _regularity),
     ("w_involutivity", _w_involutivity),
     ("brackets", _brackets),
-    ("adaptation", _adaptation),
     ("placement", _placement),
     ("connections", _connections),
     ("curvature", _curvature),

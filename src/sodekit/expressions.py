@@ -492,9 +492,10 @@ def _try_exact_division(p: Poly, q: Poly):
 
 def _reduce_rf(p: Poly, q: Poly):
     """Canonicalize a (num, den) pair.  No polynomial gcd is attempted;
-    monomial denominators are folded in, the denominator is made content-free
-    with a positive leading coefficient, and shared monomial factors with
-    nonnegative joint minimum exponent are stripped.
+    monomial denominators are folded in, shared monomial factors with
+    nonnegative joint minimum exponent are stripped, a multi-term
+    denominator's negative exponents are cleared, and the denominator is
+    made content-free with a positive leading coefficient.
 
     A unit denominator {(): 1} is already canonical: the pair is returned as
     is, the same dict objects, so no caller may mutate a result."""
@@ -542,6 +543,11 @@ def _reduce_rf(p: Poly, q: Poly):
         exact = _try_exact_division(q, p)
         if exact is not None:
             return _reduce_rf(dict(_P_ONE), exact)
+    # clear the denominator's negative exponents on both sides; done after
+    # the exact divisions, which clear each side by its own monomial
+    q, clear = _cleared(q)
+    if clear:
+        p = {_mon_mul(m, clear): c for m, c in p.items()}
     # content/sign normalization of the denominator
     content = 0
     for c in q.values():

@@ -62,9 +62,8 @@ class Chart:
     def box_map(self) -> dict:
         return {n: iv for n, iv in zip(self.names, self.box)}
 
-    def probe(self, trials: int = 64, seed: int = 0,
-              tol: float = 1e-10) -> ZeroProbe:
-        return ZeroProbe(self.box_map, trials, seed, tol)
+    def probe(self, seed: int = 0) -> ZeroProbe:
+        return ZeroProbe(self.box_map, seed)
 
     def sample(self, count: int, seed: int = 0):
         return box_points(self.box, count, seed)
@@ -220,17 +219,13 @@ def first_domain_error(labels, chart: Chart, points, values,
             f"{labels[j // chart.dim]} fails at {points[k]}: {errors[k]}")
 
 
-def frame_rank(fields, chart: Optional[Chart] = None, samples: int = 64,
-               seed: int = 0) -> RankReport:
-    """Numeric rank of the span of `fields` at quasi-random sample points."""
-    if isinstance(fields, Frame):
-        chart = fields.chart
-        fields = fields.fields
+def frame_rank(fields, samples: int = 64, seed: int = 0) -> RankReport:
+    """Numeric rank of the span of `fields` at quasi-random sample points of
+    their chart."""
     fields = list(fields)
     if not fields:
         raise GeometryError("empty frame")
-    if chart is None:
-        chart = fields[0].chart
+    chart = fields[0].chart
     if samples < 1:
         raise GeometryError("samples must be >= 1")
     points = chart.sample(samples, seed)
@@ -280,27 +275,25 @@ class Frame:
     """Ordered list of vector fields spanning a distribution.
 
     Validated eagerly: the frame must have constant full rank on the
-    sampling box (a distribution in the strict sense).  Pass validate=False
-    for raw frames whose rank is itself under investigation.
+    sampling box (a distribution in the strict sense).  A raw list of
+    fields, whose rank is itself under investigation, is not a Frame.
     """
 
     def __init__(self, chart: Chart, fields: Sequence[VectorField],
-                 validate: bool = True, samples: int = 64,
-                 seed: int = 0):
+                 samples: int = 64, seed: int = 0):
         fields = tuple(fields)
         for f in fields:
             if f.chart != chart:
                 raise ChartMismatchError("all frame fields must share the chart")
         self.chart = chart
         self.fields = fields
-        if validate:
-            report = frame_rank(list(fields), chart, samples, seed)
-            if report.claimed_rank != len(fields) or not report.constant_rank:
-                raise FrameRankError(
-                    f"frame rank {report.claimed_rank} of {len(fields)} "
-                    f"with {len(report.deficient_points)} deficient samples",
-                    report,
-                )
+        report = frame_rank(fields, samples, seed)
+        if report.claimed_rank != len(fields) or not report.constant_rank:
+            raise FrameRankError(
+                f"frame rank {report.claimed_rank} of {len(fields)} "
+                f"with {len(report.deficient_points)} deficient samples",
+                report,
+            )
 
     def __len__(self):
         return len(self.fields)
@@ -336,7 +329,7 @@ def decompose_in_frame(X: VectorField, frame, probe: ZeroProbe) -> Decomposition
     X is not in the span (witness attached); Unknown pivots that block
     elimination are reported as ambiguity.
     """
-    fields = list(frame.fields if isinstance(frame, Frame) else frame)
+    fields = list(frame)
     chart = X.chart
     key = ("decompose_in_frame", chart.names, chart.box, X.components,
            tuple(f.components for f in fields), probe.key)
@@ -436,7 +429,7 @@ class InvolutivityResult:
 
 def is_involutive(frame, probe: ZeroProbe) -> InvolutivityResult:
     """Check closure under Lie bracket by decomposing each [fr_i, fr_j]."""
-    fields = list(frame.fields if isinstance(frame, Frame) else frame)
+    fields = list(frame)
     unknowns = []
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):

@@ -24,6 +24,7 @@ from . import memo
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 MAX_DIMS = len(_PRIMES)  # one Halton base per coordinate
 
+TRIALS = 64  # zero-test sample points
 ZERO_TOL = 1e-10
 JITTER = 1e-3
 
@@ -108,7 +109,7 @@ def _jittered(point, box):
 def is_zero(
     e: Expr,
     box: Mapping[str, Sequence[float]],
-    trials: int = 64,
+    trials: int = TRIALS,
     seed: int = 0,
     tol: float = ZERO_TOL,
 ) -> ZeroVerdict:
@@ -121,15 +122,14 @@ def is_zero(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    key = ("is_zero", e, _probe_key(box, trials, seed, tol))
+    key = ("is_zero", e, _probe_key(box, seed), trials, tol)
     hit = memo.get(key)
     return hit if hit is not None else memo.put(
         key, _decide_zero(e, box, trials, seed, tol))
 
 
-def _probe_key(box: Mapping[str, Sequence[float]], trials: int, seed: int,
-               tol: float) -> tuple:
-    return (tuple((n, tuple(iv)) for n, iv in box.items()), trials, seed, tol)
+def _probe_key(box: Mapping[str, Sequence[float]], seed: int) -> tuple:
+    return tuple((n, tuple(iv)) for n, iv in box.items()), seed
 
 
 def _decide_zero(e: Expr, box: Mapping[str, Sequence[float]], trials: int,
@@ -192,17 +192,16 @@ def _decide_zero(e: Expr, box: Mapping[str, Sequence[float]], trials: int,
 
 @dataclass(frozen=True)
 class ZeroProbe:
-    """Bundle of box/trials/seed/tolerance threaded through the pipeline."""
+    """The zero test on one box with one seed, threaded through the
+    pipeline; it spends TRIALS points at tolerance ZERO_TOL."""
 
     box: dict
-    trials: int = 64
     seed: int = 0
-    tol: float = ZERO_TOL
 
     def __call__(self, e: Expr) -> ZeroVerdict:
-        return is_zero(e, self.box, self.trials, self.seed, self.tol)
+        return is_zero(e, self.box, seed=self.seed)
 
     @property
     def key(self) -> tuple:
-        """Hashable form of the box, trials, seed and tolerance."""
-        return _probe_key(self.box, self.trials, self.seed, self.tol)
+        """Hashable form of the box and seed."""
+        return _probe_key(self.box, self.seed)

@@ -759,7 +759,7 @@ def build_normal_coordinates(report: AnalysisReport) -> CoordinateTransform:
         z0 = np.asarray(report.zero_section_points[0], dtype=float)
         b_exprs = [normalize(b) for b in report.f_w_coefficients]
         if m > 2 * n:
-            extra = _completion_directions(ef.combined.fields, tuple(z0))
+            extra = _completion_directions(ef.combined, tuple(z0))
             for p in range(extra.shape[1]):
                 direction = _constant_direction_field(chart, extra[:, p])
                 tilted = _tilt_to_locus(direction, b_exprs, ef.vbasis)
@@ -773,7 +773,7 @@ def build_normal_coordinates(report: AnalysisReport) -> CoordinateTransform:
             # extra slice directions are innermost so that the F-flow and the
             # leaf flows come after them; F(z0) spans one completion
             # direction, keep the remainder
-            extra = _completion_directions(ef.combined.fields, tuple(z0))
+            extra = _completion_directions(ef.combined, tuple(z0))
             f0 = ef.problem.F.at(tuple(z0))
             f0 = f0 / np.linalg.norm(f0)
             kept = []

@@ -40,7 +40,7 @@ def apply_tangent_structure(ef: ExtendedFrame, X: VectorField) -> VectorField:
 def nijenhuis_check(ef: ExtendedFrame) -> IdentitySuite:
     """Nijenhuis torsion of S on all combined-frame pairs; must vanish."""
     suite = IdentitySuite("nijenhuis_torsion")
-    elements = list(ef.combined.fields)
+    elements = list(ef.combined)
     s_of = [apply_tangent_structure(ef, e) for e in elements]
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
@@ -124,7 +124,7 @@ class FieldConnections:
     def projector_identities(self) -> IdentitySuite:
         ef = self.ef
         suite = IdentitySuite("projector_identities")
-        elements = list(ef.combined.fields)
+        elements = list(ef.combined)
         for idx, e in enumerate(elements):
             lfs_e = self.lie_derivative_s(e)
             twice = self.lie_derivative_s(lfs_e)
@@ -234,7 +234,7 @@ def sections(ef: ExtendedFrame) -> dict:
         "vertical_flatness": conn.vertical_flatness().as_dict(),
         "projectors": {"lie_derivative_S": [
             [to_str(c) for c in conn.lie_derivative_s(e).components]
-            for e in ef.combined.fields]},
+            for e in ef.combined]},
         "connection": connection_tables(conn).as_dict(),
         "mixed_curvature": mixed_curvature(conn).as_dict(),
     }

@@ -12,9 +12,8 @@ from sodekit.geometry import (
 )
 from sodekit.analysis import (
     CASE1, CASE2, NOT_SODE, Connections, Options, SecondOrderProblem,
-    adapt_commuting_basis, bracket_coefficients, build_extended_frame,
-    check_regularity, classify, mixed_curvature, normalize_v_basis,
-    verify_bracket_integrability,
+    bracket_coefficients, build_extended_frame, check_regularity, classify,
+    mixed_curvature, normalize_v_basis, verify_bracket_integrability,
 )
 from sodekit.parser import parse
 from sodekit.corpus import corpus_get
@@ -147,8 +146,7 @@ def test_normalization_inverts_the_block_of_v(plane):
         for i, v in enumerate(normalized.vbasis):
             assert v.components == coordinate_field(
                 chart, coordinates[i]).components
-        assert adapt_commuting_basis(
-            normalized, bracket_coefficients(normalized)).mode \
+        assert classify(make_problem(chart, F, V)).adaptation.mode \
             == "normalized"
     assert [[to_str(c) for c in row] for row in matrix] == [["1", "0"],
                                                             ["(-1)*y2", "1"]]
@@ -163,12 +161,11 @@ def test_normalization_inverts_the_block_of_v(plane):
 
 
 def test_adaptation_identity_when_mixing_vanishes(natural):
-    ef = build_extended_frame(natural)
-    bc = bracket_coefficients(ef)
-    info = adapt_commuting_basis(ef, bc)
+    rep = classify(natural)
+    info = rep.adaptation
     assert info.mode == "identity"
     assert info.matrix == [[Num(1)]] and info.coordinates is None
-    assert bc.w_all_zero()
+    assert rep.bracket_coeffs.w_all_zero()
 
 
 def test_adaptation_numeric_fallback_for_a_reparametrized_fibre(plane):
@@ -250,13 +247,11 @@ def test_distinct_points_match_the_pairwise_loop():
 
 def test_adaptation_identity_routh():
     m = corpus_get("routh-abelian")
-    prob = SecondOrderProblem(m.chart, m.vector_field(),
-                              Frame(m.chart, m.frame_fields()))
-    ef = build_extended_frame(prob)
-    bc = bracket_coefficients(ef)
-    info = adapt_commuting_basis(ef, bc)
+    rep = classify(SecondOrderProblem(m.chart, m.vector_field(),
+                                      Frame(m.chart, m.frame_fields())))
+    info = rep.adaptation
     assert info.mode == "identity" and info.coordinates is None
-    assert bc.w_all_zero()
+    assert rep.bracket_coeffs.w_all_zero()
 
 
 # -- vertical endomorphism ----------------------------------------------------
@@ -272,7 +267,7 @@ def test_tangent_structure_kills_v_and_flips_w(natural):
 
 def test_tangent_structure_squares_to_zero(natural):
     ef = build_extended_frame(natural)
-    for e in ef.combined.fields:
+    for e in ef.combined:
         twice = apply_tangent_structure(ef, apply_tangent_structure(ef, e))
         assert field_is_zero(ef, twice)
 
@@ -362,7 +357,7 @@ def test_lift_routh_matches_connection_coefficients():
 def test_lie_derivative_s_squares_to_identity(natural):
     ef = build_extended_frame(natural)
     conn = FieldConnections(ef)
-    for e in ef.combined.fields:
+    for e in ef.combined:
         twice = conn.lie_derivative_s(conn.lie_derivative_s(e))
         assert field_is_zero(ef, twice - e)
 

@@ -4,11 +4,12 @@ import re
 import subprocess
 import sys
 import time
+from dataclasses import fields
 
 import pytest
 
-from sodekit.analysis import COUNT_OPTIONS, MAX_COUNT
-from sodekit.cli import main
+from sodekit.analysis import MAX_COUNT, Options
+from sodekit.cli import _build_parser, _overrides, main
 from sodekit.corpus import corpus_get, corpus_list, corpus_raw
 from sodekit.manifest import (
     ManifestError, load_manifest, load_manifest_text,
@@ -526,15 +527,30 @@ def test_cli_too_many_coordinates_is_input_error(tmp_path, capsys):
     ({"samples": True}, "option 'samples' must be an integer"),
     ({"seed": "abc"}, "option 'seed' must be an integer >= 0, got 'abc'"),
     ({"seed": -1}, "option 'seed' must be an integer >= 0"),
-    ({"zero_tol": 0}, "option 'zero_tol' must be a positive number"),
-    *(({key: MAX_COUNT + 1},
-       f"option '{key}' must be at most {MAX_COUNT}, got {MAX_COUNT + 1}")
-      for key in COUNT_OPTIONS),
+    ({"tolerance": 0}, "option 'tolerance' must be a positive number"),
+    ({"samples": MAX_COUNT + 1},
+     f"option 'samples' must be at most {MAX_COUNT}, got {MAX_COUNT + 1}"),
+    # budgets of the method, not options
+    *(({key: 1}, f"unknown option '{key}'")
+      for key in ("trials", "newton_starts", "newton_max_iter", "zero_tol",
+                  "newton_tol")),
 ])
 def test_cli_bad_option_is_input_error(tmp_path, capsys, options, message):
     path = write_manifest(tmp_path, options=options)
     assert main(["classify", path]) == EXIT_INPUT
     assert message in capsys.readouterr().err
+
+
+def test_the_options_are_the_cli_flags():
+    # every option flag given: the overrides name exactly the Options fields
+    sub = _build_parser()._subparsers._group_actions[0].choices["classify"]
+    argv = ["classify", "m.json"]
+    for action in sub._actions:
+        if action.option_strings and action.dest not in ("help", "corpus",
+                                                         "json"):
+            argv += [action.option_strings[0], "1"]
+    assert set(_overrides(_build_parser().parse_args(argv))) == {
+        f.name for f in fields(Options)}
 
 
 def test_cli_bad_override_is_input_error(capsys):

@@ -80,6 +80,11 @@ def test_exact_quotients_cancel_with_negative_exponents():
     assert to_str(normalize(parse("(x^(-1) + 1)/(x + 1)"))) == "x^(-1)"
     e = parse("(x^2 + 1)/(x^(-1)*(x^2 + 1) + x^(-2)*(x^2 + 1))")
     assert normalize(e) == normalize(1 / (x ** -1 + x ** -2))
+    # a multi-term denominator's negative exponents are cleared on both sides
+    assert normalize(parse("1/(x^(-1) + x^(-2))")) == \
+        normalize(parse("x^2/(x + 1)"))
+    assert normalize(parse("(x^2 + 1)/(1 + x^(-1))")) == \
+        normalize(parse("(x^3 + x)/(x + 1)"))
     # the clearing monomial is canonical even where it stands alone (the
     # dividend's constant term, a unit quotient term): equal forms are ==
     e = parse("(x^2 + 3*x + 2)/(x*y)/(x + 2)")

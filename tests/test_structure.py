@@ -1,6 +1,6 @@
 """Structure of the package: its import graph, its one flow path, its one
-compiled evaluator, its one sum-of-products primitive, its one cache and
-the stage list."""
+compiled evaluator, its one sum-of-products primitive, its one cache, the
+stage list and the README's library snippet."""
 
 import ast
 import inspect
@@ -202,6 +202,14 @@ def test_one_compiled_evaluator_on_stacked_points():
     assert not hasattr(analysis, "eval_exact")
     with pytest.raises(ValueError):
         ode.solve_ivp(lambda t, y: (y, {}), (0.0, 1.0), np.array([1.0]))
+
+
+def test_the_readme_library_snippet_runs_as_written(capsys):
+    # so the names it imports from `sodekit` stay exported
+    readme = (PACKAGE.parent.parent / "README.md").read_text(encoding="utf-8")
+    snippet = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1]
+    exec(compile(snippet.split("```", 1)[0], "README.md", "exec"), {})
+    assert float(capsys.readouterr().out) < 1e-5
 
 
 def test_commands_run_stages_in_list_order():
