@@ -325,10 +325,6 @@ class BracketCoefficients:
     w: list  # w[i][j][k]
     symmetry: IdentitySuite
 
-    @property
-    def n(self) -> int:
-        return len(self.v)
-
     def w_all_zero(self) -> bool:
         return all(
             c == ZERO

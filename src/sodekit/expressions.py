@@ -310,7 +310,12 @@ def _children(e: Expr) -> tuple:
 # on two ints would give a float.  Atoms are symbols, function applications
 # (with normalized arguments) or opaque fractional powers of composite
 # bases.  A rational form is a (num, den) polynomial pair with a canonically
-# normalized denominator.
+# normalized denominator.  `_low(*polys)` is the monomial of each atom's
+# least exponent over all terms, and `_reduce_rf` divides it out of a pair
+# in two parts: its positive part before the exact-division attempts, which
+# divide each side by its own `_low`, and its negative part after them.  So
+# a multi-term denominator and its numerator have no negative exponent and
+# no monomial factor common to all their terms.
 # --------------------------------------------------------------------------
 
 Monomial = tuple
@@ -420,9 +425,7 @@ def _leading(p: Poly):
 
 
 def _is_plain_poly(p: Poly) -> bool:
-    return all(
-        e.denominator == 1 and e > 0 for mon in p for _, e in mon
-    )
+    return all(e.denominator == 1 for mon in p for _, e in mon)
 
 
 def _mon_quotient(mon: Monomial, div: Monomial):
@@ -443,29 +446,32 @@ def _mon_quotient(mon: Monomial, div: Monomial):
     return tuple(out)
 
 
-def _cleared(p: Poly) -> tuple:
-    """(p*M, M): M the monomial that clears p's negative exponents, built
-    in canonical order, since `_mon_mul` returns a unit operand's partner
-    as is (p's constant term times M is M)."""
-    low: dict = {}
-    for mon in p:
-        for atom, e in mon:
-            if e < low.get(atom, 0):
-                low[atom] = e
-    clear = _monomial((atom, -e) for atom, e in low.items())
-    return ({_mon_mul(mon, clear): c for mon, c in p.items()} if clear
-            else p), clear
+def _low(*polys: Poly) -> Monomial:
+    """The monomial of each atom's least exponent over every term of the
+    polys, a term without the atom counting as 0."""
+    mons = [dict(mon) for poly in polys for mon in poly]
+    lows = ((a, min(m.get(a, 0) for m in mons)) for a in set().union(*mons))
+    return _monomial((a, e) for a, e in lows if e)
+
+
+def _inv(mon: Monomial) -> Monomial:
+    return tuple((a, -e) for a, e in mon)
+
+
+def _poly_mon(p: Poly, mon: Monomial) -> Poly:
+    """p times the canonical monomial mon."""
+    return {_mon_mul(m, mon): c for m, c in p.items()} if mon else p
 
 
 def _try_exact_division(p: Poly, q: Poly):
     """Quotient of p by q when the division is exact, else None.
 
-    Standard multivariate long division in the graded order of p*Mp by
-    q*Mq, Mp and Mq the monomials that clear the negative exponents of p
-    and q, the quotient then multiplied by Mq/Mp; only attempted when p*Mp
-    and q*Mq are plain polynomials (positive integer exponents)."""
-    p, mp = _cleared(p)
-    q, mq = _cleared(q)
+    Standard multivariate long division in the graded order of p/Mp by
+    q/Mq, Mp and Mq each side's own `_low` monomial, the quotient then
+    multiplied by Mp/Mq; only attempted when p/Mp and q/Mq are plain
+    polynomials (integer exponents, none negative)."""
+    mp, mq = _low(p), _low(q)
+    p, q = _poly_mon(p, _inv(mp)), _poly_mon(q, _inv(mq))
     if not (_is_plain_poly(p) and _is_plain_poly(q)):
         return None
     qmon, qc = _leading(q)
@@ -485,17 +491,17 @@ def _try_exact_division(p: Poly, q: Poly):
         _poly_add_term(quotient, factor_mon, factor_c)
         for m2, c2 in q.items():
             _poly_add_term(rem, _mon_mul(factor_mon, m2), -factor_c * c2)
-    back = _mon_mul(mq, tuple((atom, -e) for atom, e in mp))  # canonical
-    return {_mon_mul(mon, back): c for mon, c in quotient.items()} if back \
-        else quotient
+    return _poly_mon(quotient, _mon_mul(mp, _inv(mq)))
 
 
 def _reduce_rf(p: Poly, q: Poly):
-    """Canonicalize a (num, den) pair.  No polynomial gcd is attempted;
-    monomial denominators are folded in, shared monomial factors with
-    nonnegative joint minimum exponent are stripped, a multi-term
-    denominator's negative exponents are cleared, and the denominator is
-    made content-free with a positive leading coefficient.
+    """Canonicalize a (num, den) pair.  No polynomial gcd is attempted:
+    a one-term denominator is folded into the numerator; otherwise the
+    positive part of `_low(p, q)` is stripped from both sides, the pair
+    drops its denominator when one side exactly divides the other, the
+    negative part of the same `_low(p, q)` is cleared from both sides, and
+    the denominator is made content-free with a positive leading
+    coefficient.  So the result is the same for p*M/(q*M), M any monomial.
 
     A unit denominator {(): 1} is already canonical: the pair is returned as
     is, the same dict objects, so no caller may mutate a result."""
@@ -507,47 +513,21 @@ def _reduce_rf(p: Poly, q: Poly):
         ((qmon, qc),) = q.items()
         if not qmon and qc == 1:
             return p, q
-        inv = tuple((a, -e) for a, e in qmon)
-        out: Poly = {}
-        for mon, c in p.items():
-            _poly_add_term(out, _mon_mul(mon, inv), _qdiv(c, qc))
-        return out, dict(_P_ONE)
-    # strip monomial factors common to every term of both polynomials
-    shared: dict = None  # type: ignore[assignment]
-    for poly in (p, q):
-        for mon in poly:
-            expmap = dict(mon)
-            if shared is None:
-                shared = {a: e for a, e in expmap.items() if e > 0}
-            else:
-                shared = {
-                    a: min(e, expmap.get(a, 0))
-                    for a, e in shared.items()
-                    if expmap.get(a, 0) > 0
-                }
-            if not shared:
-                break
-        if not shared:
-            break
-    if shared:
-        inv = _monomial((a, -e) for a, e in shared.items())
-        p = {_mon_mul(m, inv): c for m, c in p.items()}
-        q = {_mon_mul(m, inv): c for m, c in q.items()}
-        if len(q) == 1:
-            return _reduce_rf(p, q)
-    # clear the denominator when one side exactly divides the other
+        return _poly_scale(_poly_mon(p, _inv(qmon)), _qdiv(1, qc)), \
+            dict(_P_ONE)
+    low = _low(p, q)
+    strip = tuple((a, -e) for a, e in low if e > 0)
+    p, q = _poly_mon(p, strip), _poly_mon(q, strip)
     exact = _try_exact_division(p, q)
     if exact is not None:
         return exact, dict(_P_ONE)
-    if not (len(p) == 1 and () in p):  # constant numerators cannot reduce q
+    if len(p) > 1:  # q divided by a monomial is exact, and reduces nothing
         exact = _try_exact_division(q, p)
         if exact is not None:
             return _reduce_rf(dict(_P_ONE), exact)
-    # clear the denominator's negative exponents on both sides; done after
-    # the exact divisions, which clear each side by its own monomial
-    q, clear = _cleared(q)
-    if clear:
-        p = {_mon_mul(m, clear): c for m, c in p.items()}
+    # clear the negative exponents of both sides with one monomial
+    clear = tuple((a, -e) for a, e in low if e < 0)
+    p, q = _poly_mon(p, clear), _poly_mon(q, clear)
     # content/sign normalization of the denominator
     content = 0
     for c in q.values():

@@ -68,9 +68,6 @@ class Chart:
     def sample(self, count: int, seed: int = 0):
         return box_points(self.box, count, seed)
 
-    def assignment(self, point) -> dict:
-        return dict(zip(self.names, point))
-
     def center(self):
         return tuple(0.5 * (lo + hi) for lo, hi in self.box)
 

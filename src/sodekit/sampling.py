@@ -87,15 +87,6 @@ class ZeroVerdict:
     def is_nonzero(self) -> bool:
         return self.kind == "nonzero"
 
-    def as_dict(self) -> dict:
-        out = {"kind": self.kind, "max_residual": self.max_residual}
-        if self.witness is not None:
-            out["witness"] = dict(self.witness)
-            out["value"] = self.value
-        if self.diagnostic:
-            out["diagnostic"] = self.diagnostic
-        return out
-
 
 def _jittered(point, box):
     """Shift a point toward the box interior by the fixed jitter fraction."""

@@ -936,15 +936,12 @@ def pushforward_residuals(transform: CoordinateTransform,
         fit=len(fit))
     fit_failures = {k - c: err for k, err in failures.items() if k >= c}
     passed = _live_rows(c, [k for k in failures if k < c])
-    max_cross = 0.0
-    max_jgap = 0.0
-    checked = 0
-    for k in passed:
-        fin = values[k]
-        ytilde = final[k, tc + n:]
-        gap_x = float(np.max(np.abs(fin[tc: tc + n] - ytilde)))
-        gap_t = float(np.max(np.abs(fin[:tc] - expected_t))) if tc else 0.0
-        max_cross = max(max_cross, gap_x, gap_t)
+    # maxima by np.fmax, which like the builtin max skips a NaN candidate
+    gaps = [np.max(np.abs(values[passed, tc: tc + n]
+                          - final[passed, tc + n:]), axis=1)]
+    if tc:
+        gaps.append(np.max(np.abs(values[passed, :tc] - expected_t), axis=1))
+    max_cross = float(np.fmax.reduce(np.concatenate(gaps), initial=0.0))
     # the finite-difference Jacobians of every node that passed, from the
     # walk's shifted rows
     fd_nodes = picked[passed]
@@ -952,13 +949,12 @@ def pushforward_residuals(transform: CoordinateTransform,
                + np.arange(2 * m)).ravel()
     Jf, fd_failures = transform.jacobian_fd(nodes[fd_nodes],
                                             _take(walked, shifted))
-    for i, index in enumerate(fd_nodes):
-        if i in fd_failures:
-            continue
-        Jv = J[index]
-        scale = max(1.0, float(np.max(np.abs(Jv))))
-        max_jgap = max(max_jgap, float(np.max(np.abs(Jv - Jf[i]))) / scale)
-        checked += 1
+    kept = _live_rows(len(fd_nodes), fd_failures)
+    Jv = J[fd_nodes[kept]]
+    scale = np.fmax(1.0, np.max(np.abs(Jv), axis=(1, 2)))
+    max_jgap = float(np.fmax.reduce(
+        np.max(np.abs(Jv - Jf[kept]), axis=(1, 2)) / scale, initial=0.0))
+    checked = len(kept)
     if not checked:
         raise NumericFailure("no grid node passed the cross-check")
     fibre_sv = transform.fibre_jacobian_min_sv(

@@ -18,7 +18,7 @@ from sodekit.runner import (
     COMMANDS, EXIT_INPUT, EXIT_MATH_FAIL, EXIT_NUMERIC, EXIT_OK,
     report_to_json, run_command,
 )
-from tests.conftest import INSTANCES
+from tests.conftest import INSTANCES, make_manifest
 
 
 def inline_manifest(**kw):
@@ -578,6 +578,48 @@ def test_cli_maps_an_unexpected_exception_to_exit_4(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: stage broke in two lines\n"
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("error,prefix", [
+    ("InternalInconsistencyError", "internal inconsistency"),
+    ("AnalysisError", "analysis failed"),
+])
+def test_run_command_maps_an_analysis_error_to_exit_3(monkeypatch, error,
+                                                      prefix):
+    import sodekit.runner as runner
+
+    def broken(*args, **kwargs):
+        raise getattr(runner, error)("stage broke")
+
+    monkeypatch.setattr(runner, "build_normal_coordinates", broken)
+    report, code = run_command("straighten", corpus_get("quadratic-demo"))
+    assert code == EXIT_NUMERIC
+    assert report["error"] == f"{prefix}: stage broke"
+
+
+def test_quadratic_warns_when_its_chart_cannot_be_built(monkeypatch):
+    import sodekit.runner as runner
+
+    def broken(*args, **kwargs):
+        raise runner.NumericFailure("no chart")
+
+    monkeypatch.setattr(runner, "build_normal_coordinates", broken)
+    report, code = run_command("quadratic", corpus_get("quadratic-demo"))
+    assert code == EXIT_OK
+    assert report["warnings"] == ["coefficient extraction failed: no chart"]
+    assert "error" not in report and "quadratic_coefficients" not in report
+
+
+@pytest.mark.parametrize("command", ["classify", "connection", "report"])
+def test_a_field_that_does_not_preserve_w_fails(command):
+    # V = d/dy, W = [F, V] = -d/dx, and [F, W] = 2x d/dz leaves span(V, W)
+    manifest = make_manifest("not-preserving", ["x", "y", "z"],
+                             ["y", "0", "1 + x^2"], [["0", "1", "0"]])
+    report, code = run_command(command, manifest)
+    assert code == EXIT_MATH_FAIL
+    analysis = report["analysis"]
+    assert analysis["verdicts"]["f_preserves_w"]["status"] == "fail"
+    assert analysis["reason"] == "[F, W] is not contained in W"
 
 
 # -- charts that cannot be certified -------------------------------------------

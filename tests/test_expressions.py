@@ -107,6 +107,28 @@ def test_exact_quotients_with_negative_exponents_are_canonical():
             assert normalize(form - r) == ZERO
 
 
+def test_normal_form_ignores_a_monomial_on_both_sides():
+    # negative exponents in the numerator are cleared with the denominator's
+    a = normalize(parse("(x^(-1) + y)/(x + y)"))
+    assert a == normalize(parse("(1 + x*y)/(x^2 + x*y)"))
+    assert to_str(a) == "(x*y + 1)/(x^2 + x*y)"
+    rng = random.Random(30)
+
+    def laurent(terms):
+        return sum((rng.choice([-3, -1, 1, 2]) * x ** rng.randint(-2, 2)
+                    * y ** rng.randint(-2, 2) for _ in range(terms)), ZERO)
+
+    checked = 0
+    for _ in range(80):
+        r, s = laurent(rng.randint(2, 3)), laurent(rng.randint(2, 3))
+        if normalize(r) == ZERO or normalize(s) == ZERO:
+            continue
+        m1, m2 = laurent(1), laurent(1)
+        assert normalize(r * m1 / (s * m1)) == normalize(r * m2 / (s * m2))
+        checked += 1
+    assert checked > 50
+
+
 def test_normalize_is_semantic_noop():
     rng = random.Random(99)
     for _ in range(100):

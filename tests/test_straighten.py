@@ -1289,6 +1289,64 @@ def test_a_failing_shifted_row_drops_only_its_node(monkeypatch):
     assert res.max_crosscheck_residual == full.max_crosscheck_residual
 
 
+def test_residual_maxima_equal_the_per_node_loops(monkeypatch):
+    # the array maxima against the per-node loops they replace, with a NaN
+    # gap in a node that passed, which the builtin max skips
+    tr = timedep_transform()
+    tc, n = tr.t_count, tr.n
+    walks, seen = [], {}
+    cls = straighten.CoordinateTransform
+    real_map, real_field, real_fd = (cls.map_batch, cls.field_in_final_chart,
+                                     cls.jacobian_fd)
+
+    def map_batch(self, params):
+        walks.append((np.asarray(params), real_map(self, params)))
+        return walks[-1][1]
+
+    def field(self, nodes, mapped=None, fit=0):
+        values, final, failures = real_field(self, nodes, mapped, fit)
+        values[1, tc] = np.nan
+        seen["field"] = values, final, failures, len(nodes) - fit
+        return values, final, failures
+
+    def fd(self, nodes, mapped=None):
+        Jf, failures = real_fd(self, nodes, mapped)
+        Jf[2, 0, 0] = np.nan
+        seen["fd"] = nodes, Jf, failures
+        return Jf, failures
+
+    monkeypatch.setattr(cls, "map_batch", map_batch)
+    monkeypatch.setattr(cls, "field_in_final_chart", field)
+    monkeypatch.setattr(cls, "jacobian_fd", fd)
+    res = pushforward_residuals(tr, grid_points=10)
+    values, final, failures, c = seen["field"]
+    expected_t = np.array([1.0 if name == "t1" else 0.0
+                           for name in tr.param_names[:tc]])
+    max_cross = 0.0
+    for k in range(c):
+        if k in failures:
+            continue
+        gap_x = float(np.max(np.abs(values[k, tc: tc + n]
+                                    - final[k, tc + n:])))
+        gap_t = float(np.max(np.abs(values[k, :tc] - expected_t)))
+        max_cross = max(max_cross, gap_x, gap_t)
+    # the grid nodes lead the largest walk
+    params, (_, J, _) = max(walks, key=lambda walk: len(walk[0]))
+    nodes, Jf, fd_failures = seen["fd"]
+    max_jgap, checked = 0.0, 0
+    for i, node in enumerate(nodes):
+        if i in fd_failures:
+            continue
+        Jv = J[np.flatnonzero((params == node).all(axis=1))[0]]
+        scale = max(1.0, float(np.max(np.abs(Jv))))
+        max_jgap = max(max_jgap, float(np.max(np.abs(Jv - Jf[i]))) / scale)
+        checked += 1
+    assert tr.case == CASE2 and tc == 1 and checked > 2
+    assert res.max_crosscheck_residual == max_cross > 0.0
+    assert res.max_jacobian_gap == max_jgap > 0.0
+    assert res.crosscheck_nodes == checked
+
+
 def test_median_matches_numpy_bit_for_bit():
     rng = np.random.default_rng(5)
     for n in range(1, 40):

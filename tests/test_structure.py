@@ -1,9 +1,11 @@
 """Structure of the package: its import graph, its one flow path, its one
 compiled evaluator, its one sum-of-products primitive, its one cache, the
-stage list and the README's library snippet."""
+stage list, the README's library snippet and its public names, each of them
+used."""
 
 import ast
 import inspect
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from sodekit.straighten import CoordinateTransform, build_normal_coordinates
 from tests.conftest import INSTANCES
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sodekit"
+REPO = PACKAGE.parent.parent
 
 
 def import_graph(package: Path = PACKAGE) -> dict:
@@ -400,3 +403,49 @@ def test_numpy_attribute_scan_sees_calls_anywhere(tmp_path):
 
 def test_src_calls_no_numpy_function_that_imports_numpy_ma():
     assert not {attr for _, attr in numpy_attributes()} & LAZY_MA_CALLS
+
+
+def unreferenced_names(package: Path = PACKAGE,
+                       roots=(PACKAGE.parent, REPO / "tests",
+                              REPO / "bench")) -> set:
+    """(module, name) of every public module-level function or class of the
+    package that no file under the roots names, as an identifier, an
+    attribute or an imported name, outside its own definition."""
+    modules = {path.resolve() for path in package.glob("*.py")}
+    defined, used = set(), set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for stmt in tree.body:
+                own = None
+                if path.resolve() in modules and isinstance(
+                        stmt, (ast.FunctionDef, ast.ClassDef)):
+                    own = stmt.name
+                    if not own.startswith("_"):
+                        defined.add((path.stem, own))
+                for node in ast.walk(stmt):
+                    if isinstance(node, ast.Name):
+                        name = node.id
+                    elif isinstance(node, ast.Attribute):
+                        name = node.attr
+                    elif isinstance(node, ast.alias):
+                        name = node.name.rsplit(".", 1)[-1]
+                    else:
+                        continue
+                    if name != own:
+                        used.add(name)
+    return {(module, name) for module, name in defined if name not in used}
+
+
+def test_dead_name_scan_sees_a_planted_function(tmp_path):
+    copy = tmp_path / "src" / "sodekit"
+    shutil.copytree(PACKAGE, copy)
+    with open(copy / "geometry.py", "a", encoding="utf-8") as out:
+        out.write("\n\ndef planted(k):\n    return planted(k - 1)\n")
+    assert unreferenced_names(copy, (copy.parent, REPO / "tests",
+                                     REPO / "bench")) == {
+        ("geometry", "planted")}
+
+
+def test_every_public_name_is_used():
+    assert unreferenced_names() == set()
