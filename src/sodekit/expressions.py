@@ -4,20 +4,24 @@ Self-contained expression engine: immutable, hash-consed trees built from
 exact rational constants, free symbols, sums, products, rational powers,
 quotients and the elementary functions exp/log/sin/cos.  The centrepiece is
 `normalize`, which brings the polynomial/rational part of any expression to
-a canonical expanded-and-collected form (exact rational arithmetic
-throughout), so that structural equality of normal forms decides equality of
-rational functions.  Transcendental subexpressions are treated as opaque
-atoms with sorted, constant-folded arguments.
+an expanded-and-collected form (exact rational arithmetic throughout).  The
+form is canonical for polynomials, so polynomial identities are decided
+structurally.  A quotient is reduced by monomials and exact division only:
+a common polynomial factor of another kind is not cancelled, so two equal
+rational functions may normalize apart.  Transcendental subexpressions are
+treated as opaque atoms with sorted, constant-folded arguments.
 
 Floats never enter a tree: decimal literals are converted to exact rationals
 at construction time.  Floats appear only when a tree is evaluated: by
 `evaluate`, the reference interpreter on one point, or by the evaluator
-`compile_exprs` builds, which runs on stacked columns of points.
+`compile_exprs` builds, which runs an op program on stacked columns of
+points.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -848,70 +852,14 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
 
 # --------------------------------------------------------------------------
 # Compilation: the one compiled evaluator, for sampling loops, rank tests,
-# Newton searches and ODE right-hand sides.  The generated code performs the
-# operations of `evaluate` in the same order, on stacked columns of points
-# with numpy ufuncs.  A ufunc gives the same bits for a column whatever the
-# batch size, but may differ from `math` in the last bit (exp, log and
-# integer powers do on a few percent of arguments; sin and cos rarely).
-# The interned trees share subexpressions: every non-leaf node used more
-# than once is computed once, into a local assigned before the `return`,
-# and each use reads that local.  Each node is computed by the same
-# operations either way, so sharing moves no bit.
+# Newton searches and ODE right-hand sides.  `_lower` turns the expressions
+# into an op program that performs the operations of `evaluate` in the same
+# order, on stacked columns of points with numpy ufuncs.  A ufunc gives the
+# same bits for a column whatever the batch size, but may differ from `math`
+# in the last bit (exp, log and integer powers do on a few percent of
+# arguments; sin and cos rarely).  Each distinct node of the interned trees
+# gets one register, so a subexpression the trees share is computed once.
 # --------------------------------------------------------------------------
-
-def _emit(e: Expr, names: dict, shared, lines: list) -> str:
-    """Python source of e's value.  `names` maps each coordinate symbol to
-    its source and grows by each node of `shared` emitted as a local, whose
-    assignment is appended to `lines`; with no `shared` nodes the tree is
-    unfolded in place."""
-    text = names.get(e)
-    if text is not None:
-        return text
-    if isinstance(e, Num):
-        v = e.value
-        if v.denominator == 1:
-            return f"({v.numerator})"
-        return f"({v.numerator}/{v.denominator})"
-    if isinstance(e, Sym):
-        raise MissingSymbolError(e.name)
-    if isinstance(e, Add):
-        text = "(" + " + ".join(_emit(t, names, shared, lines)
-                                for t in e.terms) + ")"
-    elif isinstance(e, Mul):
-        text = "(" + "*".join(_emit(f, names, shared, lines)
-                              for f in e.factors) + ")"
-    elif isinstance(e, Div):
-        text = (f"({_emit(e.num, names, shared, lines)}"
-                f"/{_emit(e.den, names, shared, lines)})")
-    elif isinstance(e, Pow):
-        q = e.exponent
-        b = _emit(e.base, names, shared, lines)
-        text = (f"({b}**{q.numerator})" if q.denominator == 1
-                else f"_pow({b}, {float(q)!r})")
-    elif isinstance(e, Fn):
-        text = f"_{e.name}({_emit(e.arg, names, shared, lines)})"
-    else:
-        raise TypeError(f"unknown node {e!r}")
-    if e in shared:
-        names[e] = f"_t{len(lines)}"
-        lines.append(f"    {names[e]} = {text}\n")
-        return names[e]
-    return text
-
-
-def _shared_nodes(exprs: tuple) -> set:
-    """The non-leaf nodes of exprs used more than once: by the list itself
-    or by distinct parent nodes, each parent counted once."""
-    uses: dict = {}
-    stack = list(exprs)
-    while stack:
-        e = stack.pop()
-        uses[e] = uses.get(e, 0) + 1
-        if uses[e] == 1:
-            stack.extend(_children(e))
-    return {e for e, n in uses.items()
-            if n > 1 and not isinstance(e, (Num, Sym))}
-
 
 def compile_exprs(exprs: Sequence[Expr],
                   coord_names: Sequence[str]) -> Callable:
@@ -923,39 +871,26 @@ def compile_exprs(exprs: Sequence[Expr],
     which names the failing subexpression as `evaluate` does; a batch whose
     values are all finite returns as soon as one dot product proves it, and
     only another one is scanned column by column.  A node the expressions
-    share is computed once per call, by the same operations as each of its
-    uses would.  Memoized; callers share the function.
+    share is computed once per call.  Memoized; callers share the function.
     """
     exprs = tuple(exprs)
     coord_names = tuple(coord_names)
     key = ("compile_exprs", exprs, coord_names)
     hit = memo.get(key)
-    return hit if hit is not None else memo.put(
-        key, _compile(exprs, coord_names, _shared_nodes(exprs)))
-
-
-def _source(exprs: tuple, coord_names: tuple, shared) -> str:
-    names = {Sym(n): f"_z[{i}]" for i, n in enumerate(coord_names)}
-    lines: list = []
-    body = ", ".join(_emit(e, names, shared, lines) for e in exprs)
-    if len(exprs) == 1:
-        body += ","
-    return "def _compiled(_z):\n" + "".join(lines) + f"    return ({body})\n"
-
-
-def _compile(exprs: tuple, coord_names: tuple, shared) -> Callable:
-    """The evaluator of exprs, each node of `shared` computed once."""
-    scope = dict(_NUMPY_SCOPE)
-    exec(_source(exprs, coord_names, shared), scope)
-    fn = scope["_compiled"]
+    if hit is not None:
+        return hit
+    registers, steps, outputs = _lower(exprs, coord_names)
 
     def run(points):
         points = np.asarray(points, dtype=float)
         out = np.empty((len(exprs), points.shape[1]))
+        r = [*points, *registers]
         try:
             with np.errstate(all="ignore"):
-                for i, value in enumerate(fn(points)):
-                    out[i] = value
+                for k, fn, i, j in steps:
+                    r[k] = fn(r[i]) if j is None else fn(r[i], r[j])
+                for row, k in enumerate(outputs):
+                    out[row] = r[k]
                 # a finite sum of squares (one BLAS dot) proves every value
                 # finite; finite values may overflow it, and the column scan
                 # below decides then
@@ -968,7 +903,62 @@ def _compile(exprs: tuple, coord_names: tuple, shared) -> Callable:
                                            out[:, k])
                      for k in bad}
 
-    return run
+    return memo.put(key, run)
+
+
+def _lower(exprs: tuple, coord_names: tuple):
+    """The op program of exprs: `(registers, steps, outputs)`.
+
+    A call's registers are the coordinate rows followed by `registers`:
+    the ints of the integer constants and exponents, the float of each
+    fractional exponent, and None where a step writes.  A step
+    `(k, fn, i, j)` sets `r[k] = fn(r[i])`, or `fn(r[i], r[j])` when j is
+    not None; `outputs` holds each expression's register.  Each distinct
+    node gets one register.  Raises MissingSymbolError for a symbol outside
+    coord_names."""
+    reg = {Sym(name): i for i, name in enumerate(coord_names)}
+    registers, steps = [], []
+
+    def new(value) -> int:
+        registers.append(value)
+        return len(coord_names) + len(registers) - 1
+
+    def step(fn, i, j=None) -> int:
+        k = new(None)
+        steps.append((k, fn, i, j))
+        return k
+
+    def visit(e: Expr) -> int:
+        k = reg.get(e)
+        if k is not None:
+            return k
+        if isinstance(e, Num):
+            v = e.value
+            k = new(v) if v.denominator == 1 else step(
+                operator.truediv, new(v.numerator), new(v.denominator))
+        elif isinstance(e, Sym):
+            raise MissingSymbolError(e.name)
+        elif isinstance(e, (Add, Mul)):  # a left fold
+            fn = operator.add if isinstance(e, Add) else operator.mul
+            k, *rest = [visit(c) for c in _children(e)]
+            for j in rest:
+                k = step(fn, k, j)
+        elif isinstance(e, Div):
+            k = step(operator.truediv, visit(e.num), visit(e.den))
+        elif isinstance(e, Pow):
+            q = e.exponent
+            k = (step(operator.pow, visit(e.base), new(q.numerator))
+                 if q.denominator == 1
+                 else step(np.power, visit(e.base), new(float(q))))
+        elif isinstance(e, Fn):
+            k = step(getattr(np, e.name), visit(e.arg))
+        else:
+            raise TypeError(f"unknown node {e!r}")
+        reg[e] = k
+        return k
+
+    outputs = [visit(e) for e in exprs]
+    return registers, steps, outputs
 
 
 def _domain_error(exprs: tuple, coord_names: tuple, point,
@@ -983,10 +973,6 @@ def _domain_error(exprs: tuple, coord_names: tuple, point,
         return err
     j = int(np.flatnonzero(~np.isfinite(values))[0])
     return EvalDomainError(exprs[j], "non-finite value")
-
-
-_NUMPY_SCOPE = {"_pow": np.power, "_exp": np.exp, "_log": np.log,
-                "_sin": np.sin, "_cos": np.cos}
 
 
 # --------------------------------------------------------------------------

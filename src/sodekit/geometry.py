@@ -8,6 +8,7 @@ zero pivot tests), and the involutivity test that combines them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -50,6 +51,9 @@ class Chart:
         for n, (lo, hi) in zip(names, box):
             if not hi > lo:
                 raise GeometryError(f"degenerate box interval for '{n}'")
+            if not math.isfinite(hi - lo):
+                raise GeometryError(f"box interval for '{n}' is wider than "
+                                    f"a float can hold")
         self.names = names
         self.name_set = frozenset(names)
         self.box = box

@@ -71,7 +71,11 @@ def _tokenize(text: str):
             lit = text[i:j]
             if lit.endswith("."):
                 raise ParseError("malformed number", line, start_col)
-            value = Fraction(lit) if seen_dot else Fraction(int(lit))
+            try:
+                value = Fraction(lit) if seen_dot else Fraction(int(lit))
+            except ValueError:  # past int()'s digit limit, or a digit like '²'
+                raise ParseError(f"unreadable number of {len(lit)} characters",
+                                 line, start_col) from None
             tokens.append(_Token("num", value, line, start_col))
             col += j - i
             i = j

@@ -502,11 +502,24 @@ def write_manifest(tmp_path, **kw):
      "pair of numbers"),
     ({"chart": {"coordinates": ["x", "y"], "box": [[-1, 1], [-1, 10**400]]}},
      "pair of numbers"),
+    ({"chart": {"coordinates": ["x", "y"],
+                "box": [[-1e308, 1e308], [-1, 1]]}},
+     "box interval for 'x' is wider than a float can hold"),
+    ({"field": {"components": ["y", "1" * 4400 + "*y"]}},
+     r"components\[1\]: unreadable number.*\(line 1, column 1\)"),
 ])
 def test_cli_wrong_manifest_shape_is_input_error(tmp_path, capsys, shape,
                                                  message):
     assert main(["check", write_manifest(tmp_path, **shape)]) == EXIT_INPUT
     assert re.search(message, capsys.readouterr().err)
+
+
+def test_cli_a_constant_past_the_digit_limit_is_evaluated(tmp_path):
+    # 1 + 10^(-5000) has 5001 digits: the evaluator takes the true division
+    # of its two ints, and never writes the constant out as text
+    path = write_manifest(
+        tmp_path, field={"components": ["y", "(1 + 10^(-5000))*y^2"]})
+    assert main(["check", path]) == EXIT_OK
 
 
 def test_cli_too_many_coordinates_is_input_error(tmp_path, capsys):

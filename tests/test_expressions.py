@@ -1,19 +1,18 @@
 import functools
 import operator
 import random
-from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sodekit import expressions, memo
+from sodekit import memo
 from sodekit.corpus import corpus_get, corpus_list
 from sodekit.expressions import (
     Add, Div, EvalDomainError, ExpressionError, Fn, MissingSymbolError, Mul, Num, Pow, Sym,
-    ZERO, _NUMPY_SCOPE, _P_ONE, _compile, _qdiv, _reduce_rf,
-    _shared_nodes, _source, _to_rf, compile_exprs, cos, differentiate,
+    ZERO, _P_ONE, _children, _domain_error, _lower, _qdiv, _reduce_rf, _to_rf,
+    compile_exprs, cos, differentiate,
     evaluate, exp, log, normalize, sin, syms, to_str,
 )
 from sodekit.manifest import load_manifest_file
@@ -385,121 +384,104 @@ def wrap_exprs():
     return (e, differentiate(e, "x"), differentiate(e, "y")), ("x", "y")
 
 
-def assert_matches_unfolded_tree(exprs, names, points):
+def tree_fold(exprs, names, points):
+    """`compile_exprs`'s (values, errors), built without the op program:
+    each tree folded on its own, a node used twice computed twice, with
+    the operator and numpy functions the program is to apply in the same
+    order, and the error dict formed from those values."""
+    rows = dict(zip(names, points))
+
+    def value(e):
+        if isinstance(e, Num):
+            q = e.value
+            return q.numerator if q.denominator == 1 else \
+                operator.truediv(q.numerator, q.denominator)
+        if isinstance(e, Sym):
+            return rows[e.name]
+        if isinstance(e, (Add, Mul)):
+            fold = operator.add if isinstance(e, Add) else operator.mul
+            return functools.reduce(fold, map(value, _children(e)))
+        if isinstance(e, Div):
+            return operator.truediv(value(e.num), value(e.den))
+        if isinstance(e, Pow):
+            q = e.exponent
+            return operator.pow(value(e.base), q.numerator) \
+                if q.denominator == 1 else np.power(value(e.base), float(q))
+        return {"exp": np.exp, "log": np.log, "sin": np.sin,
+                "cos": np.cos}[e.name](value(e.arg))
+
+    out = np.empty((len(exprs), points.shape[1]))
+    try:
+        with np.errstate(all="ignore"):
+            for row, e in enumerate(exprs):
+                out[row] = value(e)
+    except (ZeroDivisionError, ValueError, OverflowError):
+        out[:] = np.nan
+    bad = (~np.isfinite(out).all(axis=0)).nonzero()[0]
+    return out, {int(k): _domain_error(tuple(exprs), tuple(names),
+                                       points[:, k], out[:, k]) for k in bad}
+
+
+def assert_matches_tree_fold(exprs, names, points):
     values, errors = compile_exprs(exprs, names)(points)
-    ref_values, ref_errors = _compile(tuple(exprs), tuple(names),
-                                      frozenset())(points)
-    assert np.array_equal(values, ref_values, equal_nan=True)
-    assert {k: (err.subtree, str(err)) for k, err in errors.items()} == \
-        {k: (err.subtree, str(err)) for k, err in ref_errors.items()}
+    ref_values, ref_errors = tree_fold(exprs, names, points)
+    assert values.tobytes() == ref_values.tobytes()
+    assert {k: (type(err), err.subtree, str(err))
+            for k, err in errors.items()} == \
+        {k: (type(err), err.subtree, str(err))
+         for k, err in ref_errors.items()}
     return errors
 
 
-def test_shared_nodes_give_the_unfolded_trees_bits():
+def test_op_program_gives_each_trees_fold_bits():
     rng = np.random.default_rng(3)
-    evaluators = corpus_evaluators()
-    variational = [(exprs, names) for exprs, names in evaluators
-                   if len(exprs) == len(names) * (len(names) + 1)]
-    assert variational and any(_shared_nodes(e) for e, _ in variational)
-    for exprs, names in evaluators + [wrap_exprs()]:
+    for exprs, names in corpus_evaluators() + [wrap_exprs()]:
         points = rng.uniform(-1.5, 1.5, size=(len(names), 40))
-        assert_matches_unfolded_tree(exprs, names, points)
+        assert_matches_tree_fold(exprs, names, points)
     # a domain error in one column, and a failing constant subexpression
     # shared by both components
     bad = Pow(Num(0), -1)
     points = np.array([[1.0, 1.0, 0.5], [2.0, -1.0, 0.0]])
     shared_log = log(y) * x
-    errors = assert_matches_unfolded_tree(
+    errors = assert_matches_tree_fold(
         [shared_log + y, shared_log * shared_log, x], ["x", "y"], points)
     assert sorted(errors) == [1, 2]
-    errors = assert_matches_unfolded_tree(
+    errors = assert_matches_tree_fold(
         [x * bad + y, y * bad], ["x", "y"], points)
     assert sorted(errors) == [0, 1, 2]
     assert "zero raised to a negative power" in str(errors[0])
 
 
-class Traced:
-    """A stand-in value that counts each operation computing it, keyed by
-    the operation and its operands, so that a repeated computation counts
-    twice."""
-
-    def __init__(self, ops: Counter, key):
-        self.ops, self.key = ops, key
-
-    def _apply(self, op, *operands):
-        key = (op,) + tuple(v.key if isinstance(v, Traced) else repr(v)
-                            for v in operands)
-        self.ops[key] += 1
-        return Traced(self.ops, key)
-
-    def __add__(self, o): return self._apply("+", self, o)
-    def __radd__(self, o): return self._apply("+", o, self)
-    def __mul__(self, o): return self._apply("*", self, o)
-    def __rmul__(self, o): return self._apply("*", o, self)
-    def __truediv__(self, o): return self._apply("/", self, o)
-    def __rtruediv__(self, o): return self._apply("/", o, self)
-    def __pow__(self, o): return self._apply("**", self, o)
+def fold_positions(e) -> int:
+    """The operations computing node e from its operands' values."""
+    if isinstance(e, (Add, Mul)):
+        return len(_children(e)) - 1
+    if isinstance(e, Num):
+        return int(e.value.denominator != 1)   # p/q is one true division
+    return int(not isinstance(e, Sym))
 
 
-def traced_scope(ops: Counter) -> dict:
-    return {f: (lambda v, *a, f=f: v._apply(f, v, *a)) for f in _NUMPY_SCOPE}
-
-
-def generated_ops(source: str, names) -> Counter:
-    ops: Counter = Counter()
-    scope = traced_scope(ops)
-    exec(source, scope)
-    scope["_compiled"]([Traced(ops, n) for n in names])
-    return ops
-
-
-def dag_ops(exprs, names) -> Counter:
-    """The operations of computing each distinct node once."""
-    ops: Counter = Counter()
-    scope = traced_scope(ops)
-
-    @functools.lru_cache(maxsize=None)
-    def value(e):
-        if isinstance(e, Num):
-            q = e.value
-            return q.numerator if q.denominator == 1 else \
-                q.numerator / q.denominator
-        if isinstance(e, Sym):
-            return Traced(ops, e.name)
-        if isinstance(e, Add):
-            return functools.reduce(operator.add, map(value, e.terms))
-        if isinstance(e, Mul):
-            return functools.reduce(operator.mul, map(value, e.factors))
-        if isinstance(e, Div):
-            return value(e.num) / value(e.den)
-        if isinstance(e, Pow):
-            q = e.exponent
-            return value(e.base) ** q.numerator if q.denominator == 1 else \
-                scope["_pow"](value(e.base), float(q))
-        return scope[f"_{e.name}"](value(e.arg))
-
-    for e in exprs:
-        value(e)
-    return ops
-
-
-def test_generated_source_computes_each_node_once(monkeypatch):
-    sets = [wrap_exprs()] + [(exprs, names) for exprs, names
-                             in corpus_evaluators() if _shared_nodes(exprs)]
-    sources = []
-
-    def recording(*args):
-        sources.append(_source(*args))
-        return sources[-1]
-
-    monkeypatch.setattr(expressions, "_source", recording)
-    memo.clear()
-    for exprs, names in sets:
-        compile_exprs(exprs, names)
-        once = dag_ops(exprs, names)
-        assert generated_ops(sources[-1], names) == once
-        unfolded = generated_ops(_source(exprs, names, frozenset()), names)
-        assert unfolded - once and not once - unfolded
+def test_the_op_program_computes_each_node_once():
+    shared = 0
+    for exprs, names in [wrap_exprs()] + corpus_evaluators():
+        registers, steps, outputs = _lower(tuple(exprs), tuple(names))
+        nodes, stack, tree_steps = set(), list(exprs), 0
+        while stack:
+            e = stack.pop()
+            tree_steps += fold_positions(e)
+            nodes.add(e)
+            stack.extend(_children(e))
+        assert len(steps) == sum(map(fold_positions, nodes))
+        shared += len(steps) < tree_steps
+        # each step fills its own empty register from ones filled before
+        filled = set(range(len(names))) | {
+            len(names) + i for i, v in enumerate(registers) if v is not None}
+        for k, _, i, j in steps:
+            assert k not in filled and {i, j} - {None} <= filled
+            filled.add(k)
+        assert len(filled) == len(names) + len(registers)
+        assert len(outputs) == len(exprs) and set(outputs) <= filled
+    assert shared > 1
 
 
 # -- is_zero -----------------------------------------------------------------

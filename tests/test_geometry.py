@@ -26,6 +26,9 @@ def test_chart_validation():
         Chart(["x", "x"], [(-1, 1), (-1, 1)])
     with pytest.raises(GeometryError):
         Chart(["x", "y"], [(-1, 1), (2, 2)])
+    # every sample of a box wider than the float range would be inf
+    with pytest.raises(GeometryError, match="for 'x' is wider than a float"):
+        Chart(["x", "y"], [(-1e308, 1e308), (-1, 1)])
 
 
 def test_a_chart_carries_no_seed(plane):

@@ -103,6 +103,17 @@ def test_leftover_tokens_rejected():
         parse("x y")
 
 
+def test_an_unreadable_number_is_a_parse_error():
+    # int() reads at most 4300 digits by default, and not every character
+    # str.isdigit() accepts is a digit it reads
+    for text, column in [("x + " + "1" * 4400, 5), ("0." + "1" * 5000, 1),
+                         ("y*3\u00b2", 3)]:
+        with pytest.raises(ParseError, match="unreadable number") as err:
+            parse(text)
+        assert (err.value.line, err.value.column) == (1, column)
+    assert parse("9" * 4300) == Num(10 ** 4300 - 1)
+
+
 def test_decimals_are_exact_rationals():
     assert parse("0.5") == Num(Fraction(1, 2))
     assert parse("2.25") == Num(Fraction(9, 4))
