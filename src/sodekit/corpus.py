@@ -164,15 +164,13 @@ def corpus_list() -> list:
 
 
 def corpus_get(name: str) -> Manifest:
+    return load_manifest(corpus_raw(name))
+
+
+def corpus_raw(name: str) -> dict:
     if name not in CORPUS:
         raise ManifestError(
             f"no corpus instance named '{name}'; "
             f"available: {', '.join(corpus_list())}"
         )
-    return load_manifest(CORPUS[name])
-
-
-def corpus_raw(name: str) -> dict:
-    if name not in CORPUS:
-        raise ManifestError(f"no corpus instance named '{name}'")
     return CORPUS[name]

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -980,9 +981,16 @@ def _domain_error(exprs: tuple, coord_names: tuple, point,
 # --------------------------------------------------------------------------
 
 def _frac_str(v: Fraction) -> str:
-    if v.denominator == 1:
-        return str(v.numerator)
-    return f"{v.numerator}/{v.denominator}"
+    """A constant as decimal text; one past Python's digit limit for
+    integer-string conversion is an input error."""
+    try:
+        if v.denominator == 1:
+            return str(v.numerator)
+        return f"{v.numerator}/{v.denominator}"
+    except ValueError:
+        raise ExpressionError(
+            f"a constant has more than {sys.get_int_max_str_digits()} "
+            f"digits, Python's limit for printing an integer") from None
 
 
 def _needs_mul_parens(e: Expr) -> bool:

@@ -165,7 +165,7 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     if X.chart != Y.chart:
         raise ChartMismatchError("lie_bracket requires a common chart")
     chart = X.chart
-    key = ("lie_bracket", chart.names, chart.box, X.components, Y.components)
+    key = ("lie_bracket", chart.names, X.components, Y.components)
     comps = memo.get(key)
     if comps is None:
         comps = memo.put(key, _bracket_components(X, Y))
@@ -331,8 +331,7 @@ def decompose_in_frame(X: VectorField, frame, probe: ZeroProbe) -> Decomposition
     elimination are reported as ambiguity.
     """
     fields = list(frame)
-    chart = X.chart
-    key = ("decompose_in_frame", chart.names, chart.box, X.components,
+    key = ("decompose_in_frame", X.chart.names, X.components,
            tuple(f.components for f in fields), probe.key)
     hit = memo.get(key)
     return hit if hit is not None else memo.put(

@@ -39,7 +39,7 @@ solve_ivp calls: the grid walk, the F-flow and two Newton walks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -616,29 +616,19 @@ class CoordinateTransform:
             rows[dead] = np.nan
         return final, z, v, failures
 
-    def fibre_rows(self, params) -> np.ndarray:
-        """The 2n rows of `fibre_jacobian_min_sv` at params: each fibre
-        coordinate shifted by +FD_STEP and by -FD_STEP in turn."""
-        tc, n = self.t_count, self.n
-        rows = np.repeat(np.asarray(params, dtype=float)[None], 2 * n, axis=0)
-        for a in range(n):
-            rows[2 * a, tc + n + a] += FD_STEP
-            rows[2 * a + 1, tc + n + a] -= FD_STEP
-        return rows
-
     def fibre_jacobian_min_sv(self, params, mapped=None) -> float:
         """Smallest singular value of d(ytilde)/d(y_raw): the fibre
         redefinition must be invertible (with an adapted commuting basis it
-        is the identity in exact arithmetic), checked numerically.  The 2n
-        `fibre_rows` are mapped together; `mapped` is as in `final_coords`,
-        of those rows."""
+        is the identity in exact arithmetic), checked numerically by the
+        central quotient of the last 2n `fd_rows` at params, the shifts of
+        the fibre coordinates, mapped together; `mapped` is as in
+        `final_coords`, of those rows."""
         tc, n = self.t_count, self.n
-        final, _, _, failures = self.final_coords(self.fibre_rows(params),
-                                                  mapped)
+        rows = fd_rows(np.asarray(params, dtype=float)[None])[2 * (tc + n):]
+        final, _, _, failures = self.final_coords(rows, mapped)
         if failures:
             raise failures[min(failures)]
-        fibre = final[:, tc + n:].reshape(n, 2, n)
-        G = (fibre[:, 0] - fibre[:, 1]).T / (2 * FD_STEP)
+        G = _central(final[:, tc + n:], (n,))
         return float(np.linalg.svd(G, compute_uv=False)[-1])
 
     def field_in_final_chart(self, nodes, mapped=None, fit: int = 0) -> tuple:
@@ -700,7 +690,7 @@ class CoordinateTransform:
         variational equations): (J (K, m, m), failures), a node failing with
         the failure of its lowest failing shifted row, its rows NaN.  The 2mK
         `fd_rows` are walked together; `mapped` is as in `final_coords`, of
-        those rows.  The quotient reads only the mapped points."""
+        those rows.  `_central` reads only the mapped points."""
         nodes = np.asarray(nodes, dtype=float)
         K, m = nodes.shape
         ends, _, errs = (self.map_batch(fd_rows(nodes)) if mapped is None
@@ -708,14 +698,13 @@ class CoordinateTransform:
         failures: dict = {}
         for i, err in errs.items():
             failures.setdefault(i // (2 * m), err)
-        ends = np.array(ends).reshape(K, m, 2, m)
-        ends[list(failures)] = np.nan
-        return ((ends[:, :, 0] - ends[:, :, 1]).transpose(0, 2, 1)
-                / (2 * FD_STEP), failures)
+        J = _central(ends, (K, m))
+        J[list(failures)] = np.nan
+        return J, failures
 
 
 def fd_rows(nodes) -> np.ndarray:
-    """The rows of `jacobian_fd` at each row of nodes: 2m rows per node,
+    """The shifted rows of each row of nodes: 2m rows per node,
     consecutive, each coordinate shifted by +FD_STEP and by -FD_STEP in
     turn."""
     nodes = np.asarray(nodes, dtype=float)
@@ -723,6 +712,15 @@ def fd_rows(nodes) -> np.ndarray:
     shift = FD_STEP * np.eye(m)
     return np.stack([nodes[:, None] + shift, nodes[:, None] - shift],
                     axis=2).reshape(2 * m * K, m)
+
+
+def _central(values, axes) -> np.ndarray:
+    """Central quotients of rows in the `fd_rows` layout, one (+, -) pair
+    per index of the shape axes: the result has shape axes[:-1] +
+    (component, shifted coordinate)."""
+    pairs = np.reshape(values, (*axes, 2, np.shape(values)[-1]))
+    return np.swapaxes(pairs[..., 0, :] - pairs[..., 1, :], -1, -2) \
+        / (2 * FD_STEP)
 
 
 def _tilt_to_locus(fld: VectorField, b_exprs, vbasis) -> VectorField:
@@ -833,19 +831,10 @@ class ResidualReport:
                                          compare=False)
 
     def as_dict(self) -> dict:
-        return {
-            "grid_shape": list(self.grid_shape),
-            "extent": self.extent,
-            "node_count": self.node_count,
-            "max_t_residual": self.max_t_residual,
-            "median_t_residual": self.median_t_residual,
-            "max_structural_residual": self.max_structural_residual,
-            "crosscheck_nodes": self.crosscheck_nodes,
-            "max_crosscheck_residual": self.max_crosscheck_residual,
-            "max_jacobian_gap": self.max_jacobian_gap,
-            "flagged_nodes": self.flagged_nodes,
-            "fibre_min_sv": self.fibre_min_sv,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name != "fit_stencil"}
+        out["grid_shape"] = list(self.grid_shape)
+        return out
 
 
 def default_grid_points(m: int) -> int:
@@ -879,12 +868,12 @@ def pushforward_residuals(transform: CoordinateTransform,
     with a finite-difference check of the variational Jacobian.
 
     One `map_batch` maps the grid nodes, then the `fit_nodes`
-    (`quadratic_nodes`) when given, then the fibre check's `fibre_rows`,
-    then the `fd_rows` of every stride-th node, the cross-check's
-    candidates; rows that share a prefix share its flows.  The stencils
-    start from the walk's rows of their nodes: the cross-check's along the
-    F-flow, the fit nodes' along the straight line, both in one
-    `field_in_final_chart` call.  The fit's stencil is returned as
+    (`quadratic_nodes`) when given, then the fibre check's rows (the last
+    2n `fd_rows` of the base point), then the `fd_rows` of every stride-th
+    node, the cross-check's candidates; rows that share a prefix share its
+    flows.  The stencils start from the walk's rows of their nodes: the
+    cross-check's along the F-flow, the fit nodes' along the straight line,
+    both in one `field_in_final_chart` call.  The fit's stencil is returned as
     `fit_stencil` and enters no residual.  Only the shifted rows of the
     candidates that pass the cross-check enter the Jacobian gap."""
     m = transform.m
@@ -906,7 +895,7 @@ def pushforward_residuals(transform: CoordinateTransform,
     # the grid, fit, fibre and shifted rows in one walk, then the linear
     # algebra of all nodes at once; a node that fails or is ill-conditioned
     # is flagged
-    parts = [nodes, fit, transform.fibre_rows(np.zeros(m)),
+    parts = [nodes, fit, fd_rows(np.zeros((1, m)))[2 * (tc + n):],
              fd_rows(nodes[candidates])]
     offset = np.cumsum([0] + [len(rows) for rows in parts])
     walked = transform.map_batch(np.concatenate(parts))
@@ -1014,16 +1003,11 @@ def extract_quadratic_coefficients(transform: CoordinateTransform,
     max_fit_residual = 0.0
     for first in range(0, len(nodes), per_base):
         base = nodes[first, :tc + n]
-        rows = []
-        rhs = []
-        for k in range(first, first + per_base):
-            ytilde = final[k, tc + n:]
-            row = [ytilde[i] * ytilde[j] for i, j in pairs]
-            row += list(ytilde) + [1.0]
-            rows.append(row)
-            rhs.append(values[k, tc + n:])
-        A = np.array(rows)
-        B = np.array(rhs)
+        rows = slice(first, first + per_base)
+        Y = final[rows, tc + n:]
+        A = np.column_stack([Y[:, i] * Y[:, j] for i, j in pairs]
+                            + [Y, np.ones(per_base)])
+        B = values[rows, tc + n:]
         sol, *_ = np.linalg.lstsq(A, B, rcond=None)
         fit_residual = float(np.max(np.abs(A @ sol - B)))
         max_fit_residual = max(max_fit_residual, fit_residual)

@@ -231,6 +231,15 @@ def test_cli_corpus_show(capsys):
     assert shown == json.loads(json.dumps(corpus_raw("cubic-demo")))
 
 
+@pytest.mark.parametrize("argv", [["corpus", "--show", "nosuch"],
+                                  ["check", "--corpus", "nosuch"]])
+def test_cli_unknown_corpus_name_lists_the_available_ones(capsys, argv):
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert "no corpus instance named 'nosuch'; available: " in err
+    assert ", ".join(corpus_list()) in err
+
+
 def test_cli_classify_writes_json(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["classify", "--corpus", "cubic-demo", "--json", str(out)])
@@ -520,6 +529,20 @@ def test_cli_a_constant_past_the_digit_limit_is_evaluated(tmp_path):
     path = write_manifest(
         tmp_path, field={"components": ["y", "(1 + 10^(-5000))*y^2"]})
     assert main(["check", path]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["classify", "connection", "quadratic",
+                                     "straighten", "report"])
+def test_cli_printing_a_constant_past_the_digit_limit_is_input_error(
+        tmp_path, capsys, command):
+    # the reports print F's coefficients, and Python writes no integer of
+    # more than 4300 digits as text: an input error, not an internal one
+    path = write_manifest(
+        tmp_path, field={"components": ["y", "(1 + 10^(-5000))*y^2"]})
+    assert main([command, path]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: a constant has more than 4300 digits")
+    assert "Traceback" not in err
 
 
 def test_cli_too_many_coordinates_is_input_error(tmp_path, capsys):

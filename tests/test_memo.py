@@ -98,6 +98,23 @@ def test_bracket_memo_keys_on_the_chart_names():
     assert on_yx.components == (normalize(-y), ZERO)
 
 
+def test_charts_that_differ_only_in_their_box_share_one_bracket_entry():
+    # the bracket's components do not depend on the box
+    small = Chart(["x", "y"], [(-1, 1), (-1, 1)])
+    wide = Chart(["x", "y"], [(-5, 5), (0, 3)])
+    comps_x, comps_y = [x * y, ZERO], [ZERO, Num(1)]
+    memo.clear()
+    on_small = lie_bracket(VectorField(small, comps_x),
+                           VectorField(small, comps_y))
+    on_wide = lie_bracket(VectorField(wide, comps_x),
+                          VectorField(wide, comps_y))
+    entries = [k for k in memo._table if k[0] == "lie_bracket"]
+    memo.clear()
+    assert on_small.chart is small and on_wide.chart is wide
+    assert on_small.components is on_wide.components
+    assert len(entries) == 1
+
+
 def test_warm_caches_do_not_leak_into_reports():
     names = corpus_list()
     for name in names:

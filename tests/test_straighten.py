@@ -555,6 +555,11 @@ def timedep_transform():
     return build_normal_coordinates(classify_corpus("timedep-scrambled"))
 
 
+def fibre_shifts(tr):
+    """The fibre check's 2n rows: the last 2n fd_rows at the base point."""
+    return straighten.fd_rows(np.zeros((1, tr.m)))[2 * (tr.t_count + tr.n):]
+
+
 def count_members(monkeypatch, tr):
     """Count the members and calls of integrate_flows per stage of tr:
     returns the two lists, filled as the transform's maps run."""
@@ -935,8 +940,7 @@ def test_the_cross_check_starts_from_the_grid_walk(monkeypatch):
     picked = nodes[::len(nodes) // straighten.CROSSCHECK_CAP]
     assert res.crosscheck_nodes == len(picked)
     assert np.array_equal(batches[0], np.concatenate(
-        [nodes, fit, tr.fibre_rows(np.zeros(tr.m)),
-         straighten.fd_rows(picked)]))
+        [nodes, fit, fibre_shifts(tr), straighten.fd_rows(picked)]))
     guesses = 4 * len(picked)
     assert len(batches[1]) == guesses + 4 * len(fit)
     line = batches[1][guesses:]
@@ -982,6 +986,37 @@ def test_the_shifted_rows_of_the_grid_walk_give_jacobian_fd_alone(
     assert np.array_equal(Jf, alone)
 
 
+def test_the_fibre_check_maps_each_fibre_shift_both_ways(monkeypatch):
+    # the fibre check's rows are the +FD_STEP and then the -FD_STEP shift
+    # of each fibre coordinate in turn, and its matrix is their central
+    # quotient, column a from the pair of fibre coordinate a (routh-abelian:
+    # t = 1, n = 2)
+    tr = build_normal_coordinates(classify_corpus("routh-abelian"))
+    first, step = tr.t_count + tr.n, straighten.FD_STEP
+    want = np.zeros((2 * tr.n, tr.m))
+    for a in range(tr.n):
+        want[2 * a, first + a] = step
+        want[2 * a + 1, first + a] = -step
+    assert np.array_equal(fibre_shifts(tr), want)
+    seen = []
+    real = straighten.CoordinateTransform.final_coords
+
+    def recording(self, params, mapped=None):
+        seen.append(np.array(params))
+        return real(self, params, mapped)
+
+    monkeypatch.setattr(straighten.CoordinateTransform, "final_coords",
+                        recording)
+    sv = tr.fibre_jacobian_min_sv(np.zeros(tr.m))
+    monkeypatch.undo()
+    assert len(seen) == 1 and np.array_equal(seen[0], want)
+    final, _, _, failures = tr.final_coords(want)
+    assert failures == {}
+    G = np.stack([(final[2 * a, first:] - final[2 * a + 1, first:])
+                  / (2 * step) for a in range(tr.n)], axis=1)
+    assert sv == float(np.linalg.svd(G, compute_uv=False)[-1])
+
+
 def test_each_extra_row_of_the_grid_walk_is_mapped_as_alone():
     # extra rows follow the g^m grid nodes in one walk, sharing prefixes with
     # them where they can; a row whose fibre flow leaves the box (|s3| > 3 on
@@ -991,7 +1026,7 @@ def test_each_extra_row_of_the_grid_walk_is_mapped_as_alone():
     nodes = grid(g)
     rows = np.concatenate([straighten.quadratic_nodes(tr)[::7],
                            [[0.1, -0.2, 5.0]],
-                           tr.fibre_rows(np.zeros(tr.m))])
+                           fibre_shifts(tr)])
     bad = len(rows) - 2 * tr.n - 1
     want_z, want_J, _ = tr.map_batch(nodes)
     alone_z, alone_J, alone_failures = tr.map_batch(rows)

@@ -1,10 +1,11 @@
 """Structure of the package: its import graph, its one flow path, its one
 compiled evaluator, its one sum-of-products primitive, its one cache, the
-stage list, the README's library snippet and its public names, each of them
-used."""
+stage list, the README's library snippet, its public names, each of them
+used, and the README's names, each of them defined."""
 
 import ast
 import inspect
+import re
 import shutil
 from pathlib import Path
 
@@ -449,3 +450,79 @@ def test_dead_name_scan_sees_a_planted_function(tmp_path):
 
 def test_every_public_name_is_used():
     assert unreferenced_names() == set()
+
+
+def defined_names(roots) -> tuple:
+    """(names, external) over the Python files under roots: every name a
+    file defines (module, function, class, parameter, assigned name or
+    attribute, imported name, and each identifier-like string, which is how
+    report keys and stage names are defined), and the names bound by
+    importing a module from outside the package."""
+    names, external = set(), set()
+    for root in roots:
+        for path in sorted(root.rglob("*.py")):
+            names.add(path.stem)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    names.add(node.name)
+                elif isinstance(node, ast.arg):
+                    names.add(node.arg)
+                elif isinstance(node, ast.Name) and \
+                        isinstance(node.ctx, ast.Store):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute) and \
+                        isinstance(node.ctx, ast.Store):
+                    names.add(node.attr)
+                elif isinstance(node, ast.Constant) and \
+                        isinstance(node.value, str) and \
+                        node.value.isidentifier():
+                    names.add(node.value)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(a.asname or a.name for a in node.names)
+                elif isinstance(node, ast.Import):
+                    external.update(a.asname or a.name.split(".")[0]
+                                    for a in node.names
+                                    if not a.name.startswith("sodekit"))
+    return names, external
+
+
+def stale_readme_names(readme: Path = REPO / "README.md",
+                       roots=(PACKAGE.parent, REPO / "tests",
+                              REPO / "bench")) -> set:
+    """The backticked identifiers of the README, alone or called, that have
+    an underscore, a dot or a capital letter and are not defined under
+    roots: each part of a dotted name must be.  File names, math symbols
+    (one letter, perhaps with a one-character index, as `V_i`) and names
+    under an outside module (`np.linalg.cond`) are skipped."""
+    names, external = defined_names(roots)
+    stale = set()
+    for span in re.findall(r"`([^`\n]+)`", readme.read_text(encoding="utf-8")):
+        match = re.fullmatch(r"([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*)(\(.*\))?",
+                             span, flags=re.ASCII)
+        if not match:
+            continue
+        name = match.group(1)
+        parts = name.split(".")
+        if (not re.search(r"[_.A-Z]", name)
+                or re.fullmatch(r"[A-Za-z](_[A-Za-z0-9])?", name)
+                or re.search(r"\.(py|md|json|toml)$", name)
+                or parts[0] in external):
+            continue
+        if not all(part in names for part in parts):
+            stale.add(name)
+    return stale
+
+
+def test_readme_name_scan_sees_a_planted_stale_name(tmp_path):
+    readme = tmp_path / "README.md"
+    readme.write_text(
+        "`fd_rows` and `CoordinateTransform.map_batch` are live;\n"
+        "`CoordinateTransform.planted_rows` and `planted_check(x)` are not;\n"
+        "`notes.py`, `V_i` and `np.linalg.cond` are skipped.\n",
+        encoding="utf-8")
+    assert stale_readme_names(readme, (PACKAGE,)) == {
+        "CoordinateTransform.planted_rows", "planted_check"}
+
+
+def test_readme_names_only_live_code():
+    assert stale_readme_names() == set()
