@@ -49,7 +49,9 @@ from .geometry import (
     VectorField, coordinate_field, decompose_in_frame, first_domain_error,
     frame_rank, is_involutive, lie_bracket,
 )
-from .sampling import ZeroProbe, ZeroVerdict, box_points
+from .sampling import (
+    MAX_SEED, UNKNOWN_TOL, ZeroProbe, ZeroVerdict, box_points,
+)
 
 SIGN_CONVENTIONS = {
     "w_basis": "W_i = [F, V_i]",
@@ -123,9 +125,10 @@ class Options:
             if not ok or isinstance(value, bool):
                 raise OptionsError(
                     f"option '{key}' must be {want}, got {value!r}")
-            if key == "samples" and value > MAX_COUNT:
+            high = {"samples": MAX_COUNT, "seed": MAX_SEED}.get(key)
+            if high is not None and value > high:
                 raise OptionsError(
-                    f"option '{key}' must be at most {MAX_COUNT}, got {value}")
+                    f"option '{key}' must be at most {high}, got {value}")
             setattr(opts, key, (int if integral else float)(value))
         return opts
 
@@ -177,7 +180,7 @@ class IdentitySuite:
     @property
     def ok(self) -> bool:
         return (not any(v.is_nonzero for _, v in self.verdicts)
-                and self.max_residual < 1e-9)
+                and self.max_residual < UNKNOWN_TOL)
 
     def as_dict(self) -> dict:
         out = {
@@ -573,7 +576,7 @@ class MixedCurvature:
                            f"theta^{m}_{i}{j}{k}", v.value, max_res)
             if not v.is_zero:
                 max_res = max(max_res, v.max_residual)
-        verdict = "quadratic" if max_res < 1e-9 else "inconclusive"
+        verdict = "quadratic" if max_res < UNKNOWN_TOL else "inconclusive"
         return cls(comps, verdict, max_residual=max_res)
 
     def as_dict(self) -> dict:

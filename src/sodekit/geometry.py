@@ -62,12 +62,8 @@ class Chart:
     def dim(self) -> int:
         return len(self.names)
 
-    @property
-    def box_map(self) -> dict:
-        return {n: iv for n, iv in zip(self.names, self.box)}
-
     def probe(self, seed: int = 0) -> ZeroProbe:
-        return ZeroProbe(self.box_map, seed)
+        return ZeroProbe(self.names, self.box, seed)
 
     def sample(self, count: int, seed: int = 0):
         return box_points(self.box, count, seed)
@@ -332,7 +328,7 @@ def decompose_in_frame(X: VectorField, frame, probe: ZeroProbe) -> Decomposition
     """
     fields = list(frame)
     key = ("decompose_in_frame", X.chart.names, X.components,
-           tuple(f.components for f in fields), probe.key)
+           tuple(f.components for f in fields), probe)
     hit = memo.get(key)
     return hit if hit is not None else memo.put(
         key, _decompose(X, fields, probe))

@@ -6,8 +6,9 @@ at low-discrepancy points (Halton sequence with a seeded Cranley-Patterson
 rotation).  A value above the tolerance, measured relative to the sum of the
 magnitudes of the numerator terms at that point, certifies NonZero with a
 witness.  If every trial stays below tolerance the verdict is Unknown: exact
-equality of transcendental expressions is undecidable here and callers decide
-how severe an Unknown is.
+equality of transcendental expressions is undecidable here.  An Unknown
+counts as zero when its largest residual is below UNKNOWN_TOL; one that
+evaluated no point carries residual 1.0 and never does.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ from . import memo
 _PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)
 MAX_DIMS = len(_PRIMES)  # one Halton base per coordinate
 
+MAX_SEED = 2**64 - 1  # unit_points reads a seed modulo 2**64
 TRIALS = 64  # zero-test sample points
 ZERO_TOL = 1e-10
+UNKNOWN_TOL = 1e-9  # an Unknown below this residual counts as zero
 JITTER = 1e-3
 
 
@@ -97,102 +100,85 @@ def _jittered(point, box):
     return tuple(out)
 
 
-def is_zero(
-    e: Expr,
-    box: Mapping[str, Sequence[float]],
-    trials: int = TRIALS,
-    seed: int = 0,
-    tol: float = ZERO_TOL,
-) -> ZeroVerdict:
-    """Decide zero-ness of `e` on the box (names -> (lo, hi)).
+@dataclass(frozen=True)
+class ZeroProbe:
+    """The zero test on one chart with one seed: the coordinate names, their
+    (lo, hi) intervals in the same order, and the Halton seed.  It hashes and
+    compares by value, so a memo key holds the probe itself.  Calling it
+    runs `is_zero`, which spends TRIALS points at tolerance ZERO_TOL."""
+
+    names: tuple
+    box: tuple
+    seed: int = 0
+
+    def __call__(self, e: Expr) -> ZeroVerdict:
+        return is_zero(e, self)
+
+
+def is_zero(e: Expr, probe: ZeroProbe) -> ZeroVerdict:
+    """Decide zero-ness of `e` on the probe's box with the probe's seed.
 
     Structural zero (canonical numerator empty) gives Zero.  Otherwise the
-    numerator is sampled at `trials` quasi-random points; any value above
-    tol times the term-magnitude sum yields NonZero with a witness point.
-    All values below tolerance give Unknown.  Deterministic for fixed seed.
+    numerator is sampled at TRIALS quasi-random points; the first value above
+    ZERO_TOL times the term-magnitude sum yields NonZero with a witness point.
+    All values below tolerance give Unknown with the largest relative
+    residual; if no point evaluates, that residual is 1.0, the largest there
+    is, so the Unknown never counts as zero (see UNKNOWN_TOL).
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    key = ("is_zero", e, _probe_key(box, seed), trials, tol)
+    key = ("is_zero", e, probe)
     hit = memo.get(key)
-    return hit if hit is not None else memo.put(
-        key, _decide_zero(e, box, trials, seed, tol))
+    return hit if hit is not None else memo.put(key, _decide_zero(e, probe))
 
 
-def _probe_key(box: Mapping[str, Sequence[float]], seed: int) -> tuple:
-    return tuple((n, tuple(iv)) for n, iv in box.items()), seed
-
-
-def _decide_zero(e: Expr, box: Mapping[str, Sequence[float]], trials: int,
-                 seed: int, tol: float) -> ZeroVerdict:
+def _decide_zero(e: Expr, probe: ZeroProbe) -> ZeroVerdict:
     p, _ = _to_rf(e)
     if not p:
         return ZeroVerdict("zero")
     numerator = _poly_tree(p)
     terms = numerator.terms if isinstance(numerator, Add) else (numerator,)
-    names = list(box.keys())
-    ranges = [tuple(box[n]) for n in names]
-    evaluator = compile_exprs(list(terms), names)
-    points = box_points(ranges, trials, seed)
+    evaluator = compile_exprs(terms, probe.names)
+    points = box_points(probe.box, TRIALS, probe.seed)
     values, errors = evaluator(np.array(points).T)
-    skipped = set()
+    live = np.ones(TRIALS, dtype=bool)
     if errors:
         # each failed point is retried once, shifted toward the box interior
         failed = sorted(errors)
-        shifted = [_jittered(points[k], ranges) for k in failed]
+        shifted = [_jittered(points[k], probe.box) for k in failed]
         again, still = evaluator(np.array(shifted).T)
         for col, k in enumerate(failed):
             if col in still:
-                skipped.add(k)
+                live[k] = False
             else:
                 points[k] = shifted[col]
                 values[:, k] = again[:, col]
     # the terms are summed in order, as `evaluate` sums an Add
-    totals = np.zeros(len(points))
-    scales = np.zeros(len(points))
+    totals = np.zeros(TRIALS)
+    scales = np.zeros(TRIALS)
     with np.errstate(all="ignore"):
         for row in values:
             totals += row
             scales += np.abs(row)
-    max_residual = 0.0
-    for k, point in enumerate(points):
-        if k in skipped:
-            continue
-        total, scale = float(totals[k]), float(scales[k])
-        if abs(total) > tol * scale:
-            return ZeroVerdict(
-                "nonzero",
-                witness=MappingProxyType(dict(zip(names, point))),
-                value=total,
-                max_residual=abs(total),
-                trials=trials,
-            )
-        residual = abs(total) / scale if scale > 0.0 else 0.0
-        max_residual = max(max_residual, residual)
-    if len(skipped) == len(points):
+        residuals = np.abs(totals) / scales
+        witnesses = np.flatnonzero(live & (np.abs(totals) > ZERO_TOL * scales))
+    if witnesses.size:
+        k = int(witnesses[0])
         return ZeroVerdict(
-            "unknown", trials=trials,
+            "nonzero",
+            witness=MappingProxyType(dict(zip(probe.names, points[k]))),
+            value=float(totals[k]),
+            max_residual=abs(float(totals[k])),
+            trials=TRIALS,
+        )
+    if not live.any():
+        return ZeroVerdict(
+            "unknown", max_residual=1.0, trials=TRIALS,
             diagnostic="all trial points hit evaluation domain errors",
         )
+    # fmax skips the NaN of 0/0 and inf/inf, as the builtin max does
+    max_residual = float(np.fmax.reduce(residuals[live], initial=0.0))
+    skipped = TRIALS - int(live.sum())
     diagnostic = None
     if skipped:
-        diagnostic = f"{len(skipped)} of {len(points)} trial points skipped"
-    return ZeroVerdict("unknown", max_residual=max_residual, trials=trials,
+        diagnostic = f"{skipped} of {TRIALS} trial points skipped"
+    return ZeroVerdict("unknown", max_residual=max_residual, trials=TRIALS,
                        diagnostic=diagnostic)
-
-
-@dataclass(frozen=True)
-class ZeroProbe:
-    """The zero test on one box with one seed, threaded through the
-    pipeline; it spends TRIALS points at tolerance ZERO_TOL."""
-
-    box: dict
-    seed: int = 0
-
-    def __call__(self, e: Expr) -> ZeroVerdict:
-        return is_zero(e, self.box, seed=self.seed)
-
-    @property
-    def key(self) -> tuple:
-        """Hashable form of the box and seed."""
-        return _probe_key(self.box, self.seed)

@@ -1,8 +1,9 @@
 """Shared fixtures: standard problem instances, the registry of manifests
-every command must handle, a seeded random expression generator, and the
-independent Euler-Lagrange oracle for the reduced Lagrangian corpus
-instance."""
+every command must handle, a seeded random expression generator, the zero
+test replayed point by point, and the independent Euler-Lagrange oracle for
+the reduced Lagrangian corpus instance."""
 
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -12,12 +13,13 @@ import pytest
 
 from sodekit.corpus import corpus_get, corpus_list
 from sodekit.expressions import (
-    Expr, Num, Sym, ZERO, cos, differentiate, exp, free_symbols, log,
-    normalize, sin,
+    Add, EvalDomainError, Expr, Num, Sym, ZERO, _poly_tree, _to_rf, cos,
+    differentiate, evaluate, exp, free_symbols, log, normalize, sin,
 )
 from sodekit.geometry import Chart, Frame, VectorField, coordinate_field
 from sodekit.manifest import load_manifest, load_manifest_file
 from sodekit.parser import parse
+from sodekit.sampling import TRIALS, ZERO_TOL, _jittered, box_points
 
 BENCH_MANIFESTS = Path(__file__).resolve().parent.parent / "bench" / "manifests"
 N3_FORCE = ["y1", "y2", "y3", "x2*y1^2 - y3 + x1", "y1*y2 - x3",
@@ -189,3 +191,50 @@ def euler_lagrange_reduced_field(manifest):
                 expr = expr + parse(K[p][i][k]) * Sym(vs[k]) * Sym(mus[p])
         forces.append(normalize(expr))
     return [Sym(v) for v in vs] + forces + [ZERO] * len(mus)
+
+
+def walk_trial_points(e, probe):
+    """The zero test replayed one point at a time by `evaluate`, one term of
+    the canonical numerator at a time: the verdict's kind, its witness point
+    (None unless nonzero), the points used with the numerator's value there
+    (a failed point is retried at its jittered point) and the number of
+    points skipped because both failed or gave a non-finite term.  The walk
+    stops at the witness."""
+    p, _ = _to_rf(e)
+    if not p:
+        return "zero", None, [], 0
+    numerator = _poly_tree(p)
+    terms = numerator.terms if isinstance(numerator, Add) else (numerator,)
+    used, skipped = [], 0
+    for point in box_points(probe.box, TRIALS, probe.seed):
+        for pt in (point, _jittered(point, probe.box)):
+            try:
+                values = [evaluate(t, dict(zip(probe.names, pt)))
+                          for t in terms]
+            except EvalDomainError:
+                continue
+            if all(math.isfinite(v) for v in values):
+                break
+        else:
+            skipped += 1
+            continue
+        total = scale = 0.0
+        for v in values:  # in order, as `evaluate` sums an Add
+            total += v
+            scale += abs(v)
+        used.append((pt, total))
+        if abs(total) > ZERO_TOL * scale:
+            return "nonzero", pt, used, skipped
+    return "unknown", None, used, skipped
+
+
+def first_point_edge(probe):
+    """log(c - x) or log(x - c) on a chart whose x runs over [-1, 1], with c
+    1/1000 from the x of the probe's first trial point toward 0: the
+    argument is negative at that point and positive at its jittered retry,
+    which moves 2/1000 toward 0."""
+    x0 = Fraction(box_points(probe.box, TRIALS, probe.seed)[0][0])
+    x = Sym("x")
+    if x0 > 0:
+        return log(Num(x0 - Fraction(1, 1000)) - x)
+    return log(x - Num(x0 + Fraction(1, 1000)))

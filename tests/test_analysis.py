@@ -11,9 +11,10 @@ from sodekit.geometry import (
     Chart, Frame, VectorField, coordinate_field, lie_bracket,
 )
 from sodekit.analysis import (
-    CASE1, CASE2, NOT_SODE, Connections, Options, SecondOrderProblem,
-    bracket_coefficients, build_extended_frame, check_regularity, classify,
-    mixed_curvature, normalize_v_basis, verify_bracket_integrability,
+    CASE1, CASE2, NOT_SODE, Connections, IdentitySuite, MixedCurvature,
+    Options, SecondOrderProblem, bracket_coefficients, build_extended_frame,
+    check_regularity, classify, mixed_curvature, normalize_v_basis,
+    verify_bracket_integrability,
 )
 from sodekit.parser import parse
 from sodekit.corpus import corpus_get
@@ -512,6 +513,21 @@ def test_classify_rejects_noninvolutive_w():
     rep = classify(prob)
     assert rep.classification == NOT_SODE
     assert "not involutive" in rep.reason
+
+
+def test_an_unknown_that_evaluated_no_point_never_counts_as_zero():
+    # log(-1 - x^2) is undefined on the whole box: the verdict is Unknown
+    # with the largest relative residual, so neither the suite nor the
+    # mixed curvature may pass on it
+    probe = Chart(["x", "y"], [(-1, 1), (-1, 1)]).probe()
+    verdict = probe(parse("log(-1 - x^2)"))
+    assert verdict.kind == "unknown" and verdict.max_residual == 1.0
+    suite = IdentitySuite("undefined")
+    suite.add(verdict)
+    assert not suite.ok and suite.as_dict()["status"] == "fail"
+    comps = [[[[parse("log(-1 - x^2)")]]]]
+    assert MixedCurvature.from_components(comps, probe).verdict == \
+        "inconclusive"
 
 
 def test_classify_mixed_case_detected_by_rank():

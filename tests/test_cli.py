@@ -18,6 +18,7 @@ from sodekit.runner import (
     COMMANDS, EXIT_INPUT, EXIT_MATH_FAIL, EXIT_NUMERIC, EXIT_OK,
     report_to_json, run_command,
 )
+from sodekit.sampling import MAX_SEED
 from tests.conftest import INSTANCES, make_manifest
 
 
@@ -570,6 +571,8 @@ def test_cli_too_many_coordinates_is_input_error(tmp_path, capsys):
     *(({key: 1}, f"unknown option '{key}'")
       for key in ("trials", "newton_starts", "newton_max_iter", "zero_tol",
                   "newton_tol")),
+    ({"seed": 2**64}, f"option 'seed' must be at most {MAX_SEED}, "
+                      f"got {2**64}"),
 ])
 def test_cli_bad_option_is_input_error(tmp_path, capsys, options, message):
     path = write_manifest(tmp_path, options=options)
@@ -590,10 +593,30 @@ def test_the_options_are_the_cli_flags():
 
 
 def test_cli_bad_override_is_input_error(capsys):
-    for samples in ("0", str(MAX_COUNT + 1)):
+    # the sampler reads a seed modulo 2^64: 2^64 + 5 would repeat seed 5
+    assert MAX_SEED == 2**64 - 1
+    for key, value in (("samples", 0), ("samples", MAX_COUNT + 1),
+                       ("seed", MAX_SEED + 1), ("seed", 2**64 + 5)):
         assert main(["classify", "--corpus", "cubic-demo",
-                     "--samples", samples]) == EXIT_INPUT
-        assert "option 'samples'" in capsys.readouterr().err
+                     f"--{key}", str(value)]) == EXIT_INPUT
+        assert f"option '{key}'" in capsys.readouterr().err
+
+
+def test_cli_a_zero_test_that_evaluated_no_point_is_not_quadratic(
+        tmp_path, capsys):
+    # theta = 3*log(x - 99/100) is nonzero wherever it is defined, but no
+    # trial point of the zero test, first try or jittered retry, lies in
+    # x > 0.99
+    path = write_manifest(
+        tmp_path, field={"components": ["y", "y^3*log(x - 0.99)"]})
+    out = tmp_path / "quadratic.json"
+    assert main(["quadratic", path, "--json", str(out)]) == EXIT_MATH_FAIL
+    curvature = json.loads(out.read_text())["analysis"]["mixed_curvature"]
+    assert curvature["verdict"] == "inconclusive"
+    assert curvature["max_residual"] == 1.0
+    for command in ("classify", "connection"):
+        main([command, path])
+        assert "quadratic verdict: inconclusive" in capsys.readouterr().out
 
 
 def test_cli_deeply_nested_expression_is_input_error(tmp_path, capsys):

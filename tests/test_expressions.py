@@ -15,6 +15,7 @@ from sodekit.expressions import (
     compile_exprs, cos, differentiate,
     evaluate, exp, log, normalize, sin, syms, to_str,
 )
+from sodekit.geometry import Chart
 from sodekit.manifest import load_manifest_file
 from sodekit.parser import parse
 from sodekit.runner import run_command
@@ -22,10 +23,13 @@ from sodekit.sampling import (
     _PRIMES, _jittered, _splitmix64, box_points, is_zero, unit_points,
 )
 from sodekit.straighten import _variational_evaluator
-from tests.conftest import random_elementary, random_polynomial
+from tests.conftest import (
+    first_point_edge, random_elementary, random_polynomial,
+    walk_trial_points,
+)
 
 x, y = syms("x y")
-BOX = {"x": (-1.0, 1.0), "y": (-1.0, 1.0)}
+PLANE = Chart(["x", "y"], [(-1, 1), (-1, 1)])
 
 
 # -- normalize ---------------------------------------------------------------
@@ -487,12 +491,12 @@ def test_the_op_program_computes_each_node_once():
 # -- is_zero -----------------------------------------------------------------
 
 def test_is_zero_structural():
-    v = is_zero((x + y) ** 2 - x ** 2 - 2 * x * y - y ** 2, BOX)
+    v = is_zero((x + y) ** 2 - x ** 2 - 2 * x * y - y ** 2, PLANE.probe())
     assert v.kind == "zero"
 
 
 def test_is_zero_nonzero_with_witness():
-    v = is_zero(x - y, BOX, trials=32, seed=5)
+    v = is_zero(x - y, PLANE.probe(5))
     assert v.kind == "nonzero"
     assert v.witness is not None
     assert abs(v.witness["x"] - v.witness["y"]) > 0
@@ -500,7 +504,7 @@ def test_is_zero_nonzero_with_witness():
 
 
 def test_is_zero_pythagorean_identity_unknown_with_tiny_residual():
-    v = is_zero(sin(x) ** 2 + cos(x) ** 2 - 1, BOX)
+    v = is_zero(sin(x) ** 2 + cos(x) ** 2 - 1, PLANE.probe())
     assert v.kind == "unknown"
     assert v.max_residual < 1e-12
 
@@ -511,21 +515,21 @@ def test_is_zero_never_zero_when_witness_exists():
         e = random_polynomial(rng, ["x", "y"], degree=3)
         if normalize(e) == ZERO:
             continue
-        v1 = is_zero(e, BOX, trials=32, seed=seed)
-        v2 = is_zero(e, BOX, trials=32, seed=seed)
+        v1 = is_zero(e, PLANE.probe(seed))
+        v2 = is_zero(e, PLANE.probe(seed))
         assert v1.kind == v2.kind  # deterministic under a fixed seed
         assert v1.kind != "zero"   # zero is reserved for structural zeros
 
 
 def test_is_zero_deterministic_witness():
-    v1 = is_zero(x * y - Num(Fraction(1, 7)), BOX, trials=16, seed=3)
-    v2 = is_zero(x * y - Num(Fraction(1, 7)), BOX, trials=16, seed=3)
+    v1 = is_zero(x * y - Num(Fraction(1, 7)), PLANE.probe(3))
+    v2 = is_zero(x * y - Num(Fraction(1, 7)), PLANE.probe(3))
     assert v1.witness == v2.witness
 
 
 def test_is_zero_all_domain_errors_is_unknown():
     e = parse("log(-1 - x^2)")  # never evaluable on the box
-    v = is_zero(e, BOX, trials=8, seed=0)
+    v = is_zero(e, PLANE.probe(0))
     assert v.kind == "unknown"
     assert "domain errors" in (v.diagnostic or "")
 
@@ -535,7 +539,7 @@ def test_is_zero_counts_non_finite_values_as_domain_errors():
     # zero factor turns inf into a NaN residual
     e = normalize(parse(
         "exp(700*x)*exp(700*y)*(sin(x)^2 + cos(x)^2 - 1)"))
-    v = is_zero(e, BOX)
+    v = is_zero(e, PLANE.probe())
     assert v.kind == "unknown"
     assert v.diagnostic == "10 of 64 trial points skipped"
     assert v.max_residual < 1e-12
@@ -578,49 +582,24 @@ def test_unit_points_match_the_scalar_halton_bit_for_bit(seed):
         for point in want[:300, :3].tolist()]
 
 
-def walk_trial_points(e, box, trials=64, seed=0):
-    """The zero test's walk, one point at a time by `evaluate`: the points
-    used (a failed point is retried at its jittered point) and the number of
-    points skipped because both failed."""
-    ranges = list(box.values())
-    used, skipped = [], 0
-    for point in box_points(ranges, trials, seed):
-        for pt in (point, _jittered(point, ranges)):
-            try:
-                used.append((pt, evaluate(e, dict(zip(box, pt)))))
-                break
-            except EvalDomainError:
-                pass
-        else:
-            skipped += 1
-    return used, skipped
-
-
-def edge_of_first_trial_point():
-    """c = x0 - 1/1000 for the x0 of the first trial point: log(c - x) fails
-    at that point and evaluates at its jittered point."""
-    x0 = box_points(list(BOX.values()), 64, 0)[0][0]
-    return Num(Fraction(x0) - Fraction(1, 1000))
-
-
 def test_is_zero_takes_the_witness_from_a_jittered_point():
-    e = log(edge_of_first_trial_point() - x) * y
-    v = is_zero(e, BOX)
-    used, _ = walk_trial_points(e, BOX)
-    first = box_points(list(BOX.values()), 64, 0)[0]
-    assert used[0][0] == _jittered(first, list(BOX.values()))
-    assert v.kind == "nonzero"
-    assert tuple(v.witness.values()) == used[0][0]
+    e = first_point_edge(PLANE.probe()) * y
+    v = is_zero(e, PLANE.probe())
+    kind, witness, used, _ = walk_trial_points(e, PLANE.probe())
+    first = box_points(PLANE.box, 64, 0)[0]
+    assert used[0][0] == witness == _jittered(first, PLANE.box)
+    assert v.kind == kind == "nonzero"
+    assert tuple(v.witness.values()) == witness
     assert v.value == pytest.approx(used[0][1], rel=1e-12)
     assert v.diagnostic is None
 
 
 def test_is_zero_counts_the_points_that_fail_after_the_retry():
-    e = log(edge_of_first_trial_point() - x) * (sin(y) ** 2 + cos(y) ** 2 - 1)
-    v = is_zero(e, BOX)
-    used, skipped = walk_trial_points(e, BOX)
+    e = first_point_edge(PLANE.probe()) * (sin(y) ** 2 + cos(y) ** 2 - 1)
+    v = is_zero(e, PLANE.probe())
+    kind, _, used, skipped = walk_trial_points(e, PLANE.probe())
     assert skipped == 17 and len(used) == 64 - 17
-    assert v.kind == "unknown"
+    assert v.kind == kind == "unknown"
     assert v.diagnostic == "17 of 64 trial points skipped"
 
 

@@ -23,7 +23,6 @@ from sodekit.runner import report_to_json, run_command
 from sodekit.sampling import is_zero
 
 x, y = syms("x y")
-BOX = {"x": (-1.0, 1.0), "y": (-1.0, 1.0)}
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(sodekit.__file__)))
 
 # Prints the report of one command on one corpus instance, without timings.
@@ -71,11 +70,11 @@ def test_normal_forms_carry_read_only_rational_forms():
 
 
 def test_memoized_verdicts_and_decompositions_are_read_only():
-    verdict = is_zero(x - y, BOX)
+    plane = Chart(["x", "y"], [(-1, 1), (-1, 1)])
+    verdict = is_zero(x - y, plane.probe())
     assert verdict.is_nonzero
     with pytest.raises(TypeError):
         verdict.witness["x"] = 99.0
-    plane = Chart(["x", "y"], [(-1, 1), (-1, 1)])
     dec = decompose_in_frame(coordinate_field(plane, "y"),
                              [coordinate_field(plane, "x")], plane.probe())
     assert dec.failure == "not_in_span"
@@ -113,6 +112,24 @@ def test_charts_that_differ_only_in_their_box_share_one_bracket_entry():
     assert on_small.chart is small and on_wide.chart is wide
     assert on_small.components is on_wide.components
     assert len(entries) == 1
+
+
+def test_charts_with_equal_names_and_box_share_one_zero_test_entry():
+    # the probe is the memo key: equal charts give equal, equally hashed
+    # probes; another seed or another box is another entry
+    plane = Chart(["x", "y"], [(-1, 1), (-1, 1)])
+    again = Chart(["x", "y"], [(-1.0, 1.0), (-1.0, 1.0)])
+    wide = Chart(["x", "y"], [(-2, 1), (-1, 1)])
+    assert plane.probe(3) == again.probe(3)
+    assert hash(plane.probe(3)) == hash(again.probe(3))
+    memo.clear()
+    verdicts = [is_zero(x - y, probe) for probe in (
+        plane.probe(3), again.probe(3), plane.probe(4), wide.probe(3))]
+    entries = [k for k in memo._table if k[0] == "is_zero"]
+    memo.clear()
+    assert verdicts[0] is verdicts[1]
+    assert verdicts[2] is not verdicts[0] and verdicts[3] is not verdicts[0]
+    assert len(entries) == 3
 
 
 def test_warm_caches_do_not_leak_into_reports():

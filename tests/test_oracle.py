@@ -1,8 +1,9 @@
 """Independent oracle for the memoized engine: `normalize` on random small
 rational trees and `differentiate` on random polynomial, rational and
 elementary trees (the term rule, the quotient rule and the chain rule),
-checked against sympy; and the sums of products formed on rational forms
-(`dot`, `lie_bracket`), checked against the normal forms of their trees."""
+checked against sympy; the sums of products formed on rational forms
+(`dot`, `lie_bracket`), checked against the normal forms of their trees; and
+the zero test's array walk, checked against a replay one point at a time."""
 
 import pytest
 
@@ -14,9 +15,12 @@ from sodekit.expressions import (  # noqa: E402
     Add, Div, ExpressionError, Fn, FUNCTIONS, Mul, Num, Pow, Sym,
     _rf_to_tree, _to_rf, differentiate, dot, normalize,
 )
-from sodekit.geometry import lie_bracket  # noqa: E402
+from sodekit.geometry import Chart, lie_bracket  # noqa: E402
 from sodekit.parser import parse  # noqa: E402
-from tests.conftest import INSTANCES  # noqa: E402
+from sodekit.sampling import TRIALS, is_zero  # noqa: E402
+from tests.conftest import (  # noqa: E402
+    INSTANCES, first_point_edge, walk_trial_points,
+)
 
 NAMES = ("x", "y")
 
@@ -198,3 +202,40 @@ def test_lie_bracket_is_the_normal_form_of_its_tree(name):
     for X, Y in pairs:
         got = lie_bracket(X, Y).components
         assert all(a is b for a, b in zip(got, tree_bracket(X, Y)))
+
+
+# random polynomials on [-1, 1]^2 times a factor that fails on part of the
+# box, on all of it (log(x - 1)), at the first trial point but not at its
+# jittered retry (EDGE), or overflows near a corner, and a factor that
+# vanishes without being a structural zero
+EDGE = "edge"
+monomials = st.tuples(st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                      st.integers(0, 2), st.integers(0, 2)).map(
+    lambda t: "{}*x^{}*y^{}".format(*t))
+domains = st.sampled_from([
+    "1", "exp(x*y)", "log(x + 1/2)", "log(x - 99/100)", "log(x - 1)",
+    "exp(700*x)*exp(700*y)", EDGE])
+vanishing = st.sampled_from(["1", "(sin(y)^2 + cos(y)^2 - 1)"])
+PLANE = Chart(["x", "y"], [(-1, 1), (-1, 1)])
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(st.lists(monomials, min_size=1, max_size=4), domains, vanishing,
+       st.integers(0, 3))
+def test_the_zero_test_replays_one_point_at_a_time(poly, domain, factor, seed):
+    probe = PLANE.probe(seed)
+    e = parse(f"({' + '.join(poly)})*{factor}") * (
+        first_point_edge(probe) if domain == EDGE else parse(domain))
+    v = is_zero(e, probe)
+    kind, witness, used, skipped = walk_trial_points(e, probe)
+    assert v.kind == kind
+    if kind == "nonzero":
+        assert tuple(v.witness.values()) == witness
+        assert v.value == pytest.approx(used[-1][1], rel=1e-12)
+    if kind == "unknown":
+        assert len(used) + skipped == TRIALS
+        assert v.diagnostic == (
+            "all trial points hit evaluation domain errors" if not used
+            else f"{skipped} of {TRIALS} trial points skipped" if skipped
+            else None)
+        assert (v.max_residual == 1.0) == (not used)
