@@ -47,7 +47,7 @@ from .expressions import (
 from .geometry import (
     Chart, Decomposition, Frame, GeometryError, InvolutivityResult,
     VectorField, coordinate_field, decompose_in_frame, first_domain_error,
-    frame_rank, is_involutive, lie_bracket,
+    frame_rank, is_involutive, lie_bracket, lstsq_each,
 )
 from .sampling import (
     MAX_SEED, UNKNOWN_TOL, ZeroProbe, ZeroVerdict, box_points,
@@ -622,8 +622,9 @@ def find_zero_section_points(ef: ExtendedFrame, b_coeffs) -> list:
     """Newton search for points where F is vertical (all b^i vanish).
 
     Gauss-Newton with the symbolic Jacobian from quasi-random starts,
-    iterates clipped to the box; returns deduplicated points sorted
-    lexicographically."""
+    iterates clipped to the box; each iteration solves the steps of all
+    live starts in one stacked least-squares call (`lstsq_each`).  Returns
+    deduplicated points sorted lexicographically."""
     chart = ef.chart
     names = chart.names
     b_exprs = [normalize(b) for b in b_coeffs]
@@ -639,8 +640,6 @@ def find_zero_section_points(ef: ExtendedFrame, b_coeffs) -> list:
     live = np.arange(len(z))
     found = []
     for _ in range(NEWTON_MAX_ITER):
-        if not live.size:
-            break
         values, _ = fn(z[live].T)
         bv = values[:nb].T
         J = values[nb:].T.reshape(len(live), nb, d)
@@ -649,13 +648,14 @@ def find_zero_section_points(ef: ExtendedFrame, b_coeffs) -> list:
         found.extend(live[done])
         # a start whose b or Jacobian fails to evaluate is given up
         step_ok = b_ok & ~done & np.isfinite(J).all(axis=(1, 2))
-        for i in np.flatnonzero(step_ok):
-            step, *_ = np.linalg.lstsq(J[i], -bv[i], rcond=None)
-            norm = float(np.max(np.abs(step)))
-            if norm > 1.0:
-                step = step / norm
-            z[live[i]] = np.clip(z[live[i]] + step, lows, highs)
         live = live[step_ok]
+        if not live.size:
+            break
+        step = lstsq_each(J[step_ok], -bv[step_ok][..., None])[..., 0]
+        # a step longer than 1 in some coordinate is scaled down to 1
+        norm = np.abs(step).max(axis=1, keepdims=True)
+        step /= np.where(norm > 1.0, norm, 1.0)
+        z[live] = np.clip(z[live] + step, lows, highs)
     found = [tuple(float(v) for v in z[k]) for k in found]
     return _distinct_points(p for p in found if chart.contains(p, slack=1e-9))
 

@@ -7,13 +7,15 @@
 
 Exit codes: 0 pass, 1 mathematical condition failed, 2 input error,
 3 numeric failure, 4 internal error (any other exception, reported in one
-line without a traceback).
+line without a traceback).  A reader that closes stdout early (`| head -1`)
+leaves the exit code as it is.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .corpus import corpus_list, corpus_raw
@@ -60,94 +62,105 @@ def _overrides(args) -> dict:
             if getattr(args, key) is not None}
 
 
-def _summarize(report: dict, exit_code: int):
-    print(f"sodekit {report.get('command', '?')}: "
-          f"{report.get('manifest', {}).get('name', '<manifest>')}")
+def _summary(report: dict, exit_code: int) -> str:
+    """The report's summary for stdout, one line per item."""
+    lines = []
+    say = lines.append
+    say(f"sodekit {report.get('command', '?')}: "
+        f"{report.get('manifest', {}).get('name', '<manifest>')}")
     if "error" in report:
-        print(f"  error: {report['error']}")
+        say(f"  error: {report['error']}")
     for name, verdict in (report.get("verdicts") or {}).items():
         status = verdict.get("status")
         if status is None:
             status = "pass" if verdict.get("involutive") else "fail"
-        print(f"  {name}: {status}")
+        say(f"  {name}: {status}")
     analysis = report.get("analysis")
     if analysis:
-        print(f"  classification: {analysis.get('classification')}")
+        say(f"  classification: {analysis.get('classification')}")
         if analysis.get("reason"):
-            print(f"  reason: {analysis['reason']}")
+            say(f"  reason: {analysis['reason']}")
         if "parameter_count" in analysis:
-            print(f"  parameters: {analysis['parameter_count']}")
+            say(f"  parameters: {analysis['parameter_count']}")
         pts = analysis.get("zero_section_points")
         if pts:
             pretty = ", ".join(f"{v:.6g}" for v in pts[0])
-            print(f"  vertical locus point: ({pretty})"
-                  + (f" (+{len(pts) - 1} more)" if len(pts) > 1 else ""))
+            say(f"  vertical locus point: ({pretty})"
+                + (f" (+{len(pts) - 1} more)" if len(pts) > 1 else ""))
         curv = analysis.get("mixed_curvature")
         if curv:
-            print(f"  quadratic verdict: {curv['verdict']}")
+            say(f"  quadratic verdict: {curv['verdict']}")
         suites = analysis.get("identity_suites") or []
         bad = [s for s in suites if s.get("status") != "pass"]
-        print(f"  identity suites: {len(suites) - len(bad)}/{len(suites)} pass")
+        say(f"  identity suites: {len(suites) - len(bad)}/{len(suites)} pass")
         for s in bad:
-            print(f"    FAILED {s['identity']}: residual {s['max_residual']}")
+            say(f"    FAILED {s['identity']}: residual {s['max_residual']}")
         for warning in analysis.get("warnings") or []:
-            print(f"  warning: {warning}")
+            say(f"  warning: {warning}")
     residuals = report.get("residuals")
     if residuals:
-        print(f"  straighten: max structural residual "
-              f"{residuals['max_structural_residual']:.3e} "
-              f"({residuals.get('status', '?')}, "
-              f"tolerance {residuals.get('tolerance')})")
+        say(f"  straighten: max structural residual "
+            f"{residuals['max_structural_residual']:.3e} "
+            f"({residuals.get('status', '?')}, "
+            f"tolerance {residuals.get('tolerance')})")
     if "straighten_error" in report:
-        print(f"  straighten error: {report['straighten_error']}")
+        say(f"  straighten error: {report['straighten_error']}")
     qc = report.get("quadratic_coefficients")
     if qc:
-        print(f"  quadratic fit residual: {qc['max_fit_residual']:.3e}")
+        say(f"  quadratic fit residual: {qc['max_fit_residual']:.3e}")
     for warning in report.get("warnings") or []:
-        print(f"  warning: {warning}")
-    print(f"  exit: {exit_code}")
+        say(f"  warning: {warning}")
+    say(f"  exit: {exit_code}")
+    return "\n".join(lines) + "\n"
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _run(args)
+        out, exit_code = _run(args)
     except Exception as err:  # the last resort: a documented code, one line
         print(f"internal error: {type(err).__name__}: "
               f"{' '.join(str(err).split())}", file=sys.stderr)
         return EXIT_INTERNAL
+    try:
+        sys.stdout.write(out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # a reader that closed the pipe (`| head -1`) is no error: stdout
+        # goes to the null device, as the SIGPIPE note of Python's signal
+        # docs shows, so the interpreter's final flush stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return exit_code
 
 
-def _run(args) -> int:
+def _run(args) -> tuple:
+    """(stdout text, exit code) of the command; errors go to stderr."""
     if args.command == "corpus":
-        if args.show:
-            try:
-                print(json.dumps(corpus_raw(args.show), indent=2,
-                                 sort_keys=True))
-            except ManifestError as err:
-                print(f"error: {err}", file=sys.stderr)
-                return EXIT_INPUT
-        else:
-            for name in corpus_list():
-                print(name)
-        return 0
+        if not args.show:
+            return "".join(f"{name}\n" for name in corpus_list()), 0
+        try:
+            return json.dumps(corpus_raw(args.show), indent=2,
+                              sort_keys=True) + "\n", 0
+        except ManifestError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return "", EXIT_INPUT
     try:
         manifest = resolve_manifest(args.manifest, args.corpus)
         report, exit_code = run_command(args.command, manifest,
                                         _overrides(args))
     except (ManifestError, GeometryError, ExpressionError) as err:
         print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
+        return "", EXIT_INPUT
     if args.json:
         try:
             with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(report_to_json(report))
         except OSError as err:
             print(f"input error: cannot write report: {err}", file=sys.stderr)
-            return EXIT_INPUT
-    _summarize(report, exit_code)
-    return exit_code
-
+            return "", EXIT_INPUT
+    return _summary(report, exit_code), exit_code
 
 if __name__ == "__main__":
     sys.exit(main())

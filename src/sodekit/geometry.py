@@ -268,6 +268,24 @@ def frame_rank(fields, samples: int = 64, seed: int = 0) -> RankReport:
     )
 
 
+def _lstsq_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def lstsq_each(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(A[j], B[j], rcond=None)[0] for each member j of the
+    stacks A (K, r, c) and B (K, r, k), bit for bit: one call of the LAPACK
+    kernel that np.linalg.lstsq runs on a single matrix (it refuses a
+    stack), under the same error state, so an SVD that does not converge
+    raises LinAlgError and no RuntimeWarning escapes.  r and k are >= 1."""
+    rcond = np.finfo(float).eps * max(A.shape[-2:])
+    with np.errstate(call=_lstsq_failed, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x, *_ = np.linalg._umath_linalg.lstsq(A, B, rcond,
+                                              signature="ddd->ddid")
+    return x
+
+
 class Frame:
     """Ordered list of vector fields spanning a distribution.
 

@@ -48,7 +48,7 @@ from .expressions import (
     NEG, Num, Sym, ZERO, _to_rf, compile_exprs, differentiate, dot,
     normalize,
 )
-from .geometry import Chart, VectorField
+from .geometry import Chart, VectorField, lstsq_each
 from . import memo
 from .ode import StepFailure, solve_ivp
 from .analysis import (
@@ -989,7 +989,8 @@ def extract_quadratic_coefficients(transform: CoordinateTransform,
     nodes and then their line rows, with no F-flow and no Newton step.
     `stencil` is that triple when the caller has it already
     (`pushforward_residuals`'s `fit_stencil`); the extraction then only
-    fits."""
+    fits.  The fits of all base nodes are one stacked least-squares call
+    (`lstsq_each`)."""
     n, tc = transform.n, transform.t_count
     nodes = quadratic_nodes(transform)
     values, final, failures = (
@@ -999,17 +1000,17 @@ def extract_quadratic_coefficients(transform: CoordinateTransform,
         raise failures[min(failures)]
     per_base = QUADRATIC_GRID ** n
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    # one least-squares problem per base node, all fitted in one call
+    Y = final[:, tc + n:].reshape(-1, per_base, n)
+    A = np.concatenate([Y[..., [i]] * Y[..., [j]] for i, j in pairs]
+                       + [Y, np.ones(Y.shape[:2] + (1,))], axis=2)
+    B = values[:, tc + n:].reshape(-1, per_base, n)
+    sols = lstsq_each(A, B)
     results = []
     max_fit_residual = 0.0
-    for first in range(0, len(nodes), per_base):
-        base = nodes[first, :tc + n]
-        rows = slice(first, first + per_base)
-        Y = final[rows, tc + n:]
-        A = np.column_stack([Y[:, i] * Y[:, j] for i, j in pairs]
-                            + [Y, np.ones(per_base)])
-        B = values[rows, tc + n:]
-        sol, *_ = np.linalg.lstsq(A, B, rcond=None)
-        fit_residual = float(np.max(np.abs(A @ sol - B)))
+    for b, sol in enumerate(sols):
+        base = nodes[b * per_base, :tc + n]
+        fit_residual = float(np.max(np.abs(A[b] @ sol - B[b])))
         max_fit_residual = max(max_fit_residual, fit_residual)
         entry = {
             "base": [float(v) for v in base],

@@ -2,10 +2,12 @@ import json
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from sodekit import analysis
 from sodekit.expressions import (
-    Num, Sym, ZERO, differentiate, normalize, syms, to_str,
+    Num, Sym, ZERO, compile_exprs, differentiate, normalize, syms, to_str,
 )
 from sodekit.geometry import (
     Chart, Frame, VectorField, coordinate_field, lie_bracket,
@@ -18,6 +20,7 @@ from sodekit.analysis import (
 )
 from sodekit.parser import parse
 from sodekit.corpus import corpus_get
+from sodekit.sampling import box_points
 from tests import connection_oracle
 from tests.connection_oracle import FieldConnections, apply_tangent_structure
 from tests.conftest import INSTANCES, make_manifest, random_polynomial
@@ -244,6 +247,79 @@ def test_distinct_points_match_the_pairwise_loop():
         assert _distinct_points(points) == want
         assert _distinct_points(reversed(points)) == want
     assert 1 < len(pairwise_distinct(chained)) < len(chained)
+
+
+def replayed_newton_search(ef, b_coeffs):
+    """The Newton search replayed one start at a time, each step its own
+    np.linalg.lstsq: a start stops when it converges or fails to evaluate,
+    and a step longer than 1 in some coordinate is scaled down to 1."""
+    chart = ef.chart
+    b_exprs = [normalize(b) for b in b_coeffs]
+    nb, d = len(b_exprs), chart.dim
+    fn = compile_exprs(b_exprs + [differentiate(b, nm) for b in b_exprs
+                                  for nm in chart.names], chart.names)
+    lows, highs = np.array(chart.box, dtype=float).T
+    found = []
+    for z in np.array(box_points(chart.box, analysis.NEWTON_STARTS,
+                                 ef.problem.options.seed + 101), dtype=float):
+        for _ in range(analysis.NEWTON_MAX_ITER):
+            values = fn(z[:, None])[0][:, 0]
+            bv, J = values[:nb], values[nb:].reshape(nb, d)
+            if not np.isfinite(bv).all():
+                break
+            if np.abs(bv).max() < analysis.NEWTON_TOL:
+                found.append(tuple(float(v) for v in z))
+                break
+            if not np.isfinite(J).all():
+                break
+            step = np.linalg.lstsq(J, -bv, rcond=None)[0]
+            norm = float(np.max(np.abs(step)))
+            if norm > 1.0:
+                step = step / norm
+            z = np.clip(z + step, lows, highs)
+    return analysis._distinct_points(
+        p for p in found if chart.contains(p, slack=1e-9))
+
+
+def classify_manifest(manifest):
+    """The classification of a manifest under its own options."""
+    opts = Options.from_mapping(manifest.options)
+    frame = Frame(manifest.chart, manifest.frame_fields(),
+                  samples=opts.samples, seed=opts.seed)
+    return classify(SecondOrderProblem(manifest.chart,
+                                       manifest.vector_field(), frame, opts))
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_the_stacked_newton_search_replays_one_start_at_a_time(name):
+    rep = classify_manifest(INSTANCES[name]())
+    if rep.f_w_coefficients is None:
+        # case 2, or the recognition stopped first: no Newton search
+        assert rep.classification != CASE1
+        return
+    ef, b_coeffs = rep.extended, rep.f_w_coefficients
+    points = analysis.find_zero_section_points(ef, b_coeffs)
+    assert points == replayed_newton_search(ef, b_coeffs)
+    assert points == rep.zero_section_points
+
+
+def test_the_stacked_newton_search_replays_a_field_never_vertical():
+    # b = -y - 2 has no root in the box: every start runs every step
+    rep = classify_manifest(make_manifest(
+        "never-vertical", ["x", "y"], ["y + 2", "x"], [["0", "1"]]))
+    assert [to_str(b) for b in rep.f_w_coefficients] == ["-y - 2"]
+    assert replayed_newton_search(rep.extended, rep.f_w_coefficients) == []
+    assert rep.zero_section_points == []
+
+
+def test_the_stacked_newton_search_replays_a_root_of_lost_rank(natural):
+    # b = (x - y)^2: the Jacobian vanishes on the line of roots, so the
+    # steps shrink by half and each start stops at its own point
+    ef = classify(natural).extended
+    b_coeffs = [parse("(x - y)^2")]
+    points = analysis.find_zero_section_points(ef, b_coeffs)
+    assert len(points) > 1
+    assert points == replayed_newton_search(ef, b_coeffs)
 
 
 def test_adaptation_identity_routh():
@@ -666,12 +742,7 @@ ORACLE_SUITES = ("nijenhuis_torsion", "projector_identities",
 
 @pytest.mark.parametrize("name", sorted(INSTANCES))
 def test_table_stages_print_what_the_field_oracle_prints(name):
-    manifest = INSTANCES[name]()
-    opts = Options.from_mapping(manifest.options)
-    frame = Frame(manifest.chart, manifest.frame_fields(),
-                  samples=opts.samples, seed=opts.seed)
-    rep = classify(SecondOrderProblem(manifest.chart, manifest.vector_field(),
-                                      frame, opts))
+    rep = classify_manifest(INSTANCES[name]())
     if rep.connection_data is None:
         # the recognition stopped first: no stage output to compare
         assert name == "regularity-fail" and rep.reason
@@ -691,12 +762,7 @@ def test_table_stages_print_what_the_field_oracle_prints(name):
 def test_the_printed_suites_per_adaptation_mode(name):
     # the suites that hold by construction on the tables are the oracle's,
     # and so is the adapted basis: it is adapted by construction
-    manifest = INSTANCES[name]()
-    opts = Options.from_mapping(manifest.options)
-    frame = Frame(manifest.chart, manifest.frame_fields(),
-                  samples=opts.samples, seed=opts.seed)
-    rep = classify(SecondOrderProblem(manifest.chart, manifest.vector_field(),
-                                      frame, opts))
+    rep = classify_manifest(INSTANCES[name]())
     if rep.adaptation is None:
         assert name == "regularity-fail"
         return

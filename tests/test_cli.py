@@ -19,7 +19,7 @@ from sodekit.runner import (
     report_to_json, run_command,
 )
 from sodekit.sampling import MAX_SEED
-from tests.conftest import INSTANCES, make_manifest
+from tests.conftest import BENCH_MANIFESTS, INSTANCES, make_manifest
 
 
 def inline_manifest(**kw):
@@ -230,6 +230,43 @@ def test_cli_corpus_show(capsys):
     assert main(["corpus", "--show", "cubic-demo"]) == 0
     shown = json.loads(capsys.readouterr().out)
     assert shown == json.loads(json.dumps(corpus_raw("cubic-demo")))
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError.
+    Its file descriptor is a file of the test's own."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    flush = write
+
+    def fileno(self):
+        return self.fd
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["corpus", "--show", "beta-rescaled"], EXIT_OK),
+    (["classify", "--corpus", "beta-rescaled"], EXIT_OK),
+    (["check", str(BENCH_MANIFESTS / "regularity-fail.json")],
+     EXIT_MATH_FAIL)])
+def test_cli_a_closed_stdout_keeps_the_exit_code(tmp_path, capsys,
+                                                 monkeypatch, argv, code):
+    # `sodekit ... | head -1`: the reader closing the pipe is no internal
+    # error, and later writes to stdout's descriptor go to the null device
+    path = tmp_path / "stdout"
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", ClosedPipe(fd))
+        assert main(argv) == code
+        os.write(fd, b"the interpreter's final flush")
+    finally:
+        os.close(fd)
+    assert path.read_bytes() == b""
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [["corpus", "--show", "nosuch"],

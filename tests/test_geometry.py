@@ -8,7 +8,7 @@ from sodekit.expressions import Num, Sym, ZERO, differentiate, normalize, syms
 from sodekit.geometry import (
     Chart, ChartMismatchError, Frame, FrameRankError, GeometryError,
     VectorField, coordinate_field, decompose_in_frame, frame_rank,
-    is_involutive, lie_bracket,
+    is_involutive, lie_bracket, lstsq_each,
 )
 from sodekit.parser import parse
 from tests.conftest import random_polynomial, random_vector_field, values_at
@@ -288,6 +288,54 @@ def test_decompose_agrees_with_numeric_least_squares(plane):
         sol, *_ = np.linalg.lstsq(A, X.at(pt), rcond=None)
         assert np.max(np.abs(values_at(coeff_fn, pt) - sol)) < 1e-9
 
+
+
+def lstsq_stacks():
+    """(kind, A, B) stacks of least-squares problems, seeded: the Newton
+    search's wide shapes, the quadratic fit's tall ones, square ones, rank
+    deficient ones and all-zero members."""
+    rng = np.random.default_rng(34)
+    shapes = {"wide": [(1, 2), (2, 4), (3, 7)], "tall": [(9, 5), (25, 9)],
+              "square": [(3, 3), (6, 6)]}
+    for kind, dims in shapes.items():
+        for r, c in dims:
+            for k in (1, 3):
+                yield (f"{kind} {r}x{c}x{k}", rng.standard_normal((6, r, c)),
+                       rng.standard_normal((6, r, k)))
+    for r, c in [(3, 7), (9, 5), (4, 4)]:
+        A = rng.standard_normal((6, r, c))
+        A[:, -1] = A[:, 0]
+        yield f"repeated row {r}x{c}", A, rng.standard_normal((6, r, 2))
+        A = rng.standard_normal((6, r, c))
+        A[:, :, 1] = 0.0
+        yield f"zero column {r}x{c}", A, rng.standard_normal((6, r, 2))
+        A, B = rng.standard_normal((6, r, c)), rng.standard_normal((6, r, 2))
+        A[[1, 4]] = 0.0
+        B[1] = 0.0
+        yield f"all-zero members {r}x{c}", A, B
+
+
+def test_lstsq_each_is_lstsq_on_each_member_bit_for_bit():
+    kinds = set()
+    for kind, A, B in lstsq_stacks():
+        want = np.stack([np.linalg.lstsq(a, b, rcond=None)[0]
+                         for a, b in zip(A, B)])
+        got = lstsq_each(A, B)
+        assert got.shape == want.shape and got.dtype == want.dtype, kind
+        assert got.tobytes() == want.tobytes(), kind
+        kinds.add(kind.split()[0])
+    assert kinds == {"wide", "tall", "square", "repeated", "zero", "all-zero"}
+    assert lstsq_each(np.zeros((0, 2, 4)), np.zeros((0, 2, 1))).shape == (
+        0, 4, 1)
+
+
+def test_lstsq_each_raises_where_lstsq_raises():
+    A = np.random.default_rng(5).standard_normal((3, 4, 2))
+    A[1, 0, 0] = np.nan
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(A[1], np.ones(4), rcond=None)
+    with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        lstsq_each(A, np.ones((3, 4, 1)))
 
 def test_frame_rank_invariant_under_constant_remix(plane):
     f = parse("x*y^2 + y")

@@ -384,26 +384,56 @@ LAZY_MA_CALLS = {"setdiff1d", "unique", "median", "percentile", "quantile"}
 
 
 def numpy_attributes(package: Path = PACKAGE) -> set:
-    """(module, attribute) of every `np.<attribute>` or `numpy.<attribute>`
-    the package names."""
+    """(module, name) of every `np.<name>` or `numpy.<name>` the package
+    names, dotted names (`linalg.lstsq`) with each of their prefixes, and
+    of every name it imports from numpy (`from numpy.linalg import x` gives
+    `linalg.x`, `import numpy.linalg` gives `linalg`)."""
     found = set()
     for path in sorted(package.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Attribute) and isinstance(
-                    node.value, ast.Name) and node.value.id in ("np", "numpy"):
-                found.add((path.stem, node.attr))
+            if isinstance(node, ast.Attribute):
+                parts = [node.attr]
+                while isinstance(node.value, ast.Attribute):
+                    node = node.value
+                    parts.append(node.attr)
+                if isinstance(node.value, ast.Name) and \
+                        node.value.id in ("np", "numpy"):
+                    found.add((path.stem, ".".join(reversed(parts))))
+            elif isinstance(node, ast.ImportFrom) and \
+                    (node.module or "").split(".")[0] == "numpy":
+                prefix = node.module[len("numpy."):]
+                found.update((path.stem, f"{prefix}.{a.name}".lstrip("."))
+                             for a in node.names)
+            elif isinstance(node, ast.Import):
+                found.update((path.stem, a.name[len("numpy."):])
+                             for a in node.names
+                             if a.name.startswith("numpy."))
     return found
 
 
 def test_numpy_attribute_scan_sees_calls_anywhere(tmp_path):
     (tmp_path / "a.py").write_text(
         "import numpy as np\nimport numpy\n"
-        "def f(a):\n    return np.median(a) + numpy.unique(a).size\n")
-    assert numpy_attributes(tmp_path) == {("a", "median"), ("a", "unique")}
+        "from numpy.linalg import _umath_linalg\nimport numpy.fft\n"
+        "def f(a):\n    return np.median(a) + numpy.unique(a).size\n"
+        "def g(a, b):\n    return np.linalg.lstsq(a, b)\n")
+    assert numpy_attributes(tmp_path) == {
+        ("a", "median"), ("a", "unique"), ("a", "linalg"),
+        ("a", "linalg.lstsq"), ("a", "linalg._umath_linalg"), ("a", "fft")}
 
 
 def test_src_calls_no_numpy_function_that_imports_numpy_ma():
     assert not {attr for _, attr in numpy_attributes()} & LAZY_MA_CALLS
+
+
+def test_every_least_squares_fit_is_one_stacked_call():
+    # one path for least squares: only geometry names numpy's private
+    # `_umath_linalg` (lstsq_each runs its LAPACK kernel on a whole stack),
+    # and nothing calls np.linalg.lstsq per member
+    found = numpy_attributes()
+    assert not {module for module, name in found if name == "linalg.lstsq"}
+    assert {module for module, name in found
+            if name.split(".")[-1] == "_umath_linalg"} == {"geometry"}
 
 
 def unreferenced_names(package: Path = PACKAGE,
