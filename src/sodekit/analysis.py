@@ -31,8 +31,8 @@ checked on whole fields by the test oracle, not here.
 from __future__ import annotations
 
 import itertools
-import math
 import numbers
+import sys
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -119,9 +119,10 @@ class Options:
                 low = 0 if key == "seed" else 1
                 want = f"an integer >= {low}"
                 ok = isinstance(value, numbers.Integral) and value >= low
-            else:
-                want = "a positive number"
-                ok = isinstance(value, numbers.Real) and 0 < value < math.inf
+            else:  # a residual grid on [-extent, extent] must stay finite
+                top = sys.float_info.max / (4 if key == "extent" else 1)
+                want = f"a positive number at most {top!r}"
+                ok = isinstance(value, numbers.Real) and 0 < value <= top
             if not ok or isinstance(value, bool):
                 raise OptionsError(
                     f"option '{key}' must be {want}, got {value!r}")
@@ -267,12 +268,12 @@ def check_field_defined(problem: SecondOrderProblem) -> list:
             ("F", [problem.F], ["F"]),
             ("the V-basis", problem.V.fields,
              [f"field {i}" for i in range(problem.n)])):
-        values, errors = compile_exprs(
+        _, errors = compile_exprs(
             [c for f in fields for c in f.components], chart.names)(
             np.array(points).T)
         if not errors:
             continue
-        where = first_domain_error(labels, chart, points, values, errors)
+        where = first_domain_error(labels, chart, points, errors)
         if len(errors) == len(points):
             raise GeometryError(
                 f"all sample points hit evaluation domain errors: {where}")

@@ -52,12 +52,12 @@ class MissingSymbolError(KeyError):
 
 
 class EvalDomainError(ArithmeticError):
-    """Numeric domain failure, reported with the offending subtree."""
+    """Numeric domain failure, reported with the offending subtree; `index`
+    is the failing expression's place in a compiled list (`_domain_error`)."""
 
-    def __init__(self, subtree: "Expr", reason: str):
+    def __init__(self, subtree: "Expr", reason: str, index=None):
         super().__init__(f"{reason} in '{subtree}'")
-        self.subtree = subtree
-        self.reason = reason
+        self.subtree, self.reason, self.index = subtree, reason, index
 
 
 def _as_number(value) -> Number:
@@ -818,16 +818,13 @@ def evaluate(e: Expr, assignment: Mapping[str, float]) -> float:
     if isinstance(e, Pow):
         base = evaluate(e.base, assignment)
         q = e.exponent
+        if base == 0.0 and q < 0:
+            raise EvalDomainError(e, "zero raised to a negative power")
         try:
             if q.denominator == 1:
-                k = q.numerator
-                if base == 0.0 and k < 0:
-                    raise EvalDomainError(e, "zero raised to a negative power")
-                return base ** k
+                return base ** q.numerator
             if base < 0.0:
                 raise EvalDomainError(e, "fractional power of a negative value")
-            if base == 0.0 and q < 0:
-                raise EvalDomainError(e, "zero raised to a negative power")
             return math.pow(base, float(q))
         except OverflowError:
             raise EvalDomainError(e, "overflow") from None
@@ -886,19 +883,16 @@ def compile_exprs(exprs: Sequence[Expr],
         points = np.asarray(points, dtype=float)
         out = np.empty((len(exprs), points.shape[1]))
         r = [*points, *registers]
-        try:
-            with np.errstate(all="ignore"):
-                for k, fn, i, j in steps:
-                    r[k] = fn(r[i]) if j is None else fn(r[i], r[j])
-                for row, k in enumerate(outputs):
-                    out[row] = r[k]
-                # a finite sum of squares (one BLAS dot) proves every value
-                # finite; finite values may overflow it, and the column scan
-                # below decides then
-                if math.isfinite(np.vdot(out, out)):
-                    return out, {}
-        except (ZeroDivisionError, ValueError, OverflowError):
-            out[:] = np.nan  # a constant subexpression failed
+        with np.errstate(all="ignore"):  # float64 registers: no step raises
+            for k, fn, i, j in steps:
+                r[k] = fn(r[i]) if j is None else fn(r[i], r[j])
+            for row, k in enumerate(outputs):
+                out[row] = r[k]
+            # a finite sum of squares (one BLAS dot) proves every value
+            # finite; finite values may overflow it, and the column scan
+            # below decides then
+            if math.isfinite(np.vdot(out, out)):
+                return out, {}
         bad = (~np.isfinite(out).all(axis=0)).nonzero()[0]
         return out, {int(k): _domain_error(exprs, coord_names, points[:, k],
                                            out[:, k])
@@ -911,18 +905,24 @@ def _lower(exprs: tuple, coord_names: tuple):
     """The op program of exprs: `(registers, steps, outputs)`.
 
     A call's registers are the coordinate rows followed by `registers`:
-    the ints of the integer constants and exponents, the float of each
-    fractional exponent, and None where a step writes.  A step
-    `(k, fn, i, j)` sets `r[k] = fn(r[i])`, or `fn(r[i], r[j])` when j is
-    not None; `outputs` holds each expression's register.  Each distinct
-    node gets one register.  Raises MissingSymbolError for a symbol outside
-    coord_names."""
+    the np.float64 of each constant and exponent (NaN past the float
+    range: only the expressions reading it fail), and None where a step
+    writes.  A step `(k, fn, i, j)` sets `r[k] = fn(r[i])`, or
+    `fn(r[i], r[j])` when j is not None; `outputs` holds each expression's
+    register.  Each distinct node gets one register.  Raises
+    MissingSymbolError for a symbol outside coord_names."""
     reg = {Sym(name): i for i, name in enumerate(coord_names)}
     registers, steps = [], []
 
     def new(value) -> int:
         registers.append(value)
         return len(coord_names) + len(registers) - 1
+
+    def const(q: Number) -> int:  # rounded as `evaluate`'s float()
+        try:
+            return new(np.float64(q))
+        except OverflowError:
+            return new(np.float64(np.nan))
 
     def step(fn, i, j=None) -> int:
         k = new(None)
@@ -934,9 +934,7 @@ def _lower(exprs: tuple, coord_names: tuple):
         if k is not None:
             return k
         if isinstance(e, Num):
-            v = e.value
-            k = new(v) if v.denominator == 1 else step(
-                operator.truediv, new(v.numerator), new(v.denominator))
+            k = const(e.value)
         elif isinstance(e, Sym):
             raise MissingSymbolError(e.name)
         elif isinstance(e, (Add, Mul)):  # a left fold
@@ -948,9 +946,8 @@ def _lower(exprs: tuple, coord_names: tuple):
             k = step(operator.truediv, visit(e.num), visit(e.den))
         elif isinstance(e, Pow):
             q = e.exponent
-            k = (step(operator.pow, visit(e.base), new(q.numerator))
-                 if q.denominator == 1
-                 else step(np.power, visit(e.base), new(float(q))))
+            k = step(operator.pow if q.denominator == 1 else np.power,
+                     visit(e.base), const(q))
         elif isinstance(e, Fn):
             k = step(getattr(np, e.name), visit(e.arg))
         else:
@@ -964,16 +961,18 @@ def _lower(exprs: tuple, coord_names: tuple):
 
 def _domain_error(exprs: tuple, coord_names: tuple, point,
                   values) -> EvalDomainError:
-    """The error `evaluate` raises at a point where the compiled evaluator
-    gave a non-finite value, or one naming the first such component."""
+    """The first error `evaluate` raises on exprs at a point where the
+    compiled evaluator gave non-finite `values`, or else one naming the
+    first such value; its `index` is the failing expression's."""
     assignment = dict(zip(coord_names, point.tolist()))
-    try:
-        for e in exprs:
+    for index, e in enumerate(exprs):
+        try:
             evaluate(e, assignment)
-    except EvalDomainError as err:
-        return err
-    j = int(np.flatnonzero(~np.isfinite(values))[0])
-    return EvalDomainError(exprs[j], "non-finite value")
+        except EvalDomainError as err:
+            err.index = index
+            return err
+    index = int(np.flatnonzero(~np.isfinite(values))[0])
+    return EvalDomainError(exprs[index], "non-finite value", index)
 
 
 # --------------------------------------------------------------------------

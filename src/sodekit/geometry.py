@@ -204,14 +204,13 @@ class RankReport:
         }
 
 
-def first_domain_error(labels, chart: Chart, points, values,
-                       errors) -> str:
-    """Where fields first fail to evaluate: the first non-finite component
-    at the first failing point, that point and the failing subexpression.
-    `values` and `errors` are a compiled evaluator's output on the fields'
-    stacked components at `points`; `labels` name the fields."""
+def first_domain_error(labels, chart: Chart, points, errors) -> str:
+    """Where fields first fail to evaluate: the first failing point, the
+    component its error names and the failing subexpression.  `errors` is a
+    compiled evaluator's error dict on the fields' stacked components at
+    `points`; `labels` name the fields."""
     k = min(errors)
-    j = int(np.flatnonzero(~np.isfinite(values[:, k]))[0])
+    j = errors[k].index
     return (f"component {j % chart.dim} ('{chart.names[j % chart.dim]}') of "
             f"{labels[j // chart.dim]} fails at {points[k]}: {errors[k]}")
 
@@ -234,7 +233,7 @@ def frame_rank(fields, samples: int = 64, seed: int = 0) -> RankReport:
         raise GeometryError(
             "all sample points hit evaluation domain errors: "
             + first_domain_error([f"field {i}" for i in range(len(fields))],
-                                 chart, points, values, errors))
+                                 chart, points, errors))
     # one matrix per kept point, with the fields' values as its columns
     matrices = values[:, kept].T.reshape(len(kept), len(fields), chart.dim)
     svals = np.linalg.svd(matrices.transpose(0, 2, 1), compute_uv=False)

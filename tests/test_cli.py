@@ -381,6 +381,34 @@ def test_cli_a_component_undefined_everywhere_is_named(tmp_path, capsys,
         "nonpositive value in 'log(x - 3)'\n")
 
 
+@pytest.mark.parametrize("component", [
+    "log(2^64)*y^2", "exp(-10^20)*y", "cos(10^20)*y"])
+@pytest.mark.parametrize("command", ["check", "classify"])
+def test_cli_a_function_of_a_huge_integer_constant_evaluates(
+        tmp_path, capsys, command, component):
+    # constants beyond int64 are float64 values like any other constant
+    path = write_manifest(tmp_path, field={"components": ["y", component]})
+    assert main([command, path]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("components,failure", [
+    (["y", "x*10^400"], "overflow in '10^400'"),
+    (["y", "x^(10^400)"], f"overflow in 'x^{10 ** 400}'"),
+    (["y", "y^2*sin(x + 10^400)"], "overflow in '10^400'"),
+    # component 0 is inf, but only component 1 has no value
+    (["y*10^200*10^200", "log(x - 3)"],
+     "log of a nonpositive value in 'log(x - 3)'"),
+], ids=["factor", "exponent", "argument", "after-an-inf"])
+def test_cli_a_failure_names_the_component_that_fails(tmp_path, capsys,
+                                                       components, failure):
+    path = write_manifest(tmp_path, field={"components": components})
+    assert main(["check", path]) == EXIT_INPUT
+    assert capsys.readouterr().err == (
+        "input error: all sample points hit evaluation domain errors: "
+        f"component 1 ('y') of F fails at {FIRST_SAMPLE}: {failure}\n")
+
+
 def test_a_field_undefined_at_some_samples_warns_once():
     # log(x) fails on the left half of the box: the run goes on, with one
     # warning naming the component and the first failing sample point
@@ -429,6 +457,14 @@ def test_an_overflowing_flow_raises_no_runtime_warning():
         "the allowed slack)"]
 
 
+def test_cli_summary_of_a_passing_straighten(capsys):
+    assert main(["report", "--corpus", "quadratic-demo"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert re.search(r"^  straighten: max structural residual \S+ \(pass, "
+                     r"tolerance 1e-05\)$", out, re.M)
+    assert re.search(r"^  quadratic fit residual: \S+$", out, re.M)
+
+
 def test_cli_seed_override_changes_samples(tmp_path):
     out1 = tmp_path / "a.json"
     out2 = tmp_path / "b.json"
@@ -473,6 +509,8 @@ def no_work(monkeypatch):
 @pytest.mark.parametrize("flag,value", [
     ("--tol", "-1"), ("--tol", "nan"),
     ("--extent", "nan"), ("--extent", "inf"), ("--extent", "0"),
+    # the grid [-extent, extent] would be wider than a float can hold
+    ("--extent", "1.7e308"),
 ])
 def test_cli_bad_tolerance_or_extent_is_input_error(flag, value, capsys,
                                                     no_work):
@@ -610,6 +648,9 @@ def test_cli_too_many_coordinates_is_input_error(tmp_path, capsys):
                   "newton_tol")),
     ({"seed": 2**64}, f"option 'seed' must be at most {MAX_SEED}, "
                       f"got {2**64}"),
+    # past the float range, as JSON integers
+    ({"tolerance": 10**400}, "option 'tolerance' must be a positive number"),
+    ({"extent": 10**400}, "option 'extent' must be a positive number"),
 ])
 def test_cli_bad_option_is_input_error(tmp_path, capsys, options, message):
     path = write_manifest(tmp_path, options=options)

@@ -327,11 +327,18 @@ def test_compiled_domain_error_names_the_failing_component():
     fn = compile_exprs([x, log(y)], ["x", "y"])
     values, errors = fn(np.array([[1.0, 1.0], [2.0, -1.0]]))
     assert list(errors) == [1] and values[0, 0] == 1.0
-    assert errors[1].subtree == log(y)
+    assert errors[1].subtree == log(y) and errors[1].index == 1
     assert "in 'log(y)'" in str(errors[1])
     huge = normalize(y * 10 ** 400)
     _, errors = compile_exprs([x, huge], ["x", "y"])(np.array([[1.0], [1.0]]))
-    assert errors[0].subtree == Num(10 ** 400)
+    assert errors[0].subtree == Num(10 ** 400) and errors[0].index == 1
+    # the first expression `evaluate` fails on is named, not the first
+    # non-finite one
+    fn = compile_exprs([y * Num(10 ** 200) * Num(10 ** 200), log(x - 3)],
+                       ["x", "y"])
+    values, errors = fn(np.array([[0.5], [0.5]]))
+    assert np.isinf(values[0, 0]) and errors[0].index == 1
+    assert errors[0].subtree == log(x - 3)
 
 
 def test_compiled_fast_path_leaves_the_column_scan_its_cases():
@@ -388,18 +395,25 @@ def wrap_exprs():
     return (e, differentiate(e, "x"), differentiate(e, "y")), ("x", "y")
 
 
+def float64(q):
+    """A constant's float64, NaN past the float range."""
+    try:
+        return np.float64(q)
+    except OverflowError:
+        return np.float64(np.nan)
+
+
 def tree_fold(exprs, names, points):
     """`compile_exprs`'s (values, errors), built without the op program:
     each tree folded on its own, a node used twice computed twice, with
     the operator and numpy functions the program is to apply in the same
-    order, and the error dict formed from those values."""
+    order on float64 constants, and the error dict formed from those
+    values."""
     rows = dict(zip(names, points))
 
     def value(e):
         if isinstance(e, Num):
-            q = e.value
-            return q.numerator if q.denominator == 1 else \
-                operator.truediv(q.numerator, q.denominator)
+            return float64(e.value)
         if isinstance(e, Sym):
             return rows[e.name]
         if isinstance(e, (Add, Mul)):
@@ -408,19 +422,15 @@ def tree_fold(exprs, names, points):
         if isinstance(e, Div):
             return operator.truediv(value(e.num), value(e.den))
         if isinstance(e, Pow):
-            q = e.exponent
-            return operator.pow(value(e.base), q.numerator) \
-                if q.denominator == 1 else np.power(value(e.base), float(q))
+            fn = operator.pow if e.exponent.denominator == 1 else np.power
+            return fn(value(e.base), float64(e.exponent))
         return {"exp": np.exp, "log": np.log, "sin": np.sin,
                 "cos": np.cos}[e.name](value(e.arg))
 
     out = np.empty((len(exprs), points.shape[1]))
-    try:
-        with np.errstate(all="ignore"):
-            for row, e in enumerate(exprs):
-                out[row] = value(e)
-    except (ZeroDivisionError, ValueError, OverflowError):
-        out[:] = np.nan
+    with np.errstate(all="ignore"):
+        for row, e in enumerate(exprs):
+            out[row] = value(e)
     bad = (~np.isfinite(out).all(axis=0)).nonzero()[0]
     return out, {int(k): _domain_error(tuple(exprs), tuple(names),
                                        points[:, k], out[:, k]) for k in bad}
@@ -454,20 +464,28 @@ def test_op_program_gives_each_trees_fold_bits():
         [x * bad + y, y * bad], ["x", "y"], points)
     assert sorted(errors) == [0, 1, 2]
     assert "zero raised to a negative power" in str(errors[0])
+    # a constant past the float range fails only the output reading it
+    values, _ = compile_exprs([x, y * Num(10 ** 400)], ["x", "y"])(points)
+    errors = assert_matches_tree_fold(
+        [x, y * Num(10 ** 400)], ["x", "y"], points)
+    assert np.isfinite(values[0]).all() and np.isnan(values[1]).all()
+    assert sorted(errors) == [0, 1, 2]
+    assert {err.index for err in errors.values()} == {1}
+    assert errors[0].subtree == Num(10 ** 400)
+    assert errors[0].reason == "overflow"
 
 
 def fold_positions(e) -> int:
     """The operations computing node e from its operands' values."""
     if isinstance(e, (Add, Mul)):
         return len(_children(e)) - 1
-    if isinstance(e, Num):
-        return int(e.value.denominator != 1)   # p/q is one true division
-    return int(not isinstance(e, Sym))
+    return int(not isinstance(e, (Num, Sym)))
 
 
 def test_the_op_program_computes_each_node_once():
     shared = 0
-    for exprs, names in [wrap_exprs()] + corpus_evaluators():
+    fractions = ((normalize(parse("x/3 + y^(1/2)*x^2 + 2/7")),), ("x", "y"))
+    for exprs, names in [wrap_exprs(), fractions] + corpus_evaluators():
         registers, steps, outputs = _lower(tuple(exprs), tuple(names))
         nodes, stack, tree_steps = set(), list(exprs), 0
         while stack:

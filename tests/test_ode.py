@@ -179,3 +179,26 @@ def test_a_member_without_end_fails_alone_at_the_attempt_budget():
         assert alone.success
         assert np.array_equal(sol.y[k], alone.y[0])
         assert sol.t[k] == alone.t[0] == ends[k]
+
+
+def test_a_member_failing_at_the_initial_step_probe_fails_alone():
+    # rows (x, v, id): member id 1 fails once t has left t0, so at the
+    # probe y0 + h0*f of the initial step selection
+    def rhs(t, y):
+        f = np.stack([y[:, 1], -y[:, 0], np.zeros(len(y))], axis=1)
+        return f, {int(k): EvalDomainError(parse("log(t)"),
+                                           f"member {y[k, 2]:g} failed")
+                   for k in np.flatnonzero((y[:, 2] == 1) & (t != 0.0))}
+
+    y0 = np.array([[1.0, 0.0, 0.0], [0.5, 0.5, 1.0], [-0.2, 0.7, 2.0]])
+    ends = np.array([3.0, 2.0, -1.5])
+    sol = ode.solve_ivp(rhs, (0.0, ends), y0, rtol=RTOL, atol=ATOL)
+    assert list(sol.failures) == [1]
+    assert str(sol.failures[1]) == "member 1 failed in 'log(t)'"
+    assert sol.t[1] == 0.0 and np.array_equal(sol.y[1], y0[1])
+    for k in (0, 2):
+        alone = ode.solve_ivp(rhs, (0.0, ends[k]), y0[k:k + 1], rtol=RTOL,
+                              atol=ATOL)
+        assert alone.success
+        assert sol.y[k].tobytes() == alone.y[0].tobytes()
+        assert sol.t[k] == alone.t[0] == ends[k]

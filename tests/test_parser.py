@@ -81,6 +81,25 @@ def test_error_carries_location():
     assert err.value.column == 1
 
 
+@pytest.mark.parametrize("text,message,location", [
+    ("x + 1.", "malformed number", (1, 5)),
+    ("x $ y", "unexpected character '$'", (1, 3)),
+    ("sin(x", "expected ')'", (1, 6)),
+    ("x +", "unexpected end of input", (1, 4)),
+])
+def test_syntax_errors_carry_message_and_location(text, message, location):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == \
+        f"{message} (line {location[0]}, column {location[1]})"
+    assert (err.value.line, err.value.column) == location
+
+
+def test_unary_plus_is_the_identity():
+    assert parse("+x") == parse("x")
+    assert parse("y - +x") == parse("y - x")
+
+
 @pytest.mark.parametrize("text", [
     "(" * 3000 + "x" + ")" * 3000,
     "-" * 3000 + "x",

@@ -15,12 +15,13 @@ import pytest
 from sodekit import analysis, ode, straighten
 from sodekit.analysis import SecondOrderProblem, classify
 from sodekit.corpus import corpus_get
-from sodekit.expressions import compile_exprs
+from sodekit.expressions import _lower, compile_exprs
 from sodekit.geometry import Chart, Frame, VectorField
 from sodekit.parser import parse
 from sodekit.runner import COMMANDS, STAGES, run_command
 from sodekit.straighten import CoordinateTransform, build_normal_coordinates
 from tests.conftest import INSTANCES
+from tests.test_expressions import corpus_evaluators
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sodekit"
 REPO = PACKAGE.parent.parent
@@ -206,6 +207,17 @@ def test_one_compiled_evaluator_on_stacked_points():
     assert not hasattr(analysis, "eval_exact")
     with pytest.raises(ValueError):
         ode.solve_ivp(lambda t, y: (y, {}), (0.0, 1.0), np.array([1.0]))
+
+
+def test_the_op_program_has_one_register_kind_and_never_raises():
+    # every register is a float64 row or scalar, so a failure is a
+    # non-finite value, never an exception
+    tree = ast.parse(inspect.getsource(compile_exprs))
+    tries = (ast.Try, getattr(ast, "TryStar", ast.Try))
+    assert not [node for node in ast.walk(tree) if isinstance(node, tries)]
+    for exprs, names in corpus_evaluators():
+        registers, _, _ = _lower(tuple(exprs), tuple(names))
+        assert {type(v) for v in registers} <= {np.float64, type(None)}
 
 
 def test_the_readme_library_snippet_runs_as_written(capsys):
