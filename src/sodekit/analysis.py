@@ -79,6 +79,8 @@ class OptionsError(ValueError):
 
 
 MAX_COUNT = 10_000  # bounds `samples`, so that validated input bounds the work
+# bounds the residual grid's half-width, so that [-extent, extent] is finite
+MAX_EXTENT = sys.float_info.max / 4
 
 # the Newton search for a point where F is vertical: starts, the tolerance on
 # max |b^i| and the iterations per start
@@ -119,8 +121,8 @@ class Options:
                 low = 0 if key == "seed" else 1
                 want = f"an integer >= {low}"
                 ok = isinstance(value, numbers.Integral) and value >= low
-            else:  # a residual grid on [-extent, extent] must stay finite
-                top = sys.float_info.max / (4 if key == "extent" else 1)
+            else:
+                top = MAX_EXTENT if key == "extent" else sys.float_info.max
                 want = f"a positive number at most {top!r}"
                 ok = isinstance(value, numbers.Real) and 0 < value <= top
             if not ok or isinstance(value, bool):

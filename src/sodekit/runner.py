@@ -30,8 +30,8 @@ from .geometry import Frame, FrameRankError
 from .manifest import Manifest, ManifestError, load_manifest_file
 from .corpus import corpus_get
 from .straighten import (
-    NumericFailure, build_normal_coordinates, default_grid_points,
-    extract_quadratic_coefficients, pushforward_residuals, quadratic_nodes,
+    NumericFailure, build_normal_coordinates, extract_quadratic_coefficients,
+    grid_size, pushforward_residuals,
 )
 
 EXIT_OK = 0
@@ -41,7 +41,6 @@ EXIT_NUMERIC = 3
 EXIT_INTERNAL = 4
 
 QUADRATIC_EXTRACTION_MAX_DIM = 4
-MAX_GRID_NODES = 100_000
 
 
 def resolve_manifest(path: Optional[str], corpus_name: Optional[str]) -> Manifest:
@@ -112,13 +111,10 @@ def _residuals(run: _Run):
     if run.transform is None:
         return
     opts = run.problem.options
-    fit_nodes = None
-    if "extraction" in COMMANDS[run.command].stages and _extractable(run):
-        fit_nodes = quadratic_nodes(run.transform)
+    fit = "extraction" in COMMANDS[run.command].stages and _extractable(run)
     try:
         residuals = pushforward_residuals(run.transform, grid_points=opts.grid,
-                                          extent=opts.extent,
-                                          fit_nodes=fit_nodes)
+                                          extent=opts.extent, fit=fit)
     except NumericFailure as err:
         run.chart_failed(err)
         return
@@ -179,21 +175,18 @@ COMMANDS = {
 def _options(manifest: Manifest, overrides: Optional[dict],
              stages: tuple) -> Options:
     """The manifest's options under the overrides.  ManifestError on a bad
-    value and, for a command that certifies the chart, on a residual grid of
-    more than MAX_GRID_NODES nodes or a chart too large for a default grid."""
+    value and, for a command that certifies the chart, on a residual grid
+    that `grid_size` refuses."""
     try:
         opts = Options.from_mapping({**manifest.options, **(overrides or {})})
     except OptionsError as err:
         raise ManifestError(str(err)) from None
     if "residuals" in stages:
         try:
-            grid = opts.grid or default_grid_points(manifest.dim)
+            grid_size(manifest.dim, opts.grid)
         except AnalysisError as err:
-            raise ManifestError(f"{err}; give a grid (--grid)") from None
-        if grid ** manifest.dim > MAX_GRID_NODES:
-            raise ManifestError(
-                f"option 'grid' must be an integer >= 1 with "
-                f"grid^{manifest.dim} <= {MAX_GRID_NODES}, got {grid!r}")
+            hint = "; give a grid (--grid)" if opts.grid is None else ""
+            raise ManifestError(f"{err}{hint}") from None
     return opts
 
 

@@ -39,6 +39,7 @@ solve_ivp calls: the grid walk, the F-flow and two Newton walks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
@@ -52,7 +53,7 @@ from .geometry import Chart, VectorField, lstsq_each
 from . import memo
 from .ode import StepFailure, solve_ivp
 from .analysis import (
-    AnalysisError, AnalysisReport, CASE1, CASE2, ExtendedFrame,
+    AnalysisError, AnalysisReport, CASE1, CASE2, ExtendedFrame, MAX_EXTENT,
 )
 
 
@@ -85,6 +86,7 @@ COND_LIMIT = 1e8
 CROSSCHECK_CAP = 12       # about this many grid nodes are cross-checked
 PATH_CHECK_TOL = 1e-7     # basis transport: gap between the two flow orders
 QUADRATIC_GRID = 5        # fibre nodes per axis of the quadratic fit
+MAX_GRID_NODES = 100_000  # residual grid nodes at most, to bound the work
 FLOW_ROWS = 1024          # members per flow call of a walk, to bound ODE state
 # A stage field flows in closed form when X^k z_a normalizes to zero for every
 # coordinate with k <= LIE_DEPTH.  The attempt stops at a level whose normal
@@ -172,7 +174,7 @@ def _series_flow(series: tuple, z, jac, s, what: str) -> tuple:
 # --------------------------------------------------------------------------
 
 def integrate_flows(fld: VectorField, z, s, with_jacobian: bool = False,
-                    chart: Optional[Chart] = None) -> tuple:
+                    *, chart: Chart) -> tuple:
     """Endpoint of the flow of `fld` from each row of z over its own time
     s[k]; `with_jacobian` adds the Jacobian of each flow map.  A field whose
     Lie series ends (`_lie_series`) flows in closed form, with the exact
@@ -184,8 +186,8 @@ def integrate_flows(fld: VectorField, z, s, with_jacobian: bool = False,
 
     Returns (ends (K, m), Jacobians (K, m, m) or None, failures), failures
     mapping each failed member to its NumericFailure; a failed member's rows
-    are NaN and do not spoil the others.  `chart` also fails a member whose
-    end leaves the box by more than BOX_SLACK of its width.  Only `chart`'s
+    are NaN and do not spoil the others.  A member whose end leaves `chart`'s
+    box by more than BOX_SLACK of its width fails too.  Only `chart`'s
     own coordinates are guarded, so a field on a chart extended by the
     transport matrix's entries is guarded by the chart it extends."""
     z = np.array(z, dtype=float)
@@ -240,17 +242,16 @@ def integrate_flows(fld: VectorField, z, s, with_jacobian: bool = False,
         z[rows] = sol.y[:, :m]
         if with_jacobian:
             jac[rows] = sol.y[:, m:].reshape(count, m, m)
-    if chart is not None:
-        lo, hi = np.array(chart.box).T
-        pad = BOX_SLACK * (hi - lo)
-        ends = z[rows, :len(lo)]
-        # a NaN end compares false, so it fails too
-        inside = ((lo - pad <= ends) & (ends <= hi + pad)).all(axis=1)
-        for k in moving[~inside]:
-            if k not in failures:
-                failures[int(k)] = NumericFailure(
-                    "flow left the sampling box (beyond the allowed slack)",
-                    last_point=tuple(z[k]))
+    lo, hi = np.array(chart.box).T
+    pad = BOX_SLACK * (hi - lo)
+    ends = z[rows, :len(lo)]
+    # a NaN end compares false, so it fails too
+    inside = ((lo - pad <= ends) & (ends <= hi + pad)).all(axis=1)
+    for k in moving[~inside]:
+        if k not in failures:
+            failures[int(k)] = NumericFailure(
+                "flow left the sampling box (beyond the allowed slack)",
+                last_point=tuple(z[k]))
     for k in failures:
         z[k] = np.nan
         if jac is not None:
@@ -540,12 +541,11 @@ class CoordinateTransform:
         J[lost] = np.nan
         return z[:, :self.m], J[:, :self.m], {int(i): failed[i] for i in lost}
 
-    def invert(self, z_targets, guesses, mapped=None) -> tuple:
+    def invert(self, z_targets, guesses, walked) -> tuple:
         """Newton inversion of the map for each row of z_targets, all members
         stepping together and converged members dropping out:
         (params, z, J, failures) with z, J the map at the returned params.
-        `mapped` is `map_batch(guesses)`'s triple when the caller has it
-        already; the first iterate is then not walked again."""
+        `walked` is `map_batch(guesses)`'s triple, the first iterate."""
         targets = np.asarray(z_targets, dtype=float)
         params = np.array(guesses, dtype=float)
         z = np.full_like(params, np.nan)
@@ -555,9 +555,9 @@ class CoordinateTransform:
         for _ in range(NEWTON_MAX_ITER):
             if not live.size:
                 break
-            zl, Jl, errs = (self.map_batch(params[live]) if mapped is None
-                            else mapped)
-            mapped = None
+            zl, Jl, errs = (self.map_batch(params[live]) if walked is None
+                            else walked)
+            walked = None
             live, zl, Jl = _keep_live(errs, live, failures, zl, Jl)
             r = zl - targets[live]
             done = np.max(np.abs(r), axis=1) < NEWTON_TOL
@@ -592,18 +592,14 @@ class CoordinateTransform:
         out[:, tc + n:] = v[:, tc: tc + n]
         return out
 
-    def final_coords(self, params, mapped=None) -> tuple:
+    def final_coords(self, params, walked) -> tuple:
         """Final coordinates (t, x, ytilde) of each row of params, ytilde the
         x-components of the pushed-forward field: (final (K, m), z (K, m),
         v (K, m), failures), with z the row's point and v the
         components of F in the raw parameter chart; the rows of a failed
-        member are NaN.  `mapped` is `map_batch(params)`'s triple when the
-        caller has it already; the rows are then not walked again."""
+        member are NaN.  `walked` is `map_batch(params)`'s triple."""
         params = np.asarray(params, dtype=float)
-        if mapped is None:
-            z, J, failures = self.map_batch(params)
-        else:
-            z, J, failures = np.array(mapped[0]), mapped[1], dict(mapped[2])
+        z, J, failures = np.array(walked[0]), walked[1], dict(walked[2])
         live = _live_rows(len(params), failures)
         pushed, errs = self._pushforward_batch(z[live], J[live])
         v = np.full_like(z, np.nan)
@@ -616,27 +612,27 @@ class CoordinateTransform:
             rows[dead] = np.nan
         return final, z, v, failures
 
-    def fibre_jacobian_min_sv(self, params, mapped=None) -> float:
-        """Smallest singular value of d(ytilde)/d(y_raw): the fibre
-        redefinition must be invertible (with an adapted commuting basis it
-        is the identity in exact arithmetic), checked numerically by the
-        central quotient of the last 2n `fd_rows` at params, the shifts of
-        the fibre coordinates, mapped together; `mapped` is as in
-        `final_coords`, of those rows."""
+    def fibre_jacobian_min_sv(self, walked) -> float:
+        """Smallest singular value of d(ytilde)/d(y_raw) at the base point:
+        the fibre redefinition must be invertible (with an adapted commuting
+        basis it is the identity in exact arithmetic), checked numerically by
+        the central quotient of the last 2n `fd_rows` of the base point, the
+        shifts of the fibre coordinates; `walked` is `map_batch`'s triple of
+        those rows."""
         tc, n = self.t_count, self.n
-        rows = fd_rows(np.asarray(params, dtype=float)[None])[2 * (tc + n):]
-        final, _, _, failures = self.final_coords(rows, mapped)
+        rows = fd_rows(np.zeros((1, self.m)))[2 * (tc + n):]
+        final, _, _, failures = self.final_coords(rows, walked)
         if failures:
             raise failures[min(failures)]
         G = _central(final[:, tc + n:], (n,))
         return float(np.linalg.svd(G, compute_uv=False)[-1])
 
-    def field_in_final_chart(self, nodes, mapped=None, fit: int = 0) -> tuple:
+    def field_in_final_chart(self, nodes, walked, fit: int) -> tuple:
         """All components of F in the final chart at each row of nodes, by a
         five-point stencil of the final coordinates with step STENCIL_STEP.
         Returns (values (K, m), final (K, m), failures): the components, the
         node's final coordinates and a failed node's failure, its rows NaN.
-        `mapped` is as in `final_coords`.
+        `walked` is `map_batch(nodes)`'s triple.
 
         The stencil of the first K - fit nodes (the cross-check's) runs along
         the F-flow through the node's point, each point inverted by Newton's
@@ -648,7 +644,7 @@ class CoordinateTransform:
         first Newton iterate of the cross-check."""
         nodes = np.asarray(nodes, dtype=float)
         K, m = nodes.shape
-        final, z, v, failures = self.final_coords(nodes, mapped)
+        final, z, v, failures = self.final_coords(nodes, walked)
         live = _live_rows(K, failures)
         # the four stencil points of each live node, consecutive
         owner = np.repeat(live, 4)
@@ -685,20 +681,18 @@ class CoordinateTransform:
         final[list(failures)] = np.nan
         return values, final, failures
 
-    def jacobian_fd(self, nodes, mapped=None) -> tuple:
-        """Central differences of the flow map at each row of nodes (no
+    def jacobian_fd(self, walked) -> tuple:
+        """Central differences of the flow map at each of K nodes (no
         variational equations): (J (K, m, m), failures), a node failing with
-        the failure of its lowest failing shifted row, its rows NaN.  The 2mK
-        `fd_rows` are walked together; `mapped` is as in `final_coords`, of
-        those rows.  `_central` reads only the mapped points."""
-        nodes = np.asarray(nodes, dtype=float)
-        K, m = nodes.shape
-        ends, _, errs = (self.map_batch(fd_rows(nodes)) if mapped is None
-                         else mapped)
+        the failure of its lowest failing shifted row, its rows NaN.
+        `walked` is `map_batch`'s triple of the nodes' 2mK `fd_rows`;
+        `_central` reads only its points."""
+        ends, _, errs = walked
+        m = self.m
         failures: dict = {}
         for i, err in errs.items():
             failures.setdefault(i // (2 * m), err)
-        J = _central(ends, (K, m))
+        J = _central(ends, (-1, m))
         J[list(failures)] = np.nan
         return J, failures
 
@@ -826,7 +820,7 @@ class ResidualReport:
     flagged_nodes: int
     fibre_min_sv: float
     # field_in_final_chart's (values, final, failures) of the fit nodes, when
-    # the caller sent some; not part of the report
+    # the caller asked for the fit; not part of the report
     fit_stencil: Optional[tuple] = field(default=None, repr=False,
                                          compare=False)
 
@@ -837,12 +831,21 @@ class ResidualReport:
         return out
 
 
-def default_grid_points(m: int) -> int:
-    if m <= 4:
-        return 10
-    if m <= 6:
-        return 5
-    raise AnalysisError("desk-scale cap: charts up to dimension 6")
+def grid_size(m: int, grid_points: Optional[int]) -> int:
+    """Nodes per axis of the residual grid on an m-dimensional chart:
+    `grid_points`, or the default for m when it is None.  AnalysisError
+    above dimension 6 without a grid, and on a grid of fewer than one node
+    per axis or more than MAX_GRID_NODES nodes."""
+    if grid_points is None:
+        if m > 6:
+            raise AnalysisError("desk-scale cap: charts up to dimension 6")
+        return 10 if m <= 4 else 5
+    if not isinstance(grid_points, numbers.Integral) or grid_points < 1 \
+            or int(grid_points) ** m > MAX_GRID_NODES:
+        raise AnalysisError(
+            f"option 'grid' must be an integer >= 1 with "
+            f"grid^{m} <= {MAX_GRID_NODES}, got {grid_points!r}")
+    return grid_points
 
 
 def default_extent(chart: Chart) -> float:
@@ -858,17 +861,20 @@ def _mesh(axes) -> np.ndarray:
 def pushforward_residuals(transform: CoordinateTransform,
                           grid_points: Optional[int] = None,
                           extent: Optional[float] = None,
-                          fit_nodes=None) -> ResidualReport:
+                          fit: bool = False) -> ResidualReport:
     """Structural residuals of the pushed-forward field on a parameter grid.
 
     t-components are compared against their target (zero, or one for the
     flow-time coordinate); x-components equal the redefined fibre coordinates
     by construction, so the independent five-point stencil along the F-flow
     is used as the sanity cross-check on a capped subsample of nodes, along
-    with a finite-difference check of the variational Jacobian.
+    with a finite-difference check of the variational Jacobian.  The grid
+    has `grid_size(m, grid_points)` nodes per axis on [-extent, extent];
+    AnalysisError before any node is mapped when that refuses the grid, or
+    the extent is not positive and at most MAX_EXTENT.
 
-    One `map_batch` maps the grid nodes, then the `fit_nodes`
-    (`quadratic_nodes`) when given, then the fibre check's rows (the last
+    One `map_batch` maps the grid nodes, then with `fit` the fit's
+    `quadratic_nodes`, then the fibre check's rows (the last
     2n `fd_rows` of the base point), then the `fd_rows` of every stride-th
     node, the cross-check's candidates; rows that share a prefix share its
     flows.  The stencils start from the walk's rows of their nodes: the
@@ -876,26 +882,26 @@ def pushforward_residuals(transform: CoordinateTransform,
     both in one `field_in_final_chart` call.  The fit's stencil is returned as
     `fit_stencil` and enters no residual.  Only the shifted rows of the
     candidates that pass the cross-check enter the Jacobian gap."""
-    m = transform.m
-    n = transform.n
-    tc = transform.t_count
-    g = grid_points if grid_points is not None else default_grid_points(m)
+    m, n, tc = transform.m, transform.n, transform.t_count
+    g = grid_size(m, grid_points)
     ext = extent if extent is not None else default_extent(transform.chart)
+    if not 0 < ext <= MAX_EXTENT:
+        raise AnalysisError(f"extent must be a positive number at most "
+                            f"{MAX_EXTENT!r}, got {ext!r}")
     axis = np.linspace(-ext, ext, g)
     nodes = _mesh([axis] * m)
     expected_t = np.array([
         1.0 if name == "t1" and transform.case == CASE2 else 0.0
         for name in transform.param_names[:tc]
     ])
-    fit = np.zeros((0, m)) if fit_nodes is None else \
-        np.asarray(fit_nodes, dtype=float)
+    fit_nodes = quadratic_nodes(transform) if fit else np.zeros((0, m))
     count = len(nodes)
     stride = max(1, count // CROSSCHECK_CAP)
     candidates = np.arange(0, count, stride)
     # the grid, fit, fibre and shifted rows in one walk, then the linear
     # algebra of all nodes at once; a node that fails or is ill-conditioned
     # is flagged
-    parts = [nodes, fit, fd_rows(np.zeros((1, m)))[2 * (tc + n):],
+    parts = [nodes, fit_nodes, fd_rows(np.zeros((1, m)))[2 * (tc + n):],
              fd_rows(nodes[candidates])]
     offset = np.cumsum([0] + [len(rows) for rows in parts])
     walked = transform.map_batch(np.concatenate(parts))
@@ -919,10 +925,10 @@ def pushforward_residuals(transform: CoordinateTransform,
     picked = candidates[ok[candidates]]
     c = len(picked)
     values, final, failures = transform.field_in_final_chart(
-        np.concatenate([nodes[picked], fit]),
+        np.concatenate([nodes[picked], fit_nodes]),
         _take(walked, np.concatenate([picked,
-                                      offset[1] + np.arange(len(fit))])),
-        fit=len(fit))
+                                      offset[1] + np.arange(len(fit_nodes))])),
+        len(fit_nodes))
     fit_failures = {k - c: err for k, err in failures.items() if k >= c}
     passed = _live_rows(c, [k for k in failures if k < c])
     # maxima by np.fmax, which like the builtin max skips a NaN candidate
@@ -936,8 +942,7 @@ def pushforward_residuals(transform: CoordinateTransform,
     fd_nodes = picked[passed]
     shifted = (offset[3] + 2 * m * (fd_nodes // stride)[:, None]
                + np.arange(2 * m)).ravel()
-    Jf, fd_failures = transform.jacobian_fd(nodes[fd_nodes],
-                                            _take(walked, shifted))
+    Jf, fd_failures = transform.jacobian_fd(_take(walked, shifted))
     kept = _live_rows(len(fd_nodes), fd_failures)
     Jv = J[fd_nodes[kept]]
     scale = np.fmax(1.0, np.max(np.abs(Jv), axis=(1, 2)))
@@ -947,7 +952,7 @@ def pushforward_residuals(transform: CoordinateTransform,
     if not checked:
         raise NumericFailure("no grid node passed the cross-check")
     fibre_sv = transform.fibre_jacobian_min_sv(
-        np.zeros(m), _take(walked, np.arange(offset[2], offset[3])))
+        _take(walked, np.arange(offset[2], offset[3])))
     # for m = 2n there is no t-block; the stencil cross-check is then the
     # substantive structural residual
     structural = max(float(np.max(t_arr)), max_cross)
@@ -963,8 +968,7 @@ def pushforward_residuals(transform: CoordinateTransform,
         max_jacobian_gap=max_jgap,
         flagged_nodes=count - len(t_arr),
         fibre_min_sv=fibre_sv,
-        fit_stencil=None if fit_nodes is None else (
-            values[c:], final[c:], fit_failures),
+        fit_stencil=(values[c:], final[c:], fit_failures) if fit else None,
     )
 
 
@@ -988,14 +992,13 @@ def extract_quadratic_coefficients(transform: CoordinateTransform,
     the straight-line stencil of `field_in_final_chart`, which maps the
     nodes and then their line rows, with no F-flow and no Newton step.
     `stencil` is that triple when the caller has it already
-    (`pushforward_residuals`'s `fit_stencil`); the extraction then only
-    fits.  The fits of all base nodes are one stacked least-squares call
-    (`lstsq_each`)."""
+    (`pushforward_residuals(fit=True)`'s `fit_stencil`); the extraction
+    then only fits.  The fits of all base nodes are one stacked
+    least-squares call (`lstsq_each`)."""
     n, tc = transform.n, transform.t_count
     nodes = quadratic_nodes(transform)
-    values, final, failures = (
-        transform.field_in_final_chart(nodes, fit=len(nodes))
-        if stencil is None else stencil)
+    values, final, failures = stencil or transform.field_in_final_chart(
+        nodes, transform.map_batch(nodes), len(nodes))
     if failures:
         raise failures[min(failures)]
     per_base = QUADRATIC_GRID ** n

@@ -130,7 +130,7 @@ def test_criterion_3_basis_adaptation_oracle():
     carried, = transported_fibre_fields(ef, bc.w)
     ends, _, errs = integrate_flows(
         carried, [(0.3, 0.0, 1.0), (-0.8, 0.0, 1.0), (1.0, 0.0, 1.0)],
-        [0.6, -0.9, 1.1])
+        [0.6, -0.9, 1.1], chart=ef.chart)
     if errs:
         failures.append(f"numeric transport fails for {len(errs)} flows")
     for end in ends:
@@ -164,10 +164,12 @@ def test_criterion_4_round_trip_autonomous():
     worst = 0.0
     axis = np.linspace(-0.5, 0.5, 10)
     nodes = np.array([[xv, yv] for xv in axis for yv in axis])
-    points, _, map_failures = transform.map_batch(nodes)
+    walked = transform.map_batch(nodes)
+    points, _, map_failures = walked
     if map_failures:
         failures.append(f"map_batch failed at {sorted(map_failures)}")
-    values, _, stencil_failures = transform.field_in_final_chart(nodes)
+    values, _, stencil_failures = transform.field_in_final_chart(
+        nodes, walked, fit=0)
     if stencil_failures:
         failures.append("stencil failed at a checked node")
     for z, fin in zip(points, values):
@@ -199,7 +201,8 @@ def test_criterion_5_round_trip_time_dependent():
         )
     # spot-check the full component pattern (1, y, force) independently
     nodes = [[0.2, 0.1, -0.1], [-0.25, 0.3, 0.2]]
-    values, finals, stencil_failures = transform.field_in_final_chart(nodes)
+    values, finals, stencil_failures = transform.field_in_final_chart(
+        nodes, transform.map_batch(nodes), fit=0)
     if stencil_failures:
         failures.append("stencil failed at a checked node")
     for node, fin, final in zip(nodes, values, finals):

@@ -186,7 +186,7 @@ def test_adaptation_numeric_fallback_for_a_reparametrized_fibre(plane):
     assert rep.adaptation.matrix is None
     u_flow = build_normal_coordinates(rep).stages[-1].fld
     ends, _, failures = integrate_flows(
-        u_flow, [(0.0, 0.0, 1.0), (0.3, 0.0, 1.0)], [0.5, -0.7])
+        u_flow, [(0.0, 0.0, 1.0), (0.3, 0.0, 1.0)], [0.5, -0.7], chart=chart)
     assert not failures
     for _, u_end, a in ends:
         assert abs(a - 2.0 / (2.0 + u_end)) < 1e-8

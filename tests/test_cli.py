@@ -552,6 +552,22 @@ def test_cli_error_summary_names_the_manifest(tmp_path, capsys):
     assert "sodekit classify: inline" in capsys.readouterr().out
 
 
+def test_cli_summary_names_the_reason_and_the_failed_suite(tmp_path,
+                                                            capsys):
+    # V1 = dx1 + dy1 + y2 dy2 and V2 = dy2 do not commute: [V1, V2] = -V2
+    path = write_manifest(
+        tmp_path,
+        chart={"coordinates": ["x1", "x2", "y1", "y2"],
+               "box": [[-1, 1]] * 4},
+        field={"components": ["y1", "y2", "-x1", "-x2"]},
+        frame=[{"components": ["1", "0", "1", "y2"]},
+               {"components": ["0", "0", "0", "1"]}])
+    assert main(["classify", path]) == EXIT_MATH_FAIL
+    out = capsys.readouterr().out
+    assert "\n  reason: the given V-basis does not commute" in out
+    assert "    FAILED v_basis_commutes: residual 1.0\n" in out
+
+
 def test_check_stops_after_a_noninvolutive_frame():
     # [dy1, dy2 + y1 dx1] = dx1 leaves the span of V
     manifest = load_manifest(inline_manifest(
@@ -592,10 +608,19 @@ def write_manifest(tmp_path, **kw):
      "box interval for 'x' is wider than a float can hold"),
     ({"field": {"components": ["y", "1" * 4400 + "*y"]}},
      r"components\[1\]: unreadable number.*\(line 1, column 1\)"),
+    ({"field": {"components": ["y", 2]}},
+     r"field\.components\[1\]: expression must be a string"),
+    ({"options": []}, "options must be an object"),
+    ([], "manifest must be a JSON object"),     # the whole file
 ])
 def test_cli_wrong_manifest_shape_is_input_error(tmp_path, capsys, shape,
                                                  message):
-    assert main(["check", write_manifest(tmp_path, **shape)]) == EXIT_INPUT
+    if isinstance(shape, dict):
+        path = write_manifest(tmp_path, **shape)
+    else:
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps(shape))
+    assert main(["check", str(path)]) == EXIT_INPUT
     assert re.search(message, capsys.readouterr().err)
 
 

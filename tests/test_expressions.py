@@ -306,6 +306,22 @@ def test_evaluate_domain_errors():
         evaluate(parse("x + y"), {"x": 1})
 
 
+@pytest.mark.parametrize("text, message", [
+    ("exp(1000*x)", "overflow in 'exp(1000*x)'"),
+    # the sum overflows to inf without raising; sin of it does not
+    ("sin(x*10^308 + x*10^308)",
+     "math domain error in 'sin(x*10^308 + x*10^308)'"),
+])
+def test_a_failing_function_is_named_by_both_evaluators(text, message):
+    e = parse(text)
+    with pytest.raises(EvalDomainError) as err:
+        evaluate(e, {"x": 1.0})
+    assert str(err.value) == message
+    # compiled, at x = 1 and x = 0.5: only the first column fails
+    _, errors = compile_exprs([e], ["x"])(np.array([[1.0, 0.5]]))
+    assert list(errors) == [0] and str(errors[0]) == message
+
+
 def test_evaluate_deterministic_bitwise():
     e = normalize(parse("(x + y)^3/(1 + x^2) - sin(x*y)"))
     a = {"x": 0.123456, "y": -0.654321}

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,8 +13,8 @@ import pytest
 from sodekit.expressions import Num, Sym, ZERO, normalize, syms
 from sodekit.geometry import Chart, Frame, VectorField, coordinate_field
 from sodekit.analysis import (
-    CASE1, CASE2, SecondOrderProblem, bracket_coefficients,
-    build_extended_frame, classify,
+    CASE1, CASE2, MAX_EXTENT, AnalysisError, SecondOrderProblem,
+    bracket_coefficients, build_extended_frame, classify,
 )
 from sodekit.parser import parse
 from sodekit import straighten
@@ -38,9 +39,11 @@ def classify_corpus(name):
 # -- flows ---------------------------------------------------------------------
 
 def flow(fld, z, s, chart=None, with_jacobian=False):
-    """The flow of fld from one point as a batch of one member: its end (and
-    Jacobian, `with_jacobian`), its failure raised."""
-    ends, jac, failures = integrate_flows(fld, [z], [s], with_jacobian, chart)
+    """The flow of fld from one point as a batch of one member, guarded by
+    `chart` (by default the field's own): its end (and Jacobian,
+    `with_jacobian`), its failure raised."""
+    ends, jac, failures = integrate_flows(fld, [z], [s], with_jacobian,
+                                          chart=chart or fld.chart)
     if failures:
         raise failures[0]
     return (ends[0], jac[0]) if with_jacobian else ends[0]
@@ -116,12 +119,12 @@ def count_solves(monkeypatch):
     return calls
 
 
-def integrated(monkeypatch, fld, z, s, with_jacobian=False, chart=None):
+def integrated(monkeypatch, fld, z, s, with_jacobian, chart):
     """integrate_flows with the closed form switched off: DOP853 for every
     field."""
     with monkeypatch.context() as patch:
         patch.setattr(straighten, "_lie_series", lambda _fld: None)
-        return integrate_flows(fld, z, s, with_jacobian, chart)
+        return integrate_flows(fld, z, s, with_jacobian, chart=chart)
 
 
 @pytest.mark.parametrize("name", ["oscillator-scrambled", "timedep-scrambled"])
@@ -136,7 +139,7 @@ def test_polynomial_stages_flow_in_closed_form_as_dop853_does(monkeypatch,
     z = tr.z0 + rng.uniform(-0.2, 0.2, (6, tr.m))
     s = rng.uniform(-0.35, 0.35, 6)
     solves = count_solves(monkeypatch)
-    ends, J, failures = integrate_flows(fld, z, s, True, tr.chart)
+    ends, J, failures = integrate_flows(fld, z, s, True, chart=tr.chart)
     assert solves == [] and failures == {}
     want_ends, want_J, _ = integrated(monkeypatch, fld, z, s, True, tr.chart)
     assert solves == [1]
@@ -154,7 +157,7 @@ def test_a_field_whose_series_does_not_end_is_integrated(monkeypatch):
     solves = count_solves(monkeypatch)
     z = np.repeat(tr.z0[None], 3, axis=0)
     ends, J, failures = integrate_flows(tr.F, z, [0.1, -0.2, 0.3], True,
-                                        tr.chart)
+                                        chart=tr.chart)
     assert solves == [1] and failures == {}
     # the time coordinate of F = (1, ...) moves by s exactly, up to rounding
     assert np.allclose(ends[:, 0], tr.z0[0] + np.array([0.1, -0.2, 0.3]),
@@ -169,7 +172,7 @@ def test_a_constant_stage_is_a_translation_to_the_last_bit(monkeypatch):
     z = np.array([[0.1, 0.2], [-0.5, 0.25], [1.0, -1.0]])
     s = np.array([0.7, 0.0, -0.35])
     solves = count_solves(monkeypatch)
-    ends, J, failures = integrate_flows(fld, z, s, True, ch)
+    ends, J, failures = integrate_flows(fld, z, s, True, chart=ch)
     assert solves == [] and failures == {}
     want = z + s[:, None] * c
     want[1] = z[1]                  # a member that does not move
@@ -178,7 +181,7 @@ def test_a_constant_stage_is_a_translation_to_the_last_bit(monkeypatch):
     # the zero field (X z = 0, no terms) moves nothing
     still = VectorField(ch, [ZERO, ZERO])
     assert straighten._lie_series(still)[0] == 0
-    ends, J, _ = integrate_flows(still, z, s, True, ch)
+    ends, J, _ = integrate_flows(still, z, s, True, chart=ch)
     assert ends.tobytes() == z.tobytes()
     assert J.tobytes() == np.tile(np.eye(2), (3, 1, 1)).tobytes()
 
@@ -192,7 +195,8 @@ def test_a_pole_of_a_closed_form_field_fails_its_member_alone(monkeypatch):
     z = np.array([[0.5, 0.1], [0.0, 0.2], [-0.4, 0.3]])
     s = np.array([0.2, 0.2, 0.2])
     for with_jacobian in (False, True):
-        ends, J, failures = integrate_flows(fld, z, s, with_jacobian, ch)
+        ends, J, failures = integrate_flows(fld, z, s, with_jacobian,
+                                            chart=ch)
         _, _, want = integrated(monkeypatch, fld, z, s, with_jacobian, ch)
         assert list(failures) == list(want) == [1]
         assert str(failures[1]) == str(want[1]) == (
@@ -215,7 +219,7 @@ def test_a_closed_form_member_that_leaves_the_box_fails_alone(monkeypatch):
     s = np.array([0.2, 40.0, -0.2])
     for with_jacobian in (False, True):
         ends, J, failures = integrate_flows(fld, z, s, with_jacobian,
-                                            tr.chart)
+                                            chart=tr.chart)
         _, _, want = integrated(monkeypatch, fld, z, s, with_jacobian,
                                 tr.chart)
         assert list(failures) == list(want) == [1]
@@ -308,10 +312,16 @@ def mapped(tr, params):
 def stencil(tr, node):
     """(F in the final chart, final coordinates) at one node, its failure
     raised."""
-    values, final, failures = tr.field_in_final_chart([node])
+    values, final, failures = tr.field_in_final_chart(
+        [node], tr.map_batch([node]), fit=0)
     if failures:
         raise failures[0]
     return values[0], final[0]
+
+
+def fd_jacobian(tr, nodes):
+    """tr.jacobian_fd of the walk of the nodes' fd_rows."""
+    return tr.jacobian_fd(tr.map_batch(straighten.fd_rows(nodes)))
 
 
 def test_unscrambled_sode_transform_is_translation():
@@ -361,7 +371,7 @@ def test_jacobian_routes_agree_on_every_grid_node():
     nodes = grid(10, ext=0.5, m=2)
     _, J, failures = tr.map_batch(nodes)
     assert not failures
-    Jfd, fd_failures = tr.jacobian_fd(nodes)
+    Jfd, fd_failures = fd_jacobian(tr, nodes)
     assert not fd_failures
     for Jv, Jf in zip(J, Jfd):
         scale = max(1.0, float(np.max(np.abs(Jv))))
@@ -441,8 +451,9 @@ def test_straighten_then_analyze_idempotence():
     rep = classify_corpus("oscillator-scrambled")
     tr = build_normal_coordinates(rep)
     axis = np.linspace(-0.4, 0.4, 5)
+    nodes = list(itertools.product(axis, repeat=2))
     values, final, failures = tr.field_in_final_chart(
-        list(itertools.product(axis, repeat=2)))
+        nodes, tr.map_batch(nodes), fit=0)
     assert len(values) == 25 and failures == {}
     rows, rhs = [], []
     for fin, (xx, yy) in zip(values, final):
@@ -493,14 +504,14 @@ def test_straighten_through_numeric_adaptation():
     z, J, failures = tr.map_batch(params)
     assert not failures
     assert (np.linalg.cond(J) < 1e3).all()
-    final, _, _, failures = tr.final_coords(params)
+    final, _, _, failures = tr.final_coords(params, (z, J, failures))
     assert not failures
     # the pushforward of F = (u + u^2/4) d/dx, solved here from map_batch's
     # (z, J)
     f = np.array([[p[1] + p[1] ** 2 / 4, 0.0] for p in z])
     v = np.linalg.solve(J, f[..., None])[..., 0]
     assert np.max(np.abs(v[:, 0] - final[:, 1])) < 1e-12  # definitionally equal
-    assert tr.fibre_jacobian_min_sv(np.zeros(2)) > 1e-6
+    assert tr.fibre_jacobian_min_sv(tr.map_batch(fibre_shifts(tr))) > 1e-6
 
 
 def test_transport_coordinates_never_clash_with_the_chart():
@@ -533,6 +544,39 @@ def test_path_dependent_transport_is_a_numeric_failure():
     rep.bracket_coeffs.w[0][1][0] = Num(1)
     with pytest.raises(NumericFailure, match="path dependent"):
         build_normal_coordinates(rep)
+
+
+def test_a_singular_base_point_is_a_numeric_failure(monkeypatch):
+    # every chart has condition >= 1 at its base point
+    monkeypatch.setattr(straighten, "COND_LIMIT", 0.5)
+    report, code = run_command("straighten",
+                               corpus_get("oscillator-scrambled"))
+    assert code == EXIT_NUMERIC
+    assert report["error"].startswith(
+        "transform Jacobian is singular at the base point (condition ")
+
+
+def test_the_library_refuses_a_bad_grid_before_mapping_a_node(monkeypatch):
+    tr = build_normal_coordinates(classify_corpus("oscillator-scrambled"))
+    assert tr.m == 2
+
+    def refused(self, params):
+        raise AssertionError("a node was mapped")
+
+    monkeypatch.setattr(straighten.CoordinateTransform, "map_batch", refused)
+    for grid_points in (10 ** 4, 0):
+        with pytest.raises(AnalysisError, match=(
+                rf"^option 'grid' must be an integer >= 1 with grid\^2 <= "
+                rf"100000, got {grid_points}$")):
+            pushforward_residuals(tr, grid_points=grid_points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for extent in (1.7e308, 0.0, -0.1):
+            with pytest.raises(AnalysisError) as err:
+                pushforward_residuals(tr, extent=extent)
+            assert str(err.value) == (
+                f"extent must be a positive number at most {MAX_EXTENT!r}, "
+                f"got {extent!r}")
 
 
 def test_straighten_requires_locus_point():
@@ -712,9 +756,9 @@ def test_a_level_that_fails_as_a_whole_is_a_numeric_failure(monkeypatch):
     stage_0 = tr.stages[0].fld.components
     real = straighten.integrate_flows
 
-    def flaky(fld, z, s, with_jacobian=False, chart=None):
-        ends, jac, failures = real(fld, z, s, with_jacobian, chart)
-        if fld.components == stage_0 and chart is not None and len(z) > 1:
+    def flaky(fld, z, s, with_jacobian=False, *, chart):
+        ends, jac, failures = real(fld, z, s, with_jacobian, chart=chart)
+        if fld.components == stage_0 and len(z) > 1:
             for row in range(len(z)):
                 failures[row] = NumericFailure("injected")
                 ends[row] = np.nan
@@ -822,13 +866,15 @@ def log_force_transform():
 def test_one_node_stencil_agrees_with_the_node_inside_a_batch():
     tr = timedep_transform()
     nodes = np.array([[0.15, -0.2, 0.1], [-0.1, 0.25, -0.2], [0.0, 0.1, 0.3]])
-    values, final, failures = tr.field_in_final_chart(nodes)
+    values, final, failures = tr.field_in_final_chart(
+        nodes, tr.map_batch(nodes), fit=0)
     assert failures == {}
     for k, node in enumerate(nodes):
         fin, fc = stencil(tr, node)
         assert np.max(np.abs(fin - values[k])) < 1e-9
         assert np.max(np.abs(fc - final[k])) < 1e-9
-        alone_values, alone_final, _ = tr.field_in_final_chart(node[None])
+        alone_values, alone_final, _ = tr.field_in_final_chart(
+            node[None], tr.map_batch(node[None]), fit=0)
         assert np.array_equal(alone_values[0], values[k])
         assert np.array_equal(alone_final[0], final[k])
 
@@ -845,7 +891,8 @@ def test_failing_members_are_flagged_and_spoil_no_other_member():
         good[2],
         [-1.999 - x0, -0.3],       # crosses x = -2 along the stencil flow
     ])
-    values, final, failures = tr.field_in_final_chart(nodes)
+    values, final, failures = tr.field_in_final_chart(
+        nodes, tr.map_batch(nodes), fit=0)
     assert [str(failures[k]) if k in failures else None
             for k in range(len(nodes))] == [
         None,
@@ -858,7 +905,8 @@ def test_failing_members_are_flagged_and_spoil_no_other_member():
         "'log(x + 2)'",
     ]
     assert np.isnan(values[1::2]).all()
-    alone_values, alone_final, _ = tr.field_in_final_chart(good)
+    alone_values, alone_final, _ = tr.field_in_final_chart(
+        good, tr.map_batch(good), fit=0)
     assert np.array_equal(values[::2], alone_values)
     assert np.array_equal(final[::2], alone_final)
     with pytest.raises(NumericFailure, match="log of a nonpositive value"):
@@ -883,8 +931,8 @@ def fail_inversions(monkeypatch, targets):
     hits = []
     real = straighten.CoordinateTransform.invert
 
-    def flaky(self, z_targets, guesses, mapped=None):
-        params, z, J, failures = real(self, z_targets, guesses, mapped)
+    def flaky(self, z_targets, guesses, walked):
+        params, z, J, failures = real(self, z_targets, guesses, walked)
         hit = (np.abs(z_targets[:, None] - targets[None]) < 1e-9).all(
             axis=2).any(axis=1)
         for k in np.flatnonzero(hit):
@@ -903,9 +951,9 @@ def test_report_inverts_all_its_stencil_points_at_once(monkeypatch):
     sizes = []
     real = straighten.CoordinateTransform.invert
 
-    def counting(self, z_targets, guesses, mapped=None):
+    def counting(self, z_targets, guesses, walked):
         sizes.append(len(z_targets))
-        return real(self, z_targets, guesses, mapped)
+        return real(self, z_targets, guesses, walked)
 
     monkeypatch.setattr(straighten.CoordinateTransform, "invert", counting)
     report, code = run_command("report", corpus_get("timedep-scrambled"))
@@ -935,7 +983,7 @@ def test_the_cross_check_starts_from_the_grid_walk(monkeypatch):
 
     monkeypatch.setattr(straighten.CoordinateTransform, "map_batch",
                         recording_batch)
-    res = pushforward_residuals(tr, grid_points=g, extent=ext, fit_nodes=fit)
+    res = pushforward_residuals(tr, grid_points=g, extent=ext, fit=True)
     nodes = grid(g, ext)
     picked = nodes[::len(nodes) // straighten.CROSSCHECK_CAP]
     assert res.crosscheck_nodes == len(picked)
@@ -949,13 +997,14 @@ def test_the_cross_check_starts_from_the_grid_walk(monkeypatch):
         assert not (rows[:, None] == walked[None]).all(axis=2).any()
     monkeypatch.undo()
     # the line rows p + s v, v the field in the parameter chart at p
-    _, _, v, _ = tr.final_coords(fit)
+    _, _, v, _ = tr.final_coords(fit, tr.map_batch(fit))
     s = straighten.STENCIL_STEP * np.array([-2.0, -1.0, 1.0, 2.0])
     assert np.array_equal(line.reshape(len(fit), 4, tr.m),
                           fit[:, None] + s[:, None] * v[:, None])
     values, final, failures = res.fit_stencil
     assert failures == {}
-    alone_values, alone_final, _ = tr.field_in_final_chart(fit, fit=len(fit))
+    alone_values, alone_final, _ = tr.field_in_final_chart(
+        fit, tr.map_batch(fit), fit=len(fit))
     assert np.array_equal(values, alone_values)
     assert np.array_equal(final, alone_final)
 
@@ -969,19 +1018,21 @@ def test_the_shifted_rows_of_the_grid_walk_give_jacobian_fd_alone(
     seen = []
     real = straighten.CoordinateTransform.jacobian_fd
 
-    def recording(self, nodes, mapped=None):
-        out = real(self, nodes, mapped)
-        seen.append((np.array(nodes), mapped is not None, out))
+    def recording(self, walked):
+        out = real(self, walked)
+        seen.append(out)
         return out
 
     monkeypatch.setattr(straighten.CoordinateTransform, "jacobian_fd",
                         recording)
     res = pushforward_residuals(tr, grid_points=10, extent=0.3)
     monkeypatch.undo()
-    [(nodes, from_walk, (Jf, failures))] = seen
-    assert from_walk and failures == {}
-    assert len(nodes) == res.crosscheck_nodes > 1
-    alone, alone_failures = tr.jacobian_fd(nodes)
+    [(Jf, failures)] = seen
+    assert failures == {}
+    nodes = grid(10, 0.3)
+    nodes = nodes[::len(nodes) // straighten.CROSSCHECK_CAP]
+    assert len(Jf) == len(nodes) == res.crosscheck_nodes > 1
+    alone, alone_failures = fd_jacobian(tr, nodes)
     assert alone_failures == {}
     assert np.array_equal(Jf, alone)
 
@@ -1001,16 +1052,16 @@ def test_the_fibre_check_maps_each_fibre_shift_both_ways(monkeypatch):
     seen = []
     real = straighten.CoordinateTransform.final_coords
 
-    def recording(self, params, mapped=None):
+    def recording(self, params, walked):
         seen.append(np.array(params))
-        return real(self, params, mapped)
+        return real(self, params, walked)
 
     monkeypatch.setattr(straighten.CoordinateTransform, "final_coords",
                         recording)
-    sv = tr.fibre_jacobian_min_sv(np.zeros(tr.m))
+    sv = tr.fibre_jacobian_min_sv(tr.map_batch(want))
     monkeypatch.undo()
     assert len(seen) == 1 and np.array_equal(seen[0], want)
-    final, _, _, failures = tr.final_coords(want)
+    final, _, _, failures = tr.final_coords(want, tr.map_batch(want))
     assert failures == {}
     G = np.stack([(final[2 * a, first:] - final[2 * a + 1, first:])
                   / (2 * step) for a in range(tr.n)], axis=1)
@@ -1065,7 +1116,7 @@ def test_the_residual_stage_walks_its_jacobian_rows_once(monkeypatch, name,
 def line_rows(tr, node):
     """The rows of the straight-line stencil of one fit node: node + s v,
     v the field in the parameter chart at the node."""
-    _, _, v, _ = tr.final_coords([node])
+    _, _, v, _ = tr.final_coords([node], tr.map_batch([node]))
     shifts = straighten.STENCIL_STEP * np.array([-2.0, -1.0, 1.0, 2.0])
     return node + shifts[:, None] * v
 
@@ -1109,6 +1160,26 @@ def test_a_failing_fit_node_fails_the_fit_alone(monkeypatch):
     assert "quadratic_coefficients" not in report
     assert report["residuals"] == clean["residuals"]
     assert code == 0
+
+
+def test_a_newton_search_that_does_not_converge_fails_only_its_node(
+        monkeypatch):
+    # one Newton iteration: the cross-check's guesses p + s v are off by
+    # O(s^2), so each cross-checked node fails; the fit's straight-line
+    # stencil makes no Newton step and keeps its bits
+    tr = timedep_transform()
+    checked = np.array([[0.15, -0.2, 0.1], [-0.1, 0.25, -0.2]])
+    nodes = np.concatenate([checked, straighten.quadratic_nodes(tr)[::9]])
+    fit = len(nodes) - len(checked)
+    want = tr.field_in_final_chart(nodes, tr.map_batch(nodes), fit)
+    assert want[2] == {}
+    monkeypatch.setattr(straighten, "NEWTON_MAX_ITER", 1)
+    values, final, failures = tr.field_in_final_chart(
+        nodes, tr.map_batch(nodes), fit)
+    assert {k: str(err) for k, err in failures.items()} == {
+        k: "transform inversion did not converge" for k in range(len(checked))}
+    assert np.array_equal(values[len(checked):], want[0][len(checked):])
+    assert np.array_equal(final[len(checked):], want[1][len(checked):])
 
 
 def test_a_failing_cross_check_node_leaves_the_fit_alone(monkeypatch):
@@ -1209,7 +1280,7 @@ def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
 
     want = np.array([(flow_map(nodes[0] + h * e) - flow_map(nodes[0] - h * e))
                      / (2 * h) for e in np.eye(tr.m)]).T
-    alone = [tr.jacobian_fd(node[None])[0][0] for node in nodes]
+    alone = [fd_jacobian(tr, node[None])[0][0] for node in nodes]
     members = []
     real = straighten.solve_ivp
 
@@ -1218,7 +1289,7 @@ def test_jacobian_fd_integrates_each_stage_once(monkeypatch):
         return real(fun, t_span, y0, **kwargs)
 
     monkeypatch.setattr(straighten, "solve_ivp", counting)
-    got, failures = tr.jacobian_fd(nodes)
+    got, failures = fd_jacobian(tr, nodes)
     assert not failures
     # the 2m shifted rows of a node: node +- h e_j; at stage k < m - 1 they
     # share 2k + 3 distinct prefixes (the node's own and its +- h shifts up
@@ -1249,9 +1320,9 @@ def test_stage_0_flows_without_variational_equations(monkeypatch):
     field_of_call = []
     real_flows, real_solve = straighten.integrate_flows, straighten.solve_ivp
 
-    def recording(fld, z, s, with_jacobian=False, chart=None):
+    def recording(fld, z, s, with_jacobian=False, *, chart):
         field_of_call.append(fld)
-        out = real_flows(fld, z, s, with_jacobian, chart)
+        out = real_flows(fld, z, s, with_jacobian, chart=chart)
         if fld is stage_0 and chart is tr.chart:
             walked.append((np.array(z), np.array(s), with_jacobian, out[0]))
         return out
@@ -1263,8 +1334,7 @@ def test_stage_0_flows_without_variational_equations(monkeypatch):
 
     monkeypatch.setattr(straighten, "integrate_flows", recording)
     monkeypatch.setattr(straighten, "solve_ivp", solving)
-    pushforward_residuals(tr, grid_points=4, extent=0.3,
-                          fit_nodes=straighten.quadratic_nodes(tr))
+    pushforward_residuals(tr, grid_points=4, extent=0.3, fit=True)
     monkeypatch.undo()
     # the grid walk, the cross-check's F-flow and its two Newton walks
     assert len(widths) == 4 and set(widths) == {L}
@@ -1272,7 +1342,7 @@ def test_stage_0_flows_without_variational_equations(monkeypatch):
     assert len(walks) == 3
     for z, s, with_jacobian, ends in walks:
         assert not with_jacobian
-        alone, _, failures = integrate_flows(stage_0, z, s)
+        alone, _, failures = integrate_flows(stage_0, z, s, chart=tr.chart)
         assert not failures and np.array_equal(ends, alone)
 
 
@@ -1296,7 +1366,7 @@ def test_walk_jacobian_agrees_with_finite_differences(name):
         [np.linspace(-0.5, 0.5, 2) * straighten.default_extent(tr.chart)]
         * tr.m)
     _, J, failures = tr.map_batch(nodes)
-    Jf, fd_failures = tr.jacobian_fd(nodes)
+    Jf, fd_failures = fd_jacobian(tr, nodes)
     assert not failures and not fd_failures
     assert np.max(np.abs(J - Jf)) < 1e-8
 
@@ -1304,12 +1374,12 @@ def test_walk_jacobian_agrees_with_finite_differences(name):
 def test_a_failing_shifted_row_drops_only_its_node(monkeypatch):
     tr = build_normal_coordinates(classify_corpus("oscillator-scrambled"))
     nodes = np.array([[0.1, 0.2], [-0.3, 0.1], [0.2, -0.3]])
-    want, _ = tr.jacobian_fd(nodes)
+    want, _ = fd_jacobian(tr, nodes)
     full = pushforward_residuals(tr, grid_points=10)
     # the second shifted row of the second node fails, alone and in the
     # grid walk (the second cross-checked node there)
     fail_rows(monkeypatch, straighten.fd_rows(nodes)[[2 * tr.m + 1]])
-    got, failures = tr.jacobian_fd(nodes)
+    got, failures = fd_jacobian(tr, nodes)
     assert list(failures) == [1] and str(failures[1]) == "injected"
     assert np.isnan(got[1]).all()
     assert np.array_equal(got[[0, 2]], want[[0, 2]])
@@ -1338,23 +1408,23 @@ def test_residual_maxima_equal_the_per_node_loops(monkeypatch):
         walks.append((np.asarray(params), real_map(self, params)))
         return walks[-1][1]
 
-    def field(self, nodes, mapped=None, fit=0):
-        values, final, failures = real_field(self, nodes, mapped, fit)
+    def field(self, nodes, walked, fit):
+        values, final, failures = real_field(self, nodes, walked, fit)
         values[1, tc] = np.nan
-        seen["field"] = values, final, failures, len(nodes) - fit
+        seen["field"] = nodes, values, final, failures, len(nodes) - fit
         return values, final, failures
 
-    def fd(self, nodes, mapped=None):
-        Jf, failures = real_fd(self, nodes, mapped)
+    def fd(self, walked):
+        Jf, failures = real_fd(self, walked)
         Jf[2, 0, 0] = np.nan
-        seen["fd"] = nodes, Jf, failures
+        seen["fd"] = Jf, failures
         return Jf, failures
 
     monkeypatch.setattr(cls, "map_batch", map_batch)
     monkeypatch.setattr(cls, "field_in_final_chart", field)
     monkeypatch.setattr(cls, "jacobian_fd", fd)
     res = pushforward_residuals(tr, grid_points=10)
-    values, final, failures, c = seen["field"]
+    field_nodes, values, final, failures, c = seen["field"]
     expected_t = np.array([1.0 if name == "t1" else 0.0
                            for name in tr.param_names[:tc]])
     max_cross = 0.0
@@ -1367,7 +1437,9 @@ def test_residual_maxima_equal_the_per_node_loops(monkeypatch):
         max_cross = max(max_cross, gap_x, gap_t)
     # the grid nodes lead the largest walk
     params, (_, J, _) = max(walks, key=lambda walk: len(walk[0]))
-    nodes, Jf, fd_failures = seen["fd"]
+    # the finite-difference nodes: the cross-checked nodes that passed
+    nodes = field_nodes[[k for k in range(c) if k not in failures]]
+    Jf, fd_failures = seen["fd"]
     max_jgap, checked = 0.0, 0
     for i, node in enumerate(nodes):
         if i in fd_failures:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sodekit import analysis, ode, straighten
+from sodekit import analysis, ode, runner, straighten
 from sodekit.analysis import SecondOrderProblem, classify
 from sodekit.corpus import corpus_get
 from sodekit.expressions import _lower, compile_exprs
@@ -163,14 +163,44 @@ def test_the_residual_stage_makes_no_second_jacobian_walk():
     # shifted rows go through one map_batch in pushforward_residuals;
     # besides it map_batch maps only the base point, the stencils' first
     # iterate (the cross-check's Newton guesses with the fit's line rows),
-    # later Newton steps, and rows that a caller of final_coords or
-    # jacobian_fd has not mapped
-    assert callers("map_batch") == {("straighten", "__init__"),
-                                    ("straighten", "invert"),
-                                    ("straighten", "final_coords"),
-                                    ("straighten", "field_in_final_chart"),
-                                    ("straighten", "jacobian_fd"),
+    # later Newton steps, and the fit nodes of an extraction on its own
+    assert callers("map_batch") == {
+        ("straighten", "__init__"), ("straighten", "invert"),
+        ("straighten", "field_in_final_chart"),
+        ("straighten", "pushforward_residuals"),
+        ("straighten", "extract_quadratic_coefficients")}
+
+
+def test_every_chart_map_reads_the_walk_it_is_handed():
+    # only map_batch walks: no map takes an optional walk that it would
+    # otherwise make itself
+    tree = ast.parse((PACKAGE / "straighten.py").read_text(encoding="utf-8"))
+    params = {node.name: [a.arg for a in node.args.posonlyargs
+                          + node.args.args + node.args.kwonlyargs]
+              for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+    assert not [name for name, args in params.items() if "mapped" in args]
+    for name in ("invert", "final_coords", "fibre_jacobian_min_sv",
+                 "field_in_final_chart", "jacobian_fd"):
+        walked = inspect.signature(getattr(CoordinateTransform, name)) \
+            .parameters["walked"]
+        assert walked.default is inspect.Parameter.empty, name
+    assert list(inspect.signature(
+        CoordinateTransform.jacobian_fd).parameters) == ["self", "walked"]
+
+
+def test_straighten_alone_decides_the_residual_grid_and_the_fit_nodes():
+    # one grid rule, called by the runner's option check and by the library
+    # entry point; the fit's nodes are built where they are solved
+    assert callers("grid_size") == {("runner", "_options"),
                                     ("straighten", "pushforward_residuals")}
+    assert callers("quadratic_nodes") == {
+        ("straighten", "pushforward_residuals"),
+        ("straighten", "extract_quadratic_coefficients")}
+    for name in ("MAX_GRID_NODES", "quadratic_nodes", "default_grid_points"):
+        assert not hasattr(runner, name), name
+    assert not hasattr(straighten, "default_grid_points")
+    fit = inspect.signature(straighten.pushforward_residuals).parameters
+    assert "fit_nodes" not in fit and fit["fit"].default is False
 
 
 def test_the_grid_screen_inverts_no_stack():
@@ -193,6 +223,9 @@ def test_every_flow_of_the_chart_is_guarded_by_its_box():
              and getattr(node.func, "id", None) == "integrate_flows"]
     assert len(flows) == 3
     assert all("chart" in {kw.arg for kw in call.keywords} for call in flows)
+    chart = inspect.signature(straighten.integrate_flows).parameters["chart"]
+    assert chart.kind is inspect.Parameter.KEYWORD_ONLY
+    assert chart.default is inspect.Parameter.empty
     assert not hasattr(straighten, "StencilBatch")
 
 
