@@ -271,8 +271,7 @@ def check_field_defined(problem: SecondOrderProblem) -> list:
             ("the V-basis", problem.V.fields,
              [f"field {i}" for i in range(problem.n)])):
         _, errors = compile_exprs(
-            [c for f in fields for c in f.components], chart.names)(
-            np.array(points).T)
+            [c for f in fields for c in f.components], chart.names)(points.T)
         if not errors:
             continue
         where = first_domain_error(labels, chart, points, errors)

@@ -65,7 +65,9 @@ class Chart:
     def probe(self, seed: int = 0) -> ZeroProbe:
         return ZeroProbe(self.names, self.box, seed)
 
-    def sample(self, count: int, seed: int = 0):
+    def sample(self, count: int, seed: int = 0) -> np.ndarray:
+        """`count` points of the box as the rows of the shared read-only
+        array of `box_points`."""
         return box_points(self.box, count, seed)
 
     def center(self):
@@ -212,7 +214,8 @@ def first_domain_error(labels, chart: Chart, points, errors) -> str:
     k = min(errors)
     j = errors[k].index
     return (f"component {j % chart.dim} ('{chart.names[j % chart.dim]}') of "
-            f"{labels[j // chart.dim]} fails at {points[k]}: {errors[k]}")
+            f"{labels[j // chart.dim]} fails at {tuple(points[k].tolist())}: "
+            f"{errors[k]}")
 
 
 def frame_rank(fields, samples: int = 64, seed: int = 0) -> RankReport:
@@ -226,16 +229,20 @@ def frame_rank(fields, samples: int = 64, seed: int = 0) -> RankReport:
         raise GeometryError("samples must be >= 1")
     points = chart.sample(samples, seed)
     values, errors = compile_exprs(
-        [c for f in fields for c in f.components], chart.names)(
-        np.array(points).T)
-    kept = [k for k in range(len(points)) if k not in errors]
-    if not kept:
+        [c for f in fields for c in f.components], chart.names)(points.T)
+    if len(errors) == samples:
         raise GeometryError(
             "all sample points hit evaluation domain errors: "
             + first_domain_error([f"field {i}" for i in range(len(fields))],
                                  chart, points, errors))
+    kept = None
+    if errors:
+        ok = np.ones(samples, dtype=bool)
+        ok[list(errors)] = False
+        kept = np.flatnonzero(ok)
+        values = values[:, kept]
     # one matrix per kept point, with the fields' values as its columns
-    matrices = values[:, kept].T.reshape(len(kept), len(fields), chart.dim)
+    matrices = values.T.reshape(-1, len(fields), chart.dim)
     svals = np.linalg.svd(matrices.transpose(0, 2, 1), compute_uv=False)
     ranks = (svals > RANK_TOL * svals[:, :1]).sum(axis=1)
     # a field's scale must not decide the rank: the points that look
@@ -252,18 +259,19 @@ def frame_rank(fields, samples: int = 64, seed: int = 0) -> RankReport:
         sv = np.linalg.svd(unit.transpose(0, 2, 1), compute_uv=False)
         ranks[low] = np.maximum(ranks[low],
                                 (sv > RANK_TOL * sv[:, :1]).sum(axis=1))
-    ranks = [int(r) for r in ranks]
-    full = [k for k, r in enumerate(ranks) if r == len(fields)]
-    claimed = max(ranks)
+    full = ranks == len(fields)
+    claimed = int(ranks.max())
+    deficient = np.flatnonzero(ranks < claimed)
+    if kept is not None:
+        deficient = kept[deficient]
     return RankReport(
         claimed_rank=claimed,
         sample_count=len(ranks),
-        ranks=ranks,
+        ranks=ranks.tolist(),
         worst_conditioning=(float(svals[full, len(fields) - 1].min())
-                            if full else 0.0),
-        deficient_points=[points[k] for k, r in zip(kept, ranks)
-                          if r < claimed],
-        skipped_points=len(points) - len(kept),
+                            if full.any() else 0.0),
+        deficient_points=list(map(tuple, points[deficient].tolist())),
+        skipped_points=len(errors),
     )
 
 

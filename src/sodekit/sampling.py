@@ -60,8 +60,11 @@ def unit_points(count: int, dims: int, seed: int) -> np.ndarray:
     return out
 
 
-def box_points(box: Sequence, count: int, seed: int):
-    """Sample points inside a box given as a sequence of (lo, hi) pairs."""
+def box_points(box: Sequence, count: int, seed: int) -> np.ndarray:
+    """Sample points inside a box given as a sequence of (lo, hi) pairs, as
+    the rows of a (count, len(box)) float64 array.  The array is memoized
+    and read-only: every caller with the same box, count and seed shares
+    it, and one that must write copies it."""
     box = tuple((lo, hi) for lo, hi in box)
     key = ("box_points", box, count, seed)
     points = memo.get(key)
@@ -69,8 +72,9 @@ def box_points(box: Sequence, count: int, seed: int):
         u = unit_points(count, len(box), seed)
         for d, (lo, hi) in enumerate(box):
             u[:, d] = lo + u[:, d] * (hi - lo)
-        points = memo.put(key, tuple(map(tuple, u.tolist())))
-    return list(points)
+        u.flags.writeable = False
+        points = memo.put(key, u)
+    return points
 
 
 @dataclass(frozen=True)
@@ -138,12 +142,13 @@ def _decide_zero(e: Expr, probe: ZeroProbe) -> ZeroVerdict:
     terms = numerator.terms if isinstance(numerator, Add) else (numerator,)
     evaluator = compile_exprs(terms, probe.names)
     points = box_points(probe.box, TRIALS, probe.seed)
-    values, errors = evaluator(np.array(points).T)
+    values, errors = evaluator(points.T)
     live = np.ones(TRIALS, dtype=bool)
     if errors:
         # each failed point is retried once, shifted toward the box interior
         failed = sorted(errors)
-        shifted = [_jittered(points[k], probe.box) for k in failed]
+        shifted = [_jittered(points[k].tolist(), probe.box) for k in failed]
+        points = points.copy()
         again, still = evaluator(np.array(shifted).T)
         for col, k in enumerate(failed):
             if col in still:
@@ -164,7 +169,8 @@ def _decide_zero(e: Expr, probe: ZeroProbe) -> ZeroVerdict:
         k = int(witnesses[0])
         return ZeroVerdict(
             "nonzero",
-            witness=MappingProxyType(dict(zip(probe.names, points[k]))),
+            witness=MappingProxyType(dict(zip(probe.names,
+                                              points[k].tolist()))),
             value=float(totals[k]),
             max_residual=abs(float(totals[k])),
             trials=TRIALS,

@@ -206,7 +206,8 @@ def walk_trial_points(e, probe):
     numerator = _poly_tree(p)
     terms = numerator.terms if isinstance(numerator, Add) else (numerator,)
     used, skipped = [], 0
-    for point in box_points(probe.box, TRIALS, probe.seed):
+    points = box_points(probe.box, TRIALS, probe.seed).tolist()
+    for point in map(tuple, points):
         for pt in (point, _jittered(point, probe.box)):
             try:
                 values = [evaluate(t, dict(zip(probe.names, pt)))
@@ -233,7 +234,7 @@ def first_point_edge(probe):
     1/1000 from the x of the probe's first trial point toward 0: the
     argument is negative at that point and positive at its jittered retry,
     which moves 2/1000 toward 0."""
-    x0 = Fraction(box_points(probe.box, TRIALS, probe.seed)[0][0])
+    x0 = Fraction(box_points(probe.box, TRIALS, probe.seed)[0, 0].item())
     x = Sym("x")
     if x0 > 0:
         return log(Num(x0 - Fraction(1, 1000)) - x)

@@ -363,7 +363,9 @@ def test_cli_log_of_zero_names_the_log_and_its_component(tmp_path, capsys,
         f"normalizes to zero: '{log}' (line 1, column {column})\n")
 
 
-FIRST_SAMPLE = load_manifest(inline_manifest()).chart.sample(200)[0]
+# the message prints the point as a tuple of Python floats
+FIRST_SAMPLE = tuple(
+    load_manifest(inline_manifest()).chart.sample(200)[0].tolist())
 
 
 @pytest.mark.parametrize("command", list(COMMANDS))
@@ -415,7 +417,7 @@ def test_a_field_undefined_at_some_samples_warns_once():
     manifest = load_manifest(inline_manifest(
         field={"components": ["y", "log(x)"]}))
     points = manifest.chart.sample(200)
-    bad = [p for p in points if p[0] <= 0]
+    bad = [tuple(p) for p in points.tolist() if p[0] <= 0]
     report, code = run_command("classify", manifest)
     assert code == EXIT_OK
     assert report["analysis"]["warnings"] == [
@@ -431,7 +433,7 @@ def test_a_frame_field_undefined_at_some_samples_warns_once():
         field={"components": ["y", "0"]},
         frame=[{"components": ["0", "(x^(1/2) + 2)"]}]))
     points = manifest.chart.sample(200)
-    bad = [p for p in points if p[0] < 0]
+    bad = [tuple(p) for p in points.tolist() if p[0] < 0]
     report, code = run_command("classify", manifest)
     assert code == EXIT_OK
     assert report["analysis"]["warnings"] == [

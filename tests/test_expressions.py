@@ -611,9 +611,25 @@ def test_unit_points_match_the_scalar_halton_bit_for_bit(seed):
             got = unit_points(count, dims, seed)
             assert got.tobytes() == want[:count, :dims].tobytes()
     box = [(-1.5, 2.0), (0.25, 0.75), (-3, 1)]
-    assert box_points(box, 300, seed) == [
-        tuple(lo + u * (hi - lo) for u, (lo, hi) in zip(point, box))
+    assert box_points(box, 300, seed).tolist() == [
+        [lo + u * (hi - lo) for u, (lo, hi) in zip(point, box)]
         for point in want[:300, :3].tolist()]
+
+
+def test_box_points_are_one_read_only_array():
+    # the memo holds the points in the form every reader uses, and every
+    # caller with the same box, count and seed reads the same array
+    box = [(-1.5, 2.0), (0.25, 0.75), (-3, 1)]
+    points = box_points(box, 50, 7)
+    assert isinstance(points, np.ndarray)
+    assert points.dtype == np.float64 and points.shape == (50, 3)
+    assert box_points(box, 50, 7) is points
+    assert not points.flags.writeable
+    with pytest.raises(ValueError):
+        points[0, 0] = 0.0
+    u = unit_points(50, 3, 7)
+    for d, (lo, hi) in enumerate(box):
+        assert points[:, d].tobytes() == (lo + u[:, d] * (hi - lo)).tobytes()
 
 
 def test_is_zero_takes_the_witness_from_a_jittered_point():

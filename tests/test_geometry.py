@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from sodekit import geometry
-from sodekit.expressions import Num, Sym, ZERO, differentiate, normalize, syms
+from sodekit.expressions import (
+    EvalDomainError, Num, Sym, ZERO, differentiate, normalize, syms,
+)
 from sodekit.geometry import (
     Chart, ChartMismatchError, Frame, FrameRankError, GeometryError,
     VectorField, coordinate_field, decompose_in_frame, frame_rank,
@@ -36,7 +38,8 @@ def test_a_chart_carries_no_seed(plane):
     assert not hasattr(plane, "seed")
     with pytest.raises(TypeError):
         Chart(["x"], [(-1, 1)], seed=1)
-    assert plane.sample(8) == plane.sample(8, 0) != plane.sample(8, 1)
+    assert plane.sample(8).tolist() == plane.sample(8, 0).tolist() \
+        != plane.sample(8, 1).tolist()
     assert plane.probe().seed == 0
 
 
@@ -153,6 +156,60 @@ def test_frame_rank_matches_a_loop_over_the_points(plane):
         assert report.ranks == ranks
         assert report.worst_conditioning == (
             worst if np.isfinite(worst) else 0.0)
+
+
+def reference_frame_rank(fields, samples, seed):
+    """frame_rank's report as a loop over the points: each point's rank,
+    taken again with each field scaled to largest component one where it
+    looks deficient and the fields' sizes differ; a point where a field
+    fails to evaluate is skipped."""
+    ranks, kept, worst = [], [], np.inf
+    for pt in fields[0].chart.sample(samples, seed).tolist():
+        try:
+            M = np.array([f.at(pt) for f in fields])
+        except EvalDomainError:
+            continue
+        svals = np.linalg.svd(M.T, compute_uv=False)
+        rank = int((svals > 1e-9 * svals[0]).sum())
+        sizes = np.abs(M).max(axis=1)
+        if rank < len(fields) and sizes.min() < sizes.max():
+            unit = M / np.where(sizes > 0, sizes, 1.0)[:, None]
+            sv = np.linalg.svd(unit.T, compute_uv=False)
+            rank = max(rank, int((sv > 1e-9 * sv[0]).sum()))
+        if rank == len(fields):
+            worst = min(worst, svals[-1])
+        ranks.append(rank)
+        kept.append(tuple(pt))
+    claimed = max(ranks)
+    return (ranks, claimed, float(worst) if np.isfinite(worst) else 0.0,
+            [p for p, r in zip(kept, ranks) if r < claimed],
+            samples - len(kept))
+
+
+@pytest.mark.parametrize("first,skipped,deficient", [
+    (["1", "0"], 0, 145), (["log(x)", "1"], 100, 73)])
+def test_frame_rank_matches_a_reference_loop_with_skips_and_deficits(
+        first, skipped, deficient):
+    # exp(-10000*x^2) underflows to exactly 0 away from x = 0, so the second
+    # field vanishes there; log(x) has no value on the left half of the box
+    square = Chart(["x", "y"], [(-1, 1), (-1, 1)])
+    fields = [VectorField(square, [parse(c) for c in first]),
+              VectorField(square, [ZERO, parse("exp(-10000*x^2)")])]
+    report = frame_rank(fields, samples=200, seed=0)
+    ranks, claimed, worst, points, skips = reference_frame_rank(
+        fields, 200, 0)
+    assert report.ranks == ranks
+    assert report.claimed_rank == claimed == 2
+    assert report.worst_conditioning == worst
+    assert report.deficient_points == points
+    assert report.skipped_points == skips == skipped
+    assert len(report.deficient_points) == deficient
+    # Python ints and tuples of Python floats, as the report's JSON needs
+    assert type(report.claimed_rank) is int
+    assert all(type(r) is int for r in report.ranks)
+    assert all(type(p) is tuple and all(type(v) is float for v in p)
+               for p in report.deficient_points)
+    assert type(report.worst_conditioning) is float
 
 
 @pytest.mark.parametrize("force", ["1000000*y^2", "(x+y)^14"])

@@ -229,6 +229,56 @@ def test_every_flow_of_the_chart_is_guarded_by_its_box():
     assert not hasattr(straighten, "StencilBatch")
 
 
+def sample_copies(package: Path = PACKAGE) -> set:
+    """(module, outermost function or method) of every np.array or
+    np.asarray call whose first argument is a call of `box_points` or of a
+    `sample` method, or a name bound to one in the same function."""
+    calls, bound = [], set()
+
+    def sampled(node):
+        return isinstance(node, ast.Call) and (
+            getattr(node.func, "id", None)
+            or getattr(node.func, "attr", None)) in ("box_points", "sample")
+
+    def visit(node, module, owner):
+        if isinstance(node, ast.Assign) and sampled(node.value):
+            bound.update((module, owner, t.id) for t in node.targets
+                         if isinstance(t, ast.Name))
+        if isinstance(node, ast.Call) and node.args and isinstance(
+                node.func, ast.Attribute) and node.func.attr in (
+                "array", "asarray") and getattr(
+                node.func.value, "id", None) in ("np", "numpy"):
+            calls.append((module, owner, node.args[0]))
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if owner is None and isinstance(
+                    child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            visit(child, module, inner)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path.stem, None)
+    return {(module, owner) for module, owner, arg in calls
+            if sampled(arg) or (module, owner, getattr(arg, "id", None))
+            in bound}
+
+
+def test_sample_copy_scan_sees_direct_and_named_points(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "import numpy as np\n"
+        "def f(chart):\n    p = chart.sample(8)\n    return np.array(p).T\n"
+        "def g(box):\n    return np.asarray(box_points(box, 8, 0))\n"
+        "def h(chart, q):\n    p = chart.sample(8)\n"
+        "    return p.T, np.array(q)\n")
+    assert sample_copies(tmp_path) == {("a", "f"), ("a", "g")}
+
+
+def test_sample_points_are_read_in_place():
+    # the memo's read-only array is what every reader evaluates on; only
+    # the Newton search copies it, since its iterates overwrite the starts
+    assert sample_copies() == {("analysis", "find_zero_section_points")}
+
+
 def test_one_compiled_evaluator_on_stacked_points():
     assert list(inspect.signature(compile_exprs).parameters) == [
         "exprs", "coord_names"]
