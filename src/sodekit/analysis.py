@@ -34,9 +34,8 @@ import itertools
 import numbers
 import sys
 import time
-from dataclasses import dataclass, field, fields
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -95,28 +94,36 @@ class InternalInconsistencyError(AnalysisError):
     input."""
 
 
-@dataclass
 class Options:
-    samples: int = 200        # rank / residual sampling points
-    seed: int = 0
-    # the residual grid: nodes per axis and half-width (None: the defaults of
-    # straighten.pushforward_residuals) and the structural tolerance
-    grid: Optional[int] = None
-    extent: Optional[float] = None
-    tolerance: float = 1e-5
+    """The analysis options; INTEGER names each one and says whether it is
+    an integer."""
+
+    INTEGER = {"samples": True, "seed": True, "grid": True,
+               "extent": False, "tolerance": False}
+
+    def __init__(self, samples: int = 200, seed: int = 0,
+                 grid: Optional[int] = None, extent: Optional[float] = None,
+                 tolerance: float = 1e-5):
+        self.samples = samples        # rank / residual sampling points
+        self.seed = seed
+        # the residual grid: nodes per axis and half-width (None: the
+        # defaults of straighten.pushforward_residuals) and the structural
+        # tolerance
+        self.grid = grid
+        self.extent = extent
+        self.tolerance = tolerance
 
     @classmethod
     def from_mapping(cls, data: Optional[dict]) -> "Options":
         """Options from a manifest's `options` object.  OptionsError names an
         unknown key or a value of the wrong type or range."""
         opts = cls()
-        types = {f.name: f.type for f in fields(cls)}
         for key, value in (data or {}).items():
-            if key not in types:
+            if key not in cls.INTEGER:
                 raise OptionsError(
                     f"unknown option '{key}'; known options are "
-                    f"{sorted(types)}")
-            integral = "int" in types[key]
+                    f"{sorted(cls.INTEGER)}")
+            integral = cls.INTEGER[key]
             if integral:
                 low = 0 if key == "seed" else 1
                 want = f"an integer >= {low}"
@@ -157,12 +164,12 @@ class SecondOrderProblem:
         self.probe = chart.probe(self.options.seed)
 
 
-@dataclass
 class IdentitySuite:
     """Aggregated zero-verdicts for one named identity family."""
 
-    name: str
-    verdicts: list = field(default_factory=list)
+    def __init__(self, name: str):
+        self.name = name
+        self.verdicts = []    # (label, ZeroVerdict), in the order added
 
     def add(self, verdict: ZeroVerdict, label: str = ""):
         self.verdicts.append((label, verdict))
@@ -322,8 +329,7 @@ def check_commuting(ef: ExtendedFrame) -> IdentitySuite:
     return suite
 
 
-@dataclass
-class BracketCoefficients:
+class BracketCoefficients(NamedTuple):
     """Coefficients of [V_i, W_j] = v^k_ij V_k + w^k_ij W_k."""
 
     v: list  # v[i][j][k]
@@ -419,8 +425,7 @@ def normalize_v_basis(ef: ExtendedFrame) -> Optional[ExtendedFrame]:
     return normalized
 
 
-@dataclass
-class AdaptationInfo:
+class AdaptationInfo(NamedTuple):
     """How the commuting basis the pipeline holds is adapted, so that every
     [V_i, W_j] is vertical.
 
@@ -517,8 +522,7 @@ class Connections:
         return [self.ef.field_of(h) for h in self.lift_vectors]
 
 
-@dataclass
-class ConnectionTables:
+class ConnectionTables(NamedTuple):
     gamma1: list          # gamma1[i][j] = Gamma^i_j
     gamma2: list          # gamma2[k][i][j] = Gamma^k_ij
     lifts: list           # horizontal lifts of the V-basis, as fields
@@ -557,8 +561,7 @@ def connection_tables(conn: Connections) -> ConnectionTables:
                             lifts=conn.lifts(), torsion=torsion)
 
 
-@dataclass
-class MixedCurvature:
+class MixedCurvature(NamedTuple):
     components: list      # components[i][j][k][l] Expressions
     verdict: str          # "quadratic" | "not_quadratic" | "inconclusive"
     witness: Optional[Mapping[str, float]] = None
@@ -677,24 +680,26 @@ def _distinct_points(points) -> list:
     return unique
 
 
-@dataclass
 class AnalysisReport:
-    classification: str
-    reason: Optional[str] = None
-    verdicts: dict = field(default_factory=dict)
-    identity_suites: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-    extended: Optional[ExtendedFrame] = None
-    bracket_coeffs: Optional[BracketCoefficients] = None
-    adaptation: Optional[AdaptationInfo] = None
-    f_v_coefficients: Optional[tuple] = None
-    f_w_coefficients: Optional[tuple] = None
-    zero_section_points: list = field(default_factory=list)
-    parameter_count: Optional[int] = None
-    lie_derivative_s: Optional[list] = None   # (L_F S)(E_a), as fields
-    connection_data: Optional[ConnectionTables] = None
-    curvature: Optional[MixedCurvature] = None
-    s_of_f: Optional[VectorField] = None
+    """What the recognition stages have found; each stage fills its part."""
+
+    def __init__(self, classification: str):
+        self.classification = classification
+        self.reason: Optional[str] = None
+        self.verdicts: dict = {}
+        self.identity_suites: list = []
+        self.warnings: list = []
+        self.extended: Optional[ExtendedFrame] = None
+        self.bracket_coeffs: Optional[BracketCoefficients] = None
+        self.adaptation: Optional[AdaptationInfo] = None
+        self.f_v_coefficients: Optional[tuple] = None
+        self.f_w_coefficients: Optional[tuple] = None
+        self.zero_section_points: list = []
+        self.parameter_count: Optional[int] = None
+        self.lie_derivative_s: Optional[list] = None  # (L_F S)(E_a), as fields
+        self.connection_data: Optional[ConnectionTables] = None
+        self.curvature: Optional[MixedCurvature] = None
+        self.s_of_f: Optional[VectorField] = None
 
     @property
     def ok(self) -> bool:

@@ -14,7 +14,6 @@ leaves the exit code as it is.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -141,8 +140,7 @@ def _run(args) -> tuple:
         if not args.show:
             return "".join(f"{name}\n" for name in corpus_list()), 0
         try:
-            return json.dumps(corpus_raw(args.show), indent=2,
-                              sort_keys=True) + "\n", 0
+            return report_to_json(corpus_raw(args.show)), 0
         except ManifestError as err:
             print(f"error: {err}", file=sys.stderr)
             return "", EXIT_INPUT

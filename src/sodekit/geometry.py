@@ -9,8 +9,7 @@ zero pivot tests), and the involutivity test that combines them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -22,6 +21,11 @@ from . import memo
 from .sampling import ZeroProbe, box_points
 
 RANK_TOL = 1e-9  # singular values below RANK_TOL * s_max count as zero
+# the Gram screen: an estimated s_min / s_max above SCREEN_TOL proves full
+# rank, and each estimate is held to a relative error of GRAM_SLACK plus the
+# Gram's rounding (see `_gram_screen`)
+SCREEN_TOL = 1e-6
+GRAM_SLACK = 1e-10
 
 
 class GeometryError(ValueError):
@@ -182,8 +186,7 @@ def _bracket_components(X: VectorField, Y: VectorField) -> tuple:
         for k in range(X.chart.dim))
 
 
-@dataclass
-class RankReport:
+class RankReport(NamedTuple):
     claimed_rank: int
     sample_count: int
     ranks: list
@@ -220,7 +223,8 @@ def first_domain_error(labels, chart: Chart, points, errors) -> str:
 
 def frame_rank(fields, samples: int = 64, seed: int = 0) -> RankReport:
     """Numeric rank of the span of `fields` at quasi-random sample points of
-    their chart."""
+    their chart: at each point where every field evaluates, the rank of the
+    fields' values there (`_stack_ranks`)."""
     fields = list(fields)
     if not fields:
         raise GeometryError("empty frame")
@@ -241,25 +245,7 @@ def frame_rank(fields, samples: int = 64, seed: int = 0) -> RankReport:
         ok[list(errors)] = False
         kept = np.flatnonzero(ok)
         values = values[:, kept]
-    # one matrix per kept point, with the fields' values as its columns
-    matrices = values.T.reshape(-1, len(fields), chart.dim)
-    svals = np.linalg.svd(matrices.transpose(0, 2, 1), compute_uv=False)
-    ranks = (svals > RANK_TOL * svals[:, :1]).sum(axis=1)
-    # a field's scale must not decide the rank: the points that look
-    # deficient are tested again with each field's largest component scaled
-    # to one there (a zero field stays zero), unless every field there has
-    # the same size already
-    low = np.flatnonzero(ranks < len(fields))
-    if low.size:
-        sizes = np.abs(matrices[low]).max(axis=2, keepdims=True)
-        uneven = sizes.min(axis=1)[:, 0] < sizes.max(axis=1)[:, 0]
-        low, sizes = low[uneven], sizes[uneven]
-    if low.size:
-        unit = matrices[low] / np.where(sizes > 0, sizes, 1.0)
-        sv = np.linalg.svd(unit.transpose(0, 2, 1), compute_uv=False)
-        ranks[low] = np.maximum(ranks[low],
-                                (sv > RANK_TOL * sv[:, :1]).sum(axis=1))
-    full = ranks == len(fields)
+    ranks, worst = _stack_ranks(values.reshape(len(fields), chart.dim, -1))
     claimed = int(ranks.max())
     deficient = np.flatnonzero(ranks < claimed)
     if kept is not None:
@@ -268,11 +254,89 @@ def frame_rank(fields, samples: int = 64, seed: int = 0) -> RankReport:
         claimed_rank=claimed,
         sample_count=len(ranks),
         ranks=ranks.tolist(),
-        worst_conditioning=(float(svals[full, len(fields) - 1].min())
-                            if full.any() else 0.0),
+        worst_conditioning=worst,
         deficient_points=list(map(tuple, points[deficient].tolist())),
         skipped_points=len(errors),
     )
+
+
+def _stack_ranks(values: np.ndarray) -> tuple:
+    """(ranks, worst) at K points from the finite values (k, dim, K) of k
+    fields, values[i, :, j] field i at point j: the numeric rank of the
+    fields at each point, and the smallest singular value at the points of
+    full rank k (0.0 if none).
+
+    Both are what np.linalg.svd gives on each point's matrix alone: a
+    singular value below RANK_TOL times the largest counts as zero, and a
+    point that looks deficient is tested again with each field's largest
+    component scaled to one, unless every field has the same size already
+    (a zero field stays zero), so a field's scale does not decide the rank.
+    LAPACK's SVD runs only where it can change the result: at one point
+    when the values are bitwise equal at all of them, and for one or two
+    fields at the points that `_gram_screen` leaves open."""
+    k, dim, count = values.shape
+    values = np.ascontiguousarray(values)
+    bits = values.view(np.uint64)
+    if count > 1 and (bits == bits[:, :, :1]).all():
+        ranks, worst = _stack_ranks(values[:, :, :1])
+        return np.repeat(ranks, count), worst
+    ranks = np.full(count, k)
+    screen = count > 1 and k <= min(2, dim)
+    rows = _gram_screen(values) if screen else np.arange(count)
+    # one matrix per open point, with the fields' values as its columns
+    matrices = values[:, :, rows].transpose(2, 1, 0)
+    svals = np.linalg.svd(matrices, compute_uv=False)
+    found = (svals > RANK_TOL * svals[:, :1]).sum(axis=1)
+    low = np.flatnonzero(found < k)
+    if low.size:
+        sizes = np.abs(matrices[low]).max(axis=1, keepdims=True)
+        uneven = sizes.min(axis=2)[:, 0] < sizes.max(axis=2)[:, 0]
+        low, sizes = low[uneven], sizes[uneven]
+    if low.size:
+        unit = matrices[low] / np.where(sizes > 0, sizes, 1.0)
+        sv = np.linalg.svd(unit, compute_uv=False)
+        found[low] = np.maximum(found[low],
+                                (sv > RANK_TOL * sv[:, :1]).sum(axis=1))
+    ranks[rows] = found
+    full = found == k
+    return ranks, float(svals[full, k - 1].min()) if full.any() else 0.0
+
+
+def _gram_screen(values: np.ndarray) -> np.ndarray:
+    """The points whose rank or smallest singular value needs the SVD,
+    from the contiguous values (k, dim, K) of k = 1 or 2 <= dim fields.
+
+    Each point's matrix is scaled by a power of two, which is exact, to a
+    largest entry in [0.5, 1), so its k x k Gram matrix neither overflows
+    nor loses bits to underflow.  The Gram eigenvalues estimate s_max^2 and
+    s_min^2, and each singular value estimate is held to a relative error
+    of GRAM_SLACK + 64 eps cond^2, which bounds the Gram's rounding on a
+    chart of up to sampling.MAX_DIMS coordinates and the SVD's own.  A
+    point whose estimated s_min / s_max is above SCREEN_TOL has full rank
+    beyond doubt, unless the SVD's own values may under- or overflow there;
+    the other points need the SVD, and so does every sure point whose s_min
+    bound reaches down to the least upper bound of them all, so the
+    smallest s_min is the SVD's own value."""
+    scale = np.frexp(np.abs(values).max(axis=(0, 1)))[1]
+    unit = np.ldexp(values, -scale)
+    a = unit[0]
+    aa = (a * a).sum(axis=0)
+    with np.errstate(all="ignore"):
+        if len(unit) == 1:
+            lmax = lmin = aa
+        else:
+            b = unit[1]
+            bb, ab = (b * b).sum(axis=0), (a * b).sum(axis=0)
+            lmax = 0.5 * (aa + bb + np.hypot(aa - bb, 2.0 * ab))
+            lmin = (aa * bb - ab * ab) / lmax
+        slack = GRAM_SLACK + 64 * np.finfo(float).eps * lmax / lmin
+        s_min = np.ldexp(np.sqrt(lmin), scale)
+        lo, hi = s_min * (1.0 - slack), s_min * (1.0 + slack)
+        sure = ((lmin > SCREEN_TOL ** 2 * lmax) & (lo >= np.finfo(float).tiny)
+                & (np.ldexp(np.sqrt(lmax), scale + 1) < np.inf))
+    if not sure.any():
+        return np.arange(len(sure))
+    return np.flatnonzero(~sure | (lo <= hi[sure].min()))
 
 
 def _lstsq_failed(err, flag):
@@ -327,8 +391,7 @@ class Frame:
         return self.fields[i]
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     ok: bool
     coefficients: Optional[tuple] = None
     residual_verdicts: Optional[tuple] = None
@@ -427,13 +490,12 @@ def _decompose(X: VectorField, fields: list, probe: ZeroProbe):
                          residual_verdicts=verdicts)
 
 
-@dataclass
-class InvolutivityResult:
+class InvolutivityResult(NamedTuple):
     ok: bool
     failing_pair: Optional[tuple] = None
     witness: Optional[Mapping[str, float]] = None
     diagnostic: Optional[str] = None
-    unknown_pairs: list = field(default_factory=list)
+    unknown_pairs: Sequence = ()
 
     def as_dict(self) -> dict:
         out = {"involutive": self.ok}

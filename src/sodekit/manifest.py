@@ -8,9 +8,9 @@ ManifestError and map to exit code 2.
 
 from __future__ import annotations
 
+import copy
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .analysis import Options, OptionsError
 from .expressions import Expr, free_symbols
@@ -23,15 +23,21 @@ class ManifestError(ValueError):
     pass
 
 
-@dataclass
 class Manifest:
-    name: str
-    chart: Chart
-    field_components: list        # list[Expr]
-    frame_components: list        # list[list[Expr]]
-    options: dict = field(default_factory=dict)
-    metadata: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
+    """A validated manifest: the chart, F's and the frame's component
+    expressions, the options and metadata, and the document it was read
+    from (`raw`)."""
+
+    def __init__(self, name: str, chart: Chart, field_components: list,
+                 frame_components: list, options: dict, metadata: dict,
+                 raw: dict):
+        self.name = name
+        self.chart = chart
+        self.field_components = field_components    # list[Expr]
+        self.frame_components = frame_components    # list[list[Expr]]
+        self.options = options
+        self.metadata = metadata
+        self.raw = raw
 
     @property
     def dim(self) -> int:
@@ -49,7 +55,7 @@ class Manifest:
                 for comps in self.frame_components]
 
     def echo(self) -> dict:
-        return json.loads(json.dumps(self.raw, sort_keys=True))
+        return copy.deepcopy(self.raw)
 
 
 def _parse_expr(text, where: str, chart: Chart) -> Expr:

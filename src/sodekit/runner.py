@@ -230,5 +230,49 @@ def run_command(command: str, manifest: Manifest,
         EXIT_MATH_FAIL
 
 
-def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+_CONTAINERS = (dict, list, tuple)
+
+
+def report_to_json(report) -> str:
+    """`json.dumps(report, indent=2, sort_keys=True) + "\\n"`, character for
+    character, for a report whose dict keys are strings.
+
+    Python's encoder runs its pure-Python path when asked to indent, so the
+    indenting is done here.  A container that holds no container is written
+    by the C encoder in one call, its item separator carrying the newline
+    and indent of the container's items (no encoded scalar holds a
+    newline); the containers above those are walked here, keys sorted.
+    The encoders are built per call, one per indent used."""
+    encoders = {}
+    key_text = json.encoder.encode_basestring_ascii
+    default = json.JSONEncoder().default
+
+    def flat(value, pad: str) -> str:
+        encode = encoders.get(pad)
+        if encode is None:
+            encode = encoders[pad] = json.encoder.c_make_encoder(
+                None, default, key_text, None, ": ", "," + pad, True, False,
+                True)
+        return "".join(encode(value, 0))
+
+    def write(value, pad: str) -> str:
+        inner = pad + "  "
+        if not isinstance(value, _CONTAINERS) or not value:
+            return flat(value, inner)
+        is_dict = isinstance(value, dict)
+        for item in value.values() if is_dict else value:
+            if isinstance(item, _CONTAINERS):
+                break
+        else:
+            text = flat(value, inner)
+            return f"{text[0]}{inner}{text[1:-1]}{pad}{text[-1]}"
+        if is_dict:
+            body = [f"{key_text(key)}: {write(item, inner)}"
+                    for key, item in sorted(value.items())]
+            opening, closing = "{", "}"
+        else:
+            body = [write(item, inner) for item in value]
+            opening, closing = "[", "]"
+        return f"{opening}{inner}{(',' + inner).join(body)}{pad}{closing}"
+
+    return write(report, "\n") + "\n"

@@ -13,9 +13,8 @@ evaluated no point carries residual 1.0 and never does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -77,8 +76,7 @@ def box_points(box: Sequence, count: int, seed: int) -> np.ndarray:
     return points
 
 
-@dataclass(frozen=True)
-class ZeroVerdict:
+class ZeroVerdict(NamedTuple):
     kind: str  # "zero" | "nonzero" | "unknown"
     witness: Optional[Mapping[str, float]] = None  # read-only
     value: Optional[float] = None
@@ -104,8 +102,7 @@ def _jittered(point, box):
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class ZeroProbe:
+class ZeroProbe(NamedTuple):
     """The zero test on one chart with one seed: the coordinate names, their
     (lo, hi) intervals in the same order, and the Halton seed.  It hashes and
     compares by value, so a memo key holds the probe itself.  Calling it

@@ -40,8 +40,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -416,8 +415,7 @@ def _check_path_independence(fields, start, chart: Chart):
 # The coordinate transform
 # --------------------------------------------------------------------------
 
-@dataclass
-class Stage:
+class Stage(NamedTuple):
     fld: VectorField
     label: str
 
@@ -806,8 +804,7 @@ def build_normal_coordinates(report: AnalysisReport) -> CoordinateTransform:
 # Residual evaluation on a grid
 # --------------------------------------------------------------------------
 
-@dataclass
-class ResidualReport:
+class ResidualReport(NamedTuple):
     grid_shape: tuple
     extent: list
     node_count: int
@@ -821,12 +818,11 @@ class ResidualReport:
     fibre_min_sv: float
     # field_in_final_chart's (values, final, failures) of the fit nodes, when
     # the caller asked for the fit; not part of the report
-    fit_stencil: Optional[tuple] = field(default=None, repr=False,
-                                         compare=False)
+    fit_stencil: Optional[tuple] = None
 
     def as_dict(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in fields(self)
-               if f.name != "fit_stencil"}
+        out = self._asdict()
+        del out["fit_stencil"]
         out["grid_shape"] = list(self.grid_shape)
         return out
 

@@ -6,7 +6,7 @@ frame decompositions, as the invariant definitions read: the vertical
 endomorphism S, its Lie derivative L_F S, the projectors, the horizontal
 lifts, the vertical and the extended covariant derivatives, and from them
 the connection tables and the mixed curvature.  It shares only the report
-dataclasses with the stages, so a report section built here and one built
+record classes with the stages, so a report section built here and one built
 from the coefficient tables must print the same.
 
 The Nijenhuis torsion of S, the projector identities and the vertical

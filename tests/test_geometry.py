@@ -158,26 +158,32 @@ def test_frame_rank_matches_a_loop_over_the_points(plane):
             worst if np.isfinite(worst) else 0.0)
 
 
+def reference_point_rank(M):
+    """(rank, smallest singular value) of one matrix M with the fields as
+    its rows: the rank taken again with each field scaled to largest
+    component one where it looks deficient and the fields' sizes differ."""
+    svals = np.linalg.svd(M.T, compute_uv=False)
+    rank = int((svals > 1e-9 * svals[0]).sum())
+    sizes = np.abs(M).max(axis=1)
+    if rank < len(M) and sizes.min() < sizes.max():
+        unit = M / np.where(sizes > 0, sizes, 1.0)[:, None]
+        sv = np.linalg.svd(unit.T, compute_uv=False)
+        rank = max(rank, int((sv > 1e-9 * sv[0]).sum()))
+    return rank, svals[-1]
+
+
 def reference_frame_rank(fields, samples, seed):
-    """frame_rank's report as a loop over the points: each point's rank,
-    taken again with each field scaled to largest component one where it
-    looks deficient and the fields' sizes differ; a point where a field
-    fails to evaluate is skipped."""
+    """frame_rank's report as a loop over the points (reference_point_rank
+    at each); a point where a field fails to evaluate is skipped."""
     ranks, kept, worst = [], [], np.inf
     for pt in fields[0].chart.sample(samples, seed).tolist():
         try:
             M = np.array([f.at(pt) for f in fields])
         except EvalDomainError:
             continue
-        svals = np.linalg.svd(M.T, compute_uv=False)
-        rank = int((svals > 1e-9 * svals[0]).sum())
-        sizes = np.abs(M).max(axis=1)
-        if rank < len(fields) and sizes.min() < sizes.max():
-            unit = M / np.where(sizes > 0, sizes, 1.0)[:, None]
-            sv = np.linalg.svd(unit.T, compute_uv=False)
-            rank = max(rank, int((sv > 1e-9 * sv[0]).sum()))
+        rank, s_min = reference_point_rank(M)
         if rank == len(fields):
-            worst = min(worst, svals[-1])
+            worst = min(worst, s_min)
         ranks.append(rank)
         kept.append(tuple(pt))
     claimed = max(ranks)
@@ -226,6 +232,110 @@ def test_frame_rank_does_not_depend_on_a_fields_scale(force):
     # a zero field stays deficient, whatever the other's scale
     zero = frame_rank([W, VectorField(square, [ZERO, ZERO])])
     assert zero.claimed_rank == 1 and zero.constant_rank
+
+
+def rank_stacks():
+    """Stacks (K, k, dim) of matrices, the fields as rows, on which the
+    screens of _stack_ranks decide: by name."""
+    rng = np.random.default_rng(38)
+
+    def shuffled(stack):
+        return np.ascontiguousarray(stack[rng.permutation(len(stack))])
+
+    def with_singular_values(s_max, s_min, dim=3):
+        # V diag(s) U^T for random orthonormal U (dim x 2) and V (2 x 2)
+        u = np.linalg.qr(rng.standard_normal((len(s_min), dim, 2)))[0]
+        v = np.linalg.qr(rng.standard_normal((len(s_min), 2, 2)))[0]
+        return np.einsum("kjr,kr,kir->kji", v, np.stack([s_max, s_min], 1), u)
+
+    base = rng.standard_normal((2, 5))
+    turns = rng.uniform(0, 2 * np.pi, 40)
+    rotations = np.stack([np.stack([np.cos(turns), np.sin(turns)], 1),
+                          np.stack([-np.sin(turns), np.cos(turns)], 1)], 1)
+    stacks = {
+        "constant pair": np.repeat(base[None], 50, axis=0),
+        "constant field": np.repeat(base[None, :1], 50, axis=0),
+        "constant deficient pair": np.repeat(base[None, [0, 0]], 50, axis=0),
+        "constant triple": np.repeat(
+            rng.standard_normal((1, 3, 4)), 50, axis=0),
+        # equal singular values in many bit patterns
+        "tied rotations": rotations,
+        "tied copies": shuffled(np.concatenate(
+            [base[None], base[None, ::-1], -base[None], base[None, :, ::-1]]
+            * 10)),
+        "tied scaled copies": shuffled(
+            base[None] * (1 + 1e-6 * np.arange(60))[:, None, None]),
+        "tied s_min": with_singular_values(rng.uniform(1.5, 3.0, 40),
+                                           np.ones(40)),
+        # s_min 1e-6 apart in random bases, and 1e-9 apart at condition
+        # 1e4: only the screen's error bound keeps the smallest
+        "close s_min": with_singular_values(
+            rng.uniform(1.5, 3.0, 100), 1 + 1e-6 * rng.permutation(100)),
+        "close s_min, ill-conditioned": with_singular_values(
+            rng.uniform(1e4, 3e4, 100), 1 + 1e-9 * rng.permutation(100)),
+        # near-parallel pairs, s_min / s_max either side of the screen's
+        # 1e-6 and the rank's 1e-9
+        "near parallel": with_singular_values(np.ones(42), np.repeat(
+            [1e-6 * (1 - 1e-3), 1e-6, 1e-6 * (1 + 1e-3),
+             1e-9 * (1 - 1e-3), 1e-9 * (1 + 1e-3), 1e-4, 1e-12], 6)),
+        "zero columns": np.where(rng.random((40, 2, 3)) < 0.4, 0.0,
+                                 rng.standard_normal((40, 2, 3))),
+        "zero fields": np.concatenate([
+            np.zeros((5, 2, 3)),
+            np.concatenate([np.zeros((5, 1, 3)),
+                            rng.standard_normal((5, 1, 3))], 1),
+            np.concatenate([rng.standard_normal((5, 1, 3)),
+                            np.zeros((5, 1, 3))], 1)]),
+        "one field with zeros": np.where(
+            rng.random((40, 1, 3)) < 0.5, 0.0,
+            rng.standard_normal((40, 1, 3))),
+        # fields 2^32 apart: the retest with unit fields decides
+        "uneven sizes": rng.standard_normal((40, 2, 3))
+        * np.array([2.0 ** -16, 2.0 ** 16])[None, :, None],
+        "triples": rng.standard_normal((40, 3, 4)),
+    }
+    for name in list(stacks):
+        stack = stacks[name]
+        stacks[name + ", all 2^1000"] = np.ldexp(stack, 1000)
+        stacks[name + ", all 2^-1000"] = np.ldexp(stack, -1000)
+        stacks[name + ", each 2^+-1000"] = np.ldexp(
+            stack, rng.integers(-1000, 1001, (len(stack), 1, 1)))
+        # near 1e-80, the Gram determinants would be subnormal unscaled
+        stacks[name + ", all 2^-268"] = np.ldexp(stack, -268)
+    return stacks
+
+
+@pytest.mark.parametrize("name", sorted(rank_stacks()))
+def test_stack_ranks_match_the_per_point_reference(name):
+    stack = rank_stacks()[name]
+    ranks, worst = geometry._stack_ranks(stack.transpose(1, 2, 0))
+    reference = [reference_point_rank(M) for M in stack]
+    assert ranks.tolist() == [rank for rank, _ in reference]
+    full = [s_min for rank, s_min in reference if rank == stack.shape[1]]
+    assert np.float64(worst).tobytes() == np.float64(
+        min(full, default=0.0)).tobytes()
+
+
+def test_frame_rank_sends_only_undecided_rows_to_the_svd(monkeypatch, plane):
+    rows = []
+
+    def counting_svd(a, *args, **kwargs):
+        rows.append(len(a))
+        return svd(a, *args, **kwargs)
+
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    dx, dy = coordinate_field(plane, "x"), coordinate_field(plane, "y")
+    # a constant frame: one matrix decomposed for all 200 points
+    assert frame_rank([dx, dy], samples=200).constant_rank
+    assert frame_rank([dy], samples=200).constant_rank
+    assert rows == [1, 1]
+    # a smooth pair: the Gram screen leaves the rows near the smallest s_min
+    rows.clear()
+    F = VectorField(plane, [y, parse("x*y^2 + y")])
+    report = frame_rank([dy, lie_bracket(F, dy)], samples=200)
+    assert report.constant_rank and report.sample_count == 200
+    assert len(rows) == 1 and rows[0] <= 5
 
 
 def test_frame_rank_skips_points_with_non_finite_values():

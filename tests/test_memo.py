@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 import threading
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -80,7 +79,7 @@ def test_memoized_verdicts_and_decompositions_are_read_only():
     assert dec.failure == "not_in_span"
     with pytest.raises(TypeError):
         dec.witness["y"] = 99.0
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         dec.ok = True
 
 

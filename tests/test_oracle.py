@@ -3,8 +3,12 @@ rational trees and `differentiate` on random polynomial, rational and
 elementary trees (the term rule, the quotient rule and the chain rule),
 checked against sympy; the sums of products formed on rational forms
 (`dot`, `lie_bracket`), checked against the normal forms of their trees; and
-the zero test's array walk, checked against a replay one point at a time."""
+the zero test's array walk, checked against a replay one point at a time;
+and the report writer, checked against `json.dumps`."""
 
+import json
+
+import numpy as np
 import pytest
 
 sympy = pytest.importorskip("sympy")
@@ -17,6 +21,7 @@ from sodekit.expressions import (  # noqa: E402
 )
 from sodekit.geometry import Chart, lie_bracket  # noqa: E402
 from sodekit.parser import parse  # noqa: E402
+from sodekit.runner import report_to_json, run_command  # noqa: E402
 from sodekit.sampling import TRIALS, is_zero  # noqa: E402
 from tests.conftest import (  # noqa: E402
     INSTANCES, first_point_edge, walk_trial_points,
@@ -239,3 +244,35 @@ def test_the_zero_test_replays_one_point_at_a_time(poly, domain, factor, seed):
             else f"{skipped} of {TRIALS} trial points skipped" if skipped
             else None)
         assert (v.max_residual == 1.0) == (not used)
+
+
+# JSON values as reports hold them, and the encoder's corners: strings that
+# need escapes or are not ASCII, signed zeros, NaN and infinities, numpy
+# floats, ints past 64 bits, and empty containers at any depth
+TRICKY = '"\\/[]{},: \n\t\x00\x1f\x7f\u00e9\u4e2d\u2028\U0001f600'
+json_strings = st.text(st.sampled_from(TRICKY), max_size=6) | st.text(
+    max_size=6)
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2 ** 100, 2 ** 100),
+    st.floats(), st.floats().map(np.float64), json_strings,
+    st.sampled_from([0.0, -0.0, float("nan"), float("inf"), float("-inf")]))
+json_values = st.recursive(json_scalars, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(json_strings, inner, max_size=4)), max_leaves=24)
+
+
+def json_dumps_text(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(json_values)
+def test_the_report_writer_writes_what_json_dumps_writes(value):
+    assert report_to_json(value) == json_dumps_text(value)
+
+
+@pytest.mark.parametrize("name", sorted(INSTANCES))
+def test_every_instance_report_is_written_as_json_dumps_writes_it(name):
+    for command in ("check", "report"):
+        report, _ = run_command(command, INSTANCES[name]())
+        assert report_to_json(report) == json_dumps_text(report)

@@ -134,6 +134,13 @@ def test_flows_are_integrated_on_one_path():
     assert all(isinstance(st.fld, VectorField) for st in transform.stages)
 
 
+def test_reports_are_written_by_one_writer():
+    # json.dumps indents in pure Python: every JSON text the package writes,
+    # `corpus --show` included, comes from report_to_json's C encoders
+    assert callers("dumps") == set()
+    assert callers("c_make_encoder") == {("runner", "report_to_json")}
+
+
 def test_every_adaptation_mode_is_reached():
     # a mode that no registry input reaches is dead code
     modes = set()
